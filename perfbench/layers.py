@@ -34,15 +34,6 @@ SELF_TIMED = COUNTED + ("cli.finish",)
 INCL_TIMED = ("contrast_ode.integrate", "timemaps", "reference.residual",
               "pde.evolve", "fuchsian.radius", "fuchsian.verify")
 
-_UNITS = {"pde.steps": "count", "pde.rhs_per_step": "1/step", "pde.step_us": "us",
-          "fuchsian.radius.halvings": "count", "cli.artifact_bytes": "B",
-          "trace.overhead_share": "share"}
-
-
-def unit_of(name: str) -> str:
-    """Unit of a per-layer metric: call counts, a few named ones, and seconds."""
-    return _UNITS.get(name) or ("count" if name.endswith(".calls") else "s")
-
 
 def layer_metrics(totals: dict, values: dict, artifact_bytes: int) -> dict[str, float]:
     """Metric name -> value for one call, from ``Tracer.totals()`` and summary values."""

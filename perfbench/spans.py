@@ -99,8 +99,8 @@ class Tracer:
 
         return traced
 
-    def install(self, package: str = "jeanslab") -> None:
-        mods = [importlib.import_module(f"{package}.{m}") for m in MODULES]
+    def install(self) -> None:
+        mods = [importlib.import_module(f"jeanslab.{m}") for m in MODULES]
         wrapped = {}
         for mod in mods:
             for owner, attr, fn, name in _public_targets(mod):
@@ -108,7 +108,7 @@ class Tracer:
                 self._set(owner, attr, wrapped[id(fn)])
         # rebind every other module-level name, dict value or tuple entry
         # that still holds an original function
-        for mod in [importlib.import_module(package), *mods]:
+        for mod in [importlib.import_module("jeanslab"), *mods]:
             for key, val in list(vars(mod).items()):
                 if id(val) in wrapped:
                     self._set(mod, key, wrapped[id(val)])

@@ -3,7 +3,8 @@
     python3 -m pytest -q perfbench
 
 Each workload is run once untraced and once traced with a one-second budget
-(one call, or one untraced and one traced call), which takes about a minute.
+(the fresh-interpreter call, then one untraced call, or one untraced and one
+traced call), which takes about a minute.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ def test_tracing_changes_no_output(workload):
     _, plain = bench(workload, 0)
     _, traced = bench(workload, 1)
     # the traced run checks its traced calls' digests against its untraced ones
-    assert any(c["traced"] for c in traced["calls"]) and traced["failed"] == 0
+    assert any(c["kind"] == "traced" for c in traced["calls"]) and traced["failed"] == 0
+    assert plain["calls"][0]["kind"] == traced["calls"][0]["kind"] == "fresh"
     assert traced["digests"] == plain["digests"]
     assert traced["key_values"] == plain["key_values"]
     layers = traced["layers_per_call"][0]
@@ -68,6 +70,25 @@ def test_tracing_changes_no_output(workload):
         assert layers["fuchsian.radius.halvings"] == 17
     if workload == "collapse":
         assert (layers["pde.steps"], layers["pde.rhs.calls"]) == (1362, 5448)
+
+
+def test_digests_are_checked_against_earlier_runs(tmp_path, monkeypatch):
+    import run
+
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    (tmp_path / "exact-seed5-trace0.json").write_text(json.dumps(
+        {"environment": {"src_sha256": "abc"}, "digests": {"a.csv": "1"}}))
+    assert run.earlier_digests("exact", 5, "other") is None
+    assert run.earlier_digests("exact", 50, "abc") is None
+    reference = run.earlier_digests("exact", 5, "abc")
+    passing = {"rc": 0, "all_pass": True,
+               "verdicts": {v: True for v in WORKLOADS["exact"].verdicts}}
+    calls = [{**passing, "index": 0, "kind": "fresh", "digests": {"a.csv": "1"}},
+             {**passing, "index": 1, "kind": "plain", "digests": {"a.csv": "2"}}]
+    failures = run.check_calls(calls, WORKLOADS["exact"], reference)
+    assert [c["ok"] for c in calls] == [True, False]
+    assert failures == ["call 1 (plain): digests differ from those of "
+                        "exact-seed5-trace0.json: ['a.csv']"]
 
 
 def test_refuses_to_run_without_sources(tmp_path):
