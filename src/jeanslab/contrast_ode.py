@@ -40,7 +40,8 @@ class OdeTrajectory:
     """Dense-output record of one contrast integration.
 
     ``t_grid`` holds the accepted solver steps; ``f_at`` / ``f0_at`` evaluate
-    the dense output anywhere inside [t0, t_end].
+    the dense output anywhere inside [t0, t_end], and ``f_f0_at`` evaluates
+    both at one scalar time with a single dense-output call.
     """
 
     params: ModelParams
@@ -52,9 +53,8 @@ class OdeTrajectory:
     reached_cap: bool
     t_m_estimate: float = math.inf
     _sol: object = field(default=None, repr=False)
-
-    def _y(self, t):
-        return self._sol(t)
+    # (t, (f, f0)) of the last f_f0_at call
+    _f_f0_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def f_at(self, t):
         """Contrast f(t) from dense output (scalar or array t)."""
@@ -64,6 +64,20 @@ class OdeTrajectory:
         """Derivative f'(t) from dense output."""
         y, yp = self._sol(np.asarray(t))
         return yp * np.exp(y)
+
+    def f_f0_at(self, t: float) -> tuple[float, float]:
+        """(f(t), f'(t)) at one scalar time, equal to (float(f_at(t)), float(f0_at(t))).
+
+        Makes one dense-output call and remembers the last time asked for: an
+        RK step revisits each of its stage times, so most calls repeat it.
+        """
+        memo = self._f_f0_memo
+        if memo is not None and memo[0] == t:
+            return memo[1]
+        y, yp = self._sol(np.asarray(t))
+        out = (float(np.expm1(y)), float(yp * np.exp(y)))
+        self._f_f0_memo = (t, out)
+        return out
 
     def time_of_contrast(self, f_target: float) -> float:
         """Smallest t with f(t) = f_target (f is strictly increasing)."""
@@ -224,7 +238,9 @@ def envelope_constants(params: ModelParams) -> EnvelopeConstants:
     ) * t0
     cE = c_bar * beta0 * t0 ** (1.0 - a_bar) / (a_bar * (1.0 + beta))
     out = EnvelopeConstants(a_bar, c_bar, tri, cA, cB, cC, cD, cE)
-    assert out.cB < 0.0 and out.cC > 0.0 and out.cE > 0.0
+    if not (out.cB < 0.0 and out.cC > 0.0 and out.cE > 0.0):
+        raise RuntimeError(f"envelope constants out of sign: need cB < 0 < cC, cE; "
+                           f"got cB={cB:.6g}, cC={cC:.6g}, cE={cE:.6g}")
     return out
 
 

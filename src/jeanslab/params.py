@@ -153,7 +153,10 @@ def build_params(
         k_tilde=k_tilde, iota=iota, beta=beta, gamma=gamma, lam=lam, A=A,
         certified=certified,
     )
-    assert abs(_cubic_residual(p.iota, p.k_tilde)) < IOTA_RESIDUAL_TOL
+    residual = _cubic_residual(p.iota, p.k_tilde)
+    if not abs(residual) < IOTA_RESIDUAL_TOL:
+        raise RuntimeError(f"iota solve failed: cubic residual {residual:.3g} at "
+                           f"iota={p.iota!r}, k_tilde={p.k_tilde!r}")
     return p
 
 

@@ -16,6 +16,7 @@ positivity anywhere (the equation leaves the hyperbolic regime).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +28,10 @@ from .params import ModelParams
 
 class HyperbolicityLossError(RuntimeError):
     pass
+
+
+class VacuumError(ValueError):
+    """The contrast reached vacuum: 1 + rho_hat <= 0 somewhere on the grid."""
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +46,15 @@ def zeta_grid(n: int) -> np.ndarray:
 
 def diff1(u: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order centered first derivative on the periodic grid."""
-    return (-np.roll(u, -2) + 8.0 * np.roll(u, -1)
-            - 8.0 * np.roll(u, 1) + np.roll(u, 2)) / (12.0 * h)
+    p = np.concatenate((u[-2:], u, u[:2]))  # two periodic ghosts a side: p[j+2] = u[j]
+    return (-p[4:] + 8.0 * p[3:-1] - 8.0 * p[1:-3] + p[:-4]) / (12.0 * h)
 
 
 def diff2(u: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order centered second derivative on the periodic grid."""
-    return (-np.roll(u, -2) + 16.0 * np.roll(u, -1) - 30.0 * u
-            + 16.0 * np.roll(u, 1) - np.roll(u, 2)) / (12.0 * h * h)
+    p = np.concatenate((u[-2:], u, u[:2]))
+    return (-p[4:] + 16.0 * p[3:-1] - 30.0 * u
+            + 16.0 * p[1:-3] - p[:-4]) / (12.0 * h * h)
 
 
 def diff1_spectral(u: np.ndarray, h: float) -> np.ndarray:
@@ -69,6 +75,15 @@ _DERIV_MODES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _psi_divisor(n: int) -> np.ndarray:
+    """Mode-k divisor 3 + 2 pi i k of compute_psi on an n-point grid (read-only)."""
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    div = 3.0 + 2.0j * math.pi * k
+    div.flags.writeable = False
+    return div
+
+
 def compute_psi(u_grid: np.ndarray) -> np.ndarray:
     """Rescaled gravity from the contrast deviation u on the periodic grid.
 
@@ -83,8 +98,7 @@ def compute_psi(u_grid: np.ndarray) -> np.ndarray:
     shift-equivariant under whole-grid-point shifts.
     """
     n = len(u_grid)
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    return np.fft.irfft(np.fft.rfft(u_grid) / (3.0 + 2.0j * math.pi * k), n=n)
+    return np.fft.irfft(np.fft.rfft(u_grid) / _psi_divisor(n), n=n)
 
 
 def psi_brute_force(u_fn, zeta: np.ndarray, periods: int = 20, n_sub: int = 4096) -> np.ndarray:
@@ -225,7 +239,7 @@ def init_from_data(params: ModelParams, d_profile, v_profile, n: int,
 def wave_coefficients(state_t: float, rho_hat: np.ndarray, nu: np.ndarray,
                       f: float, f0: float, params: ModelParams):
     """(gzz, g0z) of the reduced wave operator at one time level."""
-    om, i3 = params.omega, params.iota**3
+    om, i3 = params.omega, params.iota3
     t = state_t
     one_pf = 1.0 + f
     one_pr = 1.0 + rho_hat
@@ -239,21 +253,20 @@ def rhs(state: FieldState, traj: OdeTrajectory, params: ModelParams,
         deriv: str = "fd4"):
     """Time derivatives (d rho_hat, d drho_dt, d nu) of the reduced system.
 
-    Raises HyperbolicityLossError if gzz <= 0 anywhere and ValueError on
+    Raises HyperbolicityLossError if gzz <= 0 anywhere and VacuumError on
     vacuum (1 + rho_hat <= 0).  Psi is re-evaluated from the instantaneous
     contrast before use.
     """
     d1, d2 = _DERIV_MODES[deriv]
     t = state.t
-    f = float(traj.f_at(t))
-    f0 = float(traj.f0_at(t))
-    om, i3, kap = params.omega, params.iota**3, params.kappa
+    f, f0 = traj.f_f0_at(t)
+    om, i3, kap = params.omega, params.iota3, params.kappa
     r, rt, nu = state.rho_hat, state.drho_dt, state.nu
     h = 1.0 / state.n
     one_pf = 1.0 + f
     one_pr = 1.0 + r
     if np.any(one_pr <= 0.0):
-        raise ValueError("vacuum formation: 1 + rho_hat <= 0 on the grid")
+        raise VacuumError("vacuum formation: 1 + rho_hat <= 0 on the grid")
     gzz, g0z = wave_coefficients(t, r, nu, f, f0, params)
     if np.any(gzz <= 0.0):
         raise HyperbolicityLossError(
@@ -262,19 +275,21 @@ def rhs(state: FieldState, traj: OdeTrajectory, params: ModelParams,
     rz, rzz, rtz, nuz = d1(r, h), d2(r, h), d1(rt, h), d1(nu, h)
     psi = compute_psi((r - f) / f)
     ratio = one_pr / one_pf
+    ratio_om, ratio_1om = ratio**om, ratio ** (1.0 + om)
+    nu2, rz2 = nu**2, rz**2
     z_rate = f0 / (3.0 * one_pf)
 
     f1 = (-(2.0 * f0**2 / (9.0 * one_pf**2)) * nu * rz
-          + ((om + 1.0) * (om + 2.0) * (1.0 - i3) / (9.0 * t * t)) * ratio**om * rz**2
-          + (f0**2 / (9.0 * one_pf**2)) * nu**2 * rz
-          + (2.0 * (1.0 - i3) * one_pf / (9.0 * t * t)) * (ratio ** (1.0 + om) - 1.0) * rz
+          + ((om + 1.0) * (om + 2.0) * (1.0 - i3) / (9.0 * t * t)) * ratio_om * rz2
+          + (f0**2 / (9.0 * one_pf**2)) * nu2 * rz
+          + (2.0 * (1.0 - i3) * one_pf / (9.0 * t * t)) * (ratio_1om - 1.0) * rz
           + (2.0 * i3 * f / (3.0 * t * t)) * rz * psi
-          + 4.0 * f0**2 * nu**2 * rz**2 / (27.0 * one_pf**2 * one_pr)
+          + 4.0 * f0**2 * nu2 * rz2 / (27.0 * one_pf**2 * one_pr)
           + 8.0 * f0 * nu * rz * rt / (9.0 * one_pf * one_pr)
           + (2.0 / 3.0) * one_pr * (f0 / one_pf - rt / one_pr
                                     - z_rate * nu * rz / one_pr
                                     - (f0 / one_pf) * nu) ** 2
-          + (2.0 * (1.0 - i3) / (3.0 * t * t)) * (ratio**om - 1.0) * one_pr**2
+          + (2.0 * (1.0 - i3) / (3.0 * t * t)) * (ratio_om - 1.0) * one_pr**2
           + ((8.0 + 5.0 * om) * (1.0 - i3) / (9.0 * t * t)) * one_pr ** (om + 1.0) / one_pf**om * rz
           + kap * f0**2 * one_pr / one_pf**2)
 
@@ -286,10 +301,10 @@ def rhs(state: FieldState, traj: OdeTrajectory, params: ModelParams,
 
     g1 = (-(2.0 * one_pf * f / (3.0 * t * t * f0)) * nu
           + (1.0 / 3.0 - kap) * (f0 / one_pf) * nu
-          - z_rate * nu**2
+          - z_rate * nu2
           - ((om + 2.0) * (1.0 - i3) * one_pf ** (1.0 - om) * one_pr**om
              / (3.0 * t * t * f0)) * rz
-          - (2.0 * (1.0 - i3) * one_pf**2 / (3.0 * t * t * f0)) * (ratio ** (1.0 + om) - 1.0)
+          - (2.0 * (1.0 - i3) * one_pf**2 / (3.0 * t * t * f0)) * (ratio_1om - 1.0)
           - (2.0 * i3 * one_pf * f / (t * t * f0)) * psi)
     d_nu = g1 - z_rate * nu * nuz
 
@@ -385,8 +400,7 @@ def evolve(state: FieldState, traj: OdeTrajectory, params: ModelParams,
     dt_min, dt_max = math.inf, 0.0
     cur = state
     while cur.t < t_stop * (1.0 - 1e-14):
-        f = float(traj.f_at(cur.t))
-        f0 = float(traj.f0_at(cur.t))
+        f, f0 = traj.f_f0_at(cur.t)
         gzz, g0z = wave_coefficients(cur.t, cur.rho_hat, cur.nu, f, f0, params)
         if np.any(gzz <= 0.0):
             stop_reason = "hyperbolicity_loss"
@@ -403,7 +417,7 @@ def evolve(state: FieldState, traj: OdeTrajectory, params: ModelParams,
         except HyperbolicityLossError:
             stop_reason = "hyperbolicity_loss"
             break
-        except ValueError:
+        except VacuumError:
             stop_reason = "vacuum"
             break
         n_steps += 1
@@ -452,6 +466,6 @@ def _rk4_step(state: FieldState, dt: float, traj, params, deriv) -> FieldState:
     rt = rt0 + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
     nu = nu0 + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
     t_new = t + dt
-    f_new = float(traj.f_at(t_new))
+    f_new, _ = traj.f_f0_at(t_new)
     psi = compute_psi((r - f_new) / f_new)
     return FieldState(t=t_new, zeta=state.zeta, rho_hat=r, drho_dt=rt, nu=nu, psi=psi)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,21 @@ def test_envelope_constants_frozen(params):
     # at t0 both envelopes reproduce the data exactly
     assert math.exp(ec.cC + ec.cD) == pytest.approx(1.0 + params.beta, abs=1e-9)
     assert ec.bracket_fn(1.0) == pytest.approx(1.0 / (1.0 + params.beta), abs=1e-12)
+
+
+def test_envelope_constants_sign_check(params):
+    # c > 1 is the model's regime; c = 1/2 flips the sign of cE
+    with pytest.raises(RuntimeError, match="envelope constants"):
+        envelope_constants(dataclasses.replace(params, ode_c=0.5))
+
+
+def test_f_f0_at_equals_separate_calls(traj):
+    # repeated times hit the one-entry memo, alternating ones replace it
+    t0, t_a, t_b = traj.t_grid[0], 0.5 * (traj.t_grid[0] + traj.t_end), traj.t_end
+    for t in (t_a, t_a, t_b, t_a, t_b, t_b, t0, t_a, t0):
+        f, f0 = traj.f_f0_at(t)
+        assert (f, f0) == (float(traj.f_at(t)), float(traj.f0_at(t)))
+        assert type(f) is float and type(f0) is float
 
 
 def test_bracket_bisection_oracle(params):

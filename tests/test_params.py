@@ -92,6 +92,15 @@ def test_build_params_rejections():
     assert not p.certified
 
 
+def test_build_params_checks_iota_residual(monkeypatch):
+    from jeanslab import params as params_mod
+
+    k = k_from_iota(0.2 ** (1.0 / 3.0))
+    monkeypatch.setattr(params_mod, "solve_iota", lambda k_tilde: 0.5)
+    with pytest.raises(RuntimeError, match="cubic residual"):
+        build_params(k, beta=0.1, gamma=0.5)
+
+
 def test_deterministic():
     a = params_from_iota3(0.2, 0.1, 0.5)
     b = params_from_iota3(0.2, 0.1, 0.5)

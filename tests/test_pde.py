@@ -4,9 +4,29 @@ import pytest
 from conftest import cosine_profiles, flat_profiles
 from jeanslab import pde
 from jeanslab.pde import (EvolveControls, FieldState, compute_psi,
-                          continuity_residual, data_smallness, diff1,
+                          continuity_residual, data_smallness, diff1, diff2,
                           entropy_field, evolve, init_from_data,
                           psi_brute_force, rhs, zeta_grid)
+
+
+# ---------------------------------------------------------------------------
+# stencils
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_stencils_equal_roll_formulas(n):
+    # the padded-slice stencils keep the np.roll formulas' terms in order,
+    # so every element agrees bit for bit
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        u = rng.standard_normal(n)
+        h = 1.0 / n
+        d1_roll = (-np.roll(u, -2) + 8.0 * np.roll(u, -1)
+                   - 8.0 * np.roll(u, 1) + np.roll(u, 2)) / (12.0 * h)
+        d2_roll = (-np.roll(u, -2) + 16.0 * np.roll(u, -1) - 30.0 * u
+                   + 16.0 * np.roll(u, 1) - np.roll(u, 2)) / (12.0 * h * h)
+        assert np.array_equal(diff1(u, h), d1_roll)
+        assert np.array_equal(diff2(u, h), d2_roll)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +74,15 @@ def test_psi_ode_defect_order():
         defects[n] = np.max(np.abs(diff1(psi, 1.0 / n) - (u - 3.0 * psi)))
     orders = [np.log2(defects[n] / defects[2 * n]) for n in (32, 64, 128)]
     assert min(orders) >= 3.5
+
+
+def test_psi_equals_uncached_expression():
+    rng = np.random.default_rng(5)
+    for n in (16, 64, 128, 64):
+        u = rng.standard_normal(n)
+        k = np.fft.rfftfreq(n, d=1.0 / n)
+        direct = np.fft.irfft(np.fft.rfft(u) / (3.0 + 2.0j * np.pi * k), n=n)
+        assert np.array_equal(compute_psi(u), direct)
 
 
 def test_psi_linf_bound():
@@ -182,6 +211,14 @@ def test_rhs_vacuum_guard(traj, params):
         rhs(st, traj, params)
 
 
+def test_rhs_vacuum_guard_is_typed(traj, params):
+    d, v = flat_profiles()
+    st = init_from_data(params, d, v, 64)
+    st.rho_hat = st.rho_hat - 2.0
+    with pytest.raises(pde.VacuumError):
+        rhs(st, traj, params)
+
+
 # ---------------------------------------------------------------------------
 # evolution
 
@@ -244,6 +281,45 @@ def test_self_convergence_order(traj, params):
     d1 = np.max(np.abs(finals[32].rho_hat - finals[64].rho_hat[::2]))
     d2 = np.max(np.abs(finals[64].rho_hat - finals[128].rho_hat[::2]))
     assert np.log2(d1 / d2) >= 3.5
+
+
+def test_time_order_rk4(traj, params):
+    # fixed grid, dt refined through both step limits at once: the spatial
+    # error cancels in the differences, leaving the stepper's own order
+    d, v = cosine_profiles(params, 0.05)
+    finals = {}
+    for k in (1, 2, 4):
+        st = init_from_data(params, d, v, 32)
+        controls = EvolveControls(cfl=0.4 / k, growth_cap=0.01 / k, out_target=2)
+        finals[k] = evolve(st, traj, params, t_end=2.0, controls=controls).final
+    assert finals[1].t == finals[2].t == finals[4].t
+    d12 = np.max(np.abs(finals[1].rho_hat - finals[2].rho_hat))
+    d24 = np.max(np.abs(finals[2].rho_hat - finals[4].rho_hat))
+    assert 3.7 <= np.log2(d12 / d24) <= 4.3
+
+
+def _failing_rhs(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_evolve_stops_on_vacuum(traj, params, monkeypatch):
+    d, v = flat_profiles()
+    st = init_from_data(params, d, v, 64)
+    monkeypatch.setattr(pde, "rhs", _failing_rhs(pde.VacuumError("vacuum formation")))
+    res = evolve(st, traj, params, t_end=2.0)
+    assert res.stop_reason == "vacuum"
+    assert res.n_steps == 0
+
+
+def test_evolve_propagates_other_value_errors(traj, params, monkeypatch):
+    # only VacuumError means vacuum; any other ValueError from a step is a fault
+    d, v = flat_profiles()
+    st = init_from_data(params, d, v, 64)
+    monkeypatch.setattr(pde, "rhs", _failing_rhs(ValueError("not a vacuum")))
+    with pytest.raises(ValueError, match="not a vacuum"):
+        evolve(st, traj, params, t_end=2.0)
 
 
 def test_evolve_requires_stop_rule(traj, params):
