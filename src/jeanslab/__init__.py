@@ -9,8 +9,8 @@ __version__ = "0.1.0"
 from .params import ModelParams, build_params, k_from_iota, params_from_iota3, solve_iota
 from .contrast_ode import (BoundReport, OdeTrajectory, ToleranceSpec,
                            blowup_bracket, blowup_ladder, bound_certificates,
-                           envelope_constants, estimate_blowup_time,
-                           integrate_contrast, rk4_reference, zero_trajectory)
+                           envelope_constants, integrate_contrast,
+                           rk4_reference, zero_trajectory)
 from .timemaps import (TimeMaps, check_G_decay, compute_diagnostics, compute_g,
                        invert_tau, terminal_window)
 from .reference import (FluidPoint, ResidualReport, background_state,

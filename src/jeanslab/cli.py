@@ -152,7 +152,7 @@ class RunDir:
             "scipy_version": scipy.__version__,
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
-        (self.path / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+        (self.path / "manifest.json").write_text(_dumps(doc))
 
     def add_artifact(self, name: str) -> Path:
         p = self.path / name
@@ -167,25 +167,30 @@ class RunDir:
         summary = {
             "command": self.cfg.command,
             "verdicts": self.verdicts,
-            "values": _jsonable(self.values),
+            "values": self.values,
             "digests": digests,
             "all_pass": all(self.verdicts.values()),
         }
-        (self.path / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+        (self.path / "summary.json").write_text(_dumps(summary))
         return 0 if summary["all_pass"] else 1
 
 
+def _dumps(obj) -> str:
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _jsonable(obj):
+    """Plain JSON values; non-finite floats become "inf", "-inf" and "nan"."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 
@@ -275,7 +280,7 @@ def cmd_ode(run: RunDir) -> None:
         "t_m_estimate": est, "ladder_spread": spread,
     }
     p = run.add_artifact("constants.json")
-    p.write_text(json.dumps(_jsonable(sidecar), indent=2, sort_keys=True))
+    p.write_text(_dumps(sidecar))
     # identity verdicts along the trajectory
     a, b, c, A, B = params.ode_a, params.ode_b, params.ode_c, params.A, params.B
     f0_pred = (1.0 / B) * maps.t_grid**-a * maps.g ** (-b / A) * (1.0 + maps.f) ** c
@@ -321,7 +326,7 @@ def cmd_blowup(run: RunDir) -> None:
         "improved_bound_applicable": rep.improved_applicable,
         "first_violation": rep.first_violation,
     }
-    run.add_artifact("blowup.json").write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True))
+    run.add_artifact("blowup.json").write_text(_dumps(doc))
     run.verdict("envelopes_hold_everywhere", rep.all_ok)
     run.verdict("estimate_inside_bracket", bool(contained))
     run.verdict("ladder_spread_below_1e-3", bool(spread < 1e-3))
@@ -348,7 +353,7 @@ def cmd_residuals(run: RunDir) -> None:
         out["homogeneous"] = {"max_norms": rep.max_norms, "verdict": rep.verdict,
                               "source_gap_max": rep.source_gap_max}
         run.verdict("homogeneous_residuals_below_1e-6", rep.verdict)
-    run.add_artifact("residuals.json").write_text(json.dumps(_jsonable(out), indent=2, sort_keys=True))
+    run.add_artifact("residuals.json").write_text(_dumps(out))
     run.values.update(out)
 
 
@@ -421,7 +426,7 @@ def cmd_fuchsian(run: RunDir) -> None:
         "q_positivity_100_samples": q_ok,
         "projector_note": rep.p_trivial_note,
     }
-    run.add_artifact("fuchsian.json").write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True))
+    run.add_artifact("fuchsian.json").write_text(_dumps(doc))
     for k, v in rep.verdict.items():
         run.verdict(f"fuchsian_{k}", v)
     run.verdict("fuchsian_q_positivity", q_ok)
@@ -539,11 +544,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _COMMANDS[cfg.command](run)
     except (ValueError, TypeError) as exc:
-        (run.path / "error.json").write_text(json.dumps({"error": str(exc), "kind": "usage"}))
+        (run.path / "error.json").write_text(
+            json.dumps({"error": str(exc), "kind": "usage"}, allow_nan=False))
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:
-        (run.path / "error.json").write_text(json.dumps({"error": str(exc), "kind": "numerical"}))
+        (run.path / "error.json").write_text(
+            json.dumps({"error": str(exc), "kind": "numerical"}, allow_nan=False))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return run.finish()

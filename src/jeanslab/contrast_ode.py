@@ -161,7 +161,7 @@ def integrate_contrast(
         f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=reached_cap, _sol=sol.sol,
     )
     if reached_cap:
-        traj.t_m_estimate = estimate_blowup_time(traj)
+        traj.t_m_estimate = blowup_ladder(traj)[0]
     return traj
 
 
@@ -330,7 +330,7 @@ def bound_certificates(traj: OdeTrajectory, params: ModelParams) -> BoundReport:
     )
 
 
-def estimate_blowup_time(traj: OdeTrajectory, n_rungs: int = 5) -> float:
+def blowup_ladder(traj: OdeTrajectory, n_rungs: int = 5) -> tuple[float, float]:
     """Blowup time by geometric-ladder extrapolation of cap-crossing times.
 
     The crossing times t_k of f = f_cap / 2^k behave like t_m - C f^{-q};
@@ -339,15 +339,9 @@ def estimate_blowup_time(traj: OdeTrajectory, n_rungs: int = 5) -> float:
 
         t_m = t3 + (t3 - t2) / (r - 1).
 
-    The returned estimate is the extrapolant from the last triplet; the
-    spread across all triplets is available via :func:`blowup_ladder`.
+    Returns (t_m estimate, relative spread of the triplet extrapolants); the
+    estimate is the extrapolant from the last triplet.
     """
-    est, _spread = blowup_ladder(traj, n_rungs)
-    return est
-
-
-def blowup_ladder(traj: OdeTrajectory, n_rungs: int = 5) -> tuple[float, float]:
-    """Return (t_m estimate, relative spread of the triplet extrapolants)."""
     if not traj.reached_cap:
         raise RuntimeError("no blowup detected in window: trajectory never reached f_cap")
     caps = traj.f_cap / 2.0 ** np.arange(n_rungs - 1, -1, -1)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .contrast_ode import OdeTrajectory
 from .params import ModelParams
@@ -85,8 +84,7 @@ def fuchsian_fields(state: FieldState, traj: OdeTrajectory, maps: TimeMaps,
                     params: ModelParams) -> FuchsianFields:
     """Scaled singular-system fields extracted from one PDE state."""
     t = state.t
-    f = float(traj.f_at(t))
-    f0 = float(traj.f0_at(t))
+    f, f0 = traj.f_f0_at(t)
     if f <= 0.0:
         raise ValueError("degenerate pre-perturbation state: f = 0")
     h = 1.0 / state.n
@@ -95,17 +93,8 @@ def fuchsian_fields(state: FieldState, traj: OdeTrajectory, maps: TimeMaps,
     uz = (params.c_scale / (1.0 + f)) * diff1(state.rho_hat, h)
     psi = compute_psi(u)
     tau = float(-maps.g_at(t))
-    G = float(G_interpolant(maps)(t))
-    return FuchsianFields(tau=tau, t=t, f=f, G_frak=G,
+    return FuchsianFields(tau=tau, t=t, f=f, G_frak=maps.G_at(t),
                           U=np.vstack([u0, uz, u, state.nu, psi]))
-
-
-def G_interpolant(maps: TimeMaps) -> PchipInterpolator:
-    if maps.G_frak is None:
-        raise ValueError("diagnostics not filled; call compute_diagnostics first")
-    if not hasattr(maps, "_G_of_t_cache"):
-        maps._G_of_t_cache = PchipInterpolator(maps.t_grid, maps.G_frak)
-    return maps._G_of_t_cache
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +108,7 @@ def wave_block_weight(params: ModelParams) -> float:
     into the scaled system; equals 25/36 exactly when (2+omega)(1-iota^3)
     happens to be 1/4.
     """
-    return (25.0 / 9.0) * (2.0 + params.omega) * (1.0 - params.iota**3)
+    return (25.0 / 9.0) * (2.0 + params.omega) * (1.0 - params.iota3)
 
 
 @dataclass
@@ -148,7 +137,7 @@ def assemble_matrices(tau: float, U_point, G_frak_val: float, f_val: float,
     internally.  Fractional powers require 1 + f u/(1+f) > 0.
     """
     u0, uz, u, nu, psi = (float(v) for v in np.asarray(U_point, float))
-    lam, i3, om, A, B = params.lam, params.iota**3, params.omega, params.A, params.B
+    lam, i3, om, A, B = params.lam, params.iota3, params.omega, params.A, params.B
     f = f_val
     G = G_frak_val
     X = 4.0 + G / B
@@ -263,7 +252,7 @@ def system_rhs_direct(tau: float, U_point, dU_dzeta, G_frak_val: float,
     """
     u0, uz, u, nu, psi = (float(v) for v in np.asarray(U_point, float))
     du0_dz, duz_dz, du_dz, dnu_dz, dpsi_dz = (float(v) for v in np.asarray(dU_dzeta, float))
-    lam, i3, om, A, B = params.lam, params.iota**3, params.omega, params.A, params.B
+    lam, i3, om, A, B = params.lam, params.iota3, params.omega, params.A, params.B
     cs = params.c_scale
     kap = params.kappa
     f = f_val
@@ -376,7 +365,7 @@ def gamma_constants(params: ModelParams, G_range: tuple[float, float]) -> GammaC
     bound the singular-block diagonal; its lower end must stay above the
     positivity floor -4B.
     """
-    lam, i3, beta, A, B = params.lam, params.iota**3, params.beta, params.A, params.B
+    lam, i3, beta, A, B = params.lam, params.iota3, params.beta, params.A, params.B
     g_min, g_max = float(G_range[0]), float(G_range[1])
     if g_min <= -4.0 * B:
         raise ValueError(f"G range minimum {g_min:.4g} <= -4B = {-4.0 * B:.4g}: "
@@ -478,12 +467,6 @@ def _tau_ladder(maps: TimeMaps, n_max: int = 12) -> np.ndarray:
     return -np.asarray(ladder)
 
 
-def _f_G_of_tau(maps: TimeMaps):
-    log1pf = PchipInterpolator(maps.tau, np.log1p(maps.f))
-    G_of = PchipInterpolator(maps.tau, maps.G_frak)
-    return (lambda tau: float(np.expm1(log1pf(tau)))), (lambda tau: float(G_of(tau)))
-
-
 def verify_conditions(params: ModelParams, maps: TimeMaps,
                       constants: GammaConstants, r_tilde: float,
                       n_samples: int = 2000, seed: int = 20240, eig_tol: float = 1e-12,
@@ -499,7 +482,6 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
     if not params.certified:
         raise ValueError("parameters are outside the certified stiffness range")
     tau_ladder = _tau_ladder(maps)
-    f_of, G_of = _f_G_of_tau(maps)
     samples = _ball_samples(n_samples, r_tilde, seed)
     samples[0] = 0.0
 
@@ -517,7 +499,7 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
     per_tau = max(1, len(samples) // len(tau_ladder))
     idx = 0
     for tau in tau_ladder:
-        f_val, g_val = f_of(tau), G_of(tau)
+        f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
         chunk = samples[idx:idx + per_tau] if idx + per_tau <= len(samples) else samples[:per_tau]
         idx += per_tau
         for U in np.vstack([np.zeros(5), chunk]):
@@ -562,10 +544,8 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
 
 def _G_halforder_bound(maps: TimeMaps, tau_ladder: np.ndarray) -> tuple[float, bool]:
     """Sup of |G|/sqrt(-tau) over the ladder; stable under 2x refinement."""
-    _, G_of = _f_G_of_tau(maps)
-
     def weighted_sup(taus):
-        return max(abs(G_of(float(t))) / math.sqrt(-float(t)) for t in taus)
+        return max(abs(maps.G_of_tau(float(t))) / math.sqrt(-float(t)) for t in taus)
 
     coarse = weighted_sup(tau_ladder)
     mids = -np.sqrt(tau_ladder[:-1] * tau_ladder[1:])  # geometric midpoints
@@ -578,14 +558,13 @@ def find_certified_radius(params: ModelParams, maps: TimeMaps,
                           n_samples: int = 400, r_start: float = 1e-2,
                           shrink: float = 0.5, max_iter: int = 40) -> float:
     """Largest sampled radius with sum |z_ell| < gamma1 over the ladder."""
-    f_of, G_of = _f_G_of_tau(maps)
     tau_ladder = _tau_ladder(maps)
     r = r_start
     for _ in range(max_iter):
         samples = _ball_samples(n_samples, r, seed)
         worst = 0.0
         for tau in tau_ladder:
-            f_val, g_val = f_of(tau), G_of(tau)
+            f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
             for U in samples:
                 try:
                     ev = assemble_matrices(float(tau), U, g_val, f_val, params)
@@ -605,11 +584,11 @@ def find_certified_radius(params: ModelParams, maps: TimeMaps,
 # divergence-order bound (condition on div B)
 
 
-def _divB_pieces(tau, U, W, f_of, G_of, params, eps=1e-7):
-    f_val, g_val = f_of(tau), G_of(tau)
+def _divB_pieces(tau, U, W, maps, params, eps=1e-7):
+    f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
 
     def b0_at(tt, uu):
-        return assemble_matrices(float(tt), uu, G_of(tt), f_of(tt), params).B0
+        return assemble_matrices(float(tt), uu, maps.G_of_tau(tt), maps.f_of_tau(tt), params).B0
 
     ev = assemble_matrices(float(tau), U, g_val, f_val, params)
     b0_inv = np.linalg.inv(ev.B0)
@@ -644,14 +623,13 @@ def _divB_pieces(tau, U, W, f_of, G_of, params, eps=1e-7):
 
 def _divB_order_fit(params, maps, constants, r_tilde, seed) -> tuple[dict, bool]:
     rng = np.random.default_rng(seed)
-    f_of, G_of = _f_G_of_tau(maps)
     ladder = _tau_ladder(maps)
     U = _ball_samples(4, r_tilde, seed)[2]
     W = rng.standard_normal(5)
     W *= r_tilde / np.linalg.norm(W)
     norms = {k: [] for k in ("a_flux", "b_singular", "c_dUBz", "d_dtauB0", "e_halforder")}
     for tau in ladder:
-        piece = _divB_pieces(float(tau), U, W, f_of, G_of, params)
+        piece = _divB_pieces(float(tau), U, W, maps, params)
         for k in norms:
             norms[k].append(piece[k])
     logt = np.log(-ladder)

@@ -315,8 +315,7 @@ def continuity_residual(state: FieldState, traj: OdeTrajectory,
                         params: ModelParams, deriv: str = "fd4") -> float:
     """Max-norm defect of the reduced continuity identity at one time level."""
     d1, _ = _DERIV_MODES[deriv]
-    f = float(traj.f_at(state.t))
-    f0 = float(traj.f0_at(state.t))
+    f, f0 = traj.f_f0_at(state.t)
     h = 1.0 / state.n
     one_pf, one_pr = 1.0 + f, 1.0 + state.rho_hat
     z_rate = f0 / (3.0 * one_pf)
@@ -338,7 +337,7 @@ def entropy_field(state: FieldState, traj: OdeTrajectory, params: ModelParams,
     unless a fixed slice radius is supplied.
     """
     t = state.t
-    f = float(traj.f_at(t))
+    f, _ = traj.f_f0_at(t)
     om = params.omega
     if np.any(1.0 + state.rho_hat <= 0.0):
         raise ValueError("entropy undefined at vacuum: 1 + rho_hat <= 0")
@@ -355,8 +354,7 @@ def entropy_field(state: FieldState, traj: OdeTrajectory, params: ModelParams,
 
 
 def _record(mon: MonitorSeries, state: FieldState, traj, params, deriv):
-    f = float(traj.f_at(state.t))
-    f0 = float(traj.f0_at(state.t))
+    f, f0 = traj.f_f0_at(state.t)
     d1, _ = _DERIV_MODES[deriv]
     rr = state.rho_hat / f
     rd = state.drho_dt / f0
@@ -435,13 +433,12 @@ def evolve(state: FieldState, traj: OdeTrajectory, params: ModelParams,
 
 
 def _estimate_steps(state, traj, params, t_stop, controls, h) -> int:
-    f = float(traj.f_at(state.t))
-    f0 = float(traj.f0_at(state.t))
+    f, f0 = traj.f_f0_at(state.t)
     gzz, g0z = wave_coefficients(state.t, state.rho_hat, state.nu, f, f0, params)
     speed = float(np.max(np.sqrt(np.maximum(gzz, 0.0)) + np.abs(g0z)))
     dt0 = controls.cfl * h / max(speed, 1e-30)
     # growth cap dominates late; ln-contrast span divided by per-step budget
-    span = math.log1p(float(traj.f_at(t_stop))) - math.log1p(f)
+    span = math.log1p(traj.f_f0_at(t_stop)[0]) - math.log1p(f)
     return max(2, int((t_stop - state.t) / dt0 + span / controls.growth_cap))
 
 

@@ -47,7 +47,7 @@ def background_state(t: float, x, params: ModelParams) -> FluidPoint:
         raise ValueError("entropy is singular at x = 0 (log of |x|^2)")
     if t < params.t0:
         raise ValueError(f"t must be >= t0 = {params.t0}, got {t!r}")
-    i3 = params.iota**3
+    i3 = params.iota3
     rho = i3 / (6.0 * math.pi * t * t)
     v = (2.0 / (3.0 * t)) * x
     phi = i3 * r2 / (9.0 * t * t)
@@ -65,9 +65,8 @@ def homogeneous_state(t: float, x, traj: OdeTrajectory, params: ModelParams) -> 
     if not (traj.t_grid[0] <= t <= traj.t_end):
         raise ValueError(f"t = {t!r} outside trajectory range "
                          f"[{traj.t_grid[0]}, {traj.t_end}]")
-    f = float(traj.f_at(t))
-    f0 = float(traj.f0_at(t))
-    i3 = params.iota**3
+    f, f0 = traj.f_f0_at(t)
+    i3 = params.iota3
     rho = i3 * (1.0 + f) / (6.0 * math.pi * t * t)
     v = (2.0 / (3.0 * t) - f0 / (3.0 * (1.0 + f))) * x
     phi = i3 * (1.0 + f) * r2 / (9.0 * t * t)
@@ -77,42 +76,74 @@ def homogeneous_state(t: float, x, traj: OdeTrajectory, params: ModelParams) -> 
 
 
 # ---------------------------------------------------------------------------
-# finite-difference helpers (4th-order centered, spacing h)
+# finite differences (4th-order centered, spacing h): each stencil point of a
+# sample is evaluated once, and every derivative is read from those states
 
 _FD4_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 _FD4_O = np.array([-2.0, -1.0, 1.0, 2.0])
 
 
-def _ddt(fn, t, h, t_lo=-math.inf, t_hi=math.inf):
+def _fd4(vals, h):
+    """Centered 4th-order derivative from the values at the `_FD4_O` offsets."""
+    return sum(w * v for w, v in zip(_FD4_W, vals)) / h
+
+
+def _time_stencil(state_fn, t, x, h, t_lo, t_hi):
+    """States at x at the `_FD4_O` times around t, or at (t + h, t - h) near the range ends."""
     if t - 2.0 * h >= t_lo and t + 2.0 * h <= t_hi:
-        return sum(w * fn(t + o * h) for w, o in zip(_FD4_W, _FD4_O)) / h
+        return [state_fn(t + o * h, x) for o in _FD4_O]
     if t - h >= t_lo and t + h <= t_hi:
         import warnings
 
         warnings.warn("time stencil shrunk to second order near the "
                       "trajectory range boundary", stacklevel=3)
-        return (fn(t + h) - fn(t - h)) / (2.0 * h)
+        return [state_fn(t + h, x), state_fn(t - h, x)]
     raise ValueError(f"time stencil around t={t!r} leaves the trajectory range")
 
 
-def _ddx(fn, x, axis, h):
-    def shifted(o):
-        xs = np.array(x, dtype=float)
-        xs[axis] += o * h
-        return fn(xs)
-
-    return sum(w * shifted(o) for w, o in zip(_FD4_W, _FD4_O)) / h
+def _ddt(vals, h):
+    """Time derivative from values on a `_time_stencil`."""
+    if len(vals) == 4:
+        return _fd4(vals, h)
+    return (vals[0] - vals[1]) / (2.0 * h)
 
 
-def _grad(fn, x, h):
-    return np.array([_ddx(fn, x, ax, h) for ax in range(3)])
+def _space_stencil(state_fn, t, x, h):
+    """rows[axis][k]: the state at x + _FD4_O[k] * h * e_axis."""
+    if math.sqrt(float(x @ x)) <= 2.0 * h:
+        raise ValueError("sample too close to the origin for the stencil width")
+    rows = []
+    for ax in range(3):
+        row = []
+        for o in _FD4_O:
+            xs = np.array(x, dtype=float)
+            xs[ax] += o * h
+            row.append(state_fn(t, xs))
+        rows.append(row)
+    return rows
 
 
 def hubble_rate(t: float, traj: OdeTrajectory) -> float:
     """Expansion rate 2/(3t) - f'/(3(1+f)) of the homogeneous family."""
-    f = float(traj.f_at(t))
-    f0 = float(traj.f0_at(t))
+    f, f0 = traj.f_f0_at(t)
     return 2.0 / (3.0 * t) - f0 / (3.0 * (1.0 + f))
+
+
+def _sources(t, x, pt, rows, traj, params, h):
+    """(D, S in full form, S in relative-velocity form) at x from its space stencil."""
+    f, f0 = traj.f_f0_at(t)
+    om = params.omega
+    hub = hubble_rate(t, traj)
+    v_check = pt.v - hub * x
+    d_vec = -(params.kappa * f0 / (1.0 + f)) * v_check
+    div_v = sum(_fd4([q.v[ax] for q in rows[ax]], h) for ax in range(3))
+    div_vc = sum(_fd4([q.v[ax] - hub * (x[ax] + o * h) for q, o in zip(rows[ax], _FD4_O)], h)
+                 for ax in range(3))
+    r2 = float(x @ x)
+    s_full = (-(2.0 / 3.0 + om) * div_v + 2.0 * float(pt.v @ x) / r2
+              + 3.0 * om * hub)
+    s_vform = -(2.0 / 3.0 + om) * div_vc + 2.0 * float(v_check @ x) / r2
+    return d_vec, s_full, s_vform
 
 
 def source_terms(t: float, x, state_fn, traj: OdeTrajectory, params: ModelParams,
@@ -126,21 +157,9 @@ def source_terms(t: float, x, state_fn, traj: OdeTrajectory, params: ModelParams
     evaluable on the spatial stencil around x.
     """
     x = np.asarray(x, dtype=float)
-    if math.sqrt(float(x @ x)) <= 2.0 * h:
-        raise ValueError("sample too close to the origin for the stencil width")
-    f = float(traj.f_at(t))
-    f0 = float(traj.f0_at(t))
-    om = params.omega
-    hub = hubble_rate(t, traj)
-    pt = state_fn(t, x)
-    v_check = pt.v - hub * x
-    d_vec = -(params.kappa * f0 / (1.0 + f)) * v_check
-    div_v = sum(_ddx(lambda xs, ax=ax: state_fn(t, xs).v[ax], x, ax, h)
-                for ax in range(3))
-    r2 = float(x @ x)
-    s_val = (-(2.0 / 3.0 + om) * div_v + 2.0 * float(pt.v @ x) / r2
-             + 3.0 * om * hub)
-    return d_vec, s_val
+    rows = _space_stencil(state_fn, t, x, h)
+    d_vec, s_full, _ = _sources(t, x, state_fn(t, x), rows, traj, params, h)
+    return d_vec, s_full
 
 
 def source_form_gap(t: float, x, state_fn, traj: OdeTrajectory, params: ModelParams,
@@ -152,15 +171,8 @@ def source_form_gap(t: float, x, state_fn, traj: OdeTrajectory, params: ModelPar
     surfaced rather than absorbed.
     """
     x = np.asarray(x, dtype=float)
-    _, s_full = source_terms(t, x, state_fn, traj, params, h)
-    om = params.omega
-    hub = hubble_rate(t, traj)
-    pt = state_fn(t, x)
-    v_check = pt.v - hub * x
-    div_vc = sum(_ddx(lambda xs, ax=ax: state_fn(t, xs).v[ax] - hub * xs[ax], x, ax, h)
-                 for ax in range(3))
-    r2 = float(x @ x)
-    s_vform = -(2.0 / 3.0 + om) * div_vc + 2.0 * float(v_check @ x) / r2
+    rows = _space_stencil(state_fn, t, x, h)
+    _, s_full, s_vform = _sources(t, x, state_fn(t, x), rows, traj, params, h)
     return abs(s_full - s_vform)
 
 
@@ -198,18 +210,17 @@ def _norms(vals: np.ndarray) -> tuple[float, float]:
 
 def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
                            params: ModelParams, h: float = 1e-3,
-                           threshold: float = 1e-6,
-                           poisson_mode: str = "radial") -> ResidualReport:
+                           threshold: float = 1e-6) -> ResidualReport:
     """Residual norms of continuity, momentum, entropy transport and Poisson.
 
     All derivatives are 4th-order centered differences with spacing h (time
-    and space alike).  For spherically symmetric states the Poisson equation
-    is checked in its integrated radial form,
+    and space alike), read from one evaluation of ``state_fn`` per stencil
+    point.  The states are spherically symmetric, so the Poisson equation is
+    checked in its integrated radial form,
 
         d(phi)/dr = (4 pi / r^2) * int_0^r rho(t, y) y^2 dy,
 
-    which avoids 3D second-derivative stencils; ``poisson_mode="laplacian"``
-    switches to the full stencil for non-symmetric probes.
+    which avoids 3D second-derivative stencils.
     """
     t_values = np.atleast_1d(np.asarray(t, dtype=float))
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
@@ -219,48 +230,35 @@ def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
     for tv in t_values:
         for x in pts:
             pt = state_fn(tv, x)
+            times = _time_stencil(state_fn, tv, x, h, t_lo, t_hi)
+            rows = _space_stencil(state_fn, tv, x, h)
             # continuity: d_t rho + div(rho v)
-            dt_rho = _ddt(lambda s: state_fn(s, x).rho, tv, h, t_lo, t_hi)
-            div_rho_v = sum(
-                _ddx(lambda xs, ax=ax: (lambda q: q.rho * q.v[ax])(state_fn(tv, xs)),
-                     x, ax, h)
-                for ax in range(3))
+            dt_rho = _ddt([q.rho for q in times], h)
+            div_rho_v = sum(_fd4([q.rho * q.v[ax] for q in rows[ax]], h) for ax in range(3))
             cont.append(dt_rho + div_rho_v)
             # momentum: d_t v + (v.grad) v + grad p / rho + grad phi - D
-            d_vec, s_src = source_terms(tv, x, state_fn, traj, params, h)
-            dt_v = np.array([_ddt(lambda s, ax=ax: state_fn(s, x).v[ax], tv, h,
-                                  t_lo, t_hi) for ax in range(3)])
-            jac_v = np.array([[_ddx(lambda xs, ax=ax: state_fn(tv, xs).v[ax], x, axj, h)
-                               for axj in range(3)] for ax in range(3)])
-            grad_p = _grad(lambda xs: state_fn(tv, xs).p, x, h)
-            grad_phi = _grad(lambda xs: state_fn(tv, xs).phi, x, h)
+            d_vec, s_src, s_vform = _sources(tv, x, pt, rows, traj, params, h)
+            dt_v = _ddt([q.v for q in times], h)
+            jac_v = np.array([[_fd4([q.v[ax] for q in rows[axj]], h) for axj in range(3)]
+                              for ax in range(3)])
+            grad_p, grad_phi, grad_s = (
+                np.array([_fd4([getattr(q, name) for q in row], h) for row in rows])
+                for name in ("p", "phi", "s"))
             mom_res = dt_v + jac_v @ pt.v + grad_p / pt.rho + grad_phi - d_vec
             mom.extend(mom_res)
             # entropy transport: d_t s + v.grad s - S
-            dt_s = _ddt(lambda s: state_fn(s, x).s, tv, h, t_lo, t_hi)
-            grad_s = _grad(lambda xs: state_fn(tv, xs).s, x, h)
+            dt_s = _ddt([q.s for q in times], h)
             ent.append(dt_s + float(pt.v @ grad_s) - s_src)
-            gaps.append(source_form_gap(tv, x, state_fn, traj, params, h))
-            # poisson
-            if poisson_mode == "radial":
-                r = math.sqrt(float(x @ x))
-                xhat = x / r
-                dphi_dr = sum(w * state_fn(tv, x + o * h * xhat).phi
-                              for w, o in zip(_FD4_W, _FD4_O)) / h
-                y = 0.5 * r * (gl_nodes + 1.0)
-                rho_y = np.array([state_fn(tv, yi * xhat).rho if yi > 0 else
-                                  state_fn(tv, 1e-12 * xhat).rho for yi in y])
-                integral = 0.5 * r * float(gl_w @ (rho_y * y**2))
-                poi.append(dphi_dr - 4.0 * math.pi * integral / r**2)
-            else:
-                lap = sum(
-                    (-state_fn(tv, _off(x, ax, 2 * h)).phi
-                     + 16.0 * state_fn(tv, _off(x, ax, h)).phi
-                     - 30.0 * pt.phi
-                     + 16.0 * state_fn(tv, _off(x, ax, -h)).phi
-                     - state_fn(tv, _off(x, ax, -2 * h)).phi) / (12.0 * h * h)
-                    for ax in range(3))
-                poi.append(lap - 4.0 * math.pi * pt.rho)
+            gaps.append(abs(s_src - s_vform))
+            # poisson, radial form
+            r = math.sqrt(float(x @ x))
+            xhat = x / r
+            dphi_dr = _fd4([state_fn(tv, x + o * h * xhat).phi for o in _FD4_O], h)
+            y = 0.5 * r * (gl_nodes + 1.0)
+            rho_y = np.array([state_fn(tv, yi * xhat).rho if yi > 0 else
+                              state_fn(tv, 1e-12 * xhat).rho for yi in y])
+            integral = 0.5 * r * float(gl_w @ (rho_y * y**2))
+            poi.append(dphi_dr - 4.0 * math.pi * integral / r**2)
     thresholds = {k: threshold for k in
                   ("continuity", "momentum", "entropy_transport", "poisson")}
     return ResidualReport(
@@ -269,12 +267,6 @@ def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
         entropy_transport=_norms(ent), poisson=_norms(poi),
         thresholds=thresholds, source_gap_max=float(np.max(gaps)),
     )
-
-
-def _off(x, axis, d):
-    xs = np.array(x, dtype=float)
-    xs[axis] += d
-    return xs
 
 
 def sample_annulus(n: int, seed: int, r_min: float = 0.1, r_max: float = 10.0) -> np.ndarray:

@@ -41,12 +41,31 @@ class TimeMaps:
     eta: dict = field(default_factory=dict)
     _t_of_tau: PchipInterpolator | None = field(default=None, repr=False)
     _g_of_t: PchipInterpolator | None = field(default=None, repr=False)
+    # ln(1+f) and G of tau, G of t; built by compute_diagnostics
+    _log1pf_of_tau: PchipInterpolator | None = field(default=None, repr=False)
+    _G_of_tau: PchipInterpolator | None = field(default=None, repr=False)
+    _G_of_t: PchipInterpolator | None = field(default=None, repr=False)
 
     def g_at(self, t):
         return np.exp(self._g_of_t(np.asarray(t)))
 
     def tau_at(self, t):
         return -self.g_at(t)
+
+    def f_of_tau(self, tau) -> float:
+        return float(np.expm1(self._diagnostic(self._log1pf_of_tau)(tau)))
+
+    def G_of_tau(self, tau) -> float:
+        return float(self._diagnostic(self._G_of_tau)(tau))
+
+    def G_at(self, t) -> float:
+        return float(self._diagnostic(self._G_of_t)(t))
+
+    @staticmethod
+    def _diagnostic(interp: PchipInterpolator | None) -> PchipInterpolator:
+        if interp is None:
+            raise ValueError("diagnostics not filled; call compute_diagnostics first")
+        return interp
 
 
 def _cumulative_simpson_graded(t: np.ndarray, fn) -> np.ndarray:
@@ -142,6 +161,9 @@ def compute_diagnostics(traj: OdeTrajectory, maps: TimeMaps, params: ModelParams
     maps.G_frak = chi - params.chi_limit()
     maps.xi = 1.0 / (g * (1.0 + f))
     maps.eta = {th: 1.0 / (g**th * (1.0 + f)) for th in thetas}
+    maps._log1pf_of_tau = PchipInterpolator(maps.tau, np.log1p(f))
+    maps._G_of_tau = PchipInterpolator(maps.tau, maps.G_frak)
+    maps._G_of_t = PchipInterpolator(t, maps.G_frak)
     return maps
 
 

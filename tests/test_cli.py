@@ -1,8 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from jeanslab.cli import RunConfig, load_config, main
+from jeanslab.cli import RunConfig, _jsonable, load_config, main
 
 
 def read_summary(path):
@@ -158,3 +160,21 @@ def test_report_command(tmp_path):
                 "homogeneous_residuals_below_1e-6", "continuity_identity_small",
                 "fuchsian_F5_sandwich"):
         assert key in s["verdicts"]
+
+
+def test_jsonable_maps_non_finite_values():
+    inf, nan = math.inf, math.nan
+    doc = {
+        "python": [inf, -inf, nan, 1.5],
+        "numpy": (np.float64(inf), np.float64(-inf), np.float64(nan), np.float32(2.0)),
+        "array": np.array([[inf, -inf], [nan, 0.25]]),
+        "other": [np.int64(3), None, True, "x"],
+    }
+    out = _jsonable(doc)
+    assert out == {
+        "python": ["inf", "-inf", "nan", 1.5],
+        "numpy": ["inf", "-inf", "nan", 2.0],
+        "array": [["inf", "-inf"], ["nan", 0.25]],
+        "other": [3, None, True, "x"],
+    }
+    assert json.loads(json.dumps(out, allow_nan=False)) == out

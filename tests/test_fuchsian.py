@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
-from conftest import cosine_profiles
+from conftest import cosine_profiles, flat_profiles
 from jeanslab import pde
 from jeanslab.fuchsian import (assemble_matrices, find_certified_radius,
                                fuchsian_fields, gamma_constants, q_lower_bound,
                                q_quantity, system_residual, system_rhs_direct,
                                verify_conditions, wave_block_weight)
 from jeanslab.pde import EvolveControls, diff1, evolve, init_from_data
+from jeanslab.timemaps import compute_diagnostics, compute_g
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,29 @@ def test_psi_field_bound(traj, maps, params):
     st = init_from_data(params, d, v, 128)
     F = fuchsian_fields(st, traj, maps, params)
     assert np.max(np.abs(F.U[4])) <= np.max(np.abs(F.U[2])) / 3.0 + 1e-14
+
+
+def test_time_map_interpolants_built_once(traj_deep, params, gconsts):
+    m = compute_g(traj_deep, params, refine=2)
+    with pytest.raises(ValueError, match="diagnostics not filled"):
+        m.G_at(1.5)
+    m = compute_diagnostics(traj_deep, m, params)
+    log1pf = PchipInterpolator(m.tau, np.log1p(m.f))
+    G_of_tau = PchipInterpolator(m.tau, m.G_frak)
+    G_of_t = PchipInterpolator(m.t_grid, m.G_frak)
+    for tau in np.concatenate([m.tau[::40], -np.geomspace(1.0, -m.tau[-1], 9)]):
+        assert m.f_of_tau(tau) == float(np.expm1(log1pf(tau)))
+        assert m.G_of_tau(tau) == float(G_of_tau(tau))
+    for t in np.append(m.t_grid[::40], [1.5, m.t_grid[-1]]):
+        assert m.G_at(t) == float(G_of_t(t))
+
+    before = dict(vars(m))
+    st = init_from_data(params, *flat_profiles(), 32)
+    assert fuchsian_fields(st, traj_deep, m, params).G_frak == float(G_of_t(st.t))
+    r = find_certified_radius(params, m, gconsts, n_samples=20)
+    verify_conditions(params, m, gconsts, r_tilde=r, n_samples=20)
+    assert vars(m).keys() == before.keys()
+    assert all(vars(m)[k] is v for k, v in before.items())
 
 
 # ---------------------------------------------------------------------------

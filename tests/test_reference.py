@@ -131,13 +131,6 @@ def test_exact_solution_residuals(traj, params, pts):
         assert rep.source_gap_max < 1e-9
 
 
-def test_laplacian_mode(traj, params, pts):
-    rep = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj, params),
-                                 [1.5], pts[:8], traj, params,
-                                 poisson_mode="laplacian")
-    assert rep.poisson[0] < 1e-6
-
-
 def test_scaled_density_fails(traj, params, pts):
     def scaled(t, x):
         pt = homogeneous_state(t, x, traj, params)
@@ -198,3 +191,126 @@ def test_time_stencil_shrinks_near_boundary(traj, params, pts):
         euler_poisson_residual(
             lambda t, x: homogeneous_state(t, x, traj, params),
             [1.0], pts[:2], traj, params, h=h)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per stencil point, and the per-derivative formulas as oracle
+
+
+def test_one_state_call_per_stencil_point(traj, params, pts):
+    # 1 centre + 12 space + 4 time + 4 radial + 48 Gauss-Legendre per (t, x)
+    calls = []
+
+    def counting(t, x):
+        calls.append((t, tuple(x)))
+        return homogeneous_state(t, x, traj, params)
+
+    euler_poisson_residual(counting, [1.5], pts[:1], traj, params)
+    assert len(calls) == 69
+    calls.clear()
+    euler_poisson_residual(counting, [1.2, 2.0], pts[:3], traj, params)
+    assert len(calls) == 2 * 3 * 69
+
+
+_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+_O = np.array([-2.0, -1.0, 1.0, 2.0])
+
+
+def _oracle_ddt(fn, t, h):
+    return sum(w * fn(t + o * h) for w, o in zip(_W, _O)) / h
+
+
+def _oracle_ddx(fn, x, axis, h):
+    def shifted(o):
+        xs = np.array(x, dtype=float)
+        xs[axis] += o * h
+        return fn(xs)
+
+    return sum(w * shifted(o) for w, o in zip(_W, _O)) / h
+
+
+def _oracle_grad(fn, x, h):
+    return np.array([_oracle_ddx(fn, x, ax, h) for ax in range(3)])
+
+
+def _oracle_hub(t, traj):
+    return 2.0 / (3.0 * t) - float(traj.f0_at(t)) / (3.0 * (1.0 + float(traj.f_at(t))))
+
+
+def _oracle_sources(t, x, state_fn, traj, params, h=1e-3):
+    """(D, S full form, |S full - S relative-velocity form|), one lambda per derivative."""
+    x = np.asarray(x, dtype=float)
+    f, f0 = float(traj.f_at(t)), float(traj.f0_at(t))
+    om, hub = params.omega, _oracle_hub(t, traj)
+    pt = state_fn(t, x)
+    v_check = pt.v - hub * x
+    d_vec = -(params.kappa * f0 / (1.0 + f)) * v_check
+    div_v = sum(_oracle_ddx(lambda xs, ax=ax: state_fn(t, xs).v[ax], x, ax, h)
+                for ax in range(3))
+    r2 = float(x @ x)
+    s_val = (-(2.0 / 3.0 + om) * div_v + 2.0 * float(pt.v @ x) / r2
+             + 3.0 * om * hub)
+    div_vc = sum(_oracle_ddx(lambda xs, ax=ax: state_fn(t, xs).v[ax] - hub * xs[ax], x, ax, h)
+                 for ax in range(3))
+    s_vform = -(2.0 / 3.0 + om) * div_vc + 2.0 * float(v_check @ x) / r2
+    return d_vec, s_val, abs(s_val - s_vform)
+
+
+def _oracle_residual(state_fn, t_values, pts, traj, params, h=1e-3):
+    gl_nodes, gl_w = np.polynomial.legendre.leggauss(48)
+    cont, mom, ent, poi, gaps = [], [], [], [], []
+    for tv in t_values:
+        for x in pts:
+            pt = state_fn(tv, x)
+            dt_rho = _oracle_ddt(lambda s: state_fn(s, x).rho, tv, h)
+            div_rho_v = sum(
+                _oracle_ddx(lambda xs, ax=ax: (lambda q: q.rho * q.v[ax])(state_fn(tv, xs)),
+                            x, ax, h)
+                for ax in range(3))
+            cont.append(dt_rho + div_rho_v)
+            d_vec, s_src, gap = _oracle_sources(tv, x, state_fn, traj, params, h)
+            dt_v = np.array([_oracle_ddt(lambda s, ax=ax: state_fn(s, x).v[ax], tv, h)
+                             for ax in range(3)])
+            jac_v = np.array([[_oracle_ddx(lambda xs, ax=ax: state_fn(tv, xs).v[ax], x, axj, h)
+                               for axj in range(3)] for ax in range(3)])
+            grad_p = _oracle_grad(lambda xs: state_fn(tv, xs).p, x, h)
+            grad_phi = _oracle_grad(lambda xs: state_fn(tv, xs).phi, x, h)
+            mom.extend(dt_v + jac_v @ pt.v + grad_p / pt.rho + grad_phi - d_vec)
+            dt_s = _oracle_ddt(lambda s: state_fn(s, x).s, tv, h)
+            grad_s = _oracle_grad(lambda xs: state_fn(tv, xs).s, x, h)
+            ent.append(dt_s + float(pt.v @ grad_s) - s_src)
+            gaps.append(gap)
+            r = math.sqrt(float(x @ x))
+            xhat = x / r
+            dphi_dr = sum(w * state_fn(tv, x + o * h * xhat).phi for w, o in zip(_W, _O)) / h
+            y = 0.5 * r * (gl_nodes + 1.0)
+            rho_y = np.array([state_fn(tv, yi * xhat).rho for yi in y])
+            integral = 0.5 * r * float(gl_w @ (rho_y * y**2))
+            poi.append(dphi_dr - 4.0 * math.pi * integral / r**2)
+
+    def norms(vals):
+        vals = np.abs(np.asarray(vals, dtype=float))
+        return float(vals.max()), float(math.sqrt(np.mean(vals**2)))
+
+    return {"continuity": norms(cont), "momentum": norms(mom),
+            "entropy_transport": norms(ent), "poisson": norms(poi),
+            "source_gap_max": float(np.max(gaps))}
+
+
+@pytest.mark.parametrize("family", ["background", "homogeneous"])
+def test_residual_equals_per_derivative_oracle(family, traj, params, pts):
+    tr = zero_trajectory(params) if family == "background" else traj
+    state_fn = {"background": lambda t, x: background_state(t, x, params),
+                "homogeneous": lambda t, x: homogeneous_state(t, x, traj, params)}[family]
+    sample = pts[:4]
+    rep = euler_poisson_residual(state_fn, [1.5], sample, tr, params)
+    oracle = _oracle_residual(state_fn, [1.5], sample, tr, params)
+    for name in ("continuity", "momentum", "entropy_transport", "poisson",
+                 "source_gap_max"):
+        assert getattr(rep, name) == oracle[name], name
+    assert (rep.n_points, rep.t_values) == (4, (1.5,))
+    for x in sample:
+        d_vec, s_val, gap = _oracle_sources(1.5, x, state_fn, tr, params)
+        d_new, s_new = source_terms(1.5, x, state_fn, tr, params)
+        assert np.array_equal(d_new, d_vec) and s_new == s_val
+        assert source_form_gap(1.5, x, state_fn, tr, params) == gap
