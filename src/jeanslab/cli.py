@@ -381,11 +381,11 @@ def cmd_simulate(run: RunDir) -> None:
     _write_csv(run.add_artifact("monitors.csv"),
                list(mon.keys()), list(mon.values()))
 
-    dev_rho = max(float(np.max(np.abs(s.rho_hat - traj.f_at(s.t)))) for s in res.states)
+    dev_rho = max(float(np.max(np.abs(s.rho_hat - traj.f_f0_at(s.t)[0]))) for s in res.states)
     dev_nu = max(float(np.max(np.abs(s.nu))) for s in res.states)
     run.values.update({
         "stop_reason": res.stop_reason, "n_steps": res.n_steps,
-        "final_t": res.final.t, "final_f": float(traj.f_at(res.final.t)),
+        "final_t": res.final.t, "final_f": traj.f_f0_at(res.final.t)[0],
         "homogeneous_deviation": dev_rho, "nu_sup": dev_nu,
         "continuity_residual_max": float(max(res.monitors.continuity_residual)),
     })

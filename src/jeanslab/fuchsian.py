@@ -18,12 +18,16 @@ blocks, and `system_rhs_direct` evaluates the right side of each transformed
 equation literally.  Their agreement to rounding is a unit-level audit of the
 algebra; the acceptance-level audit applies the assembled system to fields
 extracted from an actual PDE run.
+
+`assemble_matrices` is array-valued: U has shape (..., 5), tau, G and f
+broadcast against U[..., 0], and every FuchsianEval field carries that leading
+shape (blocks (..., 5, 5), corrections Z (..., 8)); one point is shape ().
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +46,11 @@ def _pow_ratio(a, p, u):
     a, u = np.broadcast_arrays(np.asarray(a, float), np.asarray(u, float))
     au = a * u
     small = np.abs(au) < 1e-6
-    out = np.empty_like(au)
     with np.errstate(divide="ignore", invalid="ignore"):
-        big = ((1.0 + au) ** p - 1.0) / np.where(small, 1.0, u)
+        big = (np.power(1.0 + au, p) - 1.0) / np.where(small, 1.0, u)
     series = p * a * (1.0 + 0.5 * (p - 1.0) * au
-                      + (p - 1.0) * (p - 2.0) * au**2 / 6.0)
-    out[...] = np.where(small, series, big)
-    return out
+                      + (p - 1.0) * (p - 2.0) * (au * au) / 6.0)
+    return np.where(small, series, big)
 
 
 def _pow_ratio2(a, p, u):
@@ -57,9 +59,9 @@ def _pow_ratio2(a, p, u):
     au = a * u
     small = np.abs(au) < 1e-5
     with np.errstate(divide="ignore", invalid="ignore"):
-        big = ((1.0 + au) ** p - 1.0 - p * au) / np.where(small, 1.0, u)
+        big = (np.power(1.0 + au, p) - 1.0 - p * au) / np.where(small, 1.0, u)
     series = 0.5 * p * (p - 1.0) * a * au * (1.0 + (p - 2.0) * au / 3.0
-                                             + (p - 2.0) * (p - 3.0) * au**2 / 12.0)
+                                             + (p - 2.0) * (p - 3.0) * (au * au) / 12.0)
     return np.where(small, series, big)
 
 
@@ -111,42 +113,55 @@ def wave_block_weight(params: ModelParams) -> float:
     return (25.0 / 9.0) * (2.0 + params.omega) * (1.0 - params.iota3)
 
 
+class DomainError(ValueError):
+    """A point outside the domain of the system: chi <= 0 or 1 + f u/(1+f) <= 0."""
+
+
 @dataclass
 class FuchsianEval:
-    tau: float
-    U: np.ndarray
-    B0: np.ndarray
-    Bz: np.ndarray
-    frakB: np.ndarray
-    frakB_tilde: np.ndarray
-    H: np.ndarray
-    F: np.ndarray
-    Z: np.ndarray  # z_0 .. z_7
+    tau: np.ndarray
+    U: np.ndarray  # (..., 5)
+    B0: np.ndarray  # (..., 5, 5)
+    Bz: np.ndarray  # (..., 5, 5)
+    frakB: np.ndarray  # (..., 5, 5)
+    frakB_tilde: np.ndarray  # (..., 5, 5), field-independent
+    H: np.ndarray  # (..., 5)
+    F: np.ndarray  # (..., 5)
+    Z: np.ndarray  # (..., 8): z_0 .. z_7
 
     @property
-    def sum_abs_z(self) -> float:
-        return float(np.sum(np.abs(self.Z)))
+    def sum_abs_z(self) -> np.ndarray:
+        return np.abs(self.Z).sum(-1)
 
 
-def assemble_matrices(tau: float, U_point, G_frak_val: float, f_val: float,
-                      params: ModelParams) -> FuchsianEval:
-    """Evaluate every block of the singular system at one (tau, U) point.
+def _stack_last(parts, lead: tuple) -> np.ndarray:
+    """The parts, each broadcast to the leading shape, stacked on a new last axis."""
+    return np.stack([np.broadcast_to(p, lead) for p in parts], axis=-1)
 
-    G_frak_val and f_val are the contrast diagnostics at that tau; the
-    compactified-time relation g = -tau supplies xi = 1/((-tau)(1+f))
-    internally.  Fractional powers require 1 + f u/(1+f) > 0.
+
+def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> FuchsianEval:
+    """Evaluate every block of the singular system at points (tau, U).
+
+    U has shape (..., 5); tau, G_frak_val (the contrast diagnostics at tau)
+    and f_val broadcast against U[..., 0].  The compactified-time relation
+    g = -tau supplies xi = 1/((-tau)(1+f)) internally.  DomainError is raised
+    unless chi > 0 and 1 + f u/(1+f) > 0 (the fractional powers) everywhere.
+    Non-integer powers use the np.power ufunc even for one point, which makes
+    a point bit-identical alone and inside any batch.
     """
-    u0, uz, u, nu, psi = (float(v) for v in np.asarray(U_point, float))
+    U = np.asarray(U, float)
+    tau, G, f = (np.asarray(v, float) for v in (tau, G_frak_val, f_val))
+    lead = np.broadcast_shapes(U.shape[:-1], tau.shape, G.shape, f.shape)
+    u0, uz, u, nu, psi = (U[..., k] for k in range(5))
     lam, i3, om, A, B = params.lam, params.iota3, params.omega, params.A, params.B
-    f = f_val
-    G = G_frak_val
     X = 4.0 + G / B
-    if X <= 0.0:
-        raise ValueError(f"chi must stay positive: 4 + G/B = {X:.3g} <= 0")
+    if np.any(X <= 0.0):
+        raise DomainError(f"chi must stay positive: 4 + G/B = {np.min(X):.3g} <= 0")
     a = f / (1.0 + f)
     phi = 1.0 + a * u
-    if phi <= 0.0:
-        raise ValueError(f"fractional-power argument non-positive: 1 + f u/(1+f) = {phi:.3g}")
+    if np.any(phi <= 0.0):
+        raise DomainError("fractional-power argument non-positive: "
+                          f"1 + f u/(1+f) = {np.min(phi):.3g}")
     xi = 1.0 / ((-tau) * (1.0 + f))
     q = lam + (3.0 - 8.0 * i3) / 30.0
     alpha_b = (3.0 * i3 + 2.0) ** 2 / (6.0 * (10.0 * lam + i3 + 9.0))
@@ -155,19 +170,20 @@ def assemble_matrices(tau: float, U_point, G_frak_val: float, f_val: float,
     # second-order equation must reappear here or the singular system stops
     # being equivalent to it (cross-checked by the run-extraction audit)
     q_w = wave_block_weight(params)
+    phi_om = np.power(phi, om)
+    phi_1om = np.power(phi, 1.0 + om)
+    nu2 = nu * nu
 
-    z0 = q_w * (1.0 + inv_f) * (phi ** (1.0 + om) - 1.0) \
-        - (25.0 / 9.0) * X * nu**2
+    z0 = q_w * (1.0 + inv_f) * (phi_1om - 1.0) - (25.0 / 9.0) * X * nu2
+    b11 = q_w * (1.0 + inv_f) + z0
 
-    B0 = np.diag([1.0,
-                  (q_w * (1.0 + inv_f) + z0) / X,
-                  q, 1.0, 1.0])
+    B0 = _stack_last([1.0, b11 / X, q, 1.0, 1.0], lead)[..., None] * np.eye(5)
 
-    Bz = np.zeros((5, 5))
-    Bz[0, 0] = -(2.0 / 3.0) * X * nu
-    Bz[0, 1] = Bz[1, 0] = 0.2 * (q_w * (1.0 + inv_f) + z0)
-    Bz[4, 4] = -alpha_b
-    Bz /= A * tau
+    Bz = np.zeros(lead + (5, 5))
+    Bz[..., 0, 0] = -(2.0 / 3.0) * X * nu
+    Bz[..., 0, 1] = Bz[..., 1, 0] = 0.2 * b11
+    Bz[..., 4, 4] = -alpha_b
+    Bz /= (A * tau)[..., None, None]
 
     two_815 = 2.0 * (3.0 - 8.0 * i3) / 15.0
     tilde = np.array([
@@ -183,56 +199,57 @@ def assemble_matrices(tau: float, U_point, G_frak_val: float, f_val: float,
     m_dev = u0 - a * u
     z1 = (2.0 * X / 3.0) * big_k - (4.0 * X / 3.0) * m_dev / phi
     z2 = ((10.0 / 9.0) * X * nu
-          - (5.0 / 9.0) * X * nu**2
-          - (10.0 / 9.0) * (1.0 - i3) * (1.0 + inv_f) * (phi ** (1.0 + om) - 1.0)
-          + (2.0 / 3.0) * (1.0 - i3) * (1.0 + inv_f) * phi**om * uz
-          - (100.0 / 27.0) * X * nu**2 * uz / phi
+          - (5.0 / 9.0) * X * nu2
+          - (10.0 / 9.0) * (1.0 - i3) * (1.0 + inv_f) * (phi_1om - 1.0)
+          + (2.0 / 3.0) * (1.0 - i3) * (1.0 + inv_f) * phi_om * uz
+          - (100.0 / 27.0) * X * nu2 * uz / phi
           - (40.0 / 9.0) * X * nu * (1.0 + u0) / phi
           - (10.0 / 3.0) * i3 * psi
           + (10.0 / 9.0) * X * nu * big_k)
     # the (om+2)-power brace is O(u^2): its u-cofactor via cancelled ratios
-    brace_ratio = float(_pow_ratio2(a, om + 2.0, u)) - a * a * u
+    brace_ratio = _pow_ratio2(a, om + 2.0, u) - a * a * u
     z3 = (-(2.0 * X / 3.0) * a * big_k + (4.0 * X / 3.0) * a * m_dev / phi
           - (2.0 / 3.0) * a * u
           - (2.0 * (1.0 - i3) * (1.0 + f) / (3.0 * f)) * brace_ratio)
     z4 = (2.0 * X / 3.0) * phi * big_k
-    z5 = ((2.0 * (1.0 - i3) / 3.0) * float(_pow_ratio(a, om, u)) * uz
-          + (2.0 * (1.0 - i3) * (1.0 + f) / (3.0 * f)) * float(_pow_ratio2(a, 1.0 + om, u)))
+    z5 = ((2.0 * (1.0 - i3) / 3.0) * _pow_ratio(a, om, u) * uz
+          + (2.0 * (1.0 - i3) * (1.0 + f) / (3.0 * f)) * _pow_ratio2(a, 1.0 + om, u))
     z6 = (X / 3.0) * (3.0 * (phi - 1.0) / phi - 3.0 * u0 / phi
                       - 5.0 * nu * uz / phi - 2.0 * nu)
     z7 = (X / 3.0) * (phi - 1.0)
 
-    frakB = tilde.copy()
-    frakB[0, 0] += z1 / A
-    frakB[0, 1] += z2 / A
-    frakB[0, 2] += z3 / A
-    frakB[0, 3] += z4 / A
-    frakB[1, 1] += z0 / A
-    frakB[3, 2] += z5 / A
-    frakB[3, 3] += z6 / A
-    frakB[4, 3] += z7 / A
+    frakB = np.broadcast_to(tilde, lead + (5, 5)).copy()
+    frakB[..., 0, 0] += z1 / A
+    frakB[..., 0, 1] += z2 / A
+    frakB[..., 0, 2] += z3 / A
+    frakB[..., 0, 3] += z4 / A
+    frakB[..., 1, 1] += z0 / A
+    frakB[..., 3, 2] += z5 / A
+    frakB[..., 3, 3] += z6 / A
+    frakB[..., 4, 3] += z7 / A
 
     xi1f = xi * (1.0 + inv_f)
-    H = np.array([
+    H = _stack_last([
         -(1.0 / A) * xi * (4.0 * lam + (lam - 1.0 / 6.0) * G / B) * u,
         -(q_w / A) * xi1f * uz,
         q * (1.0 / A) * xi1f * X * (u0 - u),
-        -(2.0 * (1.0 - i3) / (3.0 * A)) * xi1f * phi**om * uz,
+        -(2.0 * (1.0 - i3) / (3.0 * A)) * xi1f * phi_om * uz,
         -(X / (3.0 * A)) * xi1f * phi * nu - (X / A) * xi1f * psi,
-    ])
+    ], lead)
 
-    root = (-tau) ** -0.5
-    F = np.array([
+    root = np.power(-tau, -0.5)
+    F = _stack_last([
         -(1.0 / (A * B)) * (lam - 1.0 / 6.0) * root * G * (u0 - u),
         0.0,
         -(1.0 / (4.0 * A * B)) * (-two_815 - 4.0 * lam) * root * G * (u0 - u),
         -(1.0 / (A * B)) * (lam + 5.0 / 6.0) * root * G * nu,
         -(1.0 / (3.0 * A * B)) * root * G * nu,
-    ])
+    ], lead)
 
-    return FuchsianEval(tau=tau, U=np.asarray(U_point, float), B0=B0, Bz=Bz,
-                        frakB=frakB, frakB_tilde=tilde, H=H, F=F,
-                        Z=np.array([z0, z1, z2, z3, z4, z5, z6, z7]))
+    return FuchsianEval(tau=np.broadcast_to(tau, lead), U=np.broadcast_to(U, lead + (5,)),
+                        B0=B0, Bz=Bz, frakB=frakB,
+                        frakB_tilde=np.broadcast_to(tilde, lead + (5, 5)), H=H, F=F,
+                        Z=_stack_last([z0, z1, z2, z3, z4, z5, z6, z7], lead))
 
 
 def system_residual(ev: FuchsianEval, dU_dtau: np.ndarray, dU_dzeta: np.ndarray) -> np.ndarray:
@@ -485,45 +502,31 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
     samples = _ball_samples(n_samples, r_tilde, seed)
     samples[0] = 0.0
 
-    gb1, gb2 = constants.gamma_bar1, constants.gamma_bar2
-    kap = constants.kappa_const
-    sandwich_ok = True
-    margin = math.inf
-    worst = None
-    max_sum_z = 0.0
-    eig_b0 = [math.inf, -math.inf]
-    eig_fb = [math.inf, -math.inf]
-    h_at_zero = 0.0
-    finite = True
-    symmetric = True
+    # rung i takes the i-th chunk of per_tau samples (the first chunk once
+    # the samples run out) behind the origin
     per_tau = max(1, len(samples) // len(tau_ladder))
-    idx = 0
-    for tau in tau_ladder:
-        f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
-        chunk = samples[idx:idx + per_tau] if idx + per_tau <= len(samples) else samples[:per_tau]
-        idx += per_tau
-        for U in np.vstack([np.zeros(5), chunk]):
-            ev = assemble_matrices(float(tau), U, g_val, f_val, params)
-            symmetric &= bool(np.array_equal(ev.B0, ev.B0.T) and np.array_equal(ev.Bz, ev.Bz.T))
-            finite &= bool(np.isfinite(ev.B0).all() and np.isfinite(ev.Bz).all()
-                           and np.isfinite(ev.frakB).all() and np.isfinite(ev.H).all()
-                           and np.isfinite(ev.F).all())
-            if not np.any(U):
-                h_at_zero = max(h_at_zero, float(np.max(np.abs(ev.H))))
-            sym_fb = 0.5 * (ev.frakB + ev.frakB.T)
-            w_fb = np.linalg.eigvalsh(sym_fb)
-            w_b0 = np.sort(np.diag(ev.B0))
-            eig_b0 = [min(eig_b0[0], w_b0[0]), max(eig_b0[1], w_b0[-1])]
-            eig_fb = [min(eig_fb[0], w_fb[0]), max(eig_fb[1], w_fb[-1])]
-            m1 = w_b0[0] - gb1
-            m2 = float(np.linalg.eigvalsh(sym_fb / kap - ev.B0).min())
-            m3 = gb2 - w_fb[-1] / kap
-            m = min(m1, m2, m3)
-            if m < margin:
-                margin, worst = m, (float(tau), U.copy())
-            if m < -eig_tol:
-                sandwich_ok = False
-            max_sum_z = max(max_sum_z, ev.sum_abs_z)
+    starts = np.arange(len(tau_ladder)) * per_tau
+    starts[starts + per_tau > len(samples)] = 0
+    chunks = samples[starts[:, None] + np.arange(per_tau)]
+    U = np.concatenate([np.zeros((len(tau_ladder), 1, 5)), chunks], axis=1)
+    tau = tau_ladder[:, None]
+    ev = assemble_matrices(tau, U, maps.G_of_tau(tau), maps.f_of_tau(tau), params)
+
+    symmetric = bool(np.array_equal(ev.B0, ev.B0.swapaxes(-1, -2))
+                     and np.array_equal(ev.Bz, ev.Bz.swapaxes(-1, -2)))
+    finite = all(bool(np.isfinite(m).all()) for m in (ev.B0, ev.Bz, ev.frakB, ev.H, ev.F))
+    h_at_zero = float(np.max(np.abs(ev.H[~np.any(U, axis=-1)])))
+    sym_fb = 0.5 * (ev.frakB + ev.frakB.swapaxes(-1, -2))
+    w_fb = np.linalg.eigvalsh(sym_fb)
+    w_b0 = np.sort(np.diagonal(ev.B0, axis1=-2, axis2=-1), axis=-1)
+    kap = constants.kappa_const
+    margins = np.minimum.reduce([
+        w_b0[..., 0] - constants.gamma_bar1,
+        np.linalg.eigvalsh(sym_fb / kap - ev.B0).min(-1),
+        constants.gamma_bar2 - w_fb[..., -1] / kap,
+    ])
+    i, j = np.unravel_index(np.argmin(margins), margins.shape)  # first minimum in loop order
+    max_sum_z = float(ev.sum_abs_z.max())
 
     divB_orders, divB_stable = {}, True
     if divB_check:
@@ -533,8 +536,10 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
     return ConditionReport(
         constants=constants, r_tilde=r_tilde, n_samples=len(samples),
         tau_ladder=tuple(float(x) for x in tau_ladder),
-        sandwich_ok=sandwich_ok, sandwich_margin=float(margin), worst_sample=worst,
-        eig_B0_range=tuple(eig_b0), eig_frakB_range=tuple(eig_fb),
+        sandwich_ok=not np.any(margins < -eig_tol), sandwich_margin=float(margins[i, j]),
+        worst_sample=(float(tau_ladder[i]), U[i, j].copy()),
+        eig_B0_range=(float(w_b0[..., 0].min()), float(w_b0[..., -1].max())),
+        eig_frakB_range=(float(w_fb[..., 0].min()), float(w_fb[..., -1].max())),
         max_sum_abs_z=max_sum_z, sum_z_ok=max_sum_z < constants.gamma1,
         H_at_zero_max=h_at_zero, entries_finite=finite, symmetry_exact=symmetric,
         divB_orders=divB_orders, divB_stable=divB_stable,
@@ -545,35 +550,32 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
 def _G_halforder_bound(maps: TimeMaps, tau_ladder: np.ndarray) -> tuple[float, bool]:
     """Sup of |G|/sqrt(-tau) over the ladder; stable under 2x refinement."""
     def weighted_sup(taus):
-        return max(abs(maps.G_of_tau(float(t))) / math.sqrt(-float(t)) for t in taus)
+        return float(np.max(np.abs(maps.G_of_tau(taus)) / np.sqrt(-taus)))
 
     coarse = weighted_sup(tau_ladder)
     mids = -np.sqrt(tau_ladder[:-1] * tau_ladder[1:])  # geometric midpoints
     fine = weighted_sup(np.concatenate([tau_ladder, mids]))
-    return float(fine), bool(fine <= 1.5 * coarse and math.isfinite(fine))
+    return fine, bool(fine <= 1.5 * coarse and math.isfinite(fine))
 
 
 def find_certified_radius(params: ModelParams, maps: TimeMaps,
                           constants: GammaConstants, seed: int = 20240,
                           n_samples: int = 400, r_start: float = 1e-2,
                           shrink: float = 0.5, max_iter: int = 40) -> float:
-    """Largest sampled radius with sum |z_ell| < gamma1 over the ladder."""
-    tau_ladder = _tau_ladder(maps)
+    """Largest sampled radius with sum |z_ell| < gamma1 over the ladder.
+
+    A radius is halved when any sample breaks the budget or leaves the
+    domain of the system (DomainError) at any rung.
+    """
+    tau = _tau_ladder(maps)[:, None]
+    f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
     r = r_start
     for _ in range(max_iter):
         samples = _ball_samples(n_samples, r, seed)
-        worst = 0.0
-        for tau in tau_ladder:
-            f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
-            for U in samples:
-                try:
-                    ev = assemble_matrices(float(tau), U, g_val, f_val, params)
-                except ValueError:
-                    worst = math.inf
-                    break
-                worst = max(worst, ev.sum_abs_z)
-            if worst > constants.gamma1:
-                break
+        try:
+            worst = assemble_matrices(tau, samples, g_val, f_val, params).sum_abs_z.max()
+        except DomainError:
+            worst = math.inf
         if worst < constants.gamma1:
             return r
         r *= shrink
@@ -586,38 +588,22 @@ def find_certified_radius(params: ModelParams, maps: TimeMaps,
 
 def _divB_pieces(tau, U, W, maps, params, eps=1e-7):
     f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
-
-    def b0_at(tt, uu):
-        return assemble_matrices(float(tt), uu, maps.G_of_tau(tt), maps.f_of_tau(tt), params).B0
-
-    ev = assemble_matrices(float(tau), U, g_val, f_val, params)
+    ev = assemble_matrices(tau, U, g_val, f_val, params)
     b0_inv = np.linalg.inv(ev.B0)
-    rhs_parts = {
-        "a_flux": -ev.Bz @ W,
-        "b_singular": ev.frakB @ U / tau,
-        "e_halforder": (-tau) ** -0.5 * ev.F,
-    }
-
-    def db0_dir(v):
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return np.zeros((5, 5))
-        e = v / nv
-        plus = assemble_matrices(float(tau), U + eps * e, g_val, f_val, params).B0
-        minus = assemble_matrices(float(tau), U - eps * e, g_val, f_val, params).B0
-        return nv * (plus - minus) / (2.0 * eps)
-
-    pieces = {k: db0_dir(b0_inv @ v) for k, v in rhs_parts.items()}
+    # U-directions: B0^-1 times each right-side part a, b, e (for B0), W (for Bz)
+    dirs = np.array([b0_inv @ (-ev.Bz @ W), b0_inv @ (ev.frakB @ U / tau),
+                     b0_inv @ ((-tau) ** -0.5 * ev.F), W])
+    norms = np.array([np.linalg.norm(v) for v in dirs])
+    unit = dirs / np.where(norms > 0.0, norms, 1.0)[:, None]
+    # stencil points: U + eps e, U - eps e per direction, then U at tau +- dtau
     dtau = 1e-5 * abs(tau)
-    pieces["d_dtauB0"] = (b0_at(tau + dtau, U) - b0_at(tau - dtau, U)) / (2.0 * dtau)
-    nw = np.linalg.norm(W)
-    if nw > 0.0:
-        e = W / nw
-        bzp = assemble_matrices(float(tau), U + eps * e, g_val, f_val, params).Bz
-        bzm = assemble_matrices(float(tau), U - eps * e, g_val, f_val, params).Bz
-        pieces["c_dUBz"] = nw * (bzp - bzm) / (2.0 * eps)
-    else:
-        pieces["c_dUBz"] = np.zeros((5, 5))
+    taus = np.array([tau] * 8 + [tau + dtau, tau - dtau])
+    pts = np.concatenate([U + eps * unit, U - eps * unit, [U, U]])
+    st = assemble_matrices(taus, pts, maps.G_of_tau(taus), maps.f_of_tau(taus), params)
+    pieces = {k: norms[n] * (st.B0[n] - st.B0[4 + n]) / (2.0 * eps)
+              for n, k in enumerate(("a_flux", "b_singular", "e_halforder"))}
+    pieces["c_dUBz"] = norms[3] * (st.Bz[3] - st.Bz[7]) / (2.0 * eps)
+    pieces["d_dtauB0"] = (st.B0[8] - st.B0[9]) / (2.0 * dtau)
     return {k: float(np.linalg.norm(v)) for k, v in pieces.items()}
 
 

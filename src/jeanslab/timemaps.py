@@ -52,20 +52,22 @@ class TimeMaps:
     def tau_at(self, t):
         return -self.g_at(t)
 
-    def f_of_tau(self, tau) -> float:
-        return float(np.expm1(self._diagnostic(self._log1pf_of_tau)(tau)))
+    def f_of_tau(self, tau):
+        return self._diagnostic(self._log1pf_of_tau, tau, np.expm1)
 
-    def G_of_tau(self, tau) -> float:
-        return float(self._diagnostic(self._G_of_tau)(tau))
+    def G_of_tau(self, tau):
+        return self._diagnostic(self._G_of_tau, tau)
 
-    def G_at(self, t) -> float:
-        return float(self._diagnostic(self._G_of_t)(t))
+    def G_at(self, t):
+        return self._diagnostic(self._G_of_t, t)
 
     @staticmethod
-    def _diagnostic(interp: PchipInterpolator | None) -> PchipInterpolator:
+    def _diagnostic(interp: PchipInterpolator | None, x, post=np.asarray):
+        """post(interp(x)): a float for a scalar x, an array otherwise."""
         if interp is None:
             raise ValueError("diagnostics not filled; call compute_diagnostics first")
-        return interp
+        out = post(interp(x))
+        return float(out) if np.ndim(x) == 0 else out
 
 
 def _cumulative_simpson_graded(t: np.ndarray, fn) -> np.ndarray:

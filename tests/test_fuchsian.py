@@ -1,10 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
 from conftest import cosine_profiles, flat_profiles
-from jeanslab import pde
-from jeanslab.fuchsian import (assemble_matrices, find_certified_radius,
+from jeanslab import fuchsian, pde
+from jeanslab.fuchsian import (DomainError, assemble_matrices, find_certified_radius,
                                fuchsian_fields, gamma_constants, q_lower_bound,
                                q_quantity, system_residual, system_rhs_direct,
                                verify_conditions, wave_block_weight)
@@ -259,3 +262,204 @@ def test_run_extraction_satisfies_system(traj_deep, maps_deep, params):
         ev = assemble_matrices(Fc.tau, Fc.U[:, j], Fc.G_frak, Fc.f, params)
         defect[:, j] = system_residual(ev, dU[:, j], dUdz[:, j])
     assert float(np.max(np.abs(defect))) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the batched (..., 5) form against single points and the per-sample loops
+
+
+def test_batched_slices_equal_single_points(params):
+    rng = np.random.default_rng(11)
+    tau = -np.array([[1.0], [0.25], [0.02], [1e-3]])
+    G = np.array([[0.3], [-1.2], [4.0], [11.5]])
+    f = np.array([[0.2], [5.0], [3e3], [8e7]])
+    # radii from 1e-9 to 0.3 mix the series and direct branches of _pow_ratio*
+    direc = rng.uniform(-1.0, 1.0, (4, 12, 5))
+    U = direc * np.geomspace(1e-9, 0.3, 12)[None, :, None]
+    U[:, 0] = 0.0
+    ev = assemble_matrices(tau, U, G, f, params)
+    assert ev.B0.shape == ev.Bz.shape == ev.frakB.shape == (4, 12, 5, 5)
+    assert ev.Z.shape == (4, 12, 8) and ev.H.shape == ev.F.shape == (4, 12, 5)
+    for i in range(4):
+        for j in range(12):
+            one = assemble_matrices(float(tau[i, 0]), U[i, j], float(G[i, 0]),
+                                    float(f[i, 0]), params)
+            for fld in dataclasses.fields(one):
+                assert np.array_equal(getattr(ev, fld.name)[i, j],
+                                      getattr(one, fld.name)), fld.name
+            assert ev.sum_abs_z[i, j] == one.sum_abs_z
+
+
+def test_domain_errors_are_typed(params):
+    with pytest.raises(DomainError, match="fractional-power"):
+        assemble_matrices(-0.5, np.array([[0.0] * 5, [0.0, 0.0, -3.0, 0.0, 0.0]]),
+                          0.0, 10.0, params)
+    with pytest.raises(DomainError, match="chi must stay positive"):
+        assemble_matrices(-0.5, np.zeros((3, 5)), [0.0, -5.0 * params.B, 0.0], 1.0, params)
+
+
+def test_radius_search_halves_only_on_domain_errors(params, maps_deep, gconsts,
+                                                    monkeypatch):
+    real = fuchsian.assemble_matrices
+    calls = []
+
+    def out_of_domain_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise DomainError("fractional-power argument non-positive")
+        return real(*args)
+
+    monkeypatch.setattr(fuchsian, "assemble_matrices", out_of_domain_once)
+    assert find_certified_radius(params, maps_deep, gconsts, n_samples=20,
+                                 r_start=1e-8) == 0.5e-8
+    assert len(calls) == 2
+
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(fuchsian, "assemble_matrices", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        find_certified_radius(params, maps_deep, gconsts, n_samples=20, r_start=1e-8)
+
+
+def _radius_loop(params, maps, constants, seed=20240, n_samples=400, r_start=1e-2,
+                 shrink=0.5, max_iter=40):
+    """The per-sample loop find_certified_radius used before the batched form."""
+    tau_ladder = fuchsian._tau_ladder(maps)
+    r = r_start
+    for _ in range(max_iter):
+        samples = fuchsian._ball_samples(n_samples, r, seed)
+        worst = 0.0
+        for tau in tau_ladder:
+            f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
+            for U in samples:
+                try:
+                    ev = assemble_matrices(float(tau), U, g_val, f_val, params)
+                except ValueError:
+                    worst = math.inf
+                    break
+                worst = max(worst, ev.sum_abs_z)
+            if worst > constants.gamma1:
+                break
+        if worst < constants.gamma1:
+            return r
+        r *= shrink
+    raise RuntimeError("no certified radius found down to the shrink floor")
+
+
+def _conditions_loop(params, maps, constants, r_tilde, n_samples, seed=20240,
+                     eig_tol=1e-12):
+    """The per-sample loop verify_conditions used before the batched form."""
+    tau_ladder = fuchsian._tau_ladder(maps)
+    samples = fuchsian._ball_samples(n_samples, r_tilde, seed)
+    samples[0] = 0.0
+    gb1, gb2 = constants.gamma_bar1, constants.gamma_bar2
+    kap = constants.kappa_const
+    sandwich_ok = True
+    margin = math.inf
+    worst = None
+    max_sum_z = 0.0
+    eig_b0 = [math.inf, -math.inf]
+    eig_fb = [math.inf, -math.inf]
+    h_at_zero = 0.0
+    finite = True
+    symmetric = True
+    per_tau = max(1, len(samples) // len(tau_ladder))
+    idx = 0
+    for tau in tau_ladder:
+        f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
+        chunk = samples[idx:idx + per_tau] if idx + per_tau <= len(samples) else samples[:per_tau]
+        idx += per_tau
+        for U in np.vstack([np.zeros(5), chunk]):
+            ev = assemble_matrices(float(tau), U, g_val, f_val, params)
+            symmetric &= bool(np.array_equal(ev.B0, ev.B0.T) and np.array_equal(ev.Bz, ev.Bz.T))
+            finite &= bool(np.isfinite(ev.B0).all() and np.isfinite(ev.Bz).all()
+                           and np.isfinite(ev.frakB).all() and np.isfinite(ev.H).all()
+                           and np.isfinite(ev.F).all())
+            if not np.any(U):
+                h_at_zero = max(h_at_zero, float(np.max(np.abs(ev.H))))
+            sym_fb = 0.5 * (ev.frakB + ev.frakB.T)
+            w_fb = np.linalg.eigvalsh(sym_fb)
+            w_b0 = np.sort(np.diag(ev.B0))
+            eig_b0 = [min(eig_b0[0], w_b0[0]), max(eig_b0[1], w_b0[-1])]
+            eig_fb = [min(eig_fb[0], w_fb[0]), max(eig_fb[1], w_fb[-1])]
+            m1 = w_b0[0] - gb1
+            m2 = float(np.linalg.eigvalsh(sym_fb / kap - ev.B0).min())
+            m3 = gb2 - w_fb[-1] / kap
+            m = min(m1, m2, m3)
+            if m < margin:
+                margin, worst = m, (float(tau), U.copy())
+            if m < -eig_tol:
+                sandwich_ok = False
+            max_sum_z = max(max_sum_z, ev.sum_abs_z)
+    return dict(sandwich_ok=sandwich_ok, sandwich_margin=float(margin), worst_sample=worst,
+                eig_B0_range=tuple(eig_b0), eig_frakB_range=tuple(eig_fb),
+                max_sum_abs_z=max_sum_z, H_at_zero_max=h_at_zero,
+                entries_finite=finite, symmetry_exact=symmetric)
+
+
+@pytest.mark.parametrize("n_samples", [10, 60])
+def test_radius_search_equals_per_sample_loop(params, maps_deep, gconsts, n_samples):
+    assert (find_certified_radius(params, maps_deep, gconsts, n_samples=n_samples)
+            == _radius_loop(params, maps_deep, gconsts, n_samples=n_samples))
+
+
+@pytest.mark.parametrize("n_samples", [5, 10, 200])
+@pytest.mark.parametrize("r_tilde", [5e-8, 0.05])
+def test_conditions_equal_per_sample_loop(params, maps_deep, gconsts, n_samples, r_tilde):
+    # 9 rungs: with 5 samples rungs 5..8 wrap to the first chunk, with 10 none do
+    assert len(fuchsian._tau_ladder(maps_deep)) == 9
+    rep = verify_conditions(params, maps_deep, gconsts, r_tilde=r_tilde,
+                            n_samples=n_samples, divB_check=False)
+    loop = _conditions_loop(params, maps_deep, gconsts, r_tilde, n_samples)
+    tau_w, U_w = loop.pop("worst_sample")
+    assert rep.worst_sample[0] == tau_w and np.array_equal(rep.worst_sample[1], U_w)
+    for k, v in loop.items():
+        assert getattr(rep, k) == v, k
+
+
+def _divB_pieces_loop(tau, U, W, maps, params, eps=1e-7):
+    """The per-point central differences _divB_pieces used before the batched form."""
+    f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
+
+    def b0_at(tt, uu):
+        return assemble_matrices(float(tt), uu, maps.G_of_tau(tt), maps.f_of_tau(tt), params).B0
+
+    ev = assemble_matrices(float(tau), U, g_val, f_val, params)
+    b0_inv = np.linalg.inv(ev.B0)
+    rhs_parts = {
+        "a_flux": -ev.Bz @ W,
+        "b_singular": ev.frakB @ U / tau,
+        "e_halforder": (-tau) ** -0.5 * ev.F,
+    }
+
+    def db0_dir(v):
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            return np.zeros((5, 5))
+        e = v / nv
+        plus = assemble_matrices(float(tau), U + eps * e, g_val, f_val, params).B0
+        minus = assemble_matrices(float(tau), U - eps * e, g_val, f_val, params).B0
+        return nv * (plus - minus) / (2.0 * eps)
+
+    pieces = {k: db0_dir(b0_inv @ v) for k, v in rhs_parts.items()}
+    dtau = 1e-5 * abs(tau)
+    pieces["d_dtauB0"] = (b0_at(tau + dtau, U) - b0_at(tau - dtau, U)) / (2.0 * dtau)
+    nw = np.linalg.norm(W)
+    if nw > 0.0:
+        e = W / nw
+        bzp = assemble_matrices(float(tau), U + eps * e, g_val, f_val, params).Bz
+        bzm = assemble_matrices(float(tau), U - eps * e, g_val, f_val, params).Bz
+        pieces["c_dUBz"] = nw * (bzp - bzm) / (2.0 * eps)
+    else:
+        pieces["c_dUBz"] = np.zeros((5, 5))
+    return {k: float(np.linalg.norm(v)) for k, v in pieces.items()}
+
+
+@pytest.mark.parametrize("zero_W", [False, True])
+def test_divB_pieces_equal_per_point_loop(params, maps_deep, zero_W):
+    U = fuchsian._ball_samples(4, 5e-8, 20240)[2]
+    W = np.zeros(5) if zero_W else np.random.default_rng(3).standard_normal(5) * 1e-8
+    for tau in fuchsian._tau_ladder(maps_deep):
+        assert (fuchsian._divB_pieces(float(tau), U, W, maps_deep, params)
+                == _divB_pieces_loop(float(tau), U, W, maps_deep, params))

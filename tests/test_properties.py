@@ -1,0 +1,109 @@
+"""Property tests: the cancelled power ratios and the psi solve.
+
+Examples are drawn deterministically (``derandomize``), so the suite gives the
+same verdict on every run.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jeanslab.fuchsian import _pow_ratio, _pow_ratio2
+from jeanslab.pde import compute_psi
+
+EPS = np.finfo(float).eps
+PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+coef = st.floats(1e-3, 1.0)  # a = f/(1+f) lies in (0, 1)
+power = st.floats(-3.0, 5.0)
+au_mix = st.lists(st.one_of(st.floats(-2e-5, 2e-5), st.floats(-0.5, 0.5)),
+                  min_size=1, max_size=40)
+
+
+# ---------------------------------------------------------------------------
+# _pow_ratio, _pow_ratio2: arrays against scalars, continuity at the crossover
+
+
+@PROPS
+@given(a=coef, p=power, au=au_mix)
+def test_pow_ratios_arrays_equal_scalar_calls(a, p, au):
+    # 0, 1e-7 and 0.3 put both branches of both ratios into every array
+    u = np.array(au + [0.0, 1e-7, 0.3]) / a
+    for ratio in (_pow_ratio, _pow_ratio2):
+        batched = ratio(a, p, u)
+        assert np.array_equal(batched, [ratio(a, p, ui) for ui in u])
+
+
+def _crossover_gap(ratio, a, p, sign, c):
+    # the two points straddle |a u| = c by a relative 1e-9 on either side
+    u_series = sign * c * (1.0 - 1e-9) / a
+    u_direct = sign * c * (1.0 + 1e-9) / a
+    assert abs(a * u_series) < c <= abs(a * u_direct)
+    return abs(float(ratio(a, p, u_direct)) - float(ratio(a, p, u_series)))
+
+
+# Error budget of the direct form at the crossover |a u| = c.  fl(1 + a u)
+# carries an absolute error of eps/2, which the power turns into |p| eps/2;
+# pow adds one rounding of a value near 1, eps; subtracting 1 (and p a u)
+# is exact by Sterbenz.  The numerator is therefore off by (|p|/2 + 1) eps,
+# and dividing by u = c/a gives (|p|/2 + 1) eps |a| / c: about eps/|a u|
+# relative to the value p a of _pow_ratio, and eps/|a u|^2 relative to the
+# value p (p-1) a (a u)/2 of _pow_ratio2.  The series side is truncated at
+# O((a u)^3) (_pow_ratio) and O((a u)^4) (_pow_ratio2) relative, below 1e-15
+# at c, and the function itself moves by |f'| |du| <= |p (p-1) a| 2e-9 c
+# across the two points.  A factor 4 covers pow's last bit.
+
+
+@PROPS
+@given(a=coef, p=power, sign=st.sampled_from([-1.0, 1.0]))
+def test_pow_ratio_continuous_at_crossover(a, p, sign):
+    c = 1e-6
+    tol = 4.0 * (abs(p) / 2.0 + 1.0) * EPS * a / c + abs(p * (p - 1.0) * a) * 2e-9 * c
+    assert _crossover_gap(_pow_ratio, a, p, sign, c) <= tol
+
+
+@PROPS
+@given(a=coef, p=power, sign=st.sampled_from([-1.0, 1.0]))
+def test_pow_ratio2_continuous_at_crossover(a, p, sign):
+    c = 1e-5
+    tol = 4.0 * (abs(p) / 2.0 + 1.0) * EPS * a / c + abs(p * (p - 1.0) * a) * 2e-9 * c
+    assert _crossover_gap(_pow_ratio2, a, p, sign, c) <= tol
+
+
+# ---------------------------------------------------------------------------
+# compute_psi: linear, and equivariant under whole-grid shifts
+
+
+grid_n = st.sampled_from([16, 24, 32, 50, 64, 128, 256])
+unit = st.floats(-1.0, 1.0)
+
+
+def _grid(draw, n):
+    return np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+
+
+def _fft_tol(n, scale):
+    # a real FFT round trip of n points is accurate to about eps log2(n) in
+    # the 2-norm; the sup of the error is at most the 2-norm, and the 2-norm
+    # of the input at most sqrt(n) times its sup.  psi damps every mode
+    # (|3 + 2 pi i k| >= 3), so the sup-scale of the data bounds the output.
+    return 8.0 * EPS * np.log2(n) * np.sqrt(n) * scale
+
+
+@PROPS
+@given(data=st.data(), n=grid_n, alpha=st.floats(-10.0, 10.0), beta=st.floats(-10.0, 10.0))
+def test_psi_linear(data, n, alpha, beta):
+    u, v = _grid(data.draw, n), _grid(data.draw, n)
+    lhs = compute_psi(alpha * u + beta * v)
+    rhs = alpha * compute_psi(u) + beta * compute_psi(v)
+    scale = abs(alpha) * np.max(np.abs(u)) + abs(beta) * np.max(np.abs(v))
+    assert np.max(np.abs(lhs - rhs)) <= _fft_tol(n, scale)
+
+
+@PROPS
+@given(data=st.data(), n=grid_n)
+def test_psi_shift_equivariant(data, n):
+    u = _grid(data.draw, n)
+    m = data.draw(st.integers(-n, n))
+    gap = np.max(np.abs(compute_psi(np.roll(u, m)) - np.roll(compute_psi(u), m)))
+    assert gap <= _fft_tol(n, np.max(np.abs(u)))

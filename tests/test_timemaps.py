@@ -121,3 +121,13 @@ def test_representation_mismatch_detection(traj, params):
     # corrupting the tolerance budget must raise rather than silently pass
     with pytest.raises(RuntimeError, match="representation mismatch"):
         compute_g(traj, params, refine=2, mismatch_tol=1e-13)
+
+
+def test_diagnostics_accept_arrays(maps):
+    taus, ts = maps.tau[::97], maps.t_grid[::97]
+    for fn, xs in ((maps.f_of_tau, taus), (maps.G_of_tau, taus), (maps.G_at, ts)):
+        out = fn(xs[:, None])
+        assert isinstance(out, np.ndarray) and out.shape == (len(xs), 1)
+        for x, o in zip(xs, out[:, 0]):
+            assert type(fn(x)) is float and type(fn(np.asarray(x))) is float
+            assert fn(x) == o
