@@ -35,7 +35,7 @@ from .pde import (EvolveControls, data_smallness, entropy_field, evolve,
                   init_from_data)
 from .reference import (background_state, euler_poisson_residual,
                         homogeneous_state, sample_annulus)
-from .timemaps import check_G_decay, compute_diagnostics, compute_g
+from .timemaps import check_G_decay, compute_g
 
 
 @dataclass
@@ -243,8 +243,7 @@ def make_profiles(cfg: RunConfig, params: ModelParams):
 def _run_ode_pipeline(cfg: RunConfig, params: ModelParams):
     traj = integrate_contrast(params, f_cap=cfg.f_cap,
                               controls=ToleranceSpec(cfg.rel_tol, cfg.abs_tol))
-    maps = compute_diagnostics(traj, compute_g(traj, params, refine=2), params,
-                               thetas=(2.0,))
+    maps = compute_g(traj, params, refine=2, thetas=(2.0,))
     return traj, maps
 
 
@@ -408,7 +407,7 @@ def cmd_fuchsian(run: RunDir) -> None:
     params = cfg.to_params()
     traj = integrate_contrast(params, f_cap=max(cfg.f_cap, 1e8),
                               controls=ToleranceSpec(cfg.rel_tol, cfg.abs_tol))
-    maps = compute_diagnostics(traj, compute_g(traj, params, refine=2), params)
+    maps = compute_g(traj, params, refine=2)
     g_range = (float(np.min(maps.G_frak)), float(np.max(maps.G_frak)))
     gc = gamma_constants(params, g_range)
     r_tilde = find_certified_radius(params, maps, gc, seed=cfg.seed)

@@ -249,20 +249,19 @@ def wave_coefficients(state_t: float, rho_hat: np.ndarray, nu: np.ndarray,
     return gzz, g0z
 
 
-def rhs(state: FieldState, traj: OdeTrajectory, params: ModelParams,
-        deriv: str = "fd4"):
-    """Time derivatives (d rho_hat, d drho_dt, d nu) of the reduced system.
+def rhs(t: float, y: np.ndarray, traj: OdeTrajectory, params: ModelParams,
+        deriv: str = "fd4") -> np.ndarray:
+    """Time derivative of the state y = (rho_hat, drho_dt, nu), shape (3, n).
 
     Raises HyperbolicityLossError if gzz <= 0 anywhere and VacuumError on
-    vacuum (1 + rho_hat <= 0).  Psi is re-evaluated from the instantaneous
-    contrast before use.
+    vacuum (1 + rho_hat <= 0).  Psi is evaluated from the instantaneous
+    contrast.
     """
     d1, d2 = _DERIV_MODES[deriv]
-    t = state.t
     f, f0 = traj.f_f0_at(t)
     om, i3, kap = params.omega, params.iota3, params.kappa
-    r, rt, nu = state.rho_hat, state.drho_dt, state.nu
-    h = 1.0 / state.n
+    r, rt, nu = y
+    h = 1.0 / y.shape[1]
     one_pf = 1.0 + f
     one_pr = 1.0 + r
     if np.any(one_pr <= 0.0):
@@ -308,7 +307,7 @@ def rhs(state: FieldState, traj: OdeTrajectory, params: ModelParams,
           - (2.0 * i3 * one_pf * f / (t * t * f0)) * psi)
     d_nu = g1 - z_rate * nu * nuz
 
-    return rt.copy(), d_rt, d_nu
+    return np.stack((rt, d_rt, d_nu))
 
 
 def continuity_residual(state: FieldState, traj: OdeTrajectory,
@@ -393,41 +392,50 @@ def evolve(state: FieldState, traj: OdeTrajectory, params: ModelParams,
     mon = MonitorSeries()
     states = [state]
     _record(mon, state, traj, params, controls.deriv)
+
+    def store(t, y):
+        f = traj.f_f0_at(t)[0]
+        st = FieldState(t=t, zeta=state.zeta, rho_hat=y[0], drho_dt=y[1], nu=y[2],
+                        psi=compute_psi((y[0] - f) / f))
+        states.append(st)
+        _record(mon, st, traj, params, controls.deriv)
+
     stop_reason = "t_end"
     n_steps = 0
     dt_min, dt_max = math.inf, 0.0
-    cur = state
-    while cur.t < t_stop * (1.0 - 1e-14):
-        f, f0 = traj.f_f0_at(cur.t)
-        gzz, g0z = wave_coefficients(cur.t, cur.rho_hat, cur.nu, f, f0, params)
+    t, y = state.t, np.stack((state.rho_hat, state.drho_dt, state.nu))
+    stored = True
+    while t < t_stop * (1.0 - 1e-14):
+        f, f0 = traj.f_f0_at(t)
+        gzz, g0z = wave_coefficients(t, y[0], y[2], f, f0, params)
         if np.any(gzz <= 0.0):
             stop_reason = "hyperbolicity_loss"
             break
         speed = float(np.max(np.sqrt(gzz) + np.abs(g0z)))
         dt = min(controls.cfl * h / speed,
                  controls.growth_cap * (1.0 + f) / f0,
-                 t_stop - cur.t)
+                 t_stop - t)
         if dt < controls.dt_floor:
             stop_reason = "dt_underflow"
             break
         try:
-            cur = _rk4_step(cur, dt, traj, params, controls.deriv)
+            y = _rk4_step(t, y, dt, traj, params, controls.deriv)
         except HyperbolicityLossError:
             stop_reason = "hyperbolicity_loss"
             break
         except VacuumError:
             stop_reason = "vacuum"
             break
+        t += dt
         n_steps += 1
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-        if n_steps % out_every == 0 or cur.t >= t_stop * (1.0 - 1e-14):
-            states.append(cur)
-            _record(mon, cur, traj, params, controls.deriv)
+        stored = n_steps % out_every == 0 or t >= t_stop * (1.0 - 1e-14)
+        if stored:
+            store(t, y)
     if stop_reason == "t_end" and f_cap is not None and t_stop < (t_end or math.inf):
         stop_reason = "f_cap"
-    if states[-1] is not cur:
-        states.append(cur)
-        _record(mon, cur, traj, params, controls.deriv)
+    if not stored:
+        store(t, y)
     return EvolveResult(states=states, monitors=mon, stop_reason=stop_reason,
                         n_steps=n_steps, dt_min=dt_min, dt_max=dt_max)
 
@@ -442,27 +450,10 @@ def _estimate_steps(state, traj, params, t_stop, controls, h) -> int:
     return max(2, int((t_stop - state.t) / dt0 + span / controls.growth_cap))
 
 
-def _rk4_step(state: FieldState, dt: float, traj, params, deriv) -> FieldState:
-    def as_vec(s):
-        return s.rho_hat, s.drho_dt, s.nu
-
-    def mk(t, r, rt, nu):
-        return FieldState(t=t, zeta=state.zeta, rho_hat=r, drho_dt=rt, nu=nu,
-                          psi=state.psi)
-
-    t = state.t
-    r0, rt0, nu0 = as_vec(state)
-    k1 = rhs(state, traj, params, deriv)
-    s2 = mk(t + 0.5 * dt, r0 + 0.5 * dt * k1[0], rt0 + 0.5 * dt * k1[1], nu0 + 0.5 * dt * k1[2])
-    k2 = rhs(s2, traj, params, deriv)
-    s3 = mk(t + 0.5 * dt, r0 + 0.5 * dt * k2[0], rt0 + 0.5 * dt * k2[1], nu0 + 0.5 * dt * k2[2])
-    k3 = rhs(s3, traj, params, deriv)
-    s4 = mk(t + dt, r0 + dt * k3[0], rt0 + dt * k3[1], nu0 + dt * k3[2])
-    k4 = rhs(s4, traj, params, deriv)
-    r = r0 + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    rt = rt0 + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    nu = nu0 + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    t_new = t + dt
-    f_new, _ = traj.f_f0_at(t_new)
-    psi = compute_psi((r - f_new) / f_new)
-    return FieldState(t=t_new, zeta=state.zeta, rho_hat=r, drho_dt=rt, nu=nu, psi=psi)
+def _rk4_step(t: float, y: np.ndarray, dt: float, traj, params, deriv) -> np.ndarray:
+    """Classical four-stage Runge-Kutta update of the (3, n) state y from t to t + dt."""
+    k1 = rhs(t, y, traj, params, deriv)
+    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1, traj, params, deriv)
+    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2, traj, params, deriv)
+    k4 = rhs(t + dt, y + dt * k3, traj, params, deriv)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -23,7 +23,7 @@ from .contrast_ode import OdeTrajectory
 from .params import ModelParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeMaps:
     """Time transform and diagnostics sampled on a refined trajectory grid."""
 
@@ -35,16 +35,16 @@ class TimeMaps:
     tau: np.ndarray
     g_alt: np.ndarray
     representation_gap: float
-    chi: np.ndarray | None = None
-    xi: np.ndarray | None = None
-    G_frak: np.ndarray | None = None
-    eta: dict = field(default_factory=dict)
-    _t_of_tau: PchipInterpolator | None = field(default=None, repr=False)
-    _g_of_t: PchipInterpolator | None = field(default=None, repr=False)
-    # ln(1+f) and G of tau, G of t; built by compute_diagnostics
-    _log1pf_of_tau: PchipInterpolator | None = field(default=None, repr=False)
-    _G_of_tau: PchipInterpolator | None = field(default=None, repr=False)
-    _G_of_t: PchipInterpolator | None = field(default=None, repr=False)
+    chi: np.ndarray
+    xi: np.ndarray
+    G_frak: np.ndarray
+    eta: dict
+    _t_of_tau: PchipInterpolator = field(repr=False)
+    _g_of_t: PchipInterpolator = field(repr=False)
+    # ln(1+f) and G of tau, G of t
+    _log1pf_of_tau: PchipInterpolator = field(repr=False)
+    _G_of_tau: PchipInterpolator = field(repr=False)
+    _G_of_t: PchipInterpolator = field(repr=False)
 
     def g_at(self, t):
         return np.exp(self._g_of_t(np.asarray(t)))
@@ -62,10 +62,8 @@ class TimeMaps:
         return self._diagnostic(self._G_of_t, t)
 
     @staticmethod
-    def _diagnostic(interp: PchipInterpolator | None, x, post=np.asarray):
+    def _diagnostic(interp: PchipInterpolator, x, post=np.asarray):
         """post(interp(x)): a float for a scalar x, an array otherwise."""
-        if interp is None:
-            raise ValueError("diagnostics not filled; call compute_diagnostics first")
         out = post(interp(x))
         return float(out) if np.ndim(x) == 0 else out
 
@@ -90,15 +88,28 @@ def _refined_grid(traj: OdeTrajectory, refine: int) -> np.ndarray:
     return np.append(np.concatenate(segs), traj.t_grid[-1])
 
 
-def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
-              mismatch_tol: float = 1e-6) -> TimeMaps:
-    """Evaluate both representations of g, cross-check, and build inverse maps.
+_CHI_CROSSCHECK_TOL = 1e-6
 
-    Raises RuntimeError ("representation mismatch") if the two forms disagree
-    by more than 10x the tolerance anywhere; such a gap signals an inaccurate
-    contrast integration rather than a quadrature artifact.
+
+def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
+              thetas: tuple[float, ...] = (2.0,),
+              mismatch_tol: float = 1e-6) -> TimeMaps:
+    """Evaluate both representations of g and the diagnostics chi, xi, G, eta_theta.
+
+    Raises RuntimeError ("representation mismatch") if the two forms of g
+    disagree by more than 10x the tolerance anywhere; such a gap signals an
+    inaccurate contrast integration rather than a quadrature artifact.  chi
+    is evaluated from both algebraic forms (the f'-quotient and the
+    (f, g)-only rewriting) and cross-checked; each requested theta must obey
+    A * theta < 2b/(3 - 2c), the hypothesis for eta_theta -> 0.
     """
     a, b, c, A, B = params.ode_a, params.ode_b, params.ode_c, params.A, params.B
+    theta_cap = 2.0 * b / ((3.0 - 2.0 * c) * A)
+    thetas = (thetas,) if np.isscalar(thetas) else tuple(thetas)
+    for th in thetas:
+        if th < 1.0 or th >= theta_cap:
+            raise ValueError(f"theta = {th!r} violates the decay hypothesis "
+                             f"1 <= theta < 2b/((3-2c)A) = {theta_cap:.6g}")
     t = _refined_grid(traj, refine)
 
     def quotient_integrand(s):
@@ -118,13 +129,23 @@ def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
         raise RuntimeError(f"representation mismatch: quotient and f-only forms of g "
                            f"differ by rel {gap:.3g} (> {10.0 * mismatch_tol:.3g})")
     tau = -g
-    maps = TimeMaps(
-        params=params, t_grid=t, f=traj.f_at(t), f0=traj.f0_at(t),
-        g=g, tau=tau, g_alt=g_alt, representation_gap=gap,
+    f, f0 = traj.f_at(t), traj.f0_at(t)
+    chi = t ** (2.0 - a) * f0 / ((1.0 + f) ** (2.0 - c) * f * g ** (b / A))
+    chi_alt = g ** (-2.0 * b / A) * t ** (2.0 * (1.0 - a)) / (B * f * (1.0 + f) ** (2.0 * (1.0 - c)))
+    chi_gap = float(np.max(np.abs(chi - chi_alt) / chi_alt))
+    if chi_gap > 10.0 * _CHI_CROSSCHECK_TOL:
+        raise RuntimeError(f"chi cross-check failed: algebraic forms differ by rel {chi_gap:.3g}")
+    G_frak = chi - params.chi_limit()
+    return TimeMaps(
+        params=params, t_grid=t, f=f, f0=f0, g=g, tau=tau, g_alt=g_alt,
+        representation_gap=gap, chi=chi, xi=1.0 / (g * (1.0 + f)), G_frak=G_frak,
+        eta={th: 1.0 / (g**th * (1.0 + f)) for th in thetas},
+        _t_of_tau=PchipInterpolator(tau, t),
+        _g_of_t=PchipInterpolator(t, np.log(g)),
+        _log1pf_of_tau=PchipInterpolator(tau, np.log1p(f)),
+        _G_of_tau=PchipInterpolator(tau, G_frak),
+        _G_of_t=PchipInterpolator(t, G_frak),
     )
-    maps._t_of_tau = PchipInterpolator(tau, t)
-    maps._g_of_t = PchipInterpolator(t, np.log(g))
-    return maps
 
 
 def invert_tau(maps: TimeMaps, tau_query) -> np.ndarray | float:
@@ -135,38 +156,6 @@ def invert_tau(maps: TimeMaps, tau_query) -> np.ndarray | float:
         raise ValueError(f"tau query outside computed range [{lo:.6g}, {hi:.6g}]")
     out = maps._t_of_tau(np.clip(tq, lo, hi))
     return float(out) if np.isscalar(tau_query) else out
-
-
-def compute_diagnostics(traj: OdeTrajectory, maps: TimeMaps, params: ModelParams,
-                        thetas: tuple[float, ...] = (2.0,),
-                        crosscheck_tol: float = 1e-6) -> TimeMaps:
-    """Fill chi, xi, G = chi - chi_limit and eta_theta along the map grid.
-
-    chi is evaluated from both algebraic forms (the f'-quotient and the
-    (f, g)-only rewriting) and cross-checked; each requested theta must obey
-    A * theta < 2b/(3 - 2c), the hypothesis for eta_theta -> 0.
-    """
-    a, b, c, A, B = params.ode_a, params.ode_b, params.ode_c, params.A, params.B
-    theta_cap = 2.0 * b / ((3.0 - 2.0 * c) * A)
-    thetas = (thetas,) if np.isscalar(thetas) else tuple(thetas)
-    for th in thetas:
-        if th < 1.0 or th >= theta_cap:
-            raise ValueError(f"theta = {th!r} violates the decay hypothesis "
-                             f"1 <= theta < 2b/((3-2c)A) = {theta_cap:.6g}")
-    t, f, f0, g = maps.t_grid, maps.f, maps.f0, maps.g
-    chi = t ** (2.0 - a) * f0 / ((1.0 + f) ** (2.0 - c) * f * g ** (b / A))
-    chi_alt = g ** (-2.0 * b / A) * t ** (2.0 * (1.0 - a)) / (B * f * (1.0 + f) ** (2.0 * (1.0 - c)))
-    gap = float(np.max(np.abs(chi - chi_alt) / chi_alt))
-    if gap > 10.0 * crosscheck_tol:
-        raise RuntimeError(f"chi cross-check failed: algebraic forms differ by rel {gap:.3g}")
-    maps.chi = chi
-    maps.G_frak = chi - params.chi_limit()
-    maps.xi = 1.0 / (g * (1.0 + f))
-    maps.eta = {th: 1.0 / (g**th * (1.0 + f)) for th in thetas}
-    maps._log1pf_of_tau = PchipInterpolator(maps.tau, np.log1p(f))
-    maps._G_of_tau = PchipInterpolator(maps.tau, maps.G_frak)
-    maps._G_of_t = PchipInterpolator(t, maps.G_frak)
-    return maps
 
 
 def terminal_window(maps: TimeMaps, f_cap: float, frac: float = 0.9) -> np.ndarray:
@@ -197,8 +186,8 @@ class GDecayReport:
     dchi_rel_err: float
 
 
-def check_G_decay(maps: TimeMaps, params: ModelParams, decades: float = 1.0,
-                  dchi_tol: float = 1e-3) -> GDecayReport:
+def check_G_decay(maps: TimeMaps, params: ModelParams,
+                  decades: float = 1.0) -> GDecayReport:
     """Fit the terminal decay |G| ~ (-tau)^p and verify the chi evolution law.
 
     The fit runs over the last `decades` of -tau; grid points where G crosses
@@ -206,8 +195,6 @@ def check_G_decay(maps: TimeMaps, params: ModelParams, decades: float = 1.0,
     the numerical chi(t) are compared against the closed-form derivative at
     interior points of the fit window.
     """
-    if maps.chi is None:
-        raise ValueError("diagnostics not filled; call compute_diagnostics first")
     neg_tau = -maps.tau
     hi = neg_tau[-1] * 10.0**decades
     sel = neg_tau <= hi

@@ -3,7 +3,7 @@ import pytest
 
 from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
 from jeanslab.params import params_from_iota3
-from jeanslab.timemaps import compute_diagnostics, compute_g
+from jeanslab.timemaps import compute_g
 
 TIGHT = ToleranceSpec(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -20,8 +20,7 @@ def traj(params):
 
 @pytest.fixture(scope="session")
 def maps(traj, params):
-    return compute_diagnostics(traj, compute_g(traj, params, refine=4), params,
-                               thetas=(2.0,))
+    return compute_g(traj, params, refine=4, thetas=(2.0,))
 
 
 @pytest.fixture(scope="session")
@@ -32,8 +31,7 @@ def traj_deep(params):
 
 @pytest.fixture(scope="session")
 def maps_deep(traj_deep, params):
-    return compute_diagnostics(traj_deep, compute_g(traj_deep, params, refine=2),
-                               params, thetas=(2.0,))
+    return compute_g(traj_deep, params, refine=2, thetas=(2.0,))
 
 
 @pytest.fixture(scope="session")
@@ -49,8 +47,7 @@ def traj_window(params_window):
 
 @pytest.fixture(scope="session")
 def maps_window(traj_window, params_window):
-    return compute_diagnostics(traj_window, compute_g(traj_window, params_window, refine=4),
-                               params_window, thetas=(2.0,))
+    return compute_g(traj_window, params_window, refine=4, thetas=(2.0,))
 
 
 def cosine_profiles(params, eps, eps_v=0.0):

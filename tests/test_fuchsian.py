@@ -12,7 +12,7 @@ from jeanslab.fuchsian import (DomainError, assemble_matrices, find_certified_ra
                                q_quantity, system_residual, system_rhs_direct,
                                verify_conditions, wave_block_weight)
 from jeanslab.pde import EvolveControls, diff1, evolve, init_from_data
-from jeanslab.timemaps import compute_diagnostics, compute_g
+from jeanslab.timemaps import compute_g
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +55,6 @@ def test_psi_field_bound(traj, maps, params):
 
 def test_time_map_interpolants_built_once(traj_deep, params, gconsts):
     m = compute_g(traj_deep, params, refine=2)
-    with pytest.raises(ValueError, match="diagnostics not filled"):
-        m.G_at(1.5)
-    m = compute_diagnostics(traj_deep, m, params)
     log1pf = PchipInterpolator(m.tau, np.log1p(m.f))
     G_of_tau = PchipInterpolator(m.tau, m.G_frak)
     G_of_t = PchipInterpolator(m.t_grid, m.G_frak)
@@ -74,6 +71,8 @@ def test_time_map_interpolants_built_once(traj_deep, params, gconsts):
     verify_conditions(params, m, gconsts, r_tilde=r, n_samples=20)
     assert vars(m).keys() == before.keys()
     assert all(vars(m)[k] is v for k, v in before.items())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.chi = m.chi
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,14 @@ def test_grid_validation():
 # right-hand side
 
 
+def _y(st):
+    return np.stack((st.rho_hat, st.drho_dt, st.nu))
+
+
 def test_rhs_homogeneous_reduces_to_ode(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
-    d_rho, d_drho, d_nu = rhs(st, traj, params)
+    d_rho, d_drho, d_nu = rhs(st.t, _y(st), traj, params)
     t0, beta, beta0 = params.t0, params.beta, params.beta0
     fpp = (-(4.0 / (3.0 * t0)) * beta0 + (2.0 / (3.0 * t0**2)) * beta * (1.0 + beta)
            + (4.0 / 3.0) * beta0**2 / (1.0 + beta))
@@ -168,7 +172,7 @@ def test_rhs_translation_equivariance(traj, params):
     n = 64
     d, v = cosine_profiles(params, 5e-3, eps_v=2e-3)
     st = init_from_data(params, d, v, n)
-    out = rhs(st, traj, params)
+    out = rhs(st.t, _y(st), traj, params)
     m = 17
 
     def shift(a):
@@ -176,7 +180,7 @@ def test_rhs_translation_equivariance(traj, params):
 
     st_s = FieldState(t=st.t, zeta=st.zeta, rho_hat=shift(st.rho_hat),
                       drho_dt=shift(st.drho_dt), nu=shift(st.nu), psi=shift(st.psi))
-    out_s = rhs(st_s, traj, params)
+    out_s = rhs(st_s.t, _y(st_s), traj, params)
     for a, b in zip(out, out_s):
         assert np.max(np.abs(shift(a) - b)) < 1e-12
 
@@ -200,7 +204,7 @@ def test_rhs_hyperbolicity_loss(traj, params):
     d, v = cosine_profiles(params, 1e-3, eps_v=4.0)  # huge speed perturbation
     st = init_from_data(params, d, v, 64)
     with pytest.raises(pde.HyperbolicityLossError, match="hyperbolicity loss"):
-        rhs(st, traj, params)
+        rhs(st.t, _y(st), traj, params)
 
 
 def test_rhs_vacuum_guard(traj, params):
@@ -208,7 +212,7 @@ def test_rhs_vacuum_guard(traj, params):
     st = init_from_data(params, d, v, 64)
     st.rho_hat = st.rho_hat - 2.0
     with pytest.raises(ValueError, match="vacuum"):
-        rhs(st, traj, params)
+        rhs(st.t, _y(st), traj, params)
 
 
 def test_rhs_vacuum_guard_is_typed(traj, params):
@@ -216,7 +220,7 @@ def test_rhs_vacuum_guard_is_typed(traj, params):
     st = init_from_data(params, d, v, 64)
     st.rho_hat = st.rho_hat - 2.0
     with pytest.raises(pde.VacuumError):
-        rhs(st, traj, params)
+        rhs(st.t, _y(st), traj, params)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +300,121 @@ def test_time_order_rk4(traj, params):
     d12 = np.max(np.abs(finals[1].rho_hat - finals[2].rho_hat))
     d24 = np.max(np.abs(finals[2].rho_hat - finals[4].rho_hat))
     assert 3.7 <= np.log2(d12 / d24) <= 4.3
+
+
+def _rk4_step_per_component(state, dt, traj, params, deriv):
+    # the per-component form of the RK4 step, as an oracle: stage FieldStates
+    # carrying the step's initial psi, one update line per field, and psi
+    # recomputed after every step
+    def as_vec(s):
+        return s.rho_hat, s.drho_dt, s.nu
+
+    def mk(t, r, rt, nu):
+        return FieldState(t=t, zeta=state.zeta, rho_hat=r, drho_dt=rt, nu=nu,
+                          psi=state.psi)
+
+    def stage_rhs(s):
+        return pde.rhs(s.t, _y(s), traj, params, deriv)
+
+    t = state.t
+    r0, rt0, nu0 = as_vec(state)
+    k1 = stage_rhs(state)
+    s2 = mk(t + 0.5 * dt, r0 + 0.5 * dt * k1[0], rt0 + 0.5 * dt * k1[1], nu0 + 0.5 * dt * k1[2])
+    k2 = stage_rhs(s2)
+    s3 = mk(t + 0.5 * dt, r0 + 0.5 * dt * k2[0], rt0 + 0.5 * dt * k2[1], nu0 + 0.5 * dt * k2[2])
+    k3 = stage_rhs(s3)
+    s4 = mk(t + dt, r0 + dt * k3[0], rt0 + dt * k3[1], nu0 + dt * k3[2])
+    k4 = stage_rhs(s4)
+    r = r0 + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    rt = rt0 + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    nu = nu0 + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    t_new = t + dt
+    f_new, _ = traj.f_f0_at(t_new)
+    psi = compute_psi((r - f_new) / f_new)
+    return FieldState(t=t_new, zeta=state.zeta, rho_hat=r, drho_dt=rt, nu=nu, psi=psi)
+
+
+def _evolve_per_component(state, traj, params, t_end, controls):
+    # evolve's loop around the per-component stepper, for a t_end stop (the
+    # hyperbolicity and dt-floor stops are left out: this data reaches neither)
+    t_stop = min(t_end, traj.t_end)
+    h = 1.0 / state.n
+    est_steps = pde._estimate_steps(state, traj, params, t_stop, controls, h)
+    out_every = max(1, est_steps // max(controls.out_target, 2))
+    mon = pde.MonitorSeries()
+    states = [state]
+    pde._record(mon, state, traj, params, controls.deriv)
+    stop_reason, n_steps = "t_end", 0
+    cur = state
+    while cur.t < t_stop * (1.0 - 1e-14):
+        f, f0 = traj.f_f0_at(cur.t)
+        gzz, g0z = pde.wave_coefficients(cur.t, cur.rho_hat, cur.nu, f, f0, params)
+        speed = float(np.max(np.sqrt(gzz) + np.abs(g0z)))
+        dt = min(controls.cfl * h / speed,
+                 controls.growth_cap * (1.0 + f) / f0,
+                 t_stop - cur.t)
+        try:
+            cur = _rk4_step_per_component(cur, dt, traj, params, controls.deriv)
+        except pde.VacuumError:
+            stop_reason = "vacuum"
+            break
+        n_steps += 1
+        if n_steps % out_every == 0 or cur.t >= t_stop * (1.0 - 1e-14):
+            states.append(cur)
+            pde._record(mon, cur, traj, params, controls.deriv)
+    if states[-1] is not cur:
+        states.append(cur)
+        pde._record(mon, cur, traj, params, controls.deriv)
+    return states, mon, stop_reason, n_steps
+
+
+def _vacuum_after(n_calls):
+    # pde.rhs that raises VacuumError on its (n_calls + 1)-th call
+    calls = [0]
+    inner = pde.rhs
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] > n_calls:
+            raise pde.VacuumError("vacuum formation")
+        return inner(*args, **kwargs)
+    return counted, calls
+
+
+@pytest.mark.parametrize("deriv", ["fd4", "spectral"])
+@pytest.mark.parametrize("vacuum_at_step", [None, 51])
+def test_evolve_equals_per_component_stepper(traj, params, monkeypatch, deriv,
+                                             vacuum_at_step):
+    # the array stepper keeps every operation of the per-component one in
+    # order, so every stored state and monitor agrees bit for bit; a vacuum
+    # stop mid-step exercises the store of an unstored last state
+    d, v = cosine_profiles(params, 0.05)
+    controls = EvolveControls(out_target=4, deriv=deriv)
+    runs = []
+    for march in ("array", "per_component"):
+        st = init_from_data(params, d, v, 32)
+        if vacuum_at_step is not None:
+            counted, calls = _vacuum_after(4 * (vacuum_at_step - 1) + 2)
+            monkeypatch.setattr(pde, "rhs", counted)
+        if march == "array":
+            res = evolve(st, traj, params, t_end=1.5, controls=controls)
+            runs.append((res.states, res.monitors, res.stop_reason, res.n_steps))
+        else:
+            runs.append(_evolve_per_component(st, traj, params, 1.5, controls))
+        monkeypatch.undo()
+    (states, mon, stop, n_steps), (states_o, mon_o, stop_o, n_steps_o) = runs
+    assert (stop, n_steps) == (stop_o, n_steps_o)
+    assert stop == ("t_end" if vacuum_at_step is None else "vacuum")
+    assert n_steps == (66 if vacuum_at_step is None else vacuum_at_step - 1)
+    assert len(states) == len(states_o) >= 4
+    for s, o in zip(states, states_o):
+        assert s.t == o.t
+        for name in ("zeta", "rho_hat", "drho_dt", "nu", "psi"):
+            assert np.array_equal(getattr(s, name), getattr(o, name)), name
+    m, m_o = mon.as_arrays(), mon_o.as_arrays()
+    assert m.keys() == m_o.keys()
+    for k in m:
+        assert np.array_equal(m[k], m_o[k]), k
 
 
 def _failing_rhs(exc):

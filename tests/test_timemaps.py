@@ -3,8 +3,8 @@ import pytest
 
 from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
 from jeanslab.params import params_from_iota3
-from jeanslab.timemaps import (check_G_decay, compute_diagnostics, compute_g,
-                               dchi_dt_analytic, invert_tau, terminal_window)
+from jeanslab.timemaps import (check_G_decay, compute_g, dchi_dt_analytic,
+                               invert_tau, terminal_window)
 
 
 def test_endpoints(maps, params):
@@ -77,16 +77,16 @@ def test_eta2_sub_1e3_for_fast_collapse():
     # eta_2 drops below 1e-3 by contrast 1e6 for strongly kicked data (A = 1)
     p = params_from_iota3(0.2, beta=0.1, gamma=1.0, lam=0.1, A=1.0)
     tr = integrate_contrast(p, f_cap=1e6, controls=ToleranceSpec(1e-12, 1e-14))
-    mp = compute_diagnostics(tr, compute_g(tr, p, refine=4), p, thetas=(2.0,))
+    mp = compute_g(tr, p, refine=4, thetas=(2.0,))
     w = terminal_window(mp, 1e6)
     eta2 = mp.eta[2.0]
     assert eta2[w].max() < 1e-3
     assert np.all(np.diff(eta2[-50:]) < 0.0)
 
 
-def test_theta_hypothesis_rejected(traj, params, maps):
+def test_theta_hypothesis_rejected(traj, params):
     with pytest.raises(ValueError, match="decay hypothesis"):
-        compute_diagnostics(traj, maps, params, thetas=(4.5,))
+        compute_g(traj, params, thetas=(4.5,))
 
 
 def test_G_decay_fit(maps, params):
