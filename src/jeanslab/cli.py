@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contrast_ode import (ToleranceSpec, blowup_bracket, blowup_ladder,
-                           bound_certificates, envelope_constants,
+from .contrast_ode import (OdeTrajectory, ToleranceSpec, blowup_bracket,
+                           blowup_ladder, bound_certificates, envelope_constants,
                            integrate_contrast, zero_trajectory)
 from .fuchsian import (find_certified_radius, gamma_constants, q_lower_bound,
                        q_quantity, verify_conditions)
@@ -240,9 +240,13 @@ def make_profiles(cfg: RunConfig, params: ModelParams):
 # subcommands
 
 
-def _run_ode_pipeline(cfg: RunConfig, params: ModelParams):
-    traj = integrate_contrast(params, f_cap=cfg.f_cap,
+def _integrate(cfg: RunConfig, params: ModelParams) -> OdeTrajectory:
+    return integrate_contrast(params, f_cap=cfg.f_cap,
                               controls=ToleranceSpec(cfg.rel_tol, cfg.abs_tol))
+
+
+def _run_ode_pipeline(cfg: RunConfig, params: ModelParams):
+    traj = _integrate(cfg, params)
     maps = compute_g(traj, params, refine=2, thetas=(2.0,))
     return traj, maps
 
@@ -307,7 +311,7 @@ def cmd_ode(run: RunDir) -> None:
 
 def cmd_blowup(run: RunDir) -> None:
     params = run.cfg.to_params()
-    traj, maps = _run_ode_pipeline(run.cfg, params)
+    traj = _integrate(run.cfg, params)
     rep = bound_certificates(traj, params)
     est, spread = blowup_ladder(traj)
     t = traj.t_grid
@@ -346,7 +350,7 @@ def cmd_residuals(run: RunDir) -> None:
                              "source_gap_max": rep.source_gap_max}
         run.verdict("background_residuals_below_1e-6", rep.verdict)
     if family in ("homogeneous", "both"):
-        traj, _ = _run_ode_pipeline(run.cfg, params)
+        traj = _integrate(run.cfg, params)
         rep = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj, params),
                                      t_values, pts, traj, params)
         out["homogeneous"] = {"max_norms": rep.max_norms, "verdict": rep.verdict,

@@ -18,6 +18,7 @@ driven by the dense output stored on the returned trajectory.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -35,13 +36,75 @@ class ToleranceSpec:
     t_ceiling: float = 1e6
 
 
+class _DenseRK45:
+    """Dense output of an RK45 integration, evaluated for any number of times at once.
+
+    On each accepted step it is the quartic continuous extension of the
+    Dormand-Prince pair (Shampine, "Some Practical Runge-Kutta Formulas",
+    Math. Comp. 46, 1986): with x = (t - t_old[k]) / h[k] on step k,
+
+        y(t) = h[k] (q0 x + q1 x^2 + q2 x^3 + q3 x^4) + y_old[k],   q = Q[k] row by row.
+
+    A time at a breakpoint ts[k] belongs to step k - 1, and a time outside
+    [ts[0], ts[-1]] to the first or the last step.  The values equal those of
+    scipy's ``OdeSolution`` bit for bit.  scipy evaluates the times of one call
+    that share a step with one ``np.dot(Q, p)``.  For one time that is a
+    matrix-vector product, which BLAS sums as (q0 x + q2 x^3) + (q1 x^2 + q3 x^4);
+    for two or more it is a matrix product, which BLAS accumulates as one fused
+    multiply-add chain per value, as ``np.vecdot`` does.  So the last bit of a
+    value depends on whether another time of the same call shares its step.
+    """
+
+    def __init__(self, ts, t_old, h, Q, y_old):
+        self.ts, self.t_old, self.h, self.Q, self.y_old = ts, t_old, h, Q, y_old
+        # Python floats for the scalar path
+        self._ts = ts.tolist()
+        self._steps = list(zip(t_old.tolist(), h.tolist(), Q.tolist(), y_old.tolist()))
+
+    @classmethod
+    def of(cls, sol) -> _DenseRK45:
+        """Gather the steps of scipy's RK45 ``OdeSolution`` into arrays."""
+        steps = sol.interpolants
+        return cls(sol.ts, np.array([s.t_old for s in steps]), np.array([s.h for s in steps]),
+                   np.array([s.Q for s in steps]), np.array([s.y_old for s in steps]))
+
+    def __call__(self, t) -> np.ndarray:
+        """(y, y') at the times t (any shape), as an array of shape (2,) + t.shape."""
+        t = np.asarray(t, dtype=float)
+        n = len(self.h)
+        k = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, n - 1)
+        x = (t - self.t_old[k]) / self.h[k]
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        q = np.moveaxis(self.Q[k], -2, 0)
+        paired = (q[..., 0] * x + q[..., 2] * x3) + (q[..., 1] * x2 + q[..., 3] * x4)
+        fused = np.vecdot(q, np.stack((x, x2, x3, x4), axis=-1))
+        alone = np.bincount(k.ravel(), minlength=n)[k] == 1
+        return self.h[k] * np.where(alone, paired, fused) + np.moveaxis(self.y_old[k], -1, 0)
+
+    def scalar(self, t: float) -> tuple[float, float]:
+        """(y, y') at one time; equal to ``self(t)`` for a 0-d t."""
+        k = min(max(bisect.bisect_left(self._ts, t) - 1, 0), len(self._steps) - 1)
+        t_old, h, (q, r), (y, yp) = self._steps[k]
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        return (h * ((q[0] * x + q[2] * x3) + (q[1] * x2 + q[3] * x4)) + y,
+                h * ((r[0] * x + r[2] * x3) + (r[1] * x2 + r[3] * x4)) + yp)
+
+
 @dataclass
 class OdeTrajectory:
     """Dense-output record of one contrast integration.
 
-    ``t_grid`` holds the accepted solver steps; ``f_at`` / ``f0_at`` evaluate
-    the dense output anywhere inside [t0, t_end], and ``f_f0_at`` evaluates
-    both at one scalar time with a single dense-output call.
+    ``t_grid`` holds the accepted solver steps.  ``f_at`` / ``f0_at`` evaluate
+    the dense output at times of any shape inside [t0, t_end], and ``f_f0_at``
+    evaluates both from one read.  All reads, and the root search of
+    ``time_of_contrast``, go through one evaluator of the RK45 interpolant on
+    every step (``_DenseRK45``), which reproduces scipy's ``OdeSolution`` bit
+    for bit.
     """
 
     params: ModelParams
@@ -52,29 +115,34 @@ class OdeTrajectory:
     t_end: float
     reached_cap: bool
     t_m_estimate: float = math.inf
-    _sol: object = field(default=None, repr=False)
+    _sol: _DenseRK45 | None = field(default=None, repr=False)
     # (t, (f, f0)) of the last f_f0_at call
     _f_f0_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def f_at(self, t):
         """Contrast f(t) from dense output (scalar or array t)."""
-        return np.expm1(self._sol(np.asarray(t))[0])
+        return np.expm1(self._sol(t)[0])
 
     def f0_at(self, t):
         """Derivative f'(t) from dense output."""
-        y, yp = self._sol(np.asarray(t))
+        y, yp = self._sol(t)
         return yp * np.exp(y)
 
-    def f_f0_at(self, t: float) -> tuple[float, float]:
-        """(f(t), f'(t)) at one scalar time, equal to (float(f_at(t)), float(f0_at(t))).
+    def f_f0_at(self, t):
+        """(f(t), f'(t)) from one dense-output read.
 
-        Makes one dense-output call and remembers the last time asked for: an
-        RK step revisits each of its stage times, so most calls repeat it.
+        For a scalar time the pair is (float(f_at(t)), float(f0_at(t))), and
+        the last time asked for is remembered: an RK step revisits each of its
+        stage times, so most calls repeat it.  For an array of times the pair
+        is (f_at(t), f0_at(t)).
         """
+        if type(t) is np.ndarray:
+            y, yp = self._sol(t)
+            return np.expm1(y), yp * np.exp(y)
         memo = self._f_f0_memo
         if memo is not None and memo[0] == t:
             return memo[1]
-        y, yp = self._sol(np.asarray(t))
+        y, yp = self._sol.scalar(t)
         out = (float(np.expm1(y)), float(yp * np.exp(y)))
         self._f_f0_memo = (t, out)
         return out
@@ -89,14 +157,8 @@ class OdeTrajectory:
         if f_target == hi:
             return self.t_end
         y_t = math.log1p(f_target)
-        return brentq(lambda t: self._sol(t)[0] - y_t, self.t_grid[0], self.t_end,
+        return brentq(lambda t: self._sol.scalar(t)[0] - y_t, self.t_grid[0], self.t_end,
                       xtol=1e-14, rtol=8.9e-16)
-
-
-class _ZeroSol:
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros((2,) + t.shape)
 
 
 def zero_trajectory(params: ModelParams, t_end: float = 1e9) -> OdeTrajectory:
@@ -104,12 +166,15 @@ def zero_trajectory(params: ModelParams, t_end: float = 1e9) -> OdeTrajectory:
 
     The exact background universe is the beta = gamma = 0 member, for which
     the source terms carry f = 0; residual checks of that solution consume
-    this trivial trajectory.
+    this trivial trajectory.  Its dense output is the evaluator with zero
+    coefficients on one step, so every read is an exact zero.
     """
     t_grid = np.array([params.t0, t_end])
+    zero_sol = _DenseRK45(t_grid, t_grid[:1], np.diff(t_grid), np.zeros((1, 2, 4)),
+                          np.zeros((1, 2)))
     return OdeTrajectory(
         params=params, t_grid=t_grid, f=np.zeros(2), f0=np.zeros(2),
-        f_cap=0.0, t_end=t_end, reached_cap=False, _sol=_ZeroSol(),
+        f_cap=0.0, t_end=t_end, reached_cap=False, _sol=zero_sol,
     )
 
 
@@ -124,10 +189,13 @@ def integrate_contrast(
 ) -> OdeTrajectory:
     """Integrate the contrast ODE adaptively until f >= f_cap or the ceiling.
 
-    Uses an embedded Runge-Kutta pair with dense output; the cap crossing is
-    located by a terminal event on y = ln(1+f).  Positivity of f and f' on
-    every accepted step is asserted (an interior violation would contradict
-    the monotonicity of the contrast and signals an integration fault).
+    Uses an embedded Runge-Kutta pair (RK45) with dense output; the cap
+    crossing is located by a terminal event on y = ln(1+f).  Positivity of f
+    and f' on every accepted step is asserted (an interior violation would
+    contradict the monotonicity of the contrast and signals an integration
+    fault).  Each step's interpolant coefficients are gathered into arrays
+    once, so every later read of the dense output is a few numpy expressions
+    over all query times rather than a Python loop over steps.
     """
     if not f_cap > params.beta:
         raise ValueError(f"f_cap must exceed beta, got {f_cap!r} <= {params.beta!r}")
@@ -158,7 +226,8 @@ def integrate_contrast(
                            "accepted step (contradicts positivity of the contrast)")
     traj = OdeTrajectory(
         params=params, t_grid=t_grid, f=f_grid, f0=f0_grid,
-        f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=reached_cap, _sol=sol.sol,
+        f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=reached_cap,
+        _sol=_DenseRK45.of(sol.sol),
     )
     if reached_cap:
         traj.t_m_estimate = blowup_ladder(traj)[0]

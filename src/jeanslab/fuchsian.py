@@ -124,7 +124,6 @@ class FuchsianEval:
     B0: np.ndarray  # (..., 5, 5)
     Bz: np.ndarray  # (..., 5, 5)
     frakB: np.ndarray  # (..., 5, 5)
-    frakB_tilde: np.ndarray  # (..., 5, 5), field-independent
     H: np.ndarray  # (..., 5)
     F: np.ndarray  # (..., 5)
     Z: np.ndarray  # (..., 8): z_0 .. z_7
@@ -247,8 +246,7 @@ def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> Fuchsia
     ], lead)
 
     return FuchsianEval(tau=np.broadcast_to(tau, lead), U=np.broadcast_to(U, lead + (5,)),
-                        B0=B0, Bz=Bz, frakB=frakB,
-                        frakB_tilde=np.broadcast_to(tilde, lead + (5, 5)), H=H, F=F,
+                        B0=B0, Bz=Bz, frakB=frakB, H=H, F=F,
                         Z=_stack_last([z0, z1, z2, z3, z4, z5, z6, z7], lead))
 
 

@@ -326,24 +326,19 @@ def continuity_residual(state: FieldState, traj: OdeTrajectory,
     return float(np.max(np.abs(defect)))
 
 
-def entropy_field(state: FieldState, traj: OdeTrajectory, params: ModelParams,
-                  x_slice: float | None = None) -> np.ndarray:
+def entropy_field(state: FieldState, traj: OdeTrajectory, params: ModelParams) -> np.ndarray:
     """Specific entropy on the grid from the algebraic reduction.
 
     With the model's entropy-production exponent the transport equation
     collapses to s = ln(t^(-4/3) (1+rho_hat)^(2/3+omega) (1+f)^(-omega) |x|^2);
-    |x| is reconstructed from zeta through the time-dependent exp-log map
-    unless a fixed slice radius is supplied.
+    |x| is reconstructed from zeta through the time-dependent exp-log map.
     """
     t = state.t
     f, _ = traj.f_f0_at(t)
     om = params.omega
     if np.any(1.0 + state.rho_hat <= 0.0):
         raise ValueError("entropy undefined at vacuum: 1 + rho_hat <= 0")
-    if x_slice is None:
-        x_abs = t ** (2.0 / 3.0) * (1.0 + f) ** (-1.0 / 3.0) * np.exp(state.zeta)
-    else:
-        x_abs = np.full(state.n, float(x_slice))
+    x_abs = t ** (2.0 / 3.0) * (1.0 + f) ** (-1.0 / 3.0) * np.exp(state.zeta)
     return np.log(t ** (-4.0 / 3.0) * (1.0 + state.rho_hat) ** (2.0 / 3.0 + om)
                   * (1.0 + f) ** (-om) * x_abs**2)
 

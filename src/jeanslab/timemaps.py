@@ -68,11 +68,12 @@ class TimeMaps:
         return float(out) if np.ndim(x) == 0 else out
 
 
-def _cumulative_simpson_graded(t: np.ndarray, fn) -> np.ndarray:
-    """Cumulative integral of fn over the graded mesh t, one Simpson panel per cell."""
-    mid = 0.5 * (t[:-1] + t[1:])
-    fa, fm, fb = fn(t[:-1]), fn(mid), fn(t[1:])
-    panels = (t[1:] - t[:-1]) / 6.0 * (fa + 4.0 * fm + fb)
+def _cumulative_simpson_graded(t: np.ndarray, v: np.ndarray, v_mid: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral over the graded mesh t, one panel per cell.
+
+    ``v`` holds the integrand at the nodes t, ``v_mid`` at the cell midpoints.
+    """
+    panels = (t[1:] - t[:-1]) / 6.0 * (v[:-1] + 4.0 * v_mid + v[1:])
     out = np.empty_like(t)
     out[0] = 0.0
     np.cumsum(panels, out=out[1:])
@@ -111,17 +112,19 @@ def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
             raise ValueError(f"theta = {th!r} violates the decay hypothesis "
                              f"1 <= theta < 2b/((3-2c)A) = {theta_cap:.6g}")
     t = _refined_grid(traj, refine)
+    mid = 0.5 * (t[:-1] + t[1:])
+    f, f0 = traj.f_f0_at(t)
+    f_mid, f0_mid = traj.f_f0_at(mid)
 
-    def quotient_integrand(s):
-        f = traj.f_at(s)
-        return f * (f + 1.0) / (s**2 * traj.f0_at(s))
+    def quotient_integrand(s, f, f0):
+        return f * (f + 1.0) / (s**2 * f0)
 
-    def f_only_integrand(s):
-        f = traj.f_at(s)
+    def f_only_integrand(s, f):
         return s ** (a - 2.0) * f * (1.0 + f) ** (1.0 - c)
 
-    I1 = _cumulative_simpson_graded(t, quotient_integrand)
-    I2 = _cumulative_simpson_graded(t, f_only_integrand)
+    I1 = _cumulative_simpson_graded(t, quotient_integrand(t, f, f0),
+                                    quotient_integrand(mid, f_mid, f0_mid))
+    I2 = _cumulative_simpson_graded(t, f_only_integrand(t, f), f_only_integrand(mid, f_mid))
     g = np.exp(-A * I1)
     g_alt = (1.0 + b * B * I2) ** (-A / b)
     gap = float(np.max(np.abs(g - g_alt) / g_alt))
@@ -129,7 +132,6 @@ def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
         raise RuntimeError(f"representation mismatch: quotient and f-only forms of g "
                            f"differ by rel {gap:.3g} (> {10.0 * mismatch_tol:.3g})")
     tau = -g
-    f, f0 = traj.f_at(t), traj.f0_at(t)
     chi = t ** (2.0 - a) * f0 / ((1.0 + f) ** (2.0 - c) * f * g ** (b / A))
     chi_alt = g ** (-2.0 * b / A) * t ** (2.0 * (1.0 - a)) / (B * f * (1.0 + f) ** (2.0 * (1.0 - c)))
     chi_gap = float(np.max(np.abs(chi - chi_alt) / chi_alt))

@@ -91,6 +91,23 @@ def test_numerical_error_exit_code(tmp_path, monkeypatch):
     assert err["kind"] == "numerical"
 
 
+def test_residuals_and_blowup_build_no_time_maps(tmp_path, monkeypatch):
+    # neither command reads g, so compute_g (and its representation check) never runs
+    import jeanslab.cli as cli
+
+    def boom(*a, **k):
+        raise RuntimeError("representation mismatch (synthetic)")
+
+    monkeypatch.setattr(cli, "compute_g", boom)
+    for name, argv in (("res", ["residuals", "--family", "both"]), ("blow", ["blowup"])):
+        out = tmp_path / name
+        assert main([*argv, "--output-dir", str(out)]) == 0
+        s = read_summary(out)
+        assert s["all_pass"] and s["verdicts"] and all(s["verdicts"].values())
+    assert set(read_summary(tmp_path / "res")["verdicts"]) == {
+        "background_residuals_below_1e-6", "homogeneous_residuals_below_1e-6"}
+
+
 def test_invariant_failure_exit_code(tmp_path):
     # a violent speed perturbation loses hyperbolicity -> verdict failure
     cfg = {

@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from conftest import TIGHT
+from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate._ivp.rk import RkDenseOutput
+from scipy.optimize import brentq
 
+from jeanslab import contrast_ode
 from jeanslab.contrast_ode import (ToleranceSpec, blowup_bracket, blowup_ladder,
                                    bound_certificates, envelope_constants,
                                    integrate_contrast, rk4_reference,
                                    zero_trajectory)
 from jeanslab.params import params_from_iota3
-from jeanslab.timemaps import compute_g
+from jeanslab.timemaps import _refined_grid, compute_g
 
 
 def test_initial_data_exact(traj, params):
@@ -75,6 +80,70 @@ def test_f_f0_at_equals_separate_calls(traj):
         f, f0 = traj.f_f0_at(t)
         assert (f, f0) == (float(traj.f_at(t)), float(traj.f0_at(t)))
         assert type(f) is float and type(f0) is float
+
+
+@pytest.fixture(scope="module")
+def scipy_oracle(params):
+    """A deep trajectory, and scipy's own dense output (OdeSolution) of the same integration."""
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contrast_ode, "solve_ivp",
+                   lambda *a, **k: results.append(solve_ivp(*a, **k)) or results[-1])
+        traj = integrate_contrast(params, f_cap=1e8, controls=TIGHT)
+    return traj, results[0].sol
+
+
+def test_dense_output_arrays_equal_scipy(scipy_oracle):
+    traj, sol = scipy_oracle
+    ts = sol.ts
+    assert ts.size > 500
+    queries = {"breakpoints": ts, "step midpoints": 0.5 * (ts[:-1] + ts[1:]),
+               "t0": ts[:1], "t_end": np.array([traj.t_end]),
+               "outside": np.array([np.nextafter(ts[0], 0.0), ts[0] - 1e-3,
+                                    np.nextafter(ts[-1], np.inf), ts[-1] + 1e-3])}
+    for refine in (2, 4):
+        t = _refined_grid(traj, refine)
+        queries[f"refined grid {refine}"] = t
+        queries[f"refined midpoints {refine}"] = 0.5 * (t[:-1] + t[1:])
+        queries[f"refined grid {refine}, ends dropped"] = t[1:-1]
+    for name, t in queries.items():
+        y, yp = sol(t)
+        f, f0 = traj.f_f0_at(t)
+        assert np.array_equal(f, np.expm1(y)), name
+        assert np.array_equal(f0, yp * np.exp(y)), name
+        assert np.array_equal(traj.f_at(t), f) and np.array_equal(traj.f0_at(t), f0), name
+
+
+def test_dense_output_scalars_equal_scipy(scipy_oracle):
+    traj, sol = scipy_oracle
+    rng = np.random.default_rng(20240)
+    times = rng.uniform(sol.ts[0], sol.ts[-1], 2000).tolist() + sol.ts[::7].tolist()
+    for t in times:
+        y, yp = sol(t)
+        f, f0 = float(np.expm1(y)), float(yp * np.exp(y))
+        assert traj.f_f0_at(t) == (f, f0), t
+        assert (traj.f_at(np.float64(t)), traj.f0_at(np.float64(t))) == (f, f0), t
+    for f_target in (1.0, 1e3, 1e8 / 3.0):
+        y_t = math.log1p(f_target)
+        root = brentq(lambda t: sol(t)[0] - y_t, sol.ts[0], traj.t_end, xtol=1e-14, rtol=8.9e-16)
+        assert traj.time_of_contrast(f_target) == root
+
+
+def test_dense_output_polynomial_equals_scipy(scipy_oracle):
+    # With every step's y_old set to zero the interpolant's sum is not rounded
+    # into y_old, so a change in the order of its four terms shows in far more
+    # values than it does through y_old at this tolerance.
+    traj, sol = scipy_oracle
+    dense = traj._sol
+    poly = type(dense)(dense.ts, dense.t_old, dense.h, dense.Q, np.zeros_like(dense.y_old))
+    oracle = OdeSolution(sol.ts, [RkDenseOutput(s.t_old, s.t, np.zeros(2), s.Q)
+                                  for s in sol.interpolants])
+    t = _refined_grid(traj, 2)
+    for q in (t, 0.5 * (t[:-1] + t[1:]), sol.ts, 0.5 * (sol.ts[:-1] + sol.ts[1:])):
+        assert np.array_equal(poly(q), oracle(q))
+    rng = np.random.default_rng(7)
+    for tq in rng.uniform(sol.ts[0], sol.ts[-1], 2000).tolist():
+        assert poly.scalar(tq) == tuple(oracle(tq)), tq
 
 
 def test_bracket_bisection_oracle(params):
@@ -174,6 +243,7 @@ def test_zero_trajectory(params):
     z = zero_trajectory(params)
     assert float(z.f_at(3.7)) == 0.0
     assert float(z.f0_at(100.0)) == 0.0
+    assert z.f_f0_at(2.5) == (0.0, 0.0)
 
 
 def test_f_cap_precondition(params):

@@ -1,13 +1,14 @@
-"""Property tests: the cancelled power ratios and the psi solve.
+"""Property tests: the cancelled power ratios, the psi solve and the contrast's dense output.
 
 Examples are drawn deterministically (``derandomize``), so the suite gives the
 same verdict on every run.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jeanslab.contrast_ode import zero_trajectory
 from jeanslab.fuchsian import _pow_ratio, _pow_ratio2
 from jeanslab.pde import compute_psi
 
@@ -107,3 +108,54 @@ def test_psi_shift_equivariant(data, n):
     m = data.draw(st.integers(-n, n))
     gap = np.max(np.abs(compute_psi(np.roll(u, m)) - np.roll(compute_psi(u), m)))
     assert gap <= _fft_tol(n, np.max(np.abs(u)))
+
+
+# ---------------------------------------------------------------------------
+# dense output of the contrast: a query of any shape against scalar reads
+
+
+query_shape = st.sampled_from([(), (1,), (5,), (17,), (2, 3), (4, 4), (1, 6)])
+
+
+def _step_time(draw, ts, k):
+    # a time of step k: its upper breakpoint, an interior point, or (on the
+    # first and last step) a time up to one step width outside the computed range
+    where = draw(st.sampled_from(["end", "inside", "outside"]))
+    if where == "end":
+        return ts[k + 1]
+    x = draw(st.floats(0.0, 1.0, exclude_min=True))
+    if where == "outside" and k == 0:
+        return ts[0] - x * (ts[1] - ts[0])
+    if where == "outside" and k == len(ts) - 2:
+        return ts[-1] + x * (ts[-1] - ts[-2])
+    return ts[k] + x * (ts[k + 1] - ts[k])
+
+
+@PROPS
+@given(data=st.data(), shape=query_shape)
+def test_dense_output_query_equals_scalar_reads(traj, data, shape):
+    # Each time lies on its own solver step.  Times that share a step are
+    # summed as one fused multiply-add chain (scipy's matrix product), one
+    # alone on its step as a scalar read is, so only then is the last bit equal.
+    ts = traj._sol.ts
+    n = int(np.prod(shape))
+    steps = data.draw(st.lists(st.integers(0, len(ts) - 2), min_size=n, max_size=n, unique=True))
+    t = np.array([_step_time(data.draw, ts, k) for k in steps]).reshape(shape)
+    on_step = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(ts) - 2)
+    assume(np.unique(on_step).size == n)
+    f, f0 = traj.f_at(t), traj.f0_at(t)
+    assert f.shape == f0.shape == t.shape
+    assert np.array_equal(traj.f_f0_at(t), (f, f0))
+    reads = [traj.f_f0_at(float(ti)) for ti in t.flat]
+    assert np.array_equal(f.ravel(), [r[0] for r in reads])
+    assert np.array_equal(f0.ravel(), [r[1] for r in reads])
+
+
+@PROPS
+@given(shape=query_shape, t=st.floats(-10.0, 1e9))
+def test_zero_trajectory_reads_exact_zeros(params, shape, t):
+    z = zero_trajectory(params)
+    q = np.full(shape, t)
+    for out in (z.f_at(q), z.f0_at(q), *z.f_f0_at(q)):
+        assert out.shape == shape and not np.any(out)
+    assert z.f_f0_at(t) == (0.0, 0.0)
