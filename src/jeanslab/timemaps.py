@@ -82,11 +82,10 @@ def _cumulative_simpson_graded(t: np.ndarray, v: np.ndarray, v_mid: np.ndarray) 
 
 def _refined_grid(traj: OdeTrajectory, refine: int) -> np.ndarray:
     """Solver mesh with each cell split `refine` times (dense output fills values)."""
-    if refine <= 1:
-        return traj.t_grid.copy()
-    segs = [np.linspace(a, b, refine + 1)[:-1]
-            for a, b in zip(traj.t_grid[:-1], traj.t_grid[1:])]
-    return np.append(np.concatenate(segs), traj.t_grid[-1])
+    if refine < 1:
+        raise ValueError(f"refine must be >= 1, got {refine!r}")
+    t = traj.t_grid
+    return np.append(np.linspace(t[:-1], t[1:], refine + 1, axis=-1)[:, :-1], t[-1])
 
 
 _CHI_CROSSCHECK_TOL = 1e-6
@@ -195,7 +194,8 @@ def check_G_decay(maps: TimeMaps, params: ModelParams,
     The fit runs over the last `decades` of -tau; grid points where G crosses
     zero are excised (and flagged).  Independently, centered differences of
     the numerical chi(t) are compared against the closed-form derivative at
-    interior points of the fit window.
+    every interior point of the whole (refined) time grid, not only the fit
+    window.
     """
     neg_tau = -maps.tau
     hi = neg_tau[-1] * 10.0**decades

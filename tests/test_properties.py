@@ -1,16 +1,19 @@
-"""Property tests: the cancelled power ratios, the psi solve and the contrast's dense output.
+"""Property tests: the cancelled power ratios, the psi solve, the contrast's dense output
+and the batched exact states.
 
 Examples are drawn deterministically (``derandomize``), so the suite gives the
 same verdict on every run.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jeanslab.contrast_ode import zero_trajectory
 from jeanslab.fuchsian import _pow_ratio, _pow_ratio2
 from jeanslab.pde import compute_psi
+from jeanslab.reference import background_state, homogeneous_state
 
 EPS = np.finfo(float).eps
 PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -159,3 +162,46 @@ def test_zero_trajectory_reads_exact_zeros(params, shape, t):
     for out in (z.f_at(q), z.f0_at(q), *z.f_f0_at(q)):
         assert out.shape == shape and not np.any(out)
     assert z.f_f0_at(t) == (0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact states: one call over points of any leading shape against per-point calls
+
+
+state_shape = st.sampled_from([(), (1,), (7,), (2, 3), (4, 1)])
+coord = st.one_of(st.floats(-10.0, -1e-3), st.floats(1e-3, 10.0))
+state_points = state_shape.flatmap(
+    lambda shape: st.lists(coord, min_size=3 * int(np.prod(shape)),
+                           max_size=3 * int(np.prod(shape)))
+    .map(lambda c: np.array(c).reshape(shape + (3,))))
+
+
+@pytest.fixture(scope="module")
+def exact_state(params, traj):
+    # a closure over the trajectory: a failure report reprs the test's
+    # arguments, and the trajectory's arrays would swamp it
+    t_lo, t_hi = float(traj.t_grid[0]), float(traj.t_end)
+
+    def state(family, u, x):
+        t = t_lo + u * (t_hi - t_lo)
+        if family == "background":
+            return background_state(t, x, params)
+        return homogeneous_state(t, x, traj, params)
+
+    return state
+
+
+@PROPS
+@given(x=state_points, u=st.floats(0.0, 1.0),
+       family=st.sampled_from(["background", "homogeneous"]))
+def test_batched_states_equal_per_point_calls(exact_state, x, u, family):
+    shape = x.shape[:-1]
+    batched = exact_state(family, u, x)
+    assert batched.v.shape == x.shape
+    for name in ("rho", "phi", "s", "p"):
+        assert np.shape(getattr(batched, name)) == shape, name
+    for idx in np.ndindex(shape):
+        one = exact_state(family, u, x[idx].copy())
+        for name in ("rho", "phi", "s", "p"):
+            assert getattr(batched, name)[idx] == getattr(one, name), (name, idx)
+        assert np.array_equal(batched.v[idx], one.v), idx

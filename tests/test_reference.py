@@ -6,8 +6,7 @@ import pytest
 
 from jeanslab.contrast_ode import zero_trajectory
 from jeanslab.reference import (background_state, euler_poisson_residual,
-                                homogeneous_state, sample_annulus,
-                                source_form_gap, source_terms)
+                                homogeneous_state, sample_annulus, source_terms)
 
 T_VALUES = [1.2, 1.5, 2.0]
 
@@ -96,16 +95,17 @@ def test_damping_linear_in_relative_velocity(traj, params):
     x = np.array([1.0, 0.0, 0.0])
     t = 1.5
 
+    def extra(xx):
+        return np.stack([0.01 * xx[..., 1], -0.02 * xx[..., 0], 0.005 * xx[..., 2]], axis=-1)
+
     def doubled(tt, xx):
         pt = homogeneous_state(tt, xx, traj, params)
         hub_v = pt.v  # exact state has zero relative velocity
-        extra = np.array([0.01 * xx[1], -0.02 * xx[0], 0.005 * xx[2]])
-        return dataclasses.replace(pt, v=hub_v + extra)
+        return dataclasses.replace(pt, v=hub_v + extra(xx))
 
     def quadrupled(tt, xx):
         pt = homogeneous_state(tt, xx, traj, params)
-        extra = np.array([0.01 * xx[1], -0.02 * xx[0], 0.005 * xx[2]])
-        return dataclasses.replace(pt, v=pt.v + 2.0 * extra)
+        return dataclasses.replace(pt, v=pt.v + 2.0 * extra(xx))
 
     d1, _ = source_terms(t, x, doubled, traj, params)
     d2, _ = source_terms(t, x, quadrupled, traj, params)
@@ -113,10 +113,9 @@ def test_damping_linear_in_relative_velocity(traj, params):
 
 
 def test_source_form_agreement(traj, params, pts):
-    gap = source_form_gap(1.5, pts[0],
-                          lambda t, x: homogeneous_state(t, x, traj, params),
-                          traj, params)
-    assert gap < 1e-10
+    rep = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj, params),
+                                 [1.5], pts[:1], traj, params)
+    assert rep.source_gap_max < 1e-10
 
 
 def test_exact_solution_residuals(traj, params, pts):
@@ -154,15 +153,15 @@ def test_entropy_identity_for_transported_contrast(traj, params, pts):
     def transported(t, x):
         base = homogeneous_state(t, x, traj, params)
         f = float(traj.f_at(t))
-        r2 = float(x @ x)
-        zeta = math.log(t ** (-2.0 / 3.0) * (1.0 + f) ** (1.0 / 3.0) * math.sqrt(r2))
-        varrho = (1.0 + f) * (1.0 + 0.05 * math.cos(2.0 * math.pi * zeta)) - 1.0
+        r2 = np.vecdot(x, x)
+        zeta = np.log(t ** (-2.0 / 3.0) * (1.0 + f) ** (1.0 / 3.0) * np.sqrt(r2))
+        varrho = (1.0 + f) * (1.0 + 0.05 * np.cos(2.0 * math.pi * zeta)) - 1.0
         i3 = params.iota**3
         rho = i3 * (1.0 + varrho) / (6.0 * math.pi * t * t)
-        s = math.log(t ** (-4.0 / 3.0) * (1.0 + varrho) ** (2.0 / 3.0 + om)
-                     / (1.0 + f) ** om * r2)
+        s = np.log(t ** (-4.0 / 3.0) * (1.0 + varrho) ** (2.0 / 3.0 + om)
+                   / (1.0 + f) ** om * r2)
         return dataclasses.replace(base, rho=rho, s=s,
-                                   p=params.K * math.exp(s) * rho ** (4.0 / 3.0))
+                                   p=params.K * np.exp(s) * rho ** (4.0 / 3.0))
 
     rep = euler_poisson_residual(transported, [1.5], pts[:6], traj, params)
     assert rep.entropy_transport[0] < 1e-6
@@ -198,18 +197,25 @@ def test_time_stencil_shrinks_near_boundary(traj, params, pts):
 
 
 def test_one_state_call_per_stencil_point(traj, params, pts):
-    # 1 centre + 12 space + 4 time + 4 radial + 48 Gauss-Legendre per (t, x)
+    # per time value: 1 centre + 4 time + 1 space + 1 radial + 1 Gauss-Legendre
+    # calls, each over all n sample points; 69 stencil points per sample point
     calls = []
 
     def counting(t, x):
-        calls.append((t, tuple(x)))
+        calls.append(x.shape)
         return homogeneous_state(t, x, traj, params)
 
-    euler_poisson_residual(counting, [1.5], pts[:1], traj, params)
-    assert len(calls) == 69
-    calls.clear()
-    euler_poisson_residual(counting, [1.2, 2.0], pts[:3], traj, params)
-    assert len(calls) == 2 * 3 * 69
+    for n in (1, 3, 32):
+        calls.clear()
+        euler_poisson_residual(counting, [1.2, 2.0], pts[:n], traj, params)
+        assert len(calls) == 2 * 8
+        assert sum(math.prod(shape[:-1]) for shape in calls) == 2 * n * 69
+        # shrunk time stencil: 2 time calls, 67 stencil points per sample point
+        calls.clear()
+        with pytest.warns(UserWarning, match="second order"):
+            euler_poisson_residual(counting, [1.0015], pts[:n], traj, params)
+        assert len(calls) == 6
+        assert sum(math.prod(shape[:-1]) for shape in calls) == n * 67
 
 
 _W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
@@ -310,7 +316,6 @@ def test_residual_equals_per_derivative_oracle(family, traj, params, pts):
         assert getattr(rep, name) == oracle[name], name
     assert (rep.n_points, rep.t_values) == (4, (1.5,))
     for x in sample:
-        d_vec, s_val, gap = _oracle_sources(1.5, x, state_fn, tr, params)
+        d_vec, s_val, _ = _oracle_sources(1.5, x, state_fn, tr, params)
         d_new, s_new = source_terms(1.5, x, state_fn, tr, params)
         assert np.array_equal(d_new, d_vec) and s_new == s_val
-        assert source_form_gap(1.5, x, state_fn, tr, params) == gap

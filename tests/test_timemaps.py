@@ -3,8 +3,8 @@ import pytest
 
 from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
 from jeanslab.params import params_from_iota3
-from jeanslab.timemaps import (check_G_decay, compute_g, dchi_dt_analytic,
-                               invert_tau, terminal_window)
+from jeanslab.timemaps import (_refined_grid, check_G_decay, compute_g,
+                               dchi_dt_analytic, invert_tau, terminal_window)
 
 
 def test_endpoints(maps, params):
@@ -131,3 +131,22 @@ def test_diagnostics_accept_arrays(maps):
         for x, o in zip(xs, out[:, 0]):
             assert type(fn(x)) is float and type(fn(np.asarray(x))) is float
             assert fn(x) == o
+
+
+def _refined_grid_per_step(t, refine):
+    # one linspace per solver step, the oracle of the broadcast form
+    segs = [np.linspace(a, b, refine + 1)[:-1] for a, b in zip(t[:-1], t[1:])]
+    return np.append(np.concatenate(segs), t[-1])
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3, 4])
+def test_refined_grid_equals_per_step_linspace(refine, traj, traj_deep, traj_window):
+    for tr in (traj, traj_deep, traj_window):
+        grid = _refined_grid(tr, refine)
+        assert grid.size == refine * (tr.t_grid.size - 1) + 1
+        assert np.array_equal(grid, _refined_grid_per_step(tr.t_grid, refine))
+
+
+def test_refined_grid_rejects_refine_below_one(traj):
+    with pytest.raises(ValueError, match="refine"):
+        _refined_grid(traj, 0)
