@@ -53,8 +53,7 @@ class RunConfig:
     pde_f_cap: float = 1e3
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
-    cfl: float = 0.4
-    growth_cap: float = 0.005
+    pde_rtol: float = 1e-10
     n_fuchsian_samples: int = 2000
     output_dir: str = "runs/out"
     seed: int = 20240
@@ -70,12 +69,18 @@ class RunConfig:
 
 
 _CONFIG_KEYS = set(RunConfig.__dataclass_fields__)
+# keys of the fixed-step PDE stepper, which error control replaced
+_RETIRED_KEYS = {"cfl", "growth_cap"}
 
 
 def load_config(path: str | Path, command: str | None = None) -> RunConfig:
     raw = json.loads(Path(path).read_text())
     if "config" in raw and isinstance(raw["config"], dict):
         raw = raw["config"]  # accept a manifest as a config source
+    retired = _RETIRED_KEYS & set(raw)
+    if retired:
+        raise ValueError(f"retired config keys {sorted(retired)}: the PDE stepper is "
+                         "error-controlled; set its relative tolerance with 'pde_rtol'")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -276,7 +281,7 @@ def cmd_ode(run: RunDir) -> None:
                 maps.xi, maps.G_frak, eta2])
     ec = envelope_constants(params)
     t_star, t_star_up = blowup_bracket(params)
-    est, spread = blowup_ladder(traj)
+    est, spread, dropped = blowup_ladder(traj)
     sidecar = {
         "A": ec.cA, "B": ec.cB, "C": ec.cC, "D": ec.cD, "E": ec.cE,
         "t_star": t_star, "t_star_upper": t_star_up,
@@ -298,7 +303,8 @@ def cmd_ode(run: RunDir) -> None:
     run.verdict("G_decay_exponent_ge_0.4", gd.slope >= 0.4)
     run.verdict("dchi_identity_rel_1e-3", gd.dchi_rel_err < 1e-3)
     run.values.update({
-        "t_m_estimate": est, "ladder_spread": spread, "t_star": t_star,
+        "t_m_estimate": est, "ladder_spread": spread, "ladder_dropped": dropped,
+        "t_star": t_star,
         "t_star_upper": t_star_up, "g_end": float(maps.g[-1]),
         "G_decay_slope": gd.slope, "dchi_rel_err": gd.dchi_rel_err,
         "f0_identity_rel": rel_f0, "limf_identity_rel": rel_limf,
@@ -313,7 +319,7 @@ def cmd_blowup(run: RunDir) -> None:
     params = run.cfg.to_params()
     traj = _integrate(run.cfg, params)
     rep = bound_certificates(traj, params)
-    est, spread = blowup_ladder(traj)
+    est, spread, dropped = blowup_ladder(traj)
     t = traj.t_grid
     ec = rep.constants
     lower = np.exp(ec.cC * t**ec.p_plus + ec.cD / t)
@@ -334,6 +340,7 @@ def cmd_blowup(run: RunDir) -> None:
     run.verdict("estimate_inside_bracket", bool(contained))
     run.verdict("ladder_spread_below_1e-3", bool(spread < 1e-3))
     run.values.update(doc)
+    run.values["ladder_dropped"] = dropped
 
 
 def cmd_residuals(run: RunDir) -> None:
@@ -368,7 +375,7 @@ def cmd_simulate(run: RunDir) -> None:
     d_prof, v_prof = make_profiles(cfg, params)
     state0 = init_from_data(params, d_prof, v_prof, cfg.grid_n)
     run.values["data_smallness"] = data_smallness(state0, params)
-    controls = EvolveControls(cfl=cfg.cfl, growth_cap=cfg.growth_cap)
+    controls = EvolveControls(pde_rtol=cfg.pde_rtol)
     res = evolve(state0, traj, params, f_cap=cfg.pde_f_cap, controls=controls)
 
     snaps = run.path / "snapshots"
@@ -388,6 +395,7 @@ def cmd_simulate(run: RunDir) -> None:
     dev_nu = max(float(np.max(np.abs(s.nu))) for s in res.states)
     run.values.update({
         "stop_reason": res.stop_reason, "n_steps": res.n_steps,
+        "rhs_calls": res.n_rhs, "rejected_steps": res.n_rejected,
         "final_t": res.final.t, "final_f": traj.f_f0_at(res.final.t)[0],
         "homogeneous_deviation": dev_rho, "nu_sup": dev_nu,
         "continuity_residual_max": float(max(res.monitors.continuity_residual)),

@@ -399,7 +399,7 @@ def bound_certificates(traj: OdeTrajectory, params: ModelParams) -> BoundReport:
     )
 
 
-def blowup_ladder(traj: OdeTrajectory, n_rungs: int = 5) -> tuple[float, float]:
+def blowup_ladder(traj: OdeTrajectory, n_rungs: int = 5) -> tuple[float, float, int]:
     """Blowup time by geometric-ladder extrapolation of cap-crossing times.
 
     The crossing times t_k of f = f_cap / 2^k behave like t_m - C f^{-q};
@@ -408,8 +408,9 @@ def blowup_ladder(traj: OdeTrajectory, n_rungs: int = 5) -> tuple[float, float]:
 
         t_m = t3 + (t3 - t2) / (r - 1).
 
-    Returns (t_m estimate, relative spread of the triplet extrapolants); the
-    estimate is the extrapolant from the last triplet.
+    A triplet with r <= 1 does not shrink toward a blowup and is dropped.
+    Returns (t_m estimate, relative spread of the kept triplet extrapolants,
+    number of dropped triplets); the estimate is the last kept extrapolant.
     """
     if not traj.reached_cap:
         raise RuntimeError("no blowup detected in window: trajectory never reached f_cap")
@@ -426,4 +427,4 @@ def blowup_ladder(traj: OdeTrajectory, n_rungs: int = 5) -> tuple[float, float]:
         raise RuntimeError("no blowup detected in window: extrapolation ladder degenerate")
     est = ests[-1]
     spread = (max(ests) - min(ests)) / est
-    return float(est), float(spread)
+    return float(est), float(spread), len(times) - 2 - len(ests)

@@ -2,9 +2,12 @@
 
 State variables on the unit-period grid in the logarithmic radial coordinate
 zeta: the contrast rho_hat, its time derivative, and the rescaled speed nu.
-The second-order contrast equation is reduced to first order and marched with
-explicit RK4 under a CFL condition; the nonlocal rescaled gravity Psi is
-re-evaluated from the current contrast at every stage.
+The second-order contrast equation is reduced to first order and marched as
+one flattened (3, n) system by the error-controlled Dormand-Prince 8(5,3)
+pair (scipy's DOP853; Hairer, Norsett and Wanner, Solving ODEs I, II.10);
+the nonlocal rescaled gravity Psi is re-evaluated from the current contrast
+at every stage.  Snapshots come from the pair's dense output at times fixed
+in advance.
 
 The wave operator acting on rho_hat is
 
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import DOP853
 
 from .contrast_ode import OdeTrajectory
 from .params import ModelParams
@@ -136,11 +140,14 @@ class FieldState:
 
 @dataclass(frozen=True)
 class EvolveControls:
-    cfl: float = 0.4
-    growth_cap: float = 0.01  # max fractional ODE-scale growth per step
-    out_target: int = 400     # approximate number of stored snapshots
+    pde_rtol: float = 1e-10  # relative local error tolerance of the DOP853 pair
+    out_target: int = 400    # stored snapshots after the initial state
     deriv: str = "fd4"
-    dt_floor: float = 1e-13
+
+
+# absolute tolerance per unit of pde_rtol: the error floor of components near
+# zero, chiefly nu, which vanishes on the homogeneous manifold
+_ATOL_PER_RTOL = 1e-3
 
 
 @dataclass
@@ -163,7 +170,9 @@ class EvolveResult:
     states: list
     monitors: MonitorSeries
     stop_reason: str
-    n_steps: int
+    n_steps: int     # accepted steps
+    n_rejected: int  # trial steps rejected by the error test
+    n_rhs: int       # rhs calls, dense-output stages included
     dt_min: float
     dt_max: float
 
@@ -363,92 +372,100 @@ def _record(mon: MonitorSeries, state: FieldState, traj, params, deriv):
     mon.continuity_residual.append(continuity_residual(state, traj, params, deriv))
 
 
+def snapshot_times(traj: OdeTrajectory, t_start: float, t_stop: float,
+                   count: int) -> np.ndarray:
+    """count output times in (t_start, t_stop], uniform in ln(1+f), the last exactly t_stop.
+
+    Newton's method on ln(1+f(t)) = target (slope f'/(1+f)), started from
+    linear interpolation on the trajectory's grid, reaches rounding level in
+    three iterations.
+    """
+    lo, hi = np.log1p(traj.f_f0_at(np.array([t_start, t_stop]))[0])
+    target = lo + (hi - lo) * np.arange(1, count) / count
+    t = np.interp(target, np.log1p(traj.f), traj.t_grid)
+    for _ in range(3):
+        f, f0 = traj.f_f0_at(t)
+        t -= (np.log1p(f) - target) * (1.0 + f) / f0
+    return np.append(t, t_stop)
+
+
 def evolve(state: FieldState, traj: OdeTrajectory, params: ModelParams,
            t_end: float | None = None, f_cap: float | None = None,
            controls: EvolveControls = EvolveControls()) -> EvolveResult:
-    """March the reduced system with RK4 under CFL and ODE-growth step caps.
+    """March the reduced system with the error-controlled DOP853 pair.
 
-    dt <= cfl * dzeta / max(sqrt(gzz) + |g0z|) controls the wave part, and
-    dt <= growth_cap * (1+f)/f' keeps the time integration locked to the
-    steepening homogeneous contrast near blowup.  Stops at t_end, when the
-    reference contrast reaches f_cap, or on hyperbolicity loss / dt underflow.
+    Each step keeps the local error estimate below atol + pde_rtol * |y|
+    componentwise, with atol = _ATOL_PER_RTOL * pde_rtol.  Snapshots are read
+    from the dense output at out_target times after the initial state, uniform
+    in ln(1+f) and ending exactly at the stop time.  Stops at t_end, when the
+    reference contrast reaches f_cap, when rhs raises on any stage
+    (hyperbolicity loss or vacuum), or when the solver's step size underflows;
+    an early stop also stores the last accepted state.
     """
     if t_end is None and f_cap is None:
         raise ValueError("need t_end or f_cap as a stopping rule")
+    if controls.out_target < 1:
+        raise ValueError(f"out_target must be >= 1, got {controls.out_target!r}")
     t_stop = traj.t_end if t_end is None else min(t_end, traj.t_end)
     if f_cap is not None:
         if traj.f[-1] < f_cap:
             raise ValueError(f"trajectory only reaches f = {traj.f[-1]:.3g} < f_cap")
         t_stop = min(t_stop, traj.time_of_contrast(f_cap))
-    h = 1.0 / state.n
-    est_steps = _estimate_steps(state, traj, params, t_stop, controls, h)
-    out_every = max(1, est_steps // max(controls.out_target, 2))
+    if t_stop <= state.t:
+        raise ValueError(f"stop time {t_stop!r} is not after the initial time {state.t!r}")
+    n = state.n
+    out_t = snapshot_times(traj, state.t, t_stop, controls.out_target)
 
     mon = MonitorSeries()
     states = [state]
     _record(mon, state, traj, params, controls.deriv)
 
     def store(t, y):
+        y = y.reshape(3, n)
         f = traj.f_f0_at(t)[0]
-        st = FieldState(t=t, zeta=state.zeta, rho_hat=y[0], drho_dt=y[1], nu=y[2],
+        st = FieldState(t=float(t), zeta=state.zeta, rho_hat=y[0], drho_dt=y[1], nu=y[2],
                         psi=compute_psi((y[0] - f) / f))
         states.append(st)
         _record(mon, st, traj, params, controls.deriv)
 
+    n_rhs = 0
+
+    def fun(t, y):
+        nonlocal n_rhs
+        n_rhs += 1
+        return rhs(t, y.reshape(3, n), traj, params, controls.deriv).reshape(-1)
+
     stop_reason = "t_end"
-    n_steps = 0
+    n_steps = n_trials = 0
     dt_min, dt_max = math.inf, 0.0
-    t, y = state.t, np.stack((state.rho_hat, state.drho_dt, state.nu))
-    stored = True
-    while t < t_stop * (1.0 - 1e-14):
-        f, f0 = traj.f_f0_at(t)
-        gzz, g0z = wave_coefficients(t, y[0], y[2], f, f0, params)
-        if np.any(gzz <= 0.0):
-            stop_reason = "hyperbolicity_loss"
-            break
-        speed = float(np.max(np.sqrt(gzz) + np.abs(g0z)))
-        dt = min(controls.cfl * h / speed,
-                 controls.growth_cap * (1.0 + f) / f0,
-                 t_stop - t)
-        if dt < controls.dt_floor:
-            stop_reason = "dt_underflow"
-            break
-        try:
-            y = _rk4_step(t, y, dt, traj, params, controls.deriv)
-        except HyperbolicityLossError:
-            stop_reason = "hyperbolicity_loss"
-            break
-        except VacuumError:
-            stop_reason = "vacuum"
-            break
-        t += dt
-        n_steps += 1
-        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-        stored = n_steps % out_every == 0 or t >= t_stop * (1.0 - 1e-14)
-        if stored:
-            store(t, y)
+    solver = None
+    k = 0  # next output time
+    try:
+        y0 = np.stack((state.rho_hat, state.drho_dt, state.nu)).reshape(-1)
+        solver = DOP853(fun, state.t, y0, t_stop, rtol=controls.pde_rtol,
+                        atol=_ATOL_PER_RTOL * controls.pde_rtol)
+        while solver.status == "running":
+            calls = n_rhs
+            solver.step()
+            n_trials += (n_rhs - calls) // solver.n_stages  # n_stages rhs calls per trial
+            if solver.status == "failed":
+                stop_reason = "dt_underflow"
+                break
+            n_steps += 1
+            dt_min, dt_max = min(dt_min, solver.step_size), max(dt_max, solver.step_size)
+            m = int(np.searchsorted(out_t, solver.t, side="right"))  # out_t[k:m] in this step
+            if m > k:
+                for t_out, y_out in zip(out_t[k:m], solver.dense_output()(out_t[k:m]).T):
+                    store(t_out, y_out)
+                k = m
+    except HyperbolicityLossError:
+        stop_reason = "hyperbolicity_loss"
+    except VacuumError:
+        stop_reason = "vacuum"
     if stop_reason == "t_end" and f_cap is not None and t_stop < (t_end or math.inf):
         stop_reason = "f_cap"
-    if not stored:
-        store(t, y)
+    if solver is not None and solver.t > states[-1].t:
+        store(solver.t, solver.y)
     return EvolveResult(states=states, monitors=mon, stop_reason=stop_reason,
-                        n_steps=n_steps, dt_min=dt_min, dt_max=dt_max)
-
-
-def _estimate_steps(state, traj, params, t_stop, controls, h) -> int:
-    f, f0 = traj.f_f0_at(state.t)
-    gzz, g0z = wave_coefficients(state.t, state.rho_hat, state.nu, f, f0, params)
-    speed = float(np.max(np.sqrt(np.maximum(gzz, 0.0)) + np.abs(g0z)))
-    dt0 = controls.cfl * h / max(speed, 1e-30)
-    # growth cap dominates late; ln-contrast span divided by per-step budget
-    span = math.log1p(traj.f_f0_at(t_stop)[0]) - math.log1p(f)
-    return max(2, int((t_stop - state.t) / dt0 + span / controls.growth_cap))
-
-
-def _rk4_step(t: float, y: np.ndarray, dt: float, traj, params, deriv) -> np.ndarray:
-    """Classical four-stage Runge-Kutta update of the (3, n) state y from t to t + dt."""
-    k1 = rhs(t, y, traj, params, deriv)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1, traj, params, deriv)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2, traj, params, deriv)
-    k4 = rhs(t + dt, y + dt * k3, traj, params, deriv)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                        n_steps=n_steps, n_rejected=n_trials - n_steps, n_rhs=n_rhs,
+                        dt_min=dt_min, dt_max=dt_max)

@@ -100,7 +100,7 @@ def test_criterion_04_blowup_bracket(traj, params):
             continue
         n_super += 1
         t_star, t_star_up = blowup_bracket(p)
-        est, spread = blowup_ladder(tr)
+        est, spread, _ = blowup_ladder(tr)
         assert t_star_up is not None
         assert t_star <= est < t_star_up
         assert spread < 1e-3
@@ -116,7 +116,7 @@ def test_criterion_04_blowup_bracket(traj, params):
             hi = mid
     t_star, _ = blowup_bracket(params)
     assert abs(t_star - 0.5 * (lo + hi)) < 1e-10
-    est, spread = blowup_ladder(traj)
+    est, spread, _ = blowup_ladder(traj)
     report(4, f"t_m estimates inside [t_star, t_star_upper) for {n_super} "
               f"supercritical runs; canonical t_star = {t_star:.10f} matches "
               f"bisection to 1e-10; spread {spread:.1e} < 1e-3")
@@ -178,8 +178,7 @@ def test_criterion_07_homogeneous_manifold(params):
     traj_pde = integrate_contrast(params, f_cap=2e4, controls=TIGHT)
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 128)
-    res = evolve(st, traj_pde, params, f_cap=1e3,
-                 controls=EvolveControls(growth_cap=0.005))
+    res = evolve(st, traj_pde, params, f_cap=1e3)
     elapsed = time.perf_counter() - t0
     assert res.stop_reason == "f_cap"
     dev = max(float(np.max(np.abs(s.rho_hat - traj_pde.f_at(s.t)))) for s in res.states)
@@ -222,8 +221,7 @@ def test_criterion_09_main_theorem_monitors(params):
     for eps in (1e-2, 1e-3, 1e-4):
         d, v = cosine_profiles(params, eps)
         st = init_from_data(params, d, v, 128)
-        res = evolve(st, traj_pde, params, f_cap=1e3,
-                     controls=EvolveControls(growth_cap=0.01))
+        res = evolve(st, traj_pde, params, f_cap=1e3)
         m = res.monitors.as_arrays()
         dev_rho = max(float(np.max(np.abs(m["ratio_rho_max"] - 1.0))),
                       float(np.max(np.abs(m["ratio_rho_min"] - 1.0))))
@@ -273,7 +271,7 @@ def _equivalence_defect(n, eps, params, traj_deep, maps_deep):
     d, v = cosine_profiles(params, eps)
     st = init_from_data(params, d, v, n)
     res = evolve(st, traj_deep, params, f_cap=50.0,
-                 controls=EvolveControls(out_target=10**9))
+                 controls=EvolveControls(out_target=400))
     states = res.states
     mid = len(states) // 2
     win = states[mid - 2:mid + 3]

@@ -41,6 +41,23 @@ def test_simulate_homogeneous(tmp_path):
     assert list((out / "snapshots").glob("snap_*.csv"))
 
 
+def test_simulate_reports_stepper_work(tmp_path):
+    out = tmp_path / "work"
+    assert main(["simulate", "--output-dir", str(out), "--grid-n", "32",
+                 "--pde-f-cap", "10"]) == 0
+    v = read_summary(out)["values"]
+    assert v["n_steps"] >= 1 and v["rejected_steps"] >= 0
+    # two start-up calls and 12 stages per trial step, plus the dense-output stages
+    assert v["rhs_calls"] >= 2 + 12 * (v["n_steps"] + v["rejected_steps"])
+
+
+def test_ladder_dropped_reported(tmp_path):
+    for cmd in ("ode", "blowup"):
+        out = tmp_path / cmd
+        assert main([cmd, "--output-dir", str(out), "--f-cap", "1e4"]) == 0
+        assert read_summary(out)["values"]["ladder_dropped"] == 0
+
+
 def test_manifest_roundtrip_reproducible(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["ode", "--output-dir", str(out1), "--f-cap", "1e4"]) == 0
@@ -63,6 +80,18 @@ def test_config_file_and_overrides(tmp_path):
     assert loaded.seed == 7
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config_bad(tmp_path)
+
+
+@pytest.mark.parametrize("key,value", [("cfl", 0.4), ("growth_cap", 0.005)])
+def test_retired_stepper_keys_are_usage_errors(tmp_path, key, value):
+    # a config or manifest of the fixed-step stepper names the key that replaced it
+    cfg = {"command": "simulate", key: value, "output_dir": str(tmp_path / "r")}
+    for name, doc in (("cfg.json", cfg), ("manifest.json", {"config": cfg})):
+        p = tmp_path / name
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"retired config keys \\['{key}'\\].*'pde_rtol'"):
+            load_config(p)
+        assert main(["simulate", "--config", str(p)]) == 2
 
 
 def load_config_bad(tmp_path):

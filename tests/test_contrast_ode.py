@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def test_bound_certificates(traj, params):
 
 def test_blowup_estimate_bracket_containment(traj, params):
     t_star, t_star_up = blowup_bracket(params)
-    est, spread = blowup_ladder(traj)
+    est, spread, _ = blowup_ladder(traj)
     assert t_star <= est < t_star_up
     assert spread < 1e-3
     assert spread < 1e-4  # measured self-consistency is much tighter
@@ -194,8 +195,8 @@ def test_blowup_estimate_cap_stability(params):
     tight = ToleranceSpec(1e-12, 1e-14)
     tr1 = integrate_contrast(params, f_cap=5e5, controls=tight)
     tr2 = integrate_contrast(params, f_cap=1e6, controls=tight)
-    e1, s1 = blowup_ladder(tr1)
-    e2, _ = blowup_ladder(tr2)
+    e1, s1, _ = blowup_ladder(tr1)
+    e2, _, _ = blowup_ladder(tr2)
     assert abs(e2 - e1) / e1 < max(s1, 1e-6)
 
 
@@ -205,8 +206,8 @@ def test_blowup_estimate_deep_run_consistency(params):
     tight = ToleranceSpec(1e-12, 1e-14)
     shallow = integrate_contrast(params, f_cap=1e6, controls=tight)
     deep = integrate_contrast(params, f_cap=1e10, controls=tight)
-    e_s, s_s = blowup_ladder(shallow)
-    e_d, s_d = blowup_ladder(deep)
+    e_s, s_s, _ = blowup_ladder(shallow)
+    e_d, s_d, _ = blowup_ladder(deep)
     assert deep.t_end < e_s  # reached time is always below the blowup estimate
     assert abs(e_d - e_s) < 5e-5
     assert s_d < s_s  # the ladder tightens as the cap deepens
@@ -218,6 +219,24 @@ def test_no_blowup_detected_error(params):
     assert not tr.reached_cap
     with pytest.raises(RuntimeError, match="no blowup detected"):
         blowup_ladder(tr)
+
+
+def _ladder_stub(times):
+    # the three things blowup_ladder reads, with chosen crossing times
+    caps = 8.0 / 2.0 ** np.arange(len(times) - 1, -1, -1)
+    return SimpleNamespace(reached_cap=True, f_cap=8.0,
+                           time_of_contrast=lambda c: times[int(np.flatnonzero(caps == c)[0])])
+
+
+def test_blowup_ladder_counts_dropped_triplets():
+    # the first triplet widens (r = 0.5) and is dropped; the other two halve (r = 2)
+    est, spread, dropped = blowup_ladder(_ladder_stub([1.0, 1.1, 1.3, 1.4, 1.45]))
+    assert dropped == 1
+    assert est == pytest.approx(1.5, abs=1e-12)
+    assert spread < 1e-12
+    assert blowup_ladder(_ladder_stub([1.0, 1.5, 1.75, 1.875, 1.9375]))[2] == 0
+    with pytest.raises(RuntimeError, match="degenerate"):
+        blowup_ladder(_ladder_stub([1.0, 1.1, 1.3, 1.7, 2.5]))
 
 
 def test_randomized_envelopes():

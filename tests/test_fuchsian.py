@@ -241,7 +241,7 @@ def test_run_extraction_satisfies_system(traj_deep, maps_deep, params):
     d, v = cosine_profiles(params, 1e-3)
     st = init_from_data(params, d, v, 64)
     res = evolve(st, traj_deep, params, f_cap=50.0,
-                 controls=EvolveControls(out_target=10**9))
+                 controls=EvolveControls(out_target=400))
     states = res.states
     mid = len(states) // 2
     win = states[mid - 2:mid + 3]

@@ -230,8 +230,7 @@ def test_rhs_vacuum_guard_is_typed(traj, params):
 def test_homogeneous_manifold_preserved(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
-    res = evolve(st, traj, params, f_cap=100.0,
-                 controls=EvolveControls(growth_cap=0.005))
+    res = evolve(st, traj, params, f_cap=100.0)
     assert res.stop_reason == "f_cap"
     dev = max(float(np.max(np.abs(s.rho_hat - traj.f_at(s.t)))) for s in res.states)
     nu_sup = max(float(np.max(np.abs(s.nu))) for s in res.states)
@@ -247,7 +246,7 @@ def test_homogeneous_preserved_second_parameter_set():
     tr = integrate_contrast(p, f_cap=2e3, controls=ToleranceSpec(1e-12, 1e-14))
     d, v = flat_profiles()
     st = init_from_data(p, d, v, 64)
-    res = evolve(st, tr, p, f_cap=100.0, controls=EvolveControls(growth_cap=0.005))
+    res = evolve(st, tr, p, f_cap=100.0)
     assert res.stop_reason == "f_cap"
     dev = max(float(np.max(np.abs(s.rho_hat - tr.f_at(s.t)))) for s in res.states)
     assert dev < 1e-6
@@ -266,8 +265,7 @@ def test_spectral_mode_homogeneous(traj, params):
 def test_perturbed_ratio_envelope(traj, params):
     d, v = cosine_profiles(params, 1e-3)
     st = init_from_data(params, d, v, 64)
-    res = evolve(st, traj, params, f_cap=1e3,
-                 controls=EvolveControls(growth_cap=0.01))
+    res = evolve(st, traj, params, f_cap=1e3)
     m = res.monitors.as_arrays()
     assert np.all(m["ratio_rho_min"] > 0.9)
     assert np.all(m["ratio_rho_max"] < 1.1)
@@ -287,19 +285,26 @@ def test_self_convergence_order(traj, params):
     assert np.log2(d1 / d2) >= 3.5
 
 
-def test_time_order_rk4(traj, params):
-    # fixed grid, dt refined through both step limits at once: the spatial
-    # error cancels in the differences, leaving the stepper's own order
+def test_error_proportional_to_pde_rtol(traj, params):
+    # fixed grid and snapshot schedule, tolerance refined: against a tight
+    # reference the largest error in rho_hat/f stays below pde_rtol and falls
+    # about in proportion to it, leaving the stepper's own accuracy
     d, v = cosine_profiles(params, 0.05)
-    finals = {}
-    for k in (1, 2, 4):
-        st = init_from_data(params, d, v, 32)
-        controls = EvolveControls(cfl=0.4 / k, growth_cap=0.01 / k, out_target=2)
-        finals[k] = evolve(st, traj, params, t_end=2.0, controls=controls).final
-    assert finals[1].t == finals[2].t == finals[4].t
-    d12 = np.max(np.abs(finals[1].rho_hat - finals[2].rho_hat))
-    d24 = np.max(np.abs(finals[2].rho_hat - finals[4].rho_hat))
-    assert 3.7 <= np.log2(d12 / d24) <= 4.3
+    st = init_from_data(params, d, v, 32)
+
+    def states(rtol):
+        return evolve(st, traj, params, f_cap=100.0,
+                      controls=EvolveControls(pde_rtol=rtol, out_target=8)).states
+
+    ref = states(1e-12)
+    errs = {}
+    for rtol in (1e-8, 1e-9, 1e-10):
+        run = states(rtol)
+        assert [s.t for s in run] == [o.t for o in ref]
+        errs[rtol] = max(float(np.max(np.abs(s.rho_hat - o.rho_hat))) / traj.f_f0_at(o.t)[0]
+                         for s, o in zip(run, ref))
+        assert 0.01 * rtol < errs[rtol] < rtol
+    assert 0.75 <= np.log10(errs[1e-8] / errs[1e-10]) / 2.0 <= 1.5
 
 
 def _rk4_step_per_component(state, dt, traj, params, deriv):
@@ -334,38 +339,16 @@ def _rk4_step_per_component(state, dt, traj, params, deriv):
     return FieldState(t=t_new, zeta=state.zeta, rho_hat=r, drho_dt=rt, nu=nu, psi=psi)
 
 
-def _evolve_per_component(state, traj, params, t_end, controls):
-    # evolve's loop around the per-component stepper, for a t_end stop (the
-    # hyperbolicity and dt-floor stops are left out: this data reaches neither)
-    t_stop = min(t_end, traj.t_end)
-    h = 1.0 / state.n
-    est_steps = pde._estimate_steps(state, traj, params, t_stop, controls, h)
-    out_every = max(1, est_steps // max(controls.out_target, 2))
-    mon = pde.MonitorSeries()
-    states = [state]
-    pde._record(mon, state, traj, params, controls.deriv)
-    stop_reason, n_steps = "t_end", 0
-    cur = state
-    while cur.t < t_stop * (1.0 - 1e-14):
-        f, f0 = traj.f_f0_at(cur.t)
-        gzz, g0z = pde.wave_coefficients(cur.t, cur.rho_hat, cur.nu, f, f0, params)
-        speed = float(np.max(np.sqrt(gzz) + np.abs(g0z)))
-        dt = min(controls.cfl * h / speed,
-                 controls.growth_cap * (1.0 + f) / f0,
-                 t_stop - cur.t)
-        try:
-            cur = _rk4_step_per_component(cur, dt, traj, params, controls.deriv)
-        except pde.VacuumError:
-            stop_reason = "vacuum"
-            break
-        n_steps += 1
-        if n_steps % out_every == 0 or cur.t >= t_stop * (1.0 - 1e-14):
-            states.append(cur)
-            pde._record(mon, cur, traj, params, controls.deriv)
-    if states[-1] is not cur:
-        states.append(cur)
-        pde._record(mon, cur, traj, params, controls.deriv)
-    return states, mon, stop_reason, n_steps
+def _rk4_reference(state, times, traj, params, deriv, substeps=50):
+    # fine fixed-step RK4 from each time to the next, landing on every time
+    out, cur = [], state
+    for t in times:
+        dt = (t - cur.t) / substeps
+        for _ in range(substeps):
+            cur = _rk4_step_per_component(cur, dt, traj, params, deriv)
+        cur.t = t
+        out.append(cur)
+    return out
 
 
 def _vacuum_after(n_calls):
@@ -382,39 +365,37 @@ def _vacuum_after(n_calls):
 
 
 @pytest.mark.parametrize("deriv", ["fd4", "spectral"])
-@pytest.mark.parametrize("vacuum_at_step", [None, 51])
-def test_evolve_equals_per_component_stepper(traj, params, monkeypatch, deriv,
-                                             vacuum_at_step):
-    # the array stepper keeps every operation of the per-component one in
-    # order, so every stored state and monitor agrees bit for bit; a vacuum
-    # stop mid-step exercises the store of an unstored last state
+@pytest.mark.parametrize("vacuum_after", [None, 40])
+def test_evolve_matches_fine_rk4_reference(traj, params, monkeypatch, deriv,
+                                           vacuum_after):
+    # every stored state, dense-output snapshots and step ends alike, agrees
+    # with a fine fixed-step RK4 run to well within pde_rtol; a vacuum stop
+    # mid-run ends with the last accepted state, off the snapshot schedule
     d, v = cosine_profiles(params, 0.05)
+    st = init_from_data(params, d, v, 32)
     controls = EvolveControls(out_target=4, deriv=deriv)
-    runs = []
-    for march in ("array", "per_component"):
-        st = init_from_data(params, d, v, 32)
-        if vacuum_at_step is not None:
-            counted, calls = _vacuum_after(4 * (vacuum_at_step - 1) + 2)
-            monkeypatch.setattr(pde, "rhs", counted)
-        if march == "array":
-            res = evolve(st, traj, params, t_end=1.5, controls=controls)
-            runs.append((res.states, res.monitors, res.stop_reason, res.n_steps))
-        else:
-            runs.append(_evolve_per_component(st, traj, params, 1.5, controls))
-        monkeypatch.undo()
-    (states, mon, stop, n_steps), (states_o, mon_o, stop_o, n_steps_o) = runs
-    assert (stop, n_steps) == (stop_o, n_steps_o)
-    assert stop == ("t_end" if vacuum_at_step is None else "vacuum")
-    assert n_steps == (66 if vacuum_at_step is None else vacuum_at_step - 1)
-    assert len(states) == len(states_o) >= 4
-    for s, o in zip(states, states_o):
-        assert s.t == o.t
-        for name in ("zeta", "rho_hat", "drho_dt", "nu", "psi"):
-            assert np.array_equal(getattr(s, name), getattr(o, name)), name
-    m, m_o = mon.as_arrays(), mon_o.as_arrays()
-    assert m.keys() == m_o.keys()
-    for k in m:
-        assert np.array_equal(m[k], m_o[k]), k
+    if vacuum_after is not None:
+        counted, calls = _vacuum_after(vacuum_after)
+        monkeypatch.setattr(pde, "rhs", counted)
+    res = evolve(st, traj, params, t_end=1.5, controls=controls)
+    monkeypatch.undo()
+    schedule = pde.snapshot_times(traj, st.t, 1.5, 4)
+    times = [s.t for s in res.states[1:]]
+    if vacuum_after is None:
+        assert res.stop_reason == "t_end"
+        assert times == list(schedule)
+    else:
+        assert res.stop_reason == "vacuum"
+        assert res.n_rhs == calls[0] == vacuum_after + 1
+        assert times[:-1] == list(schedule[:len(times) - 1])
+        assert times[-1] not in schedule and 1 <= res.n_steps
+    ref = _rk4_reference(st, times, traj, params, deriv)
+    for s, o in zip(res.states[1:], ref):
+        for name in ("rho_hat", "drho_dt", "nu"):
+            assert np.max(np.abs(getattr(s, name) - getattr(o, name))) < 1e-11, (s.t, name)
+        assert np.max(np.abs(s.psi - o.psi)) < 1e-11
+    m = res.monitors.as_arrays()
+    assert np.array_equal(m["t"], [st.t, *times])
 
 
 def _failing_rhs(exc):
@@ -448,15 +429,67 @@ def test_evolve_requires_stop_rule(traj, params):
         evolve(st, traj, params)
 
 
-def test_evolve_dt_underflow_diagnostic(traj, params):
-    # an impossible step floor triggers the diagnostic stop with state intact
+def test_evolve_dt_underflow_diagnostic(traj, params, monkeypatch):
+    # an rhs that turns to NaN after the solver's two start-up calls fails
+    # every error test until the step size underflows: the diagnostic stop,
+    # with the initial state intact and every trial step counted as rejected
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
-    res = evolve(st, traj, params, t_end=2.0,
-                 controls=EvolveControls(dt_floor=1.0))
+    calls, inner = [0], pde.rhs
+
+    def nan_after_start(*args, **kwargs):
+        calls[0] += 1
+        out = inner(*args, **kwargs)
+        return out if calls[0] <= 2 else np.full_like(out, np.nan)
+
+    monkeypatch.setattr(pde, "rhs", nan_after_start)
+    res = evolve(st, traj, params, t_end=2.0)
     assert res.stop_reason == "dt_underflow"
-    assert res.final.t == st.t
-    assert res.n_steps == 0
+    assert res.final is st and len(res.states) == 1
+    assert res.n_steps == 0 and res.n_rejected >= 10
+    assert res.n_rhs == calls[0] == 2 + 12 * res.n_rejected
+
+
+def test_evolve_reports_its_work(traj, params, monkeypatch):
+    d, v = cosine_profiles(params, 1e-3)
+    st = init_from_data(params, d, v, 32)
+    calls, inner = [0], pde.rhs
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "rhs", counted)
+    res = evolve(st, traj, params, f_cap=100.0, controls=EvolveControls(out_target=3))
+    assert res.n_rhs == calls[0]
+    # two start-up calls, 12 stages per trial step, 3 extra per dense output
+    dense = res.n_rhs - 2 - 12 * (res.n_steps + res.n_rejected)
+    assert dense % 3 == 0 and 0 <= dense // 3 <= 3
+    assert 0.0 < res.dt_min <= res.dt_max
+
+
+def test_snapshot_schedule(traj, params):
+    # out_target states after the initial one, at the precomputed times, which
+    # are uniform in ln(1+f) and end exactly at the stop time
+    d, v = cosine_profiles(params, 1e-3)
+    st = init_from_data(params, d, v, 32)
+    res = evolve(st, traj, params, f_cap=100.0, controls=EvolveControls(out_target=7))
+    t_stop = traj.time_of_contrast(100.0)
+    schedule = pde.snapshot_times(traj, st.t, t_stop, 7)
+    assert len(res.states) == len(res.monitors.t) == 8
+    assert [s.t for s in res.states[1:]] == list(schedule)
+    assert res.final.t == schedule[-1] == t_stop
+    gaps = np.diff(np.log1p(traj.f_at(np.array([st.t, *schedule]))))
+    assert np.max(np.abs(gaps / gaps[0] - 1.0)) < 1e-9
+
+
+def test_evolve_rejects_empty_schedule(traj, params):
+    d, v = flat_profiles()
+    st = init_from_data(params, d, v, 32)
+    with pytest.raises(ValueError, match="out_target"):
+        evolve(st, traj, params, f_cap=10.0, controls=EvolveControls(out_target=0))
+    with pytest.raises(ValueError, match="not after the initial time"):
+        evolve(st, traj, params, t_end=st.t)
 
 
 def test_solution_shift_equivariance(traj, params):

@@ -134,22 +134,38 @@ def _step_time(draw, ts, k):
     return ts[k] + x * (ts[k + 1] - ts[k])
 
 
+@pytest.fixture(scope="module")
+def dense(traj):
+    # closures over the trajectory: a failure report reprs the test's
+    # arguments, and the trajectory's arrays would swamp it (as exact_state)
+    ts = traj._sol.ts
+
+    def query_times(draw, shape):
+        # one time on each of prod(shape) distinct solver steps
+        n = int(np.prod(shape))
+        steps = draw(st.lists(st.integers(0, len(ts) - 2), min_size=n, max_size=n,
+                              unique=True))
+        t = np.array([_step_time(draw, ts, k) for k in steps]).reshape(shape)
+        on_step = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(ts) - 2)
+        assume(np.unique(on_step).size == n)
+        return t
+
+    return query_times, lambda t: traj.f_at(t), lambda t: traj.f0_at(t), \
+        lambda t: traj.f_f0_at(t)
+
+
 @PROPS
 @given(data=st.data(), shape=query_shape)
-def test_dense_output_query_equals_scalar_reads(traj, data, shape):
+def test_dense_output_query_equals_scalar_reads(dense, data, shape):
     # Each time lies on its own solver step.  Times that share a step are
     # summed as one fused multiply-add chain (scipy's matrix product), one
     # alone on its step as a scalar read is, so only then is the last bit equal.
-    ts = traj._sol.ts
-    n = int(np.prod(shape))
-    steps = data.draw(st.lists(st.integers(0, len(ts) - 2), min_size=n, max_size=n, unique=True))
-    t = np.array([_step_time(data.draw, ts, k) for k in steps]).reshape(shape)
-    on_step = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(ts) - 2)
-    assume(np.unique(on_step).size == n)
-    f, f0 = traj.f_at(t), traj.f0_at(t)
+    query_times, f_at, f0_at, f_f0_at = dense
+    t = query_times(data.draw, shape)
+    f, f0 = f_at(t), f0_at(t)
     assert f.shape == f0.shape == t.shape
-    assert np.array_equal(traj.f_f0_at(t), (f, f0))
-    reads = [traj.f_f0_at(float(ti)) for ti in t.flat]
+    assert np.array_equal(f_f0_at(t), (f, f0))
+    reads = [f_f0_at(float(ti)) for ti in t.flat]
     assert np.array_equal(f.ravel(), [r[0] for r in reads])
     assert np.array_equal(f0.ravel(), [r[1] for r in reads])
 
