@@ -18,8 +18,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +60,6 @@ class RunConfig:
     seed: int = 20240
     svg: bool = False
     force: bool = False  # admit iota^3 > 1/5, marked non-certified
-
-    def to_params(self) -> ModelParams:
-        if self.k_tilde is not None:
-            return build_params(self.k_tilde, self.beta, self.gamma, self.lam,
-                                self.A, force=self.force)
-        return params_from_iota3(self.iota3, self.beta, self.gamma, self.lam,
-                                 self.A, force=self.force)
 
 
 _CONFIG_KEYS = set(RunConfig.__dataclass_fields__)
@@ -138,13 +132,41 @@ def write_svg_lines(path: Path, x: np.ndarray, series: dict[str, np.ndarray],
 
 
 class RunDir:
-    def __init__(self, cfg: RunConfig):
+    """One run: its config, params, contrast trajectories, verdicts, values and artifacts."""
+
+    def __init__(self, cfg: RunConfig, parent: RunDir | None = None):
         self.cfg = cfg
+        self.values: dict[str, object] = {}
+        if parent is not None:  # a child run shares its parent's outputs and trajectories
+            self.path, self.verdicts = parent.path, parent.verdicts
+            self.artifacts, self._trajectories = parent.artifacts, parent._trajectories
+            return
         self.path = Path(cfg.output_dir)
         self.path.mkdir(parents=True, exist_ok=True)
         self.verdicts: dict[str, bool] = {}
-        self.values: dict[str, object] = {}
         self.artifacts: list[Path] = []
+        self._trajectories: dict[tuple, OdeTrajectory] = {}
+
+    @cached_property
+    def params(self) -> ModelParams:
+        """The model parameters of this run's config, built on first use."""
+        c = self.cfg
+        if c.k_tilde is not None:
+            return build_params(c.k_tilde, c.beta, c.gamma, c.lam, c.A, force=c.force)
+        return params_from_iota3(c.iota3, c.beta, c.gamma, c.lam, c.A, force=c.force)
+
+    def trajectory(self, f_cap: float) -> OdeTrajectory:
+        """The contrast trajectory to f_cap, integrated once per params, cap and tolerances."""
+        args = (self.params, f_cap, ToleranceSpec(self.cfg.rel_tol, self.cfg.abs_tol))
+        if args not in self._trajectories:
+            self._trajectories[args] = integrate_contrast(*args)
+        return self._trajectories[args]
+
+    def run_child(self, **changes) -> dict[str, object]:
+        """Run the pipeline of this config with ``changes`` inside this run; return its values."""
+        child = RunDir(replace(self.cfg, **changes), parent=self)
+        _COMMANDS[child.cfg.command](child)
+        return child.values
 
     def manifest(self) -> None:
         import scipy
@@ -245,17 +267,6 @@ def make_profiles(cfg: RunConfig, params: ModelParams):
 # subcommands
 
 
-def _integrate(cfg: RunConfig, params: ModelParams) -> OdeTrajectory:
-    return integrate_contrast(params, f_cap=cfg.f_cap,
-                              controls=ToleranceSpec(cfg.rel_tol, cfg.abs_tol))
-
-
-def _run_ode_pipeline(cfg: RunConfig, params: ModelParams):
-    traj = _integrate(cfg, params)
-    maps = compute_g(traj, params, refine=2, thetas=(2.0,))
-    return traj, maps
-
-
 def cmd_iota(run: RunDir) -> None:
     k_grid = np.logspace(-8, 1, 50)
     iotas = np.array([solve_iota(k) for k in k_grid])
@@ -272,8 +283,9 @@ def cmd_iota(run: RunDir) -> None:
 
 
 def cmd_ode(run: RunDir) -> None:
-    params = run.cfg.to_params()
-    traj, maps = _run_ode_pipeline(run.cfg, params)
+    params = run.params
+    traj = run.trajectory(run.cfg.f_cap)
+    maps = compute_g(traj, params, refine=2, thetas=(2.0,))
     eta2 = maps.eta[2.0]
     _write_csv(run.add_artifact("trajectory.csv"),
                ["t", "f", "f0", "g", "tau", "chi", "xi", "G_frak", "eta_2"],
@@ -316,8 +328,8 @@ def cmd_ode(run: RunDir) -> None:
 
 
 def cmd_blowup(run: RunDir) -> None:
-    params = run.cfg.to_params()
-    traj = _integrate(run.cfg, params)
+    params = run.params
+    traj = run.trajectory(run.cfg.f_cap)
     rep = bound_certificates(traj, params)
     est, spread, dropped = blowup_ladder(traj)
     t = traj.t_grid
@@ -344,7 +356,7 @@ def cmd_blowup(run: RunDir) -> None:
 
 
 def cmd_residuals(run: RunDir) -> None:
-    params = run.cfg.to_params()
+    params = run.params
     family = run.cfg.profile.get("family", "both")
     pts = sample_annulus(32, seed=run.cfg.seed)
     t_values = [1.2, 1.5, 2.0]
@@ -357,7 +369,7 @@ def cmd_residuals(run: RunDir) -> None:
                              "source_gap_max": rep.source_gap_max}
         run.verdict("background_residuals_below_1e-6", rep.verdict)
     if family in ("homogeneous", "both"):
-        traj = _integrate(run.cfg, params)
+        traj = run.trajectory(run.cfg.f_cap)
         rep = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj, params),
                                      t_values, pts, traj, params)
         out["homogeneous"] = {"max_norms": rep.max_norms, "verdict": rep.verdict,
@@ -369,9 +381,9 @@ def cmd_residuals(run: RunDir) -> None:
 
 def cmd_simulate(run: RunDir) -> None:
     cfg = run.cfg
-    params = cfg.to_params()
-    traj = integrate_contrast(params, f_cap=max(10.0 * cfg.pde_f_cap, cfg.f_cap),
-                              controls=ToleranceSpec(cfg.rel_tol, cfg.abs_tol))
+    params = run.params
+    # evolve reads the trajectory only up to f = pde_f_cap
+    traj = run.trajectory(10.0 * cfg.pde_f_cap)
     d_prof, v_prof = make_profiles(cfg, params)
     state0 = init_from_data(params, d_prof, v_prof, cfg.grid_n)
     run.values["data_smallness"] = data_smallness(state0, params)
@@ -416,9 +428,8 @@ def cmd_simulate(run: RunDir) -> None:
 
 def cmd_fuchsian(run: RunDir) -> None:
     cfg = run.cfg
-    params = cfg.to_params()
-    traj = integrate_contrast(params, f_cap=max(cfg.f_cap, 1e8),
-                              controls=ToleranceSpec(cfg.rel_tol, cfg.abs_tol))
+    params = run.params
+    traj = run.trajectory(max(cfg.f_cap, 1e8))
     maps = compute_g(traj, params, refine=2)
     g_range = (float(np.min(maps.G_frak)), float(np.max(maps.G_frak)))
     gc = gamma_constants(params, g_range)
@@ -446,29 +457,11 @@ def cmd_fuchsian(run: RunDir) -> None:
 
 def cmd_report(run: RunDir) -> None:
     """Desk-scale sweep of every pipeline with a combined verdict set."""
-    cfg = run.cfg
-    sub_cfgs = {
-        "iota": cmd_iota,
-        "ode": cmd_ode,
-        "blowup": cmd_blowup,
-        "residuals": cmd_residuals,
-    }
-    for name, fn in sub_cfgs.items():
+    for fn in (cmd_iota, cmd_ode, cmd_blowup, cmd_residuals):
         fn(run)
-    small = RunConfig(**{**asdict(cfg), "command": "simulate", "grid_n": 64,
-                         "pde_f_cap": 50.0,
-                         "profile": {"kind": "cosine", "eps": 1e-3},
-                         "output_dir": str(run.path)})
-    sub = RunDir(small)
-    sub.verdicts, sub.values, sub.artifacts = run.verdicts, {}, run.artifacts
-    cmd_simulate(sub)
-    run.values["simulate"] = _jsonable(sub.values)
-    fu = RunDir(RunConfig(**{**asdict(cfg), "command": "fuchsian-check",
-                             "n_fuchsian_samples": 500,
-                             "output_dir": str(run.path)}))
-    fu.verdicts, fu.values, fu.artifacts = run.verdicts, {}, run.artifacts
-    cmd_fuchsian(fu)
-    run.values["fuchsian"] = _jsonable(fu.values)
+    run.values["simulate"] = run.run_child(command="simulate", grid_n=64, pde_f_cap=50.0,
+                                           profile={"kind": "cosine", "eps": 1e-3})
+    run.values["fuchsian"] = run.run_child(command="fuchsian-check", n_fuchsian_samples=500)
 
 
 _COMMANDS = {

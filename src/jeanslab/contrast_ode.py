@@ -104,7 +104,8 @@ class OdeTrajectory:
     evaluates both from one read.  All reads, and the root search of
     ``time_of_contrast``, go through one evaluator of the RK45 interpolant on
     every step (``_DenseRK45``), which reproduces scipy's ``OdeSolution`` bit
-    for bit.
+    for bit.  The record holds no blowup-time estimate; ``blowup_ladder``
+    extrapolates one from it on request.
     """
 
     params: ModelParams
@@ -114,7 +115,6 @@ class OdeTrajectory:
     f_cap: float
     t_end: float
     reached_cap: bool
-    t_m_estimate: float = math.inf
     _sol: _DenseRK45 | None = field(default=None, repr=False)
     # (t, (f, f0)) of the last f_f0_at call
     _f_f0_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -224,14 +224,11 @@ def integrate_contrast(
     if np.any(f_grid <= 0.0) or np.any(f0_grid <= 0.0):
         raise RuntimeError("internal-consistency error: f or f' non-positive on an "
                            "accepted step (contradicts positivity of the contrast)")
-    traj = OdeTrajectory(
+    return OdeTrajectory(
         params=params, t_grid=t_grid, f=f_grid, f0=f0_grid,
         f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=reached_cap,
         _sol=_DenseRK45.of(sol.sol),
     )
-    if reached_cap:
-        traj.t_m_estimate = blowup_ladder(traj)[0]
-    return traj
 
 
 def rk4_reference(params: ModelParams, t_end: float, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -313,7 +310,11 @@ def envelope_constants(params: ModelParams) -> EnvelopeConstants:
     return out
 
 
-def blowup_bracket(params: ModelParams, search_ceiling: float = 1e12) -> tuple[float, float | None]:
+_BRACKET_SEARCH_CEILING = 1e12  # blowup_bracket scans t up to here for a sign change
+_LADDER_RUNGS = 5  # blowup_ladder's crossing contrasts are f_cap / 2^k, k < _LADDER_RUNGS
+
+
+def blowup_bracket(params: ModelParams) -> tuple[float, float | None]:
     """Bracket [t_star, t_star_upper) for the blowup time.
 
     t_star is the first root past t0 of the algebraic bracket function,
@@ -328,9 +329,9 @@ def blowup_bracket(params: ModelParams, search_ceiling: float = 1e12) -> tuple[f
     while ec.bracket_fn(t_hi) > 0.0:
         t, t_hi = t_hi, t_hi * fac
         fac = min(fac * fac, 2.0)
-        if t_hi > search_ceiling:
+        if t_hi > _BRACKET_SEARCH_CEILING:
             raise RuntimeError(f"no bracket: no sign change of the envelope "
-                               f"denominator below t={search_ceiling:.3g}")
+                               f"denominator below t={_BRACKET_SEARCH_CEILING:.3g}")
     t_star = brentq(ec.bracket_fn, t, t_hi, xtol=1e-13, rtol=1e-11)
     supercritical = params.beta0 > ec.a_bar * (1.0 + params.beta) / (ec.c_bar * params.t0)
     t_star_upper = None
@@ -399,7 +400,7 @@ def bound_certificates(traj: OdeTrajectory, params: ModelParams) -> BoundReport:
     )
 
 
-def blowup_ladder(traj: OdeTrajectory, n_rungs: int = 5) -> tuple[float, float, int]:
+def blowup_ladder(traj: OdeTrajectory) -> tuple[float, float, int]:
     """Blowup time by geometric-ladder extrapolation of cap-crossing times.
 
     The crossing times t_k of f = f_cap / 2^k behave like t_m - C f^{-q};
@@ -414,7 +415,7 @@ def blowup_ladder(traj: OdeTrajectory, n_rungs: int = 5) -> tuple[float, float, 
     """
     if not traj.reached_cap:
         raise RuntimeError("no blowup detected in window: trajectory never reached f_cap")
-    caps = traj.f_cap / 2.0 ** np.arange(n_rungs - 1, -1, -1)
+    caps = traj.f_cap / 2.0 ** np.arange(_LADDER_RUNGS - 1, -1, -1)
     times = np.array([traj.time_of_contrast(c) for c in caps])
     ests = []
     for i in range(len(times) - 2):

@@ -476,15 +476,20 @@ def _ball_samples(n: int, radius: float, seed: int) -> np.ndarray:
     return direc / norms[:, None] * radii[:, None]
 
 
-def _tau_ladder(maps: TimeMaps, n_max: int = 12) -> np.ndarray:
+_TAU_RUNGS = 12  # the tau ladder is -2^-k for k < _TAU_RUNGS, above the terminal tau
+_EIG_TOL = 1e-12  # eigenvalue deficit the sandwich check forgives
+_RADIUS_SHRINK, _RADIUS_TRIES = 0.5, 40  # the radius search's factor and its number of tries
+
+
+def _tau_ladder(maps: TimeMaps) -> np.ndarray:
     floor = float(-maps.tau[-1]) * 1.05
-    ladder = [2.0**-k for k in range(n_max) if 2.0**-k >= floor]
+    ladder = [2.0**-k for k in range(_TAU_RUNGS) if 2.0**-k >= floor]
     return -np.asarray(ladder)
 
 
 def verify_conditions(params: ModelParams, maps: TimeMaps,
                       constants: GammaConstants, r_tilde: float,
-                      n_samples: int = 2000, seed: int = 20240, eig_tol: float = 1e-12,
+                      n_samples: int = 2000, seed: int = 20240,
                       divB_check: bool = True) -> ConditionReport:
     """Sample the coefficient conditions over the ball ||U|| <= r_tilde.
 
@@ -534,7 +539,7 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
     return ConditionReport(
         constants=constants, r_tilde=r_tilde, n_samples=len(samples),
         tau_ladder=tuple(float(x) for x in tau_ladder),
-        sandwich_ok=not np.any(margins < -eig_tol), sandwich_margin=float(margins[i, j]),
+        sandwich_ok=not np.any(margins < -_EIG_TOL), sandwich_margin=float(margins[i, j]),
         worst_sample=(float(tau_ladder[i]), U[i, j].copy()),
         eig_B0_range=(float(w_b0[..., 0].min()), float(w_b0[..., -1].max())),
         eig_frakB_range=(float(w_fb[..., 0].min()), float(w_fb[..., -1].max())),
@@ -558,8 +563,7 @@ def _G_halforder_bound(maps: TimeMaps, tau_ladder: np.ndarray) -> tuple[float, b
 
 def find_certified_radius(params: ModelParams, maps: TimeMaps,
                           constants: GammaConstants, seed: int = 20240,
-                          n_samples: int = 400, r_start: float = 1e-2,
-                          shrink: float = 0.5, max_iter: int = 40) -> float:
+                          n_samples: int = 400, r_start: float = 1e-2) -> float:
     """Largest sampled radius with sum |z_ell| < gamma1 over the ladder.
 
     A radius is halved when any sample breaks the budget or leaves the
@@ -568,7 +572,7 @@ def find_certified_radius(params: ModelParams, maps: TimeMaps,
     tau = _tau_ladder(maps)[:, None]
     f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
     r = r_start
-    for _ in range(max_iter):
+    for _ in range(_RADIUS_TRIES):
         samples = _ball_samples(n_samples, r, seed)
         try:
             worst = assemble_matrices(tau, samples, g_val, f_val, params).sum_abs_z.max()
@@ -576,7 +580,7 @@ def find_certified_radius(params: ModelParams, maps: TimeMaps,
             worst = math.inf
         if worst < constants.gamma1:
             return r
-        r *= shrink
+        r *= _RADIUS_SHRINK
     raise RuntimeError("no certified radius found down to the shrink floor")
 
 

@@ -148,6 +148,7 @@ class EvolveControls:
 # absolute tolerance per unit of pde_rtol: the error floor of components near
 # zero, chiefly nu, which vanishes on the homogeneous manifold
 _ATOL_PER_RTOL = 1e-3
+_PERIODICITY_TOL = 1e-10  # endpoint mismatch init_from_data admits in a periodic profile
 
 
 @dataclass
@@ -207,8 +208,7 @@ def data_smallness(state: FieldState, params: ModelParams) -> float:
     return float(max(np.max(np.abs(v)) for v in vals))
 
 
-def init_from_data(params: ModelParams, d_profile, v_profile, n: int,
-                   periodicity_tol: float = 1e-10) -> FieldState:
+def init_from_data(params: ModelParams, d_profile, v_profile, n: int) -> FieldState:
     """Build the t = t0 state from radial profiles d(|x|), v(|x|).
 
     The contrast and speed come straight from the data map; the time
@@ -220,9 +220,9 @@ def init_from_data(params: ModelParams, d_profile, v_profile, n: int,
     h = 1.0 / n
     for name, prof in (("d", d_profile), ("v", v_profile)):
         gap = profile_endpoint_mismatch(prof, params)
-        if gap > periodicity_tol:
+        if gap > _PERIODICITY_TOL:
             raise ValueError(f"profile {name!r} is not 1-log-periodic: "
-                             f"endpoint mismatch {gap:.3g} > {periodicity_tol:.3g}")
+                             f"endpoint mismatch {gap:.3g} > {_PERIODICITY_TOL:.3g}")
     r_phys = (1.0 + params.beta) ** (-1.0 / 3.0) * np.exp(zeta)
     f = params.beta
     f0 = params.beta0

@@ -89,6 +89,7 @@ def _refined_grid(traj: OdeTrajectory, refine: int) -> np.ndarray:
 
 
 _CHI_CROSSCHECK_TOL = 1e-6
+_WINDOW_FRAC = 0.9
 
 
 def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
@@ -159,9 +160,9 @@ def invert_tau(maps: TimeMaps, tau_query) -> np.ndarray | float:
     return float(out) if np.isscalar(tau_query) else out
 
 
-def terminal_window(maps: TimeMaps, f_cap: float, frac: float = 0.9) -> np.ndarray:
-    """Index mask of the terminal window f >= frac * f_cap."""
-    return maps.f >= frac * f_cap
+def terminal_window(maps: TimeMaps, f_cap: float) -> np.ndarray:
+    """Index mask of the terminal window f >= _WINDOW_FRAC * f_cap."""
+    return maps.f >= _WINDOW_FRAC * f_cap
 
 
 def dchi_dt_analytic(maps: TimeMaps, params: ModelParams) -> np.ndarray:

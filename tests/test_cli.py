@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jeanslab.cli import RunConfig, _jsonable, load_config, main
+from jeanslab.contrast_ode import integrate_contrast
 
 
 def read_summary(path):
@@ -49,6 +50,62 @@ def test_simulate_reports_stepper_work(tmp_path):
     assert v["n_steps"] >= 1 and v["rejected_steps"] >= 0
     # two start-up calls and 12 stages per trial step, plus the dense-output stages
     assert v["rhs_calls"] >= 2 + 12 * (v["n_steps"] + v["rejected_steps"])
+
+
+def test_simulate_reads_no_f_cap(tmp_path):
+    # simulate integrates the contrast to 10 pde_f_cap and does not read --f-cap
+    args = ["simulate", "--grid-n", "32", "--pde-f-cap", "0.15"]
+    assert main([*args, "--f-cap", "1.0", "--output-dir", str(tmp_path / "low")]) == 0
+    assert main([*args, "--output-dir", str(tmp_path / "default")]) == 0
+    low, default = read_summary(tmp_path / "low"), read_summary(tmp_path / "default")
+    assert low["values"] == default["values"] and low["digests"] == default["digests"]
+
+
+@pytest.mark.parametrize("argv,integrations", [
+    (["ode"], 1),
+    (["blowup"], 1),
+    (["residuals", "--family", "both"], 1),
+    (["simulate", "--grid-n", "32", "--pde-f-cap", "10"], 1),
+    (["fuchsian-check"], 1),
+    (["report"], 3),  # ode, blowup and residuals share the 1e6 trajectory
+], ids=["ode", "blowup", "residuals", "simulate", "fuchsian-check", "report"])
+def test_one_integration_per_trajectory(tmp_path, monkeypatch, argv, integrations):
+    import jeanslab.cli as cli
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate_contrast(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_contrast", counting)
+    assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == integrations
+
+
+def test_report_children_equal_standalone_runs(tmp_path):
+    assert main(["report", "--output-dir", str(tmp_path / "report")]) == 0
+    report = read_summary(tmp_path / "report")
+    fuchsian_cfg = tmp_path / "fuchsian.json"
+    fuchsian_cfg.write_text(json.dumps({"command": "fuchsian-check", "n_fuchsian_samples": 500}))
+    standalone = {
+        "iota": ["iota"], "ode": ["ode"], "blowup": ["blowup"], "residuals": ["residuals"],
+        "simulate": ["simulate", "--grid-n", "64", "--pde-f-cap", "50",
+                     "--profile-kind", "cosine", "--eps", "1e-3"],
+        "fuchsian": ["fuchsian-check", "--config", str(fuchsian_cfg)],
+    }
+    runs = {}
+    for name, argv in standalone.items():
+        assert main([*argv, "--output-dir", str(tmp_path / name)]) == 0
+        runs[name] = read_summary(tmp_path / name)
+    digests = {k: v for s in runs.values() for k, v in s["digests"].items()}
+    verdicts = {k: v for s in runs.values() for k, v in s["verdicts"].items()}
+    flat = {k: v for name in ("iota", "ode", "blowup", "residuals")
+            for k, v in runs[name]["values"].items()}
+    assert report["digests"] == digests
+    assert report["verdicts"] == verdicts
+    assert report["values"] == {**flat, "simulate": runs["simulate"]["values"],
+                                "fuchsian": runs["fuchsian"]["values"]}
 
 
 def test_ladder_dropped_reported(tmp_path):
