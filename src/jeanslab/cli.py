@@ -6,8 +6,12 @@ named invariants to booleans and whose ``digests`` block carries sha256 of
 every data artifact.  Re-running from an emitted manifest reproduces the
 verdicts and digests bit for bit.
 
-Exit codes: 0 all verdicts pass, 1 invariant failure, 2 usage error,
-3 numerical failure.
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 ``UsageError``
+(invalid command line, config, profile or parameter range), 3
+``NumericalFailure`` (a computation failed or left its domain, including
+``VacuumError``, ``HyperbolicityLossError`` and ``DomainError``).  The raised
+class sets the exit code and the ``kind`` of the run's ``error.json``; any
+other exception is a bug and ends the run with a traceback.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import hashlib
 import json
 import math
 import sys
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -29,6 +34,7 @@ from . import __version__
 from .contrast_ode import (OdeTrajectory, ToleranceSpec, blowup_bracket,
                            blowup_ladder, bound_certificates, envelope_constants,
                            integrate_contrast, zero_trajectory)
+from .errors import JeanslabError, UsageError
 from .fuchsian import (find_certified_radius, gamma_constants, q_lower_bound,
                        q_quantity, verify_conditions)
 from .params import ModelParams, build_params, params_from_iota3, solve_iota
@@ -62,26 +68,36 @@ class RunConfig:
     force: bool = False  # admit iota^3 > 1/5, marked non-certified
 
 
-_CONFIG_KEYS = set(RunConfig.__dataclass_fields__)
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
 # keys of the fixed-step PDE stepper, which error control replaced
 _RETIRED_KEYS = {"cfl", "growth_cap"}
 
 
 def load_config(path: str | Path, command: str | None = None) -> RunConfig:
-    raw = json.loads(Path(path).read_text())
-    if "config" in raw and isinstance(raw["config"], dict):
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or text
+        raise UsageError(f"cannot read config {str(path)!r}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise UsageError(f"config {str(path)!r} is not a JSON object")
+    if isinstance(raw.get("config"), dict):
         raw = raw["config"]  # accept a manifest as a config source
     retired = _RETIRED_KEYS & set(raw)
     if retired:
-        raise ValueError(f"retired config keys {sorted(retired)}: the PDE stepper is "
+        raise UsageError(f"retired config keys {sorted(retired)}: the PDE stepper is "
                          "error-controlled; set its relative tolerance with 'pde_rtol'")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        want = _CONFIG_TYPES[key]
+        # a JSON integer is a number wherever a float is expected
+        if not (isinstance(value, want) or (type(value) is int and isinstance(0.0, want))):
+            raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
     if command is not None:
         raw["command"] = command
     if "command" not in raw:
-        raise ValueError("config missing 'command'")
+        raise UsageError("config missing 'command'")
     return RunConfig(**raw)
 
 
@@ -228,8 +244,11 @@ def _jsonable(obj):
 def make_profiles(cfg: RunConfig, params: ModelParams):
     """Radial profile callables (d, v) for the configured initial data."""
     kind = cfg.profile.get("kind", "homogeneous")
-    eps = float(cfg.profile.get("eps", 0.0))
-    eps_v = float(cfg.profile.get("eps_v", 0.0))
+    try:
+        eps, eps_v, delta = (float(cfg.profile.get(k, v))
+                             for k, v in (("eps", 0.0), ("eps_v", 0.0), ("delta", 0.15)))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"profile eps, eps_v and delta must be numbers: {exc}") from exc
     scale = (1.0 + params.beta) ** (1.0 / 3.0)
 
     def log_angle(r):
@@ -242,7 +261,8 @@ def make_profiles(cfg: RunConfig, params: ModelParams):
         return (lambda r: 1.0 + eps * np.cos(log_angle(r)),
                 lambda r: -1.0 + eps_v * np.cos(log_angle(r)))
     if kind == "square":
-        delta = float(cfg.profile.get("delta", 0.15))
+        if not delta > 0.0:
+            raise UsageError(f"square profile delta must be positive, got {delta}")
         norm = math.tanh(1.0 / delta)
 
         def smooth_square(r):
@@ -251,7 +271,10 @@ def make_profiles(cfg: RunConfig, params: ModelParams):
         return (lambda r: 1.0 + eps * smooth_square(r),
                 lambda r: -1.0 + eps_v * smooth_square(r))
     if kind == "table":
-        zs, ds, vs = np.loadtxt(cfg.profile["path"], delimiter=",", unpack=True, skiprows=1)
+        try:
+            zs, ds, vs = np.loadtxt(cfg.profile["path"], delimiter=",", unpack=True, skiprows=1)
+        except (KeyError, OSError, ValueError) as exc:
+            raise UsageError(f"cannot read the profile table: {exc!r}") from exc
 
         def interp(vals):
             def fn(r):
@@ -260,7 +283,7 @@ def make_profiles(cfg: RunConfig, params: ModelParams):
             return fn
 
         return interp(ds), interp(vs)
-    raise ValueError(f"unknown profile kind {kind!r}")
+    raise UsageError(f"unknown profile kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +427,7 @@ def cmd_simulate(run: RunDir) -> None:
                list(mon.keys()), list(mon.values()))
 
     dev_rho = max(float(np.max(np.abs(s.rho_hat - traj.f_f0_at(s.t)[0]))) for s in res.states)
-    dev_nu = max(float(np.max(np.abs(s.nu))) for s in res.states)
+    dev_nu = max(res.monitors.nu_sup)
     run.values.update({
         "stop_reason": res.stop_reason, "n_steps": res.n_steps,
         "rhs_calls": res.n_rhs, "rejected_steps": res.n_rejected,
@@ -538,25 +561,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run = None
     try:
-        cfg = config_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    run = RunDir(cfg)
-    run.manifest()
-    try:
-        _COMMANDS[cfg.command](run)
-    except (ValueError, TypeError) as exc:
-        (run.path / "error.json").write_text(
-            json.dumps({"error": str(exc), "kind": "usage"}, allow_nan=False))
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, ArithmeticError) as exc:
-        (run.path / "error.json").write_text(
-            json.dumps({"error": str(exc), "kind": "numerical"}, allow_nan=False))
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        run = RunDir(config_from_args(args))
+        run.manifest()
+        _COMMANDS[run.cfg.command](run)
+    except JeanslabError as exc:
+        if run is not None:
+            (run.path / "error.json").write_text(
+                json.dumps({"error": str(exc), "kind": exc.kind}, allow_nan=False))
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
     return run.finish()
 
 

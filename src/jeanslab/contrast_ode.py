@@ -26,6 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from .errors import NumericalFailure, UsageError
 from .params import ModelParams
 
 
@@ -116,8 +117,6 @@ class OdeTrajectory:
     t_end: float
     reached_cap: bool
     _sol: _DenseRK45 | None = field(default=None, repr=False)
-    # (t, (f, f0)) of the last f_f0_at call
-    _f_f0_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def f_at(self, t):
         """Contrast f(t) from dense output (scalar or array t)."""
@@ -131,34 +130,41 @@ class OdeTrajectory:
     def f_f0_at(self, t):
         """(f(t), f'(t)) from one dense-output read.
 
-        For a scalar time the pair is (float(f_at(t)), float(f0_at(t))), and
-        the last time asked for is remembered: an RK step revisits each of its
-        stage times, so most calls repeat it.  For an array of times the pair
-        is (f_at(t), f0_at(t)).
+        For a scalar time the pair is (float(f_at(t)), float(f0_at(t))); for an
+        array of times it is (f_at(t), f0_at(t)).
         """
         if type(t) is np.ndarray:
             y, yp = self._sol(t)
             return np.expm1(y), yp * np.exp(y)
-        memo = self._f_f0_memo
-        if memo is not None and memo[0] == t:
-            return memo[1]
         y, yp = self._sol.scalar(t)
-        out = (float(np.expm1(y)), float(yp * np.exp(y)))
-        self._f_f0_memo = (t, out)
-        return out
+        return float(np.expm1(y)), float(yp * np.exp(y))
 
     def time_of_contrast(self, f_target: float) -> float:
-        """Smallest t with f(t) = f_target (f is strictly increasing)."""
-        lo, hi = self.f[0], self.f[-1]
+        """Smallest t with f(t) = f_target (f is strictly increasing).
+
+        The root is searched in the solver step that holds it, so it does not
+        depend on how far the trajectory was integrated.  That step is found
+        from the dense output at the step ends, not from the stored f, which
+        can differ from it in the last bit.
+        """
+        lo, hi = float(self.f[0]), float(self.f[-1])
         if f_target < lo * (1.0 - 1e-9) or f_target > hi * (1.0 + 1e-9):
-            raise ValueError(f"contrast {f_target!r} outside computed range "
-                             f"[{lo:.6g}, {hi:.6g}]")
+            raise NumericalFailure(f"contrast {float(f_target)} outside computed range "
+                                   f"[{lo:.6g}, {hi:.6g}]")
         f_target = min(max(f_target, lo), hi)
         if f_target == hi:
             return self.t_end
         y_t = math.log1p(f_target)
-        return brentq(lambda t: self._sol.scalar(t)[0] - y_t, self.t_grid[0], self.t_end,
-                      xtol=1e-14, rtol=8.9e-16)
+
+        def gap(t):
+            return self._sol.scalar(t)[0] - y_t
+
+        k = bisect.bisect_left(self.t_grid, 0.0, key=gap)  # gap(t[k-1]) < 0 <= gap(t[k])
+        if k == 0:
+            return float(self.t_grid[0])
+        if k == len(self.t_grid):
+            return self.t_end
+        return brentq(gap, self.t_grid[k - 1], self.t_grid[k], xtol=1e-14, rtol=8.9e-16)
 
 
 def zero_trajectory(params: ModelParams, t_end: float = 1e9) -> OdeTrajectory:
@@ -198,7 +204,7 @@ def integrate_contrast(
     over all query times rather than a Python loop over steps.
     """
     if not f_cap > params.beta:
-        raise ValueError(f"f_cap must exceed beta, got {f_cap!r} <= {params.beta!r}")
+        raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {params.beta!r}")
     a, b, c = params.ode_a, params.ode_b, params.ode_c
     y0 = (math.log1p(params.beta), params.beta0 / (1.0 + params.beta))
     y_cap = math.log1p(f_cap)
@@ -215,15 +221,15 @@ def integrate_contrast(
         dense_output=True, events=hit_cap,
     )
     if sol.status < 0:
-        raise RuntimeError(f"stiffness failure: integrator stopped at t={sol.t[-1]:.12g} "
-                           f"with f={math.expm1(sol.y[0, -1]):.6g}: {sol.message}")
+        raise NumericalFailure(f"stiffness failure: integrator stopped at t={sol.t[-1]:.12g} "
+                               f"with f={math.expm1(sol.y[0, -1]):.6g}: {sol.message}")
     reached_cap = sol.status == 1
     t_grid = sol.t
     f_grid = np.expm1(sol.y[0])
     f0_grid = sol.y[1] * np.exp(sol.y[0])
     if np.any(f_grid <= 0.0) or np.any(f0_grid <= 0.0):
-        raise RuntimeError("internal-consistency error: f or f' non-positive on an "
-                           "accepted step (contradicts positivity of the contrast)")
+        raise NumericalFailure("internal-consistency error: f or f' non-positive on an "
+                               "accepted step (contradicts positivity of the contrast)")
     return OdeTrajectory(
         params=params, t_grid=t_grid, f=f_grid, f0=f0_grid,
         f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=reached_cap,
@@ -305,8 +311,8 @@ def envelope_constants(params: ModelParams) -> EnvelopeConstants:
     cE = c_bar * beta0 * t0 ** (1.0 - a_bar) / (a_bar * (1.0 + beta))
     out = EnvelopeConstants(a_bar, c_bar, tri, cA, cB, cC, cD, cE)
     if not (out.cB < 0.0 and out.cC > 0.0 and out.cE > 0.0):
-        raise RuntimeError(f"envelope constants out of sign: need cB < 0 < cC, cE; "
-                           f"got cB={cB:.6g}, cC={cC:.6g}, cE={cE:.6g}")
+        raise NumericalFailure(f"envelope constants out of sign: need cB < 0 < cC, cE; "
+                               f"got cB={cB:.6g}, cC={cC:.6g}, cE={cE:.6g}")
     return out
 
 
@@ -330,8 +336,8 @@ def blowup_bracket(params: ModelParams) -> tuple[float, float | None]:
         t, t_hi = t_hi, t_hi * fac
         fac = min(fac * fac, 2.0)
         if t_hi > _BRACKET_SEARCH_CEILING:
-            raise RuntimeError(f"no bracket: no sign change of the envelope "
-                               f"denominator below t={_BRACKET_SEARCH_CEILING:.3g}")
+            raise NumericalFailure(f"no bracket: no sign change of the envelope "
+                                   f"denominator below t={_BRACKET_SEARCH_CEILING:.3g}")
     t_star = brentq(ec.bracket_fn, t, t_hi, xtol=1e-13, rtol=1e-11)
     supercritical = params.beta0 > ec.a_bar * (1.0 + params.beta) / (ec.c_bar * params.t0)
     t_star_upper = None
@@ -414,7 +420,7 @@ def blowup_ladder(traj: OdeTrajectory) -> tuple[float, float, int]:
     number of dropped triplets); the estimate is the last kept extrapolant.
     """
     if not traj.reached_cap:
-        raise RuntimeError("no blowup detected in window: trajectory never reached f_cap")
+        raise NumericalFailure("no blowup detected in window: trajectory never reached f_cap")
     caps = traj.f_cap / 2.0 ** np.arange(_LADDER_RUNGS - 1, -1, -1)
     times = np.array([traj.time_of_contrast(c) for c in caps])
     ests = []
@@ -425,7 +431,7 @@ def blowup_ladder(traj: OdeTrajectory) -> tuple[float, float, int]:
             continue
         ests.append(t3 + (t3 - t2) / (r - 1.0))
     if not ests:
-        raise RuntimeError("no blowup detected in window: extrapolation ladder degenerate")
+        raise NumericalFailure("no blowup detected in window: extrapolation ladder degenerate")
     est = ests[-1]
     spread = (max(ests) - min(ests)) / est
     return float(est), float(spread), len(times) - 2 - len(ests)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrast_ode import OdeTrajectory
+from .errors import NumericalFailure, UsageError
 from .params import ModelParams
 from .pde import FieldState, compute_psi, diff1
 from .timemaps import TimeMaps
@@ -88,7 +89,7 @@ def fuchsian_fields(state: FieldState, traj: OdeTrajectory, maps: TimeMaps,
     t = state.t
     f, f0 = traj.f_f0_at(t)
     if f <= 0.0:
-        raise ValueError("degenerate pre-perturbation state: f = 0")
+        raise NumericalFailure("degenerate pre-perturbation state: f = 0")
     h = 1.0 / state.n
     u = (state.rho_hat - f) / f
     u0 = (state.drho_dt - f0) / f0
@@ -113,7 +114,7 @@ def wave_block_weight(params: ModelParams) -> float:
     return (25.0 / 9.0) * (2.0 + params.omega) * (1.0 - params.iota3)
 
 
-class DomainError(ValueError):
+class DomainError(NumericalFailure):
     """A point outside the domain of the system: chi <= 0 or 1 + f u/(1+f) <= 0."""
 
 
@@ -383,8 +384,8 @@ def gamma_constants(params: ModelParams, G_range: tuple[float, float]) -> GammaC
     lam, i3, beta, A, B = params.lam, params.iota3, params.beta, params.A, params.B
     g_min, g_max = float(G_range[0]), float(G_range[1])
     if g_min <= -4.0 * B:
-        raise ValueError(f"G range minimum {g_min:.4g} <= -4B = {-4.0 * B:.4g}: "
-                         "chi positivity violated")
+        raise NumericalFailure(f"G range minimum {g_min:.4g} <= -4B = {-4.0 * B:.4g}: "
+                               "chi positivity violated")
     cands = (8.0 * lam / (5.0 * (3.0 + 800.0 * lam)),
              1.0 / 1500.0,
              1.0 / (27.0 * (13.0 * lam + 12.0) * (10.0 * lam + i3 + 9.0) ** 2))
@@ -500,7 +501,7 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
     tau ladder when ``divB_check`` is set.
     """
     if not params.certified:
-        raise ValueError("parameters are outside the certified stiffness range")
+        raise UsageError("parameters are outside the certified stiffness range")
     tau_ladder = _tau_ladder(maps)
     samples = _ball_samples(n_samples, r_tilde, seed)
     samples[0] = 0.0
@@ -581,7 +582,7 @@ def find_certified_radius(params: ModelParams, maps: TimeMaps,
         if worst < constants.gamma1:
             return r
         r *= _RADIUS_SHRINK
-    raise RuntimeError("no certified radius found down to the shrink floor")
+    raise NumericalFailure("no certified radius found down to the shrink floor")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NumericalFailure, UsageError
+
 IOTA_RESIDUAL_TOL = 1e-12
 IOTA3_MAX = 0.2  # certified range of the stiffness parameter
 
@@ -35,10 +37,11 @@ def iota_radical(k_tilde: float) -> float:
 def solve_iota(k_tilde: float) -> float:
     """Solve the cubic identity for iota by bisection refined with Newton steps.
 
-    Raises ValueError for non-positive ``k_tilde``.
+    Raises UsageError for non-positive ``k_tilde`` and NumericalFailure if
+    the root does not converge.
     """
     if not (k_tilde > 0.0) or not math.isfinite(k_tilde):
-        raise ValueError(f"k_tilde must be positive and finite, got {k_tilde!r}")
+        raise UsageError(f"k_tilde must be positive and finite, got {k_tilde!r}")
     p = 9.0 * (k_tilde / 6.0) ** (1.0 / 3.0)
     lo, hi = 0.0, 1.0
     # residual is -1 at 0 and p > 0 at 1, strictly increasing in iota
@@ -53,7 +56,7 @@ def solve_iota(k_tilde: float) -> float:
         r = x**3 + p * x - 1.0
         x -= r / (3.0 * x * x + p)
     if abs(_cubic_residual(x, k_tilde)) >= IOTA_RESIDUAL_TOL:
-        raise ValueError(f"iota root did not converge for k_tilde={k_tilde!r}")
+        raise NumericalFailure(f"iota root did not converge for k_tilde={k_tilde!r}")
     return x
 
 
@@ -63,7 +66,7 @@ def k_from_iota(iota: float) -> float:
     Accepts iota in (0, 1]; iota = 1 maps to k_tilde = 0.
     """
     if not (0.0 < iota <= 1.0):
-        raise ValueError(f"iota must lie in (0, 1], got {iota!r}")
+        raise UsageError(f"iota must lie in (0, 1], got {iota!r}")
     return 6.0 * ((1.0 - iota**3) / (9.0 * iota)) ** 3
 
 
@@ -134,17 +137,17 @@ def build_params(
     """
     iota = solve_iota(k_tilde)
     if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+        raise UsageError(f"beta must be positive, got {beta!r}")
     if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+        raise UsageError(f"gamma must be positive, got {gamma!r}")
     if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam!r}")
+        raise UsageError(f"lambda must be positive, got {lam!r}")
     if not (0.0 < A < 2.0):
-        raise ValueError(f"A out of hypothesis range (0, 2), got {A!r}")
+        raise UsageError(f"A out of hypothesis range (0, 2), got {A!r}")
     certified = True
     if iota**3 > IOTA3_MAX + 1e-12:
         if not force:
-            raise ValueError(
+            raise UsageError(
                 f"iota3 out of theorem range: iota^3 = {iota**3:.6g} > 1/5 "
                 "(pass force=True for non-certified exploration)"
             )
@@ -155,8 +158,8 @@ def build_params(
     )
     residual = _cubic_residual(p.iota, p.k_tilde)
     if not abs(residual) < IOTA_RESIDUAL_TOL:
-        raise RuntimeError(f"iota solve failed: cubic residual {residual:.3g} at "
-                           f"iota={p.iota!r}, k_tilde={p.k_tilde!r}")
+        raise NumericalFailure(f"iota solve failed: cubic residual {residual:.3g} at "
+                               f"iota={p.iota!r}, k_tilde={p.k_tilde!r}")
     return p
 
 
@@ -170,5 +173,5 @@ def params_from_iota3(
 ) -> ModelParams:
     """Convenience constructor pinning iota^3 directly (k_tilde derived)."""
     if not (0.0 < iota3 < 1.0):
-        raise ValueError(f"iota3 must lie in (0, 1), got {iota3!r}")
+        raise UsageError(f"iota3 must lie in (0, 1), got {iota3!r}")
     return build_params(k_from_iota(iota3 ** (1.0 / 3.0)), beta, gamma, lam, A, force)

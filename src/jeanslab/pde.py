@@ -27,14 +27,15 @@ import numpy as np
 from scipy.integrate import DOP853
 
 from .contrast_ode import OdeTrajectory
+from .errors import NumericalFailure, UsageError
 from .params import ModelParams
 
 
-class HyperbolicityLossError(RuntimeError):
-    pass
+class HyperbolicityLossError(NumericalFailure):
+    """The reduced wave operator lost hyperbolicity: gzz <= 0 somewhere on the grid."""
 
 
-class VacuumError(ValueError):
+class VacuumError(NumericalFailure):
     """The contrast reached vacuum: 1 + rho_hat <= 0 somewhere on the grid."""
 
 
@@ -44,7 +45,7 @@ class VacuumError(ValueError):
 
 def zeta_grid(n: int) -> np.ndarray:
     if n < 16 or n % 2:
-        raise ValueError(f"grid size must be even and >= 16, got {n!r}")
+        raise UsageError(f"grid size must be even and >= 16, got {n!r}")
     return np.arange(n) / n
 
 
@@ -221,7 +222,7 @@ def init_from_data(params: ModelParams, d_profile, v_profile, n: int) -> FieldSt
     for name, prof in (("d", d_profile), ("v", v_profile)):
         gap = profile_endpoint_mismatch(prof, params)
         if gap > _PERIODICITY_TOL:
-            raise ValueError(f"profile {name!r} is not 1-log-periodic: "
+            raise UsageError(f"profile {name!r} is not 1-log-periodic: "
                              f"endpoint mismatch {gap:.3g} > {_PERIODICITY_TOL:.3g}")
     r_phys = (1.0 + params.beta) ** (-1.0 / 3.0) * np.exp(zeta)
     f = params.beta
@@ -230,7 +231,7 @@ def init_from_data(params: ModelParams, d_profile, v_profile, n: int) -> FieldSt
     nu = 1.0 + np.asarray(v_profile(r_phys), dtype=float)
     one_pr = 1.0 + rho_hat
     if np.any(one_pr <= 0.0):
-        raise ValueError("initial data reaches vacuum: 1 + rho_hat <= 0")
+        raise UsageError("initial data reaches vacuum: 1 + rho_hat <= 0")
     z_rate = f0 / (3.0 * (1.0 + f))
     drho_dt = (one_pr * f0 / (1.0 + f)
                - z_rate * nu * diff1(rho_hat, h)
@@ -346,7 +347,7 @@ def entropy_field(state: FieldState, traj: OdeTrajectory, params: ModelParams) -
     f, _ = traj.f_f0_at(t)
     om = params.omega
     if np.any(1.0 + state.rho_hat <= 0.0):
-        raise ValueError("entropy undefined at vacuum: 1 + rho_hat <= 0")
+        raise VacuumError("entropy undefined at vacuum: 1 + rho_hat <= 0")
     x_abs = t ** (2.0 / 3.0) * (1.0 + f) ** (-1.0 / 3.0) * np.exp(state.zeta)
     return np.log(t ** (-4.0 / 3.0) * (1.0 + state.rho_hat) ** (2.0 / 3.0 + om)
                   * (1.0 + f) ** (-om) * x_abs**2)
@@ -403,16 +404,16 @@ def evolve(state: FieldState, traj: OdeTrajectory, params: ModelParams,
     an early stop also stores the last accepted state.
     """
     if t_end is None and f_cap is None:
-        raise ValueError("need t_end or f_cap as a stopping rule")
+        raise UsageError("need t_end or f_cap as a stopping rule")
     if controls.out_target < 1:
-        raise ValueError(f"out_target must be >= 1, got {controls.out_target!r}")
+        raise UsageError(f"out_target must be >= 1, got {controls.out_target!r}")
     t_stop = traj.t_end if t_end is None else min(t_end, traj.t_end)
     if f_cap is not None:
         if traj.f[-1] < f_cap:
-            raise ValueError(f"trajectory only reaches f = {traj.f[-1]:.3g} < f_cap")
+            raise NumericalFailure(f"trajectory only reaches f = {traj.f[-1]:.3g} < f_cap")
         t_stop = min(t_stop, traj.time_of_contrast(f_cap))
     if t_stop <= state.t:
-        raise ValueError(f"stop time {t_stop!r} is not after the initial time {state.t!r}")
+        raise UsageError(f"stop time {t_stop!r} is not after the initial time {state.t!r}")
     n = state.n
     out_t = snapshot_times(traj, state.t, t_stop, controls.out_target)
 

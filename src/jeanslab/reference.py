@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contrast_ode import OdeTrajectory
+from .errors import NumericalFailure
 from .params import ModelParams
 
 
@@ -50,7 +51,7 @@ def _fluid_point(t, x, r2, rho: float, v, phi, s, params: ModelParams) -> FluidP
 def _radius_squared(x) -> np.ndarray:
     r2 = np.vecdot(x, x)
     if np.any(r2 == 0.0):
-        raise ValueError("entropy is singular at x = 0 (log of |x|^2)")
+        raise NumericalFailure("entropy is singular at x = 0 (log of |x|^2)")
     return r2
 
 
@@ -59,7 +60,7 @@ def background_state(t: float, x, params: ModelParams) -> FluidPoint:
     x = np.asarray(x, dtype=float)
     r2 = _radius_squared(x)
     if t < params.t0:
-        raise ValueError(f"t must be >= t0 = {params.t0}, got {t!r}")
+        raise NumericalFailure(f"t must be >= t0 = {params.t0}, got {float(t)}")
     i3 = params.iota3
     rho = i3 / (6.0 * math.pi * t * t)
     v = (2.0 / (3.0 * t)) * x
@@ -73,8 +74,8 @@ def homogeneous_state(t: float, x, traj: OdeTrajectory, params: ModelParams) -> 
     x = np.asarray(x, dtype=float)
     r2 = _radius_squared(x)
     if not (traj.t_grid[0] <= t <= traj.t_end):
-        raise ValueError(f"t = {t!r} outside trajectory range "
-                         f"[{traj.t_grid[0]}, {traj.t_end}]")
+        raise NumericalFailure(f"t = {float(t)} outside trajectory range "
+                               f"[{float(traj.t_grid[0])}, {traj.t_end}]")
     f, f0 = traj.f_f0_at(t)
     i3 = params.iota3
     rho = i3 * (1.0 + f) / (6.0 * math.pi * t * t)
@@ -107,7 +108,7 @@ def _time_stencil(state_fn, t, x, h, t_lo, t_hi):
         warnings.warn("time stencil shrunk to second order near the "
                       "trajectory range boundary", stacklevel=3)
         return [state_fn(t + h, x), state_fn(t - h, x)]
-    raise ValueError(f"time stencil around t={t!r} leaves the trajectory range")
+    raise NumericalFailure(f"time stencil around t={float(t)} leaves the trajectory range")
 
 
 def _ddt(vals, h):
@@ -120,7 +121,7 @@ def _ddt(vals, h):
 def _space_points(x, h):
     """x + _FD4_O[k] * h * e_axis at [k, ..., axis, :]: shape (4,) + x.shape[:-1] + (3, 3)."""
     if np.any(np.sqrt(np.vecdot(x, x)) <= 2.0 * h):
-        raise ValueError("sample too close to the origin for the stencil width")
+        raise NumericalFailure("sample too close to the origin for the stencil width")
     offsets = (_FD4_O * h)[:, None, None] * np.eye(3)
     return x[..., None, :] + offsets.reshape((4,) + (1,) * (x.ndim - 1) + (3, 3))
 

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .contrast_ode import OdeTrajectory
+from .errors import NumericalFailure, UsageError
 from .params import ModelParams
 
 
@@ -83,7 +84,7 @@ def _cumulative_simpson_graded(t: np.ndarray, v: np.ndarray, v_mid: np.ndarray) 
 def _refined_grid(traj: OdeTrajectory, refine: int) -> np.ndarray:
     """Solver mesh with each cell split `refine` times (dense output fills values)."""
     if refine < 1:
-        raise ValueError(f"refine must be >= 1, got {refine!r}")
+        raise UsageError(f"refine must be >= 1, got {refine!r}")
     t = traj.t_grid
     return np.append(np.linspace(t[:-1], t[1:], refine + 1, axis=-1)[:, :-1], t[-1])
 
@@ -97,7 +98,7 @@ def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
               mismatch_tol: float = 1e-6) -> TimeMaps:
     """Evaluate both representations of g and the diagnostics chi, xi, G, eta_theta.
 
-    Raises RuntimeError ("representation mismatch") if the two forms of g
+    Raises NumericalFailure ("representation mismatch") if the two forms of g
     disagree by more than 10x the tolerance anywhere; such a gap signals an
     inaccurate contrast integration rather than a quadrature artifact.  chi
     is evaluated from both algebraic forms (the f'-quotient and the
@@ -109,7 +110,7 @@ def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
     thetas = (thetas,) if np.isscalar(thetas) else tuple(thetas)
     for th in thetas:
         if th < 1.0 or th >= theta_cap:
-            raise ValueError(f"theta = {th!r} violates the decay hypothesis "
+            raise UsageError(f"theta = {th!r} violates the decay hypothesis "
                              f"1 <= theta < 2b/((3-2c)A) = {theta_cap:.6g}")
     t = _refined_grid(traj, refine)
     mid = 0.5 * (t[:-1] + t[1:])
@@ -129,14 +130,15 @@ def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
     g_alt = (1.0 + b * B * I2) ** (-A / b)
     gap = float(np.max(np.abs(g - g_alt) / g_alt))
     if gap > 10.0 * mismatch_tol:
-        raise RuntimeError(f"representation mismatch: quotient and f-only forms of g "
-                           f"differ by rel {gap:.3g} (> {10.0 * mismatch_tol:.3g})")
+        raise NumericalFailure(f"representation mismatch: quotient and f-only forms of g "
+                               f"differ by rel {gap:.3g} (> {10.0 * mismatch_tol:.3g})")
     tau = -g
     chi = t ** (2.0 - a) * f0 / ((1.0 + f) ** (2.0 - c) * f * g ** (b / A))
     chi_alt = g ** (-2.0 * b / A) * t ** (2.0 * (1.0 - a)) / (B * f * (1.0 + f) ** (2.0 * (1.0 - c)))
     chi_gap = float(np.max(np.abs(chi - chi_alt) / chi_alt))
     if chi_gap > 10.0 * _CHI_CROSSCHECK_TOL:
-        raise RuntimeError(f"chi cross-check failed: algebraic forms differ by rel {chi_gap:.3g}")
+        raise NumericalFailure(f"chi cross-check failed: algebraic forms differ by rel "
+                               f"{chi_gap:.3g}")
     G_frak = chi - params.chi_limit()
     return TimeMaps(
         params=params, t_grid=t, f=f, f0=f0, g=g, tau=tau, g_alt=g_alt,
@@ -155,7 +157,7 @@ def invert_tau(maps: TimeMaps, tau_query) -> np.ndarray | float:
     tq = np.asarray(tau_query, dtype=float)
     lo, hi = maps.tau[0], maps.tau[-1]
     if np.any(tq < lo - 1e-12) or np.any(tq > hi + 1e-12):
-        raise ValueError(f"tau query outside computed range [{lo:.6g}, {hi:.6g}]")
+        raise NumericalFailure(f"tau query outside computed range [{lo:.6g}, {hi:.6g}]")
     out = maps._t_of_tau(np.clip(tq, lo, hi))
     return float(out) if np.isscalar(tau_query) else out
 

@@ -6,6 +6,8 @@ import pytest
 
 from jeanslab.cli import RunConfig, _jsonable, load_config, main
 from jeanslab.contrast_ode import integrate_contrast
+from jeanslab.errors import NumericalFailure, UsageError
+from jeanslab.fuchsian import DomainError
 
 
 def read_summary(path):
@@ -135,7 +137,7 @@ def test_config_file_and_overrides(tmp_path):
     p.write_text(json.dumps(cfg.__dict__))
     loaded = load_config(p)
     assert loaded.seed == 7
-    with pytest.raises(ValueError, match="unknown config keys"):
+    with pytest.raises(UsageError, match="unknown config keys"):
         load_config_bad(tmp_path)
 
 
@@ -146,7 +148,7 @@ def test_retired_stepper_keys_are_usage_errors(tmp_path, key, value):
     for name, doc in (("cfg.json", cfg), ("manifest.json", {"config": cfg})):
         p = tmp_path / name
         p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"retired config keys \\['{key}'\\].*'pde_rtol'"):
+        with pytest.raises(UsageError, match=f"retired config keys \\['{key}'\\].*'pde_rtol'"):
             load_config(p)
         assert main(["simulate", "--config", str(p)]) == 2
 
@@ -168,13 +170,73 @@ def test_numerical_error_exit_code(tmp_path, monkeypatch):
     import jeanslab.cli as cli
 
     def boom(*a, **k):
-        raise RuntimeError("stiffness failure (synthetic)")
+        raise NumericalFailure("stiffness failure (synthetic)")
 
     monkeypatch.setattr(cli, "integrate_contrast", boom)
     rc = main(["ode", "--output-dir", str(tmp_path / "n")])
     assert rc == 3
     err = json.loads((tmp_path / "n" / "error.json").read_text())
     assert err["kind"] == "numerical"
+
+
+def test_domain_error_exits_as_numerical_failure(tmp_path, monkeypatch):
+    # DomainError leaves the system's domain: a numerical failure, not a usage error
+    import jeanslab.cli as cli
+
+    def out_of_domain(*a, **k):
+        raise DomainError("chi must stay positive (synthetic)")
+
+    monkeypatch.setattr(cli, "verify_conditions", out_of_domain)
+    out = tmp_path / "d"
+    assert main(["fuchsian-check", "--output-dir", str(out)]) == 3
+    assert json.loads((out / "error.json").read_text())["kind"] == "numerical"
+
+
+def test_other_exceptions_propagate(tmp_path, monkeypatch):
+    # an exception outside the hierarchy is a bug: no exit code, no error.json
+    import jeanslab.cli as cli
+
+    def bug(*a, **k):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(cli, "integrate_contrast", bug)
+    out = tmp_path / "b"
+    with pytest.raises(TypeError, match="synthetic bug"):
+        main(["ode", "--output-dir", str(out)])
+    assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("config", [
+    '{"command": "iota", "bogus_key": 1}',
+    '{"command": "iota", "cfl": 0.4}',
+    '{"command": "iota", "beta": "0.1"}',
+    '{"command": "iota",',
+    '[1, 2]',
+    None,  # no config file
+], ids=["unknown-key", "retired-key", "wrong-type", "malformed-json", "not-an-object",
+        "missing-file"])
+def test_config_errors_exit_2(tmp_path, config):
+    p = tmp_path / "cfg.json"
+    if config is not None:
+        p.write_text(config)
+    assert main(["iota", "--config", str(p), "--output-dir", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()  # rejected before the run directory is made
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "bogus"},
+    {"kind": "cosine", "eps": "large"},
+    {"kind": "square", "eps": 1e-3, "delta": 0.0},
+    {"kind": "table", "path": "no-such-table.csv"},
+], ids=["unknown-kind", "non-numeric-eps", "zero-delta", "missing-table"])
+def test_profile_errors_exit_2(tmp_path, profile):
+    out = tmp_path / "p"
+    cfg = {"command": "simulate", "grid_n": 32, "pde_f_cap": 5.0, "profile": profile,
+           "output_dir": str(out)}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(p)]) == 2
+    assert json.loads((out / "error.json").read_text())["kind"] == "usage"
 
 
 def test_residuals_and_blowup_build_no_time_maps(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from jeanslab.contrast_ode import (ToleranceSpec, blowup_bracket, blowup_ladder,
                                    bound_certificates, envelope_constants,
                                    integrate_contrast, rk4_reference,
                                    zero_trajectory)
+from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import params_from_iota3
 from jeanslab.timemaps import _refined_grid, compute_g
 
@@ -36,6 +37,23 @@ def test_zero_data_fixed_point():
                             controls=ToleranceSpec(1e-10, 1e-16, t_ceiling=10.0))
     assert not tr.reached_cap
     assert tr.f.max() < 1e-10
+
+
+def test_time_of_contrast_is_independent_of_the_cap(traj, traj_deep, params):
+    # the same solver steps hold f = 1e3 on all three, so the root is the same float
+    shallow = integrate_contrast(params, f_cap=1e4, controls=TIGHT)
+    t = shallow.time_of_contrast(1e3)
+    assert traj.time_of_contrast(1e3) == t
+    assert traj_deep.time_of_contrast(1e3) == t
+
+
+def test_time_of_contrast_at_the_stored_contrasts(traj):
+    # the dense output at a step end can differ in the last bit from the stored f there;
+    # a target at (or one ulp off) a stored value is still bracketed, and found at that
+    # step end to the root search's tolerance
+    for t_k, f_k in zip(traj.t_grid[:-1], traj.f[:-1]):
+        for target in (f_k, np.nextafter(f_k, 0.0), np.nextafter(f_k, np.inf)):
+            assert traj.time_of_contrast(float(target)) == pytest.approx(t_k, rel=0, abs=2e-14)
 
 
 def test_rk4_oracle_cross_validation(traj, params):
@@ -70,12 +88,12 @@ def test_envelope_constants_frozen(params):
 
 def test_envelope_constants_sign_check(params):
     # c > 1 is the model's regime; c = 1/2 flips the sign of cE
-    with pytest.raises(RuntimeError, match="envelope constants"):
+    with pytest.raises(NumericalFailure, match="envelope constants"):
         envelope_constants(dataclasses.replace(params, ode_c=0.5))
 
 
 def test_f_f0_at_equals_separate_calls(traj):
-    # repeated times hit the one-entry memo, alternating ones replace it
+    # repeated and alternating times
     t0, t_a, t_b = traj.t_grid[0], 0.5 * (traj.t_grid[0] + traj.t_end), traj.t_end
     for t in (t_a, t_a, t_b, t_a, t_b, t_b, t0, t_a, t0):
         f, f0 = traj.f_f0_at(t)
@@ -217,7 +235,7 @@ def test_no_blowup_detected_error(params):
     tr = integrate_contrast(params, f_cap=1e6,
                             controls=ToleranceSpec(1e-10, 1e-12, t_ceiling=1.5))
     assert not tr.reached_cap
-    with pytest.raises(RuntimeError, match="no blowup detected"):
+    with pytest.raises(NumericalFailure, match="no blowup detected"):
         blowup_ladder(tr)
 
 
@@ -235,7 +253,7 @@ def test_blowup_ladder_counts_dropped_triplets():
     assert est == pytest.approx(1.5, abs=1e-12)
     assert spread < 1e-12
     assert blowup_ladder(_ladder_stub([1.0, 1.5, 1.75, 1.875, 1.9375]))[2] == 0
-    with pytest.raises(RuntimeError, match="degenerate"):
+    with pytest.raises(NumericalFailure, match="degenerate"):
         blowup_ladder(_ladder_stub([1.0, 1.1, 1.3, 1.7, 2.5]))
 
 
@@ -266,5 +284,5 @@ def test_zero_trajectory(params):
 
 
 def test_f_cap_precondition(params):
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         integrate_contrast(params, f_cap=0.05)

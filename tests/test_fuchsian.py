@@ -7,6 +7,7 @@ from scipy.interpolate import PchipInterpolator
 
 from conftest import cosine_profiles, flat_profiles
 from jeanslab import fuchsian, pde
+from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import (DomainError, assemble_matrices, find_certified_radius,
                                fuchsian_fields, gamma_constants, q_lower_bound,
                                q_quantity, system_residual, system_rhs_direct,
@@ -127,9 +128,9 @@ def test_z_shrinks_with_radius(params):
 
 
 def test_domain_guards(params):
-    with pytest.raises(ValueError, match="fractional-power"):
+    with pytest.raises(DomainError, match="fractional-power"):
         assemble_matrices(-0.5, np.array([0.0, 0.0, -3.0, 0.0, 0.0]), 0.0, 10.0, params)
-    with pytest.raises(ValueError, match="chi must stay positive"):
+    with pytest.raises(DomainError, match="chi must stay positive"):
         assemble_matrices(-0.5, np.zeros(5), -5.0 * params.B, 1.0, params)
 
 
@@ -187,7 +188,7 @@ def test_gamma_randomized_order():
 
 
 def test_gamma_rejects_bad_G_range(params):
-    with pytest.raises(ValueError, match="positivity"):
+    with pytest.raises(NumericalFailure, match="positivity"):
         gamma_constants(params, (-4.1 * params.B, 1.0))
 
 
@@ -229,7 +230,7 @@ def test_noncertified_params_refused(maps_deep, gconsts):
     from jeanslab.params import build_params, k_from_iota
 
     loose = build_params(k_from_iota(0.7), beta=0.1, gamma=0.5, force=True)
-    with pytest.raises(ValueError, match="certified"):
+    with pytest.raises(UsageError, match="certified"):
         verify_conditions(loose, maps_deep, gconsts, r_tilde=1e-7, n_samples=10)
 
 
@@ -334,7 +335,7 @@ def _radius_loop(params, maps, constants, seed=20240, n_samples=400, r_start=1e-
             for U in samples:
                 try:
                     ev = assemble_matrices(float(tau), U, g_val, f_val, params)
-                except ValueError:
+                except DomainError:
                     worst = math.inf
                     break
                 worst = max(worst, ev.sum_abs_z)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import (build_params, iota_radical, k_from_iota,
                              params_from_iota3, solve_iota)
 
@@ -47,9 +48,9 @@ def test_cubic_residual_everywhere():
 
 
 def test_solve_iota_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         solve_iota(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         solve_iota(-1.0)
 
 
@@ -58,9 +59,9 @@ def test_k_from_iota():
     assert abs(k_from_iota(5.0 ** (-1.0 / 3.0)) - 0.0211) < 2e-4
     # round trip
     assert abs(solve_iota(k_from_iota(0.5)) - 0.5) < 1e-10
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         k_from_iota(1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         k_from_iota(0.0)
 
 
@@ -77,15 +78,15 @@ def test_build_params_example():
 
 def test_build_params_rejections():
     k = k_from_iota(0.2 ** (1.0 / 3.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         build_params(k, beta=0.0, gamma=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         build_params(k, beta=0.1, gamma=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         build_params(k, beta=0.1, gamma=0.5, lam=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         build_params(k, beta=0.1, gamma=0.5, A=2.0)
-    with pytest.raises(ValueError, match="iota3 out of theorem range"):
+    with pytest.raises(UsageError, match="iota3 out of theorem range"):
         build_params(k_from_iota(0.7), beta=0.1, gamma=0.5)
     # escape hatch marks the result non-certified
     p = build_params(k_from_iota(0.7), beta=0.1, gamma=0.5, force=True)
@@ -97,7 +98,7 @@ def test_build_params_checks_iota_residual(monkeypatch):
 
     k = k_from_iota(0.2 ** (1.0 / 3.0))
     monkeypatch.setattr(params_mod, "solve_iota", lambda k_tilde: 0.5)
-    with pytest.raises(RuntimeError, match="cubic residual"):
+    with pytest.raises(NumericalFailure, match="cubic residual"):
         build_params(k, beta=0.1, gamma=0.5)
 
 

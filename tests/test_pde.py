@@ -3,6 +3,7 @@ import pytest
 
 from conftest import cosine_profiles, flat_profiles
 from jeanslab import pde
+from jeanslab.errors import UsageError
 from jeanslab.pde import (EvolveControls, FieldState, compute_psi,
                           continuity_residual, data_smallness, diff1, diff2,
                           entropy_field, evolve, init_from_data,
@@ -124,14 +125,14 @@ def test_data_smallness_scales(params):
 
 
 def test_nonperiodic_profile_rejected(params):
-    with pytest.raises(ValueError, match="log-periodic"):
+    with pytest.raises(UsageError, match="log-periodic"):
         init_from_data(params, lambda r: 1.0 + 0.01 * np.log(r), lambda r: -np.ones_like(r), 64)
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         zeta_grid(8)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         zeta_grid(33)
 
 
@@ -211,7 +212,7 @@ def test_rhs_vacuum_guard(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
     st.rho_hat = st.rho_hat - 2.0
-    with pytest.raises(ValueError, match="vacuum"):
+    with pytest.raises(pde.VacuumError, match="vacuum"):
         rhs(st.t, _y(st), traj, params)
 
 
@@ -425,7 +426,7 @@ def test_evolve_propagates_other_value_errors(traj, params, monkeypatch):
 def test_evolve_requires_stop_rule(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         evolve(st, traj, params)
 
 
@@ -486,9 +487,9 @@ def test_snapshot_schedule(traj, params):
 def test_evolve_rejects_empty_schedule(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 32)
-    with pytest.raises(ValueError, match="out_target"):
+    with pytest.raises(UsageError, match="out_target"):
         evolve(st, traj, params, f_cap=10.0, controls=EvolveControls(out_target=0))
-    with pytest.raises(ValueError, match="not after the initial time"):
+    with pytest.raises(UsageError, match="not after the initial time"):
         evolve(st, traj, params, t_end=st.t)
 
 

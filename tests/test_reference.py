@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jeanslab.contrast_ode import zero_trajectory
+from jeanslab.errors import NumericalFailure
 from jeanslab.reference import (background_state, euler_poisson_residual,
                                 homogeneous_state, sample_annulus, source_terms)
 
@@ -47,7 +48,7 @@ def test_background_poisson_closed_form(params):
 
 
 def test_background_origin_rejected(params):
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(NumericalFailure, match="singular"):
         background_state(1.0, np.zeros(3), params)
 
 
@@ -170,7 +171,7 @@ def test_entropy_identity_for_transported_contrast(traj, params, pts):
 
 
 def test_stencil_guard(traj, params):
-    with pytest.raises(ValueError, match="stencil"):
+    with pytest.raises(NumericalFailure, match="stencil"):
         source_terms(1.5, np.array([1e-4, 0.0, 0.0]),
                      lambda t, x: homogeneous_state(t, x, traj, params),
                      traj, params)
@@ -186,7 +187,7 @@ def test_time_stencil_shrinks_near_boundary(traj, params, pts):
             [1.0 + 1.5 * h], pts[:4], traj, params, h=h)
     assert max(rep.max_norms.values()) < 1e-4  # second-order stencil budget
 
-    with pytest.raises(ValueError, match="leaves the trajectory range"):
+    with pytest.raises(NumericalFailure, match="leaves the trajectory range"):
         euler_poisson_residual(
             lambda t, x: homogeneous_state(t, x, traj, params),
             [1.0], pts[:2], traj, params, h=h)

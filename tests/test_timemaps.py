@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
+from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import params_from_iota3
 from jeanslab.timemaps import (_refined_grid, check_G_decay, compute_g,
                                dchi_dt_analytic, invert_tau, terminal_window)
@@ -46,7 +47,7 @@ def test_invert_tau_roundtrip(maps):
     # monotone
     order = np.argsort(tq)
     assert np.all(np.diff(np.asarray(t_back)[order]) > 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalFailure):
         invert_tau(maps, -1.5)
 
 
@@ -85,7 +86,7 @@ def test_eta2_sub_1e3_for_fast_collapse():
 
 
 def test_theta_hypothesis_rejected(traj, params):
-    with pytest.raises(ValueError, match="decay hypothesis"):
+    with pytest.raises(UsageError, match="decay hypothesis"):
         compute_g(traj, params, thetas=(4.5,))
 
 
@@ -119,7 +120,7 @@ def test_dchi_closed_form_at_t0(maps, params):
 
 def test_representation_mismatch_detection(traj, params):
     # corrupting the tolerance budget must raise rather than silently pass
-    with pytest.raises(RuntimeError, match="representation mismatch"):
+    with pytest.raises(NumericalFailure, match="representation mismatch"):
         compute_g(traj, params, refine=2, mismatch_tol=1e-13)
 
 
@@ -148,5 +149,5 @@ def test_refined_grid_equals_per_step_linspace(refine, traj, traj_deep, traj_win
 
 
 def test_refined_grid_rejects_refine_below_one(traj):
-    with pytest.raises(ValueError, match="refine"):
+    with pytest.raises(UsageError, match="refine"):
         _refined_grid(traj, 0)
