@@ -11,7 +11,7 @@ from .contrast_ode import (BoundReport, OdeTrajectory, ToleranceSpec,
                            blowup_bracket, blowup_ladder, bound_certificates,
                            envelope_constants, integrate_contrast,
                            rk4_reference, zero_trajectory)
-from .timemaps import TimeMaps, check_G_decay, compute_g, invert_tau, terminal_window
+from .timemaps import TimeMaps, check_G_decay, compute_g, terminal_window
 from .reference import (FluidPoint, ResidualReport, background_state,
                         euler_poisson_residual, homogeneous_state,
                         sample_annulus, source_terms)

@@ -31,16 +31,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contrast_ode import (OdeTrajectory, ToleranceSpec, blowup_bracket,
-                           blowup_ladder, bound_certificates, envelope_constants,
-                           integrate_contrast, zero_trajectory)
+from .contrast_ode import (LADDER_RUNGS, OdeTrajectory, ToleranceSpec,
+                           blowup_bracket, blowup_ladder, bound_certificates,
+                           envelope_constants, integrate_contrast, zero_trajectory)
 from .errors import JeanslabError, UsageError
 from .fuchsian import (find_certified_radius, gamma_constants, q_lower_bound,
                        q_quantity, verify_conditions)
 from .params import ModelParams, build_params, params_from_iota3, solve_iota
 from .pde import (EvolveControls, data_smallness, entropy_field, evolve,
                   init_from_data)
-from .reference import (background_state, euler_poisson_residual,
+from .reference import (FD_STEP, background_state, euler_poisson_residual,
                         homogeneous_state, sample_annulus)
 from .timemaps import check_G_decay, compute_g
 
@@ -58,9 +58,9 @@ class RunConfig:
     grid_n: int = 128
     f_cap: float = 1e6
     pde_f_cap: float = 1e3
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    pde_rtol: float = 1e-10
+    rel_tol: float = ToleranceSpec.rel_tol
+    abs_tol: float = ToleranceSpec.abs_tol
+    pde_rtol: float = EvolveControls.pde_rtol
     n_fuchsian_samples: int = 2000
     output_dir: str = "runs/out"
     seed: int = 20240
@@ -71,6 +71,20 @@ class RunConfig:
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
 # keys of the fixed-step PDE stepper, which error control replaced
 _RETIRED_KEYS = {"cfl", "growth_cap"}
+# the two parameterisations of the stiffness: a config or command line names one
+_STIFFNESS_KEYS = {"iota3", "k_tilde"}
+# the exact solutions whose residuals ``residuals`` checks
+_FAMILIES = ("background", "homogeneous", "both")
+
+
+def _name_stiffness(cfg: RunConfig, given, source: str) -> None:
+    """Clear the stiffness key that ``given`` does not name; both named is a usage error."""
+    named = _STIFFNESS_KEYS & set(given)
+    if len(named) > 1:
+        raise UsageError(f"{source} names both iota3 and k_tilde; give one of them")
+    if named:
+        (other,) = _STIFFNESS_KEYS - named
+        setattr(cfg, other, None)
 
 
 def load_config(path: str | Path, command: str | None = None) -> RunConfig:
@@ -98,7 +112,10 @@ def load_config(path: str | Path, command: str | None = None) -> RunConfig:
         raw["command"] = command
     if "command" not in raw:
         raise UsageError("config missing 'command'")
-    return RunConfig(**raw)
+    cfg = RunConfig(**raw)
+    _name_stiffness(cfg, [k for k in _STIFFNESS_KEYS if raw.get(k) is not None],
+                    f"config {str(path)!r}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +322,18 @@ def cmd_iota(run: RunDir) -> None:
                         {"iota": iotas}, title="iota vs log10 k_tilde")
 
 
+def _ladder_trajectory(run: RunDir) -> OdeTrajectory:
+    """The trajectory to f_cap, refused when the blowup ladder's lowest rung is below beta."""
+    lowest = run.cfg.f_cap / 2.0 ** (LADDER_RUNGS - 1)
+    if lowest < run.params.beta:
+        raise UsageError(f"f_cap {run.cfg.f_cap!r} is too small: the lowest rung of the blowup "
+                         f"ladder, {lowest:.6g}, is below beta = {run.params.beta!r}")
+    return run.trajectory(run.cfg.f_cap)
+
+
 def cmd_ode(run: RunDir) -> None:
     params = run.params
-    traj = run.trajectory(run.cfg.f_cap)
+    traj = _ladder_trajectory(run)
     maps = compute_g(traj, params, refine=2, thetas=(2.0,))
     eta2 = maps.eta[2.0]
     _write_csv(run.add_artifact("trajectory.csv"),
@@ -352,7 +378,7 @@ def cmd_ode(run: RunDir) -> None:
 
 def cmd_blowup(run: RunDir) -> None:
     params = run.params
-    traj = run.trajectory(run.cfg.f_cap)
+    traj = _ladder_trajectory(run)
     rep = bound_certificates(traj, params)
     est, spread, dropped = blowup_ladder(traj)
     t = traj.t_grid
@@ -393,6 +419,10 @@ def cmd_residuals(run: RunDir) -> None:
         run.verdict("background_residuals_below_1e-6", rep.verdict)
     if family in ("homogeneous", "both"):
         traj = run.trajectory(run.cfg.f_cap)
+        t_need = t_values[-1] + 2.0 * FD_STEP
+        if traj.t_end < t_need:
+            raise UsageError(f"f_cap {run.cfg.f_cap!r} is too small for the residual times: "
+                             f"its trajectory ends at t = {traj.t_end:.6g} < {t_need:.6g}")
         rep = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj, params),
                                      t_values, pts, traj, params)
         out["homogeneous"] = {"max_norms": rep.max_norms, "verdict": rep.verdict,
@@ -505,57 +535,51 @@ def build_parser() -> argparse.ArgumentParser:
                     "log-periodic evolution, and coefficient certification.")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None,
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", type=str,
                        help="JSON config (a manifest.json also works)")
-        p.add_argument("--output-dir", type=str, default=None)
-        p.add_argument("--iota3", type=float, default=None)
-        p.add_argument("--k-tilde", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--lam", type=float, default=None)
-        p.add_argument("--A", dest="A", type=float, default=None)
-        p.add_argument("--grid-n", type=int, default=None)
-        p.add_argument("--f-cap", type=float, default=None)
-        p.add_argument("--pde-f-cap", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--profile-kind", type=str, default=None,
+        p.add_argument("--output-dir", type=str)
+        for flag in ("--iota3", "--k-tilde", "--beta", "--gamma", "--lam", "--A"):
+            p.add_argument(flag, type=float)
+        p.add_argument("--grid-n", type=int)
+        for flag in ("--f-cap", "--pde-f-cap"):
+            p.add_argument(flag, type=float)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--profile-kind", dest="profile.kind", type=str,
                        choices=["homogeneous", "cosine", "square", "table"])
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--family", type=str, default=None,
-                       choices=["background", "homogeneous", "both"])
-        p.add_argument("--svg", action="store_true", default=None)
-        p.add_argument("--force", action="store_true", default=None,
+        p.add_argument("--eps", dest="profile.eps", metavar="EPS", type=float)
+        p.add_argument("--family", dest="profile.family", type=str, choices=_FAMILIES)
+        p.add_argument("--svg", action="store_true")
+        p.add_argument("--force", action="store_true",
                        help="admit iota^3 > 1/5 (results marked non-certified)")
     return ap
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        cfg = load_config(args.config, command=args.command)
-    else:
-        cfg = RunConfig(command=args.command)
-    override_map = {
-        "output_dir": args.output_dir, "iota3": args.iota3, "beta": args.beta,
-        "gamma": args.gamma, "lam": args.lam, "A": args.A, "grid_n": args.grid_n,
-        "f_cap": args.f_cap, "pde_f_cap": args.pde_f_cap, "seed": args.seed,
-        "svg": args.svg, "force": args.force,
-    }
-    for k, v in override_map.items():
-        if v is not None:
-            setattr(cfg, k, v)
-    if args.k_tilde is not None:
-        cfg.k_tilde = args.k_tilde
-        cfg.iota3 = None
-    if args.profile_kind is not None:
-        cfg.profile = dict(cfg.profile)
-        cfg.profile["kind"] = args.profile_kind
-    if args.eps is not None:
-        cfg.profile = dict(cfg.profile)
-        cfg.profile["eps"] = args.eps
-    if args.family is not None:
-        cfg.profile = dict(cfg.profile)
-        cfg.profile["family"] = args.family
+    """The --config file or the defaults, then each flag given (the namespace holds
+    only those, under their config keys; ``profile.*`` keys go into ``profile``)."""
+    given = dict(vars(args))
+    command, path = given.pop("command"), given.pop("config", None)
+    cfg = load_config(path, command=command) if path else RunConfig(command=command)
+    _name_stiffness(cfg, given, "the command line")
+    for key, value in given.items():
+        if key.startswith("profile."):
+            cfg.profile = {**cfg.profile, key.removeprefix("profile."): value}
+        else:
+            setattr(cfg, key, value)
+    # refuse settings that no run can use, before the run directory exists
+    if cfg.iota3 is None and cfg.k_tilde is None:
+        raise UsageError("the config sets neither iota3 nor k_tilde")
+    family = cfg.profile.get("family", "both")
+    if family not in _FAMILIES:
+        raise UsageError(f"profile family {family!r} is not one of {list(_FAMILIES)}")
+    if cfg.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {cfg.seed!r}")
+    if cfg.n_fuchsian_samples < 1:
+        raise UsageError(f"n_fuchsian_samples must be >= 1, got {cfg.n_fuchsian_samples!r}")
+    for key in ("rel_tol", "abs_tol", "pde_rtol"):
+        if not getattr(cfg, key) > 0.0:
+            raise UsageError(f"{key} must be positive, got {getattr(cfg, key)!r}")
     return cfg
 
 

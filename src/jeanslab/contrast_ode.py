@@ -32,8 +32,8 @@ from .params import ModelParams
 
 @dataclass(frozen=True)
 class ToleranceSpec:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-14
     t_ceiling: float = 1e6
 
 
@@ -100,13 +100,13 @@ class _DenseRK45:
 class OdeTrajectory:
     """Dense-output record of one contrast integration.
 
-    ``t_grid`` holds the accepted solver steps.  ``f_at`` / ``f0_at`` evaluate
-    the dense output at times of any shape inside [t0, t_end], and ``f_f0_at``
-    evaluates both from one read.  All reads, and the root search of
-    ``time_of_contrast``, go through one evaluator of the RK45 interpolant on
-    every step (``_DenseRK45``), which reproduces scipy's ``OdeSolution`` bit
-    for bit.  The record holds no blowup-time estimate; ``blowup_ladder``
-    extrapolates one from it on request.
+    ``t_grid`` holds the accepted solver steps.  ``f_f0_at`` is the one reader
+    of the dense output: it gives (f, f') at a time or at an array of times
+    inside [t0, t_end].  It, and the root search of ``time_of_contrast``, go
+    through one evaluator of the RK45 interpolant on every step
+    (``_DenseRK45``), which reproduces scipy's ``OdeSolution`` bit for bit.
+    The record holds no blowup-time estimate; ``blowup_ladder`` extrapolates
+    one from it on request.
     """
 
     params: ModelParams
@@ -118,21 +118,9 @@ class OdeTrajectory:
     reached_cap: bool
     _sol: _DenseRK45 | None = field(default=None, repr=False)
 
-    def f_at(self, t):
-        """Contrast f(t) from dense output (scalar or array t)."""
-        return np.expm1(self._sol(t)[0])
-
-    def f0_at(self, t):
-        """Derivative f'(t) from dense output."""
-        y, yp = self._sol(t)
-        return yp * np.exp(y)
-
     def f_f0_at(self, t):
-        """(f(t), f'(t)) from one dense-output read.
-
-        For a scalar time the pair is (float(f_at(t)), float(f0_at(t))); for an
-        array of times it is (f_at(t), f0_at(t)).
-        """
+        """(f(t), f'(t)) from one dense-output read: arrays of t's shape for a numpy
+        array t, read over all times at once, and floats by the scalar path otherwise."""
         if type(t) is np.ndarray:
             y, yp = self._sol(t)
             return np.expm1(y), yp * np.exp(y)
@@ -317,7 +305,7 @@ def envelope_constants(params: ModelParams) -> EnvelopeConstants:
 
 
 _BRACKET_SEARCH_CEILING = 1e12  # blowup_bracket scans t up to here for a sign change
-_LADDER_RUNGS = 5  # blowup_ladder's crossing contrasts are f_cap / 2^k, k < _LADDER_RUNGS
+LADDER_RUNGS = 5  # blowup_ladder's crossing contrasts are f_cap / 2^k, k < LADDER_RUNGS
 
 
 def blowup_bracket(params: ModelParams) -> tuple[float, float | None]:
@@ -421,7 +409,7 @@ def blowup_ladder(traj: OdeTrajectory) -> tuple[float, float, int]:
     """
     if not traj.reached_cap:
         raise NumericalFailure("no blowup detected in window: trajectory never reached f_cap")
-    caps = traj.f_cap / 2.0 ** np.arange(_LADDER_RUNGS - 1, -1, -1)
+    caps = traj.f_cap / 2.0 ** np.arange(LADDER_RUNGS - 1, -1, -1)
     times = np.array([traj.time_of_contrast(c) for c in caps])
     ests = []
     for i in range(len(times) - 2):

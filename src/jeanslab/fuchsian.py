@@ -95,8 +95,8 @@ def fuchsian_fields(state: FieldState, traj: OdeTrajectory, maps: TimeMaps,
     u0 = (state.drho_dt - f0) / f0
     uz = (params.c_scale / (1.0 + f)) * diff1(state.rho_hat, h)
     psi = compute_psi(u)
-    tau = float(-maps.g_at(t))
-    return FuchsianFields(tau=tau, t=t, f=f, G_frak=maps.G_at(t),
+    g, G = maps.g_G_at(t)
+    return FuchsianFields(tau=-g, t=t, f=f, G_frak=G,
                           U=np.vstack([u0, uz, u, state.nu, psi]))
 
 
@@ -514,7 +514,8 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
     chunks = samples[starts[:, None] + np.arange(per_tau)]
     U = np.concatenate([np.zeros((len(tau_ladder), 1, 5)), chunks], axis=1)
     tau = tau_ladder[:, None]
-    ev = assemble_matrices(tau, U, maps.G_of_tau(tau), maps.f_of_tau(tau), params)
+    f_val, g_val = maps.f_G_at_tau(tau)
+    ev = assemble_matrices(tau, U, g_val, f_val, params)
 
     symmetric = bool(np.array_equal(ev.B0, ev.B0.swapaxes(-1, -2))
                      and np.array_equal(ev.Bz, ev.Bz.swapaxes(-1, -2)))
@@ -554,7 +555,7 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
 def _G_halforder_bound(maps: TimeMaps, tau_ladder: np.ndarray) -> tuple[float, bool]:
     """Sup of |G|/sqrt(-tau) over the ladder; stable under 2x refinement."""
     def weighted_sup(taus):
-        return float(np.max(np.abs(maps.G_of_tau(taus)) / np.sqrt(-taus)))
+        return float(np.max(np.abs(maps.f_G_at_tau(taus)[1]) / np.sqrt(-taus)))
 
     coarse = weighted_sup(tau_ladder)
     mids = -np.sqrt(tau_ladder[:-1] * tau_ladder[1:])  # geometric midpoints
@@ -571,7 +572,7 @@ def find_certified_radius(params: ModelParams, maps: TimeMaps,
     domain of the system (DomainError) at any rung.
     """
     tau = _tau_ladder(maps)[:, None]
-    f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
+    f_val, g_val = maps.f_G_at_tau(tau)
     r = r_start
     for _ in range(_RADIUS_TRIES):
         samples = _ball_samples(n_samples, r, seed)
@@ -590,7 +591,7 @@ def find_certified_radius(params: ModelParams, maps: TimeMaps,
 
 
 def _divB_pieces(tau, U, W, maps, params, eps=1e-7):
-    f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
+    f_val, g_val = maps.f_G_at_tau(tau)
     ev = assemble_matrices(tau, U, g_val, f_val, params)
     b0_inv = np.linalg.inv(ev.B0)
     # U-directions: B0^-1 times each right-side part a, b, e (for B0), W (for Bz)
@@ -602,7 +603,8 @@ def _divB_pieces(tau, U, W, maps, params, eps=1e-7):
     dtau = 1e-5 * abs(tau)
     taus = np.array([tau] * 8 + [tau + dtau, tau - dtau])
     pts = np.concatenate([U + eps * unit, U - eps * unit, [U, U]])
-    st = assemble_matrices(taus, pts, maps.G_of_tau(taus), maps.f_of_tau(taus), params)
+    f_st, g_st = maps.f_G_at_tau(taus)
+    st = assemble_matrices(taus, pts, g_st, f_st, params)
     pieces = {k: norms[n] * (st.B0[n] - st.B0[4 + n]) / (2.0 * eps)
               for n, k in enumerate(("a_flux", "b_singular", "e_halforder"))}
     pieces["c_dUBz"] = norms[3] * (st.Bz[3] - st.Bz[7]) / (2.0 * eps)

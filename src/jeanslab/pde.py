@@ -409,6 +409,8 @@ def evolve(state: FieldState, traj: OdeTrajectory, params: ModelParams,
         raise UsageError(f"out_target must be >= 1, got {controls.out_target!r}")
     t_stop = traj.t_end if t_end is None else min(t_end, traj.t_end)
     if f_cap is not None:
+        if not f_cap > params.beta:
+            raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {params.beta!r}")
         if traj.f[-1] < f_cap:
             raise NumericalFailure(f"trajectory only reaches f = {traj.f[-1]:.3g} < f_cap")
         t_stop = min(t_stop, traj.time_of_contrast(f_cap))

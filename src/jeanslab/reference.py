@@ -91,6 +91,7 @@ def homogeneous_state(t: float, x, traj: OdeTrajectory, params: ModelParams) -> 
 
 _FD4_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 _FD4_O = np.array([-2.0, -1.0, 1.0, 2.0])
+FD_STEP = 1e-3  # default spacing h of the difference stencils, in time and space alike
 
 
 def _fd4(vals, h):
@@ -155,7 +156,7 @@ def _sources(t, x, pt, space, traj, params, h):
 
 
 def source_terms(t: float, x, state_fn, traj: OdeTrajectory, params: ModelParams,
-                 h: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+                 h: float = FD_STEP) -> tuple[np.ndarray, np.ndarray]:
     """Momentum damping D (shape (..., 3)) and entropy production S (shape (...)) at x.
 
     D is linear in the velocity deviation from the homogeneous flow; S is
@@ -203,7 +204,7 @@ def _norms(vals) -> tuple[float, float]:
 
 
 def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
-                           params: ModelParams, h: float = 1e-3,
+                           params: ModelParams, h: float = FD_STEP,
                            threshold: float = 1e-6) -> ResidualReport:
     """Residual norms of continuity, momentum, entropy transport and Poisson.
 

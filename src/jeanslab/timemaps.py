@@ -9,7 +9,8 @@ Their agreement is a strong consistency certificate for the ODE solution,
 because equality of the two integrands is equivalent to the closed-form
 expression of f' in terms of (f, g).  Both integrals are evaluated by
 cumulative composite Simpson on the solver's own graded mesh (midpoints from
-dense output), which keeps the steep terminal region resolved.
+dense output), which keeps the steep terminal region resolved.  Only the
+quotient form is kept on the record; the f-only form survives as its gap.
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ from .params import ModelParams
 
 @dataclass(frozen=True)
 class TimeMaps:
-    """Time transform and diagnostics sampled on a refined trajectory grid."""
+    """Time transform and diagnostics sampled on a refined trajectory grid.
+
+    Off the grid, ``f_G_at_tau`` reads (f, G) at compactified times tau and
+    ``g_G_at`` reads (g, G) at times t, each through one vector-valued PCHIP
+    interpolant: floats for a scalar argument, arrays of its shape otherwise."""
 
     params: ModelParams
     t_grid: np.ndarray
@@ -34,39 +39,29 @@ class TimeMaps:
     f0: np.ndarray
     g: np.ndarray
     tau: np.ndarray
-    g_alt: np.ndarray
     representation_gap: float
     chi: np.ndarray
     xi: np.ndarray
     G_frak: np.ndarray
     eta: dict
-    _t_of_tau: PchipInterpolator = field(repr=False)
-    _g_of_t: PchipInterpolator = field(repr=False)
-    # ln(1+f) and G of tau, G of t
-    _log1pf_of_tau: PchipInterpolator = field(repr=False)
-    _G_of_tau: PchipInterpolator = field(repr=False)
-    _G_of_t: PchipInterpolator = field(repr=False)
+    # tau -> (ln(1+f), G) and t -> (ln g, G)
+    _log1pf_G_by_tau: PchipInterpolator = field(repr=False)
+    _log_g_G_by_t: PchipInterpolator = field(repr=False)
 
-    def g_at(self, t):
-        return np.exp(self._g_of_t(np.asarray(t)))
+    def f_G_at_tau(self, tau):
+        """(f, G) at the compactified times tau."""
+        log1pf, G = self._log1pf_G_by_tau(tau)
+        return _pair(np.expm1(log1pf), G, tau)
 
-    def tau_at(self, t):
-        return -self.g_at(t)
+    def g_G_at(self, t):
+        """(g, G) at the times t."""
+        log_g, G = self._log_g_G_by_t(t)
+        return _pair(np.exp(log_g), G, t)
 
-    def f_of_tau(self, tau):
-        return self._diagnostic(self._log1pf_of_tau, tau, np.expm1)
 
-    def G_of_tau(self, tau):
-        return self._diagnostic(self._G_of_tau, tau)
-
-    def G_at(self, t):
-        return self._diagnostic(self._G_of_t, t)
-
-    @staticmethod
-    def _diagnostic(interp: PchipInterpolator, x, post=np.asarray):
-        """post(interp(x)): a float for a scalar x, an array otherwise."""
-        out = post(interp(x))
-        return float(out) if np.ndim(x) == 0 else out
+def _pair(u, v, x):
+    """(u, v) as floats for a scalar x, as arrays otherwise."""
+    return (float(u), float(v)) if np.ndim(x) == 0 else (u, v)
 
 
 def _cumulative_simpson_graded(t: np.ndarray, v: np.ndarray, v_mid: np.ndarray) -> np.ndarray:
@@ -127,8 +122,8 @@ def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
                                     quotient_integrand(mid, f_mid, f0_mid))
     I2 = _cumulative_simpson_graded(t, f_only_integrand(t, f), f_only_integrand(mid, f_mid))
     g = np.exp(-A * I1)
-    g_alt = (1.0 + b * B * I2) ** (-A / b)
-    gap = float(np.max(np.abs(g - g_alt) / g_alt))
+    g_f_only = (1.0 + b * B * I2) ** (-A / b)
+    gap = float(np.max(np.abs(g - g_f_only) / g_f_only))
     if gap > 10.0 * mismatch_tol:
         raise NumericalFailure(f"representation mismatch: quotient and f-only forms of g "
                                f"differ by rel {gap:.3g} (> {10.0 * mismatch_tol:.3g})")
@@ -141,25 +136,12 @@ def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
                                f"{chi_gap:.3g}")
     G_frak = chi - params.chi_limit()
     return TimeMaps(
-        params=params, t_grid=t, f=f, f0=f0, g=g, tau=tau, g_alt=g_alt,
-        representation_gap=gap, chi=chi, xi=1.0 / (g * (1.0 + f)), G_frak=G_frak,
+        params=params, t_grid=t, f=f, f0=f0, g=g, tau=tau, representation_gap=gap,
+        chi=chi, xi=1.0 / (g * (1.0 + f)), G_frak=G_frak,
         eta={th: 1.0 / (g**th * (1.0 + f)) for th in thetas},
-        _t_of_tau=PchipInterpolator(tau, t),
-        _g_of_t=PchipInterpolator(t, np.log(g)),
-        _log1pf_of_tau=PchipInterpolator(tau, np.log1p(f)),
-        _G_of_tau=PchipInterpolator(tau, G_frak),
-        _G_of_t=PchipInterpolator(t, G_frak),
+        _log1pf_G_by_tau=PchipInterpolator(tau, np.stack([np.log1p(f), G_frak]), axis=1),
+        _log_g_G_by_t=PchipInterpolator(t, np.stack([np.log(g), G_frak]), axis=1),
     )
-
-
-def invert_tau(maps: TimeMaps, tau_query) -> np.ndarray | float:
-    """Map compactified times back to t by monotone cubic interpolation."""
-    tq = np.asarray(tau_query, dtype=float)
-    lo, hi = maps.tau[0], maps.tau[-1]
-    if np.any(tq < lo - 1e-12) or np.any(tq > hi + 1e-12):
-        raise NumericalFailure(f"tau query outside computed range [{lo:.6g}, {hi:.6g}]")
-    out = maps._t_of_tau(np.clip(tq, lo, hi))
-    return float(out) if np.isscalar(tau_query) else out
 
 
 def terminal_window(maps: TimeMaps, f_cap: float) -> np.ndarray:

@@ -5,9 +5,6 @@ from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
 from jeanslab.params import params_from_iota3
 from jeanslab.timemaps import compute_g
 
-TIGHT = ToleranceSpec(rel_tol=1e-12, abs_tol=1e-14)
-
-
 @pytest.fixture(scope="session")
 def params():
     return params_from_iota3(0.2, beta=0.1, gamma=0.5, lam=0.1, A=1.0)
@@ -15,7 +12,7 @@ def params():
 
 @pytest.fixture(scope="session")
 def traj(params):
-    return integrate_contrast(params, f_cap=1e6, controls=TIGHT)
+    return integrate_contrast(params, f_cap=1e6, controls=ToleranceSpec())
 
 
 @pytest.fixture(scope="session")
@@ -26,7 +23,7 @@ def maps(traj, params):
 @pytest.fixture(scope="session")
 def traj_deep(params):
     # deeper run for the singular-system ladder (smaller terminal -tau)
-    return integrate_contrast(params, f_cap=1e8, controls=TIGHT)
+    return integrate_contrast(params, f_cap=1e8, controls=ToleranceSpec())
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +39,7 @@ def params_window():
 
 @pytest.fixture(scope="session")
 def traj_window(params_window):
-    return integrate_contrast(params_window, f_cap=1e6, controls=TIGHT)
+    return integrate_contrast(params_window, f_cap=1e6, controls=ToleranceSpec())
 
 
 @pytest.fixture(scope="session")

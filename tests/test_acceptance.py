@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import TIGHT, cosine_profiles, flat_profiles
-from jeanslab.contrast_ode import (blowup_bracket, blowup_ladder,
+from conftest import cosine_profiles, flat_profiles
+from jeanslab.contrast_ode import (ToleranceSpec, blowup_bracket, blowup_ladder,
                                    bound_certificates, envelope_constants,
                                    integrate_contrast, zero_trajectory)
 from jeanslab.fuchsian import (assemble_matrices, find_certified_radius,
@@ -76,7 +76,7 @@ def _random_runs():
             beta = 1.0 - rng.random()   # (0, 1]
             gamma = 1.0 - rng.random()  # (0, 1]
             p = params_from_iota3(rng.uniform(0.01, 0.2), beta=beta, gamma=gamma)
-            tr = integrate_contrast(p, f_cap=1e4, controls=TIGHT)
+            tr = integrate_contrast(p, f_cap=1e4, controls=ToleranceSpec())
             out.append((p, tr))
         RANDOM_RUNS = out
     return RANDOM_RUNS
@@ -175,13 +175,13 @@ def test_criterion_06_G_decay(maps, params):
 
 def test_criterion_07_homogeneous_manifold(params):
     t0 = time.perf_counter()
-    traj_pde = integrate_contrast(params, f_cap=2e4, controls=TIGHT)
+    traj_pde = integrate_contrast(params, f_cap=2e4, controls=ToleranceSpec())
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 128)
     res = evolve(st, traj_pde, params, f_cap=1e3)
     elapsed = time.perf_counter() - t0
     assert res.stop_reason == "f_cap"
-    dev = max(float(np.max(np.abs(s.rho_hat - traj_pde.f_at(s.t)))) for s in res.states)
+    dev = max(float(np.max(np.abs(s.rho_hat - traj_pde.f_f0_at(s.t)[0]))) for s in res.states)
     nu_sup = max(float(np.max(np.abs(s.nu))) for s in res.states)
     assert dev < 1e-6
     assert nu_sup < 1e-8
@@ -216,7 +216,7 @@ def test_criterion_08_psi_correctness():
 
 
 def test_criterion_09_main_theorem_monitors(params):
-    traj_pde = integrate_contrast(params, f_cap=2e4, controls=TIGHT)
+    traj_pde = integrate_contrast(params, f_cap=2e4, controls=ToleranceSpec())
     devs = []
     for eps in (1e-2, 1e-3, 1e-4):
         d, v = cosine_profiles(params, eps)

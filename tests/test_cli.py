@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from jeanslab.cli import RunConfig, _jsonable, load_config, main
+from jeanslab.cli import (RunConfig, RunDir, _jsonable, build_parser, config_from_args,
+                          load_config, main)
 from jeanslab.contrast_ode import integrate_contrast
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import DomainError
@@ -237,6 +238,73 @@ def test_profile_errors_exit_2(tmp_path, profile):
     p.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(p)]) == 2
     assert json.loads((out / "error.json").read_text())["kind"] == "usage"
+
+
+def test_stiffness_flag_clears_the_configs_other_key(tmp_path):
+    # a --k-tilde run's manifest re-run with --iota3 runs at that iota3 and records only it
+    first, second = tmp_path / "k", tmp_path / "i"
+    assert main(["iota", "--k-tilde", "0.05", "--output-dir", str(first)]) == 0
+    argv = ["iota", "--config", str(first / "manifest.json"), "--iota3", "0.1",
+            "--output-dir", str(second)]
+    assert main(argv) == 0
+    recorded = json.loads((second / "manifest.json").read_text())["config"]
+    assert (recorded["iota3"], recorded["k_tilde"]) == (0.1, None)
+    run = RunDir(config_from_args(build_parser().parse_args(argv)))
+    assert run.params.iota**3 == pytest.approx(0.1, rel=1e-12)
+
+
+def test_config_naming_k_tilde_clears_iota3(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"command": "iota", "k_tilde": 0.05}))
+    cfg = load_config(p)
+    assert (cfg.iota3, cfg.k_tilde) == (None, 0.05)
+
+
+@pytest.mark.parametrize("config,flags", [
+    ({"iota3": 0.1, "k_tilde": 0.05}, []),
+    ({"iota3": None, "k_tilde": None}, []),
+    ({}, ["--iota3", "0.1", "--k-tilde", "0.05"]),
+], ids=["both-in-config", "neither-in-config", "both-flags"])
+def test_stiffness_named_once(tmp_path, config, flags):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"command": "iota", **config}))
+    out = tmp_path / "o"
+    assert main(["iota", "--config", str(p), *flags, "--output-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"profile": {"kind": "homogeneous", "family": "bogus"}},
+    {"seed": -1},
+    {"n_fuchsian_samples": 0},
+    {"pde_rtol": 0.0},
+    {"pde_rtol": -1e-10},
+    {"abs_tol": -1e-14},
+    {"rel_tol": -1.0},
+    {"rel_tol": 0.0},
+], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+def test_out_of_range_settings_exit_2(tmp_path, setting):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"command": "residuals", **setting}))
+    out = tmp_path / "o"
+    assert main(["residuals", "--config", str(p), "--output-dir", str(out)]) == 2
+    assert not out.exists()  # refused before the run directory is made
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["simulate", "--grid-n", "32", "--pde-f-cap", "0.05"], 2),
+    (["simulate", "--grid-n", "32", "--pde-f-cap", "0.1"], 2),
+    (["ode", "--f-cap", "0.5"], 2),
+    (["blowup", "--f-cap", "0.5"], 2),
+    (["report", "--f-cap", "0.5"], 2),
+    (["residuals", "--f-cap", "2"], 2),
+    (["ode", "--f-cap", "1.7"], 3),  # a degenerate ladder is computed, not a usage error
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_caps_below_their_floor_exit_2(tmp_path, argv, code):
+    out = tmp_path / "o"
+    assert main([*argv, "--output-dir", str(out)]) == code
+    kind = json.loads((out / "error.json").read_text())["kind"]
+    assert kind == ("usage" if code == 2 else "numerical")
 
 
 def test_residuals_and_blowup_build_no_time_maps(tmp_path, monkeypatch):

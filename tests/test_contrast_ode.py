@@ -4,7 +4,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import TIGHT
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import RkDenseOutput
 from scipy.optimize import brentq
@@ -41,7 +40,7 @@ def test_zero_data_fixed_point():
 
 def test_time_of_contrast_is_independent_of_the_cap(traj, traj_deep, params):
     # the same solver steps hold f = 1e3 on all three, so the root is the same float
-    shallow = integrate_contrast(params, f_cap=1e4, controls=TIGHT)
+    shallow = integrate_contrast(params, f_cap=1e4, controls=ToleranceSpec())
     t = shallow.time_of_contrast(1e3)
     assert traj.time_of_contrast(1e3) == t
     assert traj_deep.time_of_contrast(1e3) == t
@@ -61,8 +60,9 @@ def test_rk4_oracle_cross_validation(traj, params):
     t_probe = traj.time_of_contrast(1e3)
     n = 10 * len(traj.t_grid)
     _, f_oracle, f0_oracle = rk4_reference(params, t_probe, n)
-    assert abs(f_oracle[-1] - float(traj.f_at(t_probe))) / f_oracle[-1] < 1e-8
-    assert abs(f0_oracle[-1] - float(traj.f0_at(t_probe))) / f0_oracle[-1] < 1e-8
+    f, f0 = traj.f_f0_at(t_probe)
+    assert abs(f_oracle[-1] - f) / f_oracle[-1] < 1e-8
+    assert abs(f0_oracle[-1] - f0) / f0_oracle[-1] < 1e-8
 
 
 def test_contrast_rate_identity(traj, params):
@@ -93,11 +93,12 @@ def test_envelope_constants_sign_check(params):
 
 
 def test_f_f0_at_equals_separate_calls(traj):
-    # repeated and alternating times
+    # repeated and alternating times; the scalar path equals a 0-d array read
     t0, t_a, t_b = traj.t_grid[0], 0.5 * (traj.t_grid[0] + traj.t_end), traj.t_end
     for t in (t_a, t_a, t_b, t_a, t_b, t_b, t0, t_a, t0):
         f, f0 = traj.f_f0_at(t)
-        assert (f, f0) == (float(traj.f_at(t)), float(traj.f0_at(t)))
+        y, yp = traj._sol(t)
+        assert (f, f0) == (float(np.expm1(y)), float(yp * np.exp(y)))
         assert type(f) is float and type(f0) is float
 
 
@@ -108,7 +109,7 @@ def scipy_oracle(params):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contrast_ode, "solve_ivp",
                    lambda *a, **k: results.append(solve_ivp(*a, **k)) or results[-1])
-        traj = integrate_contrast(params, f_cap=1e8, controls=TIGHT)
+        traj = integrate_contrast(params, f_cap=1e8, controls=ToleranceSpec())
     return traj, results[0].sol
 
 
@@ -130,7 +131,6 @@ def test_dense_output_arrays_equal_scipy(scipy_oracle):
         f, f0 = traj.f_f0_at(t)
         assert np.array_equal(f, np.expm1(y)), name
         assert np.array_equal(f0, yp * np.exp(y)), name
-        assert np.array_equal(traj.f_at(t), f) and np.array_equal(traj.f0_at(t), f0), name
 
 
 def test_dense_output_scalars_equal_scipy(scipy_oracle):
@@ -141,7 +141,7 @@ def test_dense_output_scalars_equal_scipy(scipy_oracle):
         y, yp = sol(t)
         f, f0 = float(np.expm1(y)), float(yp * np.exp(y))
         assert traj.f_f0_at(t) == (f, f0), t
-        assert (traj.f_at(np.float64(t)), traj.f0_at(np.float64(t))) == (f, f0), t
+        assert traj.f_f0_at(np.float64(t)) == (f, f0), t
     for f_target in (1.0, 1e3, 1e8 / 3.0):
         y_t = math.log1p(f_target)
         root = brentq(lambda t: sol(t)[0] - y_t, sol.ts[0], traj.t_end, xtol=1e-14, rtol=8.9e-16)
@@ -210,7 +210,7 @@ def test_blowup_estimate_bracket_containment(traj, params):
 
 def test_blowup_estimate_cap_stability(params):
     # doubling the cap moves the estimate by less than the reported spread
-    tight = ToleranceSpec(1e-12, 1e-14)
+    tight = ToleranceSpec()
     tr1 = integrate_contrast(params, f_cap=5e5, controls=tight)
     tr2 = integrate_contrast(params, f_cap=1e6, controls=tight)
     e1, s1, _ = blowup_ladder(tr1)
@@ -221,7 +221,7 @@ def test_blowup_estimate_cap_stability(params):
 def test_blowup_estimate_deep_run_consistency(params):
     # a four-decade-deeper run must stay below the shallow estimate and
     # refine it only within a narrow band
-    tight = ToleranceSpec(1e-12, 1e-14)
+    tight = ToleranceSpec()
     shallow = integrate_contrast(params, f_cap=1e6, controls=tight)
     deep = integrate_contrast(params, f_cap=1e10, controls=tight)
     e_s, s_s, _ = blowup_ladder(shallow)
@@ -270,16 +270,16 @@ def test_randomized_envelopes():
 def test_refinement_convergence(params):
     probes = [1.5, 2.5, 3.5]
     coarse = integrate_contrast(params, f_cap=1e6, controls=ToleranceSpec(1e-8, 1e-10))
-    fine = integrate_contrast(params, f_cap=1e6, controls=ToleranceSpec(1e-12, 1e-14))
+    fine = integrate_contrast(params, f_cap=1e6, controls=ToleranceSpec())
     for t in probes:
-        rel = abs(coarse.f_at(t) - fine.f_at(t)) / fine.f_at(t)
+        rel = abs(coarse.f_f0_at(t)[0] - fine.f_f0_at(t)[0]) / fine.f_f0_at(t)[0]
         assert rel < 10.0 * 1e-8
 
 
 def test_zero_trajectory(params):
     z = zero_trajectory(params)
-    assert float(z.f_at(3.7)) == 0.0
-    assert float(z.f0_at(100.0)) == 0.0
+    assert z.f_f0_at(3.7)[0] == 0.0
+    assert z.f_f0_at(100.0)[1] == 0.0
     assert z.f_f0_at(2.5) == (0.0, 0.0)
 
 

@@ -55,19 +55,26 @@ def test_psi_field_bound(traj, maps, params):
 
 
 def test_time_map_interpolants_built_once(traj_deep, params, gconsts):
+    # each reader equals one scipy PCHIP per quantity, at scalar and array arguments
     m = compute_g(traj_deep, params, refine=2)
     log1pf = PchipInterpolator(m.tau, np.log1p(m.f))
     G_of_tau = PchipInterpolator(m.tau, m.G_frak)
+    log_g = PchipInterpolator(m.t_grid, np.log(m.g))
     G_of_t = PchipInterpolator(m.t_grid, m.G_frak)
-    for tau in np.concatenate([m.tau[::40], -np.geomspace(1.0, -m.tau[-1], 9)]):
-        assert m.f_of_tau(tau) == float(np.expm1(log1pf(tau)))
-        assert m.G_of_tau(tau) == float(G_of_tau(tau))
-    for t in np.append(m.t_grid[::40], [1.5, m.t_grid[-1]]):
-        assert m.G_at(t) == float(G_of_t(t))
+    taus = np.concatenate([m.tau[::40], -np.geomspace(1.0, -m.tau[-1], 9)])
+    ts = np.append(m.t_grid[::40], [1.5, m.t_grid[-1]])
+    for reader, xs, (post, u), v in ((m.f_G_at_tau, taus, (np.expm1, log1pf), G_of_tau),
+                                     (m.g_G_at, ts, (np.exp, log_g), G_of_t)):
+        for x in xs:
+            assert reader(x) == (float(post(u(x))), float(v(x)))
+        for arr in (xs, xs[:, None]):
+            got_u, got_v = reader(arr)
+            assert np.array_equal(got_u, post(u(arr))) and np.array_equal(got_v, v(arr))
 
     before = dict(vars(m))
     st = init_from_data(params, *flat_profiles(), 32)
-    assert fuchsian_fields(st, traj_deep, m, params).G_frak == float(G_of_t(st.t))
+    F = fuchsian_fields(st, traj_deep, m, params)
+    assert (F.tau, F.G_frak) == (-float(np.exp(log_g(st.t))), float(G_of_t(st.t)))
     r = find_certified_radius(params, m, gconsts, n_samples=20)
     verify_conditions(params, m, gconsts, r_tilde=r, n_samples=20)
     assert vars(m).keys() == before.keys()
@@ -331,7 +338,7 @@ def _radius_loop(params, maps, constants, seed=20240, n_samples=400, r_start=1e-
         samples = fuchsian._ball_samples(n_samples, r, seed)
         worst = 0.0
         for tau in tau_ladder:
-            f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
+            f_val, g_val = maps.f_G_at_tau(tau)
             for U in samples:
                 try:
                     ev = assemble_matrices(float(tau), U, g_val, f_val, params)
@@ -367,7 +374,7 @@ def _conditions_loop(params, maps, constants, r_tilde, n_samples, seed=20240,
     per_tau = max(1, len(samples) // len(tau_ladder))
     idx = 0
     for tau in tau_ladder:
-        f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
+        f_val, g_val = maps.f_G_at_tau(tau)
         chunk = samples[idx:idx + per_tau] if idx + per_tau <= len(samples) else samples[:per_tau]
         idx += per_tau
         for U in np.vstack([np.zeros(5), chunk]):
@@ -420,10 +427,11 @@ def test_conditions_equal_per_sample_loop(params, maps_deep, gconsts, n_samples,
 
 def _divB_pieces_loop(tau, U, W, maps, params, eps=1e-7):
     """The per-point central differences _divB_pieces used before the batched form."""
-    f_val, g_val = maps.f_of_tau(tau), maps.G_of_tau(tau)
+    f_val, g_val = maps.f_G_at_tau(tau)
 
     def b0_at(tt, uu):
-        return assemble_matrices(float(tt), uu, maps.G_of_tau(tt), maps.f_of_tau(tt), params).B0
+        f_tt, g_tt = maps.f_G_at_tau(tt)
+        return assemble_matrices(float(tt), uu, g_tt, f_tt, params).B0
 
     ev = assemble_matrices(float(tau), U, g_val, f_val, params)
     b0_inv = np.linalg.inv(ev.B0)

@@ -150,8 +150,7 @@ def dense(traj):
         assume(np.unique(on_step).size == n)
         return t
 
-    return query_times, lambda t: traj.f_at(t), lambda t: traj.f0_at(t), \
-        lambda t: traj.f_f0_at(t)
+    return query_times, lambda t: traj._sol(t), lambda t: traj.f_f0_at(t)
 
 
 @PROPS
@@ -160,11 +159,12 @@ def test_dense_output_query_equals_scalar_reads(dense, data, shape):
     # Each time lies on its own solver step.  Times that share a step are
     # summed as one fused multiply-add chain (scipy's matrix product), one
     # alone on its step as a scalar read is, so only then is the last bit equal.
-    query_times, f_at, f0_at, f_f0_at = dense
+    query_times, sol, f_f0_at = dense
     t = query_times(data.draw, shape)
-    f, f0 = f_at(t), f0_at(t)
+    y, yp = sol(t)
+    f, f0 = f_f0_at(t)
     assert f.shape == f0.shape == t.shape
-    assert np.array_equal(f_f0_at(t), (f, f0))
+    assert np.array_equal(f, np.expm1(y)) and np.array_equal(f0, yp * np.exp(y))
     reads = [f_f0_at(float(ti)) for ti in t.flat]
     assert np.array_equal(f.ravel(), [r[0] for r in reads])
     assert np.array_equal(f0.ravel(), [r[1] for r in reads])
@@ -175,7 +175,7 @@ def test_dense_output_query_equals_scalar_reads(dense, data, shape):
 def test_zero_trajectory_reads_exact_zeros(params, shape, t):
     z = zero_trajectory(params)
     q = np.full(shape, t)
-    for out in (z.f_at(q), z.f0_at(q), *z.f_f0_at(q)):
+    for out in (*z._sol(q), *z.f_f0_at(q)):
         assert out.shape == shape and not np.any(out)
     assert z.f_f0_at(t) == (0.0, 0.0)
 

@@ -74,7 +74,7 @@ def test_homogeneous_initial_data(traj, params):
 
 def test_density_contrast_is_f(traj, params, pts):
     for t in T_VALUES:
-        f = float(traj.f_at(t))
+        f = traj.f_f0_at(t)[0]
         for x in pts[:5]:
             rho_r = homogeneous_state(t, x, traj, params).rho
             rho_b = background_state(t, x, params).rho
@@ -153,7 +153,7 @@ def test_entropy_identity_for_transported_contrast(traj, params, pts):
 
     def transported(t, x):
         base = homogeneous_state(t, x, traj, params)
-        f = float(traj.f_at(t))
+        f = traj.f_f0_at(t)[0]
         r2 = np.vecdot(x, x)
         zeta = np.log(t ** (-2.0 / 3.0) * (1.0 + f) ** (1.0 / 3.0) * np.sqrt(r2))
         varrho = (1.0 + f) * (1.0 + 0.05 * np.cos(2.0 * math.pi * zeta)) - 1.0
@@ -241,13 +241,14 @@ def _oracle_grad(fn, x, h):
 
 
 def _oracle_hub(t, traj):
-    return 2.0 / (3.0 * t) - float(traj.f0_at(t)) / (3.0 * (1.0 + float(traj.f_at(t))))
+    f, f0 = traj.f_f0_at(t)
+    return 2.0 / (3.0 * t) - f0 / (3.0 * (1.0 + f))
 
 
 def _oracle_sources(t, x, state_fn, traj, params, h=1e-3):
     """(D, S full form, |S full - S relative-velocity form|), one lambda per derivative."""
     x = np.asarray(x, dtype=float)
-    f, f0 = float(traj.f_at(t)), float(traj.f0_at(t))
+    f, f0 = traj.f_f0_at(t)
     om, hub = params.omega, _oracle_hub(t, traj)
     pt = state_fn(t, x)
     v_check = pt.v - hub * x
