@@ -75,6 +75,14 @@ _RETIRED_KEYS = {"cfl", "growth_cap"}
 _STIFFNESS_KEYS = {"iota3", "k_tilde"}
 # the exact solutions whose residuals ``residuals`` checks
 _FAMILIES = ("background", "homogeneous", "both")
+# the profile keys each initial-data kind reads, with their defaults (None: no
+# default); a profile also carries its "kind" and the residual "family"
+_PROFILE_KINDS = {
+    "homogeneous": {},
+    "cosine": {"eps": 0.0, "eps_v": 0.0},
+    "square": {"eps": 0.0, "eps_v": 0.0, "delta": 0.15},
+    "table": {"path": None},
+}
 
 
 def _name_stiffness(cfg: RunConfig, given, source: str) -> None:
@@ -263,7 +271,7 @@ def make_profiles(cfg: RunConfig, params: ModelParams):
     kind = cfg.profile.get("kind", "homogeneous")
     try:
         eps, eps_v, delta = (float(cfg.profile.get(k, v))
-                             for k, v in (("eps", 0.0), ("eps_v", 0.0), ("delta", 0.15)))
+                             for k, v in _PROFILE_KINDS["square"].items())
     except (TypeError, ValueError) as exc:
         raise UsageError(f"profile eps, eps_v and delta must be numbers: {exc}") from exc
     scale = (1.0 + params.beta) ** (1.0 / 3.0)
@@ -334,7 +342,7 @@ def _ladder_trajectory(run: RunDir) -> OdeTrajectory:
 def cmd_ode(run: RunDir) -> None:
     params = run.params
     traj = _ladder_trajectory(run)
-    maps = compute_g(traj, params, refine=2, thetas=(2.0,))
+    maps = compute_g(traj, refine=2, thetas=(2.0,))
     eta2 = maps.eta[2.0]
     _write_csv(run.add_artifact("trajectory.csv"),
                ["t", "f", "f0", "g", "tau", "chi", "xi", "G_frak", "eta_2"],
@@ -360,7 +368,7 @@ def cmd_ode(run: RunDir) -> None:
     run.verdict("contrast_rate_identity_rel_1e-4", rel_f0 < 1e-4)
     run.verdict("terminal_rate_identity_rel_1e-4", rel_limf < 1e-4)
     run.verdict("g_representation_agreement_rel_1e-4", maps.representation_gap < 1e-4)
-    gd = check_G_decay(maps, params)
+    gd = check_G_decay(maps)
     run.verdict("G_decay_exponent_ge_0.4", gd.slope >= 0.4)
     run.verdict("dchi_identity_rel_1e-3", gd.dchi_rel_err < 1e-3)
     run.values.update({
@@ -377,9 +385,8 @@ def cmd_ode(run: RunDir) -> None:
 
 
 def cmd_blowup(run: RunDir) -> None:
-    params = run.params
     traj = _ladder_trajectory(run)
-    rep = bound_certificates(traj, params)
+    rep = bound_certificates(traj)
     est, spread, dropped = blowup_ladder(traj)
     t = traj.t_grid
     ec = rep.constants
@@ -413,7 +420,7 @@ def cmd_residuals(run: RunDir) -> None:
     if family in ("background", "both"):
         ztraj = zero_trajectory(params)
         rep = euler_poisson_residual(lambda t, x: background_state(t, x, params),
-                                     t_values, pts, ztraj, params)
+                                     t_values, pts, ztraj)
         out["background"] = {"max_norms": rep.max_norms, "verdict": rep.verdict,
                              "source_gap_max": rep.source_gap_max}
         run.verdict("background_residuals_below_1e-6", rep.verdict)
@@ -423,8 +430,8 @@ def cmd_residuals(run: RunDir) -> None:
         if traj.t_end < t_need:
             raise UsageError(f"f_cap {run.cfg.f_cap!r} is too small for the residual times: "
                              f"its trajectory ends at t = {traj.t_end:.6g} < {t_need:.6g}")
-        rep = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj, params),
-                                     t_values, pts, traj, params)
+        rep = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj),
+                                     t_values, pts, traj)
         out["homogeneous"] = {"max_norms": rep.max_norms, "verdict": rep.verdict,
                               "source_gap_max": rep.source_gap_max}
         run.verdict("homogeneous_residuals_below_1e-6", rep.verdict)
@@ -441,13 +448,13 @@ def cmd_simulate(run: RunDir) -> None:
     state0 = init_from_data(params, d_prof, v_prof, cfg.grid_n)
     run.values["data_smallness"] = data_smallness(state0, params)
     controls = EvolveControls(pde_rtol=cfg.pde_rtol)
-    res = evolve(state0, traj, params, f_cap=cfg.pde_f_cap, controls=controls)
+    res = evolve(state0, traj, f_cap=cfg.pde_f_cap, controls=controls)
 
     snaps = run.path / "snapshots"
     snaps.mkdir(exist_ok=True)
     stride = max(1, len(res.states) // 20)
     for i, st in enumerate(res.states[::stride]):
-        s_field = entropy_field(st, traj, params)
+        s_field = entropy_field(st, traj)
         p = snaps / f"snap_{i:04d}.csv"
         _write_csv(p, ["zeta", "rho_hat", "drho_dt", "nu", "psi", "s"],
                    [st.zeta, st.rho_hat, st.drho_dt, st.nu, st.psi, s_field])
@@ -481,14 +488,11 @@ def cmd_simulate(run: RunDir) -> None:
 
 def cmd_fuchsian(run: RunDir) -> None:
     cfg = run.cfg
-    params = run.params
-    traj = run.trajectory(max(cfg.f_cap, 1e8))
-    maps = compute_g(traj, params, refine=2)
+    maps = compute_g(run.trajectory(max(cfg.f_cap, 1e8)), refine=2)
     g_range = (float(np.min(maps.G_frak)), float(np.max(maps.G_frak)))
-    gc = gamma_constants(params, g_range)
-    r_tilde = find_certified_radius(params, maps, gc, seed=cfg.seed)
-    rep = verify_conditions(params, maps, gc, r_tilde,
-                            n_samples=cfg.n_fuchsian_samples, seed=cfg.seed)
+    gc = gamma_constants(maps.params, g_range)
+    r_tilde = find_certified_radius(maps, gc, seed=cfg.seed)
+    rep = verify_conditions(maps, gc, r_tilde, n_samples=cfg.n_fuchsian_samples, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     pairs = [(10 ** rng.uniform(-3, 1), rng.uniform(1e-4, 0.2)) for _ in range(100)]
     q_ok = all(q_quantity(lam_, i3_) > q_lower_bound(lam_, i3_) for lam_, i3_ in pairs)
@@ -546,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--profile-kind", dest="profile.kind", type=str,
-                       choices=["homogeneous", "cosine", "square", "table"])
+                       choices=list(_PROFILE_KINDS))
         p.add_argument("--eps", dest="profile.eps", metavar="EPS", type=float)
         p.add_argument("--family", dest="profile.family", type=str, choices=_FAMILIES)
         p.add_argument("--svg", action="store_true")
@@ -573,6 +577,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     family = cfg.profile.get("family", "both")
     if family not in _FAMILIES:
         raise UsageError(f"profile family {family!r} is not one of {list(_FAMILIES)}")
+    # a profile key its kind does not read would be ignored; zero amplitudes pass,
+    # as the default config carries them, and make_profiles refuses an unknown kind
+    kind = cfg.profile.get("kind", "homogeneous")
+    known = {k for keys in _PROFILE_KINDS.values() for k in keys}
+    reads = _PROFILE_KINDS.get(kind, known) if isinstance(kind, str) else known
+    for key, value in cfg.profile.items():
+        if key not in known | {"kind", "family"}:
+            raise UsageError(f"unknown profile key {key!r}: a profile takes kind, family "
+                             f"and {sorted(known)}")
+        if key in known and key not in reads and not (key in ("eps", "eps_v") and value == 0):
+            raise UsageError(f"profile kind {kind!r} does not read {key!r} = {value!r}")
     if cfg.seed < 0:
         raise UsageError(f"seed must be >= 0, got {cfg.seed!r}")
     if cfg.n_fuchsian_samples < 1:

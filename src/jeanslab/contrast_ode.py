@@ -98,8 +98,9 @@ class _DenseRK45:
 
 @dataclass
 class OdeTrajectory:
-    """Dense-output record of one contrast integration.
+    """Dense-output record of one contrast integration of the model ``params``.
 
+    Readers of a trajectory take the model constants from its ``params``.
     ``t_grid`` holds the accepted solver steps.  ``f_f0_at`` is the one reader
     of the dense output: it gives (f, f') at a time or at an array of times
     inside [t0, t_end].  It, and the root search of ``time_of_contrast``, go
@@ -155,7 +156,10 @@ class OdeTrajectory:
         return brentq(gap, self.t_grid[k - 1], self.t_grid[k], xtol=1e-14, rtol=8.9e-16)
 
 
-def zero_trajectory(params: ModelParams, t_end: float = 1e9) -> OdeTrajectory:
+_ZERO_T_END = 1e9  # zero_trajectory's end time
+
+
+def zero_trajectory(params: ModelParams) -> OdeTrajectory:
     """Trajectory of the unperturbed background family: f = f' = 0 for all t.
 
     The exact background universe is the beta = gamma = 0 member, for which
@@ -163,12 +167,12 @@ def zero_trajectory(params: ModelParams, t_end: float = 1e9) -> OdeTrajectory:
     this trivial trajectory.  Its dense output is the evaluator with zero
     coefficients on one step, so every read is an exact zero.
     """
-    t_grid = np.array([params.t0, t_end])
+    t_grid = np.array([params.t0, _ZERO_T_END])
     zero_sol = _DenseRK45(t_grid, t_grid[:1], np.diff(t_grid), np.zeros((1, 2, 4)),
                           np.zeros((1, 2)))
     return OdeTrajectory(
         params=params, t_grid=t_grid, f=np.zeros(2), f0=np.zeros(2),
-        f_cap=0.0, t_end=t_end, reached_cap=False, _sol=zero_sol,
+        f_cap=0.0, t_end=_ZERO_T_END, reached_cap=False, _sol=zero_sol,
     )
 
 
@@ -254,7 +258,8 @@ class EnvelopeConstants:
     ``a_bar = 1 - a``, ``c_bar = 1 - c`` and ``triangle = sqrt((1-a)^2 + 4b)``
     together with the five envelope constants; cA and cB shape the algebraic
     bracket whose first root past t0 is t_star, cE the improved lower bound
-    whose root (when the data is supercritical) caps the blowup time.
+    whose root (when the data is ``supercritical``: beta0 > a_bar (1+beta)/(c_bar t0))
+    caps the blowup time.
     """
 
     a_bar: float
@@ -265,6 +270,7 @@ class EnvelopeConstants:
     cC: float
     cD: float
     cE: float
+    supercritical: bool
 
     @property
     def p_minus(self) -> float:
@@ -297,7 +303,8 @@ def envelope_constants(params: ModelParams) -> EnvelopeConstants:
         math.log1p(beta) - t0 * beta0 / (b * (1.0 + beta))
     ) * t0
     cE = c_bar * beta0 * t0 ** (1.0 - a_bar) / (a_bar * (1.0 + beta))
-    out = EnvelopeConstants(a_bar, c_bar, tri, cA, cB, cC, cD, cE)
+    supercritical = beta0 > a_bar * (1.0 + beta) / (c_bar * t0)
+    out = EnvelopeConstants(a_bar, c_bar, tri, cA, cB, cC, cD, cE, supercritical)
     if not (out.cB < 0.0 and out.cC > 0.0 and out.cE > 0.0):
         raise NumericalFailure(f"envelope constants out of sign: need cB < 0 < cC, cE; "
                                f"got cB={cB:.6g}, cC={cC:.6g}, cE={cE:.6g}")
@@ -327,9 +334,8 @@ def blowup_bracket(params: ModelParams) -> tuple[float, float | None]:
             raise NumericalFailure(f"no bracket: no sign change of the envelope "
                                    f"denominator below t={_BRACKET_SEARCH_CEILING:.3g}")
     t_star = brentq(ec.bracket_fn, t, t_hi, xtol=1e-13, rtol=1e-11)
-    supercritical = params.beta0 > ec.a_bar * (1.0 + params.beta) / (ec.c_bar * params.t0)
     t_star_upper = None
-    if supercritical and params.t0**ec.a_bar > 1.0 / ec.cE:
+    if ec.supercritical and params.t0**ec.a_bar > 1.0 / ec.cE:
         t_star_upper = (params.t0**ec.a_bar - 1.0 / ec.cE) ** (1.0 / ec.a_bar)
     return t_star, t_star_upper
 
@@ -352,13 +358,14 @@ class BoundReport:
         return bool(self.lower_ok.all() and self.upper_ok.all() and self.improved_ok.all())
 
 
-def bound_certificates(traj: OdeTrajectory, params: ModelParams) -> BoundReport:
+def bound_certificates(traj: OdeTrajectory) -> BoundReport:
     """Check the lower/upper/improved envelopes at every accepted grid point.
 
     The upper bound applies on (t0, t_star) only; the improved lower bound
     only when its data hypothesis holds.  At t0 the lower bound degenerates
     to equality by construction, so the strict check starts past t0.
     """
+    params = traj.params
     ec = envelope_constants(params)
     t_star, t_star_up = blowup_bracket(params)
     t = traj.t_grid
@@ -373,9 +380,8 @@ def bound_certificates(traj: OdeTrajectory, params: ModelParams) -> BoundReport:
     denom = ec.bracket_fn(t[on_window])
     upper_ok[on_window] = one_pf[on_window] < 1.0 / denom
 
-    supercritical = params.beta0 > ec.a_bar * (1.0 + params.beta) / (ec.c_bar * params.t0)
     improved_ok = np.ones_like(lower_ok)
-    if supercritical:
+    if ec.supercritical:
         base = 1.0 - ec.cE * params.t0**ec.a_bar + ec.cE * t**ec.a_bar
         improved_env = (1.0 + params.beta) * base ** (1.0 / ec.c_bar)
         improved_ok = ~interior | (improved_env < one_pf)
@@ -390,7 +396,7 @@ def bound_certificates(traj: OdeTrajectory, params: ModelParams) -> BoundReport:
     return BoundReport(
         constants=ec, t_star=t_star, t_star_upper=t_star_up,
         lower_ok=lower_ok, upper_ok=upper_ok, improved_ok=improved_ok,
-        improved_applicable=supercritical, first_violation=first,
+        improved_applicable=ec.supercritical, first_violation=first,
     )
 
 

@@ -83,9 +83,8 @@ class FuchsianFields:
         return self.U.shape[1]
 
 
-def fuchsian_fields(state: FieldState, traj: OdeTrajectory, maps: TimeMaps,
-                    params: ModelParams) -> FuchsianFields:
-    """Scaled singular-system fields extracted from one PDE state."""
+def fuchsian_fields(state: FieldState, traj: OdeTrajectory, maps: TimeMaps) -> FuchsianFields:
+    """Scaled singular-system fields extracted from one PDE state (model ``traj.params``)."""
     t = state.t
     f, f0 = traj.f_f0_at(t)
     if f <= 0.0:
@@ -93,7 +92,7 @@ def fuchsian_fields(state: FieldState, traj: OdeTrajectory, maps: TimeMaps,
     h = 1.0 / state.n
     u = (state.rho_hat - f) / f
     u0 = (state.drho_dt - f0) / f0
-    uz = (params.c_scale / (1.0 + f)) * diff1(state.rho_hat, h)
+    uz = (traj.params.c_scale / (1.0 + f)) * diff1(state.rho_hat, h)
     psi = compute_psi(u)
     g, G = maps.g_G_at(t)
     return FuchsianFields(tau=-g, t=t, f=f, G_frak=G,
@@ -252,9 +251,10 @@ def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> Fuchsia
 
 
 def system_residual(ev: FuchsianEval, dU_dtau: np.ndarray, dU_dzeta: np.ndarray) -> np.ndarray:
-    """Defect B0 dU/dtau + Bz dU/dzeta - (M U / tau + H + (-tau)^(-1/2) F)."""
-    rhs = ev.frakB @ ev.U / ev.tau + ev.H + (-ev.tau) ** -0.5 * ev.F
-    return ev.B0 @ dU_dtau + ev.Bz @ dU_dzeta - rhs
+    """Defect B0 dU/dtau + Bz dU/dzeta - (M U / tau + H + (-tau)^(-1/2) F) at ev's points."""
+    tau = ev.tau[..., None]
+    rhs = (ev.frakB @ ev.U[..., None])[..., 0] / tau + ev.H + (-tau) ** -0.5 * ev.F
+    return (ev.B0 @ dU_dtau[..., None] + ev.Bz @ dU_dzeta[..., None])[..., 0] - rhs
 
 
 def system_rhs_direct(tau: float, U_point, dU_dzeta, G_frak_val: float,
@@ -386,9 +386,7 @@ def gamma_constants(params: ModelParams, G_range: tuple[float, float]) -> GammaC
     if g_min <= -4.0 * B:
         raise NumericalFailure(f"G range minimum {g_min:.4g} <= -4B = {-4.0 * B:.4g}: "
                                "chi positivity violated")
-    cands = (8.0 * lam / (5.0 * (3.0 + 800.0 * lam)),
-             1.0 / 1500.0,
-             1.0 / (27.0 * (13.0 * lam + 12.0) * (10.0 * lam + i3 + 9.0) ** 2))
+    cands = (8.0 * lam / (5.0 * (3.0 + 800.0 * lam)), 1.0 / 1500.0, q_lower_bound(lam, i3))
     gamma1 = 0.5 * min(cands)
     gamma2 = max(8.0 * lam + 1.0 + gamma1, 4.0 * lam + 6.0 + gamma1)
     q_w = wave_block_weight(params)
@@ -480,6 +478,7 @@ def _ball_samples(n: int, radius: float, seed: int) -> np.ndarray:
 _TAU_RUNGS = 12  # the tau ladder is -2^-k for k < _TAU_RUNGS, above the terminal tau
 _EIG_TOL = 1e-12  # eigenvalue deficit the sandwich check forgives
 _RADIUS_SHRINK, _RADIUS_TRIES = 0.5, 40  # the radius search's factor and its number of tries
+_DIVB_EPS = 1e-7  # step of _divB_pieces' central differences along each U-direction
 
 
 def _tau_ladder(maps: TimeMaps) -> np.ndarray:
@@ -488,8 +487,7 @@ def _tau_ladder(maps: TimeMaps) -> np.ndarray:
     return -np.asarray(ladder)
 
 
-def verify_conditions(params: ModelParams, maps: TimeMaps,
-                      constants: GammaConstants, r_tilde: float,
+def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
                       n_samples: int = 2000, seed: int = 20240,
                       divB_check: bool = True) -> ConditionReport:
     """Sample the coefficient conditions over the ball ||U|| <= r_tilde.
@@ -498,9 +496,9 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
     eigenvalue sandwich gb1 <= B0 <= M/kappa <= gb2, and the smallness budget
     sum |z_ell| < gamma1.  The remainder H is evaluated at U = 0 on the
     ladder, and the order split of the divergence bound is fitted across the
-    tau ladder when ``divB_check`` is set.
+    tau ladder when ``divB_check`` is set.  Refuses maps of non-certified params.
     """
-    if not params.certified:
+    if not maps.params.certified:
         raise UsageError("parameters are outside the certified stiffness range")
     tau_ladder = _tau_ladder(maps)
     samples = _ball_samples(n_samples, r_tilde, seed)
@@ -515,7 +513,7 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
     U = np.concatenate([np.zeros((len(tau_ladder), 1, 5)), chunks], axis=1)
     tau = tau_ladder[:, None]
     f_val, g_val = maps.f_G_at_tau(tau)
-    ev = assemble_matrices(tau, U, g_val, f_val, params)
+    ev = assemble_matrices(tau, U, g_val, f_val, maps.params)
 
     symmetric = bool(np.array_equal(ev.B0, ev.B0.swapaxes(-1, -2))
                      and np.array_equal(ev.Bz, ev.Bz.swapaxes(-1, -2)))
@@ -535,7 +533,7 @@ def verify_conditions(params: ModelParams, maps: TimeMaps,
 
     divB_orders, divB_stable = {}, True
     if divB_check:
-        divB_orders, divB_stable = _divB_order_fit(params, maps, constants, r_tilde, seed)
+        divB_orders, divB_stable = _divB_order_fit(maps, r_tilde, seed)
     g_sup, g_stable = _G_halforder_bound(maps, tau_ladder)
 
     return ConditionReport(
@@ -563,8 +561,7 @@ def _G_halforder_bound(maps: TimeMaps, tau_ladder: np.ndarray) -> tuple[float, b
     return fine, bool(fine <= 1.5 * coarse and math.isfinite(fine))
 
 
-def find_certified_radius(params: ModelParams, maps: TimeMaps,
-                          constants: GammaConstants, seed: int = 20240,
+def find_certified_radius(maps: TimeMaps, constants: GammaConstants, seed: int = 20240,
                           n_samples: int = 400, r_start: float = 1e-2) -> float:
     """Largest sampled radius with sum |z_ell| < gamma1 over the ladder.
 
@@ -577,7 +574,7 @@ def find_certified_radius(params: ModelParams, maps: TimeMaps,
     for _ in range(_RADIUS_TRIES):
         samples = _ball_samples(n_samples, r, seed)
         try:
-            worst = assemble_matrices(tau, samples, g_val, f_val, params).sum_abs_z.max()
+            worst = assemble_matrices(tau, samples, g_val, f_val, maps.params).sum_abs_z.max()
         except DomainError:
             worst = math.inf
         if worst < constants.gamma1:
@@ -590,29 +587,29 @@ def find_certified_radius(params: ModelParams, maps: TimeMaps,
 # divergence-order bound (condition on div B)
 
 
-def _divB_pieces(tau, U, W, maps, params, eps=1e-7):
+def _divB_pieces(tau, U, W, maps):
     f_val, g_val = maps.f_G_at_tau(tau)
-    ev = assemble_matrices(tau, U, g_val, f_val, params)
+    ev = assemble_matrices(tau, U, g_val, f_val, maps.params)
     b0_inv = np.linalg.inv(ev.B0)
     # U-directions: B0^-1 times each right-side part a, b, e (for B0), W (for Bz)
     dirs = np.array([b0_inv @ (-ev.Bz @ W), b0_inv @ (ev.frakB @ U / tau),
                      b0_inv @ ((-tau) ** -0.5 * ev.F), W])
     norms = np.array([np.linalg.norm(v) for v in dirs])
     unit = dirs / np.where(norms > 0.0, norms, 1.0)[:, None]
-    # stencil points: U + eps e, U - eps e per direction, then U at tau +- dtau
+    # stencil points: U + eps e, U - eps e per direction (eps = _DIVB_EPS), then U at tau +- dtau
     dtau = 1e-5 * abs(tau)
     taus = np.array([tau] * 8 + [tau + dtau, tau - dtau])
-    pts = np.concatenate([U + eps * unit, U - eps * unit, [U, U]])
+    pts = np.concatenate([U + _DIVB_EPS * unit, U - _DIVB_EPS * unit, [U, U]])
     f_st, g_st = maps.f_G_at_tau(taus)
-    st = assemble_matrices(taus, pts, g_st, f_st, params)
-    pieces = {k: norms[n] * (st.B0[n] - st.B0[4 + n]) / (2.0 * eps)
+    st = assemble_matrices(taus, pts, g_st, f_st, maps.params)
+    pieces = {k: norms[n] * (st.B0[n] - st.B0[4 + n]) / (2.0 * _DIVB_EPS)
               for n, k in enumerate(("a_flux", "b_singular", "e_halforder"))}
-    pieces["c_dUBz"] = norms[3] * (st.Bz[3] - st.Bz[7]) / (2.0 * eps)
+    pieces["c_dUBz"] = norms[3] * (st.Bz[3] - st.Bz[7]) / (2.0 * _DIVB_EPS)
     pieces["d_dtauB0"] = (st.B0[8] - st.B0[9]) / (2.0 * dtau)
     return {k: float(np.linalg.norm(v)) for k, v in pieces.items()}
 
 
-def _divB_order_fit(params, maps, constants, r_tilde, seed) -> tuple[dict, bool]:
+def _divB_order_fit(maps, r_tilde, seed) -> tuple[dict, bool]:
     rng = np.random.default_rng(seed)
     ladder = _tau_ladder(maps)
     U = _ball_samples(4, r_tilde, seed)[2]
@@ -620,7 +617,7 @@ def _divB_order_fit(params, maps, constants, r_tilde, seed) -> tuple[dict, bool]
     W *= r_tilde / np.linalg.norm(W)
     norms = {k: [] for k in ("a_flux", "b_singular", "c_dUBz", "d_dtauB0", "e_halforder")}
     for tau in ladder:
-        piece = _divB_pieces(float(tau), U, W, maps, params)
+        piece = _divB_pieces(float(tau), U, W, maps)
         for k in norms:
             norms[k].append(piece[k])
     logt = np.log(-ladder)

@@ -150,6 +150,7 @@ class EvolveControls:
 # zero, chiefly nu, which vanishes on the homogeneous manifold
 _ATOL_PER_RTOL = 1e-3
 _PERIODICITY_TOL = 1e-10  # endpoint mismatch init_from_data admits in a periodic profile
+_N_CHECK = 64  # grid points at which profile_endpoint_mismatch compares the profile
 
 
 @dataclass
@@ -187,9 +188,9 @@ class EvolveResult:
 # initial data
 
 
-def profile_endpoint_mismatch(profile, params: ModelParams, n_check: int = 64) -> float:
+def profile_endpoint_mismatch(profile, params: ModelParams) -> float:
     """Sup over grid points of |F(y1(zeta+1)) - F(y1(zeta))| for a radial profile."""
-    z = np.linspace(0.0, 1.0, n_check, endpoint=False)
+    z = np.linspace(0.0, 1.0, _N_CHECK, endpoint=False)
     r0 = (1.0 + params.beta) ** (-1.0 / 3.0) * np.exp(z)
     r1 = (1.0 + params.beta) ** (-1.0 / 3.0) * np.exp(z + 1.0)
     return float(np.max(np.abs(np.asarray(profile(r1)) - np.asarray(profile(r0)))))
@@ -259,8 +260,7 @@ def wave_coefficients(state_t: float, rho_hat: np.ndarray, nu: np.ndarray,
     return gzz, g0z
 
 
-def rhs(t: float, y: np.ndarray, traj: OdeTrajectory, params: ModelParams,
-        deriv: str = "fd4") -> np.ndarray:
+def rhs(t: float, y: np.ndarray, traj: OdeTrajectory, deriv: str = "fd4") -> np.ndarray:
     """Time derivative of the state y = (rho_hat, drho_dt, nu), shape (3, n).
 
     Raises HyperbolicityLossError if gzz <= 0 anywhere and VacuumError on
@@ -269,14 +269,14 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory, params: ModelParams,
     """
     d1, d2 = _DERIV_MODES[deriv]
     f, f0 = traj.f_f0_at(t)
-    om, i3, kap = params.omega, params.iota3, params.kappa
+    om, i3, kap = traj.params.omega, traj.params.iota3, traj.params.kappa
     r, rt, nu = y
     h = 1.0 / y.shape[1]
     one_pf = 1.0 + f
     one_pr = 1.0 + r
     if np.any(one_pr <= 0.0):
         raise VacuumError("vacuum formation: 1 + rho_hat <= 0 on the grid")
-    gzz, g0z = wave_coefficients(t, r, nu, f, f0, params)
+    gzz, g0z = wave_coefficients(t, r, nu, f, f0, traj.params)
     if np.any(gzz <= 0.0):
         raise HyperbolicityLossError(
             f"hyperbolicity loss at t={t:.9g}: min gzz = {float(gzz.min()):.3g}")
@@ -320,8 +320,7 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory, params: ModelParams,
     return np.stack((rt, d_rt, d_nu))
 
 
-def continuity_residual(state: FieldState, traj: OdeTrajectory,
-                        params: ModelParams, deriv: str = "fd4") -> float:
+def continuity_residual(state: FieldState, traj: OdeTrajectory, deriv: str = "fd4") -> float:
     """Max-norm defect of the reduced continuity identity at one time level."""
     d1, _ = _DERIV_MODES[deriv]
     f, f0 = traj.f_f0_at(state.t)
@@ -336,7 +335,7 @@ def continuity_residual(state: FieldState, traj: OdeTrajectory,
     return float(np.max(np.abs(defect)))
 
 
-def entropy_field(state: FieldState, traj: OdeTrajectory, params: ModelParams) -> np.ndarray:
+def entropy_field(state: FieldState, traj: OdeTrajectory) -> np.ndarray:
     """Specific entropy on the grid from the algebraic reduction.
 
     With the model's entropy-production exponent the transport equation
@@ -345,7 +344,7 @@ def entropy_field(state: FieldState, traj: OdeTrajectory, params: ModelParams) -
     """
     t = state.t
     f, _ = traj.f_f0_at(t)
-    om = params.omega
+    om = traj.params.omega
     if np.any(1.0 + state.rho_hat <= 0.0):
         raise VacuumError("entropy undefined at vacuum: 1 + rho_hat <= 0")
     x_abs = t ** (2.0 / 3.0) * (1.0 + f) ** (-1.0 / 3.0) * np.exp(state.zeta)
@@ -357,12 +356,12 @@ def entropy_field(state: FieldState, traj: OdeTrajectory, params: ModelParams) -
 # time marching
 
 
-def _record(mon: MonitorSeries, state: FieldState, traj, params, deriv):
+def _record(mon: MonitorSeries, state: FieldState, traj, deriv):
     f, f0 = traj.f_f0_at(state.t)
     d1, _ = _DERIV_MODES[deriv]
     rr = state.rho_hat / f
     rd = state.drho_dt / f0
-    uz = (params.c_scale / (1.0 + f)) * d1(state.rho_hat, 1.0 / state.n)
+    uz = (traj.params.c_scale / (1.0 + f)) * d1(state.rho_hat, 1.0 / state.n)
     mon.t.append(state.t)
     mon.ratio_rho_min.append(float(rr.min()))
     mon.ratio_rho_max.append(float(rr.max()))
@@ -370,7 +369,7 @@ def _record(mon: MonitorSeries, state: FieldState, traj, params, deriv):
     mon.ratio_drho_max.append(float(rd.max()))
     mon.uz_sup.append(float(np.max(np.abs(uz))))
     mon.nu_sup.append(float(np.max(np.abs(state.nu))))
-    mon.continuity_residual.append(continuity_residual(state, traj, params, deriv))
+    mon.continuity_residual.append(continuity_residual(state, traj, deriv))
 
 
 def snapshot_times(traj: OdeTrajectory, t_start: float, t_stop: float,
@@ -390,11 +389,11 @@ def snapshot_times(traj: OdeTrajectory, t_start: float, t_stop: float,
     return np.append(t, t_stop)
 
 
-def evolve(state: FieldState, traj: OdeTrajectory, params: ModelParams,
-           t_end: float | None = None, f_cap: float | None = None,
-           controls: EvolveControls = EvolveControls()) -> EvolveResult:
+def evolve(state: FieldState, traj: OdeTrajectory, t_end: float | None = None,
+           f_cap: float | None = None, controls: EvolveControls = EvolveControls()) -> EvolveResult:
     """March the reduced system with the error-controlled DOP853 pair.
 
+    The contrast and the model constants come from ``traj`` and its ``params``.
     Each step keeps the local error estimate below atol + pde_rtol * |y|
     componentwise, with atol = _ATOL_PER_RTOL * pde_rtol.  Snapshots are read
     from the dense output at out_target times after the initial state, uniform
@@ -409,8 +408,8 @@ def evolve(state: FieldState, traj: OdeTrajectory, params: ModelParams,
         raise UsageError(f"out_target must be >= 1, got {controls.out_target!r}")
     t_stop = traj.t_end if t_end is None else min(t_end, traj.t_end)
     if f_cap is not None:
-        if not f_cap > params.beta:
-            raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {params.beta!r}")
+        if not f_cap > traj.params.beta:
+            raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {traj.params.beta!r}")
         if traj.f[-1] < f_cap:
             raise NumericalFailure(f"trajectory only reaches f = {traj.f[-1]:.3g} < f_cap")
         t_stop = min(t_stop, traj.time_of_contrast(f_cap))
@@ -421,7 +420,7 @@ def evolve(state: FieldState, traj: OdeTrajectory, params: ModelParams,
 
     mon = MonitorSeries()
     states = [state]
-    _record(mon, state, traj, params, controls.deriv)
+    _record(mon, state, traj, controls.deriv)
 
     def store(t, y):
         y = y.reshape(3, n)
@@ -429,14 +428,14 @@ def evolve(state: FieldState, traj: OdeTrajectory, params: ModelParams,
         st = FieldState(t=float(t), zeta=state.zeta, rho_hat=y[0], drho_dt=y[1], nu=y[2],
                         psi=compute_psi((y[0] - f) / f))
         states.append(st)
-        _record(mon, st, traj, params, controls.deriv)
+        _record(mon, st, traj, controls.deriv)
 
     n_rhs = 0
 
     def fun(t, y):
         nonlocal n_rhs
         n_rhs += 1
-        return rhs(t, y.reshape(3, n), traj, params, controls.deriv).reshape(-1)
+        return rhs(t, y.reshape(3, n), traj, controls.deriv).reshape(-1)
 
     stop_reason = "t_end"
     n_steps = n_trials = 0

@@ -69,20 +69,20 @@ def background_state(t: float, x, params: ModelParams) -> FluidPoint:
     return _fluid_point(t, x, r2, rho, v, phi, s, params)
 
 
-def homogeneous_state(t: float, x, traj: OdeTrajectory, params: ModelParams) -> FluidPoint:
-    """Homogeneous-blowup reference solution driven by the contrast f(t)."""
+def homogeneous_state(t: float, x, traj: OdeTrajectory) -> FluidPoint:
+    """Homogeneous-blowup reference solution driven by the contrast f(t) of ``traj``."""
     x = np.asarray(x, dtype=float)
     r2 = _radius_squared(x)
     if not (traj.t_grid[0] <= t <= traj.t_end):
         raise NumericalFailure(f"t = {float(t)} outside trajectory range "
                                f"[{float(traj.t_grid[0])}, {traj.t_end}]")
     f, f0 = traj.f_f0_at(t)
-    i3 = params.iota3
+    i3 = traj.params.iota3
     rho = i3 * (1.0 + f) / (6.0 * math.pi * t * t)
     v = (2.0 / (3.0 * t) - f0 / (3.0 * (1.0 + f))) * x
     phi = i3 * (1.0 + f) * r2 / (9.0 * t * t)
     s = np.log(t ** (-4.0 / 3.0) * (1.0 + f) ** (2.0 / 3.0) * r2)
-    return _fluid_point(t, x, r2, rho, v, phi, s, params)
+    return _fluid_point(t, x, r2, rho, v, phi, s, traj.params)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,8 @@ def homogeneous_state(t: float, x, traj: OdeTrajectory, params: ModelParams) -> 
 
 _FD4_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 _FD4_O = np.array([-2.0, -1.0, 1.0, 2.0])
-FD_STEP = 1e-3  # default spacing h of the difference stencils, in time and space alike
+FD_STEP = 1e-3  # spacing h of the difference stencils, in time and space alike
+_RESIDUAL_THRESHOLD = 1e-6  # euler_poisson_residual's verdict bound on each max norm
 
 
 def _fd4(vals, h):
@@ -138,13 +139,13 @@ def _trace(jac):
     return sum(jac[..., ax, ax] for ax in range(3))
 
 
-def _sources(t, x, pt, space, traj, params, h):
+def _sources(t, x, pt, space, traj, h):
     """(D, S in full form, S in relative-velocity form) at x from its space stencil."""
     f, f0 = traj.f_f0_at(t)
-    om = params.omega
+    om = traj.params.omega
     hub = hubble_rate(t, traj)
     v_check = pt.v - hub * x
-    d_vec = -(params.kappa * f0 / (1.0 + f)) * v_check
+    d_vec = -(traj.params.kappa * f0 / (1.0 + f)) * v_check
     # _fd4 of a stencil velocity is indexed [..., axis, component]
     div_v = _trace(_fd4(space.v, h))
     div_vc = _trace(_fd4(space.v - hub * space.x, h))
@@ -155,19 +156,18 @@ def _sources(t, x, pt, space, traj, params, h):
     return d_vec, s_full, s_vform
 
 
-def source_terms(t: float, x, state_fn, traj: OdeTrajectory, params: ModelParams,
-                 h: float = FD_STEP) -> tuple[np.ndarray, np.ndarray]:
+def source_terms(t: float, x, state_fn, traj: OdeTrajectory) -> tuple[np.ndarray, np.ndarray]:
     """Momentum damping D (shape (..., 3)) and entropy production S (shape (...)) at x.
 
     D is linear in the velocity deviation from the homogeneous flow; S is
     evaluated in its full displayed form (including the explicit expansion
     term), with the velocity divergence taken by centered differences of the
-    supplied state function.  ``state_fn`` must be evaluable on the spatial
-    stencil around x.
+    supplied state function at spacing FD_STEP.  ``state_fn`` must be evaluable
+    on the spatial stencil around x.
     """
     x = np.asarray(x, dtype=float)
-    space = state_fn(t, _space_points(x, h))
-    d_vec, s_full, _ = _sources(t, x, state_fn(t, x), space, traj, params, h)
+    space = state_fn(t, _space_points(x, FD_STEP))
+    d_vec, s_full, _ = _sources(t, x, state_fn(t, x), space, traj, FD_STEP)
     return d_vec, s_full
 
 
@@ -204,8 +204,7 @@ def _norms(vals) -> tuple[float, float]:
 
 
 def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
-                           params: ModelParams, h: float = FD_STEP,
-                           threshold: float = 1e-6) -> ResidualReport:
+                           h: float = FD_STEP) -> ResidualReport:
     """Residual norms of continuity, momentum, entropy transport and Poisson.
 
     All derivatives are 4th-order centered differences with spacing h (time
@@ -235,7 +234,7 @@ def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
         dt_rho = _ddt([q.rho for q in times], h)
         cont.append(dt_rho + _trace(_fd4(space.rho[..., None] * space.v, h)))
         # momentum: d_t v + (v.grad) v + grad p / rho + grad phi - D
-        d_vec, s_src, s_vform = _sources(tv, pts, pt, space, traj, params, h)
+        d_vec, s_src, s_vform = _sources(tv, pts, pt, space, traj, h)
         dt_v = _ddt([q.v for q in times], h)
         jac_v = np.swapaxes(_fd4(space.v, h), -1, -2)
         grad_p, grad_phi, grad_s = (_fd4(getattr(space, name), h)
@@ -251,7 +250,7 @@ def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
         rho_y = state_fn(tv, y[..., None] * xhat[:, None, :]).rho
         integral = 0.5 * r * np.vecdot(gl_w, rho_y * y**2)
         poi.append(dphi_dr - 4.0 * math.pi * integral / r**2)
-    thresholds = {k: threshold for k in
+    thresholds = {k: _RESIDUAL_THRESHOLD for k in
                   ("continuity", "momentum", "entropy_transport", "poisson")}
     return ResidualReport(
         n_points=len(pts), t_values=tuple(t_values),
@@ -261,15 +260,18 @@ def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
     )
 
 
-def sample_annulus(n: int, seed: int, r_min: float = 0.1, r_max: float = 10.0) -> np.ndarray:
-    """Quasi-random sample points in the annulus r_min <= |x| <= r_max.
+_ANNULUS_R_MIN, _ANNULUS_R_MAX = 0.1, 10.0  # radii of sample_annulus
+
+
+def sample_annulus(n: int, seed: int) -> np.ndarray:
+    """Quasi-random sample points in the annulus _ANNULUS_R_MIN <= |x| <= _ANNULUS_R_MAX.
 
     Scrambled Halton sequence; fixed seed gives a reproducible set.
     """
     from scipy.stats import qmc
 
     u = qmc.Halton(d=3, scramble=True, seed=seed).random(n)
-    r = r_min + (r_max - r_min) * u[:, 0]
+    r = _ANNULUS_R_MIN + (_ANNULUS_R_MAX - _ANNULUS_R_MIN) * u[:, 0]
     cos_t = 2.0 * u[:, 1] - 1.0
     sin_t = np.sqrt(1.0 - cos_t**2)
     phi = 2.0 * math.pi * u[:, 2]

@@ -29,6 +29,7 @@ from .params import ModelParams
 class TimeMaps:
     """Time transform and diagnostics sampled on a refined trajectory grid.
 
+    The maps carry the trajectory's model ``params``, which their readers use.
     Off the grid, ``f_G_at_tau`` reads (f, G) at compactified times tau and
     ``g_G_at`` reads (g, G) at times t, each through one vector-valued PCHIP
     interpolant: floats for a scalar argument, arrays of its shape otherwise."""
@@ -88,8 +89,7 @@ _CHI_CROSSCHECK_TOL = 1e-6
 _WINDOW_FRAC = 0.9
 
 
-def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
-              thetas: tuple[float, ...] = (2.0,),
+def compute_g(traj: OdeTrajectory, refine: int = 2, thetas: tuple[float, ...] = (2.0,),
               mismatch_tol: float = 1e-6) -> TimeMaps:
     """Evaluate both representations of g and the diagnostics chi, xi, G, eta_theta.
 
@@ -100,6 +100,7 @@ def compute_g(traj: OdeTrajectory, params: ModelParams, refine: int = 2,
     (f, g)-only rewriting) and cross-checked; each requested theta must obey
     A * theta < 2b/(3 - 2c), the hypothesis for eta_theta -> 0.
     """
+    params = traj.params
     a, b, c, A, B = params.ode_a, params.ode_b, params.ode_c, params.A, params.B
     theta_cap = 2.0 * b / ((3.0 - 2.0 * c) * A)
     thetas = (thetas,) if np.isscalar(thetas) else tuple(thetas)
@@ -149,13 +150,13 @@ def terminal_window(maps: TimeMaps, f_cap: float) -> np.ndarray:
     return maps.f >= _WINDOW_FRAC * f_cap
 
 
-def dchi_dt_analytic(maps: TimeMaps, params: ModelParams) -> np.ndarray:
+def dchi_dt_analytic(maps: TimeMaps) -> np.ndarray:
     """Closed-form d(chi)/dt along the grid.
 
     dchi/dt = -(3-2c) G sqrt(f chi) / (sqrt(B) t) - chi^(3/2) / (sqrt(B) t sqrt(f))
               + 2 (1-a) chi / t.
     """
-    a, c, B = params.ode_a, params.ode_c, params.B
+    a, c, B = maps.params.ode_a, maps.params.ode_c, maps.params.B
     t, f, chi, G = maps.t_grid, maps.f, maps.chi, maps.G_frak
     return (-(3.0 - 2.0 * c) * G * np.sqrt(f * chi) / (np.sqrt(B) * t)
             - chi**1.5 / (np.sqrt(B) * t * np.sqrt(f))
@@ -172,8 +173,7 @@ class GDecayReport:
     dchi_rel_err: float
 
 
-def check_G_decay(maps: TimeMaps, params: ModelParams,
-                  decades: float = 1.0) -> GDecayReport:
+def check_G_decay(maps: TimeMaps, decades: float = 1.0) -> GDecayReport:
     """Fit the terminal decay |G| ~ (-tau)^p and verify the chi evolution law.
 
     The fit runs over the last `decades` of -tau; grid points where G crosses
@@ -201,7 +201,7 @@ def check_G_decay(maps: TimeMaps, params: ModelParams,
     for k, i in enumerate(idx):
         sten = t[i - 2:i + 3] - t[i]
         dchi_num[k] = np.polyfit(sten, maps.chi[i - 2:i + 3], 4)[3]
-    dchi_all = dchi_dt_analytic(maps, params)
+    dchi_all = dchi_dt_analytic(maps)
     dchi_ana = dchi_all[idx]
     floor = 1e-6 * float(np.max(np.abs(dchi_ana)))
     rel = float(np.max(np.abs(dchi_num - dchi_ana) / np.maximum(np.abs(dchi_ana), floor)))

@@ -16,8 +16,8 @@ def traj(params):
 
 
 @pytest.fixture(scope="session")
-def maps(traj, params):
-    return compute_g(traj, params, refine=4, thetas=(2.0,))
+def maps(traj):
+    return compute_g(traj, refine=4, thetas=(2.0,))
 
 
 @pytest.fixture(scope="session")
@@ -27,8 +27,8 @@ def traj_deep(params):
 
 
 @pytest.fixture(scope="session")
-def maps_deep(traj_deep, params):
-    return compute_g(traj_deep, params, refine=2, thetas=(2.0,))
+def maps_deep(traj_deep):
+    return compute_g(traj_deep, refine=2, thetas=(2.0,))
 
 
 @pytest.fixture(scope="session")
@@ -43,8 +43,8 @@ def traj_window(params_window):
 
 
 @pytest.fixture(scope="session")
-def maps_window(traj_window, params_window):
-    return compute_g(traj_window, params_window, refine=4, thetas=(2.0,))
+def maps_window(traj_window):
+    return compute_g(traj_window, refine=4, thetas=(2.0,))
 
 
 def cosine_profiles(params, eps, eps_v=0.0):

@@ -36,9 +36,9 @@ def test_criterion_01_exact_solution_residuals(traj, params):
     t_values = [1.2, 1.5, 2.0]
     ztr = zero_trajectory(params)
     rep_b = euler_poisson_residual(lambda t, x: background_state(t, x, params),
-                                   t_values, pts, ztr, params, h=1e-3)
-    rep_h = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj, params),
-                                   t_values, pts, traj, params, h=1e-3)
+                                   t_values, pts, ztr, h=1e-3)
+    rep_h = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj),
+                                   t_values, pts, traj, h=1e-3)
     elapsed = time.perf_counter() - t0
     for rep in (rep_b, rep_h):
         assert rep.verdict
@@ -85,7 +85,7 @@ def _random_runs():
 def test_criterion_03_randomized_bound_certificates():
     t0 = time.perf_counter()
     for p, tr in _random_runs():
-        rep = bound_certificates(tr, p)
+        rep = bound_certificates(tr)
         assert rep.all_ok, (p.beta, p.gamma, rep.first_violation)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -122,9 +122,9 @@ def test_criterion_04_blowup_bracket(traj, params):
               f"bisection to 1e-10; spread {spread:.1e} < 1e-3")
 
 
-def _identity_rels(maps, params):
-    a, b, c, A, B = (params.ode_a, params.ode_b, params.ode_c,
-                     params.A, params.B)
+def _identity_rels(maps):
+    p = maps.params
+    a, b, c, A, B = p.ode_a, p.ode_b, p.ode_c, p.A, p.B
     f0_pred = (1.0 / B) * maps.t_grid**-a * maps.g ** (-b / A) * (1.0 + maps.f) ** c
     rel_f0 = float(np.max(np.abs(f0_pred - maps.f0) / maps.f0))
     lhs = maps.f0**2 / (1.0 + maps.f) ** 2
@@ -141,11 +141,10 @@ def _identity_rels(maps, params):
     return rel_f0, rel_limf, rel_dg
 
 
-def test_criterion_05_compactified_time_identities(maps, params,
-                                                   maps_window, params_window):
+def test_criterion_05_compactified_time_identities(maps, maps_window, params_window):
     worst = 0.0
-    for mp, pp in ((maps, params), (maps_window, params_window)):
-        rel_f0, rel_limf, rel_dg = _identity_rels(mp, pp)
+    for mp in (maps, maps_window):
+        rel_f0, rel_limf, rel_dg = _identity_rels(mp)
         worst = max(worst, rel_f0, rel_limf, rel_dg, mp.representation_gap)
         assert rel_f0 < 1e-4 and rel_limf < 1e-4 and rel_dg < 1e-4
         assert mp.representation_gap < 1e-4
@@ -164,8 +163,8 @@ def test_criterion_05_compactified_time_identities(maps, params,
               f"eta_2 {maps_window.eta[2.0][w].max():.1e} < 1e-2")
 
 
-def test_criterion_06_G_decay(maps, params):
-    rep = check_G_decay(maps, params)
+def test_criterion_06_G_decay(maps):
+    rep = check_G_decay(maps)
     assert rep.slope >= 0.4
     assert rep.dchi_rel_err < 1e-3
     report(6, f"|G| decay exponent {rep.slope:.2f} >= 0.4 over the last "
@@ -178,7 +177,7 @@ def test_criterion_07_homogeneous_manifold(params):
     traj_pde = integrate_contrast(params, f_cap=2e4, controls=ToleranceSpec())
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 128)
-    res = evolve(st, traj_pde, params, f_cap=1e3)
+    res = evolve(st, traj_pde, f_cap=1e3)
     elapsed = time.perf_counter() - t0
     assert res.stop_reason == "f_cap"
     dev = max(float(np.max(np.abs(s.rho_hat - traj_pde.f_f0_at(s.t)[0]))) for s in res.states)
@@ -221,7 +220,7 @@ def test_criterion_09_main_theorem_monitors(params):
     for eps in (1e-2, 1e-3, 1e-4):
         d, v = cosine_profiles(params, eps)
         st = init_from_data(params, d, v, 128)
-        res = evolve(st, traj_pde, params, f_cap=1e3)
+        res = evolve(st, traj_pde, f_cap=1e3)
         m = res.monitors.as_arrays()
         dev_rho = max(float(np.max(np.abs(m["ratio_rho_max"] - 1.0))),
                       float(np.max(np.abs(m["ratio_rho_min"] - 1.0))))
@@ -250,8 +249,8 @@ def test_criterion_10_fuchsian_verification(params, maps_deep):
     assert abs(gc.gamma2 - gamma2_exact) < 1e-15
     assert abs(gc.gamma1 - 1.3383e-5) < 1e-9
     assert abs(gc.gamma2 - 6.40001) < 1e-5
-    r = find_certified_radius(params, maps_deep, gc, n_samples=200)
-    rep = verify_conditions(params, maps_deep, gc, r_tilde=r, n_samples=10000)
+    r = find_certified_radius(maps_deep, gc, n_samples=200)
+    rep = verify_conditions(maps_deep, gc, r_tilde=r, n_samples=10000)
     assert rep.n_samples >= 10000
     assert rep.sandwich_ok
     assert rep.sum_z_ok
@@ -267,15 +266,16 @@ def test_criterion_10_fuchsian_verification(params, maps_deep):
                f"forms; q-positivity at 100 samples")
 
 
-def _equivalence_defect(n, eps, params, traj_deep, maps_deep):
+def _equivalence_defect(n, eps, traj_deep, maps_deep):
+    params = traj_deep.params
     d, v = cosine_profiles(params, eps)
     st = init_from_data(params, d, v, n)
-    res = evolve(st, traj_deep, params, f_cap=50.0,
+    res = evolve(st, traj_deep, f_cap=50.0,
                  controls=EvolveControls(out_target=400))
     states = res.states
     mid = len(states) // 2
     win = states[mid - 2:mid + 3]
-    fields = [fuchsian_fields(s, traj_deep, maps_deep, params) for s in win]
+    fields = [fuchsian_fields(s, traj_deep, maps_deep) for s in win]
     taus = np.array([F.tau for F in fields])
     stack = np.stack([F.U for F in fields])
     dU = np.empty_like(fields[2].U)
@@ -294,11 +294,11 @@ def _equivalence_defect(n, eps, params, traj_deep, maps_deep):
     return float(np.max(np.abs(defect))), rhs_mag
 
 
-def test_criterion_11_pde_fuchsian_equivalence(params, traj_deep, maps_deep):
+def test_criterion_11_pde_fuchsian_equivalence(traj_deep, maps_deep):
     eps = 0.03
     defects, rhs_mag = {}, 0.0
     for n in (16, 32, 64):
-        defects[n], r = _equivalence_defect(n, eps, params, traj_deep, maps_deep)
+        defects[n], r = _equivalence_defect(n, eps, traj_deep, maps_deep)
         rhs_mag = max(rhs_mag, r)
     orders = [np.log2(defects[16] / defects[32]), np.log2(defects[32] / defects[64])]
     assert defects[16] > defects[32] > defects[64]

@@ -291,6 +291,56 @@ def test_out_of_range_settings_exit_2(tmp_path, setting):
     assert not out.exists()  # refused before the run directory is made
 
 
+@pytest.mark.parametrize("profile", [
+    {"kind": "cosine", "epz": 0.1},
+    {"kind": "cosine", "eps": 1e-3, "delta": 0.2},
+    {"kind": "homogeneous", "path": "profile.csv"},
+    {"kind": "homogeneous", "eps": 0.1},
+    {"kind": "table", "path": "profile.csv", "eps_v": 0.1},
+], ids=["unknown-key", "delta-without-square", "path-without-table",
+        "eps-with-homogeneous", "eps_v-with-table"])
+def test_unread_profile_settings_exit_2(tmp_path, profile):
+    # a setting the run would ignore is refused before the run directory is made
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"command": "simulate", "grid_n": 32, "pde_f_cap": 2.0,
+                             "profile": profile}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--output-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_amplitude_flag_for_the_default_kind_exits_2(tmp_path):
+    # the default kind, homogeneous, reads no amplitude
+    out = tmp_path / "o"
+    assert main(["simulate", "--grid-n", "32", "--pde-f-cap", "2", "--eps", "0.1",
+                 "--output-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # the benchmark's three workloads (perfbench/workloads.py)
+    ["simulate", "--grid-n", "128", "--profile-kind", "cosine", "--eps", "1e-3",
+     "--pde-f-cap", "1e3", "--seed", "1", "--output-dir", "o"],
+    ["fuchsian-check", "--f-cap", "1e8", "--seed", "1", "--output-dir", "o"],
+    ["residuals", "--family", "both", "--seed", "1", "--output-dir", "o"],
+    # the README's example commands
+    ["iota", "--output-dir", "runs/iota"],
+    ["ode", "--output-dir", "runs/ode", "--beta", "0.1", "--gamma", "0.5"],
+    ["blowup", "--output-dir", "runs/blowup", "--f-cap", "1e6"],
+    ["residuals", "--output-dir", "runs/resid", "--family", "both"],
+    ["simulate", "--output-dir", "runs/sim", "--grid-n", "128",
+     "--profile-kind", "cosine", "--eps", "1e-3", "--pde-f-cap", "1e3"],
+    ["fuchsian-check", "--output-dir", "runs/fuchsian"],
+    ["report", "--output-dir", "runs/report"],
+], ids=["collapse", "certify", "exact", "iota", "ode", "blowup", "residuals", "simulate",
+        "fuchsian-check", "report"])
+def test_documented_commands_are_accepted(argv):
+    cfg = config_from_args(build_parser().parse_args(argv))
+    assert cfg.command == argv[0]
+    if "--eps" in argv:
+        assert cfg.profile == {"kind": "cosine", "eps": 1e-3, "eps_v": 0.0}
+
+
 @pytest.mark.parametrize("argv,code", [
     (["simulate", "--grid-n", "32", "--pde-f-cap", "0.05"], 2),
     (["simulate", "--grid-n", "32", "--pde-f-cap", "0.1"], 2),

@@ -67,7 +67,7 @@ def test_rk4_oracle_cross_validation(traj, params):
 
 def test_contrast_rate_identity(traj, params):
     # f' expressed through (f, g) along the whole run
-    maps = compute_g(traj, params, refine=2)
+    maps = compute_g(traj, refine=2)
     pred = (1.0 / params.B) * maps.t_grid ** (-params.ode_a) \
         * maps.g ** (-params.ode_b / params.A) * (1.0 + maps.f) ** params.ode_c
     assert np.max(np.abs(pred - maps.f0) / maps.f0) < 1e-6
@@ -190,8 +190,8 @@ def test_bracket_threshold_case():
     assert t_star_up is None
 
 
-def test_bound_certificates(traj, params):
-    rep = bound_certificates(traj, params)
+def test_bound_certificates(traj):
+    rep = bound_certificates(traj)
     assert rep.all_ok
     assert rep.first_violation is None
     assert rep.improved_applicable  # gamma = 0.5 > 1/3
@@ -264,7 +264,7 @@ def test_randomized_envelopes():
         gamma = rng.uniform(0.02, 1.0)
         p = params_from_iota3(rng.uniform(0.01, 0.2), beta=beta, gamma=gamma)
         tr = integrate_contrast(p, f_cap=1e3, controls=ToleranceSpec(1e-10, 1e-12))
-        assert bound_certificates(tr, p).all_ok
+        assert bound_certificates(tr).all_ok
 
 
 def test_refinement_convergence(params):

@@ -7,6 +7,7 @@ from scipy.interpolate import PchipInterpolator
 
 from conftest import cosine_profiles, flat_profiles
 from jeanslab import fuchsian, pde
+from jeanslab.contrast_ode import integrate_contrast
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import (DomainError, assemble_matrices, find_certified_radius,
                                fuchsian_fields, gamma_constants, q_lower_bound,
@@ -30,7 +31,7 @@ def test_fields_vanish_on_homogeneous(traj, maps, params):
     d = lambda r: np.ones_like(np.asarray(r, float))
     v = lambda r: -np.ones_like(np.asarray(r, float))
     st = init_from_data(params, d, v, 64)
-    F = fuchsian_fields(st, traj, maps, params)
+    F = fuchsian_fields(st, traj, maps)
     assert np.max(np.abs(F.U)) < 1e-13
     assert F.tau == pytest.approx(-1.0, abs=1e-10)
 
@@ -38,7 +39,7 @@ def test_fields_vanish_on_homogeneous(traj, maps, params):
 def test_uz_consistency(traj, maps, params):
     d, v = cosine_profiles(params, 1e-2)
     st = init_from_data(params, d, v, 128)
-    F = fuchsian_fields(st, traj, maps, params)
+    F = fuchsian_fields(st, traj, maps)
     u0_, uz_, u_, nu_, psi_ = F.U
     h = 1.0 / st.n
     cs = params.c_scale
@@ -50,13 +51,13 @@ def test_uz_consistency(traj, maps, params):
 def test_psi_field_bound(traj, maps, params):
     d, v = cosine_profiles(params, 1e-2, eps_v=5e-3)
     st = init_from_data(params, d, v, 128)
-    F = fuchsian_fields(st, traj, maps, params)
+    F = fuchsian_fields(st, traj, maps)
     assert np.max(np.abs(F.U[4])) <= np.max(np.abs(F.U[2])) / 3.0 + 1e-14
 
 
 def test_time_map_interpolants_built_once(traj_deep, params, gconsts):
     # each reader equals one scipy PCHIP per quantity, at scalar and array arguments
-    m = compute_g(traj_deep, params, refine=2)
+    m = compute_g(traj_deep, refine=2)
     log1pf = PchipInterpolator(m.tau, np.log1p(m.f))
     G_of_tau = PchipInterpolator(m.tau, m.G_frak)
     log_g = PchipInterpolator(m.t_grid, np.log(m.g))
@@ -73,10 +74,10 @@ def test_time_map_interpolants_built_once(traj_deep, params, gconsts):
 
     before = dict(vars(m))
     st = init_from_data(params, *flat_profiles(), 32)
-    F = fuchsian_fields(st, traj_deep, m, params)
+    F = fuchsian_fields(st, traj_deep, m)
     assert (F.tau, F.G_frak) == (-float(np.exp(log_g(st.t))), float(G_of_t(st.t)))
-    r = find_certified_radius(params, m, gconsts, n_samples=20)
-    verify_conditions(params, m, gconsts, r_tilde=r, n_samples=20)
+    r = find_certified_radius(m, gconsts, n_samples=20)
+    verify_conditions(m, gconsts, r_tilde=r, n_samples=20)
     assert vars(m).keys() == before.keys()
     assert all(vars(m)[k] is v for k, v in before.items())
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -207,10 +208,10 @@ def test_q_positivity_sampled():
         assert q_quantity(lam, i3) > q_lower_bound(lam, i3)
 
 
-def test_certified_radius_and_conditions(params, maps_deep, gconsts):
-    r = find_certified_radius(params, maps_deep, gconsts, n_samples=200)
+def test_certified_radius_and_conditions(maps_deep, gconsts):
+    r = find_certified_radius(maps_deep, gconsts, n_samples=200)
     assert r > 0.0
-    rep = verify_conditions(params, maps_deep, gconsts, r_tilde=r, n_samples=1000)
+    rep = verify_conditions(maps_deep, gconsts, r_tilde=r, n_samples=1000)
     assert rep.all_ok, rep.verdict
     assert rep.max_sum_abs_z < gconsts.gamma1
     assert rep.sandwich_margin > 0.0
@@ -226,19 +227,21 @@ def test_certified_radius_and_conditions(params, maps_deep, gconsts):
     assert rep.divB_orders["e_halforder"] > -0.75
 
 
-def test_sandwich_violated_outside_ball(params, maps_deep, gconsts):
+def test_sandwich_violated_outside_ball(maps_deep, gconsts):
     # far outside the certified ball the smallness budget must fail
-    rep = verify_conditions(params, maps_deep, gconsts, r_tilde=0.3,
+    rep = verify_conditions(maps_deep, gconsts, r_tilde=0.3,
                             n_samples=200, divB_check=False)
     assert not rep.sum_z_ok
 
 
-def test_noncertified_params_refused(maps_deep, gconsts):
+def test_noncertified_params_refused(gconsts):
+    # the maps carry their params, so the refusal reads the model they were built from
     from jeanslab.params import build_params, k_from_iota
 
     loose = build_params(k_from_iota(0.7), beta=0.1, gamma=0.5, force=True)
+    maps_loose = compute_g(integrate_contrast(loose, 1e8))
     with pytest.raises(UsageError, match="certified"):
-        verify_conditions(loose, maps_deep, gconsts, r_tilde=1e-7, n_samples=10)
+        verify_conditions(maps_loose, gconsts, r_tilde=1e-7, n_samples=10)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +251,12 @@ def test_noncertified_params_refused(maps_deep, gconsts):
 def test_run_extraction_satisfies_system(traj_deep, maps_deep, params):
     d, v = cosine_profiles(params, 1e-3)
     st = init_from_data(params, d, v, 64)
-    res = evolve(st, traj_deep, params, f_cap=50.0,
+    res = evolve(st, traj_deep, f_cap=50.0,
                  controls=EvolveControls(out_target=400))
     states = res.states
     mid = len(states) // 2
     win = states[mid - 2:mid + 3]
-    fields = [fuchsian_fields(s, traj_deep, maps_deep, params) for s in win]
+    fields = [fuchsian_fields(s, traj_deep, maps_deep) for s in win]
     taus = np.array([F.tau for F in fields])
     stack = np.stack([F.U for F in fields])
     center = 2
@@ -264,10 +267,10 @@ def test_run_extraction_satisfies_system(traj_deep, maps_deep, params):
     Fc = fields[center]
     h = 1.0 / Fc.n
     dUdz = np.stack([diff1(Fc.U[i], h) for i in range(5)])
-    defect = np.empty_like(Fc.U)
-    for j in range(Fc.n):
-        ev = assemble_matrices(Fc.tau, Fc.U[:, j], Fc.G_frak, Fc.f, params)
-        defect[:, j] = system_residual(ev, dU[:, j], dUdz[:, j])
+    # one call over all columns: the points are the rows of U.T
+    ev = assemble_matrices(Fc.tau, Fc.U.T, Fc.G_frak, Fc.f, params)
+    defect = system_residual(ev, dU.T, dUdz.T)
+    assert defect.shape == (Fc.n, 5)
     assert float(np.max(np.abs(defect))) < 1e-8
 
 
@@ -297,6 +300,21 @@ def test_batched_slices_equal_single_points(params):
             assert ev.sum_abs_z[i, j] == one.sum_abs_z
 
 
+def test_system_residual_batched_equals_per_point(params):
+    rng = np.random.default_rng(12)
+    tau = -np.geomspace(1.0, 1e-3, 6)[:, None]
+    U = rng.uniform(-0.05, 0.05, (6, 9, 5))
+    dU_dtau, dU_dzeta = rng.standard_normal((2, 6, 9, 5))
+    ev = assemble_matrices(tau, U, 0.4, 20.0, params)
+    batched = system_residual(ev, dU_dtau, dU_dzeta)
+    assert batched.shape == (6, 9, 5)
+    for i in range(6):
+        for j in range(9):
+            one = assemble_matrices(float(tau[i, 0]), U[i, j], 0.4, 20.0, params)
+            assert np.array_equal(batched[i, j],
+                                  system_residual(one, dU_dtau[i, j], dU_dzeta[i, j]))
+
+
 def test_domain_errors_are_typed(params):
     with pytest.raises(DomainError, match="fractional-power"):
         assemble_matrices(-0.5, np.array([[0.0] * 5, [0.0, 0.0, -3.0, 0.0, 0.0]]),
@@ -305,8 +323,7 @@ def test_domain_errors_are_typed(params):
         assemble_matrices(-0.5, np.zeros((3, 5)), [0.0, -5.0 * params.B, 0.0], 1.0, params)
 
 
-def test_radius_search_halves_only_on_domain_errors(params, maps_deep, gconsts,
-                                                    monkeypatch):
+def test_radius_search_halves_only_on_domain_errors(maps_deep, gconsts, monkeypatch):
     real = fuchsian.assemble_matrices
     calls = []
 
@@ -317,7 +334,7 @@ def test_radius_search_halves_only_on_domain_errors(params, maps_deep, gconsts,
         return real(*args)
 
     monkeypatch.setattr(fuchsian, "assemble_matrices", out_of_domain_once)
-    assert find_certified_radius(params, maps_deep, gconsts, n_samples=20,
+    assert find_certified_radius(maps_deep, gconsts, n_samples=20,
                                  r_start=1e-8) == 0.5e-8
     assert len(calls) == 2
 
@@ -326,12 +343,13 @@ def test_radius_search_halves_only_on_domain_errors(params, maps_deep, gconsts,
 
     monkeypatch.setattr(fuchsian, "assemble_matrices", broken)
     with pytest.raises(ValueError, match="broadcast"):
-        find_certified_radius(params, maps_deep, gconsts, n_samples=20, r_start=1e-8)
+        find_certified_radius(maps_deep, gconsts, n_samples=20, r_start=1e-8)
 
 
-def _radius_loop(params, maps, constants, seed=20240, n_samples=400, r_start=1e-2,
+def _radius_loop(maps, constants, seed=20240, n_samples=400, r_start=1e-2,
                  shrink=0.5, max_iter=40):
     """The per-sample loop find_certified_radius used before the batched form."""
+    params = maps.params
     tau_ladder = fuchsian._tau_ladder(maps)
     r = r_start
     for _ in range(max_iter):
@@ -354,9 +372,9 @@ def _radius_loop(params, maps, constants, seed=20240, n_samples=400, r_start=1e-
     raise RuntimeError("no certified radius found down to the shrink floor")
 
 
-def _conditions_loop(params, maps, constants, r_tilde, n_samples, seed=20240,
-                     eig_tol=1e-12):
+def _conditions_loop(maps, constants, r_tilde, n_samples, seed=20240, eig_tol=1e-12):
     """The per-sample loop verify_conditions used before the batched form."""
+    params = maps.params
     tau_ladder = fuchsian._tau_ladder(maps)
     samples = fuchsian._ball_samples(n_samples, r_tilde, seed)
     samples[0] = 0.0
@@ -406,27 +424,28 @@ def _conditions_loop(params, maps, constants, r_tilde, n_samples, seed=20240,
 
 
 @pytest.mark.parametrize("n_samples", [10, 60])
-def test_radius_search_equals_per_sample_loop(params, maps_deep, gconsts, n_samples):
-    assert (find_certified_radius(params, maps_deep, gconsts, n_samples=n_samples)
-            == _radius_loop(params, maps_deep, gconsts, n_samples=n_samples))
+def test_radius_search_equals_per_sample_loop(maps_deep, gconsts, n_samples):
+    assert (find_certified_radius(maps_deep, gconsts, n_samples=n_samples)
+            == _radius_loop(maps_deep, gconsts, n_samples=n_samples))
 
 
 @pytest.mark.parametrize("n_samples", [5, 10, 200])
 @pytest.mark.parametrize("r_tilde", [5e-8, 0.05])
-def test_conditions_equal_per_sample_loop(params, maps_deep, gconsts, n_samples, r_tilde):
+def test_conditions_equal_per_sample_loop(maps_deep, gconsts, n_samples, r_tilde):
     # 9 rungs: with 5 samples rungs 5..8 wrap to the first chunk, with 10 none do
     assert len(fuchsian._tau_ladder(maps_deep)) == 9
-    rep = verify_conditions(params, maps_deep, gconsts, r_tilde=r_tilde,
+    rep = verify_conditions(maps_deep, gconsts, r_tilde=r_tilde,
                             n_samples=n_samples, divB_check=False)
-    loop = _conditions_loop(params, maps_deep, gconsts, r_tilde, n_samples)
+    loop = _conditions_loop(maps_deep, gconsts, r_tilde, n_samples)
     tau_w, U_w = loop.pop("worst_sample")
     assert rep.worst_sample[0] == tau_w and np.array_equal(rep.worst_sample[1], U_w)
     for k, v in loop.items():
         assert getattr(rep, k) == v, k
 
 
-def _divB_pieces_loop(tau, U, W, maps, params, eps=1e-7):
+def _divB_pieces_loop(tau, U, W, maps, eps=1e-7):
     """The per-point central differences _divB_pieces used before the batched form."""
+    params = maps.params
     f_val, g_val = maps.f_G_at_tau(tau)
 
     def b0_at(tt, uu):
@@ -465,9 +484,9 @@ def _divB_pieces_loop(tau, U, W, maps, params, eps=1e-7):
 
 
 @pytest.mark.parametrize("zero_W", [False, True])
-def test_divB_pieces_equal_per_point_loop(params, maps_deep, zero_W):
+def test_divB_pieces_equal_per_point_loop(maps_deep, zero_W):
     U = fuchsian._ball_samples(4, 5e-8, 20240)[2]
     W = np.zeros(5) if zero_W else np.random.default_rng(3).standard_normal(5) * 1e-8
     for tau in fuchsian._tau_ladder(maps_deep):
-        assert (fuchsian._divB_pieces(float(tau), U, W, maps_deep, params)
-                == _divB_pieces_loop(float(tau), U, W, maps_deep, params))
+        assert (fuchsian._divB_pieces(float(tau), U, W, maps_deep)
+                == _divB_pieces_loop(float(tau), U, W, maps_deep))

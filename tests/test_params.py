@@ -106,3 +106,24 @@ def test_deterministic():
     a = params_from_iota3(0.2, 0.1, 0.5)
     b = params_from_iota3(0.2, 0.1, 0.5)
     assert a == b
+
+
+def test_no_function_takes_params_beside_a_trajectory():
+    # a trajectory and its time maps carry their ModelParams, so a function that
+    # takes one of them reads the model there and takes no second copy of it
+    import ast
+    from pathlib import Path
+
+    import jeanslab
+
+    model, carriers = {"params", "ModelParams"}, {"traj", "maps", "OdeTrajectory", "TimeMaps"}
+    offenders = []
+    for path in sorted(Path(jeanslab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                tags = {a.arg for a in args} | {ast.unparse(a.annotation) for a in args
+                                                if a.annotation is not None}
+                if tags & model and tags & carriers:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"params passed beside a trajectory or time maps at {offenders}"

@@ -147,7 +147,7 @@ def _y(st):
 def test_rhs_homogeneous_reduces_to_ode(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
-    d_rho, d_drho, d_nu = rhs(st.t, _y(st), traj, params)
+    d_rho, d_drho, d_nu = rhs(st.t, _y(st), traj)
     t0, beta, beta0 = params.t0, params.beta, params.beta0
     fpp = (-(4.0 / (3.0 * t0)) * beta0 + (2.0 / (3.0 * t0**2)) * beta * (1.0 + beta)
            + (4.0 / 3.0) * beta0**2 / (1.0 + beta))
@@ -173,7 +173,7 @@ def test_rhs_translation_equivariance(traj, params):
     n = 64
     d, v = cosine_profiles(params, 5e-3, eps_v=2e-3)
     st = init_from_data(params, d, v, n)
-    out = rhs(st.t, _y(st), traj, params)
+    out = rhs(st.t, _y(st), traj)
     m = 17
 
     def shift(a):
@@ -181,7 +181,7 @@ def test_rhs_translation_equivariance(traj, params):
 
     st_s = FieldState(t=st.t, zeta=st.zeta, rho_hat=shift(st.rho_hat),
                       drho_dt=shift(st.drho_dt), nu=shift(st.nu), psi=shift(st.psi))
-    out_s = rhs(st_s.t, _y(st_s), traj, params)
+    out_s = rhs(st_s.t, _y(st_s), traj)
     for a, b in zip(out, out_s):
         assert np.max(np.abs(shift(a) - b)) < 1e-12
 
@@ -205,7 +205,7 @@ def test_rhs_hyperbolicity_loss(traj, params):
     d, v = cosine_profiles(params, 1e-3, eps_v=4.0)  # huge speed perturbation
     st = init_from_data(params, d, v, 64)
     with pytest.raises(pde.HyperbolicityLossError, match="hyperbolicity loss"):
-        rhs(st.t, _y(st), traj, params)
+        rhs(st.t, _y(st), traj)
 
 
 def test_rhs_vacuum_guard(traj, params):
@@ -213,7 +213,7 @@ def test_rhs_vacuum_guard(traj, params):
     st = init_from_data(params, d, v, 64)
     st.rho_hat = st.rho_hat - 2.0
     with pytest.raises(pde.VacuumError, match="vacuum"):
-        rhs(st.t, _y(st), traj, params)
+        rhs(st.t, _y(st), traj)
 
 
 def test_rhs_vacuum_guard_is_typed(traj, params):
@@ -221,7 +221,7 @@ def test_rhs_vacuum_guard_is_typed(traj, params):
     st = init_from_data(params, d, v, 64)
     st.rho_hat = st.rho_hat - 2.0
     with pytest.raises(pde.VacuumError):
-        rhs(st.t, _y(st), traj, params)
+        rhs(st.t, _y(st), traj)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,7 @@ def test_rhs_vacuum_guard_is_typed(traj, params):
 def test_homogeneous_manifold_preserved(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
-    res = evolve(st, traj, params, f_cap=100.0)
+    res = evolve(st, traj, f_cap=100.0)
     assert res.stop_reason == "f_cap"
     dev = max(float(np.max(np.abs(s.rho_hat - traj.f_f0_at(s.t)[0]))) for s in res.states)
     nu_sup = max(float(np.max(np.abs(s.nu))) for s in res.states)
@@ -247,7 +247,7 @@ def test_homogeneous_preserved_second_parameter_set():
     tr = integrate_contrast(p, f_cap=2e3, controls=ToleranceSpec())
     d, v = flat_profiles()
     st = init_from_data(p, d, v, 64)
-    res = evolve(st, tr, p, f_cap=100.0)
+    res = evolve(st, tr, f_cap=100.0)
     assert res.stop_reason == "f_cap"
     dev = max(float(np.max(np.abs(s.rho_hat - tr.f_f0_at(s.t)[0]))) for s in res.states)
     assert dev < 1e-6
@@ -257,7 +257,7 @@ def test_homogeneous_preserved_second_parameter_set():
 def test_spectral_mode_homogeneous(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
-    res = evolve(st, traj, params, f_cap=10.0,
+    res = evolve(st, traj, f_cap=10.0,
                  controls=EvolveControls(deriv="spectral"))
     dev = float(np.max(np.abs(res.final.rho_hat - traj.f_f0_at(res.final.t)[0])))
     assert dev < 1e-6
@@ -266,7 +266,7 @@ def test_spectral_mode_homogeneous(traj, params):
 def test_perturbed_ratio_envelope(traj, params):
     d, v = cosine_profiles(params, 1e-3)
     st = init_from_data(params, d, v, 64)
-    res = evolve(st, traj, params, f_cap=1e3)
+    res = evolve(st, traj, f_cap=1e3)
     m = res.monitors.as_arrays()
     assert np.all(m["ratio_rho_min"] > 0.9)
     assert np.all(m["ratio_rho_max"] < 1.1)
@@ -279,7 +279,7 @@ def test_self_convergence_order(traj, params):
     finals = {}
     for n in (32, 64, 128):
         st = init_from_data(params, d, v, n)
-        finals[n] = evolve(st, traj, params, t_end=t_end,
+        finals[n] = evolve(st, traj, t_end=t_end,
                            controls=EvolveControls(out_target=2)).final
     d1 = np.max(np.abs(finals[32].rho_hat - finals[64].rho_hat[::2]))
     d2 = np.max(np.abs(finals[64].rho_hat - finals[128].rho_hat[::2]))
@@ -294,7 +294,7 @@ def test_error_proportional_to_pde_rtol(traj, params):
     st = init_from_data(params, d, v, 32)
 
     def states(rtol):
-        return evolve(st, traj, params, f_cap=100.0,
+        return evolve(st, traj, f_cap=100.0,
                       controls=EvolveControls(pde_rtol=rtol, out_target=8)).states
 
     ref = states(1e-12)
@@ -308,7 +308,7 @@ def test_error_proportional_to_pde_rtol(traj, params):
     assert 0.75 <= np.log10(errs[1e-8] / errs[1e-10]) / 2.0 <= 1.5
 
 
-def _rk4_step_per_component(state, dt, traj, params, deriv):
+def _rk4_step_per_component(state, dt, traj, deriv):
     # the per-component form of the RK4 step, as an oracle: stage FieldStates
     # carrying the step's initial psi, one update line per field, and psi
     # recomputed after every step
@@ -320,7 +320,7 @@ def _rk4_step_per_component(state, dt, traj, params, deriv):
                           psi=state.psi)
 
     def stage_rhs(s):
-        return pde.rhs(s.t, _y(s), traj, params, deriv)
+        return pde.rhs(s.t, _y(s), traj, deriv)
 
     t = state.t
     r0, rt0, nu0 = as_vec(state)
@@ -340,13 +340,13 @@ def _rk4_step_per_component(state, dt, traj, params, deriv):
     return FieldState(t=t_new, zeta=state.zeta, rho_hat=r, drho_dt=rt, nu=nu, psi=psi)
 
 
-def _rk4_reference(state, times, traj, params, deriv, substeps=50):
+def _rk4_reference(state, times, traj, deriv, substeps=50):
     # fine fixed-step RK4 from each time to the next, landing on every time
     out, cur = [], state
     for t in times:
         dt = (t - cur.t) / substeps
         for _ in range(substeps):
-            cur = _rk4_step_per_component(cur, dt, traj, params, deriv)
+            cur = _rk4_step_per_component(cur, dt, traj, deriv)
         cur.t = t
         out.append(cur)
     return out
@@ -378,7 +378,7 @@ def test_evolve_matches_fine_rk4_reference(traj, params, monkeypatch, deriv,
     if vacuum_after is not None:
         counted, calls = _vacuum_after(vacuum_after)
         monkeypatch.setattr(pde, "rhs", counted)
-    res = evolve(st, traj, params, t_end=1.5, controls=controls)
+    res = evolve(st, traj, t_end=1.5, controls=controls)
     monkeypatch.undo()
     schedule = pde.snapshot_times(traj, st.t, 1.5, 4)
     times = [s.t for s in res.states[1:]]
@@ -390,7 +390,7 @@ def test_evolve_matches_fine_rk4_reference(traj, params, monkeypatch, deriv,
         assert res.n_rhs == calls[0] == vacuum_after + 1
         assert times[:-1] == list(schedule[:len(times) - 1])
         assert times[-1] not in schedule and 1 <= res.n_steps
-    ref = _rk4_reference(st, times, traj, params, deriv)
+    ref = _rk4_reference(st, times, traj, deriv)
     for s, o in zip(res.states[1:], ref):
         for name in ("rho_hat", "drho_dt", "nu"):
             assert np.max(np.abs(getattr(s, name) - getattr(o, name))) < 1e-11, (s.t, name)
@@ -409,7 +409,7 @@ def test_evolve_stops_on_vacuum(traj, params, monkeypatch):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
     monkeypatch.setattr(pde, "rhs", _failing_rhs(pde.VacuumError("vacuum formation")))
-    res = evolve(st, traj, params, t_end=2.0)
+    res = evolve(st, traj, t_end=2.0)
     assert res.stop_reason == "vacuum"
     assert res.n_steps == 0
 
@@ -420,14 +420,14 @@ def test_evolve_propagates_other_value_errors(traj, params, monkeypatch):
     st = init_from_data(params, d, v, 64)
     monkeypatch.setattr(pde, "rhs", _failing_rhs(ValueError("not a vacuum")))
     with pytest.raises(ValueError, match="not a vacuum"):
-        evolve(st, traj, params, t_end=2.0)
+        evolve(st, traj, t_end=2.0)
 
 
 def test_evolve_requires_stop_rule(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
     with pytest.raises(UsageError):
-        evolve(st, traj, params)
+        evolve(st, traj)
 
 
 def test_evolve_dt_underflow_diagnostic(traj, params, monkeypatch):
@@ -444,7 +444,7 @@ def test_evolve_dt_underflow_diagnostic(traj, params, monkeypatch):
         return out if calls[0] <= 2 else np.full_like(out, np.nan)
 
     monkeypatch.setattr(pde, "rhs", nan_after_start)
-    res = evolve(st, traj, params, t_end=2.0)
+    res = evolve(st, traj, t_end=2.0)
     assert res.stop_reason == "dt_underflow"
     assert res.final is st and len(res.states) == 1
     assert res.n_steps == 0 and res.n_rejected >= 10
@@ -461,7 +461,7 @@ def test_evolve_reports_its_work(traj, params, monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(pde, "rhs", counted)
-    res = evolve(st, traj, params, f_cap=100.0, controls=EvolveControls(out_target=3))
+    res = evolve(st, traj, f_cap=100.0, controls=EvolveControls(out_target=3))
     assert res.n_rhs == calls[0]
     # two start-up calls, 12 stages per trial step, 3 extra per dense output
     dense = res.n_rhs - 2 - 12 * (res.n_steps + res.n_rejected)
@@ -474,7 +474,7 @@ def test_snapshot_schedule(traj, params):
     # are uniform in ln(1+f) and end exactly at the stop time
     d, v = cosine_profiles(params, 1e-3)
     st = init_from_data(params, d, v, 32)
-    res = evolve(st, traj, params, f_cap=100.0, controls=EvolveControls(out_target=7))
+    res = evolve(st, traj, f_cap=100.0, controls=EvolveControls(out_target=7))
     t_stop = traj.time_of_contrast(100.0)
     schedule = pde.snapshot_times(traj, st.t, t_stop, 7)
     assert len(res.states) == len(res.monitors.t) == 8
@@ -488,9 +488,9 @@ def test_evolve_rejects_empty_schedule(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 32)
     with pytest.raises(UsageError, match="out_target"):
-        evolve(st, traj, params, f_cap=10.0, controls=EvolveControls(out_target=0))
+        evolve(st, traj, f_cap=10.0, controls=EvolveControls(out_target=0))
     with pytest.raises(UsageError, match="not after the initial time"):
-        evolve(st, traj, params, t_end=st.t)
+        evolve(st, traj, t_end=st.t)
 
 
 def test_solution_shift_equivariance(traj, params):
@@ -502,8 +502,8 @@ def test_solution_shift_equivariance(traj, params):
     shifted = FieldState(t=st.t, zeta=st.zeta, rho_hat=np.roll(st.rho_hat, m),
                          drho_dt=np.roll(st.drho_dt, m), nu=np.roll(st.nu, m),
                          psi=np.roll(st.psi, m))
-    r1 = evolve(st, traj, params, t_end=1.2, controls=EvolveControls(out_target=2))
-    r2 = evolve(shifted, traj, params, t_end=1.2, controls=EvolveControls(out_target=2))
+    r1 = evolve(st, traj, t_end=1.2, controls=EvolveControls(out_target=2))
+    r2 = evolve(shifted, traj, t_end=1.2, controls=EvolveControls(out_target=2))
     assert r1.final.t == r2.final.t
     assert np.max(np.abs(np.roll(r1.final.rho_hat, m) - r2.final.rho_hat)) < 1e-12
     assert np.max(np.abs(np.roll(r1.final.nu, m) - r2.final.nu)) < 1e-12
@@ -513,7 +513,7 @@ def test_psi_consistency_along_run(traj, params):
     # the stored gravity satisfies its defining relation at every output time
     d, v = cosine_profiles(params, 1e-2)
     st = init_from_data(params, d, v, 64)
-    res = evolve(st, traj, params, f_cap=20.0)
+    res = evolve(st, traj, f_cap=20.0)
     for s in res.states[:: max(1, len(res.states) // 6)]:
         f = traj.f_f0_at(s.t)[0]
         u = (s.rho_hat - f) / f
@@ -528,22 +528,22 @@ def test_psi_consistency_along_run(traj, params):
 def test_continuity_homogeneous_zero(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
-    assert continuity_residual(st, traj, params) < 1e-12
+    assert continuity_residual(st, traj) < 1e-12
 
 
 def test_continuity_detects_corruption(traj, params):
     d, v = cosine_profiles(params, 1e-3)
     st = init_from_data(params, d, v, 64)
-    base = continuity_residual(st, traj, params)
+    base = continuity_residual(st, traj)
     assert base < 1e-10  # construction enforces the identity at t0
     st.nu[7] += 0.1
-    assert continuity_residual(st, traj, params) > 1e-2
+    assert continuity_residual(st, traj) > 1e-2
 
 
 def test_continuity_propagated(traj, params):
     d, v = cosine_profiles(params, 1e-3)
     st = init_from_data(params, d, v, 64)
-    res = evolve(st, traj, params, f_cap=100.0)
+    res = evolve(st, traj, f_cap=100.0)
     assert max(res.monitors.continuity_residual) < 1e-7
 
 
@@ -552,7 +552,7 @@ def test_entropy_reduces_to_reference(traj, params):
     st = init_from_data(params, d, v, 64)
     t = st.t
     f = traj.f_f0_at(t)[0]
-    s = entropy_field(st, traj, params)
+    s = entropy_field(st, traj)
     x_abs = t ** (2.0 / 3.0) * (1.0 + f) ** (-1.0 / 3.0) * np.exp(st.zeta)
     s_ref = np.log(t ** (-4.0 / 3.0) * (1.0 + f) ** (2.0 / 3.0) * x_abs**2)
     assert np.max(np.abs(s - s_ref)) < 1e-12
@@ -568,13 +568,13 @@ def test_entropy_matches_initial_data(traj, params):
     d_vals = 1.0 + eps * np.cos(2.0 * np.pi * st.zeta)
     s_data = np.log((1.0 + beta * d_vals) ** (2.0 / 3.0 + om)
                     / (1.0 + beta) ** om * x_abs**2)
-    assert np.max(np.abs(entropy_field(st, traj, params) - s_data)) < 1e-12
+    assert np.max(np.abs(entropy_field(st, traj) - s_data)) < 1e-12
 
 
 def test_entropy_monotone_in_contrast(traj, params):
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
-    s0 = entropy_field(st, traj, params)
+    s0 = entropy_field(st, traj)
     st.rho_hat = st.rho_hat + 0.05
-    s1 = entropy_field(st, traj, params)
+    s1 = entropy_field(st, traj)
     assert np.all(s1 < s0)  # negative contrast exponent

@@ -202,7 +202,7 @@ def exact_state(params, traj):
         t = t_lo + u * (t_hi - t_lo)
         if family == "background":
             return background_state(t, x, params)
-        return homogeneous_state(t, x, traj, params)
+        return homogeneous_state(t, x, traj)
 
     return state
 

@@ -55,7 +55,7 @@ def test_background_origin_rejected(params):
 def test_homogeneous_reduces_to_background(params):
     ztr = zero_trajectory(params)
     x = np.array([0.2, 0.1, -0.7])
-    a = homogeneous_state(1.3, x, ztr, params)
+    a = homogeneous_state(1.3, x, ztr)
     b = background_state(1.3, x, params)
     for name in ("rho", "phi", "s", "p"):
         assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-14)
@@ -64,7 +64,7 @@ def test_homogeneous_reduces_to_background(params):
 
 def test_homogeneous_initial_data(traj, params):
     x = np.array([0.5, 0.5, 0.5])
-    pt = homogeneous_state(1.0, x, traj, params)
+    pt = homogeneous_state(1.0, x, traj)
     i3, beta, gamma = params.iota**3, params.beta, params.gamma
     assert pt.rho == pytest.approx(i3 * (1.0 + beta) / (6.0 * math.pi), rel=1e-12)
     assert np.allclose(pt.v, (2.0 / 3.0 - gamma) * x, rtol=1e-10)
@@ -76,7 +76,7 @@ def test_density_contrast_is_f(traj, params, pts):
     for t in T_VALUES:
         f = traj.f_f0_at(t)[0]
         for x in pts[:5]:
-            rho_r = homogeneous_state(t, x, traj, params).rho
+            rho_r = homogeneous_state(t, x, traj).rho
             rho_b = background_state(t, x, params).rho
             assert (rho_r - rho_b) / rho_b == pytest.approx(f, rel=1e-10)
 
@@ -84,15 +84,15 @@ def test_density_contrast_is_f(traj, params, pts):
 def test_sources_vanish_on_exact_states(traj, params, pts):
     ztr = zero_trajectory(params)
     for t in (1.2, 1.9):
-        d_h, s_h = source_terms(t, pts[0], lambda tt, xx: homogeneous_state(tt, xx, traj, params),
-                                traj, params)
+        d_h, s_h = source_terms(t, pts[0], lambda tt, xx: homogeneous_state(tt, xx, traj),
+                                traj)
         d_b, s_b = source_terms(t, pts[0], lambda tt, xx: background_state(tt, xx, params),
-                                ztr, params)
+                                ztr)
         assert np.max(np.abs(d_h)) < 1e-10 and abs(s_h) < 1e-10
         assert np.max(np.abs(d_b)) < 1e-10 and abs(s_b) < 1e-10
 
 
-def test_damping_linear_in_relative_velocity(traj, params):
+def test_damping_linear_in_relative_velocity(traj):
     x = np.array([1.0, 0.0, 0.0])
     t = 1.5
 
@@ -100,43 +100,43 @@ def test_damping_linear_in_relative_velocity(traj, params):
         return np.stack([0.01 * xx[..., 1], -0.02 * xx[..., 0], 0.005 * xx[..., 2]], axis=-1)
 
     def doubled(tt, xx):
-        pt = homogeneous_state(tt, xx, traj, params)
+        pt = homogeneous_state(tt, xx, traj)
         hub_v = pt.v  # exact state has zero relative velocity
         return dataclasses.replace(pt, v=hub_v + extra(xx))
 
     def quadrupled(tt, xx):
-        pt = homogeneous_state(tt, xx, traj, params)
+        pt = homogeneous_state(tt, xx, traj)
         return dataclasses.replace(pt, v=pt.v + 2.0 * extra(xx))
 
-    d1, _ = source_terms(t, x, doubled, traj, params)
-    d2, _ = source_terms(t, x, quadrupled, traj, params)
+    d1, _ = source_terms(t, x, doubled, traj)
+    d2, _ = source_terms(t, x, quadrupled, traj)
     assert np.allclose(d2, 2.0 * d1, rtol=1e-12)
 
 
-def test_source_form_agreement(traj, params, pts):
-    rep = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj, params),
-                                 [1.5], pts[:1], traj, params)
+def test_source_form_agreement(traj, pts):
+    rep = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj),
+                                 [1.5], pts[:1], traj)
     assert rep.source_gap_max < 1e-10
 
 
 def test_exact_solution_residuals(traj, params, pts):
     ztr = zero_trajectory(params)
     rep_b = euler_poisson_residual(lambda t, x: background_state(t, x, params),
-                                   T_VALUES, pts, ztr, params)
-    rep_h = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj, params),
-                                   T_VALUES, pts, traj, params)
+                                   T_VALUES, pts, ztr)
+    rep_h = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj),
+                                   T_VALUES, pts, traj)
     for rep in (rep_b, rep_h):
         assert rep.verdict
         assert max(rep.max_norms.values()) < 1e-6
         assert rep.source_gap_max < 1e-9
 
 
-def test_scaled_density_fails(traj, params, pts):
+def test_scaled_density_fails(traj, pts):
     def scaled(t, x):
-        pt = homogeneous_state(t, x, traj, params)
+        pt = homogeneous_state(t, x, traj)
         return dataclasses.replace(pt, rho=1.01 * pt.rho)
 
-    rep = euler_poisson_residual(scaled, [1.5], pts[:8], traj, params)
+    rep = euler_poisson_residual(scaled, [1.5], pts[:8], traj)
     assert not rep.verdict
     # the uniform scaling is invisible to continuity (linear in density) and
     # is caught by the field equations instead
@@ -152,7 +152,7 @@ def test_entropy_identity_for_transported_contrast(traj, params, pts):
     om = params.omega
 
     def transported(t, x):
-        base = homogeneous_state(t, x, traj, params)
+        base = homogeneous_state(t, x, traj)
         f = traj.f_f0_at(t)[0]
         r2 = np.vecdot(x, x)
         zeta = np.log(t ** (-2.0 / 3.0) * (1.0 + f) ** (1.0 / 3.0) * np.sqrt(r2))
@@ -164,57 +164,57 @@ def test_entropy_identity_for_transported_contrast(traj, params, pts):
         return dataclasses.replace(base, rho=rho, s=s,
                                    p=params.K * np.exp(s) * rho ** (4.0 / 3.0))
 
-    rep = euler_poisson_residual(transported, [1.5], pts[:6], traj, params)
+    rep = euler_poisson_residual(transported, [1.5], pts[:6], traj)
     assert rep.entropy_transport[0] < 1e-6
     assert rep.continuity[0] < 1e-6
     assert rep.momentum[0] > 1e-3
 
 
-def test_stencil_guard(traj, params):
+def test_stencil_guard(traj):
     with pytest.raises(NumericalFailure, match="stencil"):
         source_terms(1.5, np.array([1e-4, 0.0, 0.0]),
-                     lambda t, x: homogeneous_state(t, x, traj, params),
-                     traj, params)
+                     lambda t, x: homogeneous_state(t, x, traj),
+                     traj)
 
 
-def test_time_stencil_shrinks_near_boundary(traj, params, pts):
+def test_time_stencil_shrinks_near_boundary(traj, pts):
     # probing half a stencil width from t0 drops to second order, warns, and
     # still certifies the exact solution
     h = 1e-3
     with pytest.warns(UserWarning, match="second order"):
         rep = euler_poisson_residual(
-            lambda t, x: homogeneous_state(t, x, traj, params),
-            [1.0 + 1.5 * h], pts[:4], traj, params, h=h)
+            lambda t, x: homogeneous_state(t, x, traj),
+            [1.0 + 1.5 * h], pts[:4], traj, h=h)
     assert max(rep.max_norms.values()) < 1e-4  # second-order stencil budget
 
     with pytest.raises(NumericalFailure, match="leaves the trajectory range"):
         euler_poisson_residual(
-            lambda t, x: homogeneous_state(t, x, traj, params),
-            [1.0], pts[:2], traj, params, h=h)
+            lambda t, x: homogeneous_state(t, x, traj),
+            [1.0], pts[:2], traj, h=h)
 
 
 # ---------------------------------------------------------------------------
 # one evaluation per stencil point, and the per-derivative formulas as oracle
 
 
-def test_one_state_call_per_stencil_point(traj, params, pts):
+def test_one_state_call_per_stencil_point(traj, pts):
     # per time value: 1 centre + 4 time + 1 space + 1 radial + 1 Gauss-Legendre
     # calls, each over all n sample points; 69 stencil points per sample point
     calls = []
 
     def counting(t, x):
         calls.append(x.shape)
-        return homogeneous_state(t, x, traj, params)
+        return homogeneous_state(t, x, traj)
 
     for n in (1, 3, 32):
         calls.clear()
-        euler_poisson_residual(counting, [1.2, 2.0], pts[:n], traj, params)
+        euler_poisson_residual(counting, [1.2, 2.0], pts[:n], traj)
         assert len(calls) == 2 * 8
         assert sum(math.prod(shape[:-1]) for shape in calls) == 2 * n * 69
         # shrunk time stencil: 2 time calls, 67 stencil points per sample point
         calls.clear()
         with pytest.warns(UserWarning, match="second order"):
-            euler_poisson_residual(counting, [1.0015], pts[:n], traj, params)
+            euler_poisson_residual(counting, [1.0015], pts[:n], traj)
         assert len(calls) == 6
         assert sum(math.prod(shape[:-1]) for shape in calls) == n * 67
 
@@ -245,10 +245,11 @@ def _oracle_hub(t, traj):
     return 2.0 / (3.0 * t) - f0 / (3.0 * (1.0 + f))
 
 
-def _oracle_sources(t, x, state_fn, traj, params, h=1e-3):
+def _oracle_sources(t, x, state_fn, traj, h=1e-3):
     """(D, S full form, |S full - S relative-velocity form|), one lambda per derivative."""
     x = np.asarray(x, dtype=float)
     f, f0 = traj.f_f0_at(t)
+    params = traj.params
     om, hub = params.omega, _oracle_hub(t, traj)
     pt = state_fn(t, x)
     v_check = pt.v - hub * x
@@ -264,7 +265,7 @@ def _oracle_sources(t, x, state_fn, traj, params, h=1e-3):
     return d_vec, s_val, abs(s_val - s_vform)
 
 
-def _oracle_residual(state_fn, t_values, pts, traj, params, h=1e-3):
+def _oracle_residual(state_fn, t_values, pts, traj, h=1e-3):
     gl_nodes, gl_w = np.polynomial.legendre.leggauss(48)
     cont, mom, ent, poi, gaps = [], [], [], [], []
     for tv in t_values:
@@ -276,7 +277,7 @@ def _oracle_residual(state_fn, t_values, pts, traj, params, h=1e-3):
                             x, ax, h)
                 for ax in range(3))
             cont.append(dt_rho + div_rho_v)
-            d_vec, s_src, gap = _oracle_sources(tv, x, state_fn, traj, params, h)
+            d_vec, s_src, gap = _oracle_sources(tv, x, state_fn, traj, h)
             dt_v = np.array([_oracle_ddt(lambda s, ax=ax: state_fn(s, x).v[ax], tv, h)
                              for ax in range(3)])
             jac_v = np.array([[_oracle_ddx(lambda xs, ax=ax: state_fn(tv, xs).v[ax], x, axj, h)
@@ -309,15 +310,15 @@ def _oracle_residual(state_fn, t_values, pts, traj, params, h=1e-3):
 def test_residual_equals_per_derivative_oracle(family, traj, params, pts):
     tr = zero_trajectory(params) if family == "background" else traj
     state_fn = {"background": lambda t, x: background_state(t, x, params),
-                "homogeneous": lambda t, x: homogeneous_state(t, x, traj, params)}[family]
+                "homogeneous": lambda t, x: homogeneous_state(t, x, traj)}[family]
     sample = pts[:4]
-    rep = euler_poisson_residual(state_fn, [1.5], sample, tr, params)
-    oracle = _oracle_residual(state_fn, [1.5], sample, tr, params)
+    rep = euler_poisson_residual(state_fn, [1.5], sample, tr)
+    oracle = _oracle_residual(state_fn, [1.5], sample, tr)
     for name in ("continuity", "momentum", "entropy_transport", "poisson",
                  "source_gap_max"):
         assert getattr(rep, name) == oracle[name], name
     assert (rep.n_points, rep.t_values) == (4, (1.5,))
     for x in sample:
-        d_vec, s_val, _ = _oracle_sources(1.5, x, state_fn, tr, params)
-        d_new, s_new = source_terms(1.5, x, state_fn, tr, params)
+        d_vec, s_val, _ = _oracle_sources(1.5, x, state_fn, tr)
+        d_new, s_new = source_terms(1.5, x, state_fn, tr)
         assert np.array_equal(d_new, d_vec) and s_new == s_val

@@ -65,20 +65,20 @@ def test_eta2_sub_1e3_for_fast_collapse():
     # eta_2 drops below 1e-3 by contrast 1e6 for strongly kicked data (A = 1)
     p = params_from_iota3(0.2, beta=0.1, gamma=1.0, lam=0.1, A=1.0)
     tr = integrate_contrast(p, f_cap=1e6, controls=ToleranceSpec())
-    mp = compute_g(tr, p, refine=4, thetas=(2.0,))
+    mp = compute_g(tr, refine=4, thetas=(2.0,))
     w = terminal_window(mp, 1e6)
     eta2 = mp.eta[2.0]
     assert eta2[w].max() < 1e-3
     assert np.all(np.diff(eta2[-50:]) < 0.0)
 
 
-def test_theta_hypothesis_rejected(traj, params):
+def test_theta_hypothesis_rejected(traj):
     with pytest.raises(UsageError, match="decay hypothesis"):
-        compute_g(traj, params, thetas=(4.5,))
+        compute_g(traj, thetas=(4.5,))
 
 
-def test_G_decay_fit(maps, params):
-    rep = check_G_decay(maps, params)
+def test_G_decay_fit(maps):
+    rep = check_G_decay(maps)
     assert rep.slope >= 0.4
     assert rep.dchi_rel_err < 1e-3
     assert rep.n_points > 20
@@ -86,15 +86,15 @@ def test_G_decay_fit(maps, params):
     assert not rep.zero_crossings_excised
 
 
-def test_G_decay_flags_crossing(maps, params):
+def test_G_decay_flags_crossing(maps):
     # widening the window past the sign change of G must be flagged
-    rep = check_G_decay(maps, params, decades=3.0)
+    rep = check_G_decay(maps, decades=3.0)
     assert rep.zero_crossings_excised
 
 
 def test_dchi_closed_form_at_t0(maps, params):
     # direct evaluation at the initial time, no differencing
-    val = dchi_dt_analytic(maps, params)[0]
+    val = dchi_dt_analytic(maps)[0]
     a, c, B = params.ode_a, params.ode_c, params.B
     f, chi = params.beta, maps.chi[0]
     G = chi - params.chi_limit()
@@ -105,10 +105,10 @@ def test_dchi_closed_form_at_t0(maps, params):
     assert np.isfinite(val)
 
 
-def test_representation_mismatch_detection(traj, params):
+def test_representation_mismatch_detection(traj):
     # corrupting the tolerance budget must raise rather than silently pass
     with pytest.raises(NumericalFailure, match="representation mismatch"):
-        compute_g(traj, params, refine=2, mismatch_tol=1e-13)
+        compute_g(traj, refine=2, mismatch_tol=1e-13)
 
 
 def test_diagnostics_accept_arrays(maps):
