@@ -83,6 +83,17 @@ _PROFILE_KINDS = {
     "square": {"eps": 0.0, "eps_v": 0.0, "delta": 0.15},
     "table": {"path": None},
 }
+# the value of each profile key a run takes when the profile leaves it out
+_PROFILE_DEFAULTS = {"kind": "homogeneous", "eps": 0.0, "eps_v": 0.0, "family": "both"}
+# the subcommands whose runs read the residual family; the other profile keys
+# describe the initial data, which only simulate reads (report gives its
+# simulate child a profile of its own)
+_FAMILY_READERS = ("residuals", "report")
+
+
+def _profile_setting(cfg: RunConfig, key: str):
+    """The profile's ``kind`` or ``family``, with its default when the profile names none."""
+    return cfg.profile.get(key, _PROFILE_DEFAULTS[key])
 
 
 def _name_stiffness(cfg: RunConfig, given, source: str) -> None:
@@ -268,7 +279,7 @@ def _jsonable(obj):
 
 def make_profiles(cfg: RunConfig, params: ModelParams):
     """Radial profile callables (d, v) for the configured initial data."""
-    kind = cfg.profile.get("kind", "homogeneous")
+    kind = _profile_setting(cfg, "kind")
     try:
         eps, eps_v, delta = (float(cfg.profile.get(k, v))
                              for k, v in _PROFILE_KINDS["square"].items())
@@ -413,7 +424,7 @@ def cmd_blowup(run: RunDir) -> None:
 
 def cmd_residuals(run: RunDir) -> None:
     params = run.params
-    family = run.cfg.profile.get("family", "both")
+    family = _profile_setting(run.cfg, "family")
     pts = sample_annulus(32, seed=run.cfg.seed)
     t_values = [1.2, 1.5, 2.0]
     out = {}
@@ -476,7 +487,7 @@ def cmd_simulate(run: RunDir) -> None:
     run.verdict("hyperbolicity_preserved", res.stop_reason != "hyperbolicity_loss")
     run.verdict("continuity_identity_small",
                 max(res.monitors.continuity_residual) < 1e-4)
-    if cfg.profile.get("kind") == "homogeneous":
+    if _profile_setting(cfg, "kind") == "homogeneous":
         run.verdict("homogeneous_manifold_dev_below_1e-6", dev_rho < 1e-6)
         run.verdict("homogeneous_nu_below_1e-8", dev_nu < 1e-8)
     if run.cfg.svg:
@@ -574,27 +585,31 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     # refuse settings that no run can use, before the run directory exists
     if cfg.iota3 is None and cfg.k_tilde is None:
         raise UsageError("the config sets neither iota3 nor k_tilde")
-    family = cfg.profile.get("family", "both")
+    family = _profile_setting(cfg, "family")
     if family not in _FAMILIES:
         raise UsageError(f"profile family {family!r} is not one of {list(_FAMILIES)}")
     # a profile key its kind does not read would be ignored; zero amplitudes pass,
     # as the default config carries them, and make_profiles refuses an unknown kind
-    kind = cfg.profile.get("kind", "homogeneous")
+    kind = _profile_setting(cfg, "kind")
     known = {k for keys in _PROFILE_KINDS.values() for k in keys}
     reads = _PROFILE_KINDS.get(kind, known) if isinstance(kind, str) else known
     for key, value in cfg.profile.items():
         if key not in known | {"kind", "family"}:
             raise UsageError(f"unknown profile key {key!r}: a profile takes kind, family "
                              f"and {sorted(known)}")
+        readers = _FAMILY_READERS if key == "family" else ("simulate",)
+        if cfg.command not in readers and value != _PROFILE_DEFAULTS.get(key):
+            raise UsageError(f"{cfg.command} does not read profile {key!r} = {value!r}; "
+                             f"only {' and '.join(readers)} read it")
         if key in known and key not in reads and not (key in ("eps", "eps_v") and value == 0):
             raise UsageError(f"profile kind {kind!r} does not read {key!r} = {value!r}")
     if cfg.seed < 0:
         raise UsageError(f"seed must be >= 0, got {cfg.seed!r}")
     if cfg.n_fuchsian_samples < 1:
         raise UsageError(f"n_fuchsian_samples must be >= 1, got {cfg.n_fuchsian_samples!r}")
-    for key in ("rel_tol", "abs_tol", "pde_rtol"):
-        if not getattr(cfg, key) > 0.0:
-            raise UsageError(f"{key} must be positive, got {getattr(cfg, key)!r}")
+    ToleranceSpec(cfg.rel_tol, cfg.abs_tol)  # refuses tolerances the integrator cannot meet
+    if not cfg.pde_rtol > 0.0:
+        raise UsageError(f"pde_rtol must be positive, got {cfg.pde_rtol!r}")
     return cfg
 
 

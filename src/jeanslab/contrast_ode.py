@@ -12,8 +12,11 @@ contrast caps.  In the y variable the equation reads
 
     y'' = -(a/t) y' + (b/t^2) (e^y - 1) + (c - 1) (y')^2.
 
-Everything downstream (time maps, PDE coefficients, bound certificates) is
-driven by the dense output stored on the returned trajectory.
+It is integrated by a Dormand-Prince 5(4) pair with Shampine's quartic dense
+output, stepped here and equal bit for bit to scipy's RK45 run through
+``solve_ivp`` with the cap crossing as its terminal event.  Everything
+downstream (time maps, PDE coefficients, bound certificates) is driven by the
+dense output stored on the returned trajectory.
 """
 
 from __future__ import annotations
@@ -23,18 +26,44 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import NumericalFailure, UsageError
 from .params import ModelParams
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class ToleranceSpec:
+    """Error tolerances of the contrast integration and the time it may not pass.
+
+    A relative tolerance below 100 eps cannot be met in double precision (scipy
+    raises such a value to 100 eps with a warning), so it is refused.
+    """
+
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     t_ceiling: float = 1e6
+
+    def __post_init__(self):
+        if not self.rel_tol >= 100.0 * _EPS:
+            raise UsageError(f"rel_tol must be at least 100 eps = {100.0 * _EPS:.6g}, "
+                             f"got {self.rel_tol!r}")
+        if not self.abs_tol > 0.0:
+            raise UsageError(f"abs_tol must be positive, got {self.abs_tol!r}")
+
+
+def _quartic_at(t, t_old, h, Q, y_old):
+    """(y, y') at t of the interpolant of one step (Q as nested lists), summed in the
+    order BLAS sums scipy's ``np.dot(Q, p)`` for one time."""
+    (q, r), (y, yp) = Q, y_old
+    x = (t - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x3 * x
+    return (h * ((q[0] * x + q[2] * x3) + (q[1] * x2 + q[3] * x4)) + y,
+            h * ((r[0] * x + r[2] * x3) + (r[1] * x2 + r[3] * x4)) + yp)
 
 
 class _DenseRK45:
@@ -48,7 +77,8 @@ class _DenseRK45:
 
     A time at a breakpoint ts[k] belongs to step k - 1, and a time outside
     [ts[0], ts[-1]] to the first or the last step.  The values equal those of
-    scipy's ``OdeSolution`` bit for bit.  scipy evaluates the times of one call
+    scipy's ``OdeSolution`` of the same steps bit for bit, which the tests check
+    with scipy as the oracle.  scipy evaluates the times of one call
     that share a step with one ``np.dot(Q, p)``.  For one time that is a
     matrix-vector product, which BLAS sums as (q0 x + q2 x^3) + (q1 x^2 + q3 x^4);
     for two or more it is a matrix product, which BLAS accumulates as one fused
@@ -61,13 +91,6 @@ class _DenseRK45:
         # Python floats for the scalar path
         self._ts = ts.tolist()
         self._steps = list(zip(t_old.tolist(), h.tolist(), Q.tolist(), y_old.tolist()))
-
-    @classmethod
-    def of(cls, sol) -> _DenseRK45:
-        """Gather the steps of scipy's RK45 ``OdeSolution`` into arrays."""
-        steps = sol.interpolants
-        return cls(sol.ts, np.array([s.t_old for s in steps]), np.array([s.h for s in steps]),
-                   np.array([s.Q for s in steps]), np.array([s.y_old for s in steps]))
 
     def __call__(self, t) -> np.ndarray:
         """(y, y') at the times t (any shape), as an array of shape (2,) + t.shape."""
@@ -87,13 +110,7 @@ class _DenseRK45:
     def scalar(self, t: float) -> tuple[float, float]:
         """(y, y') at one time; equal to ``self(t)`` for a 0-d t."""
         k = min(max(bisect.bisect_left(self._ts, t) - 1, 0), len(self._steps) - 1)
-        t_old, h, (q, r), (y, yp) = self._steps[k]
-        x = (t - t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return (h * ((q[0] * x + q[2] * x3) + (q[1] * x2 + q[3] * x4)) + y,
-                h * ((r[0] * x + r[2] * x3) + (r[1] * x2 + r[3] * x4)) + yp)
+        return _quartic_at(t, *self._steps[k])
 
 
 @dataclass
@@ -180,6 +197,53 @@ def _rhs_y(t, y, a, b, c):
     return (y[1], -(a / t) * y[1] + (b / t**2) * np.expm1(y[0]) + (c - 1.0) * y[1] ** 2)
 
 
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980) and Shampine's quartic
+# dense output (Math. Comp. 46, 1986), written as scipy's RK45.C, A, B, E and P.
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# the step controller: safety factor, limits of one step's change, error exponent -1/(4+1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10, -1 / 5
+
+
+def _rms(v: np.ndarray) -> float:
+    """RMS norm of a 2-vector, through the ``ddot`` that ``np.linalg.norm`` makes."""
+    return math.sqrt(v.dot(v)) / 2 ** 0.5
+
+
+def _initial_step(t, y, f, t_bound, rtol, atol, a, b, c) -> float:
+    """First step size (Hairer, Norsett and Wanner I, II.4), as scipy's
+    ``select_initial_step`` computes it for the state y with derivative f."""
+    y, f = np.asarray(y), np.asarray(f)
+    interval = t_bound - t
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    f1 = np.asarray(_rhs_y(t + h0, y + h0 * f, a, b, c))
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
 def integrate_contrast(
     params: ModelParams,
     f_cap: float = 1e6,
@@ -187,45 +251,94 @@ def integrate_contrast(
 ) -> OdeTrajectory:
     """Integrate the contrast ODE adaptively until f >= f_cap or the ceiling.
 
-    Uses an embedded Runge-Kutta pair (RK45) with dense output; the cap
-    crossing is located by a terminal event on y = ln(1+f).  Positivity of f
-    and f' on every accepted step is asserted (an interior violation would
+    Steps the Dormand-Prince 5(4) pair with scipy's error control and first
+    step, and replays the arithmetic of scipy's RK45 run through ``solve_ivp``
+    with the cap as its terminal event, so the steps, the states and the dense
+    output equal scipy's bit for bit.  The stage sums, the error and the
+    dense-output coefficients stay ``np.dot`` and the error norm the ``ddot``
+    of ``np.linalg.norm``, because BLAS sums them with fused multiply-adds that
+    Python floats cannot reproduce; the rest is Python floats.  On the step
+    that crosses y = ln(1 + f_cap) the crossing is found by ``brentq`` on that
+    step's interpolant, which stays whole in the dense output.  Positivity of
+    f and f' on every accepted step is asserted (an interior violation would
     contradict the monotonicity of the contrast and signals an integration
-    fault).  Each step's interpolant coefficients are gathered into arrays
-    once, so every later read of the dense output is a few numpy expressions
-    over all query times rather than a Python loop over steps.
+    fault).
     """
     if not f_cap > params.beta:
         raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {params.beta!r}")
+    t, t_bound = float(params.t0), float(controls.t_ceiling)
+    if not t_bound > t:
+        raise UsageError(f"t_ceiling must exceed t0, got {t_bound!r} <= {t!r}")
     a, b, c = params.ode_a, params.ode_b, params.ode_c
-    y0 = (math.log1p(params.beta), params.beta0 / (1.0 + params.beta))
+    rtol, atol = controls.rel_tol, controls.abs_tol
+    y0, y1 = math.log1p(params.beta), params.beta0 / (1.0 + params.beta)
     y_cap = math.log1p(f_cap)
-
-    def hit_cap(t, y, *args):
-        return y[0] - y_cap
-
-    hit_cap.terminal = True
-    hit_cap.direction = 1
-
-    sol = solve_ivp(
-        _rhs_y, (params.t0, controls.t_ceiling), y0, args=(a, b, c),
-        method="RK45", rtol=controls.rel_tol, atol=controls.abs_tol,
-        dense_output=True, events=hit_cap,
-    )
-    if sol.status < 0:
-        raise NumericalFailure(f"stiffness failure: integrator stopped at t={sol.t[-1]:.12g} "
-                               f"with f={math.expm1(sol.y[0, -1]):.6g}: {sol.message}")
-    reached_cap = sol.status == 1
-    t_grid = sol.t
-    f_grid = np.expm1(sol.y[0])
-    f0_grid = sol.y[1] * np.exp(sol.y[0])
+    K = np.empty((7, 2))  # stage derivatives by row; K[0] at the step's start, K[6] at its end
+    K[0] = _rhs_y(t, (y0, y1), a, b, c)
+    h_abs = _initial_step(t, (y0, y1), K[0], t_bound, rtol, atol, a, b, c)
+    KT, KB = K.T, K[:6].T
+    stages = [(s, KT[:, :s], _DP_A[s, :s], float(_DP_C[s])) for s in range(1, 6)]
+    v = np.empty(2)
+    ts, ys, t_old, hs, Qs, y_old = [t], [(y0, y1)], [], [], [], []
+    status = None  # scipy's: 0 at the ceiling, 1 at the cap
+    while status is None:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericalFailure(
+                    f"stiffness failure: integrator stopped at t={t:.12g} with "
+                    f"f={math.expm1(y0):.6g}: Required step size is less than spacing "
+                    "between numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h_abs = h = t_new - t
+            for s, k, row, c_s in stages:
+                d0, d1 = k.dot(row).tolist()
+                K[s] = _rhs_y(t + c_s * h, (y0 + d0 * h, y1 + d1 * h), a, b, c)
+            d0, d1 = KB.dot(_DP_B).tolist()
+            n0, n1 = y0 + h * d0, y1 + h * d1
+            K[6] = _rhs_y(t + h, (n0, n1), a, b, c)
+            d0, d1 = KT.dot(_DP_E).tolist()
+            v[0] = d0 * h / (atol + max(abs(y0), abs(n0)) * rtol)
+            v[1] = d1 * h / (atol + max(abs(y1), abs(n1)) * rtol)
+            error = _rms(v)
+            if error < 1:
+                factor = (_MAX_FACTOR if error == 0
+                          else min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        t_old.append(t)
+        hs.append(h)
+        # as floats: one small array per step, all held until the loop ends,
+        # fragments the heap the work after the integration allocates from
+        Qs.append(KT.dot(_DP_P).tolist())
+        y_old.append((y0, y1))
+        t, y0, y1 = t_new, n0, n1
+        K[0] = K[6]
+        if t == t_bound:
+            status = 0
+        if y0 >= y_cap:  # scipy's g <= 0 <= g_new for g = y - y_cap; g <= 0 held before
+            step = (t_old[-1], h, Qs[-1], y_old[-1])
+            t = brentq(lambda tq: _quartic_at(tq, *step)[0] - y_cap, step[0], t,
+                       xtol=4 * _EPS, rtol=4 * _EPS)
+            y0, y1 = _quartic_at(t, *step)
+            status = 1
+        ts.append(t)
+        ys.append((y0, y1))
+    t_grid = np.array(ts)
+    y = np.array(ys).T
+    f_grid = np.expm1(y[0])
+    f0_grid = y[1] * np.exp(y[0])
     if np.any(f_grid <= 0.0) or np.any(f0_grid <= 0.0):
         raise NumericalFailure("internal-consistency error: f or f' non-positive on an "
                                "accepted step (contradicts positivity of the contrast)")
     return OdeTrajectory(
         params=params, t_grid=t_grid, f=f_grid, f0=f0_grid,
-        f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=reached_cap,
-        _sol=_DenseRK45.of(sol.sol),
+        f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=status == 1,
+        _sol=_DenseRK45(t_grid, np.array(t_old), np.array(hs), np.array(Qs), np.array(y_old)),
     )
 
 

@@ -282,6 +282,7 @@ def test_stiffness_named_once(tmp_path, config, flags):
     {"abs_tol": -1e-14},
     {"rel_tol": -1.0},
     {"rel_tol": 0.0},
+    {"rel_tol": 1e-15, "profile": {"family": "both"}},  # below 100 eps
 ], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
 def test_out_of_range_settings_exit_2(tmp_path, setting):
     p = tmp_path / "cfg.json"
@@ -307,6 +308,52 @@ def test_unread_profile_settings_exit_2(tmp_path, profile):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(p), "--output-dir", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["residuals", "--family", "background", "--profile-kind", "cosine", "--eps", "0.1"],
+    ["simulate", "--grid-n", "32", "--pde-f-cap", "5", "--family", "background"],
+    ["report", "--profile-kind", "cosine", "--eps", "1e-3"],
+    ["ode", "--family", "homogeneous"],
+    ["fuchsian-check", "--profile-kind", "cosine"],
+], ids=["residuals-data", "simulate-family", "report-data", "ode-family", "fuchsian-kind"])
+def test_profile_settings_of_other_commands_exit_2(tmp_path, argv):
+    # only simulate reads the initial data, only residuals and report the family
+    out = tmp_path / "o"
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["iota", "ode", "blowup", "residuals", "simulate",
+                                     "fuchsian-check", "report"])
+def test_default_profile_accepted_by_every_command(tmp_path, command):
+    # the defaults, given or left out, are no setting a command ignores
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"command": command, "profile": {
+        "kind": "homogeneous", "eps": 0.0, "eps_v": 0, "family": "both"}}))
+    for argv in ([command], [command, "--config", str(p)]):
+        assert config_from_args(build_parser().parse_args(argv)).command == command
+
+
+def test_homogeneous_verdicts_for_a_profile_without_kind(tmp_path):
+    # the kind defaults to homogeneous for the data, and so for the verdicts
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"command": "simulate", "grid_n": 32, "pde_f_cap": 5.0,
+                             "profile": {}}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--output-dir", str(out)]) == 0
+    verdicts = read_summary(out)["verdicts"]
+    assert verdicts["homogeneous_manifold_dev_below_1e-6"]
+    assert verdicts["homogeneous_nu_below_1e-8"]
+
+
+def test_step_size_underflow_exits_3(tmp_path):
+    # the integration to f = 1e30 needs steps below the spacing of the floats near t
+    out = tmp_path / "o"
+    assert main(["ode", "--f-cap", "1e30", "--output-dir", str(out)]) == 3
+    error = json.loads((out / "error.json").read_text())
+    assert error["kind"] == "numerical"
+    assert "Required step size is less than spacing between numbers" in error["error"]
 
 
 def test_amplitude_flag_for_the_default_kind_exits_2(tmp_path):

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import OdeSolution, solve_ivp
-from scipy.integrate._ivp.rk import RkDenseOutput
+from scipy.integrate._ivp import rk
 from scipy.optimize import brentq
 
 from jeanslab import contrast_ode
@@ -102,15 +103,95 @@ def test_f_f0_at_equals_separate_calls(traj):
         assert type(f) is float and type(f0) is float
 
 
+def _scipy_rk45(params, f_cap, controls):
+    """scipy's RK45 on the contrast ODE in y = ln(1+f), through ``solve_ivp`` with the
+    cap crossing as a terminal event: the integration ``integrate_contrast`` replays."""
+    a, b, c = params.ode_a, params.ode_b, params.ode_c
+    y_cap = math.log1p(f_cap)
+
+    def rhs(t, y):
+        return (y[1], -(a / t) * y[1] + (b / t**2) * np.expm1(y[0]) + (c - 1.0) * y[1] ** 2)
+
+    def hit_cap(t, y):
+        return y[0] - y_cap
+
+    hit_cap.terminal, hit_cap.direction = True, 1
+    y0 = (math.log1p(params.beta), params.beta0 / (1.0 + params.beta))
+    return solve_ivp(rhs, (params.t0, controls.t_ceiling), y0, method="RK45",
+                     rtol=controls.rel_tol, atol=controls.abs_tol, dense_output=True,
+                     events=hit_cap)
+
+
+def _assert_equals_scipy(traj, res):
+    """The trajectory is scipy's integration: its steps, states, status and interpolants."""
+    assert res.status == (1 if traj.reached_cap else 0)
+    assert np.array_equal(traj.t_grid, res.t)
+    assert traj.t_end == res.t[-1]
+    assert np.array_equal(traj.f, np.expm1(res.y[0]))
+    assert np.array_equal(traj.f0, res.y[1] * np.exp(res.y[0]))
+    dense, steps = traj._sol, res.sol.interpolants
+    assert np.array_equal(dense.ts, res.sol.ts)
+    for name in ("t_old", "h", "Q", "y_old"):
+        assert np.array_equal(getattr(dense, name), [getattr(s, name) for s in steps]), name
+
+
 @pytest.fixture(scope="module")
 def scipy_oracle(params):
     """A deep trajectory, and scipy's own dense output (OdeSolution) of the same integration."""
-    results = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(contrast_ode, "solve_ivp",
-                   lambda *a, **k: results.append(solve_ivp(*a, **k)) or results[-1])
-        traj = integrate_contrast(params, f_cap=1e8, controls=ToleranceSpec())
-    return traj, results[0].sol
+    traj = integrate_contrast(params, f_cap=1e8, controls=ToleranceSpec())
+    res = _scipy_rk45(params, 1e8, ToleranceSpec())
+    _assert_equals_scipy(traj, res)
+    return traj, res.sol
+
+
+def test_tableau_and_controller_equal_scipy_rk45():
+    for mine, theirs in ((contrast_ode._DP_C, rk.RK45.C), (contrast_ode._DP_A, rk.RK45.A),
+                         (contrast_ode._DP_B, rk.RK45.B), (contrast_ode._DP_E, rk.RK45.E),
+                         (contrast_ode._DP_P, rk.RK45.P)):
+        assert mine.shape == theirs.shape and np.array_equal(mine, theirs)
+    assert (contrast_ode._SAFETY, contrast_ode._MIN_FACTOR, contrast_ode._MAX_FACTOR) \
+        == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+    assert contrast_ode._ERROR_EXPONENT == -1 / (rk.RK45.error_estimator_order + 1)
+
+
+_ORACLE_PARAMS = [(0.2, 0.1, 0.5), (0.2, 0.1, 0.9), (0.05, 0.5, 0.3), (0.15, 0.02, 1.0)]
+
+
+def test_integrate_contrast_equals_scipy_rk45():
+    # every cap and tolerance steps the same as scipy, rejected steps included
+    rejected = 0
+    for iota3, beta, gamma in _ORACLE_PARAMS:
+        p = params_from_iota3(iota3, beta=beta, gamma=gamma)
+        for f_cap in (1e3, 1e4, 1e6, 1e8):
+            for rel_tol in (1e-6, 1e-9, 1e-12):
+                controls = ToleranceSpec(rel_tol=rel_tol)
+                res = _scipy_rk45(p, f_cap, controls)
+                _assert_equals_scipy(integrate_contrast(p, f_cap, controls), res)
+                assert res.status == 1
+                # each trial step makes 6 rhs calls, the first step's choice 2
+                rejected += (res.nfev - 2) // 6 - (len(res.t) - 1)
+    assert rejected > 0
+
+
+def test_integrate_contrast_stops_at_the_ceiling_as_scipy(params):
+    controls = ToleranceSpec(t_ceiling=3.0)
+    traj = integrate_contrast(params, f_cap=1e8, controls=controls)
+    res = _scipy_rk45(params, 1e8, controls)
+    assert res.status == 0
+    assert (len(traj.t_grid), traj.t_end, traj.reached_cap) == (141, 3.0, False)  # 140 steps
+    _assert_equals_scipy(traj, res)
+
+
+def test_integrate_contrast_fails_where_scipy_fails(params):
+    # at f_cap = 1e30 the step size falls below the spacing of the floats near t
+    # (scipy's status -1) before f reaches the cap
+    res = _scipy_rk45(params, 1e30, ToleranceSpec())
+    assert res.status == -1
+    assert res.message == "Required step size is less than spacing between numbers."
+    assert f"{res.t[-1]:.12g}" == "4.189808361"
+    where = f"stopped at t={res.t[-1]:.12g} with f={math.expm1(res.y[0, -1]):.6g}: {res.message}"
+    with pytest.raises(NumericalFailure, match=re.escape(where)):
+        integrate_contrast(params, f_cap=1e30)
 
 
 def test_dense_output_arrays_equal_scipy(scipy_oracle):
@@ -155,7 +236,7 @@ def test_dense_output_polynomial_equals_scipy(scipy_oracle):
     traj, sol = scipy_oracle
     dense = traj._sol
     poly = type(dense)(dense.ts, dense.t_old, dense.h, dense.Q, np.zeros_like(dense.y_old))
-    oracle = OdeSolution(sol.ts, [RkDenseOutput(s.t_old, s.t, np.zeros(2), s.Q)
+    oracle = OdeSolution(sol.ts, [rk.RkDenseOutput(s.t_old, s.t, np.zeros(2), s.Q)
                                   for s in sol.interpolants])
     t = _refined_grid(traj, 2)
     for q in (t, 0.5 * (t[:-1] + t[1:]), sol.ts, 0.5 * (sol.ts[:-1] + sol.ts[1:])):
@@ -286,3 +367,14 @@ def test_zero_trajectory(params):
 def test_f_cap_precondition(params):
     with pytest.raises(UsageError):
         integrate_contrast(params, f_cap=0.05)
+    with pytest.raises(UsageError, match="t_ceiling"):
+        integrate_contrast(params, controls=ToleranceSpec(t_ceiling=params.t0))
+
+
+@pytest.mark.parametrize("tolerances", [{"rel_tol": 1e-15}, {"rel_tol": 0.0},
+                                        {"abs_tol": 0.0}, {"abs_tol": -1e-14}])
+def test_tolerances_out_of_range_refused(tolerances):
+    # below 100 eps scipy silently raised rel_tol to 2.22e-14 (with a warning)
+    with pytest.raises(UsageError):
+        ToleranceSpec(**tolerances)
+    ToleranceSpec(rel_tol=100.0 * np.finfo(float).eps)
