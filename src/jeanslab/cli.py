@@ -221,14 +221,11 @@ class RunDir:
         return child.values
 
     def manifest(self) -> None:
-        import scipy
-
         doc = {
             "config": asdict(self.cfg),
             "package_version": __version__,
             "python_version": sys.version.split()[0],
             "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__,
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
         (self.path / "manifest.json").write_text(_dumps(doc))

@@ -14,7 +14,9 @@ contrast caps.  In the y variable the equation reads
 
 It is integrated by a Dormand-Prince 5(4) pair with Shampine's quartic dense
 output, stepped here and equal bit for bit to scipy's RK45 run through
-``solve_ivp`` with the cap crossing as its terminal event.  Everything
+``solve_ivp`` with the cap crossing as its terminal event.  The roots of the
+module (the cap crossing, contrast times, the envelope bracket) come from its
+own Brent's method, equal bit for bit to scipy's ``brentq``.  Everything
 downstream (time maps, PDE coefficients, bound certificates) is driven by the
 dense output stored on the returned trajectory.
 """
@@ -26,12 +28,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalFailure, UsageError
 from .params import ModelParams
 
 _EPS = float(np.finfo(float).eps)
+_BRENT_MAXITER = 100  # scipy brentq's default
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,48 @@ class ToleranceSpec:
                              f"got {self.rel_tol!r}")
         if not self.abs_tol > 0.0:
             raise UsageError(f"abs_tol must be positive, got {self.abs_tol!r}")
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f between xa and xb, where f changes sign, by Brent's method (Brent 1973,
+    ch. 4), step for step as scipy's ``brentq`` takes it (its C routine, with inverse
+    quadratic extrapolation through the last three points and a bisection fallback)."""
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NumericalFailure(f"no sign change of the root function on [{xpre!r}, {xcur!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a short interpolation step
+        else:
+            spre = scur = sbis  # bisection
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise NumericalFailure(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
 
 
 def _quartic_at(t, t_old, h, Q, y_old):
@@ -170,7 +214,7 @@ class OdeTrajectory:
             return float(self.t_grid[0])
         if k == len(self.t_grid):
             return self.t_end
-        return brentq(gap, self.t_grid[k - 1], self.t_grid[k], xtol=1e-14, rtol=8.9e-16)
+        return _brentq(gap, self.t_grid[k - 1], self.t_grid[k], xtol=1e-14, rtol=8.9e-16)
 
 
 _ZERO_T_END = 1e9  # zero_trajectory's end time
@@ -218,13 +262,14 @@ _DP_P = np.array([
     [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-# the step controller: safety factor, limits of one step's change, error exponent -1/(4+1)
+# scipy's step controller, for this pair and pde's: safety factor, limits of one
+# step's change; and the error exponent -1/(4+1) of this pair
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10, -1 / 5
 
 
 def _rms(v: np.ndarray) -> float:
-    """RMS norm of a 2-vector, through the ``ddot`` that ``np.linalg.norm`` makes."""
-    return math.sqrt(v.dot(v)) / 2 ** 0.5
+    """RMS norm of a vector, through the ``ddot`` that ``np.linalg.norm`` makes."""
+    return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
 def _initial_step(t, y, f, t_bound, rtol, atol, a, b, c) -> float:
@@ -258,7 +303,7 @@ def integrate_contrast(
     dense-output coefficients stay ``np.dot`` and the error norm the ``ddot``
     of ``np.linalg.norm``, because BLAS sums them with fused multiply-adds that
     Python floats cannot reproduce; the rest is Python floats.  On the step
-    that crosses y = ln(1 + f_cap) the crossing is found by ``brentq`` on that
+    that crosses y = ln(1 + f_cap) the crossing is found by ``_brentq`` on that
     step's interpolant, which stays whole in the dense output.  Positivity of
     f and f' on every accepted step is asserted (an interior violation would
     contradict the monotonicity of the contrast and signals an integration
@@ -322,8 +367,8 @@ def integrate_contrast(
             status = 0
         if y0 >= y_cap:  # scipy's g <= 0 <= g_new for g = y - y_cap; g <= 0 held before
             step = (t_old[-1], h, Qs[-1], y_old[-1])
-            t = brentq(lambda tq: _quartic_at(tq, *step)[0] - y_cap, step[0], t,
-                       xtol=4 * _EPS, rtol=4 * _EPS)
+            t = _brentq(lambda tq: _quartic_at(tq, *step)[0] - y_cap, step[0], t,
+                        xtol=4 * _EPS, rtol=4 * _EPS)
             y0, y1 = _quartic_at(t, *step)
             status = 1
         ts.append(t)
@@ -446,7 +491,7 @@ def blowup_bracket(params: ModelParams) -> tuple[float, float | None]:
         if t_hi > _BRACKET_SEARCH_CEILING:
             raise NumericalFailure(f"no bracket: no sign change of the envelope "
                                    f"denominator below t={_BRACKET_SEARCH_CEILING:.3g}")
-    t_star = brentq(ec.bracket_fn, t, t_hi, xtol=1e-13, rtol=1e-11)
+    t_star = _brentq(ec.bracket_fn, t, t_hi, xtol=1e-13, rtol=1e-11)
     t_star_upper = None
     if ec.supercritical and params.t0**ec.a_bar > 1.0 / ec.cE:
         t_star_upper = (params.t0**ec.a_bar - 1.0 / ec.cE) ** (1.0 / ec.a_bar)

@@ -35,6 +35,7 @@ from .contrast_ode import OdeTrajectory
 from .errors import NumericalFailure, UsageError
 from .params import ModelParams
 from .pde import FieldState, compute_psi, diff1
+from .reference import _scrambled_halton
 from .timemaps import TimeMaps
 
 
@@ -465,9 +466,7 @@ class ConditionReport:
 
 
 def _ball_samples(n: int, radius: float, seed: int) -> np.ndarray:
-    from scipy.stats import qmc
-
-    u = qmc.Halton(d=6, scramble=True, seed=seed).random(n)
+    u = _scrambled_halton(6, n, seed)
     direc = u[:, :5] * 2.0 - 1.0
     norms = np.linalg.norm(direc, axis=1)
     norms[norms == 0.0] = 1.0

@@ -263,14 +263,40 @@ def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
 _ANNULUS_R_MIN, _ANNULUS_R_MAX = 0.1, 10.0  # radii of sample_annulus
 
 
+_HALTON_BASES = (2, 3, 5, 7, 11, 13)  # the first primes, one base per dimension
+
+
+def _scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the d-dimensional scrambled Halton sequence, shape (n, d).
+
+    Coordinate j is the van der Corput sequence in base b = _HALTON_BASES[j]
+    with each of its ceil(54 / log2 b) - 1 digits mapped through its own random
+    permutation of 0..b-1 (Owen 2017), drawn from ``default_rng(seed)``.  The
+    points equal ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n)``
+    bit for bit: the same permutations, and the digits summed in the same order.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros((d, n))
+    for acc, base in zip(out, _HALTON_BASES[:d]):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        perms = rng.permuted(perms, axis=1)  # each row shuffled in turn
+        index, scale = np.arange(n), 1.0 / base
+        for k, perm in enumerate(perms):  # digit k of the index, permuted, weighs base^-(k+1)
+            if base**k < n:
+                index, digit = np.divmod(index, base)
+                acc += (perm * scale)[digit]
+            else:  # past the digits of the largest index, n - 1, every digit is 0
+                acc += perm[0] * scale
+            scale /= base
+    return out.T
+
+
 def sample_annulus(n: int, seed: int) -> np.ndarray:
     """Quasi-random sample points in the annulus _ANNULUS_R_MIN <= |x| <= _ANNULUS_R_MAX.
 
     Scrambled Halton sequence; fixed seed gives a reproducible set.
     """
-    from scipy.stats import qmc
-
-    u = qmc.Halton(d=3, scramble=True, seed=seed).random(n)
+    u = _scrambled_halton(3, n, seed)
     r = _ANNULUS_R_MIN + (_ANNULUS_R_MAX - _ANNULUS_R_MIN) * u[:, 0]
     cos_t = 2.0 * u[:, 1] - 1.0
     sin_t = np.sqrt(1.0 - cos_t**2)

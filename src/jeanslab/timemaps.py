@@ -18,11 +18,63 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .contrast_ode import OdeTrajectory
 from .errors import NumericalFailure, UsageError
 from .params import ModelParams
+
+
+class _Pchip:
+    """Piecewise cubic Hermite interpolant of the rows of y (Fritsch & Carlson 1980).
+
+    Its slopes, coefficients and evaluation are those of scipy's
+    ``PchipInterpolator(x, y, axis=1)``, so its values equal scipy's bit for
+    bit: at an interior node the slope is the weighted harmonic mean of the
+    neighbouring secants, or 0 where they differ in sign or one vanishes; at an
+    end it is the shape-preserving one-sided three-point estimate (Moler,
+    Numerical Computing with MATLAB, 3.6).  A value at s = x - x[i] on cell i is
+    summed term by term from the constant up, the powers of s formed by repeated
+    multiplication.  A point outside the nodes takes the polynomial of the
+    nearest end cell.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = np.diff(x)
+        if not (np.all(h > 0.0) and np.all(np.isfinite(y))):
+            raise NumericalFailure("interpolation nodes not strictly increasing or "
+                                   "values not finite")
+        y = y.T  # (node, row)
+        h = h[:, None]
+        m = (y[1:] - y[:-1]) / h  # secant slopes
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        d = np.zeros_like(y)
+        # the quotients can fail only at flat nodes, whose slope is 0 whatever they give
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        d[1:-1] = np.where(flat, 0.0, inner)
+        d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        # (power 3..0, row, cell): scipy's CubicHermiteSpline coefficients
+        self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])).transpose(0, 2, 1)
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1):
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+        return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, d))
+
+    def __call__(self, xq) -> np.ndarray:
+        """The rows at the points xq (any shape), as an array of shape (rows,) + xq.shape."""
+        xq = np.asarray(xq, dtype=float)
+        i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, len(self.x) - 2)
+        s = xq - self.x[i]
+        c3, c2, c1, c0 = self.c[:, :, i]
+        s2 = s * s
+        return (0.0 + c0 + c1 * s) + c2 * s2 + c3 * (s2 * s)
 
 
 @dataclass(frozen=True)
@@ -46,8 +98,8 @@ class TimeMaps:
     G_frak: np.ndarray
     eta: dict
     # tau -> (ln(1+f), G) and t -> (ln g, G)
-    _log1pf_G_by_tau: PchipInterpolator = field(repr=False)
-    _log_g_G_by_t: PchipInterpolator = field(repr=False)
+    _log1pf_G_by_tau: _Pchip = field(repr=False)
+    _log_g_G_by_t: _Pchip = field(repr=False)
 
     def f_G_at_tau(self, tau):
         """(f, G) at the compactified times tau."""
@@ -140,8 +192,8 @@ def compute_g(traj: OdeTrajectory, refine: int = 2, thetas: tuple[float, ...] = 
         params=params, t_grid=t, f=f, f0=f0, g=g, tau=tau, representation_gap=gap,
         chi=chi, xi=1.0 / (g * (1.0 + f)), G_frak=G_frak,
         eta={th: 1.0 / (g**th * (1.0 + f)) for th in thetas},
-        _log1pf_G_by_tau=PchipInterpolator(tau, np.stack([np.log1p(f), G_frak]), axis=1),
-        _log_g_G_by_t=PchipInterpolator(t, np.stack([np.log(g), G_frak]), axis=1),
+        _log1pf_G_by_tau=_Pchip(tau, np.stack([np.log1p(f), G_frak])),
+        _log_g_G_by_t=_Pchip(t, np.stack([np.log(g), G_frak])),
     )
 
 

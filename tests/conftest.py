@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,16 @@ def cosine_profiles(params, eps, eps_v=0.0):
 def flat_profiles():
     return (lambda r: np.ones_like(np.asarray(r, float)),
             lambda r: -np.ones_like(np.asarray(r, float)))
+
+
+def assert_order_conditions(C, A, B, order):
+    """The tableau (C, A, B) of an explicit Runge-Kutta pair is consistent and its
+    quadrature reaches ``order``: C[i] = sum_j A[i, j] for every row, to 4 ulp of the
+    row's absolute sum (each coefficient is rounded on its own), and
+    sum_i B[i] C[i]^(k-1) = 1/k for k <= order, to 1e-14."""
+    for i, row in enumerate(A):
+        assert abs(math.fsum(row) - C[i]) <= 4 * np.spacing(np.abs(row).sum()), i
+    c = C[:len(B)]
+    for k in range(1, order + 1):
+        assert abs(math.fsum(B * c ** (k - 1)) - 1 / k) <= 1e-14, k
+    assert abs(math.fsum(B * c ** order) - 1 / (order + 1)) > 1e-6  # and no further

@@ -9,6 +9,7 @@ from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp import rk
 from scipy.optimize import brentq
 
+from conftest import assert_order_conditions
 from jeanslab import contrast_ode
 from jeanslab.contrast_ode import (ToleranceSpec, blowup_bracket, blowup_ladder,
                                    bound_certificates, envelope_constants,
@@ -152,6 +153,73 @@ def test_tableau_and_controller_equal_scipy_rk45():
     assert (contrast_ode._SAFETY, contrast_ode._MIN_FACTOR, contrast_ode._MAX_FACTOR) \
         == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
     assert contrast_ode._ERROR_EXPONENT == -1 / (rk.RK45.error_estimator_order + 1)
+
+
+def test_dormand_prince_order_conditions():
+    assert_order_conditions(contrast_ode._DP_C, contrast_ode._DP_A, contrast_ode._DP_B, 5)
+
+
+def _brent_cases():
+    """(f, a, b) for bracketed functions of several shapes: polynomial with an
+    oscillation, exponential, steep tanh step, triple root, and one whose values are
+    so small that neither implementation converges in 100 iterations."""
+    rng = np.random.default_rng(11)
+    shapes = (lambda c: lambda x: c[0] + c[1] * x + c[2] * x**3 + c[3] * math.sin(3 * x),
+              lambda c: lambda x: math.exp(c[0] * x) - 1.5 - c[1],
+              lambda c: lambda x: math.tanh(5 * (x - c[0])) + 0.01 * c[1],
+              lambda c: lambda x: (x - c[0]) ** 3 * (1 + c[1] ** 2),
+              lambda c: lambda x: math.atan(x - c[0]) * 1e-8 + c[1] * 1e-30)
+    cases = []
+    while len(cases) < 600:
+        f = shapes[len(cases) % len(shapes)](rng.normal(size=4))
+        a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
+        if f(a) * f(b) < 0:
+            cases.append((f, a, b))
+    return cases
+
+
+def test_brent_equals_scipy_brentq():
+    # every root and every failure to converge, at brentq's defaults and at the
+    # tolerances the module asks for
+    failed = 0
+    for f, a, b in _brent_cases():
+        for xtol, rtol in ((2e-12, 4 * np.finfo(float).eps), (1e-14, 8.9e-16),
+                           (1e-13, 1e-11), (1e-3, 1e-6)):
+            try:
+                root = brentq(f, a, b, xtol=xtol, rtol=rtol)
+            except RuntimeError:
+                failed += 1
+                with pytest.raises(NumericalFailure, match="did not converge"):
+                    contrast_ode._brentq(f, a, b, xtol, rtol)
+                continue
+            own = contrast_ode._brentq(f, a, b, xtol, rtol)
+            assert own == root and type(own) is float, (a, b, xtol, rtol)
+    assert 0 < failed < 600
+    with pytest.raises(NumericalFailure, match="no sign change"):
+        contrast_ode._brentq(math.cos, 0.0, 1.0, 1e-12, 1e-15)
+    assert contrast_ode._brentq(math.sin, 0.0, 1.0, 1e-12, 1e-15) == 0.0
+
+
+def test_roots_of_the_module_equal_scipy_brentq(params, monkeypatch):
+    # the cap crossing, the contrast times of the ladder and of the PDE's stop,
+    # and the envelope bracket, each checked against brentq on the same function
+    own, roots = contrast_ode._brentq, []
+
+    def checked(f, a, b, xtol, rtol):
+        root = own(f, a, b, xtol, rtol)
+        assert root == brentq(f, a, b, xtol=xtol, rtol=rtol)
+        roots.append(root)
+        return root
+
+    monkeypatch.setattr(contrast_ode, "_brentq", checked)
+    for iota3, beta, gamma in _ORACLE_PARAMS:
+        p = params_from_iota3(iota3, beta=beta, gamma=gamma)
+        traj = integrate_contrast(p, f_cap=1e8)
+        blowup_ladder(traj)
+        blowup_bracket(p)
+        for f_target in np.geomspace(p.beta * 1.01, 1e8, 40):
+            traj.time_of_contrast(float(f_target))
+    assert len(roots) == len(_ORACLE_PARAMS) * (1 + 5 + 1 + 39)  # f = 1e8 is t_end
 
 
 _ORACLE_PARAMS = [(0.2, 0.1, 0.5), (0.2, 0.1, 0.9), (0.05, 0.5, 0.3), (0.15, 0.02, 1.0)]

@@ -1,6 +1,11 @@
-"""Each module imports from scipy only the routines it is listed for, at any depth."""
+"""Each module imports from scipy only the routines it is listed for, at any depth,
+and a run of the pipelines in a fresh interpreter imports no scipy at all."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jeanslab
@@ -8,14 +13,9 @@ import jeanslab
 SRC = Path(jeanslab.__file__).parent
 
 # module -> the scipy names it imports, at module level or inside a function;
-# the list shrinks as the package takes over scipy's routines
+# a run imports numpy only, and scipy stays the tests' oracle
 ALLOWED = {
-    "pde": {"DOP853", "simpson"},
-    "timemaps": {"PchipInterpolator"},
-    "contrast_ode": {"brentq"},
-    "fuchsian": {"qmc"},
-    "reference": {"qmc"},
-    "cli": {"scipy"},  # its version, recorded in manifest.json
+    "pde": {"simpson"},  # psi_brute_force, an oracle that imports it when called
 }
 
 
@@ -38,3 +38,25 @@ def test_scipy_imports_are_pinned():
                 offending.append(f"{path.name}:{line}: {name}")
     assert not offending, "scipy import outside the allow-list:\n" + "\n".join(offending)
     assert found == ALLOWED  # an import no longer made comes off the list
+
+
+# imports the CLI, runs each argv list through cli.main, and prints the scipy modules loaded
+_FRESH_RUN = """
+import json, sys
+import jeanslab.cli as cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    runs = [["residuals", "--family", "both"], ["fuchsian-check", "--f-cap", "1e8"],
+            ["simulate", "--grid-n", "32"]]
+    argvs = [[*argv, "--output-dir", str(tmp_path / argv[0])] for argv in runs]
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out == {"codes": [0, 0, 0], "scipy": []}

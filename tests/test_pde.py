@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients, rk
 
-from conftest import cosine_profiles, flat_profiles
+from conftest import assert_order_conditions, cosine_profiles, flat_profiles
 from jeanslab import pde
 from jeanslab.errors import UsageError
 from jeanslab.pde import (EvolveControls, FieldState, compute_psi,
@@ -451,6 +453,17 @@ def test_evolve_dt_underflow_diagnostic(traj, params, monkeypatch):
     assert res.n_rhs == calls[0] == 2 + 12 * res.n_rejected
 
 
+def test_evolve_stops_on_nan_derivatives_from_the_start(traj, params, monkeypatch):
+    # NaN at the first call makes the first step size NaN, which no error test
+    # can reject down to the underflow limit: the march stops before any trial
+    d, v = flat_profiles()
+    st = init_from_data(params, d, v, 64)
+    monkeypatch.setattr(pde, "rhs", lambda t, y, *args: np.full_like(y, np.nan))
+    res = evolve(st, traj, t_end=2.0)
+    assert res.stop_reason == "dt_underflow"
+    assert res.final is st and (res.n_steps, res.n_rejected, res.n_rhs) == (0, 0, 2)
+
+
 def test_evolve_reports_its_work(traj, params, monkeypatch):
     d, v = cosine_profiles(params, 1e-3)
     st = init_from_data(params, d, v, 32)
@@ -467,6 +480,63 @@ def test_evolve_reports_its_work(traj, params, monkeypatch):
     dense = res.n_rhs - 2 - 12 * (res.n_steps + res.n_rejected)
     assert dense % 3 == 0 and 0 <= dense // 3 <= 3
     assert 0.0 < res.dt_min <= res.dt_max
+
+
+def test_dop853_tableau_and_controller_equal_scipy():
+    for mine, theirs in ((pde._D8_C, dop853_coefficients.C), (pde._D8_A, dop853_coefficients.A),
+                         (pde._D8_B, DOP853.B), (pde._D8_E3, DOP853.E3),
+                         (pde._D8_E5, DOP853.E5), (pde._D8_D, DOP853.D)):
+        assert mine.shape == theirs.shape and np.array_equal(mine, theirs)
+    assert pde._D8_STAGES == DOP853.n_stages
+    assert (pde._SAFETY, pde._MIN_FACTOR, pde._MAX_FACTOR) \
+        == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+    assert pde._D8_ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
+
+
+def test_dop853_order_conditions():
+    assert_order_conditions(pde._D8_C, pde._D8_A, pde._D8_B, 8)
+
+
+def _scipy_dop853(st, traj, t_stop, controls):
+    """scipy's DOP853 marching the flattened state as evolve did through scipy: the
+    dense-output states at the snapshot times and its own count of the work."""
+    n, calls = st.n, [0]
+
+    def fun(t, y):
+        calls[0] += 1
+        return rhs(t, y.reshape(3, n), traj).reshape(-1)
+
+    out_t = pde.snapshot_times(traj, st.t, t_stop, controls.out_target)
+    solver = DOP853(fun, st.t, np.stack((st.rho_hat, st.drho_dt, st.nu)).reshape(-1), t_stop,
+                    rtol=controls.pde_rtol, atol=pde._ATOL_PER_RTOL * controls.pde_rtol)
+    states, trials, steps, k = [], 0, [], 0
+    while solver.status == "running":
+        before = calls[0]
+        solver.step()
+        trials += (calls[0] - before) // solver.n_stages
+        steps.append(solver.step_size)
+        m = int(np.searchsorted(out_t, solver.t, side="right"))
+        if m > k:
+            states += zip(out_t[k:m], solver.dense_output()(out_t[k:m]).T)
+            k = m
+    return states, (len(steps), trials - len(steps), calls[0], min(steps), max(steps))
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("pde_rtol", [1e-10, 1e-8])
+def test_evolve_equals_scipy_dop853(traj, params, n, pde_rtol):
+    # every stored state and the reported work, rejected steps included
+    d, v = cosine_profiles(params, 0.05)
+    st = init_from_data(params, d, v, n)
+    controls = EvolveControls(pde_rtol=pde_rtol, out_target=20)
+    res = evolve(st, traj, f_cap=100.0, controls=controls)
+    states, work = _scipy_dop853(st, traj, res.final.t, controls)
+    assert (res.n_steps, res.n_rejected, res.n_rhs, res.dt_min, res.dt_max) == work
+    assert len(res.states) == 1 + len(states) == 1 + controls.out_target
+    for s, (t, y) in zip(res.states[1:], states):
+        assert s.t == t
+        assert np.array_equal(np.stack((s.rho_hat, s.drho_dt, s.nu)), y.reshape(3, n))
+    assert res.n_rejected > 0
 
 
 def test_snapshot_schedule(traj, params):

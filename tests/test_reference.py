@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from jeanslab.contrast_ode import zero_trajectory
 from jeanslab.errors import NumericalFailure
-from jeanslab.reference import (background_state, euler_poisson_residual,
+from jeanslab.reference import (_scrambled_halton, background_state, euler_poisson_residual,
                                 homogeneous_state, sample_annulus, source_terms)
 
 T_VALUES = [1.2, 1.5, 2.0]
@@ -15,6 +16,14 @@ T_VALUES = [1.2, 1.5, 2.0]
 @pytest.fixture(scope="module")
 def pts():
     return sample_annulus(32, seed=1234)
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_scrambled_halton_equals_scipy_qmc(d):
+    for n in (32, 400, 2000):
+        for seed in (1, 7, 20240):
+            assert np.array_equal(_scrambled_halton(d, n, seed),
+                                  qmc.Halton(d=d, scramble=True, seed=seed).random(n))
 
 
 def test_annulus_in_range(pts):

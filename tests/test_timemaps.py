@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import params_from_iota3
-from jeanslab.timemaps import (_refined_grid, check_G_decay, compute_g,
+from jeanslab.timemaps import (_Pchip, _refined_grid, check_G_decay, compute_g,
                                dchi_dt_analytic, terminal_window)
 
 
@@ -14,6 +15,43 @@ def test_endpoints(maps, params):
     assert np.all(np.diff(maps.g) < 0.0)
     assert np.all((maps.g > 0.0) & (maps.g <= 1.0))
     assert maps.xi[0] == pytest.approx(1.0 / (1.0 + params.beta), rel=1e-12)
+
+
+def _assert_pchip_equals_scipy(x, y, queries):
+    own, theirs = _Pchip(x, y), PchipInterpolator(x, y, axis=1)
+    for q in queries:
+        assert np.array_equal(own(q), theirs(q))
+        assert own(q).shape == theirs(q).shape == (len(y),) + np.shape(q)
+
+
+def test_pchip_equals_scipy_on_the_time_maps(maps_deep):
+    # both interpolants of the maps: at the nodes, the midpoints, random points,
+    # beyond both ends, as scalars and as a 2-d array
+    m, rng = maps_deep, np.random.default_rng(3)
+    for x, y in ((m.tau, np.stack([np.log1p(m.f), m.G_frak])),
+                 (m.t_grid, np.stack([np.log(m.g), m.G_frak]))):
+        beyond = [x[0] - 1.0, np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
+                  x[-1] + 1.0]
+        spread = rng.uniform(x[0], x[-1], 5000)
+        _assert_pchip_equals_scipy(x, y, [x, 0.5 * (x[1:] + x[:-1]), spread, np.array(beyond),
+                                          spread.reshape(50, 100), *spread[:50], *beyond])
+
+
+def test_pchip_equals_scipy_on_flat_and_turning_data():
+    # zero and sign-changing secants take the slope-limiting branches
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n = int(rng.integers(3, 30))
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        y = np.round(rng.normal(size=(2, n)), 1)
+        _assert_pchip_equals_scipy(x, y, [rng.uniform(x[0] - 1.0, x[-1] + 1.0, 100), x])
+
+
+def test_pchip_refuses_unordered_nodes():
+    with pytest.raises(NumericalFailure, match="strictly increasing"):
+        _Pchip(np.array([0.0, 1.0, 1.0]), np.zeros((2, 3)))
+    with pytest.raises(NumericalFailure, match="not finite"):
+        _Pchip(np.array([0.0, 1.0, 2.0]), np.array([[0.0, np.nan, 1.0]]))
 
 
 def test_representation_agreement(maps):
