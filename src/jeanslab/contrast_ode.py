@@ -18,7 +18,8 @@ output, stepped here and equal bit for bit to scipy's RK45 run through
 module (the cap crossing, contrast times, the envelope bracket) come from its
 own Brent's method, equal bit for bit to scipy's ``brentq``.  Everything
 downstream (time maps, PDE coefficients, bound certificates) is driven by the
-dense output stored on the returned trajectory.
+dense output stored on the returned trajectory, which reads every time by one
+formula, as scipy's ``OdeSolution`` reads one time alone.
 """
 
 from __future__ import annotations
@@ -99,8 +100,10 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
 
 
 def _quartic_at(t, t_old, h, Q, y_old):
-    """(y, y') at t of the interpolant of one step (Q as nested lists), summed in the
-    order BLAS sums scipy's ``np.dot(Q, p)`` for one time."""
+    """(y, y') at t of the interpolant of one step, summed as
+    (q0 x + q2 x^3) + (q1 x^2 + q3 x^4): the order in which BLAS sums scipy's
+    ``np.dot(Q, p)`` for one time.  Floats and nested lists for one time, or
+    arrays with the step data on the leading axes (Q of shape (2, 4) + t.shape)."""
     (q, r), (y, yp) = Q, y_old
     x = (t - t_old) / h
     x2 = x * x
@@ -117,17 +120,13 @@ class _DenseRK45:
     Dormand-Prince pair (Shampine, "Some Practical Runge-Kutta Formulas",
     Math. Comp. 46, 1986): with x = (t - t_old[k]) / h[k] on step k,
 
-        y(t) = h[k] (q0 x + q1 x^2 + q2 x^3 + q3 x^4) + y_old[k],   q = Q[k] row by row.
+        y(t) = h[k] ((q0 x + q2 x^3) + (q1 x^2 + q3 x^4)) + y_old[k],   q = Q[k] row by row.
 
     A time at a breakpoint ts[k] belongs to step k - 1, and a time outside
-    [ts[0], ts[-1]] to the first or the last step.  The values equal those of
-    scipy's ``OdeSolution`` of the same steps bit for bit, which the tests check
-    with scipy as the oracle.  scipy evaluates the times of one call
-    that share a step with one ``np.dot(Q, p)``.  For one time that is a
-    matrix-vector product, which BLAS sums as (q0 x + q2 x^3) + (q1 x^2 + q3 x^4);
-    for two or more it is a matrix product, which BLAS accumulates as one fused
-    multiply-add chain per value, as ``np.vecdot`` does.  So the last bit of a
-    value depends on whether another time of the same call shares its step.
+    [ts[0], ts[-1]] to the first or the last step.  Every time is read by the
+    one formula ``_quartic_at``, so a value does not depend on which other
+    times share the call, and it equals scipy's ``OdeSolution`` read at that
+    one time bit for bit, which the tests check with scipy as the oracle.
     """
 
     def __init__(self, ts, t_old, h, Q, y_old):
@@ -136,20 +135,12 @@ class _DenseRK45:
         self._ts = ts.tolist()
         self._steps = list(zip(t_old.tolist(), h.tolist(), Q.tolist(), y_old.tolist()))
 
-    def __call__(self, t) -> np.ndarray:
-        """(y, y') at the times t (any shape), as an array of shape (2,) + t.shape."""
+    def __call__(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(y, y') at the times t (any shape), as two arrays of t's shape."""
         t = np.asarray(t, dtype=float)
-        n = len(self.h)
-        k = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, n - 1)
-        x = (t - self.t_old[k]) / self.h[k]
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        q = np.moveaxis(self.Q[k], -2, 0)
-        paired = (q[..., 0] * x + q[..., 2] * x3) + (q[..., 1] * x2 + q[..., 3] * x4)
-        fused = np.vecdot(q, np.stack((x, x2, x3, x4), axis=-1))
-        alone = np.bincount(k.ravel(), minlength=n)[k] == 1
-        return self.h[k] * np.where(alone, paired, fused) + np.moveaxis(self.y_old[k], -1, 0)
+        k = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
+        return _quartic_at(t, self.t_old[k], self.h[k], np.moveaxis(self.Q[k], (-2, -1), (0, 1)),
+                           np.moveaxis(self.y_old[k], -1, 0))
 
     def scalar(self, t: float) -> tuple[float, float]:
         """(y, y') at one time; equal to ``self(t)`` for a 0-d t."""
@@ -166,7 +157,8 @@ class OdeTrajectory:
     of the dense output: it gives (f, f') at a time or at an array of times
     inside [t0, t_end].  It, and the root search of ``time_of_contrast``, go
     through one evaluator of the RK45 interpolant on every step
-    (``_DenseRK45``), which reproduces scipy's ``OdeSolution`` bit for bit.
+    (``_DenseRK45``), which reads each time as scipy's ``OdeSolution`` reads
+    it alone, bit for bit.
     The record holds no blowup-time estimate; ``blowup_ladder`` extrapolates
     one from it on request.
     """
@@ -182,7 +174,8 @@ class OdeTrajectory:
 
     def f_f0_at(self, t):
         """(f(t), f'(t)) from one dense-output read: arrays of t's shape for a numpy
-        array t, read over all times at once, and floats by the scalar path otherwise."""
+        array t, and floats by the scalar path otherwise; each value is the same
+        either way."""
         if type(t) is np.ndarray:
             y, yp = self._sol(t)
             return np.expm1(y), yp * np.exp(y)
@@ -272,21 +265,33 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
-def _initial_step(t, y, f, t_bound, rtol, atol, a, b, c) -> float:
-    """First step size (Hairer, Norsett and Wanner I, II.4), as scipy's
-    ``select_initial_step`` computes it for the state y with derivative f."""
+def _initial_step(fun, t, y, f, t_bound, rtol, atol, error_exponent) -> float:
+    """First step size toward t_bound > t (Hairer, Norsett and Wanner I, II.4), as
+    scipy's ``select_initial_step`` computes it for y' = fun(t, y) from the state y
+    with derivative f, for a pair whose step controller has this error exponent."""
     y, f = np.asarray(y), np.asarray(f)
     interval = t_bound - t
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    f1 = np.asarray(_rhs_y(t + h0, y + h0 * f, a, b, c))
+    f1 = np.asarray(fun(t + h0, y + h0 * f))
     d2 = _rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** -error_exponent
     return min(100 * h0, h1, interval)
+
+
+def _step_factor(error, error_exponent, rejected: bool):
+    """scipy's factor on the step size after a trial step with this error norm: an
+    accepted one (error < 1) grows it up to _MAX_FACTOR, but not after a rejection
+    on the same step; any other, a NaN error too, shrinks it down to _MIN_FACTOR."""
+    if error < 1:
+        factor = (_MAX_FACTOR if error == 0
+                  else min(_MAX_FACTOR, _SAFETY * error ** error_exponent))
+        return min(1, factor) if rejected else factor
+    return max(_MIN_FACTOR, _SAFETY * error ** error_exponent)
 
 
 def integrate_contrast(
@@ -320,7 +325,8 @@ def integrate_contrast(
     y_cap = math.log1p(f_cap)
     K = np.empty((7, 2))  # stage derivatives by row; K[0] at the step's start, K[6] at its end
     K[0] = _rhs_y(t, (y0, y1), a, b, c)
-    h_abs = _initial_step(t, (y0, y1), K[0], t_bound, rtol, atol, a, b, c)
+    h_abs = _initial_step(lambda tq, yq: _rhs_y(tq, yq, a, b, c), t, (y0, y1), K[0],
+                          t_bound, rtol, atol, _ERROR_EXPONENT)
     KT, KB = K.T, K[:6].T
     stages = [(s, KT[:, :s], _DP_A[s, :s], float(_DP_C[s])) for s in range(1, 6)]
     v = np.empty(2)
@@ -348,12 +354,9 @@ def integrate_contrast(
             v[0] = d0 * h / (atol + max(abs(y0), abs(n0)) * rtol)
             v[1] = d1 * h / (atol + max(abs(y1), abs(n1)) * rtol)
             error = _rms(v)
+            h_abs *= _step_factor(error, _ERROR_EXPONENT, rejected)
             if error < 1:
-                factor = (_MAX_FACTOR if error == 0
-                          else min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
-                h_abs *= min(1, factor) if rejected else factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
             rejected = True
         t_old.append(t)
         hs.append(h)

@@ -465,13 +465,19 @@ class ConditionReport:
         return all(self.verdict.values())
 
 
-def _ball_samples(n: int, radius: float, seed: int) -> np.ndarray:
+def _ball_directions(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions (n, 5) and radial factors u^(1/5) (n,) of n scrambled Halton
+    points of the 5-ball; the points of radius r are directions * (r * factors)."""
     u = _scrambled_halton(6, n, seed)
     direc = u[:, :5] * 2.0 - 1.0
     norms = np.linalg.norm(direc, axis=1)
     norms[norms == 0.0] = 1.0
-    radii = radius * u[:, 5] ** (1.0 / 5.0)
-    return direc / norms[:, None] * radii[:, None]
+    return direc / norms[:, None], u[:, 5] ** (1.0 / 5.0)
+
+
+def _ball_samples(n: int, radius: float, seed: int) -> np.ndarray:
+    unit, radial = _ball_directions(n, seed)
+    return unit * (radius * radial)[:, None]
 
 
 _TAU_RUNGS = 12  # the tau ladder is -2^-k for k < _TAU_RUNGS, above the terminal tau
@@ -565,13 +571,15 @@ def find_certified_radius(maps: TimeMaps, constants: GammaConstants, seed: int =
     """Largest sampled radius with sum |z_ell| < gamma1 over the ladder.
 
     A radius is halved when any sample breaks the budget or leaves the
-    domain of the system (DomainError) at any rung.
+    domain of the system (DomainError) at any rung.  The samples are drawn once
+    and rescaled to each radius tried.
     """
     tau = _tau_ladder(maps)[:, None]
     f_val, g_val = maps.f_G_at_tau(tau)
+    unit, radial = _ball_directions(n_samples, seed)
     r = r_start
     for _ in range(_RADIUS_TRIES):
-        samples = _ball_samples(n_samples, r, seed)
+        samples = unit * (r * radial)[:, None]
         try:
             worst = assemble_matrices(tau, samples, g_val, f_val, maps.params).sum_abs_z.max()
         except DomainError:

@@ -429,6 +429,22 @@ def test_radius_search_equals_per_sample_loop(maps_deep, gconsts, n_samples):
             == _radius_loop(maps_deep, gconsts, n_samples=n_samples))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 20240])
+def test_radius_search_draws_its_samples_once(maps_deep, gconsts, monkeypatch, seed):
+    # the samples of every try are one draw rescaled; the radius is the one the
+    # search found when it drew them anew on each of its 18 tries
+    calls = []
+    draw = fuchsian._scrambled_halton
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(fuchsian, "_scrambled_halton", counted)
+    assert find_certified_radius(maps_deep, gconsts, seed=seed) == 1e-2 * 0.5**17
+    assert calls == [(6, 400, seed)]
+
+
 @pytest.mark.parametrize("n_samples", [5, 10, 200])
 @pytest.mark.parametrize("r_tilde", [5e-8, 0.05])
 def test_conditions_equal_per_sample_loop(maps_deep, gconsts, n_samples, r_tilde):

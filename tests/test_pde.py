@@ -4,7 +4,7 @@ from scipy.integrate import DOP853
 from scipy.integrate._ivp import dop853_coefficients, rk
 
 from conftest import assert_order_conditions, cosine_profiles, flat_profiles
-from jeanslab import pde
+from jeanslab import contrast_ode, pde
 from jeanslab.errors import UsageError
 from jeanslab.pde import (EvolveControls, FieldState, compute_psi,
                           continuity_residual, data_smallness, diff1, diff2,
@@ -256,15 +256,6 @@ def test_homogeneous_preserved_second_parameter_set():
     assert max(float(np.max(np.abs(s.nu))) for s in res.states) < 1e-8
 
 
-def test_spectral_mode_homogeneous(traj, params):
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
-    res = evolve(st, traj, f_cap=10.0,
-                 controls=EvolveControls(deriv="spectral"))
-    dev = float(np.max(np.abs(res.final.rho_hat - traj.f_f0_at(res.final.t)[0])))
-    assert dev < 1e-6
-
-
 def test_perturbed_ratio_envelope(traj, params):
     d, v = cosine_profiles(params, 1e-3)
     st = init_from_data(params, d, v, 64)
@@ -310,7 +301,7 @@ def test_error_proportional_to_pde_rtol(traj, params):
     assert 0.75 <= np.log10(errs[1e-8] / errs[1e-10]) / 2.0 <= 1.5
 
 
-def _rk4_step_per_component(state, dt, traj, deriv):
+def _rk4_step_per_component(state, dt, traj):
     # the per-component form of the RK4 step, as an oracle: stage FieldStates
     # carrying the step's initial psi, one update line per field, and psi
     # recomputed after every step
@@ -322,7 +313,7 @@ def _rk4_step_per_component(state, dt, traj, deriv):
                           psi=state.psi)
 
     def stage_rhs(s):
-        return pde.rhs(s.t, _y(s), traj, deriv)
+        return pde.rhs(s.t, _y(s), traj)
 
     t = state.t
     r0, rt0, nu0 = as_vec(state)
@@ -342,13 +333,13 @@ def _rk4_step_per_component(state, dt, traj, deriv):
     return FieldState(t=t_new, zeta=state.zeta, rho_hat=r, drho_dt=rt, nu=nu, psi=psi)
 
 
-def _rk4_reference(state, times, traj, deriv, substeps=50):
+def _rk4_reference(state, times, traj, substeps=50):
     # fine fixed-step RK4 from each time to the next, landing on every time
     out, cur = [], state
     for t in times:
         dt = (t - cur.t) / substeps
         for _ in range(substeps):
-            cur = _rk4_step_per_component(cur, dt, traj, deriv)
+            cur = _rk4_step_per_component(cur, dt, traj)
         cur.t = t
         out.append(cur)
     return out
@@ -367,16 +358,15 @@ def _vacuum_after(n_calls):
     return counted, calls
 
 
-@pytest.mark.parametrize("deriv", ["fd4", "spectral"])
-@pytest.mark.parametrize("vacuum_after", [None, 40])
-def test_evolve_matches_fine_rk4_reference(traj, params, monkeypatch, deriv,
-                                           vacuum_after):
+# the ids name the stencil too, fourth-order differences, the only one evolve has
+@pytest.mark.parametrize("vacuum_after", [None, 40], ids=["None-fd4", "40-fd4"])
+def test_evolve_matches_fine_rk4_reference(traj, params, monkeypatch, vacuum_after):
     # every stored state, dense-output snapshots and step ends alike, agrees
     # with a fine fixed-step RK4 run to well within pde_rtol; a vacuum stop
     # mid-run ends with the last accepted state, off the snapshot schedule
     d, v = cosine_profiles(params, 0.05)
     st = init_from_data(params, d, v, 32)
-    controls = EvolveControls(out_target=4, deriv=deriv)
+    controls = EvolveControls(out_target=4)
     if vacuum_after is not None:
         counted, calls = _vacuum_after(vacuum_after)
         monkeypatch.setattr(pde, "rhs", counted)
@@ -392,7 +382,7 @@ def test_evolve_matches_fine_rk4_reference(traj, params, monkeypatch, deriv,
         assert res.n_rhs == calls[0] == vacuum_after + 1
         assert times[:-1] == list(schedule[:len(times) - 1])
         assert times[-1] not in schedule and 1 <= res.n_steps
-    ref = _rk4_reference(st, times, traj, deriv)
+    ref = _rk4_reference(st, times, traj)
     for s, o in zip(res.states[1:], ref):
         for name in ("rho_hat", "drho_dt", "nu"):
             assert np.max(np.abs(getattr(s, name) - getattr(o, name))) < 1e-11, (s.t, name)
@@ -488,7 +478,9 @@ def test_dop853_tableau_and_controller_equal_scipy():
                          (pde._D8_E5, DOP853.E5), (pde._D8_D, DOP853.D)):
         assert mine.shape == theirs.shape and np.array_equal(mine, theirs)
     assert pde._D8_STAGES == DOP853.n_stages
-    assert (pde._SAFETY, pde._MIN_FACTOR, pde._MAX_FACTOR) \
+    # the step factor is the contrast integration's, read through pde
+    assert pde._step_factor is contrast_ode._step_factor
+    assert (contrast_ode._SAFETY, contrast_ode._MIN_FACTOR, contrast_ode._MAX_FACTOR) \
         == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
     assert pde._D8_ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
 

@@ -6,7 +6,7 @@ from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import params_from_iota3
 from jeanslab.timemaps import (_Pchip, _refined_grid, check_G_decay, compute_g,
-                               dchi_dt_analytic, terminal_window)
+                               dchi_dt_analytic, dchi_dt_numeric, terminal_window)
 
 
 def test_endpoints(maps, params):
@@ -122,6 +122,15 @@ def test_G_decay_fit(maps):
     assert rep.n_points > 20
     # the deviation G is single-signed over the terminal decade
     assert not rep.zero_crossings_excised
+
+
+def test_dchi_dt_numeric_equals_per_point_polyfit(maps):
+    t, chi = maps.t_grid, maps.chi
+    num = dchi_dt_numeric(maps)
+    assert num.shape == (len(t) - 4,)
+    for k, i in enumerate(range(2, len(t) - 2)):
+        fit = np.polyfit(t[i - 2:i + 3] - t[i], chi[i - 2:i + 3], 4)[3]
+        assert num[k] == pytest.approx(fit, rel=1e-9), i
 
 
 def test_G_decay_flags_crossing(maps):
