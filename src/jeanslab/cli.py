@@ -17,7 +17,6 @@ other exception is a bug and ends the run with a traceback.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -146,11 +145,12 @@ def _sha256(path: Path) -> str:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """A header line and one line of '.17g' numbers per row, each ended by CRLF, as
+    ``csv.writer`` writes them (no field needs quoting)."""
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in zip(*columns):
-            w.writerow([f"{v:.17g}" for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join([f"{v:.17g}" for v in row]) + "\r\n"
+                      for row in zip(*[c.tolist() for c in columns]))
 
 
 def write_svg_lines(path: Path, x: np.ndarray, series: dict[str, np.ndarray],

@@ -22,12 +22,14 @@ extracted from an actual PDE run.
 `assemble_matrices` is array-valued: U has shape (..., 5), tau, G and f
 broadcast against U[..., 0], and every FuchsianEval field carries that leading
 shape (blocks (..., 5, 5), corrections Z (..., 8)); one point is shape ().
+The corrections come from `_corrections`, which the radius search calls alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,21 +141,31 @@ def _stack_last(parts, lead: tuple) -> np.ndarray:
     return np.stack([np.broadcast_to(p, lead) for p in parts], axis=-1)
 
 
-def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> FuchsianEval:
-    """Evaluate every block of the singular system at points (tau, U).
+class _Corrections(NamedTuple):
+    """The corrections Z (..., 8) at points (tau, U), and the pieces the blocks share
+    with them: the inputs as arrays, their broadcast leading shape, chi/B (X), the
+    power base phi = 1 + f u/(1+f) and its power phi^omega, 1/f and the wave weight."""
+    Z: np.ndarray
+    lead: tuple
+    tau: np.ndarray
+    U: np.ndarray
+    G: np.ndarray
+    f: np.ndarray
+    X: np.ndarray
+    phi: np.ndarray
+    phi_om: np.ndarray
+    inv_f: np.ndarray
+    q_w: float
 
-    U has shape (..., 5); tau, G_frak_val (the contrast diagnostics at tau)
-    and f_val broadcast against U[..., 0].  The compactified-time relation
-    g = -tau supplies xi = 1/((-tau)(1+f)) internally.  DomainError is raised
-    unless chi > 0 and 1 + f u/(1+f) > 0 (the fractional powers) everywhere.
-    Non-integer powers use the np.power ufunc even for one point, which makes
-    a point bit-identical alone and inside any batch.
-    """
+
+def _corrections(tau, U, G_frak_val, f_val, params: ModelParams) -> _Corrections:
+    """The corrections z_0 .. z_7 at points (tau, U), with the domain checks of
+    ``assemble_matrices``; it builds none of the blocks."""
     U = np.asarray(U, float)
     tau, G, f = (np.asarray(v, float) for v in (tau, G_frak_val, f_val))
     lead = np.broadcast_shapes(U.shape[:-1], tau.shape, G.shape, f.shape)
     u0, uz, u, nu, psi = (U[..., k] for k in range(5))
-    lam, i3, om, A, B = params.lam, params.iota3, params.omega, params.A, params.B
+    i3, om, B = params.iota3, params.omega, params.B
     X = 4.0 + G / B
     if np.any(X <= 0.0):
         raise DomainError(f"chi must stay positive: 4 + G/B = {np.min(X):.3g} <= 0")
@@ -162,9 +174,6 @@ def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> Fuchsia
     if np.any(phi <= 0.0):
         raise DomainError("fractional-power argument non-positive: "
                           f"1 + f u/(1+f) = {np.min(phi):.3g}")
-    xi = 1.0 / ((-tau) * (1.0 + f))
-    q = lam + (3.0 - 8.0 * i3) / 30.0
-    alpha_b = (3.0 * i3 + 2.0) ** 2 / (6.0 * (10.0 * lam + i3 + 9.0))
     inv_f = 1.0 / f
     # wave-block weight: (25/9)(2+om)(1-i3); the sound-speed factor of the
     # second-order equation must reappear here or the singular system stops
@@ -175,26 +184,6 @@ def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> Fuchsia
     nu2 = nu * nu
 
     z0 = q_w * (1.0 + inv_f) * (phi_1om - 1.0) - (25.0 / 9.0) * X * nu2
-    b11 = q_w * (1.0 + inv_f) + z0
-
-    B0 = _stack_last([1.0, b11 / X, q, 1.0, 1.0], lead)[..., None] * np.eye(5)
-
-    Bz = np.zeros(lead + (5, 5))
-    Bz[..., 0, 0] = -(2.0 / 3.0) * X * nu
-    Bz[..., 0, 1] = Bz[..., 1, 0] = 0.2 * b11
-    Bz[..., 4, 4] = -alpha_b
-    Bz /= (A * tau)[..., None, None]
-
-    two_815 = 2.0 * (3.0 - 8.0 * i3) / 15.0
-    tilde = np.array([
-        [4.0 * lam, 0.0, two_815 - 4.0 * lam, 0.0, 0.0],
-        [0.0, q_w, 0.0, 0.0, 0.0],
-        [-two_815 - 4.0 * lam, 0.0, 4.0 * lam + two_815, 0.0, 0.0],
-        [0.0, 2.0 * (1.0 - i3) / 3.0, -2.0 * (1.0 - i3) / 5.0,
-         4.0 * lam + 4.0, 2.0 * i3],
-        [0.0, 0.0, -alpha_b, 4.0 / 3.0, 3.0 * alpha_b],
-    ]) / A
-
     big_k = (a * u - u0 - (5.0 / 3.0) * nu * uz) / phi - nu
     m_dev = u0 - a * u
     z1 = (2.0 * X / 3.0) * big_k - (4.0 * X / 3.0) * m_dev / phi
@@ -217,23 +206,63 @@ def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> Fuchsia
     z6 = (X / 3.0) * (3.0 * (phi - 1.0) / phi - 3.0 * u0 / phi
                       - 5.0 * nu * uz / phi - 2.0 * nu)
     z7 = (X / 3.0) * (phi - 1.0)
+    return _Corrections(Z=_stack_last([z0, z1, z2, z3, z4, z5, z6, z7], lead), lead=lead,
+                        tau=tau, U=U, G=G, f=f, X=X, phi=phi, phi_om=phi_om, inv_f=inv_f,
+                        q_w=q_w)
+
+
+# frakB's slot of each correction z_ell: frakB = tilde + z_ell / A at these entries
+_Z_SLOTS = ((1, 1), (0, 0), (0, 1), (0, 2), (0, 3), (3, 2), (3, 3), (4, 3))
+
+
+def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> FuchsianEval:
+    """Evaluate every block of the singular system at points (tau, U).
+
+    U has shape (..., 5); tau, G_frak_val (the contrast diagnostics at tau)
+    and f_val broadcast against U[..., 0].  The compactified-time relation
+    g = -tau supplies xi = 1/((-tau)(1+f)) internally.  DomainError is raised
+    unless chi > 0 and 1 + f u/(1+f) > 0 (the fractional powers) everywhere.
+    Non-integer powers use the np.power ufunc even for one point, which makes
+    a point bit-identical alone and inside any batch.
+    """
+    c = _corrections(tau, U, G_frak_val, f_val, params)
+    tau, U, G, f, lead, X, phi, inv_f, q_w = (c.tau, c.U, c.G, c.f, c.lead, c.X, c.phi,
+                                              c.inv_f, c.q_w)
+    u0, uz, u, nu, psi = (U[..., k] for k in range(5))
+    lam, i3, A, B = params.lam, params.iota3, params.A, params.B
+    xi = 1.0 / ((-tau) * (1.0 + f))
+    q = lam + (3.0 - 8.0 * i3) / 30.0
+    alpha_b = (3.0 * i3 + 2.0) ** 2 / (6.0 * (10.0 * lam + i3 + 9.0))
+    b11 = q_w * (1.0 + inv_f) + c.Z[..., 0]
+
+    B0 = _stack_last([1.0, b11 / X, q, 1.0, 1.0], lead)[..., None] * np.eye(5)
+
+    Bz = np.zeros(lead + (5, 5))
+    Bz[..., 0, 0] = -(2.0 / 3.0) * X * nu
+    Bz[..., 0, 1] = Bz[..., 1, 0] = 0.2 * b11
+    Bz[..., 4, 4] = -alpha_b
+    Bz /= (A * tau)[..., None, None]
+
+    two_815 = 2.0 * (3.0 - 8.0 * i3) / 15.0
+    tilde = np.array([
+        [4.0 * lam, 0.0, two_815 - 4.0 * lam, 0.0, 0.0],
+        [0.0, q_w, 0.0, 0.0, 0.0],
+        [-two_815 - 4.0 * lam, 0.0, 4.0 * lam + two_815, 0.0, 0.0],
+        [0.0, 2.0 * (1.0 - i3) / 3.0, -2.0 * (1.0 - i3) / 5.0,
+         4.0 * lam + 4.0, 2.0 * i3],
+        [0.0, 0.0, -alpha_b, 4.0 / 3.0, 3.0 * alpha_b],
+    ]) / A
 
     frakB = np.broadcast_to(tilde, lead + (5, 5)).copy()
-    frakB[..., 0, 0] += z1 / A
-    frakB[..., 0, 1] += z2 / A
-    frakB[..., 0, 2] += z3 / A
-    frakB[..., 0, 3] += z4 / A
-    frakB[..., 1, 1] += z0 / A
-    frakB[..., 3, 2] += z5 / A
-    frakB[..., 3, 3] += z6 / A
-    frakB[..., 4, 3] += z7 / A
+    for ell, (i, j) in enumerate(_Z_SLOTS):
+        frakB[..., i, j] += c.Z[..., ell] / A
 
     xi1f = xi * (1.0 + inv_f)
     H = _stack_last([
         -(1.0 / A) * xi * (4.0 * lam + (lam - 1.0 / 6.0) * G / B) * u,
         -(q_w / A) * xi1f * uz,
         q * (1.0 / A) * xi1f * X * (u0 - u),
-        -(2.0 * (1.0 - i3) / (3.0 * A)) * xi1f * phi_om * uz,
+        -(2.0 * (1.0 - i3) / (3.0 * A)) * xi1f * c.phi_om * uz,
         -(X / (3.0 * A)) * xi1f * phi * nu - (X / A) * xi1f * psi,
     ], lead)
 
@@ -247,8 +276,7 @@ def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> Fuchsia
     ], lead)
 
     return FuchsianEval(tau=np.broadcast_to(tau, lead), U=np.broadcast_to(U, lead + (5,)),
-                        B0=B0, Bz=Bz, frakB=frakB, H=H, F=F,
-                        Z=_stack_last([z0, z1, z2, z3, z4, z5, z6, z7], lead))
+                        B0=B0, Bz=Bz, frakB=frakB, H=H, F=F, Z=c.Z)
 
 
 def system_residual(ev: FuchsianEval, dU_dtau: np.ndarray, dU_dzeta: np.ndarray) -> np.ndarray:
@@ -572,7 +600,8 @@ def find_certified_radius(maps: TimeMaps, constants: GammaConstants, seed: int =
 
     A radius is halved when any sample breaks the budget or leaves the
     domain of the system (DomainError) at any rung.  The samples are drawn once
-    and rescaled to each radius tried.
+    and rescaled to each radius tried.  Each try evaluates only the corrections
+    Z, with the domain checks of ``assemble_matrices``, and none of the blocks.
     """
     tau = _tau_ladder(maps)[:, None]
     f_val, g_val = maps.f_G_at_tau(tau)
@@ -581,7 +610,7 @@ def find_certified_radius(maps: TimeMaps, constants: GammaConstants, seed: int =
     for _ in range(_RADIUS_TRIES):
         samples = unit * (r * radial)[:, None]
         try:
-            worst = assemble_matrices(tau, samples, g_val, f_val, maps.params).sum_abs_z.max()
+            worst = np.abs(_corrections(tau, samples, g_val, f_val, maps.params).Z).sum(-1).max()
         except DomainError:
             worst = math.inf
         if worst < constants.gamma1:

@@ -50,16 +50,17 @@ def zeta_grid(n: int) -> np.ndarray:
 
 
 def diff1(u: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order centered first derivative on the periodic grid."""
-    p = np.concatenate((u[-2:], u, u[:2]))  # two periodic ghosts a side: p[j+2] = u[j]
-    return (-p[4:] + 8.0 * p[3:-1] - 8.0 * p[1:-3] + p[:-4]) / (12.0 * h)
+    """Fourth-order centered first derivative on the periodic grid (the last axis)."""
+    # two periodic ghosts a side: p[..., j+2] = u[..., j]
+    p = np.concatenate((u[..., -2:], u, u[..., :2]), axis=-1)
+    return (-p[..., 4:] + 8.0 * p[..., 3:-1] - 8.0 * p[..., 1:-3] + p[..., :-4]) / (12.0 * h)
 
 
 def diff2(u: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order centered second derivative on the periodic grid."""
-    p = np.concatenate((u[-2:], u, u[:2]))
-    return (-p[4:] + 16.0 * p[3:-1] - 30.0 * u
-            + 16.0 * p[1:-3] - p[:-4]) / (12.0 * h * h)
+    """Fourth-order centered second derivative on the periodic grid (the last axis)."""
+    p = np.concatenate((u[..., -2:], u, u[..., :2]), axis=-1)
+    return (-p[..., 4:] + 16.0 * p[..., 3:-1] - 30.0 * u
+            + 16.0 * p[..., 1:-3] - p[..., :-4]) / (12.0 * h * h)
 
 
 # read by no code of the package: the benchmark's tracer test still looks the
@@ -77,7 +78,7 @@ def _psi_divisor(n: int) -> np.ndarray:
 
 
 def compute_psi(u_grid: np.ndarray) -> np.ndarray:
-    """Rescaled gravity from the contrast deviation u on the periodic grid.
+    """Rescaled gravity from the contrast deviation u on the periodic grid (the last axis).
 
     Psi solves d_zeta Psi = u - 3 Psi with unit period; equivalently it is the
     one-period closed form of the infinite-tail integral,
@@ -89,23 +90,8 @@ def compute_psi(u_grid: np.ndarray) -> np.ndarray:
     Psi divided by (3 + 2 pi i k).  The output is periodic by construction and
     shift-equivariant under whole-grid-point shifts.
     """
-    n = len(u_grid)
+    n = u_grid.shape[-1]
     return np.fft.irfft(np.fft.rfft(u_grid) / _psi_divisor(n), n=n)
-
-
-def psi_brute_force(u_fn, zeta: np.ndarray, periods: int = 20, n_sub: int = 4096) -> np.ndarray:
-    """Truncated multi-period tail integral of Psi, as an independent oracle.
-
-    Direct Simpson evaluation of e^(-3 zeta) int_{zeta - periods}^{zeta} u e^(3z) dz;
-    the truncation error is e^(-3 periods).
-    """
-    from scipy.integrate import simpson
-
-    out = np.empty_like(zeta)
-    for i, z in enumerate(zeta):
-        zs = np.linspace(z - periods, z, n_sub + 1)
-        out[i] = simpson(u_fn(zs) * np.exp(3.0 * (zs - z)), x=zs)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +222,16 @@ def init_from_data(params: ModelParams, d_profile, v_profile, n: int) -> FieldSt
 def wave_coefficients(state_t: float, rho_hat: np.ndarray, nu: np.ndarray,
                       f: float, f0: float, params: ModelParams):
     """(gzz, g0z) of the reduced wave operator at one time level."""
+    return _wave_coefficients(state_t, (1.0 + rho_hat) ** (params.omega + 1.0), nu, nu**2,
+                              f, f0, params)
+
+
+def _wave_coefficients(t, one_pr_1om, nu, nu2, f, f0, params: ModelParams):
+    """(gzz, g0z) from (1 + rho_hat)^(omega+1) and nu^2, which rhs shares with its source."""
     om, i3 = params.omega, params.iota3
-    t = state_t
     one_pf = 1.0 + f
-    one_pr = 1.0 + rho_hat
-    gzz = ((2.0 + om) * (1.0 - i3) / (9.0 * t * t) * one_pr ** (om + 1.0) / one_pf**om
-           - (f0**2 / (9.0 * one_pf**2)) * nu**2)
+    gzz = ((2.0 + om) * (1.0 - i3) / (9.0 * t * t) * one_pr_1om / one_pf**om
+           - (f0**2 / (9.0 * one_pf**2)) * nu2)
     g0z = f0 * nu / (3.0 * one_pf)
     return gzz, g0z
 
@@ -261,16 +251,18 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
     one_pr = 1.0 + r
     if np.any(one_pr <= 0.0):
         raise VacuumError("vacuum formation: 1 + rho_hat <= 0 on the grid")
-    gzz, g0z = wave_coefficients(t, r, nu, f, f0, traj.params)
+    one_pr_1om, nu2 = one_pr ** (om + 1.0), nu**2
+    gzz, g0z = _wave_coefficients(t, one_pr_1om, nu, nu2, f, f0, traj.params)
     if np.any(gzz <= 0.0):
         raise HyperbolicityLossError(
             f"hyperbolicity loss at t={t:.9g}: min gzz = {float(gzz.min()):.3g}")
 
-    rz, rzz, rtz, nuz = diff1(r, h), diff2(r, h), diff1(rt, h), diff1(nu, h)
+    rz, rtz, nuz = diff1(y, h)
+    rzz = diff2(r, h)
     psi = compute_psi((r - f) / f)
     ratio = one_pr / one_pf
     ratio_om, ratio_1om = ratio**om, ratio ** (1.0 + om)
-    nu2, rz2 = nu**2, rz**2
+    rz2 = rz**2
     z_rate = f0 / (3.0 * one_pf)
 
     f1 = (-(2.0 * f0**2 / (9.0 * one_pf**2)) * nu * rz
@@ -284,7 +276,7 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
                                     - z_rate * nu * rz / one_pr
                                     - (f0 / one_pf) * nu) ** 2
           + (2.0 * (1.0 - i3) / (3.0 * t * t)) * (ratio_om - 1.0) * one_pr**2
-          + ((8.0 + 5.0 * om) * (1.0 - i3) / (9.0 * t * t)) * one_pr ** (om + 1.0) / one_pf**om * rz
+          + ((8.0 + 5.0 * om) * (1.0 - i3) / (9.0 * t * t)) * one_pr_1om / one_pf**om * rz
           + kap * f0**2 * one_pr / one_pf**2)
 
     d_rt = (gzz * rzz - 2.0 * g0z * rtz
@@ -308,15 +300,20 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
 def continuity_residual(state: FieldState, traj: OdeTrajectory) -> float:
     """Max-norm defect of the reduced continuity identity at one time level."""
     f, f0 = traj.f_f0_at(state.t)
-    h = 1.0 / state.n
-    one_pf, one_pr = 1.0 + f, 1.0 + state.rho_hat
-    z_rate = f0 / (3.0 * one_pf)
-    defect = (f0 / one_pf
-              - state.drho_dt / one_pr
-              - z_rate * state.nu * diff1(state.rho_hat, h) / one_pr
-              - (f0 / one_pf) * state.nu
-              - z_rate * diff1(state.nu, h))
+    defect = _continuity_defect(f, f0, state.rho_hat, state.drho_dt, state.nu, 1.0 / state.n)
     return float(np.max(np.abs(defect)))
+
+
+def _continuity_defect(f, f0, rho_hat, drho_dt, nu, h: float) -> np.ndarray:
+    """Pointwise defect of the reduced continuity identity, the grid on the last axis;
+    f and f0 broadcast against the fields."""
+    one_pf, one_pr = 1.0 + f, 1.0 + rho_hat
+    z_rate = f0 / (3.0 * one_pf)
+    return (f0 / one_pf
+            - drho_dt / one_pr
+            - z_rate * nu * diff1(rho_hat, h) / one_pr
+            - (f0 / one_pf) * nu
+            - z_rate * diff1(nu, h))
 
 
 def entropy_field(state: FieldState, traj: OdeTrajectory) -> np.ndarray:
@@ -340,19 +337,23 @@ def entropy_field(state: FieldState, traj: OdeTrajectory) -> np.ndarray:
 # time marching
 
 
-def _record(mon: MonitorSeries, state: FieldState, traj):
-    f, f0 = traj.f_f0_at(state.t)
-    rr = state.rho_hat / f
-    rd = state.drho_dt / f0
-    uz = (traj.params.c_scale / (1.0 + f)) * diff1(state.rho_hat, 1.0 / state.n)
-    mon.t.append(state.t)
-    mon.ratio_rho_min.append(float(rr.min()))
-    mon.ratio_rho_max.append(float(rr.max()))
-    mon.ratio_drho_min.append(float(rd.min()))
-    mon.ratio_drho_max.append(float(rd.max()))
-    mon.uz_sup.append(float(np.max(np.abs(uz))))
-    mon.nu_sup.append(float(np.max(np.abs(state.nu))))
-    mon.continuity_residual.append(continuity_residual(state, traj))
+def _record(mon: MonitorSeries, t: np.ndarray, y: np.ndarray, f: np.ndarray, f0: np.ndarray,
+            params: ModelParams) -> None:
+    """Append the monitors of the states y (m, 3, n) at the times t, where the
+    contrast and its rate are f and f0 (all three of shape (m,))."""
+    f, f0 = f[:, None], f0[:, None]
+    rho_hat, drho_dt, nu = y[:, 0], y[:, 1], y[:, 2]
+    h = 1.0 / y.shape[-1]
+    rr = rho_hat / f
+    rd = drho_dt / f0
+    uz = (params.c_scale / (1.0 + f)) * diff1(rho_hat, h)
+    defect = _continuity_defect(f, f0, rho_hat, drho_dt, nu, h)
+    for series, vals in ((mon.t, t), (mon.ratio_rho_min, rr.min(-1)),
+                         (mon.ratio_rho_max, rr.max(-1)), (mon.ratio_drho_min, rd.min(-1)),
+                         (mon.ratio_drho_max, rd.max(-1)), (mon.uz_sup, np.abs(uz).max(-1)),
+                         (mon.nu_sup, np.abs(nu).max(-1)),
+                         (mon.continuity_residual, np.abs(defect).max(-1))):
+        series.extend(vals.tolist())
 
 
 def snapshot_times(traj: OdeTrajectory, t_start: float, t_stop: float,
@@ -573,15 +574,18 @@ def evolve(state: FieldState, traj: OdeTrajectory, t_end: float | None = None,
 
     mon = MonitorSeries()
     states = [state]
-    _record(mon, state, traj)
+    t0 = np.array([state.t])
+    _record(mon, t0, np.stack((state.rho_hat, state.drho_dt, state.nu))[None],
+            *traj.f_f0_at(t0), traj.params)
 
     def store(t, y):
-        y = y.reshape(3, n)
-        f = traj.f_f0_at(t)[0]
-        st = FieldState(t=float(t), zeta=state.zeta, rho_hat=y[0], drho_dt=y[1], nu=y[2],
-                        psi=compute_psi((y[0] - f) / f))
-        states.append(st)
-        _record(mon, st, traj)
+        """Keep the states y (m, 3n) at the times t (m,) and record their monitors."""
+        y = y.reshape(len(t), 3, n)
+        f, f0 = traj.f_f0_at(t)
+        psi = compute_psi((y[:, 0] - f[:, None]) / f[:, None])
+        states.extend(FieldState(t=tk, zeta=state.zeta, rho_hat=yk[0], drho_dt=yk[1], nu=yk[2],
+                                 psi=pk) for tk, yk, pk in zip(t.tolist(), y, psi))
+        _record(mon, t, y, f, f0, traj.params)
 
     stop_reason = "t_end"
     n_steps = 0
@@ -600,8 +604,7 @@ def evolve(state: FieldState, traj: OdeTrajectory, t_end: float | None = None,
             dt_min, dt_max = min(dt_min, march.h), max(dt_max, march.h)
             m = int(np.searchsorted(out_t, march.t, side="right"))  # out_t[k:m] in this step
             if m > k:
-                for t_out, y_out in zip(out_t[k:m], march.dense(out_t[k:m])):
-                    store(t_out, y_out)
+                store(out_t[k:m], march.dense(out_t[k:m]))
                 k = m
     except HyperbolicityLossError:
         stop_reason = "hyperbolicity_loss"
@@ -610,7 +613,7 @@ def evolve(state: FieldState, traj: OdeTrajectory, t_end: float | None = None,
     if stop_reason == "t_end" and f_cap is not None and t_stop < (t_end or math.inf):
         stop_reason = "f_cap"
     if march.t > states[-1].t:
-        store(march.t, march.y)
+        store(np.array([march.t]), march.y)
     return EvolveResult(states=states, monitors=mon, stop_reason=stop_reason,
                         n_steps=n_steps, n_rejected=march.n_trials - n_steps,
                         n_rhs=march.n_rhs, dt_min=dt_min, dt_max=dt_max)

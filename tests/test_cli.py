@@ -1,11 +1,12 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from jeanslab.cli import (RunConfig, RunDir, _jsonable, build_parser, config_from_args,
-                          load_config, main)
+from jeanslab.cli import (RunConfig, RunDir, _jsonable, _write_csv, build_parser,
+                          config_from_args, load_config, main)
 from jeanslab.contrast_ode import integrate_contrast
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import DomainError
@@ -508,3 +509,18 @@ def test_jsonable_maps_non_finite_values():
         "other": [3, None, True, "x"],
     }
     assert json.loads(json.dumps(out, allow_nan=False)) == out
+
+
+def test_write_csv_bytes_equal_csv_writer(tmp_path):
+    cols = [np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 123456789.0]),
+            np.arange(8.0) / 3.0, -np.geomspace(1e-17, 1e17, 8)]
+    for k, (header, columns) in enumerate([(["t", "rho_hat", "nu"], cols),
+                                           (["a", "b"], [np.empty(0), np.empty(0)])]):
+        got, oracle = tmp_path / f"got{k}.csv", tmp_path / f"oracle{k}.csv"
+        _write_csv(got, header, columns)
+        with oracle.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in zip(*columns):
+                w.writerow([f"{v:.17g}" for v in row])
+        assert got.read_bytes() == oracle.read_bytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,8 +324,52 @@ def test_domain_errors_are_typed(params):
         assemble_matrices(-0.5, np.zeros((3, 5)), [0.0, -5.0 * params.B, 0.0], 1.0, params)
 
 
+def test_corrections_equal_assembled_Z(maps_deep, params):
+    # the radius search's batch, 9 rungs x 400 samples, at its first and last radius
+    tau = fuchsian._tau_ladder(maps_deep)[:, None]
+    f_val, g_val = maps_deep.f_G_at_tau(tau)
+    unit, radial = fuchsian._ball_directions(400, 20240)
+    for r in (1e-2, 1e-2 * 0.5**17):
+        U = unit * (r * radial)[:, None]
+        Z = fuchsian._corrections(tau, U, g_val, f_val, params).Z
+        ev = assemble_matrices(tau, U, g_val, f_val, params)
+        assert Z.shape == (9, 400, 8) and np.array_equal(Z, ev.Z)
+        for i, j in ((0, 0), (4, 123), (8, 399)):
+            one = fuchsian._corrections(float(tau[i, 0]), U[j], float(g_val[i, 0]),
+                                        float(f_val[i, 0]), params).Z
+            assert one.shape == (8,) and np.array_equal(one, ev.Z[i, j])
+
+
+def test_corrections_raise_the_domain_errors_of_assembly(params):
+    cases = [(np.array([[0.0] * 5, [0.0, 0.0, -3.0, 0.0, 0.0]]), 0.0, 10.0, "fractional-power"),
+             (np.zeros((3, 5)), [0.0, -5.0 * params.B, 0.0], 1.0, "chi must stay positive")]
+    for U, G, f, match in cases:
+        with pytest.raises(DomainError, match=match) as direct:
+            fuchsian._corrections(-0.5, U, G, f, params)
+        with pytest.raises(DomainError) as assembled:
+            assemble_matrices(-0.5, U, G, f, params)
+        assert str(direct.value) == str(assembled.value)
+
+
+def test_radius_search_assembles_no_blocks(maps_deep, gconsts, monkeypatch):
+    # it evaluates only the corrections: no assemble_matrices call, the same
+    # radius, and well under the 3 MiB that assembling every try held
+    def refused(*args):
+        raise AssertionError("the radius search assembled the blocks")
+
+    monkeypatch.setattr(fuchsian, "assemble_matrices", refused)
+    tracemalloc.start()
+    try:
+        r_tilde = find_certified_radius(maps_deep, gconsts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r_tilde == 1e-2 * 0.5**17
+    assert peak <= 2**20
+
+
 def test_radius_search_halves_only_on_domain_errors(maps_deep, gconsts, monkeypatch):
-    real = fuchsian.assemble_matrices
+    real = fuchsian._corrections
     calls = []
 
     def out_of_domain_once(*args):
@@ -333,7 +378,7 @@ def test_radius_search_halves_only_on_domain_errors(maps_deep, gconsts, monkeypa
             raise DomainError("fractional-power argument non-positive")
         return real(*args)
 
-    monkeypatch.setattr(fuchsian, "assemble_matrices", out_of_domain_once)
+    monkeypatch.setattr(fuchsian, "_corrections", out_of_domain_once)
     assert find_certified_radius(maps_deep, gconsts, n_samples=20,
                                  r_start=1e-8) == 0.5e-8
     assert len(calls) == 2
@@ -341,7 +386,7 @@ def test_radius_search_halves_only_on_domain_errors(maps_deep, gconsts, monkeypa
     def broken(*args):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(fuchsian, "assemble_matrices", broken)
+    monkeypatch.setattr(fuchsian, "_corrections", broken)
     with pytest.raises(ValueError, match="broadcast"):
         find_certified_radius(maps_deep, gconsts, n_samples=20, r_start=1e-8)
 

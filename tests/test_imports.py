@@ -14,9 +14,7 @@ SRC = Path(jeanslab.__file__).parent
 
 # module -> the scipy names it imports, at module level or inside a function;
 # a run imports numpy only, and scipy stays the tests' oracle
-ALLOWED = {
-    "pde": {"simpson"},  # psi_brute_force, an oracle that imports it when called
-}
+ALLOWED = {}
 
 
 def _scipy_imports(tree: ast.AST):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, simpson
 from scipy.integrate._ivp import dop853_coefficients, rk
 
 from conftest import assert_order_conditions, cosine_profiles, flat_profiles
@@ -8,8 +8,7 @@ from jeanslab import contrast_ode, pde
 from jeanslab.errors import UsageError
 from jeanslab.pde import (EvolveControls, FieldState, compute_psi,
                           continuity_residual, data_smallness, diff1, diff2,
-                          entropy_field, evolve, init_from_data,
-                          psi_brute_force, rhs, zeta_grid)
+                          entropy_field, evolve, init_from_data, rhs, zeta_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +31,17 @@ def test_stencils_equal_roll_formulas(n):
         assert np.array_equal(diff2(u, h), d2_roll)
 
 
+@pytest.mark.parametrize("n", [16, 128])
+def test_stencils_along_the_last_axis_equal_row_by_row(n):
+    rng = np.random.default_rng(n + 1)
+    y = rng.standard_normal((3, n))
+    for stencil in (diff1, diff2):
+        out = stencil(y, 1.0 / n)
+        assert out.shape == (3, n)
+        for got, row in zip(out, y):
+            assert np.array_equal(got, stencil(row, 1.0 / n))
+
+
 # ---------------------------------------------------------------------------
 # rescaled gravity
 
@@ -50,6 +60,19 @@ def test_psi_single_mode_exact():
     assert np.max(np.abs(psi - exact)) < 1e-14
 
 
+def psi_brute_force(u_fn, zeta: np.ndarray, periods: int = 20, n_sub: int = 4096) -> np.ndarray:
+    """Truncated multi-period tail integral of Psi, as an independent oracle.
+
+    Direct Simpson evaluation of e^(-3 zeta) int_{zeta - periods}^{zeta} u e^(3z) dz;
+    the truncation error is e^(-3 periods).
+    """
+    out = np.empty_like(zeta)
+    for i, z in enumerate(zeta):
+        zs = np.linspace(z - periods, z, n_sub + 1)
+        out[i] = simpson(u_fn(zs) * np.exp(3.0 * (zs - z)), x=zs)
+    return out
+
+
 def test_psi_brute_force_oracle():
     n = 128
     z = zeta_grid(n)
@@ -58,6 +81,16 @@ def test_psi_brute_force_oracle():
     oracle = psi_brute_force(
         lambda zz: np.cos(2.0 * np.pi * zz) + 0.3 * np.sin(4.0 * np.pi * zz), z[:12])
     assert np.max(np.abs(psi[:12] - oracle)) < 1e-8
+
+
+def test_psi_along_the_last_axis_equals_row_by_row():
+    # the batched rfft of evolve's stored states gives each row's own bits
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((5, 128))
+    psi = compute_psi(u)
+    assert psi.shape == (5, 128)
+    for got, row in zip(psi, u):
+        assert np.array_equal(got, compute_psi(row))
 
 
 def test_psi_shift_equivariance():
@@ -581,6 +614,34 @@ def test_psi_consistency_along_run(traj, params):
         u = (s.rho_hat - f) / f
         defect = diff1(s.psi, 1.0 / s.n) - (u - 3.0 * s.psi)
         assert np.max(np.abs(defect)) < 1e-5 * max(1.0, np.max(np.abs(u)))
+
+
+@pytest.mark.parametrize("vacuum_after", [None, 40])
+def test_monitors_equal_per_state_recomputation(traj, params, monkeypatch, vacuum_after):
+    # evolve records each step's states in one batch; every monitor and stored
+    # psi equals the per-state formulas, the early stop's last state included
+    d, v = cosine_profiles(params, 1e-2, eps_v=1e-3)
+    st = init_from_data(params, d, v, 32)
+    if vacuum_after is not None:
+        monkeypatch.setattr(pde, "rhs", _vacuum_after(vacuum_after)[0])
+    res = evolve(st, traj, f_cap=5.0, controls=EvolveControls(out_target=30))
+    monkeypatch.undo()
+    assert res.stop_reason == ("f_cap" if vacuum_after is None else "vacuum")
+    mon = res.monitors
+    assert len(mon.t) == len(res.states) > 2
+    for i, s in enumerate(res.states):
+        f, f0 = traj.f_f0_at(s.t)
+        rr, rd = s.rho_hat / f, s.drho_dt / f0
+        uz = (params.c_scale / (1.0 + f)) * diff1(s.rho_hat, 1.0 / s.n)
+        expect = {"t": s.t, "ratio_rho_min": float(rr.min()), "ratio_rho_max": float(rr.max()),
+                  "ratio_drho_min": float(rd.min()), "ratio_drho_max": float(rd.max()),
+                  "uz_sup": float(np.max(np.abs(uz))), "nu_sup": float(np.max(np.abs(s.nu))),
+                  "continuity_residual": continuity_residual(s, traj)}
+        for k, val in expect.items():
+            assert getattr(mon, k)[i] == val, (i, k)
+            assert type(getattr(mon, k)[i]) is float
+        if i:
+            assert np.array_equal(s.psi, compute_psi((s.rho_hat - f) / f))
 
 
 # ---------------------------------------------------------------------------
