@@ -11,10 +11,9 @@ from .contrast_ode import (BoundReport, OdeTrajectory, ToleranceSpec,
                            blowup_bracket, blowup_ladder, bound_certificates,
                            envelope_constants, integrate_contrast,
                            rk4_reference, zero_trajectory)
-from .timemaps import TimeMaps, check_G_decay, compute_g, terminal_window
-from .reference import (FluidPoint, ResidualReport, background_state,
-                        euler_poisson_residual, homogeneous_state,
-                        sample_annulus, source_terms)
+from .timemaps import TimeMaps, check_G_decay, compute_g
+from .reference import (FluidPoint, ResidualReport, euler_poisson_residual,
+                        homogeneous_state, sample_annulus)
 from .pde import (EvolveControls, FieldState, MonitorSeries, compute_psi,
                   continuity_residual, entropy_field, evolve, init_from_data, rhs)
 from .fuchsian import (ConditionReport, FuchsianEval, GammaConstants,

@@ -39,8 +39,7 @@ from .fuchsian import (find_certified_radius, gamma_constants, q_lower_bound,
 from .params import ModelParams, build_params, params_from_iota3, solve_iota
 from .pde import (EvolveControls, data_smallness, entropy_field, evolve,
                   init_from_data)
-from .reference import (FD_STEP, background_state, euler_poisson_residual,
-                        homogeneous_state, sample_annulus)
+from .reference import FD_STEP, euler_poisson_residual, homogeneous_state, sample_annulus
 from .timemaps import check_G_decay, compute_g
 
 
@@ -397,12 +396,10 @@ def cmd_blowup(run: RunDir) -> None:
     rep = bound_certificates(traj)
     est, spread, dropped = blowup_ladder(traj)
     t = traj.t_grid
-    ec = rep.constants
-    lower = np.exp(ec.cC * t**ec.p_plus + ec.cD / t)
     _write_csv(run.add_artifact("envelopes.csv"),
                ["t", "one_plus_f", "lower_envelope",
                 "lower_ok", "upper_ok", "improved_ok"],
-               [t, 1.0 + traj.f, lower, rep.lower_ok.astype(float),
+               [t, 1.0 + traj.f, rep.lower_envelope, rep.lower_ok.astype(float),
                 rep.upper_ok.astype(float), rep.improved_ok.astype(float)])
     contained = (rep.t_star <= est < (rep.t_star_upper or math.inf))
     doc = {
@@ -420,29 +417,26 @@ def cmd_blowup(run: RunDir) -> None:
 
 
 def cmd_residuals(run: RunDir) -> None:
-    params = run.params
+    # background is the f = 0 member of the homogeneous family: both read
+    # homogeneous_state, on the zero trajectory and on the run's contrast trajectory
     family = _profile_setting(run.cfg, "family")
     pts = sample_annulus(32, seed=run.cfg.seed)
     t_values = [1.2, 1.5, 2.0]
+    t_need = t_values[-1] + 2.0 * FD_STEP
     out = {}
-    if family in ("background", "both"):
-        ztraj = zero_trajectory(params)
-        rep = euler_poisson_residual(lambda t, x: background_state(t, x, params),
-                                     t_values, pts, ztraj)
-        out["background"] = {"max_norms": rep.max_norms, "verdict": rep.verdict,
-                             "source_gap_max": rep.source_gap_max}
-        run.verdict("background_residuals_below_1e-6", rep.verdict)
-    if family in ("homogeneous", "both"):
-        traj = run.trajectory(run.cfg.f_cap)
-        t_need = t_values[-1] + 2.0 * FD_STEP
+    for name in ("background", "homogeneous"):
+        if family not in (name, "both"):
+            continue
+        traj = (zero_trajectory(run.params) if name == "background"
+                else run.trajectory(run.cfg.f_cap))
         if traj.t_end < t_need:
             raise UsageError(f"f_cap {run.cfg.f_cap!r} is too small for the residual times: "
                              f"its trajectory ends at t = {traj.t_end:.6g} < {t_need:.6g}")
         rep = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj),
                                      t_values, pts, traj)
-        out["homogeneous"] = {"max_norms": rep.max_norms, "verdict": rep.verdict,
-                              "source_gap_max": rep.source_gap_max}
-        run.verdict("homogeneous_residuals_below_1e-6", rep.verdict)
+        out[name] = {"max_norms": rep.max_norms, "verdict": rep.verdict,
+                     "source_gap_max": rep.source_gap_max}
+        run.verdict(f"{name}_residuals_below_1e-6", rep.verdict)
     run.add_artifact("residuals.json").write_text(_dumps(out))
     run.values.update(out)
 

@@ -508,6 +508,7 @@ class BoundReport:
     constants: EnvelopeConstants
     t_star: float
     t_star_upper: float | None
+    lower_envelope: np.ndarray  # exp(cC t^p_plus + cD / t) at each grid point
     lower_ok: np.ndarray
     upper_ok: np.ndarray
     improved_ok: np.ndarray
@@ -556,7 +557,7 @@ def bound_certificates(traj: OdeTrajectory) -> BoundReport:
                 first = cand
     return BoundReport(
         constants=ec, t_star=t_star, t_star_upper=t_star_up,
-        lower_ok=lower_ok, upper_ok=upper_ok, improved_ok=improved_ok,
+        lower_envelope=lower_env, lower_ok=lower_ok, upper_ok=upper_ok, improved_ok=improved_ok,
         improved_applicable=ec.supercritical, first_violation=first,
     )
 

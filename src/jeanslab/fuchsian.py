@@ -521,15 +521,14 @@ def _tau_ladder(maps: TimeMaps) -> np.ndarray:
 
 
 def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
-                      n_samples: int = 2000, seed: int = 20240,
-                      divB_check: bool = True) -> ConditionReport:
+                      n_samples: int = 2000, seed: int = 20240) -> ConditionReport:
     """Sample the coefficient conditions over the ball ||U|| <= r_tilde.
 
     Checks per sample: exact symmetry of B0 and Bz, finiteness, the
     eigenvalue sandwich gb1 <= B0 <= M/kappa <= gb2, and the smallness budget
     sum |z_ell| < gamma1.  The remainder H is evaluated at U = 0 on the
     ladder, and the order split of the divergence bound is fitted across the
-    tau ladder when ``divB_check`` is set.  Refuses maps of non-certified params.
+    tau ladder.  Refuses maps of non-certified params.
     """
     if not maps.params.certified:
         raise UsageError("parameters are outside the certified stiffness range")
@@ -564,9 +563,7 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
     i, j = np.unravel_index(np.argmin(margins), margins.shape)  # first minimum in loop order
     max_sum_z = float(ev.sum_abs_z.max())
 
-    divB_orders, divB_stable = {}, True
-    if divB_check:
-        divB_orders, divB_stable = _divB_order_fit(maps, r_tilde, seed)
+    divB_orders, divB_stable = _divB_order_fit(maps, r_tilde, seed)
     g_sup, g_stable = _G_halforder_bound(maps, tau_ladder)
 
     return ConditionReport(
@@ -623,26 +620,46 @@ def find_certified_radius(maps: TimeMaps, constants: GammaConstants, seed: int =
 # divergence-order bound (condition on div B)
 
 
-def _divB_pieces(tau, U, W, maps):
-    f_val, g_val = maps.f_G_at_tau(tau)
-    ev = assemble_matrices(tau, U, g_val, f_val, maps.params)
-    b0_inv = np.linalg.inv(ev.B0)
-    # U-directions: B0^-1 times each right-side part a, b, e (for B0), W (for Bz)
-    dirs = np.array([b0_inv @ (-ev.Bz @ W), b0_inv @ (ev.frakB @ U / tau),
-                     b0_inv @ ((-tau) ** -0.5 * ev.F), W])
-    norms = np.array([np.linalg.norm(v) for v in dirs])
-    unit = dirs / np.where(norms > 0.0, norms, 1.0)[:, None]
-    # stencil points: U + eps e, U - eps e per direction (eps = _DIVB_EPS), then U at tau +- dtau
-    dtau = 1e-5 * abs(tau)
-    taus = np.array([tau] * 8 + [tau + dtau, tau - dtau])
-    pts = np.concatenate([U + _DIVB_EPS * unit, U - _DIVB_EPS * unit, [U, U]])
+def _divB_pieces(tau, U, W, maps) -> dict:
+    """The five div B pieces at every rung of tau (k,), for one point U and flux W.
+
+    Returns name -> (k,) norms: B0's derivative along each of B0^-1 times the
+    right-side parts a (-Bz W), b (frakB U / tau) and e ((-tau)^(-1/2) F), Bz's
+    along W, and B0's along tau, all by central differences.  One
+    ``assemble_matrices`` call covers the k centres and one the (k, 10) stencil
+    points.  Norms are sqrt(vecdot) over the flattened entries, which sums them
+    in the order np.linalg.norm does for one point.
+    """
+    tau = np.asarray(tau, float)
+    dtau = 1e-5 * np.abs(tau)
+    # stencil times per rung: tau at the 8 U-points, then tau +- dtau at U
+    taus = tau[:, None] + dtau[:, None] * np.r_[np.zeros(8), 1.0, -1.0]
     f_st, g_st = maps.f_G_at_tau(taus)
+    ev = assemble_matrices(tau, U, g_st[:, 0], f_st[:, 0], maps.params)
+    b0_inv = np.linalg.inv(ev.B0)
+
+    def mv(m, v):
+        return (m @ v[..., None])[..., 0]
+
+    # U-directions (k, 4, 5): B0^-1 times each right-side part a, b, e (for B0), W (for Bz)
+    dirs = np.stack([mv(b0_inv, -mv(ev.Bz, W)), mv(b0_inv, mv(ev.frakB, U) / tau[:, None]),
+                     mv(b0_inv, (-tau[:, None]) ** -0.5 * ev.F),
+                     np.broadcast_to(W, (len(tau), 5))], axis=1)
+    norms = np.sqrt(np.vecdot(dirs, dirs))
+    unit = dirs / np.where(norms > 0.0, norms, 1.0)[..., None]
+    # stencil points: U + eps e, U - eps e per direction (eps = _DIVB_EPS), then U twice
+    pts = np.concatenate([U + _DIVB_EPS * unit, U - _DIVB_EPS * unit,
+                          np.broadcast_to(U, (len(tau), 2, 5))], axis=1)
     st = assemble_matrices(taus, pts, g_st, f_st, maps.params)
-    pieces = {k: norms[n] * (st.B0[n] - st.B0[4 + n]) / (2.0 * _DIVB_EPS)
-              for n, k in enumerate(("a_flux", "b_singular", "e_halforder"))}
-    pieces["c_dUBz"] = norms[3] * (st.Bz[3] - st.Bz[7]) / (2.0 * _DIVB_EPS)
-    pieces["d_dtauB0"] = (st.B0[8] - st.B0[9]) / (2.0 * dtau)
-    return {k: float(np.linalg.norm(v)) for k, v in pieces.items()}
+
+    def d_dU(m, n):  # block m's derivative along direction n, times that direction's norm
+        return norms[:, n, None, None] * (m[:, n] - m[:, 4 + n]) / (2.0 * _DIVB_EPS)
+
+    pieces = np.stack([d_dU(st.B0, 0), d_dU(st.B0, 1), d_dU(st.Bz, 3),
+                       (st.B0[:, 8] - st.B0[:, 9]) / (2.0 * dtau)[:, None, None],
+                       d_dU(st.B0, 2)]).reshape(5, len(tau), 25)
+    return dict(zip(("a_flux", "b_singular", "c_dUBz", "d_dtauB0", "e_halforder"),
+                    np.sqrt(np.vecdot(pieces, pieces))))
 
 
 def _divB_order_fit(maps, r_tilde, seed) -> tuple[dict, bool]:
@@ -651,26 +668,21 @@ def _divB_order_fit(maps, r_tilde, seed) -> tuple[dict, bool]:
     U = _ball_samples(4, r_tilde, seed)[2]
     W = rng.standard_normal(5)
     W *= r_tilde / np.linalg.norm(W)
-    norms = {k: [] for k in ("a_flux", "b_singular", "c_dUBz", "d_dtauB0", "e_halforder")}
-    for tau in ladder:
-        piece = _divB_pieces(float(tau), U, W, maps)
-        for k in norms:
-            norms[k].append(piece[k])
+    pieces = _divB_pieces(ladder, U, W, maps)
     logt = np.log(-ladder)
     orders = {}
-    for k, vals in norms.items():
-        v = np.asarray(vals)
+    for k, v in pieces.items():
         mask = v > 0.0
         slope = float(np.polyfit(logt[mask], np.log(v[mask]), 1)[0]) if mask.sum() > 2 else 0.0
         orders[k] = slope
     # stability of the half-order weighted sups under ladder refinement
     stable = True
     for k in ("d_dtauB0", "e_halforder"):
-        v = np.asarray(norms[k]) * np.sqrt(-ladder)
+        v = pieces[k] * np.sqrt(-ladder)
         half = v[: max(2, len(v) // 2)]
         stable &= bool(np.max(v) <= 1.5 * max(np.max(half), 1e-300))
     for k in ("a_flux", "b_singular", "c_dUBz"):
-        v = np.asarray(norms[k]) * (-ladder)
+        v = pieces[k] * (-ladder)
         if np.all(v > 0.0):
             stable &= bool(np.max(v) / np.min(v) < 50.0)
     return orders, stable

@@ -1,11 +1,12 @@
 """Closed-form fluid states and residual certification of the sourced system.
 
-Two exact solutions are evaluated as arrays over sample points: the expanding
-homogeneous background (the beta = gamma = 0 member, its own contrast being
-identically zero) and the homogeneous-blowup reference whose contrast f(t)
-comes from the ODE trajectory.  The residual machinery applies fourth-order
-centered differences to any state function, so the same code later certifies
-evolved states, not just closed forms.
+One family of exact solutions is evaluated as arrays over sample points: the
+homogeneous-blowup reference whose contrast f(t) comes from an ODE trajectory.
+On the zero trajectory it is the expanding homogeneous background (the
+beta = gamma = 0 member, its own contrast being identically zero).  The
+residual machinery applies fourth-order centered differences to any state
+function, so the same code later certifies evolved states, not just closed
+forms.
 
 A state function ``state_fn(t, x)`` takes one float time and points ``x`` of
 shape ``(..., 3)``; it returns a `FluidPoint` whose scalar fields have shape
@@ -26,7 +27,6 @@ import numpy as np
 
 from .contrast_ode import OdeTrajectory
 from .errors import NumericalFailure
-from .params import ModelParams
 
 
 @dataclass(frozen=True)
@@ -42,37 +42,16 @@ class FluidPoint:
     p: np.ndarray
 
 
-def _fluid_point(t, x, r2, rho: float, v, phi, s, params: ModelParams) -> FluidPoint:
-    """State with the x-independent density rho spread over the points' shape."""
-    p = params.K * np.exp(s) * rho ** (4.0 / 3.0)
-    return FluidPoint(t=t, x=x, rho=np.full_like(r2, rho), v=v, phi=phi, s=s, p=p)
+def homogeneous_state(t: float, x, traj: OdeTrajectory) -> FluidPoint:
+    """Homogeneous-blowup reference solution driven by the contrast f(t) of ``traj``.
 
-
-def _radius_squared(x) -> np.ndarray:
+    On ``zero_trajectory`` (f = f' = 0) this is the expanding background:
+    density ~ t^-2 and Hubble flow 2x/(3t).
+    """
+    x = np.asarray(x, dtype=float)
     r2 = np.vecdot(x, x)
     if np.any(r2 == 0.0):
         raise NumericalFailure("entropy is singular at x = 0 (log of |x|^2)")
-    return r2
-
-
-def background_state(t: float, x, params: ModelParams) -> FluidPoint:
-    """Exact expanding background: homogeneous density ~ t^-2, Hubble flow 2x/(3t)."""
-    x = np.asarray(x, dtype=float)
-    r2 = _radius_squared(x)
-    if t < params.t0:
-        raise NumericalFailure(f"t must be >= t0 = {params.t0}, got {float(t)}")
-    i3 = params.iota3
-    rho = i3 / (6.0 * math.pi * t * t)
-    v = (2.0 / (3.0 * t)) * x
-    phi = i3 * r2 / (9.0 * t * t)
-    s = np.log(t ** (-4.0 / 3.0) * r2)
-    return _fluid_point(t, x, r2, rho, v, phi, s, params)
-
-
-def homogeneous_state(t: float, x, traj: OdeTrajectory) -> FluidPoint:
-    """Homogeneous-blowup reference solution driven by the contrast f(t) of ``traj``."""
-    x = np.asarray(x, dtype=float)
-    r2 = _radius_squared(x)
     if not (traj.t_grid[0] <= t <= traj.t_end):
         raise NumericalFailure(f"t = {float(t)} outside trajectory range "
                                f"[{float(traj.t_grid[0])}, {traj.t_end}]")
@@ -82,7 +61,8 @@ def homogeneous_state(t: float, x, traj: OdeTrajectory) -> FluidPoint:
     v = (2.0 / (3.0 * t) - f0 / (3.0 * (1.0 + f))) * x
     phi = i3 * (1.0 + f) * r2 / (9.0 * t * t)
     s = np.log(t ** (-4.0 / 3.0) * (1.0 + f) ** (2.0 / 3.0) * r2)
-    return _fluid_point(t, x, r2, rho, v, phi, s, traj.params)
+    p = traj.params.K * np.exp(s) * rho ** (4.0 / 3.0)
+    return FluidPoint(t=t, x=x, rho=np.full_like(r2, rho), v=v, phi=phi, s=s, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -101,23 +81,10 @@ def _fd4(vals, h):
 
 
 def _time_stencil(state_fn, t, x, h, t_lo, t_hi):
-    """States at x at the `_FD4_O` times around t, or at (t + h, t - h) near the range ends."""
+    """States at x at the `_FD4_O` times around t, all inside [t_lo, t_hi]."""
     if t - 2.0 * h >= t_lo and t + 2.0 * h <= t_hi:
         return [state_fn(t + o * h, x) for o in _FD4_O]
-    if t - h >= t_lo and t + h <= t_hi:
-        import warnings
-
-        warnings.warn("time stencil shrunk to second order near the "
-                      "trajectory range boundary", stacklevel=3)
-        return [state_fn(t + h, x), state_fn(t - h, x)]
     raise NumericalFailure(f"time stencil around t={float(t)} leaves the trajectory range")
-
-
-def _ddt(vals, h):
-    """Time derivative from values on a `_time_stencil`."""
-    if len(vals) == 4:
-        return _fd4(vals, h)
-    return (vals[0] - vals[1]) / (2.0 * h)
 
 
 def _space_points(x, h):
@@ -154,21 +121,6 @@ def _sources(t, x, pt, space, traj, h):
               + 3.0 * om * hub)
     s_vform = -(2.0 / 3.0 + om) * div_vc + 2.0 * np.vecdot(v_check, x) / r2
     return d_vec, s_full, s_vform
-
-
-def source_terms(t: float, x, state_fn, traj: OdeTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum damping D (shape (..., 3)) and entropy production S (shape (...)) at x.
-
-    D is linear in the velocity deviation from the homogeneous flow; S is
-    evaluated in its full displayed form (including the explicit expansion
-    term), with the velocity divergence taken by centered differences of the
-    supplied state function at spacing FD_STEP.  ``state_fn`` must be evaluable
-    on the spatial stencil around x.
-    """
-    x = np.asarray(x, dtype=float)
-    space = state_fn(t, _space_points(x, FD_STEP))
-    d_vec, s_full, _ = _sources(t, x, state_fn(t, x), space, traj, FD_STEP)
-    return d_vec, s_full
 
 
 @dataclass
@@ -231,18 +183,18 @@ def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
         times = _time_stencil(state_fn, tv, pts, h, t_lo, t_hi)
         space = state_fn(tv, _space_points(pts, h))
         # continuity: d_t rho + div(rho v)
-        dt_rho = _ddt([q.rho for q in times], h)
+        dt_rho = _fd4([q.rho for q in times], h)
         cont.append(dt_rho + _trace(_fd4(space.rho[..., None] * space.v, h)))
         # momentum: d_t v + (v.grad) v + grad p / rho + grad phi - D
         d_vec, s_src, s_vform = _sources(tv, pts, pt, space, traj, h)
-        dt_v = _ddt([q.v for q in times], h)
+        dt_v = _fd4([q.v for q in times], h)
         jac_v = np.swapaxes(_fd4(space.v, h), -1, -2)
         grad_p, grad_phi, grad_s = (_fd4(getattr(space, name), h)
                                     for name in ("p", "phi", "s"))
         mom.append(dt_v + np.matmul(jac_v, pt.v[..., None])[..., 0]
                    + grad_p / pt.rho[:, None] + grad_phi - d_vec)
         # entropy transport: d_t s + v.grad s - S
-        dt_s = _ddt([q.s for q in times], h)
+        dt_s = _fd4([q.s for q in times], h)
         ent.append(dt_s + np.vecdot(pt.v, grad_s) - s_src)
         gaps.append(np.abs(s_src - s_vform))
         # poisson, radial form

@@ -138,7 +138,6 @@ def _refined_grid(traj: OdeTrajectory, refine: int) -> np.ndarray:
 
 
 _CHI_CROSSCHECK_TOL = 1e-6
-_WINDOW_FRAC = 0.9
 
 
 def compute_g(traj: OdeTrajectory, refine: int = 2, thetas: tuple[float, ...] = (2.0,),
@@ -195,11 +194,6 @@ def compute_g(traj: OdeTrajectory, refine: int = 2, thetas: tuple[float, ...] = 
         _log1pf_G_by_tau=_Pchip(tau, np.stack([np.log1p(f), G_frak])),
         _log_g_G_by_t=_Pchip(t, np.stack([np.log(g), G_frak])),
     )
-
-
-def terminal_window(maps: TimeMaps, f_cap: float) -> np.ndarray:
-    """Index mask of the terminal window f >= _WINDOW_FRAC * f_cap."""
-    return maps.f >= _WINDOW_FRAC * f_cap
 
 
 def dchi_dt_analytic(maps: TimeMaps) -> np.ndarray:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
+from jeanslab.errors import NumericalFailure
 from jeanslab.params import params_from_iota3
+from jeanslab.reference import FluidPoint
 from jeanslab.timemaps import compute_g
 
 @pytest.fixture(scope="session")
@@ -64,6 +66,28 @@ def cosine_profiles(params, eps, eps_v=0.0):
 def flat_profiles():
     return (lambda r: np.ones_like(np.asarray(r, float)),
             lambda r: -np.ones_like(np.asarray(r, float)))
+
+
+def background_state(t, x, params):
+    """Closed form of the expanding background at one time t and points x (..., 3):
+    density iota^3/(6 pi t^2), Hubble flow 2x/(3t), potential iota^3 |x|^2/(9 t^2),
+    entropy log(t^(-4/3) |x|^2), pressure K e^s rho^(4/3).  The oracle of
+    ``homogeneous_state`` on ``zero_trajectory``."""
+    x = np.asarray(x, dtype=float)
+    r2 = np.vecdot(x, x)
+    if np.any(r2 == 0.0):
+        raise NumericalFailure("entropy is singular at x = 0 (log of |x|^2)")
+    i3 = params.iota3
+    rho = i3 / (6.0 * math.pi * t * t)
+    s = np.log(t ** (-4.0 / 3.0) * r2)
+    return FluidPoint(t=t, x=x, rho=np.full_like(r2, rho), v=(2.0 / (3.0 * t)) * x,
+                      phi=i3 * r2 / (9.0 * t * t), s=s,
+                      p=params.K * np.exp(s) * rho ** (4.0 / 3.0))
+
+
+def terminal_window(maps, f_cap):
+    """Index mask of the terminal window f >= 0.9 f_cap of the maps' grid."""
+    return maps.f >= 0.9 * f_cap
 
 
 def assert_order_conditions(C, A, B, order):

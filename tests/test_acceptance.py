@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cosine_profiles, flat_profiles
+from conftest import background_state, cosine_profiles, flat_profiles, terminal_window
 from jeanslab.contrast_ode import (ToleranceSpec, blowup_bracket, blowup_ladder,
                                    bound_certificates, envelope_constants,
                                    integrate_contrast, zero_trajectory)
@@ -21,9 +21,8 @@ from jeanslab.fuchsian import (assemble_matrices, find_certified_radius,
 from jeanslab.params import params_from_iota3, solve_iota
 from jeanslab.pde import (EvolveControls, compute_psi, diff1, evolve,
                           init_from_data, zeta_grid)
-from jeanslab.reference import (background_state, euler_poisson_residual,
-                                homogeneous_state, sample_annulus)
-from jeanslab.timemaps import check_G_decay, terminal_window
+from jeanslab.reference import euler_poisson_residual, homogeneous_state, sample_annulus
+from jeanslab.timemaps import check_G_decay
 
 
 def report(n, text):

@@ -230,8 +230,7 @@ def test_certified_radius_and_conditions(maps_deep, gconsts):
 
 def test_sandwich_violated_outside_ball(maps_deep, gconsts):
     # far outside the certified ball the smallness budget must fail
-    rep = verify_conditions(maps_deep, gconsts, r_tilde=0.3,
-                            n_samples=200, divB_check=False)
+    rep = verify_conditions(maps_deep, gconsts, r_tilde=0.3, n_samples=200)
     assert not rep.sum_z_ok
 
 
@@ -495,8 +494,7 @@ def test_radius_search_draws_its_samples_once(maps_deep, gconsts, monkeypatch, s
 def test_conditions_equal_per_sample_loop(maps_deep, gconsts, n_samples, r_tilde):
     # 9 rungs: with 5 samples rungs 5..8 wrap to the first chunk, with 10 none do
     assert len(fuchsian._tau_ladder(maps_deep)) == 9
-    rep = verify_conditions(maps_deep, gconsts, r_tilde=r_tilde,
-                            n_samples=n_samples, divB_check=False)
+    rep = verify_conditions(maps_deep, gconsts, r_tilde=r_tilde, n_samples=n_samples)
     loop = _conditions_loop(maps_deep, gconsts, r_tilde, n_samples)
     tau_w, U_w = loop.pop("worst_sample")
     assert rep.worst_sample[0] == tau_w and np.array_equal(rep.worst_sample[1], U_w)
@@ -546,8 +544,67 @@ def _divB_pieces_loop(tau, U, W, maps, eps=1e-7):
 
 @pytest.mark.parametrize("zero_W", [False, True])
 def test_divB_pieces_equal_per_point_loop(maps_deep, zero_W):
+    # one call over the whole ladder; each rung equals the per-point loop at that rung
     U = fuchsian._ball_samples(4, 5e-8, 20240)[2]
     W = np.zeros(5) if zero_W else np.random.default_rng(3).standard_normal(5) * 1e-8
-    for tau in fuchsian._tau_ladder(maps_deep):
-        assert (fuchsian._divB_pieces(float(tau), U, W, maps_deep)
+    ladder = fuchsian._tau_ladder(maps_deep)
+    pieces = fuchsian._divB_pieces(ladder, U, W, maps_deep)
+    assert all(v.shape == ladder.shape for v in pieces.values())
+    for i, tau in enumerate(ladder):
+        assert ({k: v[i] for k, v in pieces.items()}
                 == _divB_pieces_loop(float(tau), U, W, maps_deep))
+
+
+def _divB_order_fit_loop(maps, r_tilde, seed):
+    """The per-rung fit _divB_order_fit made before the pieces took the whole ladder."""
+    rng = np.random.default_rng(seed)
+    ladder = fuchsian._tau_ladder(maps)
+    U = fuchsian._ball_samples(4, r_tilde, seed)[2]
+    W = rng.standard_normal(5)
+    W *= r_tilde / np.linalg.norm(W)
+    norms = {k: [] for k in ("a_flux", "b_singular", "c_dUBz", "d_dtauB0", "e_halforder")}
+    for tau in ladder:
+        piece = _divB_pieces_loop(float(tau), U, W, maps)
+        for k in norms:
+            norms[k].append(piece[k])
+    logt = np.log(-ladder)
+    orders = {}
+    for k, vals in norms.items():
+        v = np.asarray(vals)
+        mask = v > 0.0
+        orders[k] = (float(np.polyfit(logt[mask], np.log(v[mask]), 1)[0])
+                     if mask.sum() > 2 else 0.0)
+    stable = True
+    for k in ("d_dtauB0", "e_halforder"):
+        v = np.asarray(norms[k]) * np.sqrt(-ladder)
+        half = v[: max(2, len(v) // 2)]
+        stable &= bool(np.max(v) <= 1.5 * max(np.max(half), 1e-300))
+    for k in ("a_flux", "b_singular", "c_dUBz"):
+        v = np.asarray(norms[k]) * (-ladder)
+        if np.all(v > 0.0):
+            stable &= bool(np.max(v) / np.min(v) < 50.0)
+    return orders, stable
+
+
+@pytest.mark.parametrize("seed", [1, 20240])
+@pytest.mark.parametrize("r_tilde", [1e-2 * 0.5**17, 0.05])
+def test_divB_order_fit_equals_per_rung_loop(maps_deep, seed, r_tilde):
+    orders, stable = fuchsian._divB_order_fit(maps_deep, r_tilde, seed)
+    orders_loop, stable_loop = _divB_order_fit_loop(maps_deep, r_tilde, seed)
+    assert list(orders.items()) == list(orders_loop.items())
+    assert stable == stable_loop
+
+
+def test_conditions_make_three_assemble_calls(maps_deep, gconsts, monkeypatch):
+    # one over the sandwich samples, one over the div B centres, one over its stencil
+    calls = []
+    assemble = fuchsian.assemble_matrices
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(fuchsian, "assemble_matrices", counted)
+    rep = verify_conditions(maps_deep, gconsts, r_tilde=1e-2 * 0.5**17, n_samples=200)
+    assert rep.all_ok, rep.verdict
+    assert len(calls) == 3

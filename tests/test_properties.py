@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import background_state
 from jeanslab.contrast_ode import zero_trajectory
 from jeanslab.fuchsian import _pow_ratio, _pow_ratio2
 from jeanslab.pde import compute_psi
-from jeanslab.reference import background_state, homogeneous_state
+from jeanslab.reference import homogeneous_state
 
 EPS = np.finfo(float).eps
 PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -5,12 +5,22 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
+from conftest import background_state
 from jeanslab.contrast_ode import zero_trajectory
 from jeanslab.errors import NumericalFailure
-from jeanslab.reference import (_scrambled_halton, background_state, euler_poisson_residual,
-                                homogeneous_state, sample_annulus, source_terms)
+from jeanslab.reference import (FD_STEP, _scrambled_halton, _sources, _space_points,
+                                euler_poisson_residual, homogeneous_state, sample_annulus)
 
 T_VALUES = [1.2, 1.5, 2.0]
+
+
+def source_terms(t, x, state_fn, traj):
+    """Momentum damping D (..., 3) and entropy production S (...) at x, S in its full
+    displayed form, from the residual's own source code at spacing FD_STEP."""
+    x = np.asarray(x, dtype=float)
+    space = state_fn(t, _space_points(x, FD_STEP))
+    d_vec, s_full, _ = _sources(t, x, state_fn(t, x), space, traj, FD_STEP)
+    return d_vec, s_full
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +150,22 @@ def test_exact_solution_residuals(traj, params, pts):
         assert rep.source_gap_max < 1e-9
 
 
+def test_background_residuals_are_homogeneous_on_zero_trajectory(params, pts):
+    # the background family is homogeneous_state on the zero trajectory: its report
+    # equals the one of the closed-form background, field for field
+    ztr = zero_trajectory(params)
+    for t in (1.0, 1.3, 7.7, 1e3):
+        a = homogeneous_state(t, pts, ztr)
+        b = background_state(t, pts, params)
+        for name in ("rho", "v", "phi", "s", "p"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (t, name)
+    rep_h = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, ztr),
+                                   T_VALUES, pts, ztr)
+    rep_b = euler_poisson_residual(lambda t, x: background_state(t, x, params),
+                                   T_VALUES, pts, ztr)
+    assert rep_h == rep_b
+
+
 def test_scaled_density_fails(traj, pts):
     def scaled(t, x):
         pt = homogeneous_state(t, x, traj)
@@ -186,20 +212,14 @@ def test_stencil_guard(traj):
                      traj)
 
 
-def test_time_stencil_shrinks_near_boundary(traj, pts):
-    # probing half a stencil width from t0 drops to second order, warns, and
-    # still certifies the exact solution
+def test_time_stencil_leaves_range_near_boundary(traj, pts):
+    # a time within two stencil steps of either end of the trajectory is refused
     h = 1e-3
-    with pytest.warns(UserWarning, match="second order"):
-        rep = euler_poisson_residual(
-            lambda t, x: homogeneous_state(t, x, traj),
-            [1.0 + 1.5 * h], pts[:4], traj, h=h)
-    assert max(rep.max_norms.values()) < 1e-4  # second-order stencil budget
-
-    with pytest.raises(NumericalFailure, match="leaves the trajectory range"):
-        euler_poisson_residual(
-            lambda t, x: homogeneous_state(t, x, traj),
-            [1.0], pts[:2], traj, h=h)
+    for t in (1.0, 1.0 + 1.5 * h, float(traj.t_end) - 1.5 * h):
+        with pytest.raises(NumericalFailure, match="leaves the trajectory range"):
+            euler_poisson_residual(
+                lambda t, x: homogeneous_state(t, x, traj),
+                [t], pts[:2], traj, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +240,6 @@ def test_one_state_call_per_stencil_point(traj, pts):
         euler_poisson_residual(counting, [1.2, 2.0], pts[:n], traj)
         assert len(calls) == 2 * 8
         assert sum(math.prod(shape[:-1]) for shape in calls) == 2 * n * 69
-        # shrunk time stencil: 2 time calls, 67 stencil points per sample point
-        calls.clear()
-        with pytest.warns(UserWarning, match="second order"):
-            euler_poisson_residual(counting, [1.0015], pts[:n], traj)
-        assert len(calls) == 6
-        assert sum(math.prod(shape[:-1]) for shape in calls) == n * 67
 
 
 _W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+from conftest import terminal_window
 from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import params_from_iota3
 from jeanslab.timemaps import (_Pchip, _refined_grid, check_G_decay, compute_g,
-                               dchi_dt_analytic, dchi_dt_numeric, terminal_window)
+                               dchi_dt_analytic, dchi_dt_numeric)
 
 
 def test_endpoints(maps, params):
