@@ -145,11 +145,12 @@ def _sha256(path: Path) -> str:
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """A header line and one line of '.17g' numbers per row, each ended by CRLF, as
-    ``csv.writer`` writes them (no field needs quoting)."""
+    ``csv.writer`` writes them (no field needs quoting).  Each row is one ``%``
+    format of a line template built once per file."""
+    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join([f"{v:.17g}" for v in row]) + "\r\n"
-                      for row in zip(*[c.tolist() for c in columns]))
+        fh.writelines(line % row for row in zip(*[c.tolist() for c in columns]))
 
 
 def write_svg_lines(path: Path, x: np.ndarray, series: dict[str, np.ndarray],

@@ -222,15 +222,17 @@ def init_from_data(params: ModelParams, d_profile, v_profile, n: int) -> FieldSt
 def wave_coefficients(state_t: float, rho_hat: np.ndarray, nu: np.ndarray,
                       f: float, f0: float, params: ModelParams):
     """(gzz, g0z) of the reduced wave operator at one time level."""
-    return _wave_coefficients(state_t, (1.0 + rho_hat) ** (params.omega + 1.0), nu, nu**2,
-                              f, f0, params)
+    one_pr = 1.0 + rho_hat
+    return _wave_coefficients(state_t, one_pr * (one_pr / (1.0 + f)) ** params.omega, nu,
+                              nu**2, f, f0, params)
 
 
-def _wave_coefficients(t, one_pr_1om, nu, nu2, f, f0, params: ModelParams):
-    """(gzz, g0z) from (1 + rho_hat)^(omega+1) and nu^2, which rhs shares with its source."""
+def _wave_coefficients(t, pr_ratio_om, nu, nu2, f, f0, params: ModelParams):
+    """(gzz, g0z) from (1 + rho_hat)·ratio^omega = (1 + rho_hat)^(omega+1) / (1 + f)^omega,
+    where ratio = (1 + rho_hat)/(1 + f), and nu^2, which rhs shares with its source."""
     om, i3 = params.omega, params.iota3
     one_pf = 1.0 + f
-    gzz = ((2.0 + om) * (1.0 - i3) / (9.0 * t * t) * one_pr_1om / one_pf**om
+    gzz = ((2.0 + om) * (1.0 - i3) / (9.0 * t * t) * pr_ratio_om
            - (f0**2 / (9.0 * one_pf**2)) * nu2)
     g0z = f0 * nu / (3.0 * one_pf)
     return gzz, g0z
@@ -241,60 +243,64 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
 
     Raises HyperbolicityLossError if gzz <= 0 anywhere and VacuumError on
     vacuum (1 + rho_hat <= 0).  Psi is evaluated from the instantaneous
-    contrast.
+    contrast.  Each power, reciprocal and product of the fields is computed
+    once: ratio = (1 + rho_hat)/(1 + f) is raised to omega, and every other
+    power of ratio, 1 + rho_hat and 1 + f follows from it by one multiply; the
+    coefficients that depend on t alone are Python floats.
     """
+    t = float(t)
     f, f0 = traj.f_f0_at(t)
-    om, i3, kap = traj.params.omega, traj.params.iota3, traj.params.kappa
+    p = traj.params
+    om, i3, kap = p.omega, p.iota3, p.kappa
     r, rt, nu = y
     h = 1.0 / y.shape[1]
-    one_pf = 1.0 + f
     one_pr = 1.0 + r
-    if np.any(one_pr <= 0.0):
+    if (one_pr <= 0.0).any():  # not one_pr.min(): a NaN entry would hide the others
         raise VacuumError("vacuum formation: 1 + rho_hat <= 0 on the grid")
-    one_pr_1om, nu2 = one_pr ** (om + 1.0), nu**2
-    gzz, g0z = _wave_coefficients(t, one_pr_1om, nu, nu2, f, f0, traj.params)
-    if np.any(gzz <= 0.0):
+    ratio = one_pr / (1.0 + f)
+    ratio_om = ratio**om
+    pr_ratio_om = one_pr * ratio_om  # (1 + rho_hat)^(omega+1) / (1 + f)^omega
+    nu2 = nu * nu
+    gzz, g0z = _wave_coefficients(t, pr_ratio_om, nu, nu2, f, f0, p)
+    if (gzz <= 0.0).any():
         raise HyperbolicityLossError(
             f"hyperbolicity loss at t={t:.9g}: min gzz = {float(gzz.min()):.3g}")
 
     rz, rtz, nuz = diff1(y, h)
     rzz = diff2(r, h)
     psi = compute_psi((r - f) / f)
-    ratio = one_pr / one_pf
-    ratio_om, ratio_1om = ratio**om, ratio ** (1.0 + om)
-    rz2 = rz**2
+    inv = 1.0 / one_pr
+    rt_inv = rt * inv
+    ratio_1om_m1 = ratio * ratio_om - 1.0  # ratio^(1+omega) - 1
+
+    tt = t * t
+    one_pf = 1.0 + f
+    c0 = f0 / one_pf
     z_rate = f0 / (3.0 * one_pf)
+    w = (1.0 - i3) / (9.0 * tt)
+    c0_2 = c0 * c0
 
-    f1 = (-(2.0 * f0**2 / (9.0 * one_pf**2)) * nu * rz
-          + ((om + 1.0) * (om + 2.0) * (1.0 - i3) / (9.0 * t * t)) * ratio_om * rz2
-          + (f0**2 / (9.0 * one_pf**2)) * nu2 * rz
-          + (2.0 * (1.0 - i3) * one_pf / (9.0 * t * t)) * (ratio_1om - 1.0) * rz
-          + (2.0 * i3 * f / (3.0 * t * t)) * rz * psi
-          + 4.0 * f0**2 * nu2 * rz2 / (27.0 * one_pf**2 * one_pr)
-          + 8.0 * f0 * nu * rz * rt / (9.0 * one_pf * one_pr)
-          + (2.0 / 3.0) * one_pr * (f0 / one_pf - rt / one_pr
-                                    - z_rate * nu * rz / one_pr
-                                    - (f0 / one_pf) * nu) ** 2
-          + (2.0 * (1.0 - i3) / (3.0 * t * t)) * (ratio_om - 1.0) * one_pr**2
-          + ((8.0 + 5.0 * om) * (1.0 - i3) / (9.0 * t * t)) * one_pr_1om / one_pf**om * rz
-          + kap * f0**2 * one_pr / one_pf**2)
+    # f1 of the contrast equation: the terms in rz and rz^2 in one bracket, the
+    # continuity defect squared, and the rest, with d_rt's own terms
+    lin = (nu * ((c0_2 / 9.0) * nu - (2.0 / 9.0) * c0_2 + (8.0 / 9.0) * c0 * rt_inv)
+           + (2.0 * one_pf * w) * ratio_1om_m1
+           + (2.0 * i3 * f / (3.0 * tt)) * psi
+           + ((8.0 + 5.0 * om) * w) * pr_ratio_om)
+    quad = ((om + 1.0) * (om + 2.0) * w) * ratio_om + (4.0 * c0_2 / 27.0) * nu2 * inv
+    defect = c0 - c0 * nu - rt_inv - z_rate * nu * rz * inv
+    out = np.empty_like(y)
+    out[0] = rt
+    out[1] = (rz * (lin + rz * quad) + gzz * rzz - 2.0 * g0z * rtz
+              + rt * ((4.0 / 3.0) * rt_inv - (4.0 / (3.0 * t) + kap * c0))
+              + one_pr * ((2.0 / 3.0) * defect * defect + (6.0 * w) * (ratio_om - 1.0) * one_pr
+                          + (2.0 / (3.0 * tt)) * r + kap * c0_2))
 
-    d_rt = (gzz * rzz - 2.0 * g0z * rtz
-            - (4.0 / (3.0 * t) + kap * f0 / one_pf) * rt
-            + (2.0 / (3.0 * t * t)) * r * one_pr
-            + (4.0 / 3.0) * rt**2 / one_pr
-            + f1)
-
-    g1 = (-(2.0 * one_pf * f / (3.0 * t * t * f0)) * nu
-          + (1.0 / 3.0 - kap) * (f0 / one_pf) * nu
-          - z_rate * nu2
-          - ((om + 2.0) * (1.0 - i3) * one_pf ** (1.0 - om) * one_pr**om
-             / (3.0 * t * t * f0)) * rz
-          - (2.0 * (1.0 - i3) * one_pf**2 / (3.0 * t * t * f0)) * (ratio_1om - 1.0)
-          - (2.0 * i3 * one_pf * f / (t * t * f0)) * psi)
-    d_nu = g1 - z_rate * nu * nuz
-
-    return np.stack((rt, d_rt, d_nu))
+    # g1 of the speed equation, its nu and nu^2 terms joined with the advection
+    out[2] = (nu * ((1.0 / 3.0 - kap) * c0 - 2.0 * f / (3.0 * tt * c0) - z_rate * (nu + nuz))
+              - (3.0 * (om + 2.0) * w / c0) * ratio_om * rz
+              - (6.0 * one_pf * w / c0) * ratio_1om_m1
+              - (2.0 * i3 * f / (tt * c0)) * psi)
+    return out
 
 
 def continuity_residual(state: FieldState, traj: OdeTrajectory) -> float:

@@ -56,6 +56,19 @@ def test_simulate_reports_stepper_work(tmp_path):
     assert v["rhs_calls"] >= 2 + 12 * (v["n_steps"] + v["rejected_steps"])
 
 
+def test_collapse_work_counts(tmp_path):
+    # the step sequence of the N = 128 cosine run to f = 1e3: a change to rhs
+    # that moves a step shows here
+    out = tmp_path / "collapse"
+    assert main(["simulate", "--grid-n", "128", "--profile-kind", "cosine", "--eps", "1e-3",
+                 "--pde-f-cap", "1e3", "--output-dir", str(out)]) == 0
+    s = read_summary(out)
+    v = s["values"]
+    assert (v["n_steps"], v["rejected_steps"], v["rhs_calls"]) == (71, 1, 1079)
+    assert s["verdicts"] == {"run_completed": True, "hyperbolicity_preserved": True,
+                             "continuity_identity_small": True}
+
+
 def test_simulate_reads_no_f_cap(tmp_path):
     # simulate integrates the contrast to 10 pde_f_cap and does not read --f-cap
     args = ["simulate", "--grid-n", "32", "--pde-f-cap", "0.15"]
@@ -513,8 +526,10 @@ def test_jsonable_maps_non_finite_values():
 
 def test_write_csv_bytes_equal_csv_writer(tmp_path):
     cols = [np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 123456789.0]),
-            np.arange(8.0) / 3.0, -np.geomspace(1e-17, 1e17, 8)]
-    for k, (header, columns) in enumerate([(["t", "rho_hat", "nu"], cols),
+            np.arange(8.0) / 3.0, -np.geomspace(1e-17, 1e17, 8),
+            np.array([0, -1, 7, 2**53 + 1, -(10**18), 10**18, 42, 1])]
+    for k, (header, columns) in enumerate([(["t", "rho_hat", "nu", "count"], cols),
+                                           (["nu"], cols[2:3]),
                                            (["a", "b"], [np.empty(0), np.empty(0)])]):
         got, oracle = tmp_path / f"got{k}.csv", tmp_path / f"oracle{k}.csv"
         _write_csv(got, header, columns)

@@ -259,6 +259,115 @@ def test_rhs_vacuum_guard_is_typed(traj, params):
         rhs(st.t, _y(st), traj)
 
 
+def rhs_reference(t, y, traj):
+    """The right-hand side term by term, each power and quotient written out as in
+    the equations with no shared subexpressions: an independent oracle of ``rhs``."""
+    f, f0 = traj.f_f0_at(t)
+    om, i3, kap = traj.params.omega, traj.params.iota3, traj.params.kappa
+    r, rt, nu = y
+    h = 1.0 / y.shape[1]
+    one_pf = 1.0 + f
+    one_pr = 1.0 + r
+    if np.any(one_pr <= 0.0):
+        raise pde.VacuumError("vacuum formation: 1 + rho_hat <= 0 on the grid")
+    one_pr_1om, nu2 = one_pr ** (om + 1.0), nu**2
+    gzz = ((2.0 + om) * (1.0 - i3) / (9.0 * t * t) * one_pr_1om / one_pf**om
+           - (f0**2 / (9.0 * one_pf**2)) * nu2)
+    g0z = f0 * nu / (3.0 * one_pf)
+    if np.any(gzz <= 0.0):
+        raise pde.HyperbolicityLossError(
+            f"hyperbolicity loss at t={t:.9g}: min gzz = {float(gzz.min()):.3g}")
+
+    rz, rtz, nuz = diff1(y, h)
+    rzz = diff2(r, h)
+    psi = compute_psi((r - f) / f)
+    ratio = one_pr / one_pf
+    ratio_om, ratio_1om = ratio**om, ratio ** (1.0 + om)
+    rz2 = rz**2
+    z_rate = f0 / (3.0 * one_pf)
+
+    f1 = (-(2.0 * f0**2 / (9.0 * one_pf**2)) * nu * rz
+          + ((om + 1.0) * (om + 2.0) * (1.0 - i3) / (9.0 * t * t)) * ratio_om * rz2
+          + (f0**2 / (9.0 * one_pf**2)) * nu2 * rz
+          + (2.0 * (1.0 - i3) * one_pf / (9.0 * t * t)) * (ratio_1om - 1.0) * rz
+          + (2.0 * i3 * f / (3.0 * t * t)) * rz * psi
+          + 4.0 * f0**2 * nu2 * rz2 / (27.0 * one_pf**2 * one_pr)
+          + 8.0 * f0 * nu * rz * rt / (9.0 * one_pf * one_pr)
+          + (2.0 / 3.0) * one_pr * (f0 / one_pf - rt / one_pr
+                                    - z_rate * nu * rz / one_pr
+                                    - (f0 / one_pf) * nu) ** 2
+          + (2.0 * (1.0 - i3) / (3.0 * t * t)) * (ratio_om - 1.0) * one_pr**2
+          + ((8.0 + 5.0 * om) * (1.0 - i3) / (9.0 * t * t)) * one_pr_1om / one_pf**om * rz
+          + kap * f0**2 * one_pr / one_pf**2)
+
+    d_rt = (gzz * rzz - 2.0 * g0z * rtz
+            - (4.0 / (3.0 * t) + kap * f0 / one_pf) * rt
+            + (2.0 / (3.0 * t * t)) * r * one_pr
+            + (4.0 / 3.0) * rt**2 / one_pr
+            + f1)
+
+    g1 = (-(2.0 * one_pf * f / (3.0 * t * t * f0)) * nu
+          + (1.0 / 3.0 - kap) * (f0 / one_pf) * nu
+          - z_rate * nu2
+          - ((om + 2.0) * (1.0 - i3) * one_pf ** (1.0 - om) * one_pr**om
+             / (3.0 * t * t * f0)) * rz
+          - (2.0 * (1.0 - i3) * one_pf**2 / (3.0 * t * t * f0)) * (ratio_1om - 1.0)
+          - (2.0 * i3 * one_pf * f / (t * t * f0)) * psi)
+    d_nu = g1 - z_rate * nu * nuz
+
+    return np.stack((rt, d_rt, d_nu))
+
+
+def _state_at(traj, f_target, eps, eps_v, n):
+    """(t, y) of a cosine perturbation of the homogeneous state at f(t) = f_target;
+    eps = eps_v = 0 gives the homogeneous state itself."""
+    t = traj.time_of_contrast(f_target)
+    f, f0 = traj.f_f0_at(t)
+    z = 2.0 * np.pi * zeta_grid(n)
+    return t, np.stack((f * (1.0 + eps * np.cos(z)), f0 * (1.0 + eps * np.sin(z)),
+                        eps_v * np.cos(z + 0.3)))
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("eps,eps_v", [(0.0, 0.0), (1e-3, 1e-4), (5e-2, 1e-2)])
+def test_rhs_equals_reference_formula(traj, params, n, eps, eps_v):
+    for f_target in (params.beta, 1.0, 30.0, 1e3):
+        t, y = _state_at(traj, f_target, eps, eps_v, n)
+        got, want = rhs(t, y, traj), rhs_reference(t, y, traj)
+        assert got.shape == want.shape == y.shape
+        assert np.array_equal(got[0], want[0])
+        scale1, scale2 = np.max(np.abs(want[1])), np.max(np.abs(want[2]))
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-13 * scale1, f_target
+        err2 = np.max(np.abs(got[2] - want[2]))
+        if eps >= 1e-2:
+            assert err2 <= 1e-13 * scale2, f_target
+        elif eps == 0.0:
+            # the speed equation balances to rounding on the homogeneous state
+            assert err2 <= 1e-15 and scale2 < 1e-14, f_target
+        else:
+            # cancellation in a small row: bound the error absolutely
+            assert err2 <= 1e-14, f_target
+
+
+def test_rhs_guards_see_past_nan(traj, params):
+    # a NaN entry makes min() NaN, which compares false: each guard must still
+    # see the offending entry next to it
+    t, y = _state_at(traj, 1.0, 1e-3, 1e-4, 32)
+    vac = y.copy()
+    vac[0, 5], vac[0, 6] = np.nan, -3.0
+    assert np.isnan((1.0 + vac[0]).min())
+    for fun in (rhs, rhs_reference):
+        with pytest.raises(pde.VacuumError, match="vacuum"):
+            fun(t, vac, traj)
+    hyp = y.copy()
+    hyp[2, 5], hyp[2, 6] = np.nan, 1e3  # nu: gzz NaN at 5, negative at 6
+    gzz, _ = pde.wave_coefficients(t, hyp[0], hyp[2], *traj.f_f0_at(t), params)
+    assert np.isnan(gzz[5]) and gzz[6] <= 0.0 and np.isnan(gzz.min())
+    for fun in (rhs, rhs_reference):
+        with pytest.raises(pde.HyperbolicityLossError, match="hyperbolicity loss"):
+            fun(t, hyp, traj)
+
+
 # ---------------------------------------------------------------------------
 # evolution
 
