@@ -455,8 +455,7 @@ def cmd_simulate(run: RunDir) -> None:
 
     snaps = run.path / "snapshots"
     snaps.mkdir(exist_ok=True)
-    stride = max(1, len(res.states) // 20)
-    for i, st in enumerate(res.states[::stride]):
+    for i, st in enumerate(res.states):
         s_field = entropy_field(st, traj)
         p = snaps / f"snap_{i:04d}.csv"
         _write_csv(p, ["zeta", "rho_hat", "drho_dt", "nu", "psi", "s"],
@@ -466,11 +465,12 @@ def cmd_simulate(run: RunDir) -> None:
     _write_csv(run.add_artifact("monitors.csv"),
                list(mon.keys()), list(mon.values()))
 
-    dev_rho = max(float(np.max(np.abs(s.rho_hat - traj.f_f0_at(s.t)[0]))) for s in res.states)
+    dev_rho = max(res.monitors.rho_dev_sup)
     dev_nu = max(res.monitors.nu_sup)
     run.values.update({
         "stop_reason": res.stop_reason, "n_steps": res.n_steps,
-        "rhs_calls": res.n_rhs, "rejected_steps": res.n_rejected,
+        "rhs_calls": res.n_rhs, "rejected_steps": res.n_rejected, "dense_steps": res.n_dense,
+        "dt_min": res.dt_min, "dt_max": res.dt_max,
         "final_t": res.final.t, "final_f": traj.f_f0_at(res.final.t)[0],
         "homogeneous_deviation": dev_rho, "nu_sup": dev_nu,
         "continuity_residual_max": float(max(res.monitors.continuity_residual)),

@@ -8,7 +8,8 @@ pair (DOP853; Hairer, Norsett and Wanner, Solving ODEs I, II.10), whose steps
 and dense output equal scipy's ``DOP853`` bit for bit; the nonlocal rescaled
 gravity Psi is re-evaluated from the current contrast at every stage.
 Snapshots come from the pair's order-7 dense output at times fixed in
-advance.
+advance; the monitors are taken at the accepted step ends and at the snapshot
+times.
 
 The wave operator acting on rho_hat is
 
@@ -115,7 +116,7 @@ class FieldState:
 @dataclass(frozen=True)
 class EvolveControls:
     pde_rtol: float = 1e-10  # relative local error tolerance of the DOP853 pair
-    out_target: int = 400    # stored snapshots after the initial state
+    out_target: int = 20     # stored snapshots after the initial state
 
 
 # absolute tolerance per unit of pde_rtol: the error floor of components near
@@ -134,6 +135,7 @@ class MonitorSeries:
     ratio_drho_max: list = field(default_factory=list)
     uz_sup: list = field(default_factory=list)
     nu_sup: list = field(default_factory=list)
+    rho_dev_sup: list = field(default_factory=list)  # max |rho_hat - f|
     continuity_residual: list = field(default_factory=list)
 
     def as_arrays(self) -> dict:
@@ -148,6 +150,7 @@ class EvolveResult:
     n_steps: int     # accepted steps
     n_rejected: int  # trial steps rejected by the error test
     n_rhs: int       # rhs calls, dense-output stages included
+    n_dense: int     # accepted steps whose dense output was read
     dt_min: float
     dt_max: float
 
@@ -262,9 +265,10 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
     pr_ratio_om = one_pr * ratio_om  # (1 + rho_hat)^(omega+1) / (1 + f)^omega
     nu2 = nu * nu
     gzz, g0z = _wave_coefficients(t, pr_ratio_om, nu, nu2, f, f0, p)
-    if (gzz <= 0.0).any():
+    bad = gzz <= 0.0
+    if bad.any():  # the min over the offending entries: a NaN elsewhere would hide it
         raise HyperbolicityLossError(
-            f"hyperbolicity loss at t={t:.9g}: min gzz = {float(gzz.min()):.3g}")
+            f"hyperbolicity loss at t={t:.9g}: min gzz = {float(gzz[bad].min()):.3g}")
 
     rz, rtz, nuz = diff1(y, h)
     rzz = diff2(r, h)
@@ -358,6 +362,7 @@ def _record(mon: MonitorSeries, t: np.ndarray, y: np.ndarray, f: np.ndarray, f0:
                          (mon.ratio_rho_max, rr.max(-1)), (mon.ratio_drho_min, rd.min(-1)),
                          (mon.ratio_drho_max, rd.max(-1)), (mon.uz_sup, np.abs(uz).max(-1)),
                          (mon.nu_sup, np.abs(nu).max(-1)),
+                         (mon.rho_dev_sup, np.abs(rho_hat - f).max(-1)),
                          (mon.continuity_residual, np.abs(defect).max(-1))):
         series.extend(vals.tolist())
 
@@ -557,10 +562,13 @@ def evolve(state: FieldState, traj: OdeTrajectory, t_end: float | None = None,
     Each step keeps the local error estimate below atol + pde_rtol * |y|
     componentwise, with atol = _ATOL_PER_RTOL * pde_rtol.  Snapshots are read
     from the dense output at out_target times after the initial state, uniform
-    in ln(1+f) and ending exactly at the stop time.  Stops at t_end, when the
-    reference contrast reaches f_cap, when rhs raises on any stage
-    (hyperbolicity loss or vacuum), or when the solver's step size underflows;
-    an early stop also stores the last accepted state.
+    in ln(1+f) and ending exactly at the stop time, so only the steps that hold
+    one pay the dense output's 3 extra stages.  The monitors have one row per
+    time, in increasing t: the initial state, each accepted step end and each
+    snapshot (a step end that is also a snapshot time is the one stored state).
+    Stops at t_end, when the reference contrast reaches f_cap, when rhs raises
+    on any stage (hyperbolicity loss or vacuum), or when the solver's step size
+    underflows; an early stop also stores the last accepted state.
     """
     if t_end is None and f_cap is None:
         raise UsageError("need t_end or f_cap as a stopping rule")
@@ -578,26 +586,14 @@ def evolve(state: FieldState, traj: OdeTrajectory, t_end: float | None = None,
     n = state.n
     out_t = snapshot_times(traj, state.t, t_stop, controls.out_target)
 
-    mon = MonitorSeries()
-    states = [state]
-    t0 = np.array([state.t])
-    _record(mon, t0, np.stack((state.rho_hat, state.drho_dt, state.nu))[None],
-            *traj.f_f0_at(t0), traj.params)
-
-    def store(t, y):
-        """Keep the states y (m, 3n) at the times t (m,) and record their monitors."""
-        y = y.reshape(len(t), 3, n)
-        f, f0 = traj.f_f0_at(t)
-        psi = compute_psi((y[:, 0] - f[:, None]) / f[:, None])
-        states.extend(FieldState(t=tk, zeta=state.zeta, rho_hat=yk[0], drho_dt=yk[1], nu=yk[2],
-                                 psi=pk) for tk, yk, pk in zip(t.tolist(), y, psi))
-        _record(mon, t, y, f, f0, traj.params)
+    y0 = np.stack((state.rho_hat, state.drho_dt, state.nu))
+    # the monitor rows, in increasing t; the flagged ones are stored as states
+    row_t, row_y, stored = [state.t], [y0], [False]
 
     stop_reason = "t_end"
-    n_steps = 0
+    n_steps = n_dense = 0
     dt_min, dt_max = math.inf, 0.0
-    march = _Dop853(lambda t, y: rhs(t, y, traj), state.t,
-                    np.stack((state.rho_hat, state.drho_dt, state.nu)), t_stop,
+    march = _Dop853(lambda t, y: rhs(t, y, traj), state.t, y0, t_stop,
                     controls.pde_rtol, _ATOL_PER_RTOL * controls.pde_rtol)
     k = 0  # next output time
     try:
@@ -610,16 +606,37 @@ def evolve(state: FieldState, traj: OdeTrajectory, t_end: float | None = None,
             dt_min, dt_max = min(dt_min, march.h), max(dt_max, march.h)
             m = int(np.searchsorted(out_t, march.t, side="right"))  # out_t[k:m] in this step
             if m > k:
-                store(out_t[k:m], march.dense(out_t[k:m]))
+                row_y.extend(march.dense(out_t[k:m]).reshape(m - k, 3, n))
+                row_t.extend(out_t[k:m].tolist())
+                stored.extend([True] * (m - k))
+                n_dense += 1
                 k = m
+            if row_t[-1] < march.t:
+                row_t.append(march.t)
+                row_y.append(march.y.reshape(3, n))
+                stored.append(False)
     except HyperbolicityLossError:
         stop_reason = "hyperbolicity_loss"
     except VacuumError:
         stop_reason = "vacuum"
     if stop_reason == "t_end" and f_cap is not None and t_stop < (t_end or math.inf):
         stop_reason = "f_cap"
-    if march.t > states[-1].t:
-        store(np.array([march.t]), march.y)
+    if row_t[-1] < march.t:  # the dense output of the last accepted step raised
+        row_t.append(march.t)
+        row_y.append(march.y.reshape(3, n))
+        stored.append(False)
+    stored[-1] = march.t > state.t  # an early stop stores the last accepted state
+
+    t, y = np.array(row_t), np.stack(row_y)
+    f, f0 = traj.f_f0_at(t)
+    mon = MonitorSeries()
+    _record(mon, t, y, f, f0, traj.params)
+    keep = np.flatnonzero(stored)
+    fk = f[keep, None]
+    psi = compute_psi((y[keep, 0] - fk) / fk)
+    states = [state]
+    states.extend(FieldState(t=tk, zeta=state.zeta, rho_hat=yk[0], drho_dt=yk[1], nu=yk[2],
+                             psi=pk) for tk, yk, pk in zip(t[keep].tolist(), y[keep], psi))
     return EvolveResult(states=states, monitors=mon, stop_reason=stop_reason,
                         n_steps=n_steps, n_rejected=march.n_trials - n_steps,
-                        n_rhs=march.n_rhs, dt_min=dt_min, dt_max=dt_max)
+                        n_rhs=march.n_rhs, n_dense=n_dense, dt_min=dt_min, dt_max=dt_max)

@@ -52,19 +52,27 @@ def test_simulate_reports_stepper_work(tmp_path):
                  "--pde-f-cap", "10"]) == 0
     v = read_summary(out)["values"]
     assert v["n_steps"] >= 1 and v["rejected_steps"] >= 0
-    # two start-up calls and 12 stages per trial step, plus the dense-output stages
-    assert v["rhs_calls"] >= 2 + 12 * (v["n_steps"] + v["rejected_steps"])
+    # two start-up calls, 12 stages per trial step, 3 per step whose dense output is read
+    assert v["rhs_calls"] == 2 + 12 * (v["n_steps"] + v["rejected_steps"]) + 3 * v["dense_steps"]
+    assert 1 <= v["dense_steps"] <= min(v["n_steps"], 20)
+    assert 0.0 < v["dt_min"] <= v["dt_max"]
 
 
 def test_collapse_work_counts(tmp_path):
     # the step sequence of the N = 128 cosine run to f = 1e3: a change to rhs
-    # that moves a step shows here
+    # that moves a step shows here; 2 + 12 (71 + 1) + 3 (20) calls, the dense
+    # output read on the 20 steps that hold a snapshot time
     out = tmp_path / "collapse"
     assert main(["simulate", "--grid-n", "128", "--profile-kind", "cosine", "--eps", "1e-3",
                  "--pde-f-cap", "1e3", "--output-dir", str(out)]) == 0
     s = read_summary(out)
     v = s["values"]
-    assert (v["n_steps"], v["rejected_steps"], v["rhs_calls"]) == (71, 1, 1079)
+    assert (v["n_steps"], v["rejected_steps"], v["rhs_calls"], v["dense_steps"]) \
+        == (71, 1, 926, 20)
+    # a monitor row for the initial state, each of the 71 step ends and each of
+    # the 20 snapshot times, the last of which is the last step end
+    assert len(list((out / "snapshots").glob("snap_*.csv"))) == 21
+    assert len((out / "monitors.csv").read_text().splitlines()) == 1 + 91
     assert s["verdicts"] == {"run_completed": True, "hyperbolicity_preserved": True,
                              "continuity_identity_small": True}
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, simpson
@@ -5,7 +7,7 @@ from scipy.integrate._ivp import dop853_coefficients, rk
 
 from conftest import assert_order_conditions, cosine_profiles, flat_profiles
 from jeanslab import contrast_ode, pde
-from jeanslab.errors import UsageError
+from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.pde import (EvolveControls, FieldState, compute_psi,
                           continuity_residual, data_smallness, diff1, diff2,
                           entropy_field, evolve, init_from_data, rhs, zeta_grid)
@@ -244,19 +246,24 @@ def test_rhs_hyperbolicity_loss(traj, params):
 
 
 def test_rhs_vacuum_guard(traj, params):
+    # the typed error, with its message
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
     st.rho_hat = st.rho_hat - 2.0
-    with pytest.raises(pde.VacuumError, match="vacuum"):
+    with pytest.raises(pde.VacuumError, match="vacuum formation: 1 \\+ rho_hat <= 0"):
         rhs(st.t, _y(st), traj)
 
 
 def test_rhs_vacuum_guard_is_typed(traj, params):
+    # exactly VacuumError, a NumericalFailure (so evolve stops with "vacuum"),
+    # and not the hyperbolicity error
     d, v = flat_profiles()
     st = init_from_data(params, d, v, 64)
     st.rho_hat = st.rho_hat - 2.0
-    with pytest.raises(pde.VacuumError):
+    with pytest.raises(NumericalFailure) as exc:
         rhs(st.t, _y(st), traj)
+    assert type(exc.value) is pde.VacuumError
+    assert not isinstance(exc.value, pde.HyperbolicityLossError)
 
 
 def rhs_reference(t, y, traj):
@@ -276,7 +283,7 @@ def rhs_reference(t, y, traj):
     g0z = f0 * nu / (3.0 * one_pf)
     if np.any(gzz <= 0.0):
         raise pde.HyperbolicityLossError(
-            f"hyperbolicity loss at t={t:.9g}: min gzz = {float(gzz.min()):.3g}")
+            f"hyperbolicity loss at t={t:.9g}: min gzz = {float(np.nanmin(gzz)):.3g}")
 
     rz, rtz, nuz = diff1(y, h)
     rzz = diff2(r, h)
@@ -363,8 +370,10 @@ def test_rhs_guards_see_past_nan(traj, params):
     hyp[2, 5], hyp[2, 6] = np.nan, 1e3  # nu: gzz NaN at 5, negative at 6
     gzz, _ = pde.wave_coefficients(t, hyp[0], hyp[2], *traj.f_f0_at(t), params)
     assert np.isnan(gzz[5]) and gzz[6] <= 0.0 and np.isnan(gzz.min())
+    # the message reports the offending entry, not the NaN beside it
+    gzz_min = re.escape(f"min gzz = {float(gzz[gzz <= 0.0].min()):.3g}")
     for fun in (rhs, rhs_reference):
-        with pytest.raises(pde.HyperbolicityLossError, match="hyperbolicity loss"):
+        with pytest.raises(pde.HyperbolicityLossError, match=f"hyperbolicity loss.*{gzz_min}"):
             fun(t, hyp, traj)
 
 
@@ -381,6 +390,8 @@ def test_homogeneous_manifold_preserved(traj, params):
     nu_sup = max(float(np.max(np.abs(s.nu))) for s in res.states)
     assert dev < 1e-6
     assert nu_sup < 1e-8
+    # and at every step end, through the monitors
+    assert max(res.monitors.rho_dev_sup) < 1e-6 and max(res.monitors.nu_sup) < 1e-8
 
 
 def test_homogeneous_preserved_second_parameter_set():
@@ -396,6 +407,7 @@ def test_homogeneous_preserved_second_parameter_set():
     dev = max(float(np.max(np.abs(s.rho_hat - tr.f_f0_at(s.t)[0]))) for s in res.states)
     assert dev < 1e-6
     assert max(float(np.max(np.abs(s.nu))) for s in res.states) < 1e-8
+    assert max(res.monitors.rho_dev_sup) < 1e-6 and max(res.monitors.nu_sup) < 1e-8
 
 
 def test_perturbed_ratio_envelope(traj, params):
@@ -529,8 +541,11 @@ def test_evolve_matches_fine_rk4_reference(traj, params, monkeypatch, vacuum_aft
         for name in ("rho_hat", "drho_dt", "nu"):
             assert np.max(np.abs(getattr(s, name) - getattr(o, name))) < 1e-11, (s.t, name)
         assert np.max(np.abs(s.psi - o.psi)) < 1e-11
+    # a monitor row per step end and per snapshot; the last stored state is a
+    # step end, so the count has one row fewer than their sum
     m = res.monitors.as_arrays()
-    assert np.array_equal(m["t"], [st.t, *times])
+    assert np.all(np.diff(m["t"]) > 0) and {st.t, *times} <= set(m["t"].tolist())
+    assert len(m["t"]) == 1 + res.n_steps + len(times) - 1
 
 
 def _failing_rhs(exc):
@@ -596,6 +611,20 @@ def test_evolve_stops_on_nan_derivatives_from_the_start(traj, params, monkeypatc
     assert res.final is st and (res.n_steps, res.n_rejected, res.n_rhs) == (0, 0, 2)
 
 
+def _scipy_step_ends(st, traj, t_stop, pde_rtol=EvolveControls().pde_rtol):
+    """(t, y) at each accepted step end of scipy's DOP853 marching the flattened
+    state to t_stop, y of shape (3, n)."""
+    n = st.n
+    solver = DOP853(lambda t, y: rhs(t, y.reshape(3, n), traj).reshape(-1), st.t,
+                    _y(st).reshape(-1), t_stop, rtol=pde_rtol,
+                    atol=pde._ATOL_PER_RTOL * pde_rtol)
+    ends = []
+    while solver.status == "running":
+        solver.step()
+        ends.append((solver.t, solver.y.reshape(3, n)))
+    return ends
+
+
 def test_evolve_reports_its_work(traj, params, monkeypatch):
     d, v = cosine_profiles(params, 1e-3)
     st = init_from_data(params, d, v, 32)
@@ -607,10 +636,12 @@ def test_evolve_reports_its_work(traj, params, monkeypatch):
 
     monkeypatch.setattr(pde, "rhs", counted)
     res = evolve(st, traj, f_cap=100.0, controls=EvolveControls(out_target=3))
-    assert res.n_rhs == calls[0]
-    # two start-up calls, 12 stages per trial step, 3 extra per dense output
-    dense = res.n_rhs - 2 - 12 * (res.n_steps + res.n_rejected)
-    assert dense % 3 == 0 and 0 <= dense // 3 <= 3
+    # two start-up calls, 12 stages per trial step, 3 extra on each step that
+    # holds a snapshot time: step i holds those in (ends[i-1], ends[i]]
+    assert res.n_rhs == calls[0] == 2 + 12 * (res.n_steps + res.n_rejected) + 3 * res.n_dense
+    ends = np.array([t for t, _ in _scipy_step_ends(st, traj, res.final.t)])
+    out_t = pde.snapshot_times(traj, st.t, res.final.t, 3)
+    assert res.n_dense == len(np.unique(np.searchsorted(ends, out_t, side="left")))
     assert 0.0 < res.dt_min <= res.dt_max
 
 
@@ -681,11 +712,28 @@ def test_snapshot_schedule(traj, params):
     res = evolve(st, traj, f_cap=100.0, controls=EvolveControls(out_target=7))
     t_stop = traj.time_of_contrast(100.0)
     schedule = pde.snapshot_times(traj, st.t, t_stop, 7)
-    assert len(res.states) == len(res.monitors.t) == 8
+    assert len(res.states) == 8
     assert [s.t for s in res.states[1:]] == list(schedule)
+    # the monitors add a row per step end; the last one is the last snapshot
+    assert {s.t for s in res.states} <= set(res.monitors.t)
+    assert len(res.monitors.t) == 1 + res.n_steps + 7 - 1
     assert res.final.t == schedule[-1] == t_stop
     gaps = np.diff(np.log1p(traj.f_f0_at(np.array([st.t, *schedule]))[0]))
     assert np.max(np.abs(gaps / gaps[0] - 1.0)) < 1e-9
+
+
+def test_monitor_times_are_step_ends_and_snapshots(traj, params):
+    # one monitor row per time, strictly increasing: the initial time, every
+    # accepted step end and every snapshot time, and nothing else
+    d, v = cosine_profiles(params, 1e-3)
+    st = init_from_data(params, d, v, 32)
+    res = evolve(st, traj, f_cap=100.0)
+    ends = [t for t, _ in _scipy_step_ends(st, traj, res.final.t)]
+    snaps = pde.snapshot_times(traj, st.t, res.final.t, EvolveControls().out_target)
+    t = res.monitors.t
+    assert len(ends) == res.n_steps and len(snaps) == len(res.states) - 1 == 20
+    assert np.all(np.diff(t) > 0)
+    assert t == sorted({st.t, *ends, *snaps.tolist()})
 
 
 def test_evolve_rejects_empty_schedule(traj, params):
@@ -727,8 +775,10 @@ def test_psi_consistency_along_run(traj, params):
 
 @pytest.mark.parametrize("vacuum_after", [None, 40])
 def test_monitors_equal_per_state_recomputation(traj, params, monkeypatch, vacuum_after):
-    # evolve records each step's states in one batch; every monitor and stored
-    # psi equals the per-state formulas, the early stop's last state included
+    # evolve records all monitor rows in one batch; every row, the step ends
+    # included, and every stored psi equals the per-state formulas, the early
+    # stop's last state included; a step end that is also a snapshot time is
+    # the stored dense state
     d, v = cosine_profiles(params, 1e-2, eps_v=1e-3)
     st = init_from_data(params, d, v, 32)
     if vacuum_after is not None:
@@ -736,21 +786,28 @@ def test_monitors_equal_per_state_recomputation(traj, params, monkeypatch, vacuu
     res = evolve(st, traj, f_cap=5.0, controls=EvolveControls(out_target=30))
     monkeypatch.undo()
     assert res.stop_reason == ("f_cap" if vacuum_after is None else "vacuum")
+    ends = _scipy_step_ends(st, traj, traj.time_of_contrast(5.0))
+    at = {t: y for t, y in ends if t <= res.final.t} | {s.t: _y(s) for s in res.states}
     mon = res.monitors
-    assert len(mon.t) == len(res.states) > 2
-    for i, s in enumerate(res.states):
-        f, f0 = traj.f_f0_at(s.t)
+    assert mon.t == sorted(at) and len(mon.t) > len(res.states) > 2
+    for i, t in enumerate(mon.t):
+        s = FieldState(t=t, zeta=st.zeta, rho_hat=at[t][0], drho_dt=at[t][1], nu=at[t][2],
+                       psi=None)  # no monitor reads psi
+        f, f0 = traj.f_f0_at(t)
         rr, rd = s.rho_hat / f, s.drho_dt / f0
         uz = (params.c_scale / (1.0 + f)) * diff1(s.rho_hat, 1.0 / s.n)
-        expect = {"t": s.t, "ratio_rho_min": float(rr.min()), "ratio_rho_max": float(rr.max()),
+        expect = {"t": t, "ratio_rho_min": float(rr.min()), "ratio_rho_max": float(rr.max()),
                   "ratio_drho_min": float(rd.min()), "ratio_drho_max": float(rd.max()),
                   "uz_sup": float(np.max(np.abs(uz))), "nu_sup": float(np.max(np.abs(s.nu))),
+                  "rho_dev_sup": float(np.max(np.abs(s.rho_hat - f))),
                   "continuity_residual": continuity_residual(s, traj)}
+        assert expect.keys() == vars(mon).keys()
         for k, val in expect.items():
             assert getattr(mon, k)[i] == val, (i, k)
             assert type(getattr(mon, k)[i]) is float
-        if i:
-            assert np.array_equal(s.psi, compute_psi((s.rho_hat - f) / f))
+    for s in res.states[1:]:
+        f = traj.f_f0_at(s.t)[0]
+        assert np.array_equal(s.psi, compute_psi((s.rho_hat - f) / f))
 
 
 # ---------------------------------------------------------------------------
