@@ -38,7 +38,7 @@ from .fuchsian import (find_certified_radius, gamma_constants, q_lower_bound,
                        q_quantity, verify_conditions)
 from .params import ModelParams, build_params, params_from_iota3, solve_iota
 from .pde import (EvolveControls, data_smallness, entropy_field, evolve,
-                  init_from_data)
+                  init_from_data, zeta_grid)
 from .reference import FD_STEP, euler_poisson_residual, homogeneous_state, sample_annulus
 from .timemaps import check_G_decay, compute_g
 
@@ -122,8 +122,10 @@ def load_config(path: str | Path, command: str | None = None) -> RunConfig:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
         want = _CONFIG_TYPES[key]
-        # a JSON integer is a number wherever a float is expected
-        if not (isinstance(value, want) or (type(value) is int and isinstance(0.0, want))):
+        # a JSON integer is a number wherever a float is expected; a JSON
+        # boolean is no integer, although Python's bool subclasses int
+        if (not (isinstance(value, want) or (type(value) is int and isinstance(0.0, want)))
+                or (type(value) is bool and want is not bool)):
             raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
     if command is not None:
         raw["command"] = command
@@ -274,48 +276,29 @@ def _jsonable(obj):
 # profiles
 
 
-def make_profiles(cfg: RunConfig, params: ModelParams):
-    """Radial profile callables (d, v) for the configured initial data."""
+def make_profiles(cfg: RunConfig, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The configured initial data (d, v) on the grid zeta, one period of the log radius."""
     kind = _profile_setting(cfg, "kind")
     try:
         eps, eps_v, delta = (float(cfg.profile.get(k, v))
                              for k, v in _PROFILE_KINDS["square"].items())
     except (TypeError, ValueError) as exc:
         raise UsageError(f"profile eps, eps_v and delta must be numbers: {exc}") from exc
-    scale = (1.0 + params.beta) ** (1.0 / 3.0)
-
-    def log_angle(r):
-        return 2.0 * math.pi * np.log(scale * np.asarray(r, dtype=float))
-
     if kind == "homogeneous":
-        return (lambda r: np.ones_like(np.asarray(r, float)),
-                lambda r: -np.ones_like(np.asarray(r, float)))
-    if kind == "cosine":
-        return (lambda r: 1.0 + eps * np.cos(log_angle(r)),
-                lambda r: -1.0 + eps_v * np.cos(log_angle(r)))
-    if kind == "square":
-        if not delta > 0.0:
-            raise UsageError(f"square profile delta must be positive, got {delta}")
-        norm = math.tanh(1.0 / delta)
-
-        def smooth_square(r):
-            return np.tanh(np.cos(log_angle(r)) / delta) / norm
-
-        return (lambda r: 1.0 + eps * smooth_square(r),
-                lambda r: -1.0 + eps_v * smooth_square(r))
+        return np.ones_like(zeta), -np.ones_like(zeta)
+    if kind in ("cosine", "square"):
+        shape = np.cos(2.0 * math.pi * zeta)
+        if kind == "square":
+            if not delta > 0.0:
+                raise UsageError(f"square profile delta must be positive, got {delta}")
+            shape = np.tanh(shape / delta) / math.tanh(1.0 / delta)
+        return 1.0 + eps * shape, -1.0 + eps_v * shape
     if kind == "table":
         try:
             zs, ds, vs = np.loadtxt(cfg.profile["path"], delimiter=",", unpack=True, skiprows=1)
         except (KeyError, OSError, ValueError) as exc:
             raise UsageError(f"cannot read the profile table: {exc!r}") from exc
-
-        def interp(vals):
-            def fn(r):
-                zeta = np.log(scale * np.asarray(r, dtype=float)) % 1.0
-                return np.interp(zeta, zs, vals, period=1.0)
-            return fn
-
-        return interp(ds), interp(vs)
+        return np.interp(zeta, zs, ds, period=1.0), np.interp(zeta, zs, vs, period=1.0)
     raise UsageError(f"unknown profile kind {kind!r}")
 
 
@@ -447,8 +430,7 @@ def cmd_simulate(run: RunDir) -> None:
     params = run.params
     # evolve reads the trajectory only up to f = pde_f_cap
     traj = run.trajectory(10.0 * cfg.pde_f_cap)
-    d_prof, v_prof = make_profiles(cfg, params)
-    state0 = init_from_data(params, d_prof, v_prof, cfg.grid_n)
+    state0 = init_from_data(params, *make_profiles(cfg, zeta_grid(cfg.grid_n)))
     run.values["data_smallness"] = data_smallness(state0, params)
     controls = EvolveControls(pde_rtol=cfg.pde_rtol)
     res = evolve(state0, traj, f_cap=cfg.pde_f_cap, controls=controls)

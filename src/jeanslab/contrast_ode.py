@@ -231,7 +231,10 @@ def zero_trajectory(params: ModelParams) -> OdeTrajectory:
 
 
 def _rhs_y(t, y, a, b, c):
-    return (y[1], -(a / t) * y[1] + (b / t**2) * np.expm1(y[0]) + (c - 1.0) * y[1] ** 2)
+    try:
+        return (y[1], -(a / t) * y[1] + (b / t**2) * np.expm1(y[0]) + (c - 1.0) * y[1] ** 2)
+    except OverflowError as exc:  # a float's ** raises where numpy's gives inf
+        raise NumericalFailure(f"contrast ODE overflowed at t={t!r}: y' = {y[1]!r}") from exc
 
 
 # The Dormand-Prince 5(4) pair (Dormand & Prince 1980) and Shampine's quartic
@@ -274,6 +277,8 @@ def _initial_step(fun, t, y, f, t_bound, rtol, atol, error_exponent) -> float:
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    if h0 == 0.0:  # the norm of the derivative overflowed
+        raise NumericalFailure(f"the first step size underflows to 0 at t={t!r}")
     f1 = np.asarray(fun(t + h0, y + h0 * f))
     d2 = _rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -337,7 +342,7 @@ def integrate_contrast(
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step size fails too
                 raise NumericalFailure(
                     f"stiffness failure: integrator stopped at t={t:.12g} with "
                     f"f={math.expm1(y0):.6g}: Required step size is less than spacing "

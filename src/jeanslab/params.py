@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import NumericalFailure, UsageError
 
@@ -74,9 +75,9 @@ def k_from_iota(iota: float) -> float:
 class ModelParams:
     """All constants of the model, fixed at construction time.
 
-    ``omega``, ``c_scale`` and the ODE exponents are pinned by the model;
-    ``lam`` (the damping margin above 7/6) and ``A`` (the compactification
-    rate) are free inputs with documented defaults.
+    ``t0``, ``omega``, ``c_scale`` and the ODE exponents are pinned by the model
+    and are class constants; ``lam`` (the damping margin above 7/6) and ``A``
+    (the compactification rate) are free inputs with documented defaults.
     """
 
     k_tilde: float
@@ -85,13 +86,13 @@ class ModelParams:
     gamma: float
     lam: float = 0.1
     A: float = 1.0
-    t0: float = 1.0
-    omega: float = -8.0 / 5.0
-    c_scale: float = 0.2
-    ode_a: float = 4.0 / 3.0
-    ode_b: float = 2.0 / 3.0
-    ode_c: float = 4.0 / 3.0
     certified: bool = True
+    t0: ClassVar[float] = 1.0
+    omega: ClassVar[float] = -8.0 / 5.0
+    c_scale: ClassVar[float] = 0.2
+    ode_a: ClassVar[float] = 4.0 / 3.0
+    ode_b: ClassVar[float] = 2.0 / 3.0
+    ode_c: ClassVar[float] = 4.0 / 3.0
 
     @property
     def iota3(self) -> float:
@@ -136,12 +137,9 @@ def build_params(
     non-certified and downstream condition checks will refuse it.
     """
     iota = solve_iota(k_tilde)
-    if not beta > 0.0:
-        raise UsageError(f"beta must be positive, got {beta!r}")
-    if not gamma > 0.0:
-        raise UsageError(f"gamma must be positive, got {gamma!r}")
-    if not lam > 0.0:
-        raise UsageError(f"lambda must be positive, got {lam!r}")
+    for name, value in (("beta", beta), ("gamma", gamma), ("lambda", lam)):
+        if not 0.0 < value < math.inf:
+            raise UsageError(f"{name} must be positive and finite, got {value!r}")
     if not (0.0 < A < 2.0):
         raise UsageError(f"A out of hypothesis range (0, 2), got {A!r}")
     certified = True

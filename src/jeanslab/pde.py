@@ -122,8 +122,6 @@ class EvolveControls:
 # absolute tolerance per unit of pde_rtol: the error floor of components near
 # zero, chiefly nu, which vanishes on the homogeneous manifold
 _ATOL_PER_RTOL = 1e-3
-_PERIODICITY_TOL = 1e-10  # endpoint mismatch init_from_data admits in a periodic profile
-_N_CHECK = 64  # grid points at which profile_endpoint_mismatch compares the profile
 
 
 @dataclass
@@ -163,14 +161,6 @@ class EvolveResult:
 # initial data
 
 
-def profile_endpoint_mismatch(profile, params: ModelParams) -> float:
-    """Sup over grid points of |F(y1(zeta+1)) - F(y1(zeta))| for a radial profile."""
-    z = np.linspace(0.0, 1.0, _N_CHECK, endpoint=False)
-    r0 = (1.0 + params.beta) ** (-1.0 / 3.0) * np.exp(z)
-    r1 = (1.0 + params.beta) ** (-1.0 / 3.0) * np.exp(z + 1.0)
-    return float(np.max(np.abs(np.asarray(profile(r1)) - np.asarray(profile(r0)))))
-
-
 def data_smallness(state: FieldState, params: ModelParams) -> float:
     """Sup-norm proxy of the perturbation size of the initial data.
 
@@ -185,26 +175,27 @@ def data_smallness(state: FieldState, params: ModelParams) -> float:
     return float(max(np.max(np.abs(v)) for v in vals))
 
 
-def init_from_data(params: ModelParams, d_profile, v_profile, n: int) -> FieldState:
-    """Build the t = t0 state from radial profiles d(|x|), v(|x|).
+def init_from_data(params: ModelParams, d: np.ndarray, v: np.ndarray) -> FieldState:
+    """Build the t = t0 state from the data d and v on the grid zeta_grid(len(d)).
 
-    The contrast and speed come straight from the data map; the time
-    derivative of the contrast is reconstructed from the continuity identity
-    (the evolution preserves that identity, so prescribing it independently
-    would inject an inconsistent mode).  Profiles must be 1-log-periodic.
+    The data are values on one period of zeta, the point |x| = (1+beta)^(-1/3) e^zeta
+    at t0, so they repeat with period 1 in zeta.  The contrast and speed come
+    straight from the data map; the time derivative of the contrast is
+    reconstructed from the continuity identity (the evolution preserves that
+    identity, so prescribing it independently would inject an inconsistent mode).
     """
-    zeta = zeta_grid(n)
-    h = 1.0 / n
-    for name, prof in (("d", d_profile), ("v", v_profile)):
-        gap = profile_endpoint_mismatch(prof, params)
-        if gap > _PERIODICITY_TOL:
-            raise UsageError(f"profile {name!r} is not 1-log-periodic: "
-                             f"endpoint mismatch {gap:.3g} > {_PERIODICITY_TOL:.3g}")
-    r_phys = (1.0 + params.beta) ** (-1.0 / 3.0) * np.exp(zeta)
+    d, v = np.asarray(d, dtype=float), np.asarray(v, dtype=float)
+    zeta = zeta_grid(len(d))
+    if d.shape != zeta.shape or v.shape != zeta.shape:
+        raise UsageError(f"profiles d and v must both have shape {zeta.shape}, "
+                         f"got {d.shape} and {v.shape}")
+    if not (np.isfinite(d).all() and np.isfinite(v).all()):
+        raise UsageError("profile values must be finite")
+    h = 1.0 / len(d)
     f = params.beta
     f0 = params.beta0
-    rho_hat = f * np.asarray(d_profile(r_phys), dtype=float)
-    nu = 1.0 + np.asarray(v_profile(r_phys), dtype=float)
+    rho_hat = f * d
+    nu = 1.0 + v
     one_pr = 1.0 + rho_hat
     if np.any(one_pr <= 0.0):
         raise UsageError("initial data reaches vacuum: 1 + rho_hat <= 0")

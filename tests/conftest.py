@@ -6,6 +6,7 @@ import pytest
 from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
 from jeanslab.errors import NumericalFailure
 from jeanslab.params import params_from_iota3
+from jeanslab.pde import zeta_grid
 from jeanslab.reference import FluidPoint
 from jeanslab.timemaps import compute_g
 
@@ -51,21 +52,15 @@ def maps_window(traj_window):
     return compute_g(traj_window, refine=4, thetas=(2.0,))
 
 
-def cosine_profiles(params, eps, eps_v=0.0):
-    scale = (1.0 + params.beta) ** (1.0 / 3.0)
-
-    def d(r):
-        return 1.0 + eps * np.cos(2.0 * np.pi * np.log(scale * np.asarray(r, float)))
-
-    def v(r):
-        return -1.0 + eps_v * np.cos(2.0 * np.pi * np.log(scale * np.asarray(r, float)))
-
-    return d, v
+def cosine_profiles(n, eps, eps_v=0.0):
+    """The cosine data (d, v) of the CLI's ``cosine`` kind on an n-point grid."""
+    shape = np.cos(2.0 * np.pi * zeta_grid(n))
+    return 1.0 + eps * shape, -1.0 + eps_v * shape
 
 
-def flat_profiles():
-    return (lambda r: np.ones_like(np.asarray(r, float)),
-            lambda r: -np.ones_like(np.asarray(r, float)))
+def flat_profiles(n):
+    """The homogeneous data (d, v) = (1, -1) on an n-point grid."""
+    return np.ones(n), -np.ones(n)
 
 
 def background_state(t, x, params):

@@ -174,8 +174,7 @@ def test_criterion_06_G_decay(maps):
 def test_criterion_07_homogeneous_manifold(params):
     t0 = time.perf_counter()
     traj_pde = integrate_contrast(params, f_cap=2e4, controls=ToleranceSpec())
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 128)
+    st = init_from_data(params, *flat_profiles(128))
     res = evolve(st, traj_pde, f_cap=1e3)
     elapsed = time.perf_counter() - t0
     assert res.stop_reason == "f_cap"
@@ -217,8 +216,7 @@ def test_criterion_09_main_theorem_monitors(params):
     traj_pde = integrate_contrast(params, f_cap=2e4, controls=ToleranceSpec())
     devs = []
     for eps in (1e-2, 1e-3, 1e-4):
-        d, v = cosine_profiles(params, eps)
-        st = init_from_data(params, d, v, 128)
+        st = init_from_data(params, *cosine_profiles(128, eps))
         res = evolve(st, traj_pde, f_cap=1e3)
         m = res.monitors.as_arrays()
         dev_rho = max(float(np.max(np.abs(m["ratio_rho_max"] - 1.0))),
@@ -267,8 +265,7 @@ def test_criterion_10_fuchsian_verification(params, maps_deep):
 
 def _equivalence_defect(n, eps, traj_deep, maps_deep):
     params = traj_deep.params
-    d, v = cosine_profiles(params, eps)
-    st = init_from_data(params, d, v, n)
+    st = init_from_data(params, *cosine_profiles(n, eps))
     res = evolve(st, traj_deep, f_cap=50.0,
                  controls=EvolveControls(out_target=400))
     states = res.states

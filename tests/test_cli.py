@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from jeanslab.cli import (RunConfig, RunDir, _jsonable, _write_csv, build_parser,
-                          config_from_args, load_config, main)
+                          config_from_args, load_config, main, make_profiles)
 from jeanslab.contrast_ode import integrate_contrast
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import DomainError
+from jeanslab.pde import init_from_data, zeta_grid
 
 
 def read_summary(path):
@@ -236,8 +237,9 @@ def test_other_exceptions_propagate(tmp_path, monkeypatch):
     '{"command": "iota",',
     '[1, 2]',
     None,  # no config file
+    '{"command": "iota", "seed": true}',  # a boolean is no integer
 ], ids=["unknown-key", "retired-key", "wrong-type", "malformed-json", "not-an-object",
-        "missing-file"])
+        "missing-file", "boolean-seed"])
 def test_config_errors_exit_2(tmp_path, config):
     p = tmp_path / "cfg.json"
     if config is not None:
@@ -251,7 +253,8 @@ def test_config_errors_exit_2(tmp_path, config):
     {"kind": "cosine", "eps": "large"},
     {"kind": "square", "eps": 1e-3, "delta": 0.0},
     {"kind": "table", "path": "no-such-table.csv"},
-], ids=["unknown-kind", "non-numeric-eps", "zero-delta", "missing-table"])
+    {"kind": "cosine", "eps": math.nan},  # json.dumps writes NaN, which load_config reads
+], ids=["unknown-kind", "non-numeric-eps", "zero-delta", "missing-table", "nan-eps"])
 def test_profile_errors_exit_2(tmp_path, profile):
     out = tmp_path / "p"
     cfg = {"command": "simulate", "grid_n": 32, "pde_f_cap": 5.0, "profile": profile,
@@ -490,6 +493,23 @@ def test_table_profile(tmp_path):
     p = tmp_path / "tab.json"
     p.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(p)]) == 0
+
+
+def test_table_of_the_cosine_grid_values_gives_the_cosine_data(tmp_path, params):
+    # the cosine data written with '%.17g' at the grid points and read back as a
+    # table give the cosine run's initial state exactly
+    zeta = zeta_grid(64)
+    cosine = {"kind": "cosine", "eps": 1e-3, "eps_v": 2e-4}
+    d, v = make_profiles(RunConfig(command="simulate", profile=cosine), zeta)
+    tab = tmp_path / "profile.csv"
+    tab.write_text("zeta,d,v\n" + "".join(f"{z:.17g},{a:.17g},{b:.17g}\n"
+                                          for z, a, b in zip(zeta, d, v)))
+    table = {"kind": "table", "path": str(tab)}
+    got = init_from_data(params, *make_profiles(RunConfig(command="simulate", profile=table),
+                                                zeta))
+    want = init_from_data(params, d, v)
+    for name in ("rho_hat", "drho_dt", "nu"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_force_escape_hatch(tmp_path):

@@ -16,7 +16,7 @@ from jeanslab.contrast_ode import (ToleranceSpec, blowup_bracket, blowup_ladder,
                                    integrate_contrast, rk4_reference,
                                    zero_trajectory)
 from jeanslab.errors import NumericalFailure, UsageError
-from jeanslab.params import params_from_iota3
+from jeanslab.params import ModelParams, params_from_iota3
 from jeanslab.timemaps import _refined_grid, compute_g
 
 
@@ -88,10 +88,11 @@ def test_envelope_constants_frozen(params):
     assert ec.bracket_fn(1.0) == pytest.approx(1.0 / (1.0 + params.beta), abs=1e-12)
 
 
-def test_envelope_constants_sign_check(params):
+def test_envelope_constants_sign_check(params, monkeypatch):
     # c > 1 is the model's regime; c = 1/2 flips the sign of cE
+    monkeypatch.setattr(ModelParams, "ode_c", 0.5)
     with pytest.raises(NumericalFailure, match="envelope constants"):
-        envelope_constants(dataclasses.replace(params, ode_c=0.5))
+        envelope_constants(params)
 
 
 def test_f_f0_at_equals_separate_calls(traj):
@@ -260,6 +261,27 @@ def test_integrate_contrast_fails_where_scipy_fails(params):
     where = f"stopped at t={res.t[-1]:.12g} with f={math.expm1(res.y[0, -1]):.6g}: {res.message}"
     with pytest.raises(NumericalFailure, match=re.escape(where)):
         integrate_contrast(params, f_cap=1e30)
+
+
+@pytest.mark.parametrize("gamma,message", [
+    (math.inf, "Required step size is less than spacing between numbers"),  # NaN slopes
+    (1e150, "first step size underflows"),  # the slope's norm overflows
+    (1e300, "contrast ODE overflowed"),  # the square of the initial rate overflows
+], ids=["inf", "1e150", "1e300"])
+def test_integrate_contrast_fails_on_non_finite_arithmetic(params, monkeypatch, gamma, message):
+    # build_params refuses these rates; integrate_contrast still ends each in a
+    # NumericalFailure, and in a bounded number of trial steps
+    step_factor, trials = contrast_ode._step_factor, []
+
+    def counted(*args):
+        trials.append(args)
+        if len(trials) > 1000:
+            raise RuntimeError("the trial steps never end")
+        return step_factor(*args)
+
+    monkeypatch.setattr(contrast_ode, "_step_factor", counted)
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match=message):
+        integrate_contrast(dataclasses.replace(params, gamma=gamma), f_cap=1e3)
 
 
 def test_dense_output_arrays_equal_scipy(scipy_oracle):

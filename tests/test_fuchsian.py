@@ -29,17 +29,14 @@ def gconsts(params, maps_deep):
 
 
 def test_fields_vanish_on_homogeneous(traj, maps, params):
-    d = lambda r: np.ones_like(np.asarray(r, float))
-    v = lambda r: -np.ones_like(np.asarray(r, float))
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     F = fuchsian_fields(st, traj, maps)
     assert np.max(np.abs(F.U)) < 1e-13
     assert F.tau == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_uz_consistency(traj, maps, params):
-    d, v = cosine_profiles(params, 1e-2)
-    st = init_from_data(params, d, v, 128)
+    st = init_from_data(params, *cosine_profiles(128, 1e-2))
     F = fuchsian_fields(st, traj, maps)
     u0_, uz_, u_, nu_, psi_ = F.U
     h = 1.0 / st.n
@@ -50,8 +47,7 @@ def test_uz_consistency(traj, maps, params):
 
 
 def test_psi_field_bound(traj, maps, params):
-    d, v = cosine_profiles(params, 1e-2, eps_v=5e-3)
-    st = init_from_data(params, d, v, 128)
+    st = init_from_data(params, *cosine_profiles(128, 1e-2, eps_v=5e-3))
     F = fuchsian_fields(st, traj, maps)
     assert np.max(np.abs(F.U[4])) <= np.max(np.abs(F.U[2])) / 3.0 + 1e-14
 
@@ -74,7 +70,7 @@ def test_time_map_interpolants_built_once(traj_deep, params, gconsts):
             assert np.array_equal(got_u, post(u(arr))) and np.array_equal(got_v, v(arr))
 
     before = dict(vars(m))
-    st = init_from_data(params, *flat_profiles(), 32)
+    st = init_from_data(params, *flat_profiles(32))
     F = fuchsian_fields(st, traj_deep, m)
     assert (F.tau, F.G_frak) == (-float(np.exp(log_g(st.t))), float(G_of_t(st.t)))
     r = find_certified_radius(m, gconsts, n_samples=20)
@@ -249,8 +245,7 @@ def test_noncertified_params_refused(gconsts):
 
 
 def test_run_extraction_satisfies_system(traj_deep, maps_deep, params):
-    d, v = cosine_profiles(params, 1e-3)
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *cosine_profiles(64, 1e-3))
     res = evolve(st, traj_deep, f_cap=50.0,
                  controls=EvolveControls(out_target=400))
     states = res.states

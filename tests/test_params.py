@@ -86,6 +86,10 @@ def test_build_params_rejections():
         build_params(k, beta=0.1, gamma=0.5, lam=0.0)
     with pytest.raises(UsageError):
         build_params(k, beta=0.1, gamma=0.5, A=2.0)
+    for inf in ({"beta": math.inf, "gamma": 0.5}, {"beta": 0.1, "gamma": math.inf},
+                {"beta": 0.1, "gamma": 0.5, "lam": math.inf}):
+        with pytest.raises(UsageError, match="must be positive and finite"):
+            build_params(k, **inf)
     with pytest.raises(UsageError, match="iota3 out of theorem range"):
         build_params(k_from_iota(0.7), beta=0.1, gamma=0.5)
     # escape hatch marks the result non-certified

@@ -136,8 +136,7 @@ def test_psi_linf_bound():
 
 
 def test_homogeneous_init(params):
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     assert np.allclose(st.rho_hat, params.beta, atol=1e-15)
     assert np.allclose(st.drho_dt, params.beta0, atol=1e-14)
     assert np.max(np.abs(st.nu)) == 0.0
@@ -146,8 +145,7 @@ def test_homogeneous_init(params):
 
 def test_cosine_init_mean(params):
     eps = 1e-3
-    d, v = cosine_profiles(params, eps)
-    st = init_from_data(params, d, v, 128)
+    st = init_from_data(params, *cosine_profiles(128, eps))
     u = (st.rho_hat - params.beta) / params.beta
     # mean of u equals the eps-weighted mean of the profile deviation (= 0 here)
     assert abs(np.mean(u) - eps * np.mean(np.cos(2 * np.pi * st.zeta))) < 1e-14
@@ -155,15 +153,9 @@ def test_cosine_init_mean(params):
 
 
 def test_data_smallness_scales(params):
-    d, v = cosine_profiles(params, 1e-3)
-    st = init_from_data(params, d, v, 128)
+    st = init_from_data(params, *cosine_profiles(128, 1e-3))
     sm = data_smallness(st, params)
     assert 1e-3 < sm < 1.0  # dominated by the derivative of the cosine mode
-
-
-def test_nonperiodic_profile_rejected(params):
-    with pytest.raises(UsageError, match="log-periodic"):
-        init_from_data(params, lambda r: 1.0 + 0.01 * np.log(r), lambda r: -np.ones_like(r), 64)
 
 
 def test_grid_validation():
@@ -171,6 +163,17 @@ def test_grid_validation():
         zeta_grid(8)
     with pytest.raises(UsageError):
         zeta_grid(33)
+
+
+@pytest.mark.parametrize("data,message", [
+    ((np.ones(33), -np.ones(33)), "grid size"),
+    ((np.ones(64), -np.ones(32)), "must both have shape"),
+    ((np.full(64, np.nan), -np.ones(64)), "must be finite"),
+    ((np.ones(64), np.full(64, -np.inf)), "must be finite"),
+], ids=["odd-grid", "unequal-sizes", "nan-d", "inf-v"])
+def test_init_from_data_refuses_unusable_values(params, data, message):
+    with pytest.raises(UsageError, match=message):
+        init_from_data(params, *data)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +185,7 @@ def _y(st):
 
 
 def test_rhs_homogeneous_reduces_to_ode(traj, params):
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     d_rho, d_drho, d_nu = rhs(st.t, _y(st), traj)
     t0, beta, beta0 = params.t0, params.beta, params.beta0
     fpp = (-(4.0 / (3.0 * t0)) * beta0 + (2.0 / (3.0 * t0**2)) * beta * (1.0 + beta)
@@ -194,8 +196,7 @@ def test_rhs_homogeneous_reduces_to_ode(traj, params):
 
 
 def test_wave_speed_positive_homogeneous(traj, params):
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     gzz, g0z = pde.wave_coefficients(st.t, st.rho_hat, st.nu, params.beta,
                                      params.beta0, params)
     i3, om = params.iota**3, params.omega
@@ -208,8 +209,7 @@ def test_wave_speed_positive_homogeneous(traj, params):
 def test_rhs_translation_equivariance(traj, params):
     # no explicit zeta dependence: shifting the data shifts the flow exactly
     n = 64
-    d, v = cosine_profiles(params, 5e-3, eps_v=2e-3)
-    st = init_from_data(params, d, v, n)
+    st = init_from_data(params, *cosine_profiles(n, 5e-3, eps_v=2e-3))
     out = rhs(st.t, _y(st), traj)
     m = 17
 
@@ -239,16 +239,14 @@ def test_gravity_is_chiral(traj, params):
 
 
 def test_rhs_hyperbolicity_loss(traj, params):
-    d, v = cosine_profiles(params, 1e-3, eps_v=4.0)  # huge speed perturbation
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *cosine_profiles(64, 1e-3, eps_v=4.0))  # huge speed perturbation
     with pytest.raises(pde.HyperbolicityLossError, match="hyperbolicity loss"):
         rhs(st.t, _y(st), traj)
 
 
 def test_rhs_vacuum_guard(traj, params):
     # the typed error, with its message
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     st.rho_hat = st.rho_hat - 2.0
     with pytest.raises(pde.VacuumError, match="vacuum formation: 1 \\+ rho_hat <= 0"):
         rhs(st.t, _y(st), traj)
@@ -257,8 +255,7 @@ def test_rhs_vacuum_guard(traj, params):
 def test_rhs_vacuum_guard_is_typed(traj, params):
     # exactly VacuumError, a NumericalFailure (so evolve stops with "vacuum"),
     # and not the hyperbolicity error
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     st.rho_hat = st.rho_hat - 2.0
     with pytest.raises(NumericalFailure) as exc:
         rhs(st.t, _y(st), traj)
@@ -382,8 +379,7 @@ def test_rhs_guards_see_past_nan(traj, params):
 
 
 def test_homogeneous_manifold_preserved(traj, params):
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     res = evolve(st, traj, f_cap=100.0)
     assert res.stop_reason == "f_cap"
     dev = max(float(np.max(np.abs(s.rho_hat - traj.f_f0_at(s.t)[0]))) for s in res.states)
@@ -400,8 +396,7 @@ def test_homogeneous_preserved_second_parameter_set():
 
     p = params_from_iota3(0.05, beta=0.5, gamma=0.7, lam=0.3, A=0.8)
     tr = integrate_contrast(p, f_cap=2e3, controls=ToleranceSpec())
-    d, v = flat_profiles()
-    st = init_from_data(p, d, v, 64)
+    st = init_from_data(p, *flat_profiles(64))
     res = evolve(st, tr, f_cap=100.0)
     assert res.stop_reason == "f_cap"
     dev = max(float(np.max(np.abs(s.rho_hat - tr.f_f0_at(s.t)[0]))) for s in res.states)
@@ -411,8 +406,7 @@ def test_homogeneous_preserved_second_parameter_set():
 
 
 def test_perturbed_ratio_envelope(traj, params):
-    d, v = cosine_profiles(params, 1e-3)
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *cosine_profiles(64, 1e-3))
     res = evolve(st, traj, f_cap=1e3)
     m = res.monitors.as_arrays()
     assert np.all(m["ratio_rho_min"] > 0.9)
@@ -421,11 +415,10 @@ def test_perturbed_ratio_envelope(traj, params):
 
 
 def test_self_convergence_order(traj, params):
-    d, v = cosine_profiles(params, 0.05)
     t_end = 1.35
     finals = {}
     for n in (32, 64, 128):
-        st = init_from_data(params, d, v, n)
+        st = init_from_data(params, *cosine_profiles(n, 0.05))
         finals[n] = evolve(st, traj, t_end=t_end,
                            controls=EvolveControls(out_target=2)).final
     d1 = np.max(np.abs(finals[32].rho_hat - finals[64].rho_hat[::2]))
@@ -437,8 +430,7 @@ def test_error_proportional_to_pde_rtol(traj, params):
     # fixed grid and snapshot schedule, tolerance refined: against a tight
     # reference the largest error in rho_hat/f stays below pde_rtol and falls
     # about in proportion to it, leaving the stepper's own accuracy
-    d, v = cosine_profiles(params, 0.05)
-    st = init_from_data(params, d, v, 32)
+    st = init_from_data(params, *cosine_profiles(32, 0.05))
 
     def states(rtol):
         return evolve(st, traj, f_cap=100.0,
@@ -518,8 +510,7 @@ def test_evolve_matches_fine_rk4_reference(traj, params, monkeypatch, vacuum_aft
     # every stored state, dense-output snapshots and step ends alike, agrees
     # with a fine fixed-step RK4 run to well within pde_rtol; a vacuum stop
     # mid-run ends with the last accepted state, off the snapshot schedule
-    d, v = cosine_profiles(params, 0.05)
-    st = init_from_data(params, d, v, 32)
+    st = init_from_data(params, *cosine_profiles(32, 0.05))
     controls = EvolveControls(out_target=4)
     if vacuum_after is not None:
         counted, calls = _vacuum_after(vacuum_after)
@@ -555,8 +546,7 @@ def _failing_rhs(exc):
 
 
 def test_evolve_stops_on_vacuum(traj, params, monkeypatch):
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     monkeypatch.setattr(pde, "rhs", _failing_rhs(pde.VacuumError("vacuum formation")))
     res = evolve(st, traj, t_end=2.0)
     assert res.stop_reason == "vacuum"
@@ -565,16 +555,14 @@ def test_evolve_stops_on_vacuum(traj, params, monkeypatch):
 
 def test_evolve_propagates_other_value_errors(traj, params, monkeypatch):
     # only VacuumError means vacuum; any other ValueError from a step is a fault
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     monkeypatch.setattr(pde, "rhs", _failing_rhs(ValueError("not a vacuum")))
     with pytest.raises(ValueError, match="not a vacuum"):
         evolve(st, traj, t_end=2.0)
 
 
 def test_evolve_requires_stop_rule(traj, params):
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     with pytest.raises(UsageError):
         evolve(st, traj)
 
@@ -583,8 +571,7 @@ def test_evolve_dt_underflow_diagnostic(traj, params, monkeypatch):
     # an rhs that turns to NaN after the solver's two start-up calls fails
     # every error test until the step size underflows: the diagnostic stop,
     # with the initial state intact and every trial step counted as rejected
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     calls, inner = [0], pde.rhs
 
     def nan_after_start(*args, **kwargs):
@@ -603,8 +590,7 @@ def test_evolve_dt_underflow_diagnostic(traj, params, monkeypatch):
 def test_evolve_stops_on_nan_derivatives_from_the_start(traj, params, monkeypatch):
     # NaN at the first call makes the first step size NaN, which no error test
     # can reject down to the underflow limit: the march stops before any trial
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     monkeypatch.setattr(pde, "rhs", lambda t, y, *args: np.full_like(y, np.nan))
     res = evolve(st, traj, t_end=2.0)
     assert res.stop_reason == "dt_underflow"
@@ -626,8 +612,7 @@ def _scipy_step_ends(st, traj, t_stop, pde_rtol=EvolveControls().pde_rtol):
 
 
 def test_evolve_reports_its_work(traj, params, monkeypatch):
-    d, v = cosine_profiles(params, 1e-3)
-    st = init_from_data(params, d, v, 32)
+    st = init_from_data(params, *cosine_profiles(32, 1e-3))
     calls, inner = [0], pde.rhs
 
     def counted(*args, **kwargs):
@@ -691,8 +676,7 @@ def _scipy_dop853(st, traj, t_stop, controls):
 @pytest.mark.parametrize("pde_rtol", [1e-10, 1e-8])
 def test_evolve_equals_scipy_dop853(traj, params, n, pde_rtol):
     # every stored state and the reported work, rejected steps included
-    d, v = cosine_profiles(params, 0.05)
-    st = init_from_data(params, d, v, n)
+    st = init_from_data(params, *cosine_profiles(n, 0.05))
     controls = EvolveControls(pde_rtol=pde_rtol, out_target=20)
     res = evolve(st, traj, f_cap=100.0, controls=controls)
     states, work = _scipy_dop853(st, traj, res.final.t, controls)
@@ -707,8 +691,7 @@ def test_evolve_equals_scipy_dop853(traj, params, n, pde_rtol):
 def test_snapshot_schedule(traj, params):
     # out_target states after the initial one, at the precomputed times, which
     # are uniform in ln(1+f) and end exactly at the stop time
-    d, v = cosine_profiles(params, 1e-3)
-    st = init_from_data(params, d, v, 32)
+    st = init_from_data(params, *cosine_profiles(32, 1e-3))
     res = evolve(st, traj, f_cap=100.0, controls=EvolveControls(out_target=7))
     t_stop = traj.time_of_contrast(100.0)
     schedule = pde.snapshot_times(traj, st.t, t_stop, 7)
@@ -725,8 +708,7 @@ def test_snapshot_schedule(traj, params):
 def test_monitor_times_are_step_ends_and_snapshots(traj, params):
     # one monitor row per time, strictly increasing: the initial time, every
     # accepted step end and every snapshot time, and nothing else
-    d, v = cosine_profiles(params, 1e-3)
-    st = init_from_data(params, d, v, 32)
+    st = init_from_data(params, *cosine_profiles(32, 1e-3))
     res = evolve(st, traj, f_cap=100.0)
     ends = [t for t, _ in _scipy_step_ends(st, traj, res.final.t)]
     snaps = pde.snapshot_times(traj, st.t, res.final.t, EvolveControls().out_target)
@@ -737,8 +719,7 @@ def test_monitor_times_are_step_ends_and_snapshots(traj, params):
 
 
 def test_evolve_rejects_empty_schedule(traj, params):
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 32)
+    st = init_from_data(params, *flat_profiles(32))
     with pytest.raises(UsageError, match="out_target"):
         evolve(st, traj, f_cap=10.0, controls=EvolveControls(out_target=0))
     with pytest.raises(UsageError, match="not after the initial time"):
@@ -749,8 +730,7 @@ def test_solution_shift_equivariance(traj, params):
     # integer grid shifts of the data shift the whole evolution: the discrete
     # counterpart of solutions being periodic modulo unit translations
     n, m = 64, 11
-    d, v = cosine_profiles(params, 2e-3, eps_v=1e-3)
-    st = init_from_data(params, d, v, n)
+    st = init_from_data(params, *cosine_profiles(n, 2e-3, eps_v=1e-3))
     shifted = FieldState(t=st.t, zeta=st.zeta, rho_hat=np.roll(st.rho_hat, m),
                          drho_dt=np.roll(st.drho_dt, m), nu=np.roll(st.nu, m),
                          psi=np.roll(st.psi, m))
@@ -763,8 +743,7 @@ def test_solution_shift_equivariance(traj, params):
 
 def test_psi_consistency_along_run(traj, params):
     # the stored gravity satisfies its defining relation at every output time
-    d, v = cosine_profiles(params, 1e-2)
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *cosine_profiles(64, 1e-2))
     res = evolve(st, traj, f_cap=20.0)
     for s in res.states[:: max(1, len(res.states) // 6)]:
         f = traj.f_f0_at(s.t)[0]
@@ -779,8 +758,7 @@ def test_monitors_equal_per_state_recomputation(traj, params, monkeypatch, vacuu
     # included, and every stored psi equals the per-state formulas, the early
     # stop's last state included; a step end that is also a snapshot time is
     # the stored dense state
-    d, v = cosine_profiles(params, 1e-2, eps_v=1e-3)
-    st = init_from_data(params, d, v, 32)
+    st = init_from_data(params, *cosine_profiles(32, 1e-2, eps_v=1e-3))
     if vacuum_after is not None:
         monkeypatch.setattr(pde, "rhs", _vacuum_after(vacuum_after)[0])
     res = evolve(st, traj, f_cap=5.0, controls=EvolveControls(out_target=30))
@@ -815,14 +793,12 @@ def test_monitors_equal_per_state_recomputation(traj, params, monkeypatch, vacuu
 
 
 def test_continuity_homogeneous_zero(traj, params):
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     assert continuity_residual(st, traj) < 1e-12
 
 
 def test_continuity_detects_corruption(traj, params):
-    d, v = cosine_profiles(params, 1e-3)
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *cosine_profiles(64, 1e-3))
     base = continuity_residual(st, traj)
     assert base < 1e-10  # construction enforces the identity at t0
     st.nu[7] += 0.1
@@ -830,15 +806,13 @@ def test_continuity_detects_corruption(traj, params):
 
 
 def test_continuity_propagated(traj, params):
-    d, v = cosine_profiles(params, 1e-3)
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *cosine_profiles(64, 1e-3))
     res = evolve(st, traj, f_cap=100.0)
     assert max(res.monitors.continuity_residual) < 1e-7
 
 
 def test_entropy_reduces_to_reference(traj, params):
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     t = st.t
     f = traj.f_f0_at(t)[0]
     s = entropy_field(st, traj)
@@ -849,8 +823,7 @@ def test_entropy_reduces_to_reference(traj, params):
 
 def test_entropy_matches_initial_data(traj, params):
     eps = 1e-2
-    d, v = cosine_profiles(params, eps)
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *cosine_profiles(64, eps))
     om = params.omega
     beta = params.beta
     x_abs = (1.0 + beta) ** (-1.0 / 3.0) * np.exp(st.zeta)
@@ -861,8 +834,7 @@ def test_entropy_matches_initial_data(traj, params):
 
 
 def test_entropy_monotone_in_contrast(traj, params):
-    d, v = flat_profiles()
-    st = init_from_data(params, d, v, 64)
+    st = init_from_data(params, *flat_profiles(64))
     s0 = entropy_field(st, traj)
     st.rho_hat = st.rho_hat + 0.05
     s1 = entropy_field(st, traj)
