@@ -9,15 +9,13 @@ __version__ = "0.1.0"
 from .params import ModelParams, build_params, k_from_iota, params_from_iota3, solve_iota
 from .contrast_ode import (BoundReport, OdeTrajectory, ToleranceSpec,
                            blowup_bracket, blowup_ladder, bound_certificates,
-                           envelope_constants, integrate_contrast,
-                           rk4_reference, zero_trajectory)
+                           envelope_constants, integrate_contrast, zero_trajectory)
 from .timemaps import TimeMaps, check_G_decay, compute_g
 from .reference import (FluidPoint, ResidualReport, euler_poisson_residual,
                         homogeneous_state, sample_annulus)
-from .pde import (EvolveControls, FieldState, MonitorSeries, compute_psi,
-                  continuity_residual, entropy_field, evolve, init_from_data, rhs)
+from .pde import (EvolveControls, FieldState, compute_psi, entropy_field, evolve,
+                  init_from_data, rhs)
 from .fuchsian import (ConditionReport, FuchsianEval, GammaConstants,
                        assemble_matrices, find_certified_radius,
                        fuchsian_fields, gamma_constants, q_lower_bound,
-                       q_quantity, system_residual, system_rhs_direct,
-                       verify_conditions)
+                       q_quantity, system_residual, verify_conditions)

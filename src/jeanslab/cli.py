@@ -333,12 +333,11 @@ def _ladder_trajectory(run: RunDir) -> OdeTrajectory:
 def cmd_ode(run: RunDir) -> None:
     params = run.params
     traj = _ladder_trajectory(run)
-    maps = compute_g(traj, refine=2, thetas=(2.0,))
-    eta2 = maps.eta[2.0]
+    maps = compute_g(traj)
     _write_csv(run.add_artifact("trajectory.csv"),
                ["t", "f", "f0", "g", "tau", "chi", "xi", "G_frak", "eta_2"],
                [maps.t_grid, maps.f, maps.f0, maps.g, maps.tau, maps.chi,
-                maps.xi, maps.G_frak, eta2])
+                maps.xi, maps.G_frak, maps.eta2])
     ec = envelope_constants(params)
     t_star, t_star_up = blowup_bracket(params)
     est, spread, dropped = blowup_ladder(traj)
@@ -443,24 +442,22 @@ def cmd_simulate(run: RunDir) -> None:
         _write_csv(p, ["zeta", "rho_hat", "drho_dt", "nu", "psi", "s"],
                    [st.zeta, st.rho_hat, st.drho_dt, st.nu, st.psi, s_field])
         run.artifacts.append(p)
-    mon = res.monitors.as_arrays()
-    _write_csv(run.add_artifact("monitors.csv"),
-               list(mon.keys()), list(mon.values()))
+    mon = res.monitors
+    _write_csv(run.add_artifact("monitors.csv"), list(mon), list(mon.values()))
 
-    dev_rho = max(res.monitors.rho_dev_sup)
-    dev_nu = max(res.monitors.nu_sup)
+    dev_rho, dev_nu, continuity = (float(mon[k].max()) for k in
+                                   ("rho_dev_sup", "nu_sup", "continuity_residual"))
     run.values.update({
         "stop_reason": res.stop_reason, "n_steps": res.n_steps,
         "rhs_calls": res.n_rhs, "rejected_steps": res.n_rejected, "dense_steps": res.n_dense,
         "dt_min": res.dt_min, "dt_max": res.dt_max,
         "final_t": res.final.t, "final_f": traj.f_f0_at(res.final.t)[0],
         "homogeneous_deviation": dev_rho, "nu_sup": dev_nu,
-        "continuity_residual_max": float(max(res.monitors.continuity_residual)),
+        "continuity_residual_max": continuity,
     })
     run.verdict("run_completed", res.stop_reason in ("t_end", "f_cap"))
     run.verdict("hyperbolicity_preserved", res.stop_reason != "hyperbolicity_loss")
-    run.verdict("continuity_identity_small",
-                max(res.monitors.continuity_residual) < 1e-4)
+    run.verdict("continuity_identity_small", continuity < 1e-4)
     if _profile_setting(cfg, "kind") == "homogeneous":
         run.verdict("homogeneous_manifold_dev_below_1e-6", dev_rho < 1e-6)
         run.verdict("homogeneous_nu_below_1e-8", dev_nu < 1e-8)
@@ -473,7 +470,7 @@ def cmd_simulate(run: RunDir) -> None:
 
 def cmd_fuchsian(run: RunDir) -> None:
     cfg = run.cfg
-    maps = compute_g(run.trajectory(max(cfg.f_cap, 1e8)), refine=2)
+    maps = compute_g(run.trajectory(max(cfg.f_cap, 1e8)))
     g_range = (float(np.min(maps.G_frak)), float(np.max(maps.G_frak)))
     gc = gamma_constants(maps.params, g_range)
     r_tilde = find_certified_radius(maps, gc, seed=cfg.seed)
@@ -518,29 +515,27 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: the flags are the same for all of them."""
     ap = argparse.ArgumentParser(
-        prog="jeanslab",
+        prog="jeanslab", argument_default=argparse.SUPPRESS,
         description="Gravitational-instability laboratory: contrast blowup, "
                     "log-periodic evolution, and coefficient certification.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        p.add_argument("--config", type=str,
-                       help="JSON config (a manifest.json also works)")
-        p.add_argument("--output-dir", type=str)
-        for flag in ("--iota3", "--k-tilde", "--beta", "--gamma", "--lam", "--A"):
-            p.add_argument(flag, type=float)
-        p.add_argument("--grid-n", type=int)
-        for flag in ("--f-cap", "--pde-f-cap"):
-            p.add_argument(flag, type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--profile-kind", dest="profile.kind", type=str,
-                       choices=list(_PROFILE_KINDS))
-        p.add_argument("--eps", dest="profile.eps", metavar="EPS", type=float)
-        p.add_argument("--family", dest="profile.family", type=str, choices=_FAMILIES)
-        p.add_argument("--svg", action="store_true")
-        p.add_argument("--force", action="store_true",
-                       help="admit iota^3 > 1/5 (results marked non-certified)")
+    ap.add_argument("command", choices=list(_COMMANDS))
+    ap.add_argument("--config", type=str, help="JSON config (a manifest.json also works)")
+    ap.add_argument("--output-dir", type=str)
+    for flag in ("--iota3", "--k-tilde", "--beta", "--gamma", "--lam", "--A"):
+        ap.add_argument(flag, type=float)
+    ap.add_argument("--grid-n", type=int)
+    for flag in ("--f-cap", "--pde-f-cap"):
+        ap.add_argument(flag, type=float)
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--profile-kind", dest="profile.kind", type=str,
+                    choices=list(_PROFILE_KINDS))
+    ap.add_argument("--eps", dest="profile.eps", metavar="EPS", type=float)
+    ap.add_argument("--family", dest="profile.family", type=str, choices=_FAMILIES)
+    ap.add_argument("--svg", action="store_true")
+    ap.add_argument("--force", action="store_true",
+                    help="admit iota^3 > 1/5 (results marked non-certified)")
     return ap
 
 

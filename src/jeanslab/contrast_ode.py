@@ -231,10 +231,7 @@ def zero_trajectory(params: ModelParams) -> OdeTrajectory:
 
 
 def _rhs_y(t, y, a, b, c):
-    try:
-        return (y[1], -(a / t) * y[1] + (b / t**2) * np.expm1(y[0]) + (c - 1.0) * y[1] ** 2)
-    except OverflowError as exc:  # a float's ** raises where numpy's gives inf
-        raise NumericalFailure(f"contrast ODE overflowed at t={t!r}: y' = {y[1]!r}") from exc
+    return (y[1], -(a / t) * y[1] + (b / t**2) * np.expm1(y[0]) + (c - 1.0) * y[1] ** 2)
 
 
 # The Dormand-Prince 5(4) pair (Dormand & Prince 1980) and Shampine's quartic
@@ -299,6 +296,7 @@ def _step_factor(error, error_exponent, rejected: bool):
     return max(_MIN_FACTOR, _SAFETY * error ** error_exponent)
 
 
+@np.errstate(over="raise")  # numpy's overflows raise FloatingPointError, as a float's ** does
 def integrate_contrast(
     params: ModelParams,
     f_cap: float = 1e6,
@@ -317,7 +315,8 @@ def integrate_contrast(
     step's interpolant, which stays whole in the dense output.  Positivity of
     f and f' on every accepted step is asserted (an interior violation would
     contradict the monotonicity of the contrast and signals an integration
-    fault).
+    fault).  An overflow anywhere in the integration, and a step size that is
+    NaN because the slopes are not finite, raise NumericalFailure.
     """
     if not f_cap > params.beta:
         raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {params.beta!r}")
@@ -328,93 +327,77 @@ def integrate_contrast(
     rtol, atol = controls.rel_tol, controls.abs_tol
     y0, y1 = math.log1p(params.beta), params.beta0 / (1.0 + params.beta)
     y_cap = math.log1p(f_cap)
-    K = np.empty((7, 2))  # stage derivatives by row; K[0] at the step's start, K[6] at its end
-    K[0] = _rhs_y(t, (y0, y1), a, b, c)
-    h_abs = _initial_step(lambda tq, yq: _rhs_y(tq, yq, a, b, c), t, (y0, y1), K[0],
-                          t_bound, rtol, atol, _ERROR_EXPONENT)
-    KT, KB = K.T, K[:6].T
-    stages = [(s, KT[:, :s], _DP_A[s, :s], float(_DP_C[s])) for s in range(1, 6)]
-    v = np.empty(2)
-    ts, ys, t_old, hs, Qs, y_old = [t], [(y0, y1)], [], [], [], []
-    status = None  # scipy's: 0 at the ceiling, 1 at the cap
-    while status is None:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:  # a NaN step size fails too
-                raise NumericalFailure(
-                    f"stiffness failure: integrator stopped at t={t:.12g} with "
-                    f"f={math.expm1(y0):.6g}: Required step size is less than spacing "
-                    "between numbers.")
-            t_new = min(t + h_abs, t_bound)
-            h_abs = h = t_new - t
-            for s, k, row, c_s in stages:
-                d0, d1 = k.dot(row).tolist()
-                K[s] = _rhs_y(t + c_s * h, (y0 + d0 * h, y1 + d1 * h), a, b, c)
-            d0, d1 = KB.dot(_DP_B).tolist()
-            n0, n1 = y0 + h * d0, y1 + h * d1
-            K[6] = _rhs_y(t + h, (n0, n1), a, b, c)
-            d0, d1 = KT.dot(_DP_E).tolist()
-            v[0] = d0 * h / (atol + max(abs(y0), abs(n0)) * rtol)
-            v[1] = d1 * h / (atol + max(abs(y1), abs(n1)) * rtol)
-            error = _rms(v)
-            h_abs *= _step_factor(error, _ERROR_EXPONENT, rejected)
-            if error < 1:
-                break
-            rejected = True
-        t_old.append(t)
-        hs.append(h)
-        # as floats: one small array per step, all held until the loop ends,
-        # fragments the heap the work after the integration allocates from
-        Qs.append(KT.dot(_DP_P).tolist())
-        y_old.append((y0, y1))
-        t, y0, y1 = t_new, n0, n1
-        K[0] = K[6]
-        if t == t_bound:
-            status = 0
-        if y0 >= y_cap:  # scipy's g <= 0 <= g_new for g = y - y_cap; g <= 0 held before
-            step = (t_old[-1], h, Qs[-1], y_old[-1])
-            t = _brentq(lambda tq: _quartic_at(tq, *step)[0] - y_cap, step[0], t,
-                        xtol=4 * _EPS, rtol=4 * _EPS)
-            y0, y1 = _quartic_at(t, *step)
-            status = 1
-        ts.append(t)
-        ys.append((y0, y1))
-    t_grid = np.array(ts)
-    y = np.array(ys).T
-    f_grid = np.expm1(y[0])
-    f0_grid = y[1] * np.exp(y[0])
-    if np.any(f_grid <= 0.0) or np.any(f0_grid <= 0.0):
-        raise NumericalFailure("internal-consistency error: f or f' non-positive on an "
-                               "accepted step (contradicts positivity of the contrast)")
-    return OdeTrajectory(
-        params=params, t_grid=t_grid, f=f_grid, f0=f0_grid,
-        f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=status == 1,
-        _sol=_DenseRK45(t_grid, np.array(t_old), np.array(hs), np.array(Qs), np.array(y_old)),
-    )
-
-
-def rk4_reference(params: ModelParams, t_end: float, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step classical RK4 integration of the same ODE in y = ln(1+f).
-
-    Independent oracle for cross-validating the adaptive path; returns
-    (t, f, f0) on the uniform grid.
-    """
-    a, b, c = params.ode_a, params.ode_b, params.ode_c
-    t = np.linspace(params.t0, t_end, n_steps + 1)
-    h = (t_end - params.t0) / n_steps
-    y = np.empty((n_steps + 1, 2))
-    y[0] = (math.log1p(params.beta), params.beta0 / (1.0 + params.beta))
-    for k in range(n_steps):
-        tk, yk = t[k], y[k]
-        k1 = np.asarray(_rhs_y(tk, yk, a, b, c))
-        k2 = np.asarray(_rhs_y(tk + 0.5 * h, yk + 0.5 * h * k1, a, b, c))
-        k3 = np.asarray(_rhs_y(tk + 0.5 * h, yk + 0.5 * h * k2, a, b, c))
-        k4 = np.asarray(_rhs_y(tk + h, yk + h * k3, a, b, c))
-        y[k + 1] = yk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    f = np.expm1(y[:, 0])
-    return t, f, y[:, 1] * (1.0 + f)
+    try:
+        K = np.empty((7, 2))  # stage derivatives by row; K[0] at the step's start, K[6] at its end
+        K[0] = _rhs_y(t, (y0, y1), a, b, c)
+        h_abs = _initial_step(lambda tq, yq: _rhs_y(tq, yq, a, b, c), t, (y0, y1), K[0],
+                              t_bound, rtol, atol, _ERROR_EXPONENT)
+        KT, KB = K.T, K[:6].T
+        stages = [(s, KT[:, :s], _DP_A[s, :s], float(_DP_C[s])) for s in range(1, 6)]
+        v = np.empty(2)
+        ts, ys, t_old, hs, Qs, y_old = [t], [(y0, y1)], [], [], [], []
+        status = None  # scipy's: 0 at the ceiling, 1 at the cap
+        while status is None:
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if math.isnan(h_abs):
+                    raise NumericalFailure(f"the step size at t={t:.12g} is NaN: the contrast "
+                                           "ODE's slopes are not finite")
+                if not h_abs >= min_step:
+                    raise NumericalFailure(
+                        f"stiffness failure: integrator stopped at t={t:.12g} with "
+                        f"f={math.expm1(y0):.6g}: Required step size is less than spacing "
+                        "between numbers.")
+                t_new = min(t + h_abs, t_bound)
+                h_abs = h = t_new - t
+                for s, k, row, c_s in stages:
+                    d0, d1 = k.dot(row).tolist()
+                    K[s] = _rhs_y(t + c_s * h, (y0 + d0 * h, y1 + d1 * h), a, b, c)
+                d0, d1 = KB.dot(_DP_B).tolist()
+                n0, n1 = y0 + h * d0, y1 + h * d1
+                K[6] = _rhs_y(t + h, (n0, n1), a, b, c)
+                d0, d1 = KT.dot(_DP_E).tolist()
+                v[0] = d0 * h / (atol + max(abs(y0), abs(n0)) * rtol)
+                v[1] = d1 * h / (atol + max(abs(y1), abs(n1)) * rtol)
+                error = _rms(v)
+                h_abs *= _step_factor(error, _ERROR_EXPONENT, rejected)
+                if error < 1:
+                    break
+                rejected = True
+            t_old.append(t)
+            hs.append(h)
+            # as floats: one small array per step, all held until the loop ends,
+            # fragments the heap the work after the integration allocates from
+            Qs.append(KT.dot(_DP_P).tolist())
+            y_old.append((y0, y1))
+            t, y0, y1 = t_new, n0, n1
+            K[0] = K[6]
+            if t == t_bound:
+                status = 0
+            if y0 >= y_cap:  # scipy's g <= 0 <= g_new for g = y - y_cap; g <= 0 held before
+                step = (t_old[-1], h, Qs[-1], y_old[-1])
+                t = _brentq(lambda tq: _quartic_at(tq, *step)[0] - y_cap, step[0], t,
+                            xtol=4 * _EPS, rtol=4 * _EPS)
+                y0, y1 = _quartic_at(t, *step)
+                status = 1
+            ts.append(t)
+            ys.append((y0, y1))
+        t_grid = np.array(ts)
+        y = np.array(ys).T
+        f_grid = np.expm1(y[0])
+        f0_grid = y[1] * np.exp(y[0])
+        if np.any(f_grid <= 0.0) or np.any(f0_grid <= 0.0):
+            raise NumericalFailure("internal-consistency error: f or f' non-positive on an "
+                                   "accepted step (contradicts positivity of the contrast)")
+        return OdeTrajectory(
+            params=params, t_grid=t_grid, f=f_grid, f0=f0_grid,
+            f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=status == 1,
+            _sol=_DenseRK45(t_grid, np.array(t_old), np.array(hs), np.array(Qs), np.array(y_old)),
+        )
+    except (OverflowError, FloatingPointError) as exc:
+        raise NumericalFailure(f"contrast ODE overflowed near t={t!r}") from exc
 
 
 @dataclass(frozen=True)

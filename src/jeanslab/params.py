@@ -25,16 +25,6 @@ def _cubic_residual(iota: float, k_tilde: float) -> float:
     return iota**3 + 9.0 * (k_tilde / 6.0) ** (1.0 / 3.0) * iota - 1.0
 
 
-def iota_radical(k_tilde: float) -> float:
-    """Closed radical form of the cubic root.
-
-    Loses precision for very small ``k_tilde`` (cancellation between the two
-    cube roots), so it serves as a cross-check rather than the primary solver.
-    """
-    s = 0.5 * math.sqrt(1.0 + 18.0 * k_tilde)
-    return (s + 0.5) ** (1.0 / 3.0) - (s - 0.5) ** (1.0 / 3.0)
-
-
 def solve_iota(k_tilde: float) -> float:
     """Solve the cubic identity for iota by bisection refined with Newton steps.
 

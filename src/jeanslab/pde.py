@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,25 +125,9 @@ _ATOL_PER_RTOL = 1e-3
 
 
 @dataclass
-class MonitorSeries:
-    t: list = field(default_factory=list)
-    ratio_rho_min: list = field(default_factory=list)
-    ratio_rho_max: list = field(default_factory=list)
-    ratio_drho_min: list = field(default_factory=list)
-    ratio_drho_max: list = field(default_factory=list)
-    uz_sup: list = field(default_factory=list)
-    nu_sup: list = field(default_factory=list)
-    rho_dev_sup: list = field(default_factory=list)  # max |rho_hat - f|
-    continuity_residual: list = field(default_factory=list)
-
-    def as_arrays(self) -> dict:
-        return {k: np.asarray(v) for k, v in self.__dict__.items()}
-
-
-@dataclass
 class EvolveResult:
     states: list
-    monitors: MonitorSeries
+    monitors: dict  # column -> array, one row per monitored time (see _record)
     stop_reason: str
     n_steps: int     # accepted steps
     n_rejected: int  # trial steps rejected by the error test
@@ -211,14 +195,6 @@ def init_from_data(params: ModelParams, d: np.ndarray, v: np.ndarray) -> FieldSt
 
 # ---------------------------------------------------------------------------
 # right-hand side
-
-
-def wave_coefficients(state_t: float, rho_hat: np.ndarray, nu: np.ndarray,
-                      f: float, f0: float, params: ModelParams):
-    """(gzz, g0z) of the reduced wave operator at one time level."""
-    one_pr = 1.0 + rho_hat
-    return _wave_coefficients(state_t, one_pr * (one_pr / (1.0 + f)) ** params.omega, nu,
-                              nu**2, f, f0, params)
 
 
 def _wave_coefficients(t, pr_ratio_om, nu, nu2, f, f0, params: ModelParams):
@@ -298,13 +274,6 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
     return out
 
 
-def continuity_residual(state: FieldState, traj: OdeTrajectory) -> float:
-    """Max-norm defect of the reduced continuity identity at one time level."""
-    f, f0 = traj.f_f0_at(state.t)
-    defect = _continuity_defect(f, f0, state.rho_hat, state.drho_dt, state.nu, 1.0 / state.n)
-    return float(np.max(np.abs(defect)))
-
-
 def _continuity_defect(f, f0, rho_hat, drho_dt, nu, h: float) -> np.ndarray:
     """Pointwise defect of the reduced continuity identity, the grid on the last axis;
     f and f0 broadcast against the fields."""
@@ -338,10 +307,10 @@ def entropy_field(state: FieldState, traj: OdeTrajectory) -> np.ndarray:
 # time marching
 
 
-def _record(mon: MonitorSeries, t: np.ndarray, y: np.ndarray, f: np.ndarray, f0: np.ndarray,
-            params: ModelParams) -> None:
-    """Append the monitors of the states y (m, 3, n) at the times t, where the
-    contrast and its rate are f and f0 (all three of shape (m,))."""
+def _record(t: np.ndarray, y: np.ndarray, f: np.ndarray, f0: np.ndarray,
+            params: ModelParams) -> dict:
+    """The monitors of the states y (m, 3, n) at the times t, where the contrast and
+    its rate are f and f0 (all three of shape (m,)): column name -> (m,) array."""
     f, f0 = f[:, None], f0[:, None]
     rho_hat, drho_dt, nu = y[:, 0], y[:, 1], y[:, 2]
     h = 1.0 / y.shape[-1]
@@ -349,13 +318,11 @@ def _record(mon: MonitorSeries, t: np.ndarray, y: np.ndarray, f: np.ndarray, f0:
     rd = drho_dt / f0
     uz = (params.c_scale / (1.0 + f)) * diff1(rho_hat, h)
     defect = _continuity_defect(f, f0, rho_hat, drho_dt, nu, h)
-    for series, vals in ((mon.t, t), (mon.ratio_rho_min, rr.min(-1)),
-                         (mon.ratio_rho_max, rr.max(-1)), (mon.ratio_drho_min, rd.min(-1)),
-                         (mon.ratio_drho_max, rd.max(-1)), (mon.uz_sup, np.abs(uz).max(-1)),
-                         (mon.nu_sup, np.abs(nu).max(-1)),
-                         (mon.rho_dev_sup, np.abs(rho_hat - f).max(-1)),
-                         (mon.continuity_residual, np.abs(defect).max(-1))):
-        series.extend(vals.tolist())
+    return {"t": t, "ratio_rho_min": rr.min(-1), "ratio_rho_max": rr.max(-1),
+            "ratio_drho_min": rd.min(-1), "ratio_drho_max": rd.max(-1),
+            "uz_sup": np.abs(uz).max(-1), "nu_sup": np.abs(nu).max(-1),
+            "rho_dev_sup": np.abs(rho_hat - f).max(-1),  # max |rho_hat - f|
+            "continuity_residual": np.abs(defect).max(-1)}
 
 
 def snapshot_times(traj: OdeTrajectory, t_start: float, t_stop: float,
@@ -620,14 +587,13 @@ def evolve(state: FieldState, traj: OdeTrajectory, t_end: float | None = None,
 
     t, y = np.array(row_t), np.stack(row_y)
     f, f0 = traj.f_f0_at(t)
-    mon = MonitorSeries()
-    _record(mon, t, y, f, f0, traj.params)
     keep = np.flatnonzero(stored)
     fk = f[keep, None]
     psi = compute_psi((y[keep, 0] - fk) / fk)
     states = [state]
     states.extend(FieldState(t=tk, zeta=state.zeta, rho_hat=yk[0], drho_dt=yk[1], nu=yk[2],
                              psi=pk) for tk, yk, pk in zip(t[keep].tolist(), y[keep], psi))
-    return EvolveResult(states=states, monitors=mon, stop_reason=stop_reason,
-                        n_steps=n_steps, n_rejected=march.n_trials - n_steps,
-                        n_rhs=march.n_rhs, n_dense=n_dense, dt_min=dt_min, dt_max=dt_max)
+    return EvolveResult(states=states, monitors=_record(t, y, f, f0, traj.params),
+                        stop_reason=stop_reason, n_steps=n_steps,
+                        n_rejected=march.n_trials - n_steps, n_rhs=march.n_rhs,
+                        n_dense=n_dense, dt_min=dt_min, dt_max=dt_max)

@@ -21,7 +21,7 @@ sourced system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def homogeneous_state(t: float, x, traj: OdeTrajectory) -> FluidPoint:
 _FD4_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 _FD4_O = np.array([-2.0, -1.0, 1.0, 2.0])
 FD_STEP = 1e-3  # spacing h of the difference stencils, in time and space alike
-_RESIDUAL_THRESHOLD = 1e-6  # euler_poisson_residual's verdict bound on each max norm
+_RESIDUAL_THRESHOLD = 1e-6  # ResidualReport's verdict bound on each max norm
 
 
 def _fd4(vals, h):
@@ -125,42 +125,23 @@ def _sources(t, x, pt, space, traj, h):
 
 @dataclass
 class ResidualReport:
-    """Residual norms of the four field equations over a sample set."""
+    """Max norms of the four field-equation residuals over a sample set."""
 
     n_points: int
     t_values: tuple
-    continuity: tuple[float, float]
-    momentum: tuple[float, float]
-    entropy_transport: tuple[float, float]
-    poisson: tuple[float, float]
-    thresholds: dict = field(default_factory=dict)
+    max_norms: dict  # equation -> max |residual|
     source_gap_max: float = 0.0
 
     @property
-    def max_norms(self) -> dict:
-        return {
-            "continuity": self.continuity[0],
-            "momentum": self.momentum[0],
-            "entropy_transport": self.entropy_transport[0],
-            "poisson": self.poisson[0],
-        }
-
-    @property
     def verdict(self) -> bool:
-        return all(self.max_norms[k] < thr for k, thr in self.thresholds.items())
+        return all(v < _RESIDUAL_THRESHOLD for v in self.max_norms.values())
 
 
-def _norms(vals) -> tuple[float, float]:
-    vals = np.abs(np.concatenate(vals, axis=None))
-    return float(vals.max()), float(math.sqrt(np.mean(vals**2)))
+def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory) -> ResidualReport:
+    """Max norms of the residuals of continuity, momentum, entropy transport and Poisson.
 
-
-def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
-                           h: float = FD_STEP) -> ResidualReport:
-    """Residual norms of continuity, momentum, entropy transport and Poisson.
-
-    All derivatives are 4th-order centered differences with spacing h (time
-    and space alike).  Per time value each stencil (centres, each time
+    All derivatives are 4th-order centered differences with spacing FD_STEP
+    (time and space alike).  Per time value each stencil (centres, each time
     offset, space, radial, Gauss-Legendre) is one ``state_fn`` call over all
     sample points.  The states are spherically symmetric, so the Poisson
     equation is checked in its integrated radial form,
@@ -172,6 +153,7 @@ def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
     t_values = np.atleast_1d(np.asarray(t, dtype=float))
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     t_lo, t_hi = float(traj.t_grid[0]), float(traj.t_end)
+    h = FD_STEP
     gl_nodes, gl_w = np.polynomial.legendre.leggauss(48)
     r = np.sqrt(np.vecdot(pts, pts))
     xhat = pts / r[:, None]
@@ -202,13 +184,12 @@ def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory,
         rho_y = state_fn(tv, y[..., None] * xhat[:, None, :]).rho
         integral = 0.5 * r * np.vecdot(gl_w, rho_y * y**2)
         poi.append(dphi_dr - 4.0 * math.pi * integral / r**2)
-    thresholds = {k: _RESIDUAL_THRESHOLD for k in
-                  ("continuity", "momentum", "entropy_transport", "poisson")}
     return ResidualReport(
         n_points=len(pts), t_values=tuple(t_values),
-        continuity=_norms(cont), momentum=_norms(mom),
-        entropy_transport=_norms(ent), poisson=_norms(poi),
-        thresholds=thresholds, source_gap_max=float(np.max(np.concatenate(gaps))),
+        max_norms={name: float(np.max(np.abs(np.concatenate(vals, axis=None))))
+                   for name, vals in (("continuity", cont), ("momentum", mom),
+                                      ("entropy_transport", ent), ("poisson", poi))},
+        source_gap_max=float(np.max(np.concatenate(gaps))),
     )
 
 

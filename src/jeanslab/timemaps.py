@@ -1,4 +1,4 @@
-"""Compactified time g(t), tau = -g, and the terminal diagnostics chi, xi, G, eta.
+"""Compactified time g(t), tau = -g, and the terminal diagnostics chi, xi, G, eta_2.
 
 Two integral representations of the same map are computed and cross-checked:
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contrast_ode import OdeTrajectory
-from .errors import NumericalFailure, UsageError
+from .errors import NumericalFailure
 from .params import ModelParams
 
 
@@ -96,7 +96,7 @@ class TimeMaps:
     chi: np.ndarray
     xi: np.ndarray
     G_frak: np.ndarray
-    eta: dict
+    eta2: np.ndarray
     # tau -> (ln(1+f), G) and t -> (ln g, G)
     _log1pf_G_by_tau: _Pchip = field(repr=False)
     _log_g_G_by_t: _Pchip = field(repr=False)
@@ -129,37 +129,31 @@ def _cumulative_simpson_graded(t: np.ndarray, v: np.ndarray, v_mid: np.ndarray) 
     return out
 
 
-def _refined_grid(traj: OdeTrajectory, refine: int) -> np.ndarray:
-    """Solver mesh with each cell split `refine` times (dense output fills values)."""
-    if refine < 1:
-        raise UsageError(f"refine must be >= 1, got {refine!r}")
-    t = traj.t_grid
-    return np.append(np.linspace(t[:-1], t[1:], refine + 1, axis=-1)[:, :-1], t[-1])
-
-
+_REFINE = 2  # each solver step is split into this many cells of the time maps' grid
+_MISMATCH_TOL = 1e-6  # a gap between the two forms of g above 10x this is a failure
 _CHI_CROSSCHECK_TOL = 1e-6
 
 
-def compute_g(traj: OdeTrajectory, refine: int = 2, thetas: tuple[float, ...] = (2.0,),
-              mismatch_tol: float = 1e-6) -> TimeMaps:
-    """Evaluate both representations of g and the diagnostics chi, xi, G, eta_theta.
+def _refined_grid(traj: OdeTrajectory) -> np.ndarray:
+    """Solver mesh with each cell split `_REFINE` times (dense output fills values)."""
+    t = traj.t_grid
+    return np.append(np.linspace(t[:-1], t[1:], _REFINE + 1, axis=-1)[:, :-1], t[-1])
+
+
+def compute_g(traj: OdeTrajectory) -> TimeMaps:
+    """Evaluate both representations of g and the diagnostics chi, xi, G, eta_2.
 
     Raises NumericalFailure ("representation mismatch") if the two forms of g
-    disagree by more than 10x the tolerance anywhere; such a gap signals an
+    disagree by more than 10x `_MISMATCH_TOL` anywhere; such a gap signals an
     inaccurate contrast integration rather than a quadrature artifact.  chi
     is evaluated from both algebraic forms (the f'-quotient and the
-    (f, g)-only rewriting) and cross-checked; each requested theta must obey
-    A * theta < 2b/(3 - 2c), the hypothesis for eta_theta -> 0.
+    (f, g)-only rewriting) and cross-checked.  eta_2 = 1/(g^2 (1+f)) decays
+    because 2 < 2b/((3-2c)A) = 4/A holds for every A in (0, 2), the range
+    ``build_params`` admits.
     """
     params = traj.params
     a, b, c, A, B = params.ode_a, params.ode_b, params.ode_c, params.A, params.B
-    theta_cap = 2.0 * b / ((3.0 - 2.0 * c) * A)
-    thetas = (thetas,) if np.isscalar(thetas) else tuple(thetas)
-    for th in thetas:
-        if th < 1.0 or th >= theta_cap:
-            raise UsageError(f"theta = {th!r} violates the decay hypothesis "
-                             f"1 <= theta < 2b/((3-2c)A) = {theta_cap:.6g}")
-    t = _refined_grid(traj, refine)
+    t = _refined_grid(traj)
     mid = 0.5 * (t[:-1] + t[1:])
     f, f0 = traj.f_f0_at(t)
     f_mid, f0_mid = traj.f_f0_at(mid)
@@ -176,9 +170,9 @@ def compute_g(traj: OdeTrajectory, refine: int = 2, thetas: tuple[float, ...] = 
     g = np.exp(-A * I1)
     g_f_only = (1.0 + b * B * I2) ** (-A / b)
     gap = float(np.max(np.abs(g - g_f_only) / g_f_only))
-    if gap > 10.0 * mismatch_tol:
+    if gap > 10.0 * _MISMATCH_TOL:
         raise NumericalFailure(f"representation mismatch: quotient and f-only forms of g "
-                               f"differ by rel {gap:.3g} (> {10.0 * mismatch_tol:.3g})")
+                               f"differ by rel {gap:.3g} (> {10.0 * _MISMATCH_TOL:.3g})")
     tau = -g
     chi = t ** (2.0 - a) * f0 / ((1.0 + f) ** (2.0 - c) * f * g ** (b / A))
     chi_alt = g ** (-2.0 * b / A) * t ** (2.0 * (1.0 - a)) / (B * f * (1.0 + f) ** (2.0 * (1.0 - c)))
@@ -190,7 +184,7 @@ def compute_g(traj: OdeTrajectory, refine: int = 2, thetas: tuple[float, ...] = 
     return TimeMaps(
         params=params, t_grid=t, f=f, f0=f0, g=g, tau=tau, representation_gap=gap,
         chi=chi, xi=1.0 / (g * (1.0 + f)), G_frak=G_frak,
-        eta={th: 1.0 / (g**th * (1.0 + f)) for th in thetas},
+        eta2=1.0 / (g**2.0 * (1.0 + f)),
         _log1pf_G_by_tau=_Pchip(tau, np.stack([np.log1p(f), G_frak])),
         _log_g_G_by_t=_Pchip(t, np.stack([np.log(g), G_frak])),
     )
@@ -234,17 +228,20 @@ class GDecayReport:
     dchi_rel_err: float
 
 
-def check_G_decay(maps: TimeMaps, decades: float = 1.0) -> GDecayReport:
+_G_DECAY_DECADES = 1.0  # check_G_decay fits over this many terminal decades of -tau
+
+
+def check_G_decay(maps: TimeMaps) -> GDecayReport:
     """Fit the terminal decay |G| ~ (-tau)^p and verify the chi evolution law.
 
-    The fit runs over the last `decades` of -tau; grid points where G crosses
+    The fit runs over the last `_G_DECAY_DECADES` of -tau; grid points where G crosses
     zero are excised (and flagged).  Independently, centered differences of
     the numerical chi(t) are compared against the closed-form derivative at
     every interior point of the whole (refined) time grid, not only the fit
     window.
     """
     neg_tau = -maps.tau
-    hi = neg_tau[-1] * 10.0**decades
+    hi = neg_tau[-1] * 10.0**_G_DECAY_DECADES
     sel = neg_tau <= hi
     G = maps.G_frak[sel]
     x = neg_tau[sel]

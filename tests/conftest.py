@@ -22,7 +22,7 @@ def traj(params):
 
 @pytest.fixture(scope="session")
 def maps(traj):
-    return compute_g(traj, refine=4, thetas=(2.0,))
+    return compute_g(traj)
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +33,7 @@ def traj_deep(params):
 
 @pytest.fixture(scope="session")
 def maps_deep(traj_deep):
-    return compute_g(traj_deep, refine=2, thetas=(2.0,))
+    return compute_g(traj_deep)
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +49,7 @@ def traj_window(params_window):
 
 @pytest.fixture(scope="session")
 def maps_window(traj_window):
-    return compute_g(traj_window, refine=4, thetas=(2.0,))
+    return compute_g(traj_window)
 
 
 def cosine_profiles(n, eps, eps_v=0.0):
@@ -78,6 +78,13 @@ def background_state(t, x, params):
     return FluidPoint(t=t, x=x, rho=np.full_like(r2, rho), v=(2.0 / (3.0 * t)) * x,
                       phi=i3 * r2 / (9.0 * t * t), s=s,
                       p=params.K * np.exp(s) * rho ** (4.0 / 3.0))
+
+
+def refined_grid_per_step(t, refine):
+    """The grid t with each cell split ``refine`` times, one linspace per cell: the
+    oracle of the time maps' broadcast grid, and a finer grid where a test needs one."""
+    segs = [np.linspace(a, b, refine + 1)[:-1] for a, b in zip(t[:-1], t[1:])]
+    return np.append(np.concatenate(segs), t[-1])
 
 
 def terminal_window(maps, f_cap):

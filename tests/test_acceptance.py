@@ -35,9 +35,9 @@ def test_criterion_01_exact_solution_residuals(traj, params):
     t_values = [1.2, 1.5, 2.0]
     ztr = zero_trajectory(params)
     rep_b = euler_poisson_residual(lambda t, x: background_state(t, x, params),
-                                   t_values, pts, ztr, h=1e-3)
+                                   t_values, pts, ztr)
     rep_h = euler_poisson_residual(lambda t, x: homogeneous_state(t, x, traj),
-                                   t_values, pts, traj, h=1e-3)
+                                   t_values, pts, traj)
     elapsed = time.perf_counter() - t0
     for rep in (rep_b, rep_h):
         assert rep.verdict
@@ -155,11 +155,11 @@ def test_criterion_05_compactified_time_identities(maps, maps_window, params_win
                            / params_window.chi_limit()))
     assert chi_dev < 0.05
     assert maps_window.xi[w].max() < 1e-2
-    assert maps_window.eta[2.0][w].max() < 1e-2
+    assert maps_window.eta2[w].max() < 1e-2
     report(5, f"identities at rel {worst:.1e} <= 1e-4 on both runs; window: "
               f"chi within {100 * chi_dev:.1f}% of limit, "
               f"xi {maps_window.xi[w].max():.1e}, "
-              f"eta_2 {maps_window.eta[2.0][w].max():.1e} < 1e-2")
+              f"eta_2 {maps_window.eta2[w].max():.1e} < 1e-2")
 
 
 def test_criterion_06_G_decay(maps):
@@ -218,7 +218,7 @@ def test_criterion_09_main_theorem_monitors(params):
     for eps in (1e-2, 1e-3, 1e-4):
         st = init_from_data(params, *cosine_profiles(128, eps))
         res = evolve(st, traj_pde, f_cap=1e3)
-        m = res.monitors.as_arrays()
+        m = res.monitors
         dev_rho = max(float(np.max(np.abs(m["ratio_rho_max"] - 1.0))),
                       float(np.max(np.abs(m["ratio_rho_min"] - 1.0))))
         dev_drho = max(float(np.max(np.abs(m["ratio_drho_max"] - 1.0))),

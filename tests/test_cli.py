@@ -381,6 +381,27 @@ def test_step_size_underflow_exits_3(tmp_path):
     assert "Required step size is less than spacing between numbers" in error["error"]
 
 
+@pytest.mark.parametrize("gamma", ["1e100", "1e150"])
+def test_contrast_overflow_exits_3_with_one_line(tmp_path, capsys, gamma):
+    # an overflow in the contrast integration is a classified failure: stderr holds
+    # its one line and no numpy warning (the suite turns warnings into errors)
+    out = tmp_path / "o"
+    assert main(["ode", "--gamma", gamma, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("NumericalFailure: contrast ODE overflowed")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["ode", "--bogus", "1"], ["--seed", "1"]],
+                         ids=["unknown-command", "no-command", "unknown-flag", "flag-only"])
+def test_unknown_command_or_flag_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "usage: jeanslab" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_amplitude_flag_for_the_default_kind_exits_2(tmp_path):
     # the default kind, homogeneous, reads no amplitude
     out = tmp_path / "o"

@@ -9,12 +9,11 @@ from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp import rk
 from scipy.optimize import brentq
 
-from conftest import assert_order_conditions
+from conftest import assert_order_conditions, refined_grid_per_step
 from jeanslab import contrast_ode
-from jeanslab.contrast_ode import (ToleranceSpec, blowup_bracket, blowup_ladder,
+from jeanslab.contrast_ode import (ToleranceSpec, _rhs_y, blowup_bracket, blowup_ladder,
                                    bound_certificates, envelope_constants,
-                                   integrate_contrast, rk4_reference,
-                                   zero_trajectory)
+                                   integrate_contrast, zero_trajectory)
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import ModelParams, params_from_iota3
 from jeanslab.timemaps import _refined_grid, compute_g
@@ -57,6 +56,28 @@ def test_time_of_contrast_at_the_stored_contrasts(traj):
             assert traj.time_of_contrast(float(target)) == pytest.approx(t_k, rel=0, abs=2e-14)
 
 
+def rk4_reference(params: ModelParams, t_end: float, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed-step classical RK4 integration of the same ODE in y = ln(1+f).
+
+    Independent oracle for cross-validating the adaptive path; returns
+    (t, f, f0) on the uniform grid.
+    """
+    a, b, c = params.ode_a, params.ode_b, params.ode_c
+    t = np.linspace(params.t0, t_end, n_steps + 1)
+    h = (t_end - params.t0) / n_steps
+    y = np.empty((n_steps + 1, 2))
+    y[0] = (math.log1p(params.beta), params.beta0 / (1.0 + params.beta))
+    for k in range(n_steps):
+        tk, yk = t[k], y[k]
+        k1 = np.asarray(_rhs_y(tk, yk, a, b, c))
+        k2 = np.asarray(_rhs_y(tk + 0.5 * h, yk + 0.5 * h * k1, a, b, c))
+        k3 = np.asarray(_rhs_y(tk + 0.5 * h, yk + 0.5 * h * k2, a, b, c))
+        k4 = np.asarray(_rhs_y(tk + h, yk + h * k3, a, b, c))
+        y[k + 1] = yk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    f = np.expm1(y[:, 0])
+    return t, f, y[:, 1] * (1.0 + f)
+
+
 def test_rk4_oracle_cross_validation(traj, params):
     # fixed-step oracle at 10x the adaptive solver's resolution
     t_probe = traj.time_of_contrast(1e3)
@@ -69,7 +90,7 @@ def test_rk4_oracle_cross_validation(traj, params):
 
 def test_contrast_rate_identity(traj, params):
     # f' expressed through (f, g) along the whole run
-    maps = compute_g(traj, refine=2)
+    maps = compute_g(traj)
     pred = (1.0 / params.B) * maps.t_grid ** (-params.ode_a) \
         * maps.g ** (-params.ode_b / params.A) * (1.0 + maps.f) ** params.ode_c
     assert np.max(np.abs(pred - maps.f0) / maps.f0) < 1e-6
@@ -264,8 +285,8 @@ def test_integrate_contrast_fails_where_scipy_fails(params):
 
 
 @pytest.mark.parametrize("gamma,message", [
-    (math.inf, "Required step size is less than spacing between numbers"),  # NaN slopes
-    (1e150, "first step size underflows"),  # the slope's norm overflows
+    (math.inf, "step size at t=1 is NaN: the contrast ODE's slopes are not finite"),
+    (1e150, "contrast ODE overflowed"),  # the slope's norm overflows
     (1e300, "contrast ODE overflowed"),  # the square of the initial rate overflows
 ], ids=["inf", "1e150", "1e300"])
 def test_integrate_contrast_fails_on_non_finite_arithmetic(params, monkeypatch, gamma, message):
@@ -292,8 +313,7 @@ def test_dense_output_arrays_equal_scipy(scipy_oracle):
                "t0": ts[:1], "t_end": np.array([traj.t_end]),
                "outside": np.array([np.nextafter(ts[0], 0.0), ts[0] - 1e-3,
                                     np.nextafter(ts[-1], np.inf), ts[-1] + 1e-3])}
-    for refine in (2, 4):
-        t = _refined_grid(traj, refine)
+    for refine, t in ((2, _refined_grid(traj)), (4, refined_grid_per_step(traj.t_grid, 4))):
         queries[f"refined grid {refine}"] = t
         queries[f"refined midpoints {refine}"] = 0.5 * (t[:-1] + t[1:])
         queries[f"refined grid {refine}, ends dropped"] = t[1:-1]
@@ -328,7 +348,7 @@ def test_dense_output_polynomial_equals_scipy(scipy_oracle):
     poly = type(dense)(dense.ts, dense.t_old, dense.h, dense.Q, np.zeros_like(dense.y_old))
     oracle = OdeSolution(sol.ts, [rk.RkDenseOutput(s.t_old, s.t, np.zeros(2), s.Q)
                                   for s in sol.interpolants])
-    t = _refined_grid(traj, 2)
+    t = _refined_grid(traj)
     for q in (t, 0.5 * (t[:-1] + t[1:]), sol.ts, 0.5 * (sol.ts[:-1] + sol.ts[1:])):
         assert np.array_equal(poly(q), np.array([oracle(tq) for tq in q.tolist()]).T)
     rng = np.random.default_rng(7)

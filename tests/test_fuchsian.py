@@ -12,8 +12,9 @@ from jeanslab.contrast_ode import integrate_contrast
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import (DomainError, assemble_matrices, find_certified_radius,
                                fuchsian_fields, gamma_constants, q_lower_bound,
-                               q_quantity, system_residual, system_rhs_direct,
-                               verify_conditions, wave_block_weight)
+                               q_quantity, system_residual, verify_conditions,
+                               wave_block_weight)
+from jeanslab.params import ModelParams
 from jeanslab.pde import EvolveControls, diff1, evolve, init_from_data
 from jeanslab.timemaps import compute_g
 
@@ -54,7 +55,7 @@ def test_psi_field_bound(traj, maps, params):
 
 def test_time_map_interpolants_built_once(traj_deep, params, gconsts):
     # each reader equals one scipy PCHIP per quantity, at scalar and array arguments
-    m = compute_g(traj_deep, refine=2)
+    m = compute_g(traj_deep)
     log1pf = PchipInterpolator(m.tau, np.log1p(m.f))
     G_of_tau = PchipInterpolator(m.tau, m.G_frak)
     log_g = PchipInterpolator(m.t_grid, np.log(m.g))
@@ -137,6 +138,105 @@ def test_domain_guards(params):
         assemble_matrices(-0.5, np.array([0.0, 0.0, -3.0, 0.0, 0.0]), 0.0, 10.0, params)
     with pytest.raises(DomainError, match="chi must stay positive"):
         assemble_matrices(-0.5, np.zeros(5), -5.0 * params.B, 1.0, params)
+
+
+def system_rhs_direct(tau: float, U_point, dU_dzeta, G_frak_val: float,
+                      f_val: float, params: ModelParams) -> np.ndarray:
+    """Right sides of the five transformed equations, written out literally.
+
+    Independent of the matrix bookkeeping: each row is the transformed
+    equation term by term with its zeta-derivative terms moved right, i.e.
+    this returns what B0 dU/dtau must equal.  Agreement with the assembled
+    path certifies the z-correction algebra.
+    """
+    u0, uz, u, nu, psi = (float(v) for v in np.asarray(U_point, float))
+    du0_dz, duz_dz, du_dz, dnu_dz, dpsi_dz = (float(v) for v in np.asarray(dU_dzeta, float))
+    lam, i3, om, A, B = params.lam, params.iota3, params.omega, params.A, params.B
+    cs = params.c_scale
+    kap = params.kappa
+    f = f_val
+    g = -tau
+    X = 4.0 + G_frak_val / B
+    chi_over_B = X
+    xi = 1.0 / (g * (1.0 + f))
+    a = f / (1.0 + f)
+    phi = 1.0 + a * u
+    GB = G_frak_val / B
+    q = lam + (3.0 - 8.0 * i3) / 30.0
+    alpha_b = (3.0 * i3 + 2.0) ** 2 / (6.0 * (10.0 * lam + i3 + 9.0))
+
+    # row 1: contrast-velocity equation
+    f2 = (-(2.0 * chi_over_B / (9.0 * A * g)) * (1.0 / cs) * nu * uz
+          + (chi_over_B / (9.0 * A * g)) * (1.0 / cs) * nu**2 * uz
+          + (5.0 * (om + 2.0) * (1.0 - i3) * (1.0 + f) / (9.0 * cs * A * f * g))
+          * (phi ** (1.0 + om) - 1.0) * uz
+          + ((om + 1.0) * (2.0 + om) * (1.0 - i3) / (9.0 * A * f * g))
+          * phi**om * (1.0 + f) * uz**2 / cs**2
+          + (2.0 * i3 / (3.0 * A * g)) * (1.0 / cs) * uz * psi
+          + 4.0 * chi_over_B * nu**2 * uz**2 / (27.0 * A * g * cs**2 * phi)
+          + 8.0 * chi_over_B * nu * uz * (1.0 + u0) / (9.0 * A * g * cs * phi)
+          + (2.0 * chi_over_B / (3.0 * A * g)) * phi
+          * ((a * u - u0 - nu * uz / (3.0 * cs)) / phi - nu) ** 2
+          + (2.0 * (1.0 - i3) * (1.0 + f) / (3.0 * A * f * g))
+          * (phi ** (om + 2.0) * (1.0 - phi**-om) - om * a * u)
+          + (2.0 / (3.0 * A * (1.0 + f) * g)) * f * u**2
+          + (4.0 * chi_over_B / (3.0 * A * g * phi)) * (u0 - a * u) ** 2)
+    r1 = ((1.0 / (A * tau)) * (4.0 * kap - 14.0 / 3.0 + (kap - 4.0 / 3.0) * GB) * u0
+          - ((8.0 + 5.0 * om) * (1.0 - i3) / (9.0 * cs * A * tau)) * uz
+          + (1.0 / (A * tau)) * (4.0 - 4.0 * kap + (4.0 / 3.0 - kap) * GB
+                                 - 2.0 * om * (1.0 - i3) / 3.0) * u
+          - (1.0 / A) * xi * (4.0 * kap - 14.0 / 3.0 + (kap - 4.0 / 3.0) * GB) * u
+          + ((8.0 + 5.0 * om) * (1.0 - i3) / (9.0 * cs * A)) * xi * (1.0 + 1.0 / f) * uz
+          + f2
+          + (2.0 / (3.0 * A * B * tau)) * chi_over_B * B * nu * du0_dz
+          - (1.0 / (A * tau)) * cs * (wave_block_weight(params) * (1.0 + 1.0 / f)
+                                      + _z0_of(tau, U_point, G_frak_val, f_val, params)) * duz_dz)
+
+    # row 2: derivative-compatibility equation
+    z0 = _z0_of(tau, U_point, G_frak_val, f_val, params)
+    q_w = wave_block_weight(params)
+    r2 = ((1.0 / (A * tau)) * (q_w + z0) * uz
+          - (q_w / A) * xi * (1.0 + 1.0 / f) * uz
+          - (1.0 / (A * tau)) * cs * (q_w * (1.0 + 1.0 / f) + z0) * du0_dz)
+
+    # row 3: contrast identity equation (times its diagonal weight q)
+    r3 = q * (-(1.0 / (A * tau)) * X * u0 + (1.0 / (A * tau)) * X * u
+              + (1.0 / A) * xi * (1.0 + 1.0 / f) * X * u0
+              - (1.0 / A) * xi * (1.0 + 1.0 / f) * X * u)
+
+    # row 4: rescaled-speed equation
+    r4 = ((2.0 * (1.0 + om) * (1.0 - i3) / (3.0 * A * tau)) * u
+          + (1.0 / (A * tau)) * (4.0 * kap - 2.0 / 3.0 + (kap - 1.0 / 3.0) * GB) * nu
+          + (2.0 * i3 / (A * tau)) * psi
+          + ((2.0 + om) * (1.0 - i3) / (3.0 * cs * A * tau)) * uz
+          - ((2.0 + om) * (1.0 - i3) / (3.0 * cs * A)) * xi * (1.0 + 1.0 / f)
+          * phi**om * uz
+          + ((2.0 + om) * (1.0 - i3) / (3.0 * cs * A * tau)) * (phi**om - 1.0) * uz
+          + (2.0 * (1.0 - i3) * (1.0 + f) / (3.0 * A * tau * f))
+          * (phi ** (1.0 + om) - 1.0 - (1.0 + om) * a * u)
+          + (1.0 / (3.0 * A * tau)) * X * nu**2
+          + (1.0 / (3.0 * A * tau)) * X * nu
+          * (3.0 * a * u / phi - 3.0 * u0 / phi - nu * uz / (cs * phi) - 3.0 * nu))
+
+    # row 5: gravity equation
+    r5 = (-(alpha_b / (A * tau)) * u + (3.0 * alpha_b / (A * tau)) * psi
+          + (1.0 / (3.0 * A * tau)) * X * phi * nu
+          - (X / (3.0 * A)) * xi * (1.0 + 1.0 / f) * phi * nu
+          - (X / A) * xi * (1.0 + 1.0 / f) * psi
+          + (alpha_b / (A * tau)) * dpsi_dz)
+
+    return np.array([r1, r2, r3, r4, r5])
+
+
+def _z0_of(tau, U_point, G_frak_val, f_val, params) -> float:
+    u0, uz, u, nu, psi = (float(v) for v in np.asarray(U_point, float))
+    om = params.omega
+    f = f_val
+    X = 4.0 + G_frak_val / params.B
+    a = f / (1.0 + f)
+    phi = 1.0 + a * u
+    return (wave_block_weight(params) * (1.0 + 1.0 / f) * (phi ** (1.0 + om) - 1.0)
+            - (X / (9.0 * params.c_scale**2)) * nu**2)
 
 
 def test_two_path_agreement(params):

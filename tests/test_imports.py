@@ -1,5 +1,6 @@
 """Each module imports from scipy only the routines it is listed for, at any depth,
-and a run of the pipelines in a fresh interpreter imports no scipy at all."""
+a run of the pipelines in a fresh interpreter imports no scipy at all, and every
+public function and class of the package is used by the package itself."""
 
 import ast
 import json
@@ -36,6 +37,43 @@ def test_scipy_imports_are_pinned():
                 offending.append(f"{path.name}:{line}: {name}")
     assert not offending, "scipy import outside the allow-list:\n" + "\n".join(offending)
     assert found == ALLOWED  # an import no longer made comes off the list
+
+
+# public module-level functions and classes that no code of the package reads yet,
+# as "module.name"; the tests are their only callers
+UNREFERENCED = {"fuchsian.fuchsian_fields", "fuchsian.system_residual"}
+
+
+def _loads(node: ast.AST, name: str) -> int:
+    """How often the tree reads the bare name."""
+    return sum(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+               for n in ast.walk(node))
+
+
+def test_public_surface_is_pinned():
+    # a public name counts as used when its own module reads it outside its
+    # definition, or a module that imports it from there reads it; the
+    # re-exports of jeanslab/__init__.py read nothing
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    importers = {}  # (module, name) -> the modules that import the name from there
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    importers.setdefault((node.module, alias.name), []).append(stem)
+    found = set()
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            uses = _loads(tree, node.name) - _loads(node, node.name)
+            uses += sum(_loads(trees[other], node.name)
+                        for other in importers.get((stem, node.name), ()))
+            if not uses:
+                found.add(f"{stem}.{node.name}")
+    assert found == UNREFERENCED  # a name that gains a caller comes off the list
 
 
 # imports the CLI, runs each argv list through cli.main, and prints the scipy modules loaded

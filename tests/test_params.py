@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from jeanslab.errors import NumericalFailure, UsageError
-from jeanslab.params import (build_params, iota_radical, k_from_iota,
-                             params_from_iota3, solve_iota)
+from jeanslab.params import build_params, k_from_iota, params_from_iota3, solve_iota
+
+
+def iota_radical(k_tilde: float) -> float:
+    """Closed radical form of the cubic root.
+
+    Loses precision for very small ``k_tilde`` (cancellation between the two
+    cube roots), so it serves as a cross-check rather than the primary solver.
+    """
+    s = 0.5 * math.sqrt(1.0 + 18.0 * k_tilde)
+    return (s + 0.5) ** (1.0 / 3.0) - (s - 0.5) ** (1.0 / 3.0)
 
 
 def bisect_k_for_iota3(target_iota3, lo=1e-6, hi=1.0, iters=200):

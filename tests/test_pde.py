@@ -8,9 +8,8 @@ from scipy.integrate._ivp import dop853_coefficients, rk
 from conftest import assert_order_conditions, cosine_profiles, flat_profiles
 from jeanslab import contrast_ode, pde
 from jeanslab.errors import NumericalFailure, UsageError
-from jeanslab.pde import (EvolveControls, FieldState, compute_psi,
-                          continuity_residual, data_smallness, diff1, diff2,
-                          entropy_field, evolve, init_from_data, rhs, zeta_grid)
+from jeanslab.pde import (EvolveControls, FieldState, compute_psi, data_smallness, diff1,
+                          diff2, entropy_field, evolve, init_from_data, rhs, zeta_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +194,16 @@ def test_rhs_homogeneous_reduces_to_ode(traj, params):
     assert np.max(np.abs(d_nu)) < 1e-14
 
 
+def _wave_coefficients(t, rho_hat, nu, f, f0, params):
+    """(gzz, g0z) of the reduced wave operator from the fields, through rhs's own helper."""
+    one_pr = 1.0 + rho_hat
+    return pde._wave_coefficients(t, one_pr * (one_pr / (1.0 + f)) ** params.omega, nu,
+                                  nu**2, f, f0, params)
+
+
 def test_wave_speed_positive_homogeneous(traj, params):
     st = init_from_data(params, *flat_profiles(64))
-    gzz, g0z = pde.wave_coefficients(st.t, st.rho_hat, st.nu, params.beta,
-                                     params.beta0, params)
+    gzz, g0z = _wave_coefficients(st.t, st.rho_hat, st.nu, params.beta, params.beta0, params)
     i3, om = params.iota**3, params.omega
     expect = (2.0 + om) * (1.0 - i3) * (1.0 + params.beta) / 9.0
     assert np.allclose(gzz, expect, rtol=1e-13)
@@ -365,7 +370,7 @@ def test_rhs_guards_see_past_nan(traj, params):
             fun(t, vac, traj)
     hyp = y.copy()
     hyp[2, 5], hyp[2, 6] = np.nan, 1e3  # nu: gzz NaN at 5, negative at 6
-    gzz, _ = pde.wave_coefficients(t, hyp[0], hyp[2], *traj.f_f0_at(t), params)
+    gzz, _ = _wave_coefficients(t, hyp[0], hyp[2], *traj.f_f0_at(t), params)
     assert np.isnan(gzz[5]) and gzz[6] <= 0.0 and np.isnan(gzz.min())
     # the message reports the offending entry, not the NaN beside it
     gzz_min = re.escape(f"min gzz = {float(gzz[gzz <= 0.0].min()):.3g}")
@@ -387,7 +392,7 @@ def test_homogeneous_manifold_preserved(traj, params):
     assert dev < 1e-6
     assert nu_sup < 1e-8
     # and at every step end, through the monitors
-    assert max(res.monitors.rho_dev_sup) < 1e-6 and max(res.monitors.nu_sup) < 1e-8
+    assert res.monitors["rho_dev_sup"].max() < 1e-6 and res.monitors["nu_sup"].max() < 1e-8
 
 
 def test_homogeneous_preserved_second_parameter_set():
@@ -402,16 +407,16 @@ def test_homogeneous_preserved_second_parameter_set():
     dev = max(float(np.max(np.abs(s.rho_hat - tr.f_f0_at(s.t)[0]))) for s in res.states)
     assert dev < 1e-6
     assert max(float(np.max(np.abs(s.nu))) for s in res.states) < 1e-8
-    assert max(res.monitors.rho_dev_sup) < 1e-6 and max(res.monitors.nu_sup) < 1e-8
+    assert res.monitors["rho_dev_sup"].max() < 1e-6 and res.monitors["nu_sup"].max() < 1e-8
 
 
 def test_perturbed_ratio_envelope(traj, params):
     st = init_from_data(params, *cosine_profiles(64, 1e-3))
     res = evolve(st, traj, f_cap=1e3)
-    m = res.monitors.as_arrays()
+    m = res.monitors
     assert np.all(m["ratio_rho_min"] > 0.9)
     assert np.all(m["ratio_rho_max"] < 1.1)
-    assert max(m["continuity_residual"]) < 1e-6
+    assert m["continuity_residual"].max() < 1e-6
 
 
 def test_self_convergence_order(traj, params):
@@ -534,7 +539,7 @@ def test_evolve_matches_fine_rk4_reference(traj, params, monkeypatch, vacuum_aft
         assert np.max(np.abs(s.psi - o.psi)) < 1e-11
     # a monitor row per step end and per snapshot; the last stored state is a
     # step end, so the count has one row fewer than their sum
-    m = res.monitors.as_arrays()
+    m = res.monitors
     assert np.all(np.diff(m["t"]) > 0) and {st.t, *times} <= set(m["t"].tolist())
     assert len(m["t"]) == 1 + res.n_steps + len(times) - 1
 
@@ -698,8 +703,8 @@ def test_snapshot_schedule(traj, params):
     assert len(res.states) == 8
     assert [s.t for s in res.states[1:]] == list(schedule)
     # the monitors add a row per step end; the last one is the last snapshot
-    assert {s.t for s in res.states} <= set(res.monitors.t)
-    assert len(res.monitors.t) == 1 + res.n_steps + 7 - 1
+    assert {s.t for s in res.states} <= set(res.monitors["t"].tolist())
+    assert len(res.monitors["t"]) == 1 + res.n_steps + 7 - 1
     assert res.final.t == schedule[-1] == t_stop
     gaps = np.diff(np.log1p(traj.f_f0_at(np.array([st.t, *schedule]))[0]))
     assert np.max(np.abs(gaps / gaps[0] - 1.0)) < 1e-9
@@ -712,7 +717,7 @@ def test_monitor_times_are_step_ends_and_snapshots(traj, params):
     res = evolve(st, traj, f_cap=100.0)
     ends = [t for t, _ in _scipy_step_ends(st, traj, res.final.t)]
     snaps = pde.snapshot_times(traj, st.t, res.final.t, EvolveControls().out_target)
-    t = res.monitors.t
+    t = res.monitors["t"].tolist()
     assert len(ends) == res.n_steps and len(snaps) == len(res.states) - 1 == 20
     assert np.all(np.diff(t) > 0)
     assert t == sorted({st.t, *ends, *snaps.tolist()})
@@ -767,8 +772,9 @@ def test_monitors_equal_per_state_recomputation(traj, params, monkeypatch, vacuu
     ends = _scipy_step_ends(st, traj, traj.time_of_contrast(5.0))
     at = {t: y for t, y in ends if t <= res.final.t} | {s.t: _y(s) for s in res.states}
     mon = res.monitors
-    assert mon.t == sorted(at) and len(mon.t) > len(res.states) > 2
-    for i, t in enumerate(mon.t):
+    assert mon["t"].tolist() == sorted(at) and len(mon["t"]) > len(res.states) > 2
+    assert all(col.dtype == np.float64 and col.shape == (len(at),) for col in mon.values())
+    for i, t in enumerate(mon["t"].tolist()):
         s = FieldState(t=t, zeta=st.zeta, rho_hat=at[t][0], drho_dt=at[t][1], nu=at[t][2],
                        psi=None)  # no monitor reads psi
         f, f0 = traj.f_f0_at(t)
@@ -778,11 +784,10 @@ def test_monitors_equal_per_state_recomputation(traj, params, monkeypatch, vacuu
                   "ratio_drho_min": float(rd.min()), "ratio_drho_max": float(rd.max()),
                   "uz_sup": float(np.max(np.abs(uz))), "nu_sup": float(np.max(np.abs(s.nu))),
                   "rho_dev_sup": float(np.max(np.abs(s.rho_hat - f))),
-                  "continuity_residual": continuity_residual(s, traj)}
-        assert expect.keys() == vars(mon).keys()
+                  "continuity_residual": _continuity_max(s, traj)}
+        assert list(expect) == list(mon)
         for k, val in expect.items():
-            assert getattr(mon, k)[i] == val, (i, k)
-            assert type(getattr(mon, k)[i]) is float
+            assert mon[k][i] == val, (i, k)
     for s in res.states[1:]:
         f = traj.f_f0_at(s.t)[0]
         assert np.array_equal(s.psi, compute_psi((s.rho_hat - f) / f))
@@ -792,23 +797,31 @@ def test_monitors_equal_per_state_recomputation(traj, params, monkeypatch, vacuu
 # continuity identity and entropy
 
 
+def _continuity_max(state, traj):
+    """Max-norm defect of the reduced continuity identity at one state."""
+    f, f0 = traj.f_f0_at(state.t)
+    defect = pde._continuity_defect(f, f0, state.rho_hat, state.drho_dt, state.nu,
+                                    1.0 / state.n)
+    return float(np.max(np.abs(defect)))
+
+
 def test_continuity_homogeneous_zero(traj, params):
     st = init_from_data(params, *flat_profiles(64))
-    assert continuity_residual(st, traj) < 1e-12
+    assert _continuity_max(st, traj) < 1e-12
 
 
 def test_continuity_detects_corruption(traj, params):
     st = init_from_data(params, *cosine_profiles(64, 1e-3))
-    base = continuity_residual(st, traj)
+    base = _continuity_max(st, traj)
     assert base < 1e-10  # construction enforces the identity at t0
     st.nu[7] += 0.1
-    assert continuity_residual(st, traj) > 1e-2
+    assert _continuity_max(st, traj) > 1e-2
 
 
 def test_continuity_propagated(traj, params):
     st = init_from_data(params, *cosine_profiles(64, 1e-3))
     res = evolve(st, traj, f_cap=100.0)
-    assert max(res.monitors.continuity_residual) < 1e-7
+    assert res.monitors["continuity_residual"].max() < 1e-7
 
 
 def test_entropy_reduces_to_reference(traj, params):

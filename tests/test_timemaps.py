@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from conftest import terminal_window
+from conftest import refined_grid_per_step, terminal_window
+from jeanslab import timemaps
 from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
-from jeanslab.errors import NumericalFailure, UsageError
+from jeanslab.errors import NumericalFailure
 from jeanslab.params import params_from_iota3
 from jeanslab.timemaps import (_Pchip, _refined_grid, check_G_decay, compute_g,
                                dchi_dt_analytic, dchi_dt_numeric)
@@ -94,7 +95,7 @@ def test_rate_ratio_identity(maps, params):
 def test_xi_eta_window_limits(maps_window, params_window):
     w = terminal_window(maps_window, 1e6)
     assert maps_window.xi[w].max() < 1e-2
-    assert maps_window.eta[2.0][w].max() < 1e-2
+    assert maps_window.eta2[w].max() < 1e-2
     # xi decreasing near blowup
     tail = maps_window.xi[-50:]
     assert np.all(np.diff(tail) < 0.0)
@@ -104,16 +105,11 @@ def test_eta2_sub_1e3_for_fast_collapse():
     # eta_2 drops below 1e-3 by contrast 1e6 for strongly kicked data (A = 1)
     p = params_from_iota3(0.2, beta=0.1, gamma=1.0, lam=0.1, A=1.0)
     tr = integrate_contrast(p, f_cap=1e6, controls=ToleranceSpec())
-    mp = compute_g(tr, refine=4, thetas=(2.0,))
+    mp = compute_g(tr)
     w = terminal_window(mp, 1e6)
-    eta2 = mp.eta[2.0]
+    eta2 = mp.eta2
     assert eta2[w].max() < 1e-3
     assert np.all(np.diff(eta2[-50:]) < 0.0)
-
-
-def test_theta_hypothesis_rejected(traj):
-    with pytest.raises(UsageError, match="decay hypothesis"):
-        compute_g(traj, thetas=(4.5,))
 
 
 def test_G_decay_fit(maps):
@@ -134,9 +130,10 @@ def test_dchi_dt_numeric_equals_per_point_polyfit(maps):
         assert num[k] == pytest.approx(fit, rel=1e-9), i
 
 
-def test_G_decay_flags_crossing(maps):
+def test_G_decay_flags_crossing(maps, monkeypatch):
     # widening the window past the sign change of G must be flagged
-    rep = check_G_decay(maps, decades=3.0)
+    monkeypatch.setattr(timemaps, "_G_DECAY_DECADES", 3.0)
+    rep = check_G_decay(maps)
     assert rep.zero_crossings_excised
 
 
@@ -153,10 +150,11 @@ def test_dchi_closed_form_at_t0(maps, params):
     assert np.isfinite(val)
 
 
-def test_representation_mismatch_detection(traj):
+def test_representation_mismatch_detection(traj, monkeypatch):
     # corrupting the tolerance budget must raise rather than silently pass
+    monkeypatch.setattr(timemaps, "_MISMATCH_TOL", 1e-13)
     with pytest.raises(NumericalFailure, match="representation mismatch"):
-        compute_g(traj, refine=2, mismatch_tol=1e-13)
+        compute_g(traj)
 
 
 def test_diagnostics_accept_arrays(maps):
@@ -169,20 +167,9 @@ def test_diagnostics_accept_arrays(maps):
             assert fn(x) == (u, v)
 
 
-def _refined_grid_per_step(t, refine):
-    # one linspace per solver step, the oracle of the broadcast form
-    segs = [np.linspace(a, b, refine + 1)[:-1] for a, b in zip(t[:-1], t[1:])]
-    return np.append(np.concatenate(segs), t[-1])
-
-
-@pytest.mark.parametrize("refine", [1, 2, 3, 4])
-def test_refined_grid_equals_per_step_linspace(refine, traj, traj_deep, traj_window):
+def test_refined_grid_equals_per_step_linspace(traj, traj_deep, traj_window):
+    refine = timemaps._REFINE
     for tr in (traj, traj_deep, traj_window):
-        grid = _refined_grid(tr, refine)
+        grid = _refined_grid(tr)
         assert grid.size == refine * (tr.t_grid.size - 1) + 1
-        assert np.array_equal(grid, _refined_grid_per_step(tr.t_grid, refine))
-
-
-def test_refined_grid_rejects_refine_below_one(traj):
-    with pytest.raises(UsageError, match="refine"):
-        _refined_grid(traj, 0)
+        assert np.array_equal(grid, refined_grid_per_step(tr.t_grid, refine))
