@@ -209,12 +209,17 @@ class RunDir:
             return build_params(c.k_tilde, c.beta, c.gamma, c.lam, c.A, force=c.force)
         return params_from_iota3(c.iota3, c.beta, c.gamma, c.lam, c.A, force=c.force)
 
-    def trajectory(self, f_cap: float) -> OdeTrajectory:
-        """The contrast trajectory to f_cap, integrated once per params, cap and tolerances."""
+    def trajectory(self, f_cap: float, t_reach: float = math.inf) -> OdeTrajectory:
+        """The contrast trajectory to f_cap, or only past t_reach, integrated once per
+        params, cap, tolerances and t_reach.  A full trajectory serves every t_reach:
+        a run stopped at t_reach has the same steps up to there."""
         args = (self.params, f_cap, ToleranceSpec(self.cfg.rel_tol, self.cfg.abs_tol))
-        if args not in self._trajectories:
-            self._trajectories[args] = integrate_contrast(*args)
-        return self._trajectories[args]
+        if args in self._trajectories:
+            return self._trajectories[args]
+        key = args if t_reach == math.inf else (*args, t_reach)
+        if key not in self._trajectories:
+            self._trajectories[key] = integrate_contrast(*args, t_reach=t_reach)
+        return self._trajectories[key]
 
     def run_child(self, **changes) -> dict[str, object]:
         """Run the pipeline of this config with ``changes`` inside this run; return its values."""
@@ -411,7 +416,7 @@ def cmd_residuals(run: RunDir) -> None:
         if family not in (name, "both"):
             continue
         traj = (zero_trajectory(run.params) if name == "background"
-                else run.trajectory(run.cfg.f_cap))
+                else run.trajectory(run.cfg.f_cap, t_reach=t_need))
         if traj.t_end < t_need:
             raise UsageError(f"f_cap {run.cfg.f_cap!r} is too small for the residual times: "
                              f"its trajectory ends at t = {traj.t_end:.6g} < {t_need:.6g}")

@@ -301,8 +301,9 @@ def integrate_contrast(
     params: ModelParams,
     f_cap: float = 1e6,
     controls: ToleranceSpec = ToleranceSpec(),
+    t_reach: float = math.inf,
 ) -> OdeTrajectory:
-    """Integrate the contrast ODE adaptively until f >= f_cap or the ceiling.
+    """Integrate the contrast ODE adaptively until f >= f_cap, the ceiling or t_reach.
 
     Steps the Dormand-Prince 5(4) pair with scipy's error control and first
     step, and replays the arithmetic of scipy's RK45 run through ``solve_ivp``
@@ -312,11 +313,16 @@ def integrate_contrast(
     of ``np.linalg.norm``, because BLAS sums them with fused multiply-adds that
     Python floats cannot reproduce; the rest is Python floats.  On the step
     that crosses y = ln(1 + f_cap) the crossing is found by ``_brentq`` on that
-    step's interpolant, which stays whole in the dense output.  Positivity of
-    f and f' on every accepted step is asserted (an interior violation would
-    contradict the monotonicity of the contrast and signals an integration
-    fault).  An overflow anywhere in the integration, and a step size that is
-    NaN because the slopes are not finite, raise NumericalFailure.
+    step's interpolant, which stays whole in the dense output.  It also stops
+    after the first accepted step that ends at or past t_reach, kept whole,
+    with ``reached_cap`` False unless that step crosses the cap too.  No step
+    depends on where the run stops, so the dense output on [t0, t_reach]
+    equals the full run's bit for bit (the ceiling, by contrast, shortens the
+    step that meets it).  Positivity of f and f' on every accepted step is
+    asserted (an interior violation would contradict the monotonicity of the
+    contrast and signals an integration fault).  An overflow anywhere in the
+    integration, and a step size that is NaN because the slopes are not
+    finite, raise NumericalFailure.
     """
     if not f_cap > params.beta:
         raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {params.beta!r}")
@@ -336,7 +342,7 @@ def integrate_contrast(
         stages = [(s, KT[:, :s], _DP_A[s, :s], float(_DP_C[s])) for s in range(1, 6)]
         v = np.empty(2)
         ts, ys, t_old, hs, Qs, y_old = [t], [(y0, y1)], [], [], [], []
-        status = None  # scipy's: 0 at the ceiling, 1 at the cap
+        status = None  # scipy's: 0 at the ceiling (or t_reach), 1 at the cap
         while status is None:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
@@ -374,7 +380,7 @@ def integrate_contrast(
             y_old.append((y0, y1))
             t, y0, y1 = t_new, n0, n1
             K[0] = K[6]
-            if t == t_bound:
+            if t == t_bound or t >= t_reach:
                 status = 0
             if y0 >= y_cap:  # scipy's g <= 0 <= g_new for g = y - y_cap; g <= 0 held before
                 step = (t_old[-1], h, Qs[-1], y_old[-1])

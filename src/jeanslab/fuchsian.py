@@ -352,10 +352,7 @@ def q_lower_bound(lam: float, iota3: float) -> float:
 
 @dataclass
 class ConditionReport:
-    constants: GammaConstants
-    r_tilde: float
     n_samples: int
-    tau_ladder: tuple
     sandwich_ok: bool
     sandwich_margin: float
     worst_sample: tuple | None
@@ -467,8 +464,7 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
     g_sup, g_stable = _G_halforder_bound(maps, tau_ladder)
 
     return ConditionReport(
-        constants=constants, r_tilde=r_tilde, n_samples=len(samples),
-        tau_ladder=tuple(float(x) for x in tau_ladder),
+        n_samples=len(samples),
         sandwich_ok=not np.any(margins < -_EIG_TOL), sandwich_margin=float(margins[i, j]),
         worst_sample=(float(tau_ladder[i]), U[i, j].copy()),
         eig_B0_range=(float(w_b0[..., 0].min()), float(w_b0[..., -1].max())),

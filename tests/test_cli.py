@@ -11,6 +11,7 @@ from jeanslab.contrast_ode import integrate_contrast
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import DomainError
 from jeanslab.pde import init_from_data, zeta_grid
+from jeanslab.reference import FD_STEP
 
 
 def read_summary(path):
@@ -107,6 +108,25 @@ def test_one_integration_per_trajectory(tmp_path, monkeypatch, argv, integration
     monkeypatch.setattr(cli, "integrate_contrast", counting)
     assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
     assert len(calls) == integrations
+
+
+def test_residuals_integrate_only_past_their_last_time(tmp_path, monkeypatch):
+    # standalone, residuals stop the contrast ODE after the step that passes
+    # t = 2.0 + 2 FD_STEP; in report they read the full trajectory of ode and
+    # blowup (the report pins of the two tests around this one)
+    import jeanslab.cli as cli
+
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(integrate_contrast(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "integrate_contrast", recording)
+    assert main(["residuals", "--family", "both", "--output-dir", str(tmp_path / "res")]) == 0
+    (traj,) = made
+    assert (len(traj.t_grid), traj.reached_cap) == (82, False)  # 81 steps
+    assert traj.t_grid[-2] < 2.0 + 2.0 * FD_STEP <= traj.t_end
 
 
 def test_report_children_equal_standalone_runs(tmp_path):

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp import rk
 from scipy.optimize import brentq
@@ -270,6 +272,32 @@ def test_integrate_contrast_stops_at_the_ceiling_as_scipy(params):
     assert res.status == 0
     assert (len(traj.t_grid), traj.t_end, traj.reached_cap) == (141, 3.0, False)  # 140 steps
     _assert_equals_scipy(traj, res)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.01, 1.0), gamma=st.floats(0.2, 1.0), u=st.floats(0.0, 1.0))
+def test_stopping_at_t_reach_keeps_the_steps_before_it(beta, gamma, u):
+    # the step sequence does not depend on where the run stops: a run stopped
+    # past t_reach is a prefix of the full run, read bit for bit alike up to t_reach
+    p = params_from_iota3(0.2, beta=beta, gamma=gamma)
+    full = integrate_contrast(p, f_cap=1e4)
+    t_reach = p.t0 + u * (full.t_end - p.t0)
+    part = integrate_contrast(p, f_cap=1e4, t_reach=t_reach)
+    assert np.array_equal(part.t_grid, full.t_grid[:len(part.t_grid)])
+    assert part.t_end >= t_reach
+    assert part.reached_cap == (part.t_end == full.t_end)
+    ts = np.linspace(p.t0, t_reach, 41)
+    for a, b in zip(part.f_f0_at(ts), full.f_f0_at(ts)):
+        assert np.array_equal(a, b)
+    assert [part.f_f0_at(t) for t in ts.tolist()] == [full.f_f0_at(t) for t in ts.tolist()]
+
+
+def test_the_cap_stops_a_run_before_t_reach(params):
+    full = integrate_contrast(params, f_cap=1e4)
+    part = integrate_contrast(params, f_cap=1e4, t_reach=full.t_end + 1.0)
+    assert part.reached_cap
+    assert part.t_end == full.t_end
+    assert np.array_equal(part.t_grid, full.t_grid)
 
 
 def test_integrate_contrast_fails_where_scipy_fails(params):

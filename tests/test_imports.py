@@ -1,12 +1,14 @@
 """Each module imports from scipy only the routines it is listed for, at any depth,
-a run of the pipelines in a fresh interpreter imports no scipy at all, and every
-public function and class of the package is used by the package itself."""
+a run of the pipelines in a fresh interpreter imports no scipy at all, every public
+function and class of the package is used by the package itself, and every field of
+its reports is read."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jeanslab
@@ -96,3 +98,22 @@ def test_a_run_imports_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out == {"codes": [0, 0, 0], "scipy": []}
+
+
+def test_report_fields_are_read():
+    # every field of a *Report dataclass in the package is read as an attribute
+    # somewhere in the package or the tests.  Reads are matched by name only, so
+    # a field name that k report classes declare needs at least k reads
+    src_trees = [ast.parse(path.read_text(), filename=str(path))
+                 for path in sorted(SRC.glob("*.py"))]
+    test_trees = [ast.parse(path.read_text(), filename=str(path))
+                  for path in sorted(Path(__file__).parent.glob("*.py"))]
+    reads = Counter(node.attr for tree in src_trees + test_trees for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    fields = [(node.name, item.target.id) for tree in src_trees for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name.endswith("Report")
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    declared = Counter(name for _, name in fields)
+    assert len({cls for cls, _ in fields}) == 4  # the walk finds the report classes
+    assert [f"{cls}.{name}" for cls, name in fields if reads[name] < declared[name]] == []

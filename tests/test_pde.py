@@ -602,6 +602,17 @@ def test_evolve_stops_on_nan_derivatives_from_the_start(traj, params, monkeypatc
     assert res.final is st and (res.n_steps, res.n_rejected, res.n_rhs) == (0, 0, 2)
 
 
+def test_dop853_start_refuses_a_first_step_that_underflows():
+    # under numpy's default error state an infinite derivative gives an infinite
+    # slope norm, not an overflow error, and so a first step size of 0
+    stepper = pde._Dop853(lambda t, y: np.full_like(y, np.inf), 1.0, np.ones((3, 8)), 2.0,
+                          rtol=1e-8, atol=1e-12)
+    assert np.geterr() == {"divide": "warn", "over": "warn", "under": "ignore",
+                           "invalid": "warn"}
+    with pytest.raises(NumericalFailure, match=r"the first step size underflows to 0 at t=1\.0"):
+        stepper.start()
+
+
 def _scipy_step_ends(st, traj, t_stop, pde_rtol=EvolveControls().pde_rtol):
     """(t, y) at each accepted step end of scipy's DOP853 marching the flattened
     state to t_stop, y of shape (3, n)."""
