@@ -13,8 +13,7 @@ from .contrast_ode import (BoundReport, OdeTrajectory, ToleranceSpec,
 from .timemaps import TimeMaps, check_G_decay, compute_g
 from .reference import (FluidPoint, ResidualReport, euler_poisson_residual,
                         homogeneous_state, sample_annulus)
-from .pde import (EvolveControls, FieldState, compute_psi, entropy_field, evolve,
-                  init_from_data, rhs)
+from .pde import FieldState, compute_psi, entropy_field, evolve, init_from_data, rhs
 from .fuchsian import (ConditionReport, FuchsianEval, GammaConstants,
                        assemble_matrices, find_certified_radius,
                        fuchsian_fields, gamma_constants, q_lower_bound,

@@ -33,12 +33,11 @@ from . import __version__
 from .contrast_ode import (LADDER_RUNGS, OdeTrajectory, ToleranceSpec,
                            blowup_bracket, blowup_ladder, bound_certificates,
                            envelope_constants, integrate_contrast, zero_trajectory)
-from .errors import JeanslabError, UsageError
+from .errors import JeanslabError, NumericalFailure, UsageError
 from .fuchsian import (find_certified_radius, gamma_constants, q_lower_bound,
                        q_quantity, verify_conditions)
 from .params import ModelParams, build_params, params_from_iota3, solve_iota
-from .pde import (EvolveControls, data_smallness, entropy_field, evolve,
-                  init_from_data, zeta_grid)
+from .pde import PDE_RTOL, data_smallness, entropy_field, evolve, init_from_data, zeta_grid
 from .reference import FD_STEP, euler_poisson_residual, homogeneous_state, sample_annulus
 from .timemaps import check_G_decay, compute_g
 
@@ -58,7 +57,7 @@ class RunConfig:
     pde_f_cap: float = 1e3
     rel_tol: float = ToleranceSpec.rel_tol
     abs_tol: float = ToleranceSpec.abs_tol
-    pde_rtol: float = EvolveControls.pde_rtol
+    pde_rtol: float = PDE_RTOL
     n_fuchsian_samples: int = 2000
     output_dir: str = "runs/out"
     seed: int = 20240
@@ -169,6 +168,8 @@ def write_svg_lines(path: Path, x: np.ndarray, series: dict[str, np.ndarray],
     if hi == lo:
         hi = lo + 1.0
     x0, x1 = float(xs.min()), float(xs.max())
+    if x1 == x0:
+        x1 = x0 + 1.0
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     for i, (name, ys) in enumerate(series.items()):
         ys = np.asarray(ys, dtype=float)
@@ -300,7 +301,8 @@ def make_profiles(cfg: RunConfig, zeta: np.ndarray) -> tuple[np.ndarray, np.ndar
         return 1.0 + eps * shape, -1.0 + eps_v * shape
     if kind == "table":
         try:
-            zs, ds, vs = np.loadtxt(cfg.profile["path"], delimiter=",", unpack=True, skiprows=1)
+            zs, ds, vs = np.loadtxt(cfg.profile["path"], delimiter=",", unpack=True,
+                                    skiprows=1, ndmin=2)
         except (KeyError, OSError, ValueError) as exc:
             raise UsageError(f"cannot read the profile table: {exc!r}") from exc
         return np.interp(zeta, zs, ds, period=1.0), np.interp(zeta, zs, vs, period=1.0)
@@ -432,12 +434,14 @@ def cmd_residuals(run: RunDir) -> None:
 def cmd_simulate(run: RunDir) -> None:
     cfg = run.cfg
     params = run.params
-    # evolve reads the trajectory only up to f = pde_f_cap
-    traj = run.trajectory(10.0 * cfg.pde_f_cap)
+    traj = run.trajectory(cfg.pde_f_cap)
+    if not (traj.reached_cap and traj.t_end > params.t0):
+        raise NumericalFailure(f"the contrast trajectory reaches f = {traj.f[-1]:.3g} at "
+                               f"t = {traj.t_end!r}, not f = {cfg.pde_f_cap!r} after "
+                               f"t0 = {params.t0!r}")
     state0 = init_from_data(params, *make_profiles(cfg, zeta_grid(cfg.grid_n)))
     run.values["data_smallness"] = data_smallness(state0, params)
-    controls = EvolveControls(pde_rtol=cfg.pde_rtol)
-    res = evolve(state0, traj, f_cap=cfg.pde_f_cap, controls=controls)
+    res = evolve(state0, traj, pde_rtol=cfg.pde_rtol)
 
     snaps = run.path / "snapshots"
     snaps.mkdir(exist_ok=True)

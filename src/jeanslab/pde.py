@@ -96,7 +96,7 @@ def compute_psi(u_grid: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# state and controls
+# state and tolerances
 
 
 @dataclass
@@ -113,12 +113,8 @@ class FieldState:
         return len(self.zeta)
 
 
-@dataclass(frozen=True)
-class EvolveControls:
-    pde_rtol: float = 1e-10  # relative local error tolerance of the DOP853 pair
-    out_target: int = 20     # stored snapshots after the initial state
-
-
+PDE_RTOL = 1e-10  # relative local error tolerance of the DOP853 pair
+_SNAPSHOTS = 20  # stored snapshots after the initial state
 # absolute tolerance per unit of pde_rtol: the error floor of components near
 # zero, chiefly nu, which vanishes on the homogeneous manifold
 _ATOL_PER_RTOL = 1e-3
@@ -325,14 +321,14 @@ def _record(t: np.ndarray, y: np.ndarray, f: np.ndarray, f0: np.ndarray,
             "continuity_residual": np.abs(defect).max(-1)}
 
 
-def snapshot_times(traj: OdeTrajectory, t_start: float, t_stop: float,
-                   count: int) -> np.ndarray:
-    """count output times in (t_start, t_stop], uniform in ln(1+f), the last exactly t_stop.
+def snapshot_times(traj: OdeTrajectory, t_start: float, count: int) -> np.ndarray:
+    """count times in (t_start, traj.t_end], uniform in ln(1+f), the last exactly traj.t_end.
 
     Newton's method on ln(1+f(t)) = target (slope f'/(1+f)), started from
     linear interpolation on the trajectory's grid, reaches rounding level in
     three iterations.
     """
+    t_stop = traj.t_end
     lo, hi = np.log1p(traj.f_f0_at(np.array([t_start, t_stop]))[0])
     target = lo + (hi - lo) * np.arange(1, count) / count
     t = np.interp(target, np.log1p(traj.f), traj.t_grid)
@@ -512,47 +508,38 @@ class _Dop853:
         return y
 
 
-def evolve(state: FieldState, traj: OdeTrajectory, t_end: float | None = None,
-           f_cap: float | None = None, controls: EvolveControls = EvolveControls()) -> EvolveResult:
-    """March the reduced system with the error-controlled DOP853 pair (``_Dop853``).
+def evolve(state: FieldState, traj: OdeTrajectory, pde_rtol: float = PDE_RTOL) -> EvolveResult:
+    """March the reduced system with the error-controlled DOP853 pair (``_Dop853``)
+    from state.t to the end of ``traj``.
 
     The contrast and the model constants come from ``traj`` and its ``params``.
     Each step keeps the local error estimate below atol + pde_rtol * |y|
     componentwise, with atol = _ATOL_PER_RTOL * pde_rtol.  Snapshots are read
-    from the dense output at out_target times after the initial state, uniform
-    in ln(1+f) and ending exactly at the stop time, so only the steps that hold
+    from the dense output at _SNAPSHOTS times after the initial state, uniform
+    in ln(1+f) and ending exactly at traj.t_end, so only the steps that hold
     one pay the dense output's 3 extra stages.  The monitors have one row per
     time, in increasing t: the initial state, each accepted step end and each
     snapshot (a step end that is also a snapshot time is the one stored state).
-    Stops at t_end, when the reference contrast reaches f_cap, when rhs raises
-    on any stage (hyperbolicity loss or vacuum), or when the solver's step size
-    underflows; an early stop also stores the last accepted state.
+    A completed run stops with "f_cap" if the trajectory ends at its cap and
+    "t_end" otherwise.  The run stops early when rhs raises on any stage
+    (hyperbolicity loss or vacuum) or when the solver's step size underflows;
+    an early stop also stores the last accepted state.
     """
-    if t_end is None and f_cap is None:
-        raise UsageError("need t_end or f_cap as a stopping rule")
-    if controls.out_target < 1:
-        raise UsageError(f"out_target must be >= 1, got {controls.out_target!r}")
-    t_stop = traj.t_end if t_end is None else min(t_end, traj.t_end)
-    if f_cap is not None:
-        if not f_cap > traj.params.beta:
-            raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {traj.params.beta!r}")
-        if traj.f[-1] < f_cap:
-            raise NumericalFailure(f"trajectory only reaches f = {traj.f[-1]:.3g} < f_cap")
-        t_stop = min(t_stop, traj.time_of_contrast(f_cap))
+    t_stop = traj.t_end
     if t_stop <= state.t:
         raise UsageError(f"stop time {t_stop!r} is not after the initial time {state.t!r}")
     n = state.n
-    out_t = snapshot_times(traj, state.t, t_stop, controls.out_target)
+    out_t = snapshot_times(traj, state.t, _SNAPSHOTS)
 
     y0 = np.stack((state.rho_hat, state.drho_dt, state.nu))
     # the monitor rows, in increasing t; the flagged ones are stored as states
     row_t, row_y, stored = [state.t], [y0], [False]
 
-    stop_reason = "t_end"
+    stop_reason = "f_cap" if traj.reached_cap else "t_end"
     n_steps = n_dense = 0
     dt_min, dt_max = math.inf, 0.0
     march = _Dop853(lambda t, y: rhs(t, y, traj), state.t, y0, t_stop,
-                    controls.pde_rtol, _ATOL_PER_RTOL * controls.pde_rtol)
+                    pde_rtol, _ATOL_PER_RTOL * pde_rtol)
     k = 0  # next output time
     try:
         march.start()
@@ -577,8 +564,6 @@ def evolve(state: FieldState, traj: OdeTrajectory, t_end: float | None = None,
         stop_reason = "hyperbolicity_loss"
     except VacuumError:
         stop_reason = "vacuum"
-    if stop_reason == "t_end" and f_cap is not None and t_stop < (t_end or math.inf):
-        stop_reason = "f_cap"
     if row_t[-1] < march.t:  # the dense output of the last accepted step raised
         row_t.append(march.t)
         row_y.append(march.y.reshape(3, n))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -50,6 +51,20 @@ def traj_window(params_window):
 @pytest.fixture(scope="session")
 def maps_window(traj_window):
     return compute_g(traj_window)
+
+
+@functools.cache
+def traj_to_cap(params, f_cap):
+    """The contrast trajectory of params integrated to f_cap, once per session: an
+    evolve run along it stops at f = f_cap."""
+    return integrate_contrast(params, f_cap=f_cap, controls=ToleranceSpec())
+
+
+@functools.cache
+def traj_to_time(params, t_end):
+    """The contrast trajectory of params stopped at the time ceiling t_end, once per
+    session: an evolve run along it stops at t = t_end."""
+    return integrate_contrast(params, f_cap=1e6, controls=ToleranceSpec(t_ceiling=t_end))
 
 
 def cosine_profiles(n, eps, eps_v=0.0):

@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import background_state, cosine_profiles, flat_profiles, terminal_window
+from conftest import (background_state, cosine_profiles, flat_profiles, terminal_window,
+                      traj_to_cap)
 from jeanslab.contrast_ode import (ToleranceSpec, blowup_bracket, blowup_ladder,
                                    bound_certificates, envelope_constants,
                                    integrate_contrast, zero_trajectory)
@@ -19,8 +20,8 @@ from jeanslab.fuchsian import (assemble_matrices, find_certified_radius,
                                fuchsian_fields, gamma_constants, q_lower_bound,
                                q_quantity, system_residual, verify_conditions)
 from jeanslab.params import params_from_iota3, solve_iota
-from jeanslab.pde import (EvolveControls, compute_psi, diff1, evolve,
-                          init_from_data, zeta_grid)
+from jeanslab import pde
+from jeanslab.pde import compute_psi, diff1, evolve, init_from_data, zeta_grid
 from jeanslab.reference import euler_poisson_residual, homogeneous_state, sample_annulus
 from jeanslab.timemaps import check_G_decay
 
@@ -173,9 +174,9 @@ def test_criterion_06_G_decay(maps):
 
 def test_criterion_07_homogeneous_manifold(params):
     t0 = time.perf_counter()
-    traj_pde = integrate_contrast(params, f_cap=2e4, controls=ToleranceSpec())
+    traj_pde = integrate_contrast(params, f_cap=1e3, controls=ToleranceSpec())
     st = init_from_data(params, *flat_profiles(128))
-    res = evolve(st, traj_pde, f_cap=1e3)
+    res = evolve(st, traj_pde)
     elapsed = time.perf_counter() - t0
     assert res.stop_reason == "f_cap"
     dev = max(float(np.max(np.abs(s.rho_hat - traj_pde.f_f0_at(s.t)[0]))) for s in res.states)
@@ -213,11 +214,11 @@ def test_criterion_08_psi_correctness():
 
 
 def test_criterion_09_main_theorem_monitors(params):
-    traj_pde = integrate_contrast(params, f_cap=2e4, controls=ToleranceSpec())
+    traj_pde = integrate_contrast(params, f_cap=1e3, controls=ToleranceSpec())
     devs = []
     for eps in (1e-2, 1e-3, 1e-4):
         st = init_from_data(params, *cosine_profiles(128, eps))
-        res = evolve(st, traj_pde, f_cap=1e3)
+        res = evolve(st, traj_pde)
         m = res.monitors
         dev_rho = max(float(np.max(np.abs(m["ratio_rho_max"] - 1.0))),
                       float(np.max(np.abs(m["ratio_rho_min"] - 1.0))))
@@ -264,10 +265,10 @@ def test_criterion_10_fuchsian_verification(params, maps_deep):
 
 
 def _equivalence_defect(n, eps, traj_deep, maps_deep):
+    # the run stops at f = 50 and its fields are read against the deep maps
     params = traj_deep.params
     st = init_from_data(params, *cosine_profiles(n, eps))
-    res = evolve(st, traj_deep, f_cap=50.0,
-                 controls=EvolveControls(out_target=400))
+    res = evolve(st, traj_to_cap(params, 50.0))
     states = res.states
     mid = len(states) // 2
     win = states[mid - 2:mid + 3]
@@ -290,7 +291,8 @@ def _equivalence_defect(n, eps, traj_deep, maps_deep):
     return float(np.max(np.abs(defect))), rhs_mag
 
 
-def test_criterion_11_pde_fuchsian_equivalence(traj_deep, maps_deep):
+def test_criterion_11_pde_fuchsian_equivalence(traj_deep, maps_deep, monkeypatch):
+    monkeypatch.setattr(pde, "_SNAPSHOTS", 400)
     eps = 0.03
     defects, rhs_mag = {}, 0.0
     for n in (16, 32, 64):

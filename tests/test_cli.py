@@ -80,7 +80,7 @@ def test_collapse_work_counts(tmp_path):
 
 
 def test_simulate_reads_no_f_cap(tmp_path):
-    # simulate integrates the contrast to 10 pde_f_cap and does not read --f-cap
+    # simulate integrates the contrast to pde_f_cap and does not read --f-cap
     args = ["simulate", "--grid-n", "32", "--pde-f-cap", "0.15"]
     assert main([*args, "--f-cap", "1.0", "--output-dir", str(tmp_path / "low")]) == 0
     assert main([*args, "--output-dir", str(tmp_path / "default")]) == 0
@@ -127,6 +127,42 @@ def test_residuals_integrate_only_past_their_last_time(tmp_path, monkeypatch):
     (traj,) = made
     assert (len(traj.t_grid), traj.reached_cap) == (82, False)  # 81 steps
     assert traj.t_grid[-2] < 2.0 + 2.0 * FD_STEP <= traj.t_end
+
+
+@pytest.mark.parametrize("argv,cap,points", [
+    (["simulate", "--grid-n", "128", "--profile-kind", "cosine", "--eps", "1e-3",
+      "--pde-f-cap", "1e3"], 1e3, 330),
+    (["report"], 50.0, 196),  # its simulate child, at pde_f_cap = 50
+], ids=["collapse", "report"])
+def test_simulate_integrates_only_to_pde_f_cap(tmp_path, monkeypatch, argv, cap, points):
+    # simulate stops the contrast ODE at its cap crossing, where evolve stops; an
+    # integration to 10 pde_f_cap would hold 432 and 299 points
+    import jeanslab.cli as cli
+
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(integrate_contrast(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "integrate_contrast", recording)
+    assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+    (traj,) = [t for t in made if t.f_cap == cap]
+    assert (len(traj.t_grid), traj.reached_cap) == (points, True)
+    assert traj.f[-2] < cap and abs(traj.f[-1] / cap - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("argv", [
+    # the contrast stops at the time ceiling, below the cap
+    ["simulate", "--beta", "1e-12", "--gamma", "1e-15", "--pde-f-cap", "1e-4", "--grid-n", "16"],
+    # the cap crossing cannot be told from t0
+    ["simulate", "--beta", "1e-300", "--pde-f-cap", "1e-299", "--grid-n", "16"],
+], ids=["ceiling", "crossing-at-t0"])
+def test_simulate_refuses_a_trajectory_short_of_its_cap(tmp_path, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--output-dir", str(out)]) == 3
+    error = json.loads((out / "error.json").read_text())
+    assert error["kind"] == "numerical" and "not f = " in error["error"]
 
 
 def test_report_children_equal_standalone_runs(tmp_path):
@@ -534,6 +570,34 @@ def test_table_profile(tmp_path):
     p = tmp_path / "tab.json"
     p.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(p)]) == 0
+
+
+def test_one_row_table_is_a_constant_profile(tmp_path):
+    # one row of the table is the constant profile it describes: here the
+    # homogeneous data, so the artifacts are the homogeneous run's
+    tab = tmp_path / "profile.csv"
+    tab.write_text("z,d,v\n0.5,1.0,-1.0\n")
+    p = tmp_path / "tab.json"
+    p.write_text(json.dumps({"command": "simulate", "grid_n": 32,
+                             "profile": {"kind": "table", "path": str(tab)}}))
+    assert main(["simulate", "--config", str(p), "--output-dir", str(tmp_path / "tab")]) == 0
+    assert main(["simulate", "--grid-n", "32", "--output-dir", str(tmp_path / "hom")]) == 0
+    assert read_summary(tmp_path / "tab")["digests"] == read_summary(tmp_path / "hom")["digests"]
+
+
+def test_svg_of_a_run_stopped_before_its_first_step(tmp_path):
+    # the velocity data leave the hyperbolic regime at once: one monitor row, a
+    # flat time range, which the chart must scale without dividing by zero
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps({"command": "simulate", "grid_n": 32, "pde_f_cap": 5.0,
+                             "svg": True,
+                             "profile": {"kind": "cosine", "eps": 0.0, "eps_v": 100.0}}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--output-dir", str(out)]) == 1
+    s = read_summary(out)
+    assert s["values"]["stop_reason"] == "hyperbolicity_loss" and s["values"]["n_steps"] == 0
+    svg = (out / "monitors.svg").read_text()
+    assert "<polyline" in svg and "nan" not in svg
 
 
 def test_table_of_the_cosine_grid_values_gives_the_cosine_data(tmp_path, params):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from conftest import cosine_profiles, flat_profiles
+from conftest import cosine_profiles, flat_profiles, traj_to_cap
 from jeanslab import fuchsian, pde
 from jeanslab.contrast_ode import integrate_contrast
 from jeanslab.errors import NumericalFailure, UsageError
@@ -15,7 +15,7 @@ from jeanslab.fuchsian import (DomainError, assemble_matrices, find_certified_ra
                                q_quantity, system_residual, verify_conditions,
                                wave_block_weight)
 from jeanslab.params import ModelParams
-from jeanslab.pde import EvolveControls, diff1, evolve, init_from_data
+from jeanslab.pde import diff1, evolve, init_from_data
 from jeanslab.timemaps import compute_g
 
 
@@ -344,10 +344,11 @@ def test_noncertified_params_refused(gconsts):
 # equivalence with the evolved system
 
 
-def test_run_extraction_satisfies_system(traj_deep, maps_deep, params):
+def test_run_extraction_satisfies_system(traj_deep, maps_deep, params, monkeypatch):
+    # the run stops at f = 50 and its fields are read against the deep maps
     st = init_from_data(params, *cosine_profiles(64, 1e-3))
-    res = evolve(st, traj_deep, f_cap=50.0,
-                 controls=EvolveControls(out_target=400))
+    monkeypatch.setattr(pde, "_SNAPSHOTS", 400)
+    res = evolve(st, traj_to_cap(params, 50.0))
     states = res.states
     mid = len(states) // 2
     win = states[mid - 2:mid + 3]

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from scipy.integrate import DOP853, simpson
 from scipy.integrate._ivp import dop853_coefficients, rk
 
-from conftest import assert_order_conditions, cosine_profiles, flat_profiles
+from conftest import (assert_order_conditions, cosine_profiles, flat_profiles, traj_to_cap,
+                      traj_to_time)
 from jeanslab import contrast_ode, pde
 from jeanslab.errors import NumericalFailure, UsageError
-from jeanslab.pde import (EvolveControls, FieldState, compute_psi, data_smallness, diff1,
-                          diff2, entropy_field, evolve, init_from_data, rhs, zeta_grid)
+from jeanslab.pde import (FieldState, compute_psi, data_smallness, diff1, diff2,
+                          entropy_field, evolve, init_from_data, rhs, zeta_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +385,10 @@ def test_rhs_guards_see_past_nan(traj, params):
 # evolution
 
 
-def test_homogeneous_manifold_preserved(traj, params):
+def test_homogeneous_manifold_preserved(params):
+    traj = traj_to_cap(params, 100.0)
     st = init_from_data(params, *flat_profiles(64))
-    res = evolve(st, traj, f_cap=100.0)
+    res = evolve(st, traj)
     assert res.stop_reason == "f_cap"
     dev = max(float(np.max(np.abs(s.rho_hat - traj.f_f0_at(s.t)[0]))) for s in res.states)
     nu_sup = max(float(np.max(np.abs(s.nu))) for s in res.states)
@@ -400,9 +403,9 @@ def test_homogeneous_preserved_second_parameter_set():
     from jeanslab.params import params_from_iota3
 
     p = params_from_iota3(0.05, beta=0.5, gamma=0.7, lam=0.3, A=0.8)
-    tr = integrate_contrast(p, f_cap=2e3, controls=ToleranceSpec())
+    tr = integrate_contrast(p, f_cap=100.0, controls=ToleranceSpec())
     st = init_from_data(p, *flat_profiles(64))
-    res = evolve(st, tr, f_cap=100.0)
+    res = evolve(st, tr)
     assert res.stop_reason == "f_cap"
     dev = max(float(np.max(np.abs(s.rho_hat - tr.f_f0_at(s.t)[0]))) for s in res.states)
     assert dev < 1e-6
@@ -410,36 +413,37 @@ def test_homogeneous_preserved_second_parameter_set():
     assert res.monitors["rho_dev_sup"].max() < 1e-6 and res.monitors["nu_sup"].max() < 1e-8
 
 
-def test_perturbed_ratio_envelope(traj, params):
+def test_perturbed_ratio_envelope(params):
     st = init_from_data(params, *cosine_profiles(64, 1e-3))
-    res = evolve(st, traj, f_cap=1e3)
+    res = evolve(st, traj_to_cap(params, 1e3))
     m = res.monitors
     assert np.all(m["ratio_rho_min"] > 0.9)
     assert np.all(m["ratio_rho_max"] < 1.1)
     assert m["continuity_residual"].max() < 1e-6
 
 
-def test_self_convergence_order(traj, params):
-    t_end = 1.35
+def test_self_convergence_order(params, monkeypatch):
+    traj = traj_to_time(params, 1.35)
+    monkeypatch.setattr(pde, "_SNAPSHOTS", 2)
     finals = {}
     for n in (32, 64, 128):
         st = init_from_data(params, *cosine_profiles(n, 0.05))
-        finals[n] = evolve(st, traj, t_end=t_end,
-                           controls=EvolveControls(out_target=2)).final
+        finals[n] = evolve(st, traj).final
     d1 = np.max(np.abs(finals[32].rho_hat - finals[64].rho_hat[::2]))
     d2 = np.max(np.abs(finals[64].rho_hat - finals[128].rho_hat[::2]))
     assert np.log2(d1 / d2) >= 3.5
 
 
-def test_error_proportional_to_pde_rtol(traj, params):
+def test_error_proportional_to_pde_rtol(params, monkeypatch):
     # fixed grid and snapshot schedule, tolerance refined: against a tight
     # reference the largest error in rho_hat/f stays below pde_rtol and falls
     # about in proportion to it, leaving the stepper's own accuracy
+    traj = traj_to_cap(params, 100.0)
+    monkeypatch.setattr(pde, "_SNAPSHOTS", 8)
     st = init_from_data(params, *cosine_profiles(32, 0.05))
 
     def states(rtol):
-        return evolve(st, traj, f_cap=100.0,
-                      controls=EvolveControls(pde_rtol=rtol, out_target=8)).states
+        return evolve(st, traj, pde_rtol=rtol).states
 
     ref = states(1e-12)
     errs = {}
@@ -511,18 +515,20 @@ def _vacuum_after(n_calls):
 
 # the ids name the stencil too, fourth-order differences, the only one evolve has
 @pytest.mark.parametrize("vacuum_after", [None, 40], ids=["None-fd4", "40-fd4"])
-def test_evolve_matches_fine_rk4_reference(traj, params, monkeypatch, vacuum_after):
+def test_evolve_matches_fine_rk4_reference(params, monkeypatch, vacuum_after):
     # every stored state, dense-output snapshots and step ends alike, agrees
     # with a fine fixed-step RK4 run to well within pde_rtol; a vacuum stop
     # mid-run ends with the last accepted state, off the snapshot schedule
+    traj = traj_to_time(params, 1.5)
     st = init_from_data(params, *cosine_profiles(32, 0.05))
-    controls = EvolveControls(out_target=4)
+    monkeypatch.setattr(pde, "_SNAPSHOTS", 4)
     if vacuum_after is not None:
         counted, calls = _vacuum_after(vacuum_after)
         monkeypatch.setattr(pde, "rhs", counted)
-    res = evolve(st, traj, t_end=1.5, controls=controls)
+    res = evolve(st, traj)
     monkeypatch.undo()
-    schedule = pde.snapshot_times(traj, st.t, 1.5, 4)
+    schedule = pde.snapshot_times(traj, st.t, 4)
+    assert schedule[-1] == 1.5
     times = [s.t for s in res.states[1:]]
     if vacuum_after is None:
         assert res.stop_reason == "t_end"
@@ -550,29 +556,23 @@ def _failing_rhs(exc):
     return fail
 
 
-def test_evolve_stops_on_vacuum(traj, params, monkeypatch):
+def test_evolve_stops_on_vacuum(params, monkeypatch):
     st = init_from_data(params, *flat_profiles(64))
     monkeypatch.setattr(pde, "rhs", _failing_rhs(pde.VacuumError("vacuum formation")))
-    res = evolve(st, traj, t_end=2.0)
+    res = evolve(st, traj_to_time(params, 2.0))
     assert res.stop_reason == "vacuum"
     assert res.n_steps == 0
 
 
-def test_evolve_propagates_other_value_errors(traj, params, monkeypatch):
+def test_evolve_propagates_other_value_errors(params, monkeypatch):
     # only VacuumError means vacuum; any other ValueError from a step is a fault
     st = init_from_data(params, *flat_profiles(64))
     monkeypatch.setattr(pde, "rhs", _failing_rhs(ValueError("not a vacuum")))
     with pytest.raises(ValueError, match="not a vacuum"):
-        evolve(st, traj, t_end=2.0)
+        evolve(st, traj_to_time(params, 2.0))
 
 
-def test_evolve_requires_stop_rule(traj, params):
-    st = init_from_data(params, *flat_profiles(64))
-    with pytest.raises(UsageError):
-        evolve(st, traj)
-
-
-def test_evolve_dt_underflow_diagnostic(traj, params, monkeypatch):
+def test_evolve_dt_underflow_diagnostic(params, monkeypatch):
     # an rhs that turns to NaN after the solver's two start-up calls fails
     # every error test until the step size underflows: the diagnostic stop,
     # with the initial state intact and every trial step counted as rejected
@@ -585,19 +585,19 @@ def test_evolve_dt_underflow_diagnostic(traj, params, monkeypatch):
         return out if calls[0] <= 2 else np.full_like(out, np.nan)
 
     monkeypatch.setattr(pde, "rhs", nan_after_start)
-    res = evolve(st, traj, t_end=2.0)
+    res = evolve(st, traj_to_time(params, 2.0))
     assert res.stop_reason == "dt_underflow"
     assert res.final is st and len(res.states) == 1
     assert res.n_steps == 0 and res.n_rejected >= 10
     assert res.n_rhs == calls[0] == 2 + 12 * res.n_rejected
 
 
-def test_evolve_stops_on_nan_derivatives_from_the_start(traj, params, monkeypatch):
+def test_evolve_stops_on_nan_derivatives_from_the_start(params, monkeypatch):
     # NaN at the first call makes the first step size NaN, which no error test
     # can reject down to the underflow limit: the march stops before any trial
     st = init_from_data(params, *flat_profiles(64))
     monkeypatch.setattr(pde, "rhs", lambda t, y, *args: np.full_like(y, np.nan))
-    res = evolve(st, traj, t_end=2.0)
+    res = evolve(st, traj_to_time(params, 2.0))
     assert res.stop_reason == "dt_underflow"
     assert res.final is st and (res.n_steps, res.n_rejected, res.n_rhs) == (0, 0, 2)
 
@@ -613,12 +613,12 @@ def test_dop853_start_refuses_a_first_step_that_underflows():
         stepper.start()
 
 
-def _scipy_step_ends(st, traj, t_stop, pde_rtol=EvolveControls().pde_rtol):
+def _scipy_step_ends(st, traj, pde_rtol=pde.PDE_RTOL):
     """(t, y) at each accepted step end of scipy's DOP853 marching the flattened
-    state to t_stop, y of shape (3, n)."""
+    state to traj.t_end, y of shape (3, n)."""
     n = st.n
     solver = DOP853(lambda t, y: rhs(t, y.reshape(3, n), traj).reshape(-1), st.t,
-                    _y(st).reshape(-1), t_stop, rtol=pde_rtol,
+                    _y(st).reshape(-1), traj.t_end, rtol=pde_rtol,
                     atol=pde._ATOL_PER_RTOL * pde_rtol)
     ends = []
     while solver.status == "running":
@@ -627,7 +627,8 @@ def _scipy_step_ends(st, traj, t_stop, pde_rtol=EvolveControls().pde_rtol):
     return ends
 
 
-def test_evolve_reports_its_work(traj, params, monkeypatch):
+def test_evolve_reports_its_work(params, monkeypatch):
+    traj = traj_to_cap(params, 100.0)
     st = init_from_data(params, *cosine_profiles(32, 1e-3))
     calls, inner = [0], pde.rhs
 
@@ -636,12 +637,14 @@ def test_evolve_reports_its_work(traj, params, monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(pde, "rhs", counted)
-    res = evolve(st, traj, f_cap=100.0, controls=EvolveControls(out_target=3))
+    monkeypatch.setattr(pde, "_SNAPSHOTS", 3)
+    res = evolve(st, traj)
     # two start-up calls, 12 stages per trial step, 3 extra on each step that
     # holds a snapshot time: step i holds those in (ends[i-1], ends[i]]
     assert res.n_rhs == calls[0] == 2 + 12 * (res.n_steps + res.n_rejected) + 3 * res.n_dense
-    ends = np.array([t for t, _ in _scipy_step_ends(st, traj, res.final.t)])
-    out_t = pde.snapshot_times(traj, st.t, res.final.t, 3)
+    assert res.final.t == traj.t_end
+    ends = np.array([t for t, _ in _scipy_step_ends(st, traj)])
+    out_t = pde.snapshot_times(traj, st.t, 3)
     assert res.n_dense == len(np.unique(np.searchsorted(ends, out_t, side="left")))
     assert 0.0 < res.dt_min <= res.dt_max
 
@@ -663,18 +666,18 @@ def test_dop853_order_conditions():
     assert_order_conditions(pde._D8_C, pde._D8_A, pde._D8_B, 8)
 
 
-def _scipy_dop853(st, traj, t_stop, controls):
-    """scipy's DOP853 marching the flattened state as evolve did through scipy: the
-    dense-output states at the snapshot times and its own count of the work."""
+def _scipy_dop853(st, traj, pde_rtol):
+    """scipy's DOP853 marching the flattened state to traj.t_end as evolve did through
+    scipy: the dense-output states at the snapshot times and its own count of the work."""
     n, calls = st.n, [0]
 
     def fun(t, y):
         calls[0] += 1
         return rhs(t, y.reshape(3, n), traj).reshape(-1)
 
-    out_t = pde.snapshot_times(traj, st.t, t_stop, controls.out_target)
-    solver = DOP853(fun, st.t, np.stack((st.rho_hat, st.drho_dt, st.nu)).reshape(-1), t_stop,
-                    rtol=controls.pde_rtol, atol=pde._ATOL_PER_RTOL * controls.pde_rtol)
+    out_t = pde.snapshot_times(traj, st.t, pde._SNAPSHOTS)
+    solver = DOP853(fun, st.t, np.stack((st.rho_hat, st.drho_dt, st.nu)).reshape(-1),
+                    traj.t_end, rtol=pde_rtol, atol=pde._ATOL_PER_RTOL * pde_rtol)
     states, trials, steps, k = [], 0, [], 0
     while solver.status == "running":
         before = calls[0]
@@ -690,27 +693,31 @@ def _scipy_dop853(st, traj, t_stop, controls):
 
 @pytest.mark.parametrize("n", [32, 128])
 @pytest.mark.parametrize("pde_rtol", [1e-10, 1e-8])
-def test_evolve_equals_scipy_dop853(traj, params, n, pde_rtol):
+def test_evolve_equals_scipy_dop853(params, n, pde_rtol):
     # every stored state and the reported work, rejected steps included
+    traj = traj_to_cap(params, 100.0)
     st = init_from_data(params, *cosine_profiles(n, 0.05))
-    controls = EvolveControls(pde_rtol=pde_rtol, out_target=20)
-    res = evolve(st, traj, f_cap=100.0, controls=controls)
-    states, work = _scipy_dop853(st, traj, res.final.t, controls)
+    res = evolve(st, traj, pde_rtol=pde_rtol)
+    states, work = _scipy_dop853(st, traj, pde_rtol)
     assert (res.n_steps, res.n_rejected, res.n_rhs, res.dt_min, res.dt_max) == work
-    assert len(res.states) == 1 + len(states) == 1 + controls.out_target
+    assert len(res.states) == 1 + len(states) == 1 + pde._SNAPSHOTS == 21
     for s, (t, y) in zip(res.states[1:], states):
         assert s.t == t
         assert np.array_equal(np.stack((s.rho_hat, s.drho_dt, s.nu)), y.reshape(3, n))
     assert res.n_rejected > 0
 
 
-def test_snapshot_schedule(traj, params):
-    # out_target states after the initial one, at the precomputed times, which
-    # are uniform in ln(1+f) and end exactly at the stop time
+def test_snapshot_schedule(traj, params, monkeypatch):
+    # _SNAPSHOTS states after the initial one, at the precomputed times, which
+    # are uniform in ln(1+f) and end exactly at the stop time: the trajectory's
+    # cap crossing, which is the crossing a longer trajectory finds
+    capped = traj_to_cap(params, 100.0)
     st = init_from_data(params, *cosine_profiles(32, 1e-3))
-    res = evolve(st, traj, f_cap=100.0, controls=EvolveControls(out_target=7))
+    monkeypatch.setattr(pde, "_SNAPSHOTS", 7)
+    res = evolve(st, capped)
     t_stop = traj.time_of_contrast(100.0)
-    schedule = pde.snapshot_times(traj, st.t, t_stop, 7)
+    assert capped.t_end == t_stop
+    schedule = pde.snapshot_times(capped, st.t, 7)
     assert len(res.states) == 8
     assert [s.t for s in res.states[1:]] == list(schedule)
     # the monitors add a row per step end; the last one is the last snapshot
@@ -721,28 +728,29 @@ def test_snapshot_schedule(traj, params):
     assert np.max(np.abs(gaps / gaps[0] - 1.0)) < 1e-9
 
 
-def test_monitor_times_are_step_ends_and_snapshots(traj, params):
+def test_monitor_times_are_step_ends_and_snapshots(params):
     # one monitor row per time, strictly increasing: the initial time, every
     # accepted step end and every snapshot time, and nothing else
+    traj = traj_to_cap(params, 100.0)
     st = init_from_data(params, *cosine_profiles(32, 1e-3))
-    res = evolve(st, traj, f_cap=100.0)
-    ends = [t for t, _ in _scipy_step_ends(st, traj, res.final.t)]
-    snaps = pde.snapshot_times(traj, st.t, res.final.t, EvolveControls().out_target)
+    res = evolve(st, traj)
+    ends = [t for t, _ in _scipy_step_ends(st, traj)]
+    snaps = pde.snapshot_times(traj, st.t, pde._SNAPSHOTS)
     t = res.monitors["t"].tolist()
     assert len(ends) == res.n_steps and len(snaps) == len(res.states) - 1 == 20
     assert np.all(np.diff(t) > 0)
     assert t == sorted({st.t, *ends, *snaps.tolist()})
 
 
-def test_evolve_rejects_empty_schedule(traj, params):
-    st = init_from_data(params, *flat_profiles(32))
-    with pytest.raises(UsageError, match="out_target"):
-        evolve(st, traj, f_cap=10.0, controls=EvolveControls(out_target=0))
+def test_evolve_rejects_empty_schedule(params):
+    # a trajectory that ends at the initial time leaves nothing to march
+    traj = traj_to_time(params, 2.0)
+    st = dataclasses.replace(init_from_data(params, *flat_profiles(32)), t=traj.t_end)
     with pytest.raises(UsageError, match="not after the initial time"):
-        evolve(st, traj, t_end=st.t)
+        evolve(st, traj)
 
 
-def test_solution_shift_equivariance(traj, params):
+def test_solution_shift_equivariance(params, monkeypatch):
     # integer grid shifts of the data shift the whole evolution: the discrete
     # counterpart of solutions being periodic modulo unit translations
     n, m = 64, 11
@@ -750,17 +758,20 @@ def test_solution_shift_equivariance(traj, params):
     shifted = FieldState(t=st.t, zeta=st.zeta, rho_hat=np.roll(st.rho_hat, m),
                          drho_dt=np.roll(st.drho_dt, m), nu=np.roll(st.nu, m),
                          psi=np.roll(st.psi, m))
-    r1 = evolve(st, traj, t_end=1.2, controls=EvolveControls(out_target=2))
-    r2 = evolve(shifted, traj, t_end=1.2, controls=EvolveControls(out_target=2))
+    traj = traj_to_time(params, 1.2)
+    monkeypatch.setattr(pde, "_SNAPSHOTS", 2)
+    r1 = evolve(st, traj)
+    r2 = evolve(shifted, traj)
     assert r1.final.t == r2.final.t
     assert np.max(np.abs(np.roll(r1.final.rho_hat, m) - r2.final.rho_hat)) < 1e-12
     assert np.max(np.abs(np.roll(r1.final.nu, m) - r2.final.nu)) < 1e-12
 
 
-def test_psi_consistency_along_run(traj, params):
+def test_psi_consistency_along_run(params):
     # the stored gravity satisfies its defining relation at every output time
+    traj = traj_to_cap(params, 20.0)
     st = init_from_data(params, *cosine_profiles(64, 1e-2))
-    res = evolve(st, traj, f_cap=20.0)
+    res = evolve(st, traj)
     for s in res.states[:: max(1, len(res.states) // 6)]:
         f = traj.f_f0_at(s.t)[0]
         u = (s.rho_hat - f) / f
@@ -769,18 +780,20 @@ def test_psi_consistency_along_run(traj, params):
 
 
 @pytest.mark.parametrize("vacuum_after", [None, 40])
-def test_monitors_equal_per_state_recomputation(traj, params, monkeypatch, vacuum_after):
+def test_monitors_equal_per_state_recomputation(params, monkeypatch, vacuum_after):
     # evolve records all monitor rows in one batch; every row, the step ends
     # included, and every stored psi equals the per-state formulas, the early
     # stop's last state included; a step end that is also a snapshot time is
     # the stored dense state
+    traj = traj_to_cap(params, 5.0)
     st = init_from_data(params, *cosine_profiles(32, 1e-2, eps_v=1e-3))
+    monkeypatch.setattr(pde, "_SNAPSHOTS", 30)
     if vacuum_after is not None:
         monkeypatch.setattr(pde, "rhs", _vacuum_after(vacuum_after)[0])
-    res = evolve(st, traj, f_cap=5.0, controls=EvolveControls(out_target=30))
+    res = evolve(st, traj)
     monkeypatch.undo()
     assert res.stop_reason == ("f_cap" if vacuum_after is None else "vacuum")
-    ends = _scipy_step_ends(st, traj, traj.time_of_contrast(5.0))
+    ends = _scipy_step_ends(st, traj)
     at = {t: y for t, y in ends if t <= res.final.t} | {s.t: _y(s) for s in res.states}
     mon = res.monitors
     assert mon["t"].tolist() == sorted(at) and len(mon["t"]) > len(res.states) > 2
@@ -829,9 +842,9 @@ def test_continuity_detects_corruption(traj, params):
     assert _continuity_max(st, traj) > 1e-2
 
 
-def test_continuity_propagated(traj, params):
+def test_continuity_propagated(params):
     st = init_from_data(params, *cosine_profiles(64, 1e-3))
-    res = evolve(st, traj, f_cap=100.0)
+    res = evolve(st, traj_to_cap(params, 100.0))
     assert res.monitors["continuity_residual"].max() < 1e-7
 
 
