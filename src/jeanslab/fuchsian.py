@@ -495,21 +495,43 @@ def find_certified_radius(maps: TimeMaps, constants: GammaConstants, seed: int =
     domain of the system (DomainError) at any rung.  The samples are drawn once
     and rescaled to each radius tried.  Each try evaluates only the corrections
     Z, with the domain checks of ``assemble_matrices``, and none of the blocks.
+
+    A screen first takes the first ``max(1, n_samples // _RADIUS_TRIES)`` samples
+    at every radius in one call, and a radius gets its full try only where the
+    screen stays below gamma1.  The screen's points are a subset of each try's,
+    with the same arithmetic and bit-identical values, so a radius it rejects
+    fails its full try too, and the radius found is the one the tries alone give.
     """
     tau = _tau_ladder(maps)[:, None]
     f_val, g_val = maps.f_G_at_tau(tau)
     unit, radial = _ball_directions(n_samples, seed)
-    r = r_start
-    for _ in range(_RADIUS_TRIES):
-        samples = unit * (r * radial)[:, None]
-        try:
-            worst = np.abs(_corrections(tau, samples, g_val, f_val, maps.params).Z).sum(-1).max()
-        except DomainError:
-            worst = math.inf
-        if worst < constants.gamma1:
-            return r
-        r *= _RADIUS_SHRINK
+    radii = r_start * _RADIUS_SHRINK ** np.arange(_RADIUS_TRIES)
+    screened = _screen(tau, unit, radial, g_val, f_val, maps.params, radii).max(axis=(0, 2))
+    for r, screen_worst in zip(radii, screened):
+        if screen_worst < constants.gamma1:
+            samples = unit * (r * radial)[:, None]
+            try:
+                worst = np.abs(_corrections(tau, samples, g_val, f_val,
+                                            maps.params).Z).sum(-1).max()
+            except DomainError:
+                worst = math.inf
+            if worst < constants.gamma1:
+                return float(r)
     raise NumericalFailure("no certified radius found down to the shrink floor")
+
+
+def _screen(tau, unit, radial, g_val, f_val, params: ModelParams, radii) -> np.ndarray:
+    """sum |z_ell| (rungs, len(radii), m) over the ladder at the first m samples of
+    each radius, m = max(1, len(unit) // len(radii)), in one ``_corrections`` call;
+    -inf everywhere if any of its points leaves the domain, so that each radius
+    keeps its full try."""
+    m = max(1, len(unit) // len(radii))
+    samples = unit[:m] * (radii[:, None] * radial[:m])[..., None]
+    try:
+        Z = _corrections(tau, samples.reshape(-1, 5), g_val, f_val, params).Z
+    except DomainError:
+        return np.full((len(tau), len(radii), m), -math.inf)
+    return np.abs(Z).sum(-1).reshape(len(tau), len(radii), m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -14,7 +15,7 @@ from jeanslab.fuchsian import (DomainError, assemble_matrices, find_certified_ra
                                fuchsian_fields, gamma_constants, q_lower_bound,
                                q_quantity, system_residual, verify_conditions,
                                wave_block_weight)
-from jeanslab.params import ModelParams
+from jeanslab.params import ModelParams, params_from_iota3
 from jeanslab.pde import diff1, evolve, init_from_data
 from jeanslab.timemaps import compute_g
 
@@ -280,8 +281,6 @@ def test_gamma_closed_forms(gconsts):
 
 
 def test_gamma_randomized_order():
-    from jeanslab.params import params_from_iota3
-
     rng = np.random.default_rng(9)
     for _ in range(20):
         lam = 10.0 ** rng.uniform(-3, 1)
@@ -434,6 +433,16 @@ def test_corrections_equal_assembled_Z(maps_deep, params):
                                         float(f_val[i, 0]), params).Z
             assert one.shape == (8,) and np.array_equal(one, ev.Z[i, j])
 
+    # the screen's sum |z| at its 10 directions per radius equals the full try's at
+    # the same points, bit for bit, at the first and the last radius
+    radii = 1e-2 * fuchsian._RADIUS_SHRINK ** np.arange(fuchsian._RADIUS_TRIES)
+    screen = fuchsian._screen(tau, unit, radial, g_val, f_val, params, radii)
+    assert screen.shape == (9, len(radii), 10)
+    for k in (0, len(radii) - 1):
+        U = unit * (radii[k] * radial)[:, None]
+        full = np.abs(fuchsian._corrections(tau, U, g_val, f_val, params).Z).sum(-1)
+        assert np.array_equal(screen[:, k], full[:, :10])
+
 
 def test_corrections_raise_the_domain_errors_of_assembly(params):
     cases = [(np.array([[0.0] * 5, [0.0, 0.0, -3.0, 0.0, 0.0]]), 0.0, 10.0, "fractional-power"),
@@ -467,15 +476,25 @@ def test_radius_search_halves_only_on_domain_errors(maps_deep, gconsts, monkeypa
     real = fuchsian._corrections
     calls = []
 
-    def out_of_domain_once(*args):
-        calls.append(args)
-        if len(calls) == 1:
-            raise DomainError("fractional-power argument non-positive")
-        return real(*args)
+    def out_of_domain_at(call):
+        def corrections(*args):
+            calls.append(args)
+            if len(calls) == call:
+                raise DomainError("fractional-power argument non-positive")
+            return real(*args)
+        return corrections
 
-    monkeypatch.setattr(fuchsian, "_corrections", out_of_domain_once)
+    # the first call is the screen: a DomainError in the first full try halves the radius
+    monkeypatch.setattr(fuchsian, "_corrections", out_of_domain_at(2))
     assert find_certified_radius(maps_deep, gconsts, n_samples=20,
                                  r_start=1e-8) == 0.5e-8
+    assert len(calls) == 3
+
+    # a DomainError in the screen leaves every radius to its full try
+    calls.clear()
+    monkeypatch.setattr(fuchsian, "_corrections", out_of_domain_at(1))
+    assert find_certified_radius(maps_deep, gconsts, n_samples=20,
+                                 r_start=1e-8) == 1e-8
     assert len(calls) == 2
 
     def broken(*args):
@@ -484,6 +503,29 @@ def test_radius_search_halves_only_on_domain_errors(maps_deep, gconsts, monkeypa
     monkeypatch.setattr(fuchsian, "_corrections", broken)
     with pytest.raises(ValueError, match="broadcast"):
         find_certified_radius(maps_deep, gconsts, n_samples=20, r_start=1e-8)
+
+
+def _count_corrections(monkeypatch) -> list:
+    """Patch fuchsian._corrections to append the leading shape of each call to the
+    list returned."""
+    real = fuchsian._corrections
+    leads = []
+
+    def counted(*args):
+        c = real(*args)
+        leads.append(c.lead)
+        return c
+
+    monkeypatch.setattr(fuchsian, "_corrections", counted)
+    return leads
+
+
+def test_radius_search_work_counts(maps_deep, gconsts, monkeypatch):
+    # on the defaults at seed 20240: the screen over 40 radii x 10 directions, then
+    # one full try at r_tilde, each a 9 rungs x 400 points _corrections call
+    leads = _count_corrections(monkeypatch)
+    assert find_certified_radius(maps_deep, gconsts) == 1e-2 * 0.5**17
+    assert leads == [(9, 400), (9, 400)]
 
 
 def _radius_loop(maps, constants, seed=20240, n_samples=400, r_start=1e-2,
@@ -510,6 +552,26 @@ def _radius_loop(maps, constants, seed=20240, n_samples=400, r_start=1e-2,
             return r
         r *= shrink
     raise RuntimeError("no certified radius found down to the shrink floor")
+
+
+def _halving_reference(maps, constants, seed=20240, n_samples=400, r_start=1e-2):
+    """The halving search find_certified_radius made before its screen: a full try
+    at every radius until one passes."""
+    tau = fuchsian._tau_ladder(maps)[:, None]
+    f_val, g_val = maps.f_G_at_tau(tau)
+    unit, radial = fuchsian._ball_directions(n_samples, seed)
+    r = r_start
+    for _ in range(fuchsian._RADIUS_TRIES):
+        samples = unit * (r * radial)[:, None]
+        try:
+            worst = np.abs(fuchsian._corrections(tau, samples, g_val, f_val,
+                                                 maps.params).Z).sum(-1).max()
+        except DomainError:
+            worst = math.inf
+        if worst < constants.gamma1:
+            return r
+        r *= fuchsian._RADIUS_SHRINK
+    raise NumericalFailure("no certified radius found down to the shrink floor")
 
 
 def _conditions_loop(maps, constants, r_tilde, n_samples, seed=20240, eig_tol=1e-12):
@@ -567,6 +629,43 @@ def _conditions_loop(maps, constants, r_tilde, n_samples, seed=20240, eig_tol=1e
 def test_radius_search_equals_per_sample_loop(maps_deep, gconsts, n_samples):
     assert (find_certified_radius(maps_deep, gconsts, n_samples=n_samples)
             == _radius_loop(maps_deep, gconsts, n_samples=n_samples))
+
+
+@functools.cache
+def _deep_maps_and_constants(**changes):
+    """The time maps to f = 1e8 and the sandwich constants of the test defaults
+    with ``changes``, once per session."""
+    p = params_from_iota3(0.2, **{**dict(beta=0.1, gamma=0.5, lam=0.1, A=1.0), **changes})
+    m = compute_g(traj_to_cap(p, 1e8))
+    return m, gamma_constants(p, (float(m.G_frak.min()), float(m.G_frak.max())))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 20240])
+@pytest.mark.parametrize("changes,screen_passes_early", [
+    ({}, ()), ({"gamma": 0.9}, (3, 20240)), ({"lam": 1.0}, (3, 20240)),
+], ids=["defaults", "gamma0.9", "lam1"])
+def test_radius_search_equals_halving_reference(monkeypatch, changes, screen_passes_early,
+                                                seed):
+    # the same float as a full try at every radius; where the screen passes one
+    # radius early, that radius's full try fails and the search goes on
+    m, gc = _deep_maps_and_constants(**changes)
+    reference = _halving_reference(m, gc, seed=seed)
+    leads = _count_corrections(monkeypatch)
+    assert find_certified_radius(m, gc, seed=seed) == reference
+    assert len(leads) == (3 if seed in screen_passes_early else 2)
+
+
+def test_radius_search_fails_as_the_halving_reference(monkeypatch):
+    # gamma1 ~ 1.4e-23 at lam = 1e6: the screen rejects all 40 radii, no full try follows
+    m, gc = _deep_maps_and_constants(lam=1e6)
+    assert gc.gamma1 < 1e-22
+    with pytest.raises(NumericalFailure) as reference:
+        _halving_reference(m, gc)
+    leads = _count_corrections(monkeypatch)
+    with pytest.raises(NumericalFailure) as screened:
+        find_certified_radius(m, gc)
+    assert str(screened.value) == str(reference.value)
+    assert len(leads) == 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 20240])
