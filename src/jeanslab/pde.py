@@ -6,7 +6,10 @@ The second-order contrast equation is reduced to first order and marched as
 one (3, n) system by the module's own error-controlled Dormand-Prince 8(5,3)
 pair (DOP853; Hairer, Norsett and Wanner, Solving ODEs I, II.10), whose steps
 and dense output equal scipy's ``DOP853`` bit for bit; the nonlocal rescaled
-gravity Psi is re-evaluated from the current contrast at every stage.
+gravity Psi is re-evaluated from the current contrast at every stage.  On
+grids of up to _DENSE_MAX_N = 128 points the stencils and Psi, all circulant
+maps, act in rhs as one cached dense matrix per grid size, whose products
+cost fewer numpy calls than the stencils and the FFT.
 Snapshots come from the pair's order-7 dense output at times fixed in
 advance; the monitors are taken at the accepted step ends and at the snapshot
 times.
@@ -93,6 +96,58 @@ def compute_psi(u_grid: np.ndarray) -> np.ndarray:
     """
     n = u_grid.shape[-1]
     return np.fft.irfft(np.fft.rfft(u_grid) / _psi_divisor(n), n=n)
+
+
+# The largest grid on which rhs takes its derivatives and Psi from
+# _grid_operator.  The dense product costs O(n^2) against the stencils' O(n)
+# and the FFT's O(n log n), but saves about 20 numpy calls: on a 2-vCPU VM one
+# rhs call is faster with it up to about n = 224.  At n = 192 its rounding in
+# rzz already exceeds the 1e-13 bound that the tests hold rhs to against its
+# term-by-term reference, so the dense branch stops at 128.
+_DENSE_MAX_N = 128
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_operator(n: int) -> np.ndarray:
+    """[D1^T | D2^T | C^T], shape (n, 3n), read-only: for grids u on the last axis,
+    u @ _grid_operator(n) holds diff1(u, 1/n), diff2(u, 1/n) and compute_psi(u)
+    side by side.
+
+    The three maps are linear and shift-invariant on the periodic grid, that is
+    circulant matrices.  Each is built by applying diff1, diff2 or compute_psi
+    to the rows of the identity, which gives its transpose, so the stencil
+    weights and the Psi divisor stay defined in one place.  At n = 128 it holds
+    384 KiB.
+    """
+    eye, h = np.eye(n), 1.0 / n
+    op = np.concatenate((diff1(eye, h), diff2(eye, h), compute_psi(eye)), axis=1)
+    op.flags.writeable = False
+    return op
+
+
+def _grid_derivatives(y: np.ndarray, f: float):
+    """(rz, rtz, nuz, rzz, psi) of the state y = (rho_hat, drho_dt, nu), shape (3, n),
+    where f is the contrast; psi is compute_psi of (rho_hat - f)/f.
+
+    Up to n = _DENSE_MAX_N they come from two products with _grid_operator(n):
+    one of the deviation u = (rho_hat - f)/f, giving u_z, u_zz and psi, and one
+    of (drho_dt, nu).  The contrast is differentiated in its deviation form,
+    rz = f u_z and rzz = f u_zz, because rho_hat has mean f (up to 1e3 and
+    more): the matrix scales each term before the terms cancel, so over the
+    full values of rho_hat the products' rounding, of the size of f times the
+    weights, swamps the derivatives of the small deviation.  Above
+    _DENSE_MAX_N they come from one call each of diff1, diff2 and compute_psi.
+    """
+    n = y.shape[1]
+    u = (y[0] - f) / f
+    if n > _DENSE_MAX_N:
+        h = 1.0 / n
+        rz, rtz, nuz = diff1(y, h)
+        return rz, rtz, nuz, diff2(y[0], h), compute_psi(u)
+    op = _grid_operator(n)
+    uz, uzz, psi = (u @ op).reshape(3, n)
+    rtz, nuz = y[1:] @ op[:, :n]
+    return f * uz, rtz, nuz, f * uzz, psi
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +263,12 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
     """Time derivative of the state y = (rho_hat, drho_dt, nu), shape (3, n).
 
     Raises HyperbolicityLossError if gzz <= 0 anywhere and VacuumError on
-    vacuum (1 + rho_hat <= 0).  Psi is evaluated from the instantaneous
-    contrast.  Each power, reciprocal and product of the fields is computed
+    vacuum (1 + rho_hat <= 0).  The grid derivatives and Psi, evaluated from
+    the instantaneous contrast, come from _grid_derivatives: on grids of up to
+    _DENSE_MAX_N points two products with one cached matrix per grid size
+    (_grid_operator), on larger grids the diff1, diff2 and compute_psi calls.
+    Both guards run before it, as a dense product spreads a NaN entry to every
+    entry.  Each power, reciprocal and product of the fields is computed
     once: ratio = (1 + rho_hat)/(1 + f) is raised to omega, and every other
     power of ratio, 1 + rho_hat and 1 + f follows from it by one multiply; the
     coefficients that depend on t alone are Python floats.
@@ -219,7 +278,6 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
     p = traj.params
     om, i3, kap = p.omega, p.iota3, p.kappa
     r, rt, nu = y
-    h = 1.0 / y.shape[1]
     one_pr = 1.0 + r
     if (one_pr <= 0.0).any():  # not one_pr.min(): a NaN entry would hide the others
         raise VacuumError("vacuum formation: 1 + rho_hat <= 0 on the grid")
@@ -233,9 +291,7 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
         raise HyperbolicityLossError(
             f"hyperbolicity loss at t={t:.9g}: min gzz = {float(gzz[bad].min()):.3g}")
 
-    rz, rtz, nuz = diff1(y, h)
-    rzz = diff2(r, h)
-    psi = compute_psi((r - f) / f)
+    rz, rtz, nuz, rzz, psi = _grid_derivatives(y, f)
     inv = 1.0 / one_pr
     rt_inv = rt * inv
     ratio_1om_m1 = ratio * ratio_om - 1.0  # ratio^(1+omega) - 1

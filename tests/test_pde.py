@@ -133,6 +133,37 @@ def test_psi_linf_bound():
 
 
 # ---------------------------------------------------------------------------
+# dense grid operator
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_grid_operator_products_equal_stencils_and_psi(n):
+    # the product sums a row's terms in another order than the stencil or the
+    # FFT: bound each block's error by 4 ulps of max|u| times the block's
+    # largest absolute row sum (measured: at most 1.2 ulps)
+    op = pde._grid_operator(n)
+    assert op.shape == (n, 3 * n)
+    h, ulp = 1.0 / n, np.finfo(float).eps
+    rng = np.random.default_rng(n + 7)
+    for scale in (1e-3, 1.0, 1e3):
+        u = scale * rng.standard_normal((3, n))
+        got = (u @ op).reshape(3, 3, n)
+        for k, want in enumerate((diff1(u, h), diff2(u, h), compute_psi(u))):
+            block = op[:, k * n:(k + 1) * n]
+            bound = 4.0 * ulp * np.max(np.abs(u)) * np.max(np.abs(block).sum(axis=0))
+            assert np.max(np.abs(got[:, k] - want)) <= bound, (k, scale)
+
+
+def test_grid_operator_is_read_only_and_cached():
+    op = pde._grid_operator(32)
+    assert pde._grid_operator(32) is op
+    for arr in (op, op[:, :32]):  # rhs's D1 block is a view
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
 # initial data
 
 
@@ -339,7 +370,7 @@ def _state_at(traj, f_target, eps, eps_v, n):
                         eps_v * np.cos(z + 0.3)))
 
 
-@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("n", [32, 128, 192, 256])
 @pytest.mark.parametrize("eps,eps_v", [(0.0, 0.0), (1e-3, 1e-4), (5e-2, 1e-2)])
 def test_rhs_equals_reference_formula(traj, params, n, eps, eps_v):
     for f_target in (params.beta, 1.0, 30.0, 1e3):
@@ -358,6 +389,22 @@ def test_rhs_equals_reference_formula(traj, params, n, eps, eps_v):
         else:
             # cancellation in a small row: bound the error absolutely
             assert err2 <= 1e-14, f_target
+
+
+@pytest.mark.parametrize("n,calls", [(64, 0), (128, 0), (192, 1), (256, 1)])
+def test_rhs_takes_the_dense_operator_up_to_its_crossover(traj, monkeypatch, n, calls):
+    # up to pde._DENSE_MAX_N rhs takes its derivatives and Psi from the cached
+    # operator; above it, it makes one call each of the stencils and the FFT
+    t, y = _state_at(traj, 30.0, 1e-3, 1e-4, n)
+    rhs(t, y, traj)  # builds the operator of a dense grid
+    counts = dict.fromkeys(("diff1", "diff2", "compute_psi"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fun=getattr(pde, name)):
+            counts[_name] += 1
+            return _fun(*args)
+        monkeypatch.setattr(pde, name, counted)
+    rhs(t, y, traj)
+    assert counts == dict.fromkeys(counts, calls)
 
 
 def test_rhs_guards_see_past_nan(traj, params):
