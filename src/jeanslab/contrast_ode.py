@@ -12,14 +12,16 @@ contrast caps.  In the y variable the equation reads
 
     y'' = -(a/t) y' + (b/t^2) (e^y - 1) + (c - 1) (y')^2.
 
-It is integrated by a Dormand-Prince 5(4) pair with Shampine's quartic dense
-output, stepped here and equal bit for bit to scipy's RK45 run through
-``solve_ivp`` with the cap crossing as its terminal event.  The roots of the
-module (the cap crossing, contrast times, the envelope bracket) come from its
-own Brent's method, equal bit for bit to scipy's ``brentq``.  Everything
-downstream (time maps, PDE coefficients, bound certificates) is driven by the
-dense output stored on the returned trajectory, which reads every time by one
-formula, as scipy's ``OdeSolution`` reads one time alone.
+It is integrated by the package's one Runge-Kutta class, the Dormand-Prince
+8(5,3) pair (DOP853; Hairer, Norsett and Wanner, Solving ODEs I, II.10) with
+its order-7 dense output, equal bit for bit to scipy's DOP853 run through
+``solve_ivp`` with the cap crossing as its terminal event; ``pde`` marches its
+fields with the same class.  The roots of the module (the cap crossing,
+contrast times, the envelope bracket) come from its own Brent's method, equal
+bit for bit to scipy's ``brentq``.  Everything downstream (time maps, PDE
+coefficients, bound certificates) is driven by the dense output stored on the
+returned trajectory, which reads every time by one formula, ``_dense_at``, as
+scipy's ``OdeSolution`` reads one time alone.
 """
 
 from __future__ import annotations
@@ -99,53 +101,27 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     raise NumericalFailure(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
 
 
-def _quartic_at(t, t_old, h, Q, y_old):
-    """(y, y') at t of the interpolant of one step, summed as
-    (q0 x + q2 x^3) + (q1 x^2 + q3 x^4): the order in which BLAS sums scipy's
-    ``np.dot(Q, p)`` for one time.  Floats and nested lists for one time, or
-    arrays with the step data on the leading axes (Q of shape (2, 4) + t.shape)."""
-    (q, r), (y, yp) = Q, y_old
-    x = (t - t_old) / h
-    x2 = x * x
-    x3 = x2 * x
-    x4 = x3 * x
-    return (h * ((q[0] * x + q[2] * x3) + (q[1] * x2 + q[3] * x4)) + y,
-            h * ((r[0] * x + r[2] * x3) + (r[1] * x2 + r[3] * x4)) + yp)
+def _dense_at(x, F, y_old):
+    """The order-7 continuous extension of one DOP853 step at x = (t - t_old) / h, from
+    the step's coefficients F = (F0, ..., F6) and its initial state y_old.
 
-
-class _DenseRK45:
-    """Dense output of an RK45 integration, evaluated for any number of times at once.
-
-    On each accepted step it is the quartic continuous extension of the
-    Dormand-Prince pair (Shampine, "Some Practical Runge-Kutta Formulas",
-    Math. Comp. 46, 1986): with x = (t - t_old[k]) / h[k] on step k,
-
-        y(t) = h[k] ((q0 x + q2 x^3) + (q1 x^2 + q3 x^4)) + y_old[k],   q = Q[k] row by row.
-
-    A time at a breakpoint ts[k] belongs to step k - 1, and a time outside
-    [ts[0], ts[-1]] to the first or the last step.  Every time is read by the
-    one formula ``_quartic_at``, so a value does not depend on which other
-    times share the call, and it equals scipy's ``OdeSolution`` read at that
-    one time bit for bit, which the tests check with scipy as the oracle.
+    The sum is nested in x and 1 - x from F6 down, elementwise, in the order in
+    which scipy's ``Dop853DenseOutput`` accumulates it from zeros, so a value
+    equals scipy's bit for bit whether it is read alone, on Python floats, or
+    with others, on arrays whose axes broadcast (times, components, steps).
     """
+    f0, f1, f2, f3, f4, f5, f6 = F
+    u = 1 - x
+    return ((((((((0.0 + f6) * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + f0) * x
+            + y_old)
 
-    def __init__(self, ts, t_old, h, Q, y_old):
-        self.ts, self.t_old, self.h, self.Q, self.y_old = ts, t_old, h, Q, y_old
-        # Python floats for the scalar path
-        self._ts = ts.tolist()
-        self._steps = list(zip(t_old.tolist(), h.tolist(), Q.tolist(), y_old.tolist()))
 
-    def __call__(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """(y, y') at the times t (any shape), as two arrays of t's shape."""
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
-        return _quartic_at(t, self.t_old[k], self.h[k], np.moveaxis(self.Q[k], (-2, -1), (0, 1)),
-                           np.moveaxis(self.y_old[k], -1, 0))
-
-    def scalar(self, t: float) -> tuple[float, float]:
-        """(y, y') at one time; equal to ``self(t)`` for a 0-d t."""
-        k = min(max(bisect.bisect_left(self._ts, t) - 1, 0), len(self._steps) - 1)
-        return _quartic_at(t, *self._steps[k])
+def _step_at(t: float, t_old: float, h: float, F_y, F_yp, y: float, yp: float):
+    """(y, y') at the time t of one step of the contrast integration, on Python floats:
+    the step starts at t_old from (y, yp), is h long, and F_y and F_yp are the two
+    components' dense-output coefficients."""
+    x = (t - t_old) / h
+    return _dense_at(x, F_y, y), _dense_at(x, F_yp, yp)
 
 
 @dataclass
@@ -153,12 +129,15 @@ class OdeTrajectory:
     """Dense-output record of one contrast integration of the model ``params``.
 
     Readers of a trajectory take the model constants from its ``params``.
-    ``t_grid`` holds the accepted solver steps.  ``f_f0_at`` is the one reader
-    of the dense output: it gives (f, f') at a time or at an array of times
-    inside [t0, t_end].  It, and the root search of ``time_of_contrast``, go
-    through one evaluator of the RK45 interpolant on every step
-    (``_DenseRK45``), which reads each time as scipy's ``OdeSolution`` reads
-    it alone, bit for bit.
+    ``t_grid`` holds the accepted solver steps, the last one cut at the cap
+    crossing.  Step k starts at t_old[k] from (y, y') = y_old[:, k] and is h[k]
+    long, the last one whole; F[:, :, k] holds its (7, 2) dense-output
+    coefficients.  ``f_f0_at`` is the one reader of the dense output: it gives
+    (f, f') at a time or at an array of times inside [t0, t_end].  It, and the
+    root search of ``time_of_contrast``, read every time by the one formula
+    ``_dense_at`` on the step that holds it, as scipy's ``OdeSolution`` reads
+    it alone, bit for bit.  A time at a breakpoint t_grid[k] belongs to step
+    k - 1, and a time outside [t0, t_end] to the first or the last step.
     The record holds no blowup-time estimate; ``blowup_ladder`` extrapolates
     one from it on request.
     """
@@ -170,16 +149,33 @@ class OdeTrajectory:
     f_cap: float
     t_end: float
     reached_cap: bool
-    _sol: _DenseRK45 | None = field(default=None, repr=False)
+    t_old: np.ndarray = field(repr=False)
+    h: np.ndarray = field(repr=False)
+    F: np.ndarray = field(repr=False)
+    y_old: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        # Python floats for the scalar path, one _step_at tuple per step
+        self._ts = self.t_grid.tolist()
+        self._steps = [(t, h, *F, *y) for t, h, F, y in zip(
+            self.t_old.tolist(), self.h.tolist(), self.F.T.tolist(), self.y_old.T.tolist())]
+
+    def _y(self, t):
+        """(y, y') = (ln(1+f), f'/(1+f)) at t: two arrays of t's shape for a numpy
+        array t, and two floats by the scalar path otherwise."""
+        if type(t) is np.ndarray:
+            k = np.clip(np.searchsorted(self.t_grid, t, side="left") - 1, 0, len(self.h) - 1)
+            return _dense_at((t - self.t_old[k]) / self.h[k], self.F[:, :, k], self.y_old[:, k])
+        k = min(max(bisect.bisect_left(self._ts, t) - 1, 0), len(self._steps) - 1)
+        return _step_at(t, *self._steps[k])
 
     def f_f0_at(self, t):
         """(f(t), f'(t)) from one dense-output read: arrays of t's shape for a numpy
         array t, and floats by the scalar path otherwise; each value is the same
         either way."""
+        y, yp = self._y(t)
         if type(t) is np.ndarray:
-            y, yp = self._sol(t)
             return np.expm1(y), yp * np.exp(y)
-        y, yp = self._sol.scalar(t)
         return float(np.expm1(y)), float(yp * np.exp(y))
 
     def time_of_contrast(self, f_target: float) -> float:
@@ -200,7 +196,7 @@ class OdeTrajectory:
         y_t = math.log1p(f_target)
 
         def gap(t):
-            return self._sol.scalar(t)[0] - y_t
+            return self._y(t)[0] - y_t
 
         k = bisect.bisect_left(self.t_grid, 0.0, key=gap)  # gap(t[k-1]) < 0 <= gap(t[k])
         if k == 0:
@@ -218,46 +214,24 @@ def zero_trajectory(params: ModelParams) -> OdeTrajectory:
 
     The exact background universe is the beta = gamma = 0 member, for which
     the source terms carry f = 0; residual checks of that solution consume
-    this trivial trajectory.  Its dense output is the evaluator with zero
-    coefficients on one step, so every read is an exact zero.
+    this trivial trajectory.  Its dense output is one step with zero
+    coefficients, so every read is an exact zero.
     """
     t_grid = np.array([params.t0, _ZERO_T_END])
-    zero_sol = _DenseRK45(t_grid, t_grid[:1], np.diff(t_grid), np.zeros((1, 2, 4)),
-                          np.zeros((1, 2)))
     return OdeTrajectory(
         params=params, t_grid=t_grid, f=np.zeros(2), f0=np.zeros(2),
-        f_cap=0.0, t_end=_ZERO_T_END, reached_cap=False, _sol=zero_sol,
+        f_cap=0.0, t_end=_ZERO_T_END, reached_cap=False,
+        t_old=t_grid[:1], h=np.diff(t_grid), F=np.zeros((7, 2, 1)), y_old=np.zeros((2, 1)),
     )
 
 
 def _rhs_y(t, y, a, b, c):
-    return (y[1], -(a / t) * y[1] + (b / t**2) * np.expm1(y[0]) + (c - 1.0) * y[1] ** 2)
+    return np.array((y[1], -(a / t) * y[1] + (b / t**2) * np.expm1(y[0]) + (c - 1.0) * y[1] ** 2))
 
 
-# The Dormand-Prince 5(4) pair (Dormand & Prince 1980) and Shampine's quartic
-# dense output (Math. Comp. 46, 1986), written as scipy's RK45.C, A, B, E and P.
-_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_DP_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
-])
-_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_DP_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-# scipy's step controller, for this pair and pde's: safety factor, limits of one
-# step's change; and the error exponent -1/(4+1) of this pair
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10, -1 / 5
+# scipy's step controller: safety factor, limits of one step's change, and the
+# error exponent -1/(7+1) of the DOP853 pair, whose error estimate is 7th-order
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _D8_ERROR_EXPONENT = 0.9, 0.2, 10, -1 / 8
 
 
 def _rms(v: np.ndarray) -> float:
@@ -265,35 +239,205 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
-def _initial_step(fun, t, y, f, t_bound, rtol, atol, error_exponent) -> float:
+def _initial_step(fun, t, y, f, t_bound, rtol, atol) -> float:
     """First step size toward t_bound > t (Hairer, Norsett and Wanner I, II.4), as
     scipy's ``select_initial_step`` computes it for y' = fun(t, y) from the state y
-    with derivative f, for a pair whose step controller has this error exponent."""
-    y, f = np.asarray(y), np.asarray(f)
+    with derivative f, for the DOP853 pair."""
     interval = t_bound - t
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
     if h0 == 0.0:  # the norm of the derivative overflowed
         raise NumericalFailure(f"the first step size underflows to 0 at t={t!r}")
-    f1 = np.asarray(fun(t + h0, y + h0 * f))
+    f1 = fun(t + h0, y + h0 * f)
     d2 = _rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** -error_exponent
+        h1 = (0.01 / max(d1, d2)) ** -_D8_ERROR_EXPONENT
     return min(100 * h0, h1, interval)
 
 
-def _step_factor(error, error_exponent, rejected: bool):
+def _step_factor(error, rejected: bool):
     """scipy's factor on the step size after a trial step with this error norm: an
     accepted one (error < 1) grows it up to _MAX_FACTOR, but not after a rejection
     on the same step; any other, a NaN error too, shrinks it down to _MIN_FACTOR."""
     if error < 1:
         factor = (_MAX_FACTOR if error == 0
-                  else min(_MAX_FACTOR, _SAFETY * error ** error_exponent))
+                  else min(_MAX_FACTOR, _SAFETY * error ** _D8_ERROR_EXPONENT))
         return min(1, factor) if rejected else factor
-    return max(_MIN_FACTOR, _SAFETY * error ** error_exponent)
+    return max(_MIN_FACTOR, _SAFETY * error ** _D8_ERROR_EXPONENT)
+
+
+def _lower_triangle(rows) -> np.ndarray:
+    """Square matrix with zero diagonal whose row s + 1 starts with rows[s] (len s + 1)."""
+    a = np.zeros((len(rows) + 1, len(rows) + 1))
+    for s, row in enumerate(rows, start=1):
+        a[s, :s] = row
+    return a
+
+
+# The DOP853 pair (Hairer, Norsett and Wanner I, II.10) with the coefficients
+# of scipy's dop853_coefficients: 12 stages, the 13th the derivative at the
+# step's end, whose weights are the solution's (_D8_B), and 3 more stages for
+# the order-7 dense output.  _D8_E5 and _D8_E3 weigh the 13 stages into the
+# 5th- and 3rd-order error estimates, _D8_D the 16 into the dense output.
+_D8_STAGES = 12
+_D8_C = np.array([
+    0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+    0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778])
+_D8_A = _lower_triangle((
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
+))
+_D8_B = _D8_A[_D8_STAGES, :_D8_STAGES]
+_D8_E3 = np.array([
+    -0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0])
+_D8_E5 = np.array([
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0])
+_D8_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564]])
+
+
+class _Dop853:
+    """The DOP853 pair marching y' = fun(t, y) for a state of any shape from t to t_bound.
+
+    It replays the arithmetic of scipy's ``DOP853`` (its ``RungeKutta`` step
+    controller, ``select_initial_step`` and ``Dop853DenseOutput``), so its
+    steps, states and dense output equal scipy's bit for bit.  The stage
+    derivatives are the rows of one flat (16, size) array and every stage sum,
+    norm and dense-output product is the numpy call scipy makes on the same
+    layout, because BLAS decides the order, and so the last bit, of each sum.
+    ``fun`` sees views of the state's shape and returns an array of it.  It
+    counts its own work: ``n_rhs`` calls of fun and ``n_trials`` trial steps,
+    accepted or rejected.
+    """
+
+    def __init__(self, fun, t: float, y: np.ndarray, t_bound: float, rtol: float,
+                 atol: float):
+        self.fun, self.shape = fun, y.shape
+        self.t, self.y, self.t_bound, self.rtol, self.atol = t, y.reshape(-1), t_bound, rtol, atol
+        self.t_old = self.y_old = self.h = self.h_abs = None
+        self.n_rhs = self.n_trials = 0
+        self.K = K = np.empty((16, self.y.size))
+        self._stages = [(K[:s].T, _D8_A[s, :s], _D8_C[s]) for s in range(1, 16)]
+
+    def _call(self, t: float, y: np.ndarray) -> np.ndarray:
+        """fun(t, y) for a flat y, flat."""
+        self.n_rhs += 1
+        return self.fun(t, y.reshape(self.shape)).reshape(-1)
+
+    def start(self) -> None:
+        """Evaluate fun at the start and pick the first step (Hairer, Norsett and
+        Wanner I, II.4), as scipy's ``select_initial_step`` does."""
+        f0 = self._call(self.t, self.y)
+        self.K[_D8_STAGES] = f0  # the row the next step starts from
+        self.h_abs = _initial_step(self._call, self.t, self.y, f0, self.t_bound, self.rtol,
+                                   self.atol)
+
+    def step(self) -> bool:
+        """Take one accepted step; False when the step size underflows first, with
+        the step size that failed left in h_abs."""
+        t, y, K, rtol = self.t, self.y, self.K, self.rtol
+        K[0] = K[_D8_STAGES]
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # a NaN step size, from NaN derivatives, stops too
+                self.h_abs = h_abs
+                return False
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            for s, (k, a, c) in enumerate(self._stages[:_D8_STAGES - 1], start=1):
+                K[s] = self._call(t + c * h, y + np.dot(k, a) * h)
+            y_new = y + h * np.dot(K[:_D8_STAGES].T, _D8_B)
+            K[_D8_STAGES] = self._call(t + h, y_new)
+            self.n_trials += 1
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5_norm_2 = np.linalg.norm(np.dot(K[:_D8_STAGES + 1].T, _D8_E5) / scale) ** 2
+            err3_norm_2 = np.linalg.norm(np.dot(K[:_D8_STAGES + 1].T, _D8_E3) / scale) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error = np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+            factor = _step_factor(error, rejected)
+            if error < 1:
+                self.h_abs = h_abs * factor
+                break
+            h_abs *= factor  # a NaN error fails the test and shrinks the step by _MIN_FACTOR
+            rejected = True
+        self.t_old, self.y_old, self.h = t, y, h
+        self.t, self.y = t_new, y_new
+        return True
+
+    def dense_coefficients(self) -> np.ndarray:
+        """The (7, size) coefficients F of the last step's order-7 continuous
+        extension, which ``_dense_at`` reads; they cost 3 more stages."""
+        K, h, t_old, y_old = self.K, self.h, self.t_old, self.y_old
+        for s, (k, a, c) in enumerate(self._stages[_D8_STAGES:], start=_D8_STAGES + 1):
+            K[s] = self._call(t_old + c * h, y_old + np.dot(k, a) * h)
+        F = np.empty((7, y_old.size))
+        delta_y = self.y - y_old
+        F[0] = delta_y
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (K[_D8_STAGES] + K[0])
+        F[3:] = h * np.dot(_D8_D, K)
+        return F
+
+    def dense(self, tq: np.ndarray) -> np.ndarray:
+        """States at the times tq (1-d) of the last step, shape (len(tq), size)."""
+        x = ((tq - self.t_old) / (self.t - self.t_old))[:, None]
+        return _dense_at(x, self.dense_coefficients(), self.y_old)
 
 
 @np.errstate(over="raise")  # numpy's overflows raise FloatingPointError, as a float's ** does
@@ -305,24 +449,22 @@ def integrate_contrast(
 ) -> OdeTrajectory:
     """Integrate the contrast ODE adaptively until f >= f_cap, the ceiling or t_reach.
 
-    Steps the Dormand-Prince 5(4) pair with scipy's error control and first
-    step, and replays the arithmetic of scipy's RK45 run through ``solve_ivp``
-    with the cap as its terminal event, so the steps, the states and the dense
-    output equal scipy's bit for bit.  The stage sums, the error and the
-    dense-output coefficients stay ``np.dot`` and the error norm the ``ddot``
-    of ``np.linalg.norm``, because BLAS sums them with fused multiply-adds that
-    Python floats cannot reproduce; the rest is Python floats.  On the step
-    that crosses y = ln(1 + f_cap) the crossing is found by ``_brentq`` on that
-    step's interpolant, which stays whole in the dense output.  It also stops
-    after the first accepted step that ends at or past t_reach, kept whole,
-    with ``reached_cap`` False unless that step crosses the cap too.  No step
-    depends on where the run stops, so the dense output on [t0, t_reach]
-    equals the full run's bit for bit (the ceiling, by contrast, shortens the
-    step that meets it).  Positivity of f and f' on every accepted step is
-    asserted (an interior violation would contradict the monotonicity of the
-    contrast and signals an integration fault).  An overflow anywhere in the
-    integration, and a step size that is NaN because the slopes are not
-    finite, raise NumericalFailure.
+    Marches the y = ln(1+f) system with the DOP853 pair (``_Dop853``), and so
+    equals scipy's DOP853 run through ``solve_ivp`` with the cap as its
+    terminal event bit for bit: in the steps, the states and the dense output.
+    Every accepted step keeps its dense-output coefficients, at 3 more stages a
+    step.  On the step that crosses y = ln(1 + f_cap) the crossing is found by
+    ``_brentq`` on that step's interpolant, which stays whole in the dense
+    output.  It also stops after the first accepted step that ends at or past
+    t_reach, kept whole, with ``reached_cap`` False unless that step crosses the
+    cap too.  No step depends on where the run stops, so the dense output on
+    [t0, t_reach], or up to a lower cap's crossing, equals the full run's bit
+    for bit (the ceiling, by contrast, shortens the step that meets it).
+    Positivity of f and f' on every accepted step is asserted (an interior
+    violation would contradict the monotonicity of the contrast and signals an
+    integration fault).  An overflow anywhere in the integration, a step size
+    that is NaN because the slopes are not finite, and a step size that falls
+    below the spacing of the floats near t raise NumericalFailure.
     """
     if not f_cap > params.beta:
         raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {params.beta!r}")
@@ -330,80 +472,55 @@ def integrate_contrast(
     if not t_bound > t:
         raise UsageError(f"t_ceiling must exceed t0, got {t_bound!r} <= {t!r}")
     a, b, c = params.ode_a, params.ode_b, params.ode_c
-    rtol, atol = controls.rel_tol, controls.abs_tol
-    y0, y1 = math.log1p(params.beta), params.beta0 / (1.0 + params.beta)
     y_cap = math.log1p(f_cap)
+    y = [math.log1p(params.beta), params.beta0 / (1.0 + params.beta)]
+    march = _Dop853(lambda tq, yq: _rhs_y(tq, yq, a, b, c), t, np.array(y), t_bound,
+                    controls.rel_tol, controls.abs_tol)
     try:
-        K = np.empty((7, 2))  # stage derivatives by row; K[0] at the step's start, K[6] at its end
-        K[0] = _rhs_y(t, (y0, y1), a, b, c)
-        h_abs = _initial_step(lambda tq, yq: _rhs_y(tq, yq, a, b, c), t, (y0, y1), K[0],
-                              t_bound, rtol, atol, _ERROR_EXPONENT)
-        KT, KB = K.T, K[:6].T
-        stages = [(s, KT[:, :s], _DP_A[s, :s], float(_DP_C[s])) for s in range(1, 6)]
-        v = np.empty(2)
-        ts, ys, t_old, hs, Qs, y_old = [t], [(y0, y1)], [], [], [], []
+        march.start()
+        ts, ys, t_old, hs, Fs, y_old = [t], [y], [], [], [], []
         status = None  # scipy's: 0 at the ceiling (or t_reach), 1 at the cap
         while status is None:
-            min_step = 10 * (math.nextafter(t, math.inf) - t)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if math.isnan(h_abs):
+            if not march.step():
+                if math.isnan(march.h_abs):
                     raise NumericalFailure(f"the step size at t={t:.12g} is NaN: the contrast "
                                            "ODE's slopes are not finite")
-                if not h_abs >= min_step:
-                    raise NumericalFailure(
-                        f"stiffness failure: integrator stopped at t={t:.12g} with "
-                        f"f={math.expm1(y0):.6g}: Required step size is less than spacing "
-                        "between numbers.")
-                t_new = min(t + h_abs, t_bound)
-                h_abs = h = t_new - t
-                for s, k, row, c_s in stages:
-                    d0, d1 = k.dot(row).tolist()
-                    K[s] = _rhs_y(t + c_s * h, (y0 + d0 * h, y1 + d1 * h), a, b, c)
-                d0, d1 = KB.dot(_DP_B).tolist()
-                n0, n1 = y0 + h * d0, y1 + h * d1
-                K[6] = _rhs_y(t + h, (n0, n1), a, b, c)
-                d0, d1 = KT.dot(_DP_E).tolist()
-                v[0] = d0 * h / (atol + max(abs(y0), abs(n0)) * rtol)
-                v[1] = d1 * h / (atol + max(abs(y1), abs(n1)) * rtol)
-                error = _rms(v)
-                h_abs *= _step_factor(error, _ERROR_EXPONENT, rejected)
-                if error < 1:
-                    break
-                rejected = True
-            t_old.append(t)
-            hs.append(h)
-            # as floats: one small array per step, all held until the loop ends,
-            # fragments the heap the work after the integration allocates from
-            Qs.append(KT.dot(_DP_P).tolist())
-            y_old.append((y0, y1))
-            t, y0, y1 = t_new, n0, n1
-            K[0] = K[6]
+                raise NumericalFailure(
+                    f"stiffness failure: integrator stopped at t={t:.12g} with "
+                    f"f={math.expm1(y[0]):.6g}: Required step size is less than spacing "
+                    "between numbers.")
+            F = march.dense_coefficients()
+            t_old.append(march.t_old)
+            hs.append(march.h)
+            Fs.append(F)
+            y_old.append(march.y_old)
+            t, y = float(march.t), march.y.tolist()
             if t == t_bound or t >= t_reach:
                 status = 0
-            if y0 >= y_cap:  # scipy's g <= 0 <= g_new for g = y - y_cap; g <= 0 held before
-                step = (t_old[-1], h, Qs[-1], y_old[-1])
-                t = _brentq(lambda tq: _quartic_at(tq, *step)[0] - y_cap, step[0], t,
+            if y[0] >= y_cap:  # scipy's g <= 0 <= g_new for g = y - y_cap; g <= 0 held before
+                step = (float(march.t_old), float(march.h), *F.T.tolist(), *march.y_old.tolist())
+                t = _brentq(lambda tq: _step_at(tq, *step)[0] - y_cap, step[0], t,
                             xtol=4 * _EPS, rtol=4 * _EPS)
-                y0, y1 = _quartic_at(t, *step)
+                y = list(_step_at(t, *step))
                 status = 1
             ts.append(t)
-            ys.append((y0, y1))
+            ys.append(y)
         t_grid = np.array(ts)
-        y = np.array(ys).T
-        f_grid = np.expm1(y[0])
-        f0_grid = y[1] * np.exp(y[0])
+        y_grid = np.array(ys).T
+        f_grid = np.expm1(y_grid[0])
+        f0_grid = y_grid[1] * np.exp(y_grid[0])
         if np.any(f_grid <= 0.0) or np.any(f0_grid <= 0.0):
             raise NumericalFailure("internal-consistency error: f or f' non-positive on an "
                                    "accepted step (contradicts positivity of the contrast)")
         return OdeTrajectory(
             params=params, t_grid=t_grid, f=f_grid, f0=f0_grid,
             f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=status == 1,
-            _sol=_DenseRK45(t_grid, np.array(t_old), np.array(hs), np.array(Qs), np.array(y_old)),
+            t_old=np.array(t_old), h=np.array(hs), F=np.stack(Fs, axis=-1),
+            y_old=np.stack(y_old, axis=-1),
         )
     except (OverflowError, FloatingPointError) as exc:
         raise NumericalFailure(f"contrast ODE overflowed near t={t!r}") from exc
+
 
 
 @dataclass(frozen=True)

@@ -412,8 +412,16 @@ _DIVB_EPS = 1e-7  # step of _divB_pieces' central differences along each U-direc
 
 
 def _tau_ladder(maps: TimeMaps) -> np.ndarray:
+    """The rungs tau = -2^-k, k < _TAU_RUNGS, at or above 1.05 times the terminal tau.
+
+    Every reader reduces over the rungs, so a ladder without one raises
+    NumericalFailure: the maps end too far from tau = 0 (small A or f_cap)."""
     floor = float(-maps.tau[-1]) * 1.05
     ladder = [2.0**-k for k in range(_TAU_RUNGS) if 2.0**-k >= floor]
+    if not ladder:
+        raise NumericalFailure(f"the tau ladder has no rung: its first, tau = -1, needs time "
+                               f"maps that reach tau >= {-1.0 / 1.05:.6g}, and these end at "
+                               f"tau = {float(maps.tau[-1]):.6g}; take a larger f_cap or A")
     return -np.asarray(ladder)
 
 

@@ -3,10 +3,11 @@
 State variables on the unit-period grid in the logarithmic radial coordinate
 zeta: the contrast rho_hat, its time derivative, and the rescaled speed nu.
 The second-order contrast equation is reduced to first order and marched as
-one (3, n) system by the module's own error-controlled Dormand-Prince 8(5,3)
-pair (DOP853; Hairer, Norsett and Wanner, Solving ODEs I, II.10), whose steps
-and dense output equal scipy's ``DOP853`` bit for bit; the nonlocal rescaled
-gravity Psi is re-evaluated from the current contrast at every stage.  On
+one (3, n) system by the error-controlled Dormand-Prince 8(5,3) pair (DOP853;
+Hairer, Norsett and Wanner, Solving ODEs I, II.10) that integrates the contrast
+ODE, ``contrast_ode._Dop853``, whose steps and dense output equal scipy's
+``DOP853`` bit for bit; the nonlocal rescaled gravity Psi is re-evaluated
+from the current contrast at every stage.  On
 grids of up to _DENSE_MAX_N = 128 points the stencils and Psi, all circulant
 maps, act in rhs as one cached dense matrix per grid size, whose products
 cost fewer numpy calls than the stencils and the FFT.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast_ode import OdeTrajectory, _initial_step, _step_factor
+from .contrast_ode import OdeTrajectory, _Dop853
 from .errors import NumericalFailure, UsageError
 from .params import ModelParams
 
@@ -392,176 +393,6 @@ def snapshot_times(traj: OdeTrajectory, t_start: float, count: int) -> np.ndarra
         f, f0 = traj.f_f0_at(t)
         t -= (np.log1p(f) - target) * (1.0 + f) / f0
     return np.append(t, t_stop)
-
-
-def _lower_triangle(rows) -> np.ndarray:
-    """Square matrix with zero diagonal whose row s + 1 starts with rows[s] (len s + 1)."""
-    a = np.zeros((len(rows) + 1, len(rows) + 1))
-    for s, row in enumerate(rows, start=1):
-        a[s, :s] = row
-    return a
-
-
-# The DOP853 pair (Hairer, Norsett and Wanner I, II.10) with the coefficients
-# of scipy's dop853_coefficients: 12 stages, the 13th the derivative at the
-# step's end, whose weights are the solution's (_D8_B), and 3 more stages for
-# the order-7 dense output.  _D8_E5 and _D8_E3 weigh the 13 stages into the
-# 5th- and 3rd-order error estimates, _D8_D the 16 into the dense output.
-_D8_STAGES = 12
-_D8_C = np.array([
-    0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
-    0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778])
-_D8_A = _lower_triangle((
-    (0.05260015195876773,),
-    (0.0197250569845379, 0.0591751709536137),
-    (0.02958758547680685, 0, 0.08876275643042054),
-    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
-    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
-    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
-    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
-     -0.015319437748624402, 0.008273789163814023),
-    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
-     20.154067550477894, -43.48988418106996),
-    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
-     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
-    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
-     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
-    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
-     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
-     0.6433927460157636),
-    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
-     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
-     0.04471061572777259),
-    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
-     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
-     -0.008298),
-    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
-     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
-     -0.00034046500868740456, 0.1413124436746325),
-    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
-     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
-     2.9475147891527724, -9.15095847217987),
-))
-_D8_B = _D8_A[_D8_STAGES, :_D8_STAGES]
-_D8_E3 = np.array([
-    -0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
-    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
-    0.02265179219836082, 0])
-_D8_E5 = np.array([
-    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
-    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
-    -0.022355307863886294, 0])
-_D8_D = np.array([
-    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
-     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
-     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
-     -4.436036387594894],
-    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
-     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
-     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
-     35.81684148639408],
-    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
-     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
-     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
-     11.99229113618279],
-    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
-     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
-     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
-     -149.72683625798564]])
-_D8_ERROR_EXPONENT = -1 / (7 + 1)  # of the step controller, as the error estimate is 7th-order
-
-
-class _Dop853:
-    """The DOP853 pair marching y' = fun(t, y) for a (3, n) state from t to t_bound.
-
-    It replays the arithmetic of scipy's ``DOP853`` (its ``RungeKutta`` step
-    controller, ``select_initial_step`` and ``Dop853DenseOutput``), so its
-    steps, states and dense output equal scipy's bit for bit.  The stage
-    derivatives are the rows of one flat (16, 3n) array and every stage sum,
-    norm and dense-output product is the numpy call scipy makes on the same
-    layout, because BLAS decides the order, and so the last bit, of each sum.
-    ``fun`` sees (3, n) views.  It counts its own work: ``n_rhs`` calls of fun
-    and ``n_trials`` trial steps, accepted or rejected.
-    """
-
-    def __init__(self, fun, t: float, y: np.ndarray, t_bound: float, rtol: float,
-                 atol: float):
-        self.fun, self.shape = fun, y.shape
-        self.t, self.y, self.t_bound, self.rtol, self.atol = t, y.reshape(-1), t_bound, rtol, atol
-        self.t_old = self.y_old = self.h = self.h_abs = None
-        self.n_rhs = self.n_trials = 0
-        self.K = K = np.empty((16, self.y.size))
-        self._stages = [(K[:s].T, _D8_A[s, :s], _D8_C[s]) for s in range(1, 16)]
-
-    def _call(self, t: float, y: np.ndarray) -> np.ndarray:
-        """fun(t, y) for a flat y, flat."""
-        self.n_rhs += 1
-        return self.fun(t, y.reshape(self.shape)).reshape(-1)
-
-    def start(self) -> None:
-        """Evaluate fun at the start and pick the first step (Hairer, Norsett and
-        Wanner I, II.4), as scipy's ``select_initial_step`` does."""
-        f0 = self._call(self.t, self.y)
-        self.K[_D8_STAGES] = f0  # the row the next step starts from
-        self.h_abs = _initial_step(self._call, self.t, self.y, f0, self.t_bound, self.rtol,
-                                   self.atol, _D8_ERROR_EXPONENT)
-
-    def step(self) -> bool:
-        """Take one accepted step; False when the step size underflows first."""
-        t, y, K, rtol = self.t, self.y, self.K, self.rtol
-        K[0] = K[_D8_STAGES]
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max(self.h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:  # a NaN step size, from NaN derivatives, stops too
-                return False
-            t_new = min(t + h_abs, self.t_bound)
-            h = t_new - t
-            h_abs = np.abs(h)
-            for s, (k, a, c) in enumerate(self._stages[:_D8_STAGES - 1], start=1):
-                K[s] = self._call(t + c * h, y + np.dot(k, a) * h)
-            y_new = y + h * np.dot(K[:_D8_STAGES].T, _D8_B)
-            K[_D8_STAGES] = self._call(t + h, y_new)
-            self.n_trials += 1
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5_norm_2 = np.linalg.norm(np.dot(K[:_D8_STAGES + 1].T, _D8_E5) / scale) ** 2
-            err3_norm_2 = np.linalg.norm(np.dot(K[:_D8_STAGES + 1].T, _D8_E3) / scale) ** 2
-            if err5_norm_2 == 0 and err3_norm_2 == 0:
-                error = 0.0
-            else:
-                denom = err5_norm_2 + 0.01 * err3_norm_2
-                error = np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-            factor = _step_factor(error, _D8_ERROR_EXPONENT, rejected)
-            if error < 1:
-                self.h_abs = h_abs * factor
-                break
-            h_abs *= factor  # a NaN error fails the test and shrinks the step by _MIN_FACTOR
-            rejected = True
-        self.t_old, self.y_old, self.h = t, y, h
-        self.t, self.y = t_new, y_new
-        return True
-
-    def dense(self, tq: np.ndarray) -> np.ndarray:
-        """States at the times tq (1-d) of the last step, shape (len(tq), 3n), from the
-        order-7 continuous extension, which costs 3 more stages."""
-        K, h, t_old, y_old = self.K, self.h, self.t_old, self.y_old
-        for s, (k, a, c) in enumerate(self._stages[_D8_STAGES:], start=_D8_STAGES + 1):
-            K[s] = self._call(t_old + c * h, y_old + np.dot(k, a) * h)
-        F = np.empty((7, y_old.size))
-        delta_y = self.y - y_old
-        F[0] = delta_y
-        F[1] = h * K[0] - delta_y
-        F[2] = 2 * delta_y - h * (K[_D8_STAGES] + K[0])
-        F[3:] = h * np.dot(_D8_D, K)
-        x = ((tq - t_old) / (self.t - t_old))[:, None]
-        y = np.zeros((len(x), y_old.size))
-        for i, f in enumerate(F[::-1]):
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
-        y += y_old
-        return y
 
 
 def evolve(state: FieldState, traj: OdeTrajectory, pde_rtol: float = PDE_RTOL) -> EvolveResult:

@@ -8,13 +8,15 @@ Two integral representations of the same map are computed and cross-checked:
 Their agreement is a strong consistency certificate for the ODE solution,
 because equality of the two integrands is equivalent to the closed-form
 expression of f' in terms of (f, g).  Both integrals are evaluated by
-cumulative composite Simpson on the solver's own graded mesh (midpoints from
-dense output), which keeps the steep terminal region resolved.  Only the
+cumulative composite Simpson on the solver's own graded mesh, each DOP853
+step split into _REFINE cells whose nodes and midpoints come from the dense
+output, which keeps the steep terminal region resolved.  Only the
 quotient form is kept on the record; the f-only form survives as its gap.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,7 +131,27 @@ def _cumulative_simpson_graded(t: np.ndarray, v: np.ndarray, v_mid: np.ndarray) 
     return out
 
 
-_REFINE = 2  # each solver step is split into this many cells of the time maps' grid
+def _in_float_range(fn):
+    """fn with numpy's overflows, divisions by zero and invalid operations raised as
+    NumericalFailure where they happen, before any warning: data whose time maps or
+    diagnostics leave the range of floats (g underflowing to 0, chi near 1/f for a
+    tiny initial contrast) give no verdict on them."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise NumericalFailure(f"{fn.__name__} left the range of floats: {exc}") from exc
+    return checked
+
+
+# Each solver step is split into this many cells of the time maps' grid.  The
+# DOP853 steps are long (97 to f = 1e6, 128 to 1e8), and the second-order
+# difference of g on this grid, which criterion 05 checks against g', needs 16:
+# on its two trajectories to 1e6 it is off by up to 2.3e-4 at 8, against the
+# bound of 1e-4, and by up to 6.3e-5 at 16.
+_REFINE = 16
 _MISMATCH_TOL = 1e-6  # a gap between the two forms of g above 10x this is a failure
 _CHI_CROSSCHECK_TOL = 1e-6
 
@@ -140,6 +162,7 @@ def _refined_grid(traj: OdeTrajectory) -> np.ndarray:
     return np.append(np.linspace(t[:-1], t[1:], _REFINE + 1, axis=-1)[:, :-1], t[-1])
 
 
+@_in_float_range
 def compute_g(traj: OdeTrajectory) -> TimeMaps:
     """Evaluate both representations of g and the diagnostics chi, xi, G, eta_2.
 
@@ -229,6 +252,7 @@ class GDecayReport:
 _G_DECAY_DECADES = 1.0  # check_G_decay fits over this many terminal decades of -tau
 
 
+@_in_float_range
 def check_G_decay(maps: TimeMaps) -> GDecayReport:
     """Fit the terminal decay |G| ~ (-tau)^p and verify the chi evolution law.
 

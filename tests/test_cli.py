@@ -125,18 +125,18 @@ def test_residuals_integrate_only_past_their_last_time(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "integrate_contrast", recording)
     assert main(["residuals", "--family", "both", "--output-dir", str(tmp_path / "res")]) == 0
     (traj,) = made
-    assert (len(traj.t_grid), traj.reached_cap) == (82, False)  # 81 steps
+    assert (len(traj.t_grid), traj.reached_cap) == (14, False)  # 13 steps
     assert traj.t_grid[-2] < 2.0 + 2.0 * FD_STEP <= traj.t_end
 
 
 @pytest.mark.parametrize("argv,cap,points", [
     (["simulate", "--grid-n", "128", "--profile-kind", "cosine", "--eps", "1e-3",
-      "--pde-f-cap", "1e3"], 1e3, 330),
-    (["report"], 50.0, 196),  # its simulate child, at pde_f_cap = 50
+      "--pde-f-cap", "1e3"], 1e3, 51),
+    (["report"], 50.0, 30),  # its simulate child, at pde_f_cap = 50
 ], ids=["collapse", "report"])
 def test_simulate_integrates_only_to_pde_f_cap(tmp_path, monkeypatch, argv, cap, points):
     # simulate stops the contrast ODE at its cap crossing, where evolve stops; an
-    # integration to 10 pde_f_cap would hold 432 and 299 points
+    # integration to 10 pde_f_cap would hold 67 and 46 points
     import jeanslab.cli as cli
 
     made = []
@@ -446,6 +446,30 @@ def test_contrast_overflow_exits_3_with_one_line(tmp_path, capsys, gamma):
     err = capsys.readouterr().err
     assert err.startswith("NumericalFailure: contrast ODE overflowed")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    # at A = 0.001 the maps end at tau = -0.994, short of the ladder's first rung, -1
+    (["fuchsian-check", "--A", "0.001"], "the tau ladder has no rung"),
+    (["report", "--A", "0.001"], "the tau ladder has no rung"),
+    # g underflows to 0 past t0, and the gap of its two forms divides 0 by 0
+    (["fuchsian-check", "--gamma", "1e-300", "--beta", "2.0"],
+     "compute_g left the range of floats"),
+    # chi is about 1/f = 1e300 at t0: the slopes of its interpolant overflow
+    (["ode", "--beta", "1e-300", "--k-tilde", "0.9", "--A", "0.99"],
+     "compute_g left the range of floats"),
+    # the closed-form dchi/dt is about f^-2 = 1e398 at t0
+    (["ode", "--beta", "1e-199", "--k-tilde", "0.9", "--A", "0.99"],
+     "check_G_decay left the range of floats"),
+], ids=["ladder", "report-ladder", "g-underflow", "chi-interpolant", "dchi"])
+def test_time_maps_out_of_range_exit_3_with_one_line(tmp_path, capsys, argv, message):
+    # a classified failure, with no numpy warning first (the suite turns warnings
+    # into errors), not a crash or a failed verdict
+    out = tmp_path / "o"
+    assert main([*argv, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"NumericalFailure: {message}") and err.count("\n") == 1
+    assert json.loads((out / "error.json").read_text())["kind"] == "numerical"
 
 
 @pytest.mark.parametrize("argv", [["bogus"], [], ["ode", "--bogus", "1"], ["--seed", "1"]],

@@ -697,20 +697,20 @@ def test_evolve_reports_its_work(params, monkeypatch):
 
 
 def test_dop853_tableau_and_controller_equal_scipy():
-    for mine, theirs in ((pde._D8_C, dop853_coefficients.C), (pde._D8_A, dop853_coefficients.A),
-                         (pde._D8_B, DOP853.B), (pde._D8_E3, DOP853.E3),
-                         (pde._D8_E5, DOP853.E5), (pde._D8_D, DOP853.D)):
+    co = contrast_ode
+    for mine, theirs in ((co._D8_C, dop853_coefficients.C), (co._D8_A, dop853_coefficients.A),
+                         (co._D8_B, DOP853.B), (co._D8_E3, DOP853.E3),
+                         (co._D8_E5, DOP853.E5), (co._D8_D, DOP853.D)):
         assert mine.shape == theirs.shape and np.array_equal(mine, theirs)
-    assert pde._D8_STAGES == DOP853.n_stages
-    # the step factor is the contrast integration's, read through pde
-    assert pde._step_factor is contrast_ode._step_factor
-    assert (contrast_ode._SAFETY, contrast_ode._MIN_FACTOR, contrast_ode._MAX_FACTOR) \
-        == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
-    assert pde._D8_ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
+    assert co._D8_STAGES == DOP853.n_stages
+    # the stepper is the contrast integration's, read through pde
+    assert pde._Dop853 is co._Dop853
+    assert (co._SAFETY, co._MIN_FACTOR, co._MAX_FACTOR) == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+    assert co._D8_ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
 
 
 def test_dop853_order_conditions():
-    assert_order_conditions(pde._D8_C, pde._D8_A, pde._D8_B, 8)
+    assert_order_conditions(contrast_ode._D8_C, contrast_ode._D8_A, contrast_ode._D8_B, 8)
 
 
 def _scipy_dop853(st, traj, pde_rtol):

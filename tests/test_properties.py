@@ -139,7 +139,7 @@ def _step_time(draw, ts, k):
 def dense(traj):
     # closures over the trajectory: a failure report reprs the test's
     # arguments, and the trajectory's arrays would swamp it (as exact_state)
-    ts = traj._sol.ts
+    ts = traj.t_grid
 
     def query_times(draw, shape):
         # prod(shape) times on a few drawn solver steps, so that steps are shared
@@ -148,7 +148,7 @@ def dense(traj):
         steps = [draw(st.sampled_from(pool)) for _ in range(n)]
         return np.array([_step_time(draw, ts, k) for k in steps]).reshape(shape)
 
-    return query_times, lambda t: traj._sol(t), lambda t: traj.f_f0_at(t)
+    return query_times, lambda t: traj._y(t), lambda t: traj.f_f0_at(t)
 
 
 @PROPS
@@ -172,7 +172,7 @@ def test_dense_output_query_equals_scalar_reads(dense, data, shape):
 def test_zero_trajectory_reads_exact_zeros(params, shape, t):
     z = zero_trajectory(params)
     q = np.full(shape, t)
-    for out in (*z._sol(q), *z.f_f0_at(q)):
+    for out in (*z._y(q), *z.f_f0_at(q)):
         assert out.shape == shape and not np.any(out)
     assert z.f_f0_at(t) == (0.0, 0.0)
 
