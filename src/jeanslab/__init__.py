@@ -7,9 +7,9 @@ verification of the singular-system coefficient conditions."""
 __version__ = "0.1.0"
 
 from .params import ModelParams, build_params, k_from_iota, params_from_iota3, solve_iota
-from .contrast_ode import (BoundReport, OdeTrajectory, ToleranceSpec,
+from .contrast_ode import (BoundReport, ContrastMarch, OdeTrajectory, ToleranceSpec,
                            blowup_bracket, blowup_ladder, bound_certificates,
-                           envelope_constants, integrate_contrast, zero_trajectory)
+                           envelope_constants, zero_trajectory)
 from .timemaps import TimeMaps, check_G_decay, compute_g
 from .reference import (FluidPoint, ResidualReport, euler_poisson_residual,
                         homogeneous_state, sample_annulus)

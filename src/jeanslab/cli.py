@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contrast_ode import (LADDER_RUNGS, OdeTrajectory, ToleranceSpec,
+from .contrast_ode import (LADDER_RUNGS, ContrastMarch, OdeTrajectory, ToleranceSpec,
                            blowup_bracket, blowup_ladder, bound_certificates,
-                           envelope_constants, integrate_contrast, zero_trajectory)
+                           envelope_constants, zero_trajectory)
 from .errors import JeanslabError, NumericalFailure, UsageError
 from .fuchsian import (find_certified_radius, gamma_constants, q_lower_bound,
                        q_quantity, verify_conditions)
@@ -187,20 +187,20 @@ def write_svg_lines(path: Path, x: np.ndarray, series: dict[str, np.ndarray],
 
 
 class RunDir:
-    """One run: its config, params, contrast trajectories, verdicts, values and artifacts."""
+    """One run: its config, params, contrast marches, verdicts, values and artifacts."""
 
     def __init__(self, cfg: RunConfig, parent: RunDir | None = None):
         self.cfg = cfg
         self.values: dict[str, object] = {}
-        if parent is not None:  # a child run shares its parent's outputs and trajectories
+        if parent is not None:  # a child run shares its parent's outputs and marches
             self.path, self.verdicts = parent.path, parent.verdicts
-            self.artifacts, self._trajectories = parent.artifacts, parent._trajectories
+            self.artifacts, self._marches = parent.artifacts, parent._marches
             return
         self.path = Path(cfg.output_dir)
         self.path.mkdir(parents=True, exist_ok=True)
         self.verdicts: dict[str, bool] = {}
         self.artifacts: list[Path] = []
-        self._trajectories: dict[tuple, OdeTrajectory] = {}
+        self._marches: dict[tuple, ContrastMarch] = {}
 
     @cached_property
     def params(self) -> ModelParams:
@@ -211,16 +211,12 @@ class RunDir:
         return params_from_iota3(c.iota3, c.beta, c.gamma, c.lam, c.A, force=c.force)
 
     def trajectory(self, f_cap: float, t_reach: float = math.inf) -> OdeTrajectory:
-        """The contrast trajectory to f_cap, or only past t_reach, integrated once per
-        params, cap, tolerances and t_reach.  A full trajectory serves every t_reach:
-        a run stopped at t_reach has the same steps up to there."""
-        args = (self.params, f_cap, ToleranceSpec(self.cfg.rel_tol, self.cfg.abs_tol))
-        if args in self._trajectories:
-            return self._trajectories[args]
-        key = args if t_reach == math.inf else (*args, t_reach)
-        if key not in self._trajectories:
-            self._trajectories[key] = integrate_contrast(*args, t_reach=t_reach)
-        return self._trajectories[key]
+        """The contrast trajectory to f_cap, or only past t_reach, cut from the one
+        march of this run's params and tolerances."""
+        key = (self.params, ToleranceSpec(self.cfg.rel_tol, self.cfg.abs_tol))
+        if key not in self._marches:
+            self._marches[key] = ContrastMarch(*key)
+        return self._marches[key].trajectory(f_cap, t_reach)
 
     def run_child(self, **changes) -> dict[str, object]:
         """Run the pipeline of this config with ``changes`` inside this run; return its values."""
@@ -586,8 +582,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if cfg.n_fuchsian_samples < 1:
         raise UsageError(f"n_fuchsian_samples must be >= 1, got {cfg.n_fuchsian_samples!r}")
     ToleranceSpec(cfg.rel_tol, cfg.abs_tol)  # refuses tolerances the integrator cannot meet
-    if not cfg.pde_rtol > 0.0:
-        raise UsageError(f"pde_rtol must be positive, got {cfg.pde_rtol!r}")
+    if not 0.0 < cfg.pde_rtol < math.inf:
+        raise UsageError(f"pde_rtol must be positive and finite, got {cfg.pde_rtol!r}")
     return cfg
 
 

@@ -16,12 +16,13 @@ It is integrated by the package's one Runge-Kutta class, the Dormand-Prince
 8(5,3) pair (DOP853; Hairer, Norsett and Wanner, Solving ODEs I, II.10) with
 its order-7 dense output, equal bit for bit to scipy's DOP853 run through
 ``solve_ivp`` with the cap crossing as its terminal event; ``pde`` marches its
-fields with the same class.  The roots of the module (the cap crossing,
-contrast times, the envelope bracket) come from its own Brent's method, equal
-bit for bit to scipy's ``brentq``.  Everything downstream (time maps, PDE
-coefficients, bound certificates) is driven by the dense output stored on the
-returned trajectory, which reads every time by one formula, ``_dense_at``, as
-scipy's ``OdeSolution`` reads one time alone.
+fields with the same class.  A ``ContrastMarch`` integrates a model once, and
+every trajectory a run reads is cut from it.  The roots of the module (the cap
+crossing, contrast times, the envelope bracket) come from its own Brent's
+method, equal bit for bit to scipy's ``brentq``.  Everything downstream (time
+maps, PDE coefficients, bound certificates) reads the dense output of a
+trajectory by one formula, ``_dense_at``, as scipy's ``OdeSolution`` reads one
+time alone.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +45,8 @@ _BRENT_MAXITER = 100  # scipy brentq's default
 class ToleranceSpec:
     """Error tolerances of the contrast integration and the time it may not pass.
 
-    A relative tolerance below 100 eps cannot be met in double precision (scipy
-    raises such a value to 100 eps with a warning), so it is refused.
+    Infinite tolerances are refused, and so is a relative one below 100 eps: double
+    precision cannot meet it (scipy raises such a value to 100 eps with a warning).
     """
 
     rel_tol: float = 1e-12
@@ -52,11 +54,11 @@ class ToleranceSpec:
     t_ceiling: float = 1e6
 
     def __post_init__(self):
-        if not self.rel_tol >= 100.0 * _EPS:
-            raise UsageError(f"rel_tol must be at least 100 eps = {100.0 * _EPS:.6g}, "
-                             f"got {self.rel_tol!r}")
-        if not self.abs_tol > 0.0:
-            raise UsageError(f"abs_tol must be positive, got {self.abs_tol!r}")
+        if not 100.0 * _EPS <= self.rel_tol < math.inf:
+            raise UsageError(f"rel_tol must be finite and at least 100 eps = "
+                             f"{100.0 * _EPS:.6g}, got {self.rel_tol!r}")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise UsageError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -126,7 +128,7 @@ def _step_at(t: float, t_old: float, h: float, F_y, F_yp, y: float, yp: float):
 
 @dataclass
 class OdeTrajectory:
-    """Dense-output record of one contrast integration of the model ``params``.
+    """Dense-output record of a contrast march of the model ``params``.
 
     Readers of a trajectory take the model constants from its ``params``.
     ``t_grid`` holds the accepted solver steps, the last one cut at the cap
@@ -138,8 +140,6 @@ class OdeTrajectory:
     ``_dense_at`` on the step that holds it, as scipy's ``OdeSolution`` reads
     it alone, bit for bit.  A time at a breakpoint t_grid[k] belongs to step
     k - 1, and a time outside [t0, t_end] to the first or the last step.
-    The record holds no blowup-time estimate; ``blowup_ladder`` extrapolates
-    one from it on request.
     """
 
     params: ModelParams
@@ -154,10 +154,15 @@ class OdeTrajectory:
     F: np.ndarray = field(repr=False)
     y_old: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        # Python floats for the scalar path, one _step_at tuple per step
-        self._ts = self.t_grid.tolist()
-        self._steps = [(t, h, *F, *y) for t, h, F, y in zip(
+    # Python floats for the scalar path, built on its first read (array readers skip
+    # them): the breakpoints, and one _step_at tuple per step
+    @cached_property
+    def _ts(self) -> list:
+        return self.t_grid.tolist()
+
+    @cached_property
+    def _steps(self) -> list:
+        return [(t, h, *F, *y) for t, h, F, y in zip(
             self.t_old.tolist(), self.h.tolist(), self.F.T.tolist(), self.y_old.T.tolist())]
 
     def _y(self, t):
@@ -440,87 +445,82 @@ class _Dop853:
         return _dense_at(x, self.dense_coefficients(), self.y_old)
 
 
-@np.errstate(over="raise")  # numpy's overflows raise FloatingPointError, as a float's ** does
-def integrate_contrast(
-    params: ModelParams,
-    f_cap: float = 1e6,
-    controls: ToleranceSpec = ToleranceSpec(),
-    t_reach: float = math.inf,
-) -> OdeTrajectory:
-    """Integrate the contrast ODE adaptively until f >= f_cap, the ceiling or t_reach.
-
-    Marches the y = ln(1+f) system with the DOP853 pair (``_Dop853``), and so
-    equals scipy's DOP853 run through ``solve_ivp`` with the cap as its
-    terminal event bit for bit: in the steps, the states and the dense output.
-    Every accepted step keeps its dense-output coefficients, at 3 more stages a
-    step.  On the step that crosses y = ln(1 + f_cap) the crossing is found by
-    ``_brentq`` on that step's interpolant, which stays whole in the dense
-    output.  It also stops after the first accepted step that ends at or past
-    t_reach, kept whole, with ``reached_cap`` False unless that step crosses the
-    cap too.  No step depends on where the run stops, so the dense output on
-    [t0, t_reach], or up to a lower cap's crossing, equals the full run's bit
-    for bit (the ceiling, by contrast, shortens the step that meets it).
-    Positivity of f and f' on every accepted step is asserted (an interior
-    violation would contradict the monotonicity of the contrast and signals an
-    integration fault).  An overflow anywhere in the integration, a step size
-    that is NaN because the slopes are not finite, and a step size that falls
-    below the spacing of the floats near t raise NumericalFailure.
+class ContrastMarch:
+    """The one integration of the contrast ODE of ``params`` that a run's trajectories
+    are cut from: ``_Dop853`` marches y = ln(1+f) toward the ceiling and each accepted
+    step is kept with its dense output.  No step depends on where a request stops.
+    An overflow, a NaN step size (non-finite slopes) and a step size below the float
+    spacing near t raise NumericalFailure; the march then takes no further step.
     """
-    if not f_cap > params.beta:
-        raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {params.beta!r}")
-    t, t_bound = float(params.t0), float(controls.t_ceiling)
-    if not t_bound > t:
-        raise UsageError(f"t_ceiling must exceed t0, got {t_bound!r} <= {t!r}")
-    a, b, c = params.ode_a, params.ode_b, params.ode_c
-    y_cap = math.log1p(f_cap)
-    y = [math.log1p(params.beta), params.beta0 / (1.0 + params.beta)]
-    march = _Dop853(lambda tq, yq: _rhs_y(tq, yq, a, b, c), t, np.array(y), t_bound,
-                    controls.rel_tol, controls.abs_tol)
-    try:
-        march.start()
-        ts, ys, t_old, hs, Fs, y_old = [t], [y], [], [], [], []
-        status = None  # scipy's: 0 at the ceiling (or t_reach), 1 at the cap
-        while status is None:
-            if not march.step():
-                if math.isnan(march.h_abs):
-                    raise NumericalFailure(f"the step size at t={t:.12g} is NaN: the contrast "
-                                           "ODE's slopes are not finite")
-                raise NumericalFailure(
-                    f"stiffness failure: integrator stopped at t={t:.12g} with "
-                    f"f={math.expm1(y[0]):.6g}: Required step size is less than spacing "
-                    "between numbers.")
-            F = march.dense_coefficients()
-            t_old.append(march.t_old)
-            hs.append(march.h)
-            Fs.append(F)
-            y_old.append(march.y_old)
-            t, y = float(march.t), march.y.tolist()
-            if t == t_bound or t >= t_reach:
-                status = 0
-            if y[0] >= y_cap:  # scipy's g <= 0 <= g_new for g = y - y_cap; g <= 0 held before
-                step = (float(march.t_old), float(march.h), *F.T.tolist(), *march.y_old.tolist())
+
+    def __init__(self, params: ModelParams, controls: ToleranceSpec = ToleranceSpec()):
+        t, t_bound = float(params.t0), float(controls.t_ceiling)
+        if not t_bound > t:
+            raise UsageError(f"t_ceiling must exceed t0, got {t_bound!r} <= {t!r}")
+        a, b, c = params.ode_a, params.ode_b, params.ode_c
+        y = [math.log1p(params.beta), params.beta0 / (1.0 + params.beta)]
+        self.params, self._failed = params, False
+        self._stepper = _Dop853(lambda tq, yq: _rhs_y(tq, yq, a, b, c), t, np.array(y),
+                                t_bound, controls.rel_tol, controls.abs_tol)
+        self._ts, self._ys = [t], [y]  # (t, [y, y']) at t0 and at each accepted step's end
+        self._steps = []  # (h, F) of each accepted step k, which starts at _ts[k] from _ys[k]
+
+    def _step(self) -> None:
+        """Take one more accepted step and keep it."""
+        march, t, y = self._stepper, self._ts[-1], self._ys[-1]
+        if self._failed:
+            raise NumericalFailure(f"the contrast march failed before, at t={t!r}")
+        self._failed = True  # until the step is kept
+        if march.h_abs is None:
+            march.start()
+        if not march.step():
+            if math.isnan(march.h_abs):
+                raise NumericalFailure(f"the step size at t={t:.12g} is NaN: the contrast "
+                                       "ODE's slopes are not finite")
+            raise NumericalFailure(
+                f"stiffness failure: integrator stopped at t={t:.12g} with "
+                f"f={math.expm1(y[0]):.6g}: Required step size is less than spacing "
+                "between numbers.")
+        self._steps.append((march.h, march.dense_coefficients()))
+        self._ts.append(float(march.t))
+        self._ys.append(march.y.tolist())
+        self._failed = False
+
+    @np.errstate(over="raise")  # numpy's overflows raise FloatingPointError, as a float's ** does
+    def trajectory(self, f_cap: float, t_reach: float = math.inf) -> OdeTrajectory:
+        """The trajectory to the first step that crosses f = f_cap (cut there by
+        ``_brentq``), meets the ceiling, or ends at or past t_reach (kept whole),
+        stepping on only if the steps taken fall short; f, f' > 0 is asserted."""
+        if not f_cap > self.params.beta:
+            raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {self.params.beta!r}")
+        y_cap, t_bound = math.log1p(f_cap), self._stepper.t_bound
+        k, t, y = 0, self._ts[0], self._ys[0]
+        try:
+            while k == 0 or not (t == t_bound or t >= t_reach or y[0] >= y_cap):
+                k += 1
+                if k == len(self._ts):
+                    self._step()
+                t, y = self._ts[k], self._ys[k]
+            reached_cap = y[0] >= y_cap  # scipy's g <= 0 <= g_new for g = y - y_cap
+            h, F = zip(*self._steps[:k])
+            if reached_cap:
+                step = (self._ts[k - 1], float(h[-1]), *F[-1].T.tolist(), *self._ys[k - 1])
                 t = _brentq(lambda tq: _step_at(tq, *step)[0] - y_cap, step[0], t,
                             xtol=4 * _EPS, rtol=4 * _EPS)
                 y = list(_step_at(t, *step))
-                status = 1
-            ts.append(t)
-            ys.append(y)
-        t_grid = np.array(ts)
-        y_grid = np.array(ys).T
-        f_grid = np.expm1(y_grid[0])
-        f0_grid = y_grid[1] * np.exp(y_grid[0])
-        if np.any(f_grid <= 0.0) or np.any(f0_grid <= 0.0):
-            raise NumericalFailure("internal-consistency error: f or f' non-positive on an "
-                                   "accepted step (contradicts positivity of the contrast)")
-        return OdeTrajectory(
-            params=params, t_grid=t_grid, f=f_grid, f0=f0_grid,
-            f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=status == 1,
-            t_old=np.array(t_old), h=np.array(hs), F=np.stack(Fs, axis=-1),
-            y_old=np.stack(y_old, axis=-1),
-        )
-    except (OverflowError, FloatingPointError) as exc:
-        raise NumericalFailure(f"contrast ODE overflowed near t={t!r}") from exc
-
+            t_grid = np.array(self._ts[:k] + [t])
+            y_grid = np.array(self._ys[:k] + [y]).T
+            f_grid, f0_grid = np.expm1(y_grid[0]), y_grid[1] * np.exp(y_grid[0])
+            if np.any(f_grid <= 0.0) or np.any(f0_grid <= 0.0):
+                raise NumericalFailure("internal-consistency error: f or f' non-positive on an "
+                                       "accepted step (contradicts positivity of the contrast)")
+            return OdeTrajectory(
+                params=self.params, t_grid=t_grid, f=f_grid, f0=f0_grid,
+                f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=reached_cap,
+                t_old=t_grid[:-1], h=np.array(h), F=np.stack(F, axis=-1), y_old=y_grid[:, :-1],
+            )
+        except (OverflowError, FloatingPointError) as exc:
+            raise NumericalFailure(f"contrast ODE overflowed near t={t!r}") from exc
 
 
 @dataclass(frozen=True)

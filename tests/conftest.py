@@ -4,12 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
+from jeanslab.contrast_ode import ContrastMarch, ToleranceSpec
 from jeanslab.errors import NumericalFailure
 from jeanslab.params import params_from_iota3
 from jeanslab.pde import zeta_grid
 from jeanslab.reference import FluidPoint
 from jeanslab.timemaps import compute_g
+
+def integrate_contrast(params, f_cap=1e6, controls=ToleranceSpec(), t_reach=math.inf):
+    """The trajectory of a fresh contrast march of params to f_cap, or past t_reach."""
+    return ContrastMarch(params, controls).trajectory(f_cap, t_reach)
+
 
 @pytest.fixture(scope="session")
 def params():

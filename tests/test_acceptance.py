@@ -11,11 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (background_state, cosine_profiles, flat_profiles, terminal_window,
-                      traj_to_cap)
+from conftest import (background_state, cosine_profiles, flat_profiles, integrate_contrast,
+                      terminal_window, traj_to_cap)
 from jeanslab.contrast_ode import (ToleranceSpec, blowup_bracket, blowup_ladder,
-                                   bound_certificates, envelope_constants,
-                                   integrate_contrast, zero_trajectory)
+                                   bound_certificates, envelope_constants, zero_trajectory)
 from jeanslab.fuchsian import (assemble_matrices, find_certified_radius,
                                fuchsian_fields, gamma_constants, q_lower_bound,
                                q_quantity, system_residual, verify_conditions)

@@ -7,7 +7,7 @@ import pytest
 
 from jeanslab.cli import (RunConfig, RunDir, _jsonable, _write_csv, build_parser,
                           config_from_args, load_config, main, make_profiles)
-from jeanslab.contrast_ode import integrate_contrast
+from jeanslab.contrast_ode import ContrastMarch
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import DomainError
 from jeanslab.pde import init_from_data, zeta_grid
@@ -88,44 +88,58 @@ def test_simulate_reads_no_f_cap(tmp_path):
     assert low["values"] == default["values"] and low["digests"] == default["digests"]
 
 
-@pytest.mark.parametrize("argv,integrations", [
-    (["ode"], 1),
-    (["blowup"], 1),
-    (["residuals", "--family", "both"], 1),
-    (["simulate", "--grid-n", "32", "--pde-f-cap", "10"], 1),
-    (["fuchsian-check"], 1),
-    (["report"], 3),  # ode, blowup and residuals share the 1e6 trajectory
-], ids=["ode", "blowup", "residuals", "simulate", "fuchsian-check", "report"])
-def test_one_integration_per_trajectory(tmp_path, monkeypatch, argv, integrations):
+def record_marches(monkeypatch):
+    """The contrast marches a run makes and the trajectories they serve, in order."""
     import jeanslab.cli as cli
 
-    calls = []
+    marches, served = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return integrate_contrast(*args, **kwargs)
+    class Recording(ContrastMarch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            marches.append(self)
 
-    monkeypatch.setattr(cli, "integrate_contrast", counting)
+        def trajectory(self, *args, **kwargs):
+            served.append(super().trajectory(*args, **kwargs))
+            return served[-1]
+
+    monkeypatch.setattr(cli, "ContrastMarch", Recording)
+    return marches, served
+
+
+@pytest.mark.parametrize("argv,steps,reached", [
+    (["ode"], 97, [True]),
+    (["blowup"], 97, [True]),
+    (["residuals", "--family", "both"], 13, [False]),  # stops past t = 2.0 + 2 FD_STEP
+    (["simulate", "--grid-n", "32", "--pde-f-cap", "10"], 19, [True]),
+    (["fuchsian-check"], 128, [True]),
+    # ode, blowup, residuals and simulate read prefixes of fuchsian-check's run to 1e8
+    (["report"], 128, [True, True, False, True, True]),
+], ids=["ode", "blowup", "residuals", "simulate", "fuchsian-check", "report"])
+def test_one_integration_per_trajectory(tmp_path, monkeypatch, argv, steps, reached):
+    # each run integrates the contrast once, as deep as its deepest request, and
+    # every request it makes is served the steps up to its own stop and no more
+    marches, served = record_marches(monkeypatch)
     assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
-    assert len(calls) == integrations
+    assert [len(m._steps) for m in marches] == [steps]
+    assert [traj.reached_cap for traj in served] == reached
+    assert max(len(traj.h) for traj in served) == steps
+    t_need, eps = 2.0 + 2.0 * FD_STEP, np.finfo(float).eps  # the residuals' last time
+    for traj in served:
+        if traj.reached_cap:  # cut at the crossing, to _brentq's tolerance in t times f'
+            assert traj.f[-2] < traj.f_cap
+            assert abs(traj.f[-1] - traj.f_cap) <= traj.f0[-1] * 4 * eps * (1.0 + traj.t_end)
+        else:
+            assert traj.t_grid[-2] < t_need <= traj.t_end
 
 
 def test_residuals_integrate_only_past_their_last_time(tmp_path, monkeypatch):
     # standalone, residuals stop the contrast ODE after the step that passes
-    # t = 2.0 + 2 FD_STEP; in report they read the full trajectory of ode and
-    # blowup (the report pins of the two tests around this one)
-    import jeanslab.cli as cli
-
-    made = []
-
-    def recording(*args, **kwargs):
-        made.append(integrate_contrast(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(cli, "integrate_contrast", recording)
+    # t = 2.0 + 2 FD_STEP; in report they read a prefix of fuchsian-check's march
+    marches, served = record_marches(monkeypatch)
     assert main(["residuals", "--family", "both", "--output-dir", str(tmp_path / "res")]) == 0
-    (traj,) = made
-    assert (len(traj.t_grid), traj.reached_cap) == (14, False)  # 13 steps
+    (march,), (traj,) = marches, served
+    assert (len(traj.t_grid), traj.reached_cap, len(march._steps)) == (14, False, 13)
     assert traj.t_grid[-2] < 2.0 + 2.0 * FD_STEP <= traj.t_end
 
 
@@ -135,19 +149,11 @@ def test_residuals_integrate_only_past_their_last_time(tmp_path, monkeypatch):
     (["report"], 50.0, 30),  # its simulate child, at pde_f_cap = 50
 ], ids=["collapse", "report"])
 def test_simulate_integrates_only_to_pde_f_cap(tmp_path, monkeypatch, argv, cap, points):
-    # simulate stops the contrast ODE at its cap crossing, where evolve stops; an
-    # integration to 10 pde_f_cap would hold 67 and 46 points
-    import jeanslab.cli as cli
-
-    made = []
-
-    def recording(*args, **kwargs):
-        made.append(integrate_contrast(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(cli, "integrate_contrast", recording)
+    # simulate is served the contrast up to its cap crossing, where evolve stops; a
+    # trajectory to 10 pde_f_cap would hold 67 and 46 points
+    _, served = record_marches(monkeypatch)
     assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
-    (traj,) = [t for t in made if t.f_cap == cap]
+    (traj,) = [t for t in served if t.f_cap == cap]
     assert (len(traj.t_grid), traj.reached_cap) == (points, True)
     assert traj.f[-2] < cap and abs(traj.f[-1] / cap - 1.0) < 1e-14
 
@@ -252,7 +258,7 @@ def test_numerical_error_exit_code(tmp_path, monkeypatch):
     def boom(*a, **k):
         raise NumericalFailure("stiffness failure (synthetic)")
 
-    monkeypatch.setattr(cli, "integrate_contrast", boom)
+    monkeypatch.setattr(cli.ContrastMarch, "_step", boom)
     rc = main(["ode", "--output-dir", str(tmp_path / "n")])
     assert rc == 3
     err = json.loads((tmp_path / "n" / "error.json").read_text())
@@ -279,7 +285,7 @@ def test_other_exceptions_propagate(tmp_path, monkeypatch):
     def bug(*a, **k):
         raise TypeError("synthetic bug")
 
-    monkeypatch.setattr(cli, "integrate_contrast", bug)
+    monkeypatch.setattr(cli.ContrastMarch, "_step", bug)
     out = tmp_path / "b"
     with pytest.raises(TypeError, match="synthetic bug"):
         main(["ode", "--output-dir", str(out)])
@@ -364,6 +370,10 @@ def test_stiffness_named_once(tmp_path, config, flags):
     {"rel_tol": -1.0},
     {"rel_tol": 0.0},
     {"rel_tol": 1e-15, "profile": {"family": "both"}},  # below 100 eps
+    # json.dumps writes Infinity, which load_config reads
+    {"pde_rtol": math.inf},
+    {"rel_tol": math.inf},
+    {"abs_tol": math.inf},
 ], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
 def test_out_of_range_settings_exit_2(tmp_path, setting):
     p = tmp_path / "cfg.json"

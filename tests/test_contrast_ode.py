@@ -11,11 +11,11 @@ from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
-from conftest import refined_grid_per_step, traj_to_cap
+from conftest import integrate_contrast, refined_grid_per_step, traj_to_cap
 from jeanslab import contrast_ode, timemaps
-from jeanslab.contrast_ode import (ToleranceSpec, _rhs_y, blowup_bracket, blowup_ladder,
-                                   bound_certificates, envelope_constants,
-                                   integrate_contrast, zero_trajectory)
+from jeanslab.contrast_ode import (ContrastMarch, ToleranceSpec, _rhs_y, blowup_bracket,
+                                   blowup_ladder, bound_certificates, envelope_constants,
+                                   zero_trajectory)
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import ModelParams, params_from_iota3
 from jeanslab.timemaps import _refined_grid, compute_g
@@ -130,7 +130,7 @@ def test_f_f0_at_equals_separate_calls(traj):
 
 def _scipy_dop853(params, f_cap, controls):
     """scipy's DOP853 on the contrast ODE in y = ln(1+f), through ``solve_ivp`` with the
-    cap crossing as a terminal event: the integration ``integrate_contrast`` replays."""
+    cap crossing as a terminal event: the integration ``ContrastMarch`` replays."""
     a, b, c = params.ode_a, params.ode_b, params.ode_c
     y_cap = math.log1p(f_cap)
 
@@ -309,6 +309,47 @@ def test_runs_to_lower_caps_are_prefixes_of_the_deepest(request, data):
         assert deep.t_grid[n - 1] < part.t_end <= deep.t_grid[n]
 
 
+def _assert_same_trajectory(a, b):
+    """a and b equal bit for bit in every field and in every read of their dense output."""
+    for name in ("t_grid", "f", "f0", "t_old", "h", "F", "y_old"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.f_cap, a.t_end, a.reached_cap) == (b.f_cap, b.t_end, b.reached_cap)
+    ts = np.linspace(a.t_grid[0], a.t_end, 41)
+    for x, y in zip(a.f_f0_at(ts), b.f_f0_at(ts)):
+        assert np.array_equal(x, y)
+    assert [a.f_f0_at(t) for t in ts.tolist()] == [b.f_f0_at(t) for t in ts.tolist()]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.01, 1.0), gamma=st.floats(0.2, 1.0),
+       requests=st.lists(st.tuples(st.sampled_from([50.0, 1e3, 1e6, 1e8]),
+                                   st.one_of(st.none(), st.floats(0.0, 1.0))),
+                         min_size=3, max_size=4))
+def test_a_shared_march_equals_fresh_ones(beta, gamma, requests):
+    # one march asked for caps and times in any order serves each request as a
+    # fresh march asked for it alone, and steps only as deep as the deepest one
+    p = params_from_iota3(0.2, beta=beta, gamma=gamma)
+    span = integrate_contrast(p, f_cap=1e8).t_end - p.t0
+    shared, depths = ContrastMarch(p), []
+    for f_cap, u in requests:
+        t_reach = math.inf if u is None else p.t0 + u * span
+        fresh = ContrastMarch(p)
+        _assert_same_trajectory(shared.trajectory(f_cap, t_reach),
+                                fresh.trajectory(f_cap, t_reach))
+        depths.append(len(fresh._steps))
+    assert len(shared._steps) == max(depths)
+
+
+def test_a_failed_march_takes_no_further_step(params):
+    # the steps before a failure still serve the requests they reach
+    march = ContrastMarch(params)
+    with pytest.raises(NumericalFailure, match="stiffness failure"):
+        march.trajectory(1e30)
+    with pytest.raises(NumericalFailure, match="failed before, at t=4.18980836"):
+        march.trajectory(1e30)
+    _assert_same_trajectory(march.trajectory(1e3), integrate_contrast(params, f_cap=1e3))
+
+
 def test_integrate_contrast_fails_where_scipy_fails(params):
     # at f_cap = 1e30 the step size falls below the spacing of the floats near t
     # (scipy's status -1) before f reaches the cap
@@ -327,7 +368,7 @@ def test_integrate_contrast_fails_where_scipy_fails(params):
     (1e300, "contrast ODE overflowed"),  # the square of the initial rate overflows
 ], ids=["inf", "1e150", "1e300"])
 def test_integrate_contrast_fails_on_non_finite_arithmetic(params, monkeypatch, gamma, message):
-    # build_params refuses these rates; integrate_contrast still ends each in a
+    # build_params refuses these rates; the march still ends each in a
     # NumericalFailure, and in a bounded number of trial steps
     step_factor, trials = contrast_ode._step_factor, []
 
@@ -522,7 +563,8 @@ def test_f_cap_precondition(params):
 
 
 @pytest.mark.parametrize("tolerances", [{"rel_tol": 1e-15}, {"rel_tol": 0.0},
-                                        {"abs_tol": 0.0}, {"abs_tol": -1e-14}])
+                                        {"abs_tol": 0.0}, {"abs_tol": -1e-14},
+                                        {"rel_tol": math.inf}, {"abs_tol": math.inf}])
 def test_tolerances_out_of_range_refused(tolerances):
     # below 100 eps scipy silently raised rel_tol to 2.22e-14 (with a warning)
     with pytest.raises(UsageError):

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from conftest import cosine_profiles, flat_profiles, traj_to_cap
+from conftest import cosine_profiles, flat_profiles, integrate_contrast, traj_to_cap
 from jeanslab import fuchsian, pde
-from jeanslab.contrast_ode import integrate_contrast
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import (DomainError, assemble_matrices, find_certified_radius,
                                fuchsian_fields, gamma_constants, q_lower_bound,

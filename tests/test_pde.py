@@ -6,8 +6,8 @@ import pytest
 from scipy.integrate import DOP853, simpson
 from scipy.integrate._ivp import dop853_coefficients, rk
 
-from conftest import (assert_order_conditions, cosine_profiles, flat_profiles, traj_to_cap,
-                      traj_to_time)
+from conftest import (assert_order_conditions, cosine_profiles, flat_profiles,
+                      integrate_contrast, traj_to_cap, traj_to_time)
 from jeanslab import contrast_ode, pde
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.pde import (FieldState, compute_psi, data_smallness, diff1, diff2,
@@ -446,7 +446,7 @@ def test_homogeneous_manifold_preserved(params):
 
 
 def test_homogeneous_preserved_second_parameter_set():
-    from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
+    from jeanslab.contrast_ode import ToleranceSpec
     from jeanslab.params import params_from_iota3
 
     p = params_from_iota3(0.05, beta=0.5, gamma=0.7, lam=0.3, A=0.8)

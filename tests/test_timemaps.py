@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from conftest import refined_grid_per_step, terminal_window
+from conftest import integrate_contrast, refined_grid_per_step, terminal_window
 from jeanslab import timemaps
-from jeanslab.contrast_ode import ToleranceSpec, integrate_contrast
+from jeanslab.contrast_ode import ToleranceSpec
 from jeanslab.errors import NumericalFailure
 from jeanslab.params import params_from_iota3
 from jeanslab.timemaps import (_Pchip, _refined_grid, check_G_decay, compute_g,
