@@ -425,8 +425,8 @@ def evolve(state: FieldState, traj: OdeTrajectory, pde_rtol: float = PDE_RTOL) -
     stop_reason = "f_cap" if traj.reached_cap else "t_end"
     n_steps = n_dense = 0
     dt_min, dt_max = math.inf, 0.0
-    march = _Dop853(lambda t, y: rhs(t, y, traj), state.t, y0, t_stop,
-                    pde_rtol, _ATOL_PER_RTOL * pde_rtol)
+    march = _Dop853(lambda t, y: rhs(t, y.reshape(3, n), traj).reshape(-1), state.t,
+                    y0.reshape(-1), t_stop, pde_rtol, _ATOL_PER_RTOL * pde_rtol)
     k = 0  # next output time
     try:
         march.start()

@@ -13,9 +13,9 @@ from scipy.optimize import brentq
 
 from conftest import integrate_contrast, refined_grid_per_step, traj_to_cap
 from jeanslab import contrast_ode, timemaps
-from jeanslab.contrast_ode import (ContrastMarch, ToleranceSpec, _rhs_y, blowup_bracket,
-                                   blowup_ladder, bound_certificates, envelope_constants,
-                                   zero_trajectory)
+from jeanslab.contrast_ode import (ContrastMarch, ToleranceSpec, _Dop853, _rhs_y,
+                                   blowup_bracket, blowup_ladder, bound_certificates,
+                                   envelope_constants, zero_trajectory)
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import ModelParams, params_from_iota3
 from jeanslab.timemaps import _refined_grid, compute_g
@@ -156,7 +156,7 @@ def _assert_equals_scipy(traj, res):
     assert np.array_equal(traj.f, np.expm1(res.y[0]))
     assert np.array_equal(traj.f0, res.y[1] * np.exp(res.y[0]))
     steps = res.sol.interpolants
-    for name, mine in (("t_old", traj.t_old), ("h", traj.h)):
+    for name, mine in (("t_old", traj.t_grid[:-1]), ("h", traj.h)):
         assert np.array_equal(mine, [getattr(s, name) for s in steps]), name
     assert np.array_equal(traj.F, np.stack([s.F for s in steps], axis=-1))
     assert np.array_equal(traj.y_old, np.stack([s.y_old for s in steps], axis=-1))
@@ -239,7 +239,8 @@ _ORACLE_PARAMS = [(0.2, 0.1, 0.5), (0.2, 0.1, 0.9), (0.05, 0.5, 0.3), (0.15, 0.0
 
 
 def test_integrate_contrast_equals_scipy_dop853():
-    # every cap and tolerance steps the same as scipy, rejected steps included
+    # every cap and tolerance steps the same as scipy, rejected steps included,
+    # and counts the same calls of the rhs
     rejected = 0
     for iota3, beta, gamma in _ORACLE_PARAMS:
         p = params_from_iota3(iota3, beta=beta, gamma=gamma)
@@ -247,13 +248,130 @@ def test_integrate_contrast_equals_scipy_dop853():
             for rel_tol in (1e-6, 1e-9, 1e-12):
                 controls = ToleranceSpec(rel_tol=rel_tol)
                 res = _scipy_dop853(p, f_cap, controls)
-                _assert_equals_scipy(integrate_contrast(p, f_cap, controls), res)
+                march = ContrastMarch(p, controls)
+                _assert_equals_scipy(march.trajectory(f_cap), res)
+                assert march._stepper.n_rhs == res.nfev
                 assert res.status == 1
                 # each trial step makes 12 rhs calls, each accepted step's dense
                 # output 3 more, the first step's choice 2
                 steps = len(res.t) - 1
                 rejected += (res.nfev - 2 - 3 * steps) // 12 - steps
     assert rejected > 0
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.01, 1.0), gamma=st.floats(0.2, 1.0),
+       log_rtol=st.floats(-12.0, -6.0), log_atol=st.floats(-16.0, -8.0))
+def test_a_march_equals_scipy_at_any_tolerances(beta, gamma, log_rtol, log_atol):
+    # the error scale atol + |y| rtol is set by either term across these ranges
+    p = params_from_iota3(0.2, beta=beta, gamma=gamma)
+    controls = ToleranceSpec(rel_tol=10.0 ** log_rtol, abs_tol=10.0 ** log_atol)
+    res = _scipy_dop853(p, 1e6, controls)
+    march = ContrastMarch(p, controls)
+    _assert_equals_scipy(march.trajectory(1e6), res)
+    assert march._stepper.n_rhs == res.nfev
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 48])
+def test_the_stepper_works_on_floats_up_to_its_crossover(size):
+    # up to contrast_ode._FLOAT_MAX_SIZE components fun sees each stage's state as a
+    # list of floats, above it as an array; the contrast's 2-vector is on the float
+    # side and the PDE's fields (3 n values, n >= 16) on the array side
+    assert 2 <= contrast_ode._FLOAT_MAX_SIZE < 3 * 16
+    seen = []
+
+    def fun(t, y):
+        seen.append(type(y))
+        return y
+
+    stepper = _Dop853(fun, 0.0, np.linspace(1.0, 2.0, size), 1.0, 1e-8, 1e-12)
+    stepper.start()
+    stepper.step()
+    stepper.dense_coefficients()
+    assert len(seen) == stepper.n_rhs == 2 + 12 * stepper.n_trials + 3
+    assert set(seen) == {list if size <= contrast_ode._FLOAT_MAX_SIZE else np.ndarray}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-9])  # 1e-9 rejects about half its trials
+def test_floats_and_arrays_march_alike(params, monkeypatch, rel_tol):
+    # the contrast's march on arrays equals its march on floats in every bit and call
+    floats = ContrastMarch(params, ToleranceSpec(rel_tol=rel_tol))
+    on_floats = floats.trajectory(1e8)
+    monkeypatch.setattr(contrast_ode, "_FLOAT_MAX_SIZE", 0)
+    arrays = ContrastMarch(params, ToleranceSpec(rel_tol=rel_tol))
+    assert arrays._stepper._ops is contrast_ode._ArrayOps
+    _assert_same_trajectory(arrays.trajectory(1e8), on_floats)
+    assert (arrays._stepper.n_rhs, arrays._stepper.n_trials) == (
+        floats._stepper.n_rhs, floats._stepper.n_trials)
+
+
+_BIG = 1e308
+
+
+@pytest.mark.parametrize("name,args,overflows", [
+    ("ahead", ([_BIG, 1.0], np.array([_BIG, 1.0]), 2.0), True),  # y + dy h
+    ("ahead", ([1.0, np.inf], np.array([1.0, 2.0]), 0.5), False),
+    ("scaled", ([1.0, _BIG], [1.0, _BIG], np.ones(2), np.ones(2), 1e-12, 10.0), True),  # scale
+    ("scaled", ([1.0, 2.0], [1.0, 2.0], np.array([1.0, _BIG]), np.ones(2), 1e-12, 1e-12),
+     True),  # err / scale
+    ("scaled", ([1.0, 2.0], [1.0, np.nan], np.ones(2), np.ones(2), 1e-12, 1e-6), False),
+    ("scaled", ([np.nan, 2.0], [1.0, 2.0], np.ones(2), np.ones(2), 1e-12, 1e-6), False),
+    ("dense_rows", ([-_BIG, 1.0], [_BIG, 2.0], np.ones(2), np.ones(2), 0.5), True),  # y - y_old
+    ("dense_rows", ([1.0, 1.0], [2.0, 2.0], np.array([_BIG, 1.0]), np.ones(2), 4.0),
+     True),  # h f_old
+], ids=["ahead-overflow", "ahead-inf", "scale-overflow", "divide-overflow", "nan-y_new",
+        "nan-y", "delta-overflow", "h-f_old-overflow"])
+def test_float_ops_meet_non_finite_values_as_numpy_does(name, args, overflows):
+    # floats overflow silently and max drops a NaN: _FloatOps hands such values to
+    # numpy, which raises under the march's error state and else gives the same values
+    floats, arrays = getattr(contrast_ode._FloatOps, name), getattr(contrast_ode._ArrayOps, name)
+    as_arrays = [np.array(a) if type(a) is list else a for a in args]
+    if name == "dense_rows":  # it writes the rows F[:3] of its first argument
+        floats, arrays = _written(floats), _written(arrays)
+    with np.errstate(all="ignore"):
+        want = np.array(arrays(*as_arrays))
+        got = np.array(floats(*args))
+    assert np.array_equal(got, want, equal_nan=True)
+    if overflows:
+        with np.errstate(over="raise", invalid="ignore"), pytest.raises(FloatingPointError):
+            floats(*args)
+
+
+def _written(dense_rows):
+    """dense_rows as a function that returns the rows it writes."""
+    def rows(*args):
+        F = np.full((3, 2), 7.0)
+        dense_rows(F, *args)
+        return F
+    return rows
+
+
+@pytest.mark.parametrize("h,e5,e3", [
+    (4.0, _BIG, 1.0),  # |h| e5 overflows
+    (0.5, _BIG, _BIG),  # the blend overflows, and an error of 0 would pass the step
+    (0.5, 0.0, 5e-324),  # the blend underflows to 0: 0 / 0
+    (0.5, np.nan, 1.0),
+])
+def test_the_error_norm_meets_non_finite_values_as_numpy_does(h, e5, e3):
+    # scipy's blend, on numpy scalars
+    with np.errstate(all="ignore"):
+        want = np.abs(np.float64(h)) * np.float64(e5) / np.sqrt(
+            (np.float64(e5) + 0.01 * e3) * 2)
+        got = contrast_ode._error_norm(h, e5, e3, 2)
+    assert got == want or math.isnan(got) and math.isnan(want)
+    if math.isinf(abs(h) * e5) or math.isinf((e5 + 0.01 * e3) * 2):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            contrast_ode._error_norm(h, e5, e3, 2)
+
+
+def test_the_rhs_meets_an_overflow_as_numpy_does():
+    # y'' = -(a/t) y' + (b/t^2)(e^y - 1) + (c - 1) y'^2: the last two terms are each
+    # finite here, and their sum is not
+    t, y, abc = 0.9, (709.7, 1.3e154), (4 / 3, 2 / 3, 4 / 3)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _rhs_y(t, y, *abc)
+    with np.errstate(over="ignore"):
+        assert _rhs_y(t, y, *abc) == _rhs_y(t, np.array(y), *abc) == (1.3e154, math.inf)
 
 
 def test_integrate_contrast_stops_at_the_ceiling_as_scipy(params):
@@ -303,7 +421,7 @@ def test_runs_to_lower_caps_are_prefixes_of_the_deepest(request, data):
         n = len(part.h)
         assert part.reached_cap and n < len(deep.h)
         assert np.array_equal(part.t_grid[:-1], deep.t_grid[:n])
-        for name in ("t_old", "h", "F", "y_old"):
+        for name in ("h", "F", "y_old"):
             assert np.array_equal(getattr(part, name), getattr(deep, name)[..., :n]), name
         assert deep.y_old[0, n - 1] < math.log1p(f_cap) <= deep.y_old[0, n]
         assert deep.t_grid[n - 1] < part.t_end <= deep.t_grid[n]
@@ -311,7 +429,7 @@ def test_runs_to_lower_caps_are_prefixes_of_the_deepest(request, data):
 
 def _assert_same_trajectory(a, b):
     """a and b equal bit for bit in every field and in every read of their dense output."""
-    for name in ("t_grid", "f", "f0", "t_old", "h", "F", "y_old"):
+    for name in ("t_grid", "f", "f0", "h", "F", "y_old"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert (a.f_cap, a.t_end, a.reached_cap) == (b.f_cap, b.t_end, b.reached_cap)
     ts = np.linspace(a.t_grid[0], a.t_end, 41)

@@ -652,7 +652,7 @@ def test_evolve_stops_on_nan_derivatives_from_the_start(params, monkeypatch):
 def test_dop853_start_refuses_a_first_step_that_underflows():
     # under numpy's default error state an infinite derivative gives an infinite
     # slope norm, not an overflow error, and so a first step size of 0
-    stepper = pde._Dop853(lambda t, y: np.full_like(y, np.inf), 1.0, np.ones((3, 8)), 2.0,
+    stepper = pde._Dop853(lambda t, y: np.full_like(y, np.inf), 1.0, np.ones(24), 2.0,
                           rtol=1e-8, atol=1e-12)
     assert np.geterr() == {"divide": "warn", "over": "warn", "under": "ignore",
                            "invalid": "warn"}
