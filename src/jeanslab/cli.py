@@ -582,8 +582,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if cfg.n_fuchsian_samples < 1:
         raise UsageError(f"n_fuchsian_samples must be >= 1, got {cfg.n_fuchsian_samples!r}")
     ToleranceSpec(cfg.rel_tol, cfg.abs_tol)  # refuses tolerances the integrator cannot meet
-    if not 0.0 < cfg.pde_rtol < math.inf:
-        raise UsageError(f"pde_rtol must be positive and finite, got {cfg.pde_rtol!r}")
+    if not 0.0 < cfg.pde_rtol < 1.0:  # a relative tolerance of 1 asks for no correct digit
+        raise UsageError(f"pde_rtol must be positive and below 1, got {cfg.pde_rtol!r}")
     return cfg
 
 

@@ -50,6 +50,7 @@ class ToleranceSpec:
 
     Infinite tolerances are refused, and so is a relative one below 100 eps: double
     precision cannot meet it (scipy raises such a value to 100 eps with a warning).
+    A relative tolerance of 1 or more asks for no correct digit and is refused too.
     """
 
     rel_tol: float = 1e-12
@@ -57,9 +58,9 @@ class ToleranceSpec:
     t_ceiling: float = 1e6
 
     def __post_init__(self):
-        if not 100.0 * _EPS <= self.rel_tol < math.inf:
-            raise UsageError(f"rel_tol must be finite and at least 100 eps = "
-                             f"{100.0 * _EPS:.6g}, got {self.rel_tol!r}")
+        if not 100.0 * _EPS <= self.rel_tol < 1.0:
+            raise UsageError(f"rel_tol must be at least 100 eps = {100.0 * _EPS:.6g} "
+                             f"and below 1, got {self.rel_tol!r}")
         if not 0.0 < self.abs_tol < math.inf:
             raise UsageError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
 

@@ -10,7 +10,8 @@ ODE, ``contrast_ode._Dop853``, whose steps and dense output equal scipy's
 from the current contrast at every stage.  On
 grids of up to _DENSE_MAX_N = 128 points the stencils and Psi, all circulant
 maps, act in rhs as one cached dense matrix per grid size, whose products
-cost fewer numpy calls than the stencils and the FFT.
+cost fewer numpy calls than the stencils and the FFT; rhs's pointwise algebra
+is two more products, of time-only coefficients with stacked field products.
 Snapshots come from the pair's order-7 dense output at times fixed in
 advance; the monitors are taken at the accepted step ends and at the snapshot
 times.
@@ -249,17 +250,6 @@ def init_from_data(params: ModelParams, d: np.ndarray, v: np.ndarray) -> FieldSt
 # right-hand side
 
 
-def _wave_coefficients(t, pr_ratio_om, nu, nu2, f, f0, params: ModelParams):
-    """(gzz, g0z) from (1 + rho_hat)·ratio^omega = (1 + rho_hat)^(omega+1) / (1 + f)^omega,
-    where ratio = (1 + rho_hat)/(1 + f), and nu^2, which rhs shares with its source."""
-    om, i3 = params.omega, params.iota3
-    one_pf = 1.0 + f
-    gzz = ((2.0 + om) * (1.0 - i3) / (9.0 * t * t) * pr_ratio_om
-           - (f0**2 / (9.0 * one_pf**2)) * nu2)
-    g0z = f0 * nu / (3.0 * one_pf)
-    return gzz, g0z
-
-
 def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
     """Time derivative of the state y = (rho_hat, drho_dt, nu), shape (3, n).
 
@@ -269,61 +259,87 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
     _DENSE_MAX_N points two products with one cached matrix per grid size
     (_grid_operator), on larger grids the diff1, diff2 and compute_psi calls.
     Both guards run before it, as a dense product spreads a NaN entry to every
-    entry.  Each power, reciprocal and product of the fields is computed
-    once: ratio = (1 + rho_hat)/(1 + f) is raised to omega, and every other
-    power of ratio, 1 + rho_hat and 1 + f follows from it by one multiply; the
-    coefficients that depend on t alone are Python floats.
+    entry.  The rest is two products of Python-float coefficients of (t, f, f')
+    with field products, each written once into a row of one stack: the first
+    gives the speed equation, the continuity defect, lin and quad, and the
+    second the contrast equation, whose terms in rz are rz (lin + rz quad).
+    That is about 57 numpy calls where writing out each term took 85; on these
+    grids each call costs more in overhead than in arithmetic.
     """
     t = float(t)
     f, f0 = traj.f_f0_at(t)
     p = traj.params
     om, i3, kap = p.omega, p.iota3, p.kappa
     r, rt, nu = y
-    one_pr = 1.0 + r
-    if (one_pr <= 0.0).any():  # not one_pr.min(): a NaN entry would hide the others
+    s = np.empty((22, y.shape[1]))
+    (ratio_om, pr_ratio_om, nu2, ratio_1om_m1, psi_row, nu_row, one, rt_inv, nu_rt_inv,
+     nu2_inv, nu_nuz, nu_rz_inv, ratio_om_rz,  # the first product's rows, then the second's
+     rz_terms, pr_defect2, gzz_rzz, nu_rtz, rt_rt_inv, rt_row, ratio_om_m1_pr2, r_pr, one_pr) = s
+    np.add(r, 1.0, out=one_pr)
+    if np.count_nonzero(one_pr <= 0.0):  # not one_pr.min(): a NaN entry would hide the others
         raise VacuumError("vacuum formation: 1 + rho_hat <= 0 on the grid")
-    ratio = one_pr / (1.0 + f)
-    ratio_om = ratio**om
-    pr_ratio_om = one_pr * ratio_om  # (1 + rho_hat)^(omega+1) / (1 + f)^omega
-    nu2 = nu * nu
-    gzz, g0z = _wave_coefficients(t, pr_ratio_om, nu, nu2, f, f0, p)
+    one_pf = 1.0 + f
+    tt = t * t
+    c0 = f0 / one_pf
+    c0_2 = c0 * c0
+    z_rate = f0 / (3.0 * one_pf)
+    w = (1.0 - i3) / (9.0 * tt)
+    ratio = one_pr / one_pf
+    np.power(ratio, om, out=ratio_om)
+    np.multiply(one_pr, ratio_om, out=pr_ratio_om)  # (1 + rho_hat)^(omega+1) / (1 + f)^omega
+    np.multiply(nu, nu, out=nu2)
+    gzz = ((2.0 + om) * w) * pr_ratio_om - (c0_2 / 9.0) * nu2
     bad = gzz <= 0.0
-    if bad.any():  # the min over the offending entries: a NaN elsewhere would hide it
+    if np.count_nonzero(bad):  # the min over the offending entries: a NaN elsewhere would hide it
         raise HyperbolicityLossError(
             f"hyperbolicity loss at t={t:.9g}: min gzz = {float(gzz[bad].min()):.3g}")
 
     rz, rtz, nuz, rzz, psi = _grid_derivatives(y, f)
     inv = 1.0 / one_pr
-    rt_inv = rt * inv
-    ratio_1om_m1 = ratio * ratio_om - 1.0  # ratio^(1+omega) - 1
+    np.subtract(ratio * ratio_om, 1.0, out=ratio_1om_m1)
+    psi_row[:] = psi
+    nu_row[:] = nu
+    one.fill(1.0)
+    np.multiply(rt, inv, out=rt_inv)
+    np.multiply(nu, rt_inv, out=nu_rt_inv)
+    np.multiply(nu2, inv, out=nu2_inv)
+    np.multiply(nu, nuz, out=nu_nuz)
+    np.multiply(nu * rz, inv, out=nu_rz_inv)
+    np.multiply(ratio_om, rz, out=ratio_om_rz)
+    np.multiply(gzz, rzz, out=gzz_rzz)
+    np.multiply(nu, rtz, out=nu_rtz)  # g0z rtz / z_rate
+    np.multiply(rt, rt_inv, out=rt_rt_inv)
+    rt_row[:] = rt
+    np.multiply((ratio_om - 1.0) * one_pr, one_pr, out=ratio_om_m1_pr2)
+    np.multiply(r, one_pr, out=r_pr)
 
-    tt = t * t
-    one_pf = 1.0 + f
-    c0 = f0 / one_pf
-    z_rate = f0 / (3.0 * one_pf)
-    w = (1.0 - i3) / (9.0 * tt)
-    c0_2 = c0 * c0
-
-    # f1 of the contrast equation: the terms in rz and rz^2 in one bracket, the
-    # continuity defect squared, and the rest, with d_rt's own terms
-    lin = (nu * ((c0_2 / 9.0) * nu - (2.0 / 9.0) * c0_2 + (8.0 / 9.0) * c0 * rt_inv)
-           + (2.0 * one_pf * w) * ratio_1om_m1
-           + (2.0 * i3 * f / (3.0 * tt)) * psi
-           + ((8.0 + 5.0 * om) * w) * pr_ratio_om)
-    quad = ((om + 1.0) * (om + 2.0) * w) * ratio_om + (4.0 * c0_2 / 27.0) * nu2 * inv
-    defect = c0 - c0 * nu - rt_inv - z_rate * nu * rz * inv
+    quad_r = (om + 1.0) * (om + 2.0) * w
+    speed_nu = (1.0 / 3.0 - kap) * c0 - 2.0 * f / (3.0 * tt * c0)  # the terms in nu alone
+    table = np.array((  # one line per row of s
+        # lin                      quad               speed                       defect
+        0.0,                       quad_r,            0.0,                        0.0,
+        (8.0 + 5.0 * om) * w,      0.0,               0.0,                        0.0,
+        c0_2 / 9.0,                0.0,               -z_rate,                    0.0,
+        2.0 * one_pf * w,          0.0,               -6.0 * one_pf * w / c0,     0.0,
+        2.0 * i3 * f / (3.0 * tt), 0.0,               -2.0 * i3 * f / (tt * c0),  0.0,
+        -(2.0 / 9.0) * c0_2,       0.0,               speed_nu,                   -c0,
+        0.0,                       0.0,               0.0,                        c0,
+        0.0,                       0.0,               0.0,                        -1.0,
+        (8.0 / 9.0) * c0,          0.0,               0.0,                        0.0,
+        0.0,                       4.0 * c0_2 / 27.0, 0.0,                        0.0,
+        0.0,                       0.0,               -z_rate,                    0.0,
+        0.0,                       0.0,               0.0,                        -z_rate,
+        0.0,                       0.0,               -3.0 * (om + 2.0) * w / c0, 0.0,
+    )).reshape(13, 4)
+    lin, quad, speed, defect = table.T @ s[:13]
+    np.multiply(rz, lin + rz * quad, out=rz_terms)
+    np.multiply(defect * defect, one_pr, out=pr_defect2)
     out = np.empty_like(y)
     out[0] = rt
-    out[1] = (rz * (lin + rz * quad) + gzz * rzz - 2.0 * g0z * rtz
-              + rt * ((4.0 / 3.0) * rt_inv - (4.0 / (3.0 * t) + kap * c0))
-              + one_pr * ((2.0 / 3.0) * defect * defect + (6.0 * w) * (ratio_om - 1.0) * one_pr
-                          + (2.0 / (3.0 * tt)) * r + kap * c0_2))
-
-    # g1 of the speed equation, its nu and nu^2 terms joined with the advection
-    out[2] = (nu * ((1.0 / 3.0 - kap) * c0 - 2.0 * f / (3.0 * tt * c0) - z_rate * (nu + nuz))
-              - (3.0 * (om + 2.0) * w / c0) * ratio_om * rz
-              - (6.0 * one_pf * w / c0) * ratio_1om_m1
-              - (2.0 * i3 * f / (tt * c0)) * psi)
+    weights = np.array((1.0, 2.0 / 3.0, 1.0, -2.0 * z_rate, 4.0 / 3.0,  # one per row of s[13:]
+                        -(4.0 / (3.0 * t) + kap * c0), 6.0 * w, 2.0 / (3.0 * tt), kap * c0_2))
+    np.matmul(weights, s[13:], out=out[1])
+    out[2] = speed
     return out
 
 

@@ -370,6 +370,10 @@ def test_stiffness_named_once(tmp_path, config, flags):
     {"rel_tol": -1.0},
     {"rel_tol": 0.0},
     {"rel_tol": 1e-15, "profile": {"family": "both"}},  # below 100 eps
+    # a relative tolerance of 1 or more asks for no correct digit
+    {"rel_tol": 1e10},
+    {"rel_tol": 1.0},
+    {"pde_rtol": 1.0},
     # json.dumps writes Infinity, which load_config reads
     {"pde_rtol": math.inf},
     {"rel_tol": math.inf},

@@ -682,7 +682,8 @@ def test_f_cap_precondition(params):
 
 @pytest.mark.parametrize("tolerances", [{"rel_tol": 1e-15}, {"rel_tol": 0.0},
                                         {"abs_tol": 0.0}, {"abs_tol": -1e-14},
-                                        {"rel_tol": math.inf}, {"abs_tol": math.inf}])
+                                        {"rel_tol": math.inf}, {"abs_tol": math.inf},
+                                        {"rel_tol": 1.0}])
 def test_tolerances_out_of_range_refused(tolerances):
     # below 100 eps scipy silently raised rel_tol to 2.22e-14 (with a warning)
     with pytest.raises(UsageError):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import DOP853, simpson
 from scipy.integrate._ivp import dop853_coefficients, rk
 
@@ -228,10 +230,12 @@ def test_rhs_homogeneous_reduces_to_ode(traj, params):
 
 
 def _wave_coefficients(t, rho_hat, nu, f, f0, params):
-    """(gzz, g0z) of the reduced wave operator from the fields, through rhs's own helper."""
-    one_pr = 1.0 + rho_hat
-    return pde._wave_coefficients(t, one_pr * (one_pr / (1.0 + f)) ** params.omega, nu,
-                                  nu**2, f, f0, params)
+    """(gzz, g0z) of the reduced wave operator from the fields, in closed form."""
+    om, i3 = params.omega, params.iota3
+    one_pf = 1.0 + f
+    gzz = ((2.0 + om) * (1.0 - i3) / (9.0 * t * t) * (1.0 + rho_hat) ** (om + 1.0) / one_pf**om
+           - (f0**2 / (9.0 * one_pf**2)) * nu**2)
+    return gzz, f0 * nu / (3.0 * one_pf)
 
 
 def test_wave_speed_positive_homogeneous(traj, params):
@@ -313,9 +317,7 @@ def rhs_reference(t, y, traj):
     if np.any(one_pr <= 0.0):
         raise pde.VacuumError("vacuum formation: 1 + rho_hat <= 0 on the grid")
     one_pr_1om, nu2 = one_pr ** (om + 1.0), nu**2
-    gzz = ((2.0 + om) * (1.0 - i3) / (9.0 * t * t) * one_pr_1om / one_pf**om
-           - (f0**2 / (9.0 * one_pf**2)) * nu2)
-    g0z = f0 * nu / (3.0 * one_pf)
+    gzz, g0z = _wave_coefficients(t, r, nu, f, f0, traj.params)
     if np.any(gzz <= 0.0):
         raise pde.HyperbolicityLossError(
             f"hyperbolicity loss at t={t:.9g}: min gzz = {float(np.nanmin(gzz)):.3g}")
@@ -370,25 +372,63 @@ def _state_at(traj, f_target, eps, eps_v, n):
                         eps_v * np.cos(z + 0.3)))
 
 
+def _assert_rhs_equals_reference(traj, f_target, eps, eps_v, n, oracle_dtype=float):
+    """rhs against rhs_reference, evaluated on the same state cast to oracle_dtype."""
+    t, y = _state_at(traj, f_target, eps, eps_v, n)
+    got, want = rhs(t, y, traj), rhs_reference(t, y.astype(oracle_dtype), traj)
+    assert got.shape == want.shape == y.shape
+    assert np.array_equal(got[0], want[0])
+    scale1, scale2 = np.max(np.abs(want[1])), np.max(np.abs(want[2]))
+    assert np.max(np.abs(got[1] - want[1])) <= 1e-13 * scale1, f_target
+    err2 = np.max(np.abs(got[2] - want[2]))
+    if eps >= 1e-2:
+        assert err2 <= 1e-13 * scale2, f_target
+    elif eps == eps_v == 0.0:
+        # the speed equation balances to rounding on the homogeneous state
+        assert err2 <= 1e-15 and scale2 < 1e-14, f_target
+    else:
+        # cancellation in a small row: bound the error absolutely
+        assert err2 <= 1e-14, f_target
+
+
 @pytest.mark.parametrize("n", [32, 128, 192, 256])
 @pytest.mark.parametrize("eps,eps_v", [(0.0, 0.0), (1e-3, 1e-4), (5e-2, 1e-2)])
 def test_rhs_equals_reference_formula(traj, params, n, eps, eps_v):
     for f_target in (params.beta, 1.0, 30.0, 1e3):
-        t, y = _state_at(traj, f_target, eps, eps_v, n)
-        got, want = rhs(t, y, traj), rhs_reference(t, y, traj)
-        assert got.shape == want.shape == y.shape
-        assert np.array_equal(got[0], want[0])
-        scale1, scale2 = np.max(np.abs(want[1])), np.max(np.abs(want[2]))
-        assert np.max(np.abs(got[1] - want[1])) <= 1e-13 * scale1, f_target
-        err2 = np.max(np.abs(got[2] - want[2]))
-        if eps >= 1e-2:
-            assert err2 <= 1e-13 * scale2, f_target
-        elif eps == 0.0:
-            # the speed equation balances to rounding on the homogeneous state
-            assert err2 <= 1e-15 and scale2 < 1e-14, f_target
-        else:
-            # cancellation in a small row: bound the error absolutely
-            assert err2 <= 1e-14, f_target
+        _assert_rhs_equals_reference(traj, f_target, eps, eps_v, n)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="the oracle needs a long double wider than double")
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([32, 64, 128, 192, 256]), log_f=st.floats(0.0, 1.0),
+       eps=st.floats(0.0, 0.05), eps_v=st.floats(0.0, 0.01))
+def test_rhs_equals_reference_formula_on_drawn_states(traj, params, n, log_f, eps, eps_v):
+    # f log-uniform in [beta, 1e3], under the bounds of the fixed cases above.  The
+    # oracle takes the stencils of rho_hat, of mean f, in full.  Above
+    # _DENSE_MAX_N so does rhs, and the two share that rounding; up to it rhs
+    # differentiates the deviation from f, and the oracle's own rounding in
+    # double (up to 1.1e-13 of the contrast row at n = 128, 1.6e-15 in the
+    # homogeneous speed row at f = 316) exceeds rhs's, so there it runs in
+    # extended precision.
+    f_target = params.beta * (1e3 / params.beta) ** log_f
+    dtype = np.longdouble if n <= pde._DENSE_MAX_N else float
+    _assert_rhs_equals_reference(traj, f_target, eps, eps_v, n, oracle_dtype=dtype)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_rhs_leaves_its_input_and_returns_a_fresh_array(traj, n):
+    # called as evolve calls it, on a (3, n) view of a flat state; no buffer of
+    # one call is shared with the next
+    t, y = _state_at(traj, 30.0, 1e-3, 1e-4, n)
+    flat = y.reshape(-1).copy()
+    a = rhs(t, flat.reshape(3, n), traj)
+    b = rhs(t, flat.reshape(3, n), traj)
+    assert np.array_equal(flat, y.reshape(-1))
+    assert a.shape == b.shape == (3, n)
+    assert np.array_equal(a, b)
+    assert not np.shares_memory(a, b)
+    assert not np.shares_memory(a, flat) and not np.shares_memory(b, flat)
 
 
 @pytest.mark.parametrize("n,calls", [(64, 0), (128, 0), (192, 1), (256, 1)])
