@@ -46,7 +46,7 @@ def solve_iota(k_tilde: float) -> float:
     for _ in range(6):
         r = x**3 + p * x - 1.0
         x -= r / (3.0 * x * x + p)
-    if abs(_cubic_residual(x, k_tilde)) >= IOTA_RESIDUAL_TOL:
+    if not abs(_cubic_residual(x, k_tilde)) < IOTA_RESIDUAL_TOL:  # a NaN residual fails too
         raise NumericalFailure(f"iota root did not converge for k_tilde={k_tilde!r}")
     return x
 
@@ -140,15 +140,10 @@ def build_params(
                 "(pass force=True for non-certified exploration)"
             )
         certified = False
-    p = ModelParams(
+    return ModelParams(
         k_tilde=k_tilde, iota=iota, beta=beta, gamma=gamma, lam=lam, A=A,
         certified=certified,
     )
-    residual = _cubic_residual(p.iota, p.k_tilde)
-    if not abs(residual) < IOTA_RESIDUAL_TOL:
-        raise NumericalFailure(f"iota solve failed: cubic residual {residual:.3g} at "
-                               f"iota={p.iota!r}, k_tilde={p.k_tilde!r}")
-    return p
 
 
 def params_from_iota3(

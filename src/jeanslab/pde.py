@@ -7,11 +7,12 @@ one (3, n) system by the error-controlled Dormand-Prince 8(5,3) pair (DOP853;
 Hairer, Norsett and Wanner, Solving ODEs I, II.10) that integrates the contrast
 ODE, ``contrast_ode._Dop853``, whose steps and dense output equal scipy's
 ``DOP853`` bit for bit; the nonlocal rescaled gravity Psi is re-evaluated
-from the current contrast at every stage.  On
-grids of up to _DENSE_MAX_N = 128 points the stencils and Psi, all circulant
-maps, act in rhs as one cached dense matrix per grid size, whose products
-cost fewer numpy calls than the stencils and the FFT; rhs's pointwise algebra
-is two more products, of time-only coefficients with stacked field products.
+from the current contrast at every stage.  rhs differentiates the contrast in
+its deviation from f; on grids of up to _DENSE_MAX_N = 128 points the
+stencils and Psi, all circulant maps, act on it as one cached dense matrix per
+grid size, whose products cost fewer numpy calls than the stencils and the
+FFT; rhs's pointwise algebra is two more products, of time-only coefficients
+with stacked field products.
 Snapshots come from the pair's order-7 dense output at times fixed in
 advance; the monitors are taken at the accepted step ends and at the snapshot
 times.
@@ -100,12 +101,12 @@ def compute_psi(u_grid: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(u_grid) / _psi_divisor(n), n=n)
 
 
-# The largest grid on which rhs takes its derivatives and Psi from
-# _grid_operator.  The dense product costs O(n^2) against the stencils' O(n)
-# and the FFT's O(n log n), but saves about 20 numpy calls: on a 2-vCPU VM one
-# rhs call is faster with it up to about n = 224.  At n = 192 its rounding in
-# rzz already exceeds the 1e-13 bound that the tests hold rhs to against its
-# term-by-term reference, so the dense branch stops at 128.
+# The largest grid on which rhs applies its derivatives and Psi as products
+# with _grid_operator, a speed choice: both ways apply the same linear maps to
+# the same deviation, and up to n = 192 either way meets the term-by-term
+# formula to 1e-14 of the contrast row.  The product costs O(n^2) against the
+# stencils' O(n) and the FFT's O(n log n), but saves about 20 numpy calls: on a
+# 2-vCPU VM it is the faster way up to about n = 224.
 _DENSE_MAX_N = 128
 
 
@@ -129,27 +130,27 @@ def _grid_operator(n: int) -> np.ndarray:
 
 def _grid_derivatives(y: np.ndarray, f: float):
     """(rz, rtz, nuz, rzz, psi) of the state y = (rho_hat, drho_dt, nu), shape (3, n),
-    where f is the contrast; psi is compute_psi of (rho_hat - f)/f.
+    where f is the contrast; psi is compute_psi(rho_hat - f) / f.
 
-    Up to n = _DENSE_MAX_N they come from two products with _grid_operator(n):
-    one of the deviation u = (rho_hat - f)/f, giving u_z, u_zz and psi, and one
-    of (drho_dt, nu).  The contrast is differentiated in its deviation form,
-    rz = f u_z and rzz = f u_zz, because rho_hat has mean f (up to 1e3 and
-    more): the matrix scales each term before the terms cancel, so over the
-    full values of rho_hat the products' rounding, of the size of f times the
-    weights, swamps the derivatives of the small deviation.  Above
-    _DENSE_MAX_N they come from one call each of diff1, diff2 and compute_psi.
+    The contrast is differentiated in its deviation rho_hat - f, which has the
+    same derivatives: rho_hat has mean f (up to 1e3 and more), and a stencil of
+    it in full cancels terms of the size of f times the weights to leave the
+    derivatives of the small deviation, which its rounding swamps.  Up to
+    n = _DENSE_MAX_N the maps are two products with _grid_operator(n); above
+    it, one call each of diff1, diff2 and compute_psi.
     """
     n = y.shape[1]
-    u = (y[0] - f) / f
+    v = y.copy()
+    v[0] -= f
     if n > _DENSE_MAX_N:
         h = 1.0 / n
-        rz, rtz, nuz = diff1(y, h)
-        return rz, rtz, nuz, diff2(y[0], h), compute_psi(u)
-    op = _grid_operator(n)
-    uz, uzz, psi = (u @ op).reshape(3, n)
-    rtz, nuz = y[1:] @ op[:, :n]
-    return f * uz, rtz, nuz, f * uzz, psi
+        rz, rtz, nuz = diff1(v, h)
+        rzz, psi = diff2(v[0], h), compute_psi(v[0])
+    else:
+        op = _grid_operator(n)
+        rz, rzz, psi = (v[0] @ op).reshape(3, n)
+        rtz, nuz = v[1:] @ op[:, :n]
+    return rz, rtz, nuz, rzz, psi / f
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +255,10 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
     """Time derivative of the state y = (rho_hat, drho_dt, nu), shape (3, n).
 
     Raises HyperbolicityLossError if gzz <= 0 anywhere and VacuumError on
-    vacuum (1 + rho_hat <= 0).  The grid derivatives and Psi, evaluated from
-    the instantaneous contrast, come from _grid_derivatives: on grids of up to
-    _DENSE_MAX_N points two products with one cached matrix per grid size
-    (_grid_operator), on larger grids the diff1, diff2 and compute_psi calls.
+    vacuum (1 + rho_hat <= 0).  The grid derivatives and Psi come from
+    _grid_derivatives, of the contrast's deviation rho_hat - f: on grids of up
+    to _DENSE_MAX_N points as two products with one cached matrix per grid size
+    (_grid_operator), on larger grids as the diff1, diff2 and compute_psi calls.
     Both guards run before it, as a dense product spreads a NaN entry to every
     entry.  The rest is two products of Python-float coefficients of (t, f, f')
     with field products, each written once into a row of one stack: the first
@@ -453,24 +454,22 @@ def evolve(state: FieldState, traj: OdeTrajectory, pde_rtol: float = PDE_RTOL) -
             n_steps += 1
             dt_min, dt_max = min(dt_min, march.h), max(dt_max, march.h)
             m = int(np.searchsorted(out_t, march.t, side="right"))  # out_t[k:m] in this step
-            if m > k:
-                row_y.extend(march.dense(out_t[k:m]).reshape(m - k, 3, n))
-                row_t.extend(out_t[k:m].tolist())
-                stored.extend([True] * (m - k))
-                n_dense += 1
-                k = m
-            if row_t[-1] < march.t:
-                row_t.append(march.t)
-                row_y.append(march.y.reshape(3, n))
-                stored.append(False)
+            try:
+                if m > k:
+                    row_y.extend(march.dense(out_t[k:m]).reshape(m - k, 3, n))
+                    row_t.extend(out_t[k:m].tolist())
+                    stored.extend([True] * (m - k))
+                    n_dense += 1
+                    k = m
+            finally:  # the step end, also when its dense output raised
+                if row_t[-1] < march.t:
+                    row_t.append(march.t)
+                    row_y.append(march.y.reshape(3, n))
+                    stored.append(False)
     except HyperbolicityLossError:
         stop_reason = "hyperbolicity_loss"
     except VacuumError:
         stop_reason = "vacuum"
-    if row_t[-1] < march.t:  # the dense output of the last accepted step raised
-        row_t.append(march.t)
-        row_y.append(march.y.reshape(3, n))
-        stored.append(False)
     stored[-1] = march.t > state.t  # an early stop stores the last accepted state
 
     t, y = np.array(row_t), np.stack(row_y)

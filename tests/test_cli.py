@@ -591,6 +591,10 @@ def test_svg_emission(tmp_path):
     out = tmp_path / "svg"
     assert main(["iota", "--output-dir", str(out), "--svg"]) == 0
     assert (out / "iota.svg").read_text().startswith("<svg")
+    # the log-scale chart of the contrast
+    assert main(["ode", "--output-dir", str(tmp_path / "ode"), "--svg"]) == 0
+    svg = (tmp_path / "ode" / "contrast.svg").read_text()
+    assert svg.startswith("<svg") and "<polyline" in svg and "nan" not in svg
 
 
 def test_table_profile(tmp_path):

@@ -1,7 +1,7 @@
 """Each module imports from scipy only the routines it is listed for, at any depth,
 a run of the pipelines in a fresh interpreter imports no scipy at all, every public
-function and class of the package is used by the package itself, and every field of
-its reports is read."""
+function and class of the package is used by the package itself, every field of
+its reports is read, and the package holds no assert statement."""
 
 import ast
 import json
@@ -39,6 +39,15 @@ def test_scipy_imports_are_pinned():
                 offending.append(f"{path.name}:{line}: {name}")
     assert not offending, "scipy import outside the allow-list:\n" + "\n".join(offending)
     assert found == ALLOWED  # an import no longer made comes off the list
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, so the package validates with checks
+    # that raise
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements at {found}"
 
 
 # public module-level functions and classes that no code of the package reads yet,

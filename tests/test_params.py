@@ -106,13 +106,13 @@ def test_build_params_rejections():
     assert not p.certified
 
 
-def test_build_params_checks_iota_residual(monkeypatch):
+def test_solve_iota_refuses_a_nan_residual(monkeypatch):
+    # a residual that compares false both ways is no converged root
     from jeanslab import params as params_mod
 
-    k = k_from_iota(0.2 ** (1.0 / 3.0))
-    monkeypatch.setattr(params_mod, "solve_iota", lambda k_tilde: 0.5)
-    with pytest.raises(NumericalFailure, match="cubic residual"):
-        build_params(k, beta=0.1, gamma=0.5)
+    monkeypatch.setattr(params_mod, "_cubic_residual", lambda iota, k_tilde: math.nan)
+    with pytest.raises(NumericalFailure, match="iota root did not converge"):
+        solve_iota(k_from_iota(0.2 ** (1.0 / 3.0)))
 
 
 def test_deterministic():

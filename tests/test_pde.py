@@ -322,9 +322,10 @@ def rhs_reference(t, y, traj):
         raise pde.HyperbolicityLossError(
             f"hyperbolicity loss at t={t:.9g}: min gzz = {float(np.nanmin(gzz)):.3g}")
 
-    rz, rtz, nuz = diff1(y, h)
-    rzz = diff2(r, h)
-    psi = compute_psi((r - f) / f)
+    d = r - f  # the stencils of the deviation: rho_hat, of mean f, would cancel in them
+    rz, rtz, nuz = diff1(np.stack((d, rt, nu)), h)
+    rzz = diff2(d, h)
+    psi = compute_psi(d / f)
     ratio = one_pr / one_pf
     ratio_om, ratio_1om = ratio**om, ratio ** (1.0 + om)
     rz2 = rz**2
@@ -394,8 +395,10 @@ def _assert_rhs_equals_reference(traj, f_target, eps, eps_v, n, oracle_dtype=flo
 @pytest.mark.parametrize("n", [32, 128, 192, 256])
 @pytest.mark.parametrize("eps,eps_v", [(0.0, 0.0), (1e-3, 1e-4), (5e-2, 1e-2)])
 def test_rhs_equals_reference_formula(traj, params, n, eps, eps_v):
+    # the oracle in extended precision, where the platform has it: in double its
+    # own rounding is of the size of rhs's
     for f_target in (params.beta, 1.0, 30.0, 1e3):
-        _assert_rhs_equals_reference(traj, f_target, eps, eps_v, n)
+        _assert_rhs_equals_reference(traj, f_target, eps, eps_v, n, oracle_dtype=np.longdouble)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
@@ -405,12 +408,11 @@ def test_rhs_equals_reference_formula(traj, params, n, eps, eps_v):
        eps=st.floats(0.0, 0.05), eps_v=st.floats(0.0, 0.01))
 def test_rhs_equals_reference_formula_on_drawn_states(traj, params, n, log_f, eps, eps_v):
     # f log-uniform in [beta, 1e3], under the bounds of the fixed cases above.  The
-    # oracle takes the stencils of rho_hat, of mean f, in full.  Above
-    # _DENSE_MAX_N so does rhs, and the two share that rounding; up to it rhs
-    # differentiates the deviation from f, and the oracle's own rounding in
-    # double (up to 1.1e-13 of the contrast row at n = 128, 1.6e-15 in the
-    # homogeneous speed row at f = 316) exceeds rhs's, so there it runs in
-    # extended precision.
+    # oracle, like rhs, differentiates the deviation rho_hat - f.  Above
+    # _DENSE_MAX_N rhs applies the same stencils as the oracle, in double; up to
+    # it rhs applies them as matrix products, which round otherwise, and there
+    # the oracle runs in extended precision.  The fixed cases run it in extended
+    # precision at every n.
     f_target = params.beta * (1e3 / params.beta) ** log_f
     dtype = np.longdouble if n <= pde._DENSE_MAX_N else float
     _assert_rhs_equals_reference(traj, f_target, eps, eps_v, n, oracle_dtype=dtype)
@@ -649,6 +651,33 @@ def test_evolve_stops_on_vacuum(params, monkeypatch):
     res = evolve(st, traj_to_time(params, 2.0))
     assert res.stop_reason == "vacuum"
     assert res.n_steps == 0
+
+
+def test_evolve_stops_on_vacuum_in_a_dense_output(params, monkeypatch):
+    # the dense output of an accepted step raises: the run stops with "vacuum",
+    # and that step's end, not the snapshots it holds, is the last monitor row
+    # and the stored final state
+    traj = traj_to_cap(params, 5.0)
+    st = init_from_data(params, *cosine_profiles(32, 1e-2, eps_v=1e-3))
+    calls, inner = [0], contrast_ode._Dop853.dense_coefficients
+
+    def fail_third(self):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise pde.VacuumError("vacuum formation")
+        return inner(self)
+
+    monkeypatch.setattr(contrast_ode._Dop853, "dense_coefficients", fail_third)
+    res = evolve(st, traj)
+    monkeypatch.undo()
+    assert res.stop_reason == "vacuum" and res.n_dense == 2 and calls[0] == 3
+    ends = dict(_scipy_step_ends(st, traj))
+    t_stop, mon_t = res.final.t, res.monitors["t"]
+    assert mon_t[-1] == t_stop and np.array_equal(_y(res.final), ends[t_stop])
+    schedule = pde.snapshot_times(traj, st.t, pde._SNAPSHOTS)
+    held = [s.t for s in res.states[1:-1]]
+    assert held == list(schedule[:len(held)])
+    assert mon_t[-2] < schedule[len(held)] <= t_stop  # the step held the next snapshot
 
 
 def test_evolve_propagates_other_value_errors(params, monkeypatch):
