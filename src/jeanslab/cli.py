@@ -4,7 +4,9 @@ Every subcommand writes a ``manifest.json`` (full configuration echo plus
 environment versions) and a ``summary.json`` whose ``verdicts`` block maps
 named invariants to booleans and whose ``digests`` block carries sha256 of
 every data artifact.  Re-running from an emitted manifest reproduces the
-verdicts and digests bit for bit.
+verdicts and digests bit for bit.  ``simulate`` stores its states in one
+``snapshots.npy`` (``numpy.load``), float64 of shape (n_states, 6, grid_n): the states
+at ``snapshot_t`` in ``summary.json``; fields zeta, rho_hat, drho_dt, nu, psi, s.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 ``UsageError``
 (invalid command line, config, profile or parameter range), 3
@@ -140,10 +142,6 @@ def load_config(path: str | Path, command: str | None = None) -> RunConfig:
 # artifact helpers
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """A header line and one line of '.17g' numbers per row, each ended by CRLF, as
     ``csv.writer`` writes them (no field needs quoting).  Each row is one ``%``
@@ -243,7 +241,8 @@ class RunDir:
         self.verdicts[name] = bool(ok)
 
     def finish(self) -> int:
-        digests = {p.name: _sha256(p) for p in self.artifacts if p.exists()}
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in self.artifacts if p.exists()}
         summary = {
             "command": self.cfg.command,
             "verdicts": self.verdicts,
@@ -439,14 +438,9 @@ def cmd_simulate(run: RunDir) -> None:
     run.values["data_smallness"] = data_smallness(state0, params)
     res = evolve(state0, traj, pde_rtol=cfg.pde_rtol)
 
-    snaps = run.path / "snapshots"
-    snaps.mkdir(exist_ok=True)
-    for i, st in enumerate(res.states):
-        s_field = entropy_field(st, traj)
-        p = snaps / f"snap_{i:04d}.csv"
-        _write_csv(p, ["zeta", "rho_hat", "drho_dt", "nu", "psi", "s"],
-                   [st.zeta, st.rho_hat, st.drho_dt, st.nu, st.psi, s_field])
-        run.artifacts.append(p)
+    fields = np.array([(st.zeta, st.rho_hat, st.drho_dt, st.nu, st.psi, entropy_field(st, traj))
+                       for st in res.states])
+    np.save(run.add_artifact("snapshots.npy"), fields, allow_pickle=False)
     mon = res.monitors
     _write_csv(run.add_artifact("monitors.csv"), list(mon), list(mon.values()))
 
@@ -455,7 +449,7 @@ def cmd_simulate(run: RunDir) -> None:
     run.values.update({
         "stop_reason": res.stop_reason, "n_steps": res.n_steps,
         "rhs_calls": res.n_rhs, "rejected_steps": res.n_rejected, "dense_steps": res.n_dense,
-        "dt_min": res.dt_min, "dt_max": res.dt_max,
+        "dt_min": res.dt_min, "dt_max": res.dt_max, "snapshot_t": [st.t for st in res.states],
         "final_t": res.final.t, "final_f": traj.f_f0_at(res.final.t)[0],
         "homogeneous_deviation": dev_rho, "nu_sup": dev_nu,
         "continuity_residual_max": continuity,

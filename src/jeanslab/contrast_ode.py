@@ -122,6 +122,14 @@ def _dense_at(x, F, y_old):
             + y_old)
 
 
+def _dense_dx(x, F):
+    """The derivative in x of ``_dense_at``, carried through its nested sum."""
+    v, d = F[6], 0.0
+    for w, dw, fk in zip((x, 1 - x) * 3 + (x,), (1, -1) * 3 + (1,), (*F[5::-1], 0.0)):
+        v, d = v * w + fk, d * w + dw * v
+    return d
+
+
 def _step_at(t: float, t_old: float, h: float, F_y, F_yp, y: float, yp: float):
     """(y, y') at the time t of one step of the contrast integration, on Python floats:
     the step starts at t_old from (y, yp), is h long, and F_y and F_yp are the two
@@ -138,8 +146,8 @@ class OdeTrajectory:
     ``t_grid`` holds the accepted solver steps, the last one cut at the cap
     crossing.  Step k starts at t_grid[k] from (y, y') = y_old[:, k] and is h[k]
     long, the last one whole; F[:, :, k] holds its (7, 2) dense-output
-    coefficients.  ``f_f0_at`` is the one reader of the dense output: it gives
-    (f, f') at a time or at an array of times inside [t0, t_end].  It, and the
+    coefficients.  ``f_f0_at`` gives (f, f') at a time or at an array of times
+    inside [t0, t_end], and ``f00_at`` f'' at an array of times.  They, and the
     root search of ``time_of_contrast``, read every time by the one formula
     ``_dense_at`` on the step that holds it, as scipy's ``OdeSolution`` reads
     it alone, bit for bit.  A time at a breakpoint t_grid[k] belongs to step
@@ -186,6 +194,13 @@ class OdeTrajectory:
         if type(t) is np.ndarray:
             return np.expm1(y), yp * np.exp(y)
         return float(np.expm1(y)), float(yp * np.exp(y))
+
+    def f00_at(self, t: np.ndarray) -> np.ndarray:
+        """f''(t) = (y'' + y'^2) e^y at an array of times t, y'' by ``_dense_dx`` over h."""
+        k = np.clip(np.searchsorted(self.t_grid, t, side="left") - 1, 0, len(self.h) - 1)
+        x, F = (t - self.t_grid[k]) / self.h[k], self.F[:, :, k]
+        y, yp = _dense_at(x, F, self.y_old[:, k])
+        return (_dense_dx(x, F[:, 1]) / self.h[k] + yp * yp) * np.exp(y)
 
     def time_of_contrast(self, f_target: float) -> float:
         """Smallest t with f(t) = f_target (f is strictly increasing).

@@ -7,10 +7,11 @@ import pytest
 
 from jeanslab.cli import (RunConfig, RunDir, _jsonable, _write_csv, build_parser,
                           config_from_args, load_config, main, make_profiles)
-from jeanslab.contrast_ode import ContrastMarch
+from jeanslab.contrast_ode import ContrastMarch, OdeTrajectory, ToleranceSpec
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import DomainError
-from jeanslab.pde import init_from_data, zeta_grid
+from jeanslab.params import params_from_iota3
+from jeanslab.pde import entropy_field, evolve, init_from_data, zeta_grid
 from jeanslab.reference import FD_STEP
 
 
@@ -45,7 +46,8 @@ def test_simulate_homogeneous(tmp_path):
     assert s["verdicts"]["homogeneous_manifold_dev_below_1e-6"]
     assert s["values"]["homogeneous_deviation"] < 1e-6
     assert (out / "monitors.csv").exists()
-    assert list((out / "snapshots").glob("snap_*.csv"))
+    snapshots = np.load(out / "snapshots.npy", allow_pickle=False)
+    assert snapshots.shape == (len(s["values"]["snapshot_t"]), 6, 64) == (21, 6, 64)
 
 
 def test_simulate_reports_stepper_work(tmp_path):
@@ -60,23 +62,74 @@ def test_simulate_reports_stepper_work(tmp_path):
     assert 0.0 < v["dt_min"] <= v["dt_max"]
 
 
-def test_collapse_work_counts(tmp_path):
+@pytest.fixture(scope="module")
+def collapse_run(tmp_path_factory):
+    """The output directory of the N = 128 cosine run to f = 1e3, run once."""
+    out = tmp_path_factory.mktemp("collapse")
+    assert main(["simulate", "--grid-n", "128", "--profile-kind", "cosine", "--eps", "1e-3",
+                 "--pde-f-cap", "1e3", "--output-dir", str(out)]) == 0
+    return out
+
+
+def test_collapse_work_counts(collapse_run):
     # the step sequence of the N = 128 cosine run to f = 1e3: a change to rhs
     # that moves a step shows here; 2 + 12 (71 + 1) + 3 (20) calls, the dense
     # output read on the 20 steps that hold a snapshot time
-    out = tmp_path / "collapse"
-    assert main(["simulate", "--grid-n", "128", "--profile-kind", "cosine", "--eps", "1e-3",
-                 "--pde-f-cap", "1e3", "--output-dir", str(out)]) == 0
+    out = collapse_run
     s = read_summary(out)
     v = s["values"]
     assert (v["n_steps"], v["rejected_steps"], v["rhs_calls"], v["dense_steps"]) \
         == (71, 1, 926, 20)
     # a monitor row for the initial state, each of the 71 step ends and each of
     # the 20 snapshot times, the last of which is the last step end
-    assert len(list((out / "snapshots").glob("snap_*.csv"))) == 21
+    assert np.load(out / "snapshots.npy", allow_pickle=False).shape == (21, 6, 128)
     assert len((out / "monitors.csv").read_text().splitlines()) == 1 + 91
     assert s["verdicts"] == {"run_completed": True, "hyperbolicity_preserved": True,
                              "continuity_identity_small": True}
+
+
+def test_snapshots_file_holds_the_stored_states(collapse_run):
+    # the collapse run's stored states, one (zeta, rho_hat, drho_dt, nu, psi, s) block
+    # each, as little-endian float64 exactly as evolve returns them, at snapshot_t
+    out = collapse_run
+    cosine = {"kind": "cosine", "eps": 1e-3}
+    snapshots = np.load(out / "snapshots.npy", allow_pickle=False)
+    assert snapshots.dtype == np.dtype("<f8") and snapshots.shape == (21, 6, 128)
+    params = params_from_iota3(0.2, beta=0.1, gamma=0.5, lam=0.1, A=1.0)
+    traj = ContrastMarch(params, ToleranceSpec()).trajectory(1e3)
+    state0 = init_from_data(params, *make_profiles(RunConfig(command="simulate",
+                                                             profile=cosine), zeta_grid(128)))
+    res = evolve(state0, traj)
+    assert read_summary(out)["values"]["snapshot_t"] == [st.t for st in res.states]
+    for got, st in zip(snapshots, res.states, strict=True):
+        want = (st.zeta, st.rho_hat, st.drho_dt, st.nu, st.psi, entropy_field(st, traj))
+        for row, field in zip(got, want, strict=True):
+            assert np.array_equal(row, field)
+
+
+def test_early_stop_replaces_a_longer_runs_snapshots(tmp_path, monkeypatch):
+    # a run stopped by vacuum into the directory of a full run leaves its own states
+    # (the initial one, the snapshots it passed, the last accepted one), not the
+    # full run's 21
+    import jeanslab.pde as pde
+
+    argv = ["simulate", "--grid-n", "32", "--pde-f-cap", "10", "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert np.load(tmp_path / "snapshots.npy", allow_pickle=False).shape == (21, 6, 32)
+    calls, inner = [0], pde.rhs
+
+    def vacuum_after_40(*args):
+        calls[0] += 1
+        if calls[0] > 40:
+            raise pde.VacuumError("vacuum formation")
+        return inner(*args)
+
+    monkeypatch.setattr(pde, "rhs", vacuum_after_40)
+    assert main(argv) == 1
+    v = read_summary(tmp_path)["values"]
+    assert v["stop_reason"] == "vacuum" and v["snapshot_t"][-1] == v["final_t"]
+    snapshots = np.load(tmp_path / "snapshots.npy", allow_pickle=False)
+    assert snapshots.shape == (len(v["snapshot_t"]), 6, 32) and len(v["snapshot_t"]) < 21
 
 
 def test_simulate_reads_no_f_cap(tmp_path):
@@ -204,17 +257,19 @@ def test_ladder_dropped_reported(tmp_path):
 
 
 def test_manifest_roundtrip_reproducible(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["ode", "--output-dir", str(out1), "--f-cap", "1e4"]) == 0
-    # re-run FROM the emitted manifest into a fresh directory
-    manifest = out1 / "manifest.json"
-    cfg = load_config(manifest, command="ode")
-    cfg.output_dir = str(out2)
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg.__dict__))
-    assert main(["ode", "--config", str(tmp_path / "cfg.json")]) == 0
-    s1, s2 = read_summary(out1), read_summary(out2)
-    assert s1["verdicts"] == s2["verdicts"]
-    assert s1["digests"] == s2["digests"]
+    # simulate's snapshots.npy is binary: a format that stamps the time would fail here
+    for command, flags in (("ode", ["--f-cap", "1e4"]),
+                           ("simulate", ["--grid-n", "32", "--pde-f-cap", "10"])):
+        out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+        assert main([command, "--output-dir", str(out1), *flags]) == 0
+        # re-run FROM the emitted manifest into a fresh directory
+        cfg = load_config(out1 / "manifest.json", command=command)
+        cfg.output_dir = str(out2)
+        (tmp_path / command / "cfg.json").write_text(json.dumps(cfg.__dict__))
+        assert main([command, "--config", str(tmp_path / command / "cfg.json")]) == 0
+        s1, s2 = read_summary(out1), read_summary(out2)
+        assert s1["verdicts"] == s2["verdicts"]
+        assert s1["digests"] == s2["digests"]
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -484,6 +539,27 @@ def test_time_maps_out_of_range_exit_3_with_one_line(tmp_path, capsys, argv, mes
     err = capsys.readouterr().err
     assert err.startswith(f"NumericalFailure: {message}") and err.count("\n") == 1
     assert json.loads((out / "error.json").read_text())["kind"] == "numerical"
+
+
+@pytest.mark.parametrize("beta", ["1e-3", "1e-6"])
+def test_ode_at_small_contrast_passes(tmp_path, beta):
+    # the chain rule on the dense output meets the chi law to about 1.4e-8 of it at
+    # beta = 1e-3 and 5.4e-14 at 1e-6, where a five-point difference of chi on the
+    # map grid read 4.6e-2 and 206
+    out = tmp_path / "o"
+    assert main(["ode", "--beta", beta, "--output-dir", str(out)]) == 0
+    assert read_summary(out)["values"]["dchi_rel_err"] < 1e-6
+
+
+def test_dchi_verdict_flips_on_a_biased_f00_read(tmp_path, monkeypatch):
+    # f'' read 1e-4 high from the dense output puts the chain-rule dchi/dt off the
+    # closed-form law by about 7.5e-2 of it at the defaults; only that verdict fails
+    read = OdeTrajectory.f00_at
+    monkeypatch.setattr(OdeTrajectory, "f00_at", lambda self, t: read(self, t) * (1.0 + 1e-4))
+    out = tmp_path / "o"
+    assert main(["ode", "--output-dir", str(out)]) == 1
+    verdicts = read_summary(out)["verdicts"]
+    assert [k for k, ok in verdicts.items() if not ok] == ["dchi_identity_rel_1e-3"]
 
 
 @pytest.mark.parametrize("argv", [["bogus"], [], ["ode", "--bogus", "1"], ["--seed", "1"]],

@@ -13,7 +13,8 @@ from scipy.optimize import brentq
 
 from conftest import integrate_contrast, refined_grid_per_step, traj_to_cap
 from jeanslab import contrast_ode, timemaps
-from jeanslab.contrast_ode import (ContrastMarch, ToleranceSpec, _Dop853, _rhs_y,
+from jeanslab.contrast_ode import (ContrastMarch, ToleranceSpec, _dense_at, _dense_dx, _Dop853,
+                                   _rhs_y,
                                    blowup_bracket, blowup_ladder, bound_certificates,
                                    envelope_constants, zero_trajectory)
 from jeanslab.errors import NumericalFailure, UsageError
@@ -553,6 +554,17 @@ def test_dense_output_polynomial_equals_scipy(scipy_oracle):
     rng = np.random.default_rng(7)
     for tq in rng.uniform(sol.ts[0], sol.ts[-1], 2000).tolist():
         assert poly._y(tq) == tuple(oracle(tq)), tq
+
+
+def test_dense_dx_is_the_derivative_of_dense_at():
+    # a polynomial's derivative by a complex step, to rounding: Im p(x + i s) / s
+    rng = np.random.default_rng(11)
+    F, x, s = rng.normal(size=(7, 200)), rng.uniform(0.0, 1.0, 200), 1e-30
+    want = _dense_at(x + 1j * s, F, 0.0).imag / s
+    assert np.allclose(_dense_dx(x, F), want, rtol=1e-13, atol=1e-13)
+    # at the step's ends it is the step's end slopes, F0 + F1 at x = 0 and F0 - F1 - F2 at 1
+    assert np.allclose(_dense_dx(0.0, F), F[0] + F[1], rtol=1e-13, atol=1e-13)
+    assert np.allclose(_dense_dx(1.0, F), F[0] - F[1] - F[2], rtol=1e-13, atol=1e-13)
 
 
 def test_bracket_bisection_oracle(params):

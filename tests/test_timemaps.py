@@ -7,8 +7,7 @@ from jeanslab import timemaps
 from jeanslab.contrast_ode import ToleranceSpec
 from jeanslab.errors import NumericalFailure
 from jeanslab.params import params_from_iota3
-from jeanslab.timemaps import (_Pchip, _refined_grid, check_G_decay, compute_g,
-                               dchi_dt_analytic, dchi_dt_numeric)
+from jeanslab.timemaps import _Pchip, _refined_grid, check_G_decay, compute_g, dchi_dt_analytic
 
 
 def test_endpoints(maps, params):
@@ -121,13 +120,20 @@ def test_G_decay_fit(maps):
     assert not rep.zero_crossings_excised
 
 
-def test_dchi_dt_numeric_equals_per_point_polyfit(maps):
-    t, chi = maps.t_grid, maps.chi
-    num = dchi_dt_numeric(maps)
-    assert num.shape == (len(t) - 4,)
-    for k, i in enumerate(range(2, len(t) - 2)):
-        fit = np.polyfit(t[i - 2:i + 3] - t[i], chi[i - 2:i + 3], 4)[3]
-        assert num[k] == pytest.approx(fit, rel=1e-9), i
+def test_f00_solves_the_contrast_ode(traj, maps, params):
+    # f'' of the dense output against the ODE's f'' of (t, f, f'): at the step ends,
+    # where the continuous extension takes the step's end slope, to rounding; on the
+    # whole map grid, to the accuracy of the interpolant
+    a, b, c = params.ode_a, params.ode_b, params.ode_c
+
+    def ode_f00(t, f, f0):
+        return -(a / t) * f0 + (b / t**2) * f * (1.0 + f) + c * f0**2 / (1.0 + f)
+
+    ends = slice(1, -1)  # the last node is the cap crossing, inside its step
+    t = traj.t_grid[ends]
+    assert np.allclose(traj.f00_at(t), ode_f00(t, traj.f[ends], traj.f0[ends]),
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(maps.f00, ode_f00(maps.t_grid, maps.f, maps.f0), rtol=1e-9, atol=0.0)
 
 
 def test_G_decay_flags_crossing(maps, monkeypatch):
