@@ -409,6 +409,50 @@ _TAU_RUNGS = 12  # the tau ladder is -2^-k for k < _TAU_RUNGS, above the termina
 _EIG_TOL = 1e-12  # eigenvalue deficit the sandwich check forgives
 _RADIUS_SHRINK, _RADIUS_TRIES = 0.5, 40  # the radius search's factor and its number of tries
 _DIVB_EPS = 1e-7  # step of _divB_pieces' central differences along each U-direction
+# rounding slack of the eigenvalue screen per unit of Frobenius norm.  LAPACK's syevd,
+# behind eigh and eigvalsh, is backward stable: the values it returns are the exact
+# eigenvalues of a matrix within a few eps ||A|| of its input (n = 5), and eigh's
+# vectors are orthonormal to a few eps.  The perturbation E, its norm and the Rayleigh
+# quotients are rounded by a few eps ||A|| more.  Over 20,000 drawn origins, with
+# repeated and nearly repeated eigenvalues and perturbations from 1e-17 to 1 times
+# ||A0||, the bounds without slack missed eigvalsh's value by at most 7.8 eps ||A||;
+# 64 eps is eight times that.  At the certified radius, where ||E|| ~ 1e-6, it
+# widens no bound measurably.
+_EIG_SLACK = 64.0 * np.finfo(float).eps
+
+
+def _eig_bounds(A, A0, out=None):
+    """Bounds lo <= eigvalsh(A) <= hi, (..., m, 5) each, of the m symmetric matrices
+    A (..., m, 5, 5) near each symmetric A0 (..., 5, 5), from one eigh (w0, V0) of A0.
+
+    With E = A - A0 (written into ``out`` when given), each eigenvalue is bounded by
+    the tighter of Weyl, |lambda_a(A) - w0_a| <= ||E||_F, and Kato–Temple about the
+    Rayleigh quotient rho_a = w0_a + v_a^T E v_a, |lambda_a(A) - rho_a| <=
+    ||E||_F^2 / (delta_a - 2 ||E||_F), which holds where the gap delta_a of w0_a to
+    its neighbours exceeds 2 ||E||_F; elsewhere Weyl stands alone.  v_a^T E v_a is E's
+    flattened entries times those of v_a v_a^T, one matrix product per A0.  ||E||_F is
+    widened by s = _EIG_SLACK (||A0||_F + ||E||_F) >= _EIG_SLACK ||A||_F, which counts
+    eigh's rounding as part of the perturbation, and both bounds by s again for
+    eigvalsh's own rounding and that of rho.  The norms are plain sums of squares,
+    so the bounds hold while those do not underflow (||A||_F above about 1e-150).
+    Non-finite entries give NaN or infinite bounds.  Returns lo, hi and ||E||_F
+    (..., m).
+    """
+    w0, V0 = np.linalg.eigh(A0)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries
+        E = np.subtract(A, A0[..., None, :, :], out=out).reshape(A.shape[:-2] + (25,))
+        e = np.sqrt(np.vecdot(E, E))
+        proj = (V0[..., :, None, :] * V0[..., None, :, :]).reshape(V0.shape[:-2] + (25, 5))
+        rho = w0[..., None, :] + E @ proj
+        s = (_EIG_SLACK * (np.linalg.norm(A0, axis=(-2, -1))[..., None] + e))[..., None]
+        gaps = np.diff(w0, axis=-1)[..., None, :]
+        ends = np.full(gaps.shape[:-1] + (1,), math.inf)
+        delta = np.minimum(np.concatenate([ends, gaps], -1), np.concatenate([gaps, ends], -1))
+        e1 = e[..., None] + s
+        room = delta - 2.0 * e1
+        kt = np.divide(e1 * e1, room, out=np.full(room.shape, math.inf), where=room > 0.0)
+        w0 = w0[..., None, :]
+        return np.maximum(w0 - e1, rho - kt) - s, np.minimum(w0 + e1, rho + kt) + s, e
 
 
 def _tau_ladder(maps: TimeMaps) -> np.ndarray:
@@ -434,11 +478,33 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
     sum |z_ell| < gamma1.  The remainder H is evaluated at U = 0 on the
     ladder, and the order split of the divergence bound is fitted across the
     tau ladder.  Refuses maps of non-certified params.
+
+    The sandwich margin at a sample is min(m1, m2, m3): m1 = min diag(B0) - gb1,
+    m2 = lambda_min(M/kappa - B0) and m3 = gb2 - lambda_max(M)/kappa, with M the
+    symmetric part of frakB.  m1 is computed at every sample.  The eigenvalues of
+    every sample of a rung are bounded from the rung's origin U = 0: those of M by
+    ``_eig_bounds`` (Weyl and Kato–Temple), and those of M/kappa - B0 by Weyl alone,
+    with ||E2||_F <= ||E||_F/kappa + ||B0 - B0(0)||_F since B0 is diagonal.
+    eigvalsh runs only where the bounds leave a reported value open: where m2 or
+    m3 cannot be shown to exceed m1, and, for the range of M's eigenvalues, where
+    a sample's bound reaches the best bound over all samples.  Every other margin
+    is m1 itself.  The least m3 sits at the sample of largest lambda_max, which the
+    range test always solves, but the m3 screen is still needed for the first
+    argmin: samples whose lambda_max differ can round to the same m3.  eigvalsh
+    gives a matrix the same value alone as in any batch, so every field equals
+    the full solve's bit for bit.  At the certified radius about 2 of the 2,007
+    samples are solved; far outside the ball nearly all are.
+
+    A sample whose blocks are not finite enters no eigen-solve.  entries_finite
+    and sandwich_ok are then false, and the margin, worst sample and ranges are
+    taken over the finite samples (NumericalFailure if there is none).
     """
     if not maps.params.certified:
         raise UsageError("parameters are outside the certified stiffness range")
     tau_ladder = _tau_ladder(maps)
-    samples = _ball_samples(n_samples, r_tilde, seed)
+    # one draw: its point 2 is _divB_order_fit's, as Halton draws are prefix-stable
+    points = _ball_samples(max(n_samples, 3), r_tilde, seed)
+    samples = points[:n_samples]
     samples[0] = 0.0
 
     # rung i takes the i-th chunk of per_tau samples (the first chunk once
@@ -454,29 +520,53 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
 
     symmetric = bool(np.array_equal(ev.B0, ev.B0.swapaxes(-1, -2))
                      and np.array_equal(ev.Bz, ev.Bz.swapaxes(-1, -2)))
-    finite = all(bool(np.isfinite(m).all()) for m in (ev.B0, ev.Bz, ev.frakB, ev.H, ev.F))
+    ok = np.logical_and.reduce([np.isfinite(m).reshape(U.shape[:2] + (-1,)).all(-1)
+                                for m in (ev.B0, ev.Bz, ev.frakB, ev.H, ev.F)])
+    if not ok.any():
+        raise NumericalFailure("the blocks of the singular system are finite at no sample")
     h_at_zero = float(np.max(np.abs(ev.H[~np.any(U, axis=-1)])))
-    sym_fb = 0.5 * (ev.frakB + ev.frakB.swapaxes(-1, -2))
-    w_fb = np.linalg.eigvalsh(sym_fb)
-    w_b0 = np.sort(np.diagonal(ev.B0, axis1=-2, axis2=-1), axis=-1)
-    kap = constants.kappa_const
-    margins = np.minimum.reduce([
-        w_b0[..., 0] - constants.gamma_bar1,
-        np.linalg.eigvalsh(sym_fb / kap - ev.B0).min(-1),
-        constants.gamma_bar2 - w_fb[..., -1] / kap,
-    ])
-    i, j = np.unravel_index(np.argmin(margins), margins.shape)  # first minimum in loop order
     max_sum_z = float(ev.sum_abs_z.max())
+    B0, frakB = ev.B0, ev.frakB
+    del ev  # Bz, H and F are not read again
+    sym_fb = 0.5 * (frakB + frakB.swapaxes(-1, -2))
+    kap, gb2 = constants.kappa_const, constants.gamma_bar2
+    d = np.diagonal(B0, axis1=-2, axis2=-1)
+    w_b0 = np.sort(d, axis=-1)
+    m1 = w_b0[..., 0] - constants.gamma_bar1
 
-    divB_orders, divB_stable = _divB_order_fit(maps, r_tilde, seed)
+    # each rung's origin; zero where it is not finite, which bounds the rung truly but loosely
+    A0, B0_0 = (np.where(ok[:, 0, None, None], m[:, 0], 0.0) for m in (sym_fb, B0))
+    lo, hi, e = _eig_bounds(sym_fb, A0, out=frakB)  # frakB is not read again
+    C0 = A0 / kap - B0_0
+    dd = d - np.diagonal(B0_0, axis1=-2, axis2=-1)[:, None]
+    e2 = e / kap + np.sqrt(np.vecdot(dd, dd))
+    # fl(M/kappa) - B0 is rounded at the scale of ||M||/kappa + ||B0||, which exceeds
+    # ||C0|| where the two cancel
+    scale = np.linalg.norm(A0, axis=(-2, -1)) / kap + np.linalg.norm(B0_0, axis=(-2, -1))
+    lo2 = np.linalg.eigvalsh(C0)[:, :1] - e2 - _EIG_SLACK * (scale[:, None] + e2)
+    # the samples whose bounds leave a reported value open; a NaN bound leaves it open
+    need2 = ok & ~(lo2 > m1)
+    solve = ok & (~(gb2 - hi[..., -1] / kap > m1)
+                  | ~(lo[..., 0] > hi[..., 0][ok].min())
+                  | ~(hi[..., -1] < lo[..., -1][ok].max()))
+    w_fb = np.linalg.eigvalsh(sym_fb[solve])
+    margins = np.where(ok, m1, math.inf)
+    margins[solve] = np.minimum(margins[solve], gb2 - w_fb[:, -1] / kap)
+    margins[need2] = np.minimum(margins[need2], np.linalg.eigvalsh(
+        sym_fb[need2] / kap - B0[need2]).min(-1))
+    i, j = np.unravel_index(np.argmin(margins), margins.shape)  # first minimum in loop order
+    finite = bool(ok.all())
+
+    divB_orders, divB_stable = _divB_order_fit(maps, points[2], r_tilde, seed)
     g_sup, g_stable = _G_halforder_bound(maps, tau_ladder)
 
     return ConditionReport(
         n_samples=len(samples),
-        sandwich_ok=not np.any(margins < -_EIG_TOL), sandwich_margin=float(margins[i, j]),
+        sandwich_ok=finite and not np.any(margins < -_EIG_TOL),
+        sandwich_margin=float(margins[i, j]),
         worst_sample=(float(tau_ladder[i]), U[i, j].copy()),
-        eig_B0_range=(float(w_b0[..., 0].min()), float(w_b0[..., -1].max())),
-        eig_frakB_range=(float(w_fb[..., 0].min()), float(w_fb[..., -1].max())),
+        eig_B0_range=(float(w_b0[ok, 0].min()), float(w_b0[ok, -1].max())),
+        eig_frakB_range=(float(w_fb[:, 0].min()), float(w_fb[:, -1].max())),
         max_sum_abs_z=max_sum_z, sum_z_ok=max_sum_z < constants.gamma1,
         H_at_zero_max=h_at_zero, entries_finite=finite, symmetry_exact=symmetric,
         divB_orders=divB_orders, divB_stable=divB_stable,
@@ -588,10 +678,11 @@ def _divB_pieces(tau, U, W, maps) -> dict:
                     np.sqrt(np.vecdot(pieces, pieces))))
 
 
-def _divB_order_fit(maps, r_tilde, seed) -> tuple[dict, bool]:
+def _divB_order_fit(maps, U, r_tilde, seed) -> tuple[dict, bool]:
+    """The fitted orders of the div B pieces at the point U, with a flux W of norm
+    r_tilde drawn from ``seed``, and their stability under ladder refinement."""
     rng = np.random.default_rng(seed)
     ladder = _tau_ladder(maps)
-    U = _ball_samples(4, r_tilde, seed)[2]
     W = rng.standard_normal(5)
     W *= r_tilde / np.linalg.norm(W)
     pieces = _divB_pieces(ladder, U, W, maps)

@@ -320,6 +320,32 @@ def test_numerical_error_exit_code(tmp_path, monkeypatch):
     assert err["kind"] == "numerical"
 
 
+def test_non_finite_block_fails_regularity_and_sandwich(tmp_path, monkeypatch):
+    # an infinite frakB entry at one sandwich sample: a verdict, not a LinAlgError from
+    # an eigen-solve; the margin and ranges are those of the finite samples
+    from jeanslab import fuchsian
+
+    assemble = fuchsian.assemble_matrices
+
+    def planted(*args):
+        ev = assemble(*args)
+        if ev.frakB.shape[:2] == (9, 223):  # the sandwich samples, not the div B stencils
+            ev.frakB[3, 7, 1, 1] = math.inf
+        return ev
+
+    monkeypatch.setattr(fuchsian, "assemble_matrices", planted)
+    out = tmp_path / "inf"
+    assert main(["fuchsian-check", "--f-cap", "1e8", "--seed", "1",
+                 "--output-dir", str(out)]) == 1
+    failed = {k for k, v in read_summary(out)["verdicts"].items() if not v}
+    assert failed == {"fuchsian_F3_regularity", "fuchsian_F5_sandwich"}
+    text = (out / "fuchsian.json").read_text()
+    assert "nan" not in text and "inf" not in text
+    doc = json.loads(text)
+    assert 0.0 < doc["sandwich_margin"] < math.inf
+    assert all(math.isfinite(v) for v in doc["eig_B0_range"] + doc["eig_frakB_range"])
+
+
 def test_domain_error_exits_as_numerical_failure(tmp_path, monkeypatch):
     # DomainError leaves the system's domain: a numerical failure, not a usage error
     import jeanslab.cli as cli

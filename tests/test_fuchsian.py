@@ -573,8 +573,14 @@ def _halving_reference(maps, constants, seed=20240, n_samples=400, r_start=1e-2)
     raise NumericalFailure("no certified radius found down to the shrink floor")
 
 
-def _conditions_loop(maps, constants, r_tilde, n_samples, seed=20240, eig_tol=1e-12):
-    """The per-sample loop verify_conditions used before the batched form."""
+def _conditions_loop(maps, constants, r_tilde, n_samples, seed=20240, eig_tol=1e-12,
+                     rung_batches=False):
+    """The per-sample loop verify_conditions used before the batched form.
+
+    Each point is assembled alone, so the loop also checks the batched assembly on
+    the ladder.  With ``rung_batches`` each rung's points are assembled in one call,
+    the same bits (test_batched_slices_equal_single_points) in a fifth of the time,
+    for the cases that check the eigenvalue screen on many samples."""
     params = maps.params
     tau_ladder = fuchsian._tau_ladder(maps)
     samples = fuchsian._ball_samples(n_samples, r_tilde, seed)
@@ -596,8 +602,15 @@ def _conditions_loop(maps, constants, r_tilde, n_samples, seed=20240, eig_tol=1e
         f_val, g_val = maps.f_G_at_tau(tau)
         chunk = samples[idx:idx + per_tau] if idx + per_tau <= len(samples) else samples[:per_tau]
         idx += per_tau
-        for U in np.vstack([np.zeros(5), chunk]):
-            ev = assemble_matrices(float(tau), U, g_val, f_val, params)
+        points = np.vstack([np.zeros(5), chunk])
+        if rung_batches:
+            rung = assemble_matrices(float(tau), points, g_val, f_val, params)
+            evs = [fuchsian.FuchsianEval(*(getattr(rung, f.name)[k]
+                                           for f in dataclasses.fields(rung)))
+                   for k in range(len(points))]
+        else:
+            evs = [assemble_matrices(float(tau), U, g_val, f_val, params) for U in points]
+        for U, ev in zip(points, evs):
             symmetric &= bool(np.array_equal(ev.B0, ev.B0.T) and np.array_equal(ev.Bz, ev.Bz.T))
             finite &= bool(np.isfinite(ev.B0).all() and np.isfinite(ev.Bz).all()
                            and np.isfinite(ev.frakB).all() and np.isfinite(ev.H).all()
@@ -683,17 +696,101 @@ def test_radius_search_draws_its_samples_once(maps_deep, gconsts, monkeypatch, s
     assert calls == [(6, 400, seed)]
 
 
-@pytest.mark.parametrize("n_samples", [5, 10, 200])
-@pytest.mark.parametrize("r_tilde", [5e-8, 0.05])
-def test_conditions_equal_per_sample_loop(maps_deep, gconsts, n_samples, r_tilde):
-    # 9 rungs: with 5 samples rungs 5..8 wrap to the first chunk, with 10 none do
-    assert len(fuchsian._tau_ladder(maps_deep)) == 9
-    rep = verify_conditions(maps_deep, gconsts, r_tilde=r_tilde, n_samples=n_samples)
-    loop = _conditions_loop(maps_deep, gconsts, r_tilde, n_samples)
+@pytest.mark.parametrize("seed", [1, 20240])
+@pytest.mark.parametrize("n_samples", [1, 2000])
+def test_conditions_draw_their_samples_once(maps_deep, gconsts, monkeypatch, n_samples, seed):
+    # one draw of at least 3 points: the samples are its prefix, the div B point its point 2
+    calls = []
+    draw = fuchsian._scrambled_halton
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(fuchsian, "_scrambled_halton", counted)
+    verify_conditions(maps_deep, gconsts, r_tilde=1e-2 * 0.5**17, n_samples=n_samples, seed=seed)
+    assert calls == [(6, max(n_samples, 3), seed)]
+
+
+def _assert_conditions_equal_loop(maps, constants, r_tilde, n_samples, rung_batches=False):
+    rep = verify_conditions(maps, constants, r_tilde=r_tilde, n_samples=n_samples)
+    loop = _conditions_loop(maps, constants, r_tilde, n_samples, rung_batches=rung_batches)
     tau_w, U_w = loop.pop("worst_sample")
     assert rep.worst_sample[0] == tau_w and np.array_equal(rep.worst_sample[1], U_w)
     for k, v in loop.items():
         assert getattr(rep, k) == v, k
+
+
+# rungs that wrap (5 samples on 9 rungs) and rungs that do not (10); radii where the
+# eigenvalue screen leaves nearly every sample to the exact solve (0.05); and the
+# certified radius (r_tilde None), where it leaves about 2 of 2,007.  The 2,000-sample
+# case assembles the oracle's points rung by rung for time; the others point by point
+@pytest.mark.parametrize("changes,n_samples,r_tilde", [
+    *(pytest.param({}, n, r, id=f"{r}-{n}") for r in (5e-8, 0.05) for n in (5, 10, 200)),
+    pytest.param({}, 2000, None, id="certified-2000"),
+    *(pytest.param(changes, n, r, id=f"{name}-{r or 'certified'}-{n}")
+      for name, changes in (("gamma0.9", {"gamma": 0.9}), ("lam1", {"lam": 1.0}))
+      for n, r in ((10, 5e-8), (200, 0.05), (200, None))),
+])
+def test_conditions_equal_per_sample_loop(changes, n_samples, r_tilde):
+    m, gc = _deep_maps_and_constants(**changes)
+    assert changes or len(fuchsian._tau_ladder(m)) == 9
+    if r_tilde is None:
+        r_tilde = find_certified_radius(m, gc)
+    _assert_conditions_equal_loop(m, gc, r_tilde, n_samples, rung_batches=n_samples == 2000)
+
+
+@pytest.mark.parametrize("meets", ["m2", "m3"])
+def test_conditions_equal_per_sample_loop_where_margins_meet(meets):
+    # gamma_bar1 (or gamma_bar2) moved so that m1 equals m2 (or m3) at the origin of the
+    # median rung.  m1 is the same at every sample, so at the certified radius many
+    # samples fall below it: the screen sends about half of them (m3) to nearly all
+    # (m2, whose Weyl bound is as wide as its spread) to eigvalsh
+    m, gc = _deep_maps_and_constants()
+    r_tilde = find_certified_radius(m, gc)
+    tau = fuchsian._tau_ladder(m)
+    f_val, g_val = m.f_G_at_tau(tau)
+    ev = assemble_matrices(tau, np.zeros(5), g_val, f_val, m.params)
+    kap = gc.kappa_const
+    sym = 0.5 * (ev.frakB + ev.frakB.swapaxes(-1, -2))
+    b0_min = np.diagonal(ev.B0, axis1=-2, axis2=-1).min(-1)
+    if meets == "m2":
+        gc = dataclasses.replace(gc, gamma_bar1=float(np.median(
+            b0_min - np.linalg.eigvalsh(sym / kap - ev.B0)[:, 0])))
+    else:
+        gc = dataclasses.replace(gc, gamma_bar2=float(np.median(
+            b0_min - gc.gamma_bar1 + np.linalg.eigvalsh(sym)[:, -1] / kap)))
+    _assert_conditions_equal_loop(m, gc, r_tilde, 200, rung_batches=True)
+
+
+def test_conditions_first_minimum_where_m3_ties_at_every_sample():
+    # gamma_bar2 so far below lambda_max/kappa that m3 rounds to gamma_bar2 at every
+    # sample: the least margin is then first met at the first sample, whose lambda_max
+    # is not the largest, so the m3 screen must send it to eigvalsh
+    m, gc = _deep_maps_and_constants()
+    r_tilde = find_certified_radius(m, gc)
+    gc = dataclasses.replace(gc, gamma_bar2=-1e20)
+    _assert_conditions_equal_loop(m, gc, r_tilde, 200, rung_batches=True)
+
+
+def test_conditions_solve_few_eigenvalue_problems_at_the_certified_radius(monkeypatch):
+    # certify's setting: 9 rungs of 223 samples at r_tilde and seed 1.  The full solve
+    # passed all 2,007 matrices to eigvalsh twice; the screen passes the 9 origins of
+    # M/kappa - B0 and the few samples that can set a reported value
+    m, gc = _deep_maps_and_constants()
+    r = find_certified_radius(m, gc, seed=1)
+    assert r == 1e-2 * 0.5**17
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        solved.append(np.shape(a)[:-2])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rep = verify_conditions(m, gc, r_tilde=r, n_samples=2000, seed=1)
+    assert rep.all_ok, rep.verdict
+    assert sum(math.prod(shape) for shape in solved) <= 20
 
 
 def _divB_pieces_loop(tau, U, W, maps, eps=1e-7):
@@ -783,7 +880,8 @@ def _divB_order_fit_loop(maps, r_tilde, seed):
 @pytest.mark.parametrize("seed", [1, 20240])
 @pytest.mark.parametrize("r_tilde", [1e-2 * 0.5**17, 0.05])
 def test_divB_order_fit_equals_per_rung_loop(maps_deep, seed, r_tilde):
-    orders, stable = fuchsian._divB_order_fit(maps_deep, r_tilde, seed)
+    U = fuchsian._ball_samples(4, r_tilde, seed)[2]
+    orders, stable = fuchsian._divB_order_fit(maps_deep, U, r_tilde, seed)
     orders_loop, stable_loop = _divB_order_fit_loop(maps_deep, r_tilde, seed)
     assert list(orders.items()) == list(orders_loop.items())
     assert stable == stable_loop

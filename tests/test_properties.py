@@ -1,5 +1,5 @@
-"""Property tests: the cancelled power ratios, the psi solve, the contrast's dense output
-and the batched exact states.
+"""Property tests: the cancelled power ratios, the eigenvalue bounds of the sandwich
+screen, the psi solve, the contrast's dense output and the batched exact states.
 
 Examples are drawn deterministically (``derandomize``), so the suite gives the
 same verdict on every run.
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import background_state
 from jeanslab.contrast_ode import zero_trajectory
-from jeanslab.fuchsian import _pow_ratio, _pow_ratio2
+from jeanslab.fuchsian import _eig_bounds, _pow_ratio, _pow_ratio2
 from jeanslab.pde import compute_psi
 from jeanslab.reference import homogeneous_state
 
@@ -73,6 +73,42 @@ def test_pow_ratio2_continuous_at_crossover(a, p, sign):
     c = 1e-5
     tol = 4.0 * (abs(p) / 2.0 + 1.0) * EPS * a / c + abs(p * (p - 1.0) * a) * 2e-9 * c
     assert _crossover_gap(_pow_ratio2, a, p, sign, c) <= tol
+
+
+# ---------------------------------------------------------------------------
+# _eig_bounds: every value eigvalsh returns lies inside its bounds
+
+
+spectrum = st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5)
+# each sorted origin eigenvalue's next one: as drawn, repeated, or nearly repeated,
+# where the gap is too small for Kato–Temple and Weyl stands alone
+closeness = st.lists(st.sampled_from([None, 0.0, 1e-15, 1e-12, 1e-9, 1e-6]),
+                     min_size=4, max_size=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(w=spectrum, close=closeness, log_scale=st.floats(-3.0, 3.0),
+       log_rel=st.floats(-14.0, 0.0), seed=st.integers(0, 2**32 - 1))
+def test_eig_bounds_hold_the_computed_eigenvalues(w, close, log_scale, log_rel, seed):
+    w = np.sort(w)
+    for k, c in enumerate(close):
+        if c is not None:
+            w[k + 1] = w[k] + c * (abs(w[k]) + 1.0)
+    # the largest |eigenvalue| is 10^log_scale, so that no square of an entry underflows
+    w *= 10.0**log_scale / max(np.abs(w).max(), 1e-300)
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    A0 = (Q * w) @ Q.T
+    A0 = 0.5 * (A0 + A0.T)
+    # six perturbations of norm 10^log_rel ||A0||_F and the origin itself
+    E = rng.standard_normal((6, 5, 5))
+    E += E.swapaxes(-1, -2)
+    E *= (10.0**log_rel * np.linalg.norm(A0) / np.linalg.norm(E, axis=(-2, -1)))[:, None, None]
+    A = np.concatenate([A0 + E, A0[None]])
+    lo, hi, e = _eig_bounds(A, A0)
+    got = np.linalg.eigvalsh(A)
+    assert lo.shape == hi.shape == got.shape and e.shape == (7,)
+    assert np.all((lo <= got) & (got <= hi))
 
 
 # ---------------------------------------------------------------------------
