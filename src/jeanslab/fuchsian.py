@@ -455,6 +455,23 @@ def _eig_bounds(A, A0, out=None):
         return np.maximum(w0 - e1, rho - kt) - s, np.minimum(w0 + e1, rho + kt) + s, e
 
 
+def _margin2_floor(A0, B0_0, d, e, kap):
+    """Lower bounds (..., m) on lambda_min(fl(A/kap) - diag(d)) for the m samples of
+    each origin, where A (..., m, 5, 5) is symmetric with ||A - A0||_F <= e (..., m),
+    the third output of ``_eig_bounds``, and diag(d) (..., m, 5) is diagonal.
+
+    Weyl about the origin C0 = A0/kap - B0_0, with B0_0 (..., 5, 5) diagonal:
+    ||E2||_F <= e/kap + ||d - diag(B0_0)||_F, widened by _EIG_SLACK times
+    ||A0||_F/kap + ||B0_0||_F + ||E2||_F, the scale at which fl(A/kap) - diag(d)
+    is rounded, which exceeds ||C0||_F where the two cancel.
+    """
+    C0 = A0 / kap - B0_0
+    dd = d - np.diagonal(B0_0, axis1=-2, axis2=-1)[..., None, :]
+    e2 = e / kap + np.sqrt(np.vecdot(dd, dd))
+    scale = np.linalg.norm(A0, axis=(-2, -1)) / kap + np.linalg.norm(B0_0, axis=(-2, -1))
+    return np.linalg.eigvalsh(C0)[..., :1] - e2 - _EIG_SLACK * (scale[..., None] + e2)
+
+
 def _tau_ladder(maps: TimeMaps) -> np.ndarray:
     """The rungs tau = -2^-k, k < _TAU_RUNGS, at or above 1.05 times the terminal tau.
 
@@ -483,8 +500,9 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
     m2 = lambda_min(M/kappa - B0) and m3 = gb2 - lambda_max(M)/kappa, with M the
     symmetric part of frakB.  m1 is computed at every sample.  The eigenvalues of
     every sample of a rung are bounded from the rung's origin U = 0: those of M by
-    ``_eig_bounds`` (Weyl and Kato–Temple), and those of M/kappa - B0 by Weyl alone,
-    with ||E2||_F <= ||E||_F/kappa + ||B0 - B0(0)||_F since B0 is diagonal.
+    ``_eig_bounds`` (Weyl and Kato–Temple), and those of M/kappa - B0 by Weyl alone
+    (``_margin2_floor``), with ||E2||_F <= ||E||_F/kappa + ||B0 - B0(0)||_F since B0
+    is diagonal.
     eigvalsh runs only where the bounds leave a reported value open: where m2 or
     m3 cannot be shown to exceed m1, and, for the range of M's eigenvalues, where
     a sample's bound reaches the best bound over all samples.  Every other margin
@@ -537,13 +555,7 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
     # each rung's origin; zero where it is not finite, which bounds the rung truly but loosely
     A0, B0_0 = (np.where(ok[:, 0, None, None], m[:, 0], 0.0) for m in (sym_fb, B0))
     lo, hi, e = _eig_bounds(sym_fb, A0, out=frakB)  # frakB is not read again
-    C0 = A0 / kap - B0_0
-    dd = d - np.diagonal(B0_0, axis1=-2, axis2=-1)[:, None]
-    e2 = e / kap + np.sqrt(np.vecdot(dd, dd))
-    # fl(M/kappa) - B0 is rounded at the scale of ||M||/kappa + ||B0||, which exceeds
-    # ||C0|| where the two cancel
-    scale = np.linalg.norm(A0, axis=(-2, -1)) / kap + np.linalg.norm(B0_0, axis=(-2, -1))
-    lo2 = np.linalg.eigvalsh(C0)[:, :1] - e2 - _EIG_SLACK * (scale[:, None] + e2)
+    lo2 = _margin2_floor(A0, B0_0, d, e, kap)
     # the samples whose bounds leave a reported value open; a NaN bound leaves it open
     need2 = ok & ~(lo2 > m1)
     solve = ok & (~(gb2 - hi[..., -1] / kap > m1)

@@ -8,9 +8,11 @@ residual machinery applies fourth-order centered differences to any state
 function, so the same code later certifies evolved states, not just closed
 forms.
 
-A state function ``state_fn(t, x)`` takes one float time and points ``x`` of
-shape ``(..., 3)``; it returns a `FluidPoint` whose scalar fields have shape
-``(...)`` and whose velocity has shape ``(..., 3)``.
+A state function ``state_fn(t, x)`` takes points ``x`` of shape ``(..., 3)`` and
+times ``t``, a float or an array that broadcasts against ``x.shape[:-1]``; it
+returns a `FluidPoint` whose scalar fields have the broadcast shape ``(...)`` and
+whose velocity has that shape plus ``(3,)``.  The residual calls it once per
+stencil, over all its times and points.
 
 Each solution family carries its own f in the momentum/entropy sources: the
 sources are built from the relative velocity with respect to that family's
@@ -20,6 +22,7 @@ sourced system.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +34,10 @@ from .errors import NumericalFailure
 
 @dataclass(frozen=True)
 class FluidPoint:
-    """Fluid state at one time and points x of shape (..., 3)."""
+    """Fluid state at times t and points x of shape (..., 3); t is a float or an
+    array that broadcasts against x.shape[:-1]."""
 
-    t: float
+    t: float | np.ndarray
     x: np.ndarray
     rho: np.ndarray
     v: np.ndarray
@@ -42,32 +46,50 @@ class FluidPoint:
     p: np.ndarray
 
 
-def homogeneous_state(t: float, x, traj: OdeTrajectory) -> FluidPoint:
+def _pow(a, e):
+    """a ** e per element by Python's pow on floats, of a's shape.  np.power can
+    differ from it in the last bit; the exact states take their powers this way at
+    each of their few times, so that one state call over many times equals one
+    call per time."""
+    return np.reshape([v**e for v in np.ravel(a).tolist()], np.shape(a))
+
+
+def _hubble(t, f, f0):
+    """Expansion rate 2/(3t) - f'/(3(1+f)) of the homogeneous family."""
+    return 2.0 / (3.0 * t) - f0 / (3.0 * (1.0 + f))
+
+
+def homogeneous_state(t, x, traj: OdeTrajectory) -> FluidPoint:
     """Homogeneous-blowup reference solution driven by the contrast f(t) of ``traj``.
 
-    On ``zero_trajectory`` (f = f' = 0) this is the expanding background:
-    density ~ t^-2 and Hubble flow 2x/(3t).
+    ``t`` is a float or an array that broadcasts against ``x.shape[:-1]``; the
+    fields take the broadcast shape, and each value equals the one of a call at
+    its own float time.  On ``zero_trajectory`` (f = f' = 0) this is the
+    expanding background: density ~ t^-2 and Hubble flow 2x/(3t).
     """
     x = np.asarray(x, dtype=float)
     r2 = np.vecdot(x, x)
     if np.any(r2 == 0.0):
         raise NumericalFailure("entropy is singular at x = 0 (log of |x|^2)")
-    if not (traj.t_grid[0] <= t <= traj.t_end):
-        raise NumericalFailure(f"t = {float(t)} outside trajectory range "
+    ta = np.asarray(t, dtype=float)
+    inside = (traj.t_grid[0] <= ta) & (ta <= traj.t_end)  # false at NaN
+    if not inside.all():
+        raise NumericalFailure(f"t = {float(ta[~inside][0])} outside trajectory range "
                                f"[{float(traj.t_grid[0])}, {traj.t_end}]")
-    f, f0 = traj.f_f0_at(t)
+    f, f0 = traj.f_f0_at(ta)
     i3 = traj.params.iota3
-    rho = i3 * (1.0 + f) / (6.0 * math.pi * t * t)
-    v = (2.0 / (3.0 * t) - f0 / (3.0 * (1.0 + f))) * x
-    phi = i3 * (1.0 + f) * r2 / (9.0 * t * t)
-    s = np.log(t ** (-4.0 / 3.0) * (1.0 + f) ** (2.0 / 3.0) * r2)
-    p = traj.params.K * np.exp(s) * rho ** (4.0 / 3.0)
-    return FluidPoint(t=t, x=x, rho=np.full_like(r2, rho), v=v, phi=phi, s=s, p=p)
+    rho = i3 * (1.0 + f) / (6.0 * math.pi * ta * ta)
+    v = np.expand_dims(_hubble(ta, f, f0), -1) * x
+    phi = i3 * (1.0 + f) * r2 / (9.0 * ta * ta)
+    s = np.log(_pow(ta, -4.0 / 3.0) * _pow(1.0 + f, 2.0 / 3.0) * r2)
+    p = traj.params.K * np.exp(s) * _pow(rho, 4.0 / 3.0)
+    return FluidPoint(t=t, x=x, rho=np.broadcast_to(rho, s.shape).copy(), v=v, phi=phi,
+                      s=s, p=p)
 
 
 # ---------------------------------------------------------------------------
 # finite differences (4th-order centered, spacing h): each stencil is one
-# state call over all sample points, and every derivative is read from it
+# state call over all times and sample points, and every derivative is read from it
 
 _FD4_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 _FD4_O = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -76,15 +98,8 @@ _RESIDUAL_THRESHOLD = 1e-6  # ResidualReport's verdict bound on each max norm
 
 
 def _fd4(vals, h):
-    """Centered 4th-order derivative from the values at the `_FD4_O` offsets."""
+    """Centered 4th-order derivative from the values at the `_FD4_O` offsets (axis 0)."""
     return sum(w * v for w, v in zip(_FD4_W, vals)) / h
-
-
-def _time_stencil(state_fn, t, x, h, t_lo, t_hi):
-    """States at x at the `_FD4_O` times around t, all inside [t_lo, t_hi]."""
-    if t - 2.0 * h >= t_lo and t + 2.0 * h <= t_hi:
-        return [state_fn(t + o * h, x) for o in _FD4_O]
-    raise NumericalFailure(f"time stencil around t={float(t)} leaves the trajectory range")
 
 
 def _space_points(x, h):
@@ -95,10 +110,13 @@ def _space_points(x, h):
     return x[..., None, :] + offsets.reshape((4,) + (1,) * (x.ndim - 1) + (3, 3))
 
 
-def hubble_rate(t: float, traj: OdeTrajectory) -> float:
-    """Expansion rate 2/(3t) - f'/(3(1+f)) of the homogeneous family."""
-    f, f0 = traj.f_f0_at(t)
-    return 2.0 / (3.0 * t) - f0 / (3.0 * (1.0 + f))
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 48-point Gauss-Legendre rule on [-1, 1] of the Poisson
+    check's mass integral (read-only), built on the first residual of a process."""
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _trace(jac):
@@ -107,15 +125,19 @@ def _trace(jac):
 
 
 def _sources(t, x, pt, space, traj, h):
-    """(D, S in full form, S in relative-velocity form) at x from its space stencil."""
+    """(D, S in full form, S in relative-velocity form) at x from its space stencil.
+
+    ``t`` is a float or an array that broadcasts against ``x.shape[:-1]``, ``pt``
+    the state there and ``space`` the one on ``_space_points(x, h)`` with a unit
+    axis in front of x's leading axes, at the same times."""
     f, f0 = traj.f_f0_at(t)
     om = traj.params.omega
-    hub = hubble_rate(t, traj)
-    v_check = pt.v - hub * x
-    d_vec = -(traj.params.kappa * f0 / (1.0 + f)) * v_check
+    hub = _hubble(t, f, f0)
+    v_check = pt.v - np.expand_dims(hub, -1) * x
+    d_vec = -np.expand_dims(traj.params.kappa * f0 / (1.0 + f), -1) * v_check
     # _fd4 of a stencil velocity is indexed [..., axis, component]
     div_v = _trace(_fd4(space.v, h))
-    div_vc = _trace(_fd4(space.v - hub * space.x, h))
+    div_vc = _trace(_fd4(space.v - np.expand_dims(hub, (-2, -1)) * space.x, h))
     r2 = np.vecdot(x, x)
     s_full = (-(2.0 / 3.0 + om) * div_v + 2.0 * np.vecdot(pt.v, x) / r2
               + 3.0 * om * hub)
@@ -141,10 +163,14 @@ def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory) -> R
     """Max norms of the residuals of continuity, momentum, entropy transport and Poisson.
 
     All derivatives are 4th-order centered differences with spacing FD_STEP
-    (time and space alike).  Per time value each stencil (centres, each time
-    offset, space, radial, Gauss-Legendre) is one ``state_fn`` call over all
-    sample points.  The states are spherically symmetric, so the Poisson
-    equation is checked in its integrated radial form,
+    (time and space alike).  Each stencil (centres, the four time offsets,
+    space, radial, Gauss-Legendre) is one ``state_fn`` call over all times and
+    sample points, so a residual makes 5 calls whatever the number of times:
+    ``state_fn(t, x)`` gets the times as an array that broadcasts against
+    ``x.shape[:-1]``, the times on the leading axis of the sample axes, and
+    returns fields of the broadcast shape.  A time whose stencil leaves the
+    trajectory's range is refused before any call.  The states are spherically
+    symmetric, so the Poisson equation is checked in its integrated radial form,
 
         d(phi)/dr = (4 pi / r^2) * int_0^r rho(t, y) y^2 dy,
 
@@ -152,44 +178,42 @@ def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory) -> R
     """
     t_values = np.atleast_1d(np.asarray(t, dtype=float))
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    t_lo, t_hi = float(traj.t_grid[0]), float(traj.t_end)
     h = FD_STEP
-    gl_nodes, gl_w = np.polynomial.legendre.leggauss(48)
+    inside = (t_values - 2.0 * h >= traj.t_grid[0]) & (t_values + 2.0 * h <= traj.t_end)
+    if not inside.all():  # false at NaN
+        raise NumericalFailure(f"time stencil around t={float(t_values[~inside][0])} "
+                               "leaves the trajectory range")
+    # times (T,) against samples (n,): tc for (n,) layouts, ts for (n, 3) and (n, 48)
+    tc, ts = t_values[:, None], t_values[:, None, None]
+    pt = state_fn(tc, pts)  # (T, n)
+    times = state_fn(tc + (_FD4_O * h)[:, None, None], pts)  # (4, T, n)
+    space = state_fn(ts, _space_points(pts, h)[:, None])  # (4, T, n, axis)
+    # continuity: d_t rho + div(rho v)
+    cont = _fd4(times.rho, h) + _trace(_fd4(space.rho[..., None] * space.v, h))
+    # momentum: d_t v + (v.grad) v + grad p / rho + grad phi - D
+    d_vec, s_src, s_vform = _sources(tc, pts, pt, space, traj, h)
+    jac_v = np.swapaxes(_fd4(space.v, h), -1, -2)
+    grad_p, grad_phi, grad_s = (_fd4(getattr(space, name), h) for name in ("p", "phi", "s"))
+    mom = (_fd4(times.v, h) + np.matmul(jac_v, pt.v[..., None])[..., 0]
+           + grad_p / pt.rho[..., None] + grad_phi - d_vec)
+    # entropy transport: d_t s + v.grad s - S
+    ent = _fd4(times.s, h) + np.vecdot(pt.v, grad_s) - s_src
+    # poisson, radial form
     r = np.sqrt(np.vecdot(pts, pts))
     xhat = pts / r[:, None]
     radial = pts + (_FD4_O * h)[:, None, None] * xhat
+    dphi_dr = _fd4(state_fn(tc, radial[:, None]).phi, h)
+    gl_nodes, gl_w = _gauss_legendre()
     y = 0.5 * r[:, None] * (gl_nodes + 1.0)
-    cont, mom, ent, poi, gaps = [], [], [], [], []
-    for tv in t_values:
-        pt = state_fn(tv, pts)
-        times = _time_stencil(state_fn, tv, pts, h, t_lo, t_hi)
-        space = state_fn(tv, _space_points(pts, h))
-        # continuity: d_t rho + div(rho v)
-        dt_rho = _fd4([q.rho for q in times], h)
-        cont.append(dt_rho + _trace(_fd4(space.rho[..., None] * space.v, h)))
-        # momentum: d_t v + (v.grad) v + grad p / rho + grad phi - D
-        d_vec, s_src, s_vform = _sources(tv, pts, pt, space, traj, h)
-        dt_v = _fd4([q.v for q in times], h)
-        jac_v = np.swapaxes(_fd4(space.v, h), -1, -2)
-        grad_p, grad_phi, grad_s = (_fd4(getattr(space, name), h)
-                                    for name in ("p", "phi", "s"))
-        mom.append(dt_v + np.matmul(jac_v, pt.v[..., None])[..., 0]
-                   + grad_p / pt.rho[:, None] + grad_phi - d_vec)
-        # entropy transport: d_t s + v.grad s - S
-        dt_s = _fd4([q.s for q in times], h)
-        ent.append(dt_s + np.vecdot(pt.v, grad_s) - s_src)
-        gaps.append(np.abs(s_src - s_vform))
-        # poisson, radial form
-        dphi_dr = _fd4(state_fn(tv, radial).phi, h)
-        rho_y = state_fn(tv, y[..., None] * xhat[:, None, :]).rho
-        integral = 0.5 * r * np.vecdot(gl_w, rho_y * y**2)
-        poi.append(dphi_dr - 4.0 * math.pi * integral / r**2)
+    rho_y = state_fn(ts, y[..., None] * xhat[:, None, :]).rho  # (T, n, nodes)
+    integral = 0.5 * r * np.vecdot(gl_w, rho_y * y**2)
+    poi = dphi_dr - 4.0 * math.pi * integral / r**2
     return ResidualReport(
         n_points=len(pts), t_values=tuple(t_values),
-        max_norms={name: float(np.max(np.abs(np.concatenate(vals, axis=None))))
+        max_norms={name: float(np.max(np.abs(vals)))
                    for name, vals in (("continuity", cont), ("momentum", mom),
                                       ("entropy_transport", ent), ("poisson", poi))},
-        source_gap_max=float(np.max(np.concatenate(gaps))),
+        source_gap_max=float(np.max(np.abs(s_src - s_vform))),
     )
 
 

@@ -84,20 +84,24 @@ def flat_profiles(n):
 
 
 def background_state(t, x, params):
-    """Closed form of the expanding background at one time t and points x (..., 3):
+    """Closed form of the expanding background at times t and points x (..., 3):
     density iota^3/(6 pi t^2), Hubble flow 2x/(3t), potential iota^3 |x|^2/(9 t^2),
-    entropy log(t^(-4/3) |x|^2), pressure K e^s rho^(4/3).  The oracle of
-    ``homogeneous_state`` on ``zero_trajectory``."""
+    entropy log(t^(-4/3) |x|^2), pressure K e^s rho^(4/3).  t is a float or an array
+    that broadcasts against x.shape[:-1]; its powers are taken per time by Python's
+    pow, as at one float time.  The oracle of ``homogeneous_state`` on
+    ``zero_trajectory``."""
     x = np.asarray(x, dtype=float)
     r2 = np.vecdot(x, x)
     if np.any(r2 == 0.0):
         raise NumericalFailure("entropy is singular at x = 0 (log of |x|^2)")
+    per_time_pow = np.vectorize(pow, otypes=[float])
+    tt = np.asarray(t, dtype=float)
     i3 = params.iota3
-    rho = i3 / (6.0 * math.pi * t * t)
-    s = np.log(t ** (-4.0 / 3.0) * r2)
-    return FluidPoint(t=t, x=x, rho=np.full_like(r2, rho), v=(2.0 / (3.0 * t)) * x,
-                      phi=i3 * r2 / (9.0 * t * t), s=s,
-                      p=params.K * np.exp(s) * rho ** (4.0 / 3.0))
+    rho = i3 / (6.0 * math.pi * tt * tt)
+    s = np.log(per_time_pow(tt, -4.0 / 3.0) * r2)
+    return FluidPoint(t=t, x=x, rho=np.broadcast_to(rho, s.shape).copy(),
+                      v=(2.0 / (3.0 * tt))[..., None] * x, phi=i3 * r2 / (9.0 * tt * tt),
+                      s=s, p=params.K * np.exp(s) * per_time_pow(rho, 4.0 / 3.0))
 
 
 def refined_grid_per_step(t, refine):

@@ -305,9 +305,11 @@ def test_rhs_vacuum_guard_is_typed(traj, params):
     assert not isinstance(exc.value, pde.HyperbolicityLossError)
 
 
-def rhs_reference(t, y, traj):
+def rhs_reference(t, y, traj, with_speed_scale=False):
     """The right-hand side term by term, each power and quotient written out as in
-    the equations with no shared subexpressions: an independent oracle of ``rhs``."""
+    the equations with no shared subexpressions: an independent oracle of ``rhs``.
+    The speed row is the sum of eight terms, in order; with ``with_speed_scale`` it
+    also returns the sum of their magnitudes (n,)."""
     f, f0 = traj.f_f0_at(t)
     om, i3, kap = traj.params.omega, traj.params.iota3, traj.params.kappa
     r, rt, nu = y
@@ -351,16 +353,19 @@ def rhs_reference(t, y, traj):
             + (4.0 / 3.0) * rt**2 / one_pr
             + f1)
 
-    g1 = (-(2.0 * one_pf * f / (3.0 * t * t * f0)) * nu
-          + (1.0 / 3.0 - kap) * (f0 / one_pf) * nu
-          - z_rate * nu2
-          - ((om + 2.0) * (1.0 - i3) * one_pf ** (1.0 - om) * one_pr**om
-             / (3.0 * t * t * f0)) * rz
-          - (2.0 * (1.0 - i3) * one_pf**2 / (3.0 * t * t * f0)) * (ratio_1om - 1.0)
-          - (2.0 * i3 * one_pf * f / (t * t * f0)) * psi)
-    d_nu = g1 - z_rate * nu * nuz
+    speed_terms = (-(2.0 * one_pf * f / (3.0 * t * t * f0)) * nu,
+                   (1.0 / 3.0 - kap) * (f0 / one_pf) * nu,
+                   -z_rate * nu2,
+                   -((om + 2.0) * (1.0 - i3) * one_pf ** (1.0 - om) * one_pr**om
+                     / (3.0 * t * t * f0)) * rz,
+                   -(2.0 * (1.0 - i3) * one_pf**2 / (3.0 * t * t * f0)) * ratio_1om,
+                   2.0 * (1.0 - i3) * one_pf**2 / (3.0 * t * t * f0),
+                   -(2.0 * i3 * one_pf * f / (t * t * f0)) * psi,
+                   -z_rate * nu * nuz)
+    d_nu = sum(speed_terms)
 
-    return np.stack((rt, d_rt, d_nu))
+    rows = np.stack((rt, d_rt, d_nu))
+    return (rows, sum(np.abs(term) for term in speed_terms)) if with_speed_scale else rows
 
 
 def _state_at(traj, f_target, eps, eps_v, n):
@@ -376,14 +381,18 @@ def _state_at(traj, f_target, eps, eps_v, n):
 def _assert_rhs_equals_reference(traj, f_target, eps, eps_v, n, oracle_dtype=float):
     """rhs against rhs_reference, evaluated on the same state cast to oracle_dtype."""
     t, y = _state_at(traj, f_target, eps, eps_v, n)
-    got, want = rhs(t, y, traj), rhs_reference(t, y.astype(oracle_dtype), traj)
+    got = rhs(t, y, traj)
+    want, speed_scale = rhs_reference(t, y.astype(oracle_dtype), traj, with_speed_scale=True)
     assert got.shape == want.shape == y.shape
     assert np.array_equal(got[0], want[0])
     scale1, scale2 = np.max(np.abs(want[1])), np.max(np.abs(want[2]))
     assert np.max(np.abs(got[1] - want[1])) <= 1e-13 * scale1, f_target
     err2 = np.max(np.abs(got[2] - want[2]))
     if eps >= 1e-2:
-        assert err2 <= 1e-13 * scale2, f_target
+        # the speed row's terms cancel (near f = beta with nu ~ 0 the row is about
+        # 1e-3 of them), so its rounding floor is set by the sum of their magnitudes,
+        # not by its own size: 1500 drawn states read at most 0.94 eps of that sum
+        assert err2 <= 4.0 * np.finfo(float).eps * np.max(speed_scale), f_target
     elif eps == eps_v == 0.0:
         # the speed equation balances to rounding on the homogeneous state
         assert err2 <= 1e-15 and scale2 < 1e-14, f_target

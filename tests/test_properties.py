@@ -1,5 +1,6 @@
 """Property tests: the cancelled power ratios, the eigenvalue bounds of the sandwich
-screen, the psi solve, the contrast's dense output and the batched exact states.
+screen and of its margin-2 screen, the psi solve, the contrast's dense output and
+the batched exact states.
 
 Examples are drawn deterministically (``derandomize``), so the suite gives the
 same verdict on every run.
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import background_state
 from jeanslab.contrast_ode import zero_trajectory
-from jeanslab.fuchsian import _eig_bounds, _pow_ratio, _pow_ratio2
+from jeanslab.fuchsian import _eig_bounds, _margin2_floor, _pow_ratio, _pow_ratio2
 from jeanslab.pde import compute_psi
 from jeanslab.reference import homogeneous_state
 
@@ -109,6 +110,49 @@ def test_eig_bounds_hold_the_computed_eigenvalues(w, close, log_scale, log_rel, 
     got = np.linalg.eigvalsh(A)
     assert lo.shape == hi.shape == got.shape and e.shape == (7,)
     assert np.all((lo <= got) & (got <= hi))
+
+
+# _margin2_floor: every least eigenvalue of M/kappa - B0 that eigvalsh returns lies
+# above its bound, where M/kappa nearly meets B0 and fl(M/kappa) - B0 cancels
+
+
+def _symmetric_of_norm(rng, shape, norm):
+    E = rng.standard_normal(shape + (5, 5))
+    E += E.swapaxes(-1, -2)
+    return E * (norm / np.linalg.norm(E, axis=(-2, -1)))[..., None, None]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(b=st.lists(st.floats(0.1, 10.0), min_size=5, max_size=5), log_kap=st.floats(-1.0, 1.0),
+       log_gap=st.one_of(st.none(), st.floats(-16.0, 0.0)), log_rel=st.floats(-17.0, 0.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_margin2_floor_holds_the_computed_eigenvalues(b, log_kap, log_gap, log_rel, seed):
+    rng = np.random.default_rng(seed)
+    kap, b = 10.0**log_kap, np.array(b)
+    B0_0 = np.diag(b)
+    # the origin's M/kappa is B0 itself (log_gap None) or B0 plus a symmetric gap of
+    # norm 10^log_gap ||B0||_F
+    gap = 0.0 if log_gap is None else 10.0**log_gap * np.linalg.norm(b)
+    A0 = kap * (B0_0 + _symmetric_of_norm(rng, (), gap))
+    A0 = 0.5 * (A0 + A0.T)
+    # perturbations of norm 10^log_rel times the origin's: of M alone (rows 0, 1), of
+    # B0's diagonal alone (rows 2, 3) and of both (rows 4, 5); of M by -3 to 3 ulp per
+    # entry (rows 6, 7), where fl(M/kappa) - B0 rounds at the scale of B0; row 8 is
+    # the origin
+    E = _symmetric_of_norm(rng, (8,), 10.0**log_rel * np.linalg.norm(A0))
+    E[2:4] = 0.0
+    ulps = np.triu(rng.integers(-3, 4, (2, 5, 5)))
+    E[6:] = np.spacing(np.abs(A0)) * (ulps + np.triu(ulps, 1).swapaxes(-1, -2))
+    D = rng.standard_normal((8, 5))
+    D *= (10.0**log_rel * np.linalg.norm(b) / np.linalg.norm(D, axis=-1))[:, None]
+    D[:2] = D[6:] = 0.0
+    A = np.concatenate([A0 + E, A0[None]])
+    d = np.concatenate([b + D, b[None]])
+    e = _eig_bounds(A, A0)[2]
+    lo2 = _margin2_floor(A0, B0_0, d, e, kap)
+    got = np.linalg.eigvalsh(A / kap - d[..., None] * np.eye(5))[..., 0]  # as verify_conditions
+    assert lo2.shape == got.shape == (9,)
+    assert np.all(lo2 <= got)
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +298,54 @@ def test_batched_states_equal_per_point_calls(exact_state, x, u, family):
         for name in ("rho", "phi", "s", "p"):
             assert getattr(batched, name)[idx] == getattr(one, name), (name, idx)
         assert np.array_equal(batched.v[idx], one.v), idx
+
+
+sample_points = st.integers(1, 4).flatmap(
+    lambda k: st.lists(coord, min_size=3 * k, max_size=3 * k)
+    .map(lambda c: np.array(c).reshape(k, 3)))
+
+
+@pytest.fixture(scope="module")
+def state_at_times(params, traj):
+    # states at times u of [0, 1] mapped onto each trajectory's range, and that
+    # trajectory; a closure, as exact_state above
+    trajs = {"zero": zero_trajectory(params), "contrast": traj}
+
+    def state(source, u, x):
+        tr = trajs["zero" if source == "background" else source]
+        t_lo, t_hi = float(tr.t_grid[0]), float(tr.t_end)
+        t = t_lo + u * (t_hi - t_lo)
+        if source == "background":
+            return background_state(t, x, params), tr
+        return homogeneous_state(t, x, tr), tr
+
+    return state
+
+
+def _powers_at_one_time(t, x, tr):
+    """(s, p) of the homogeneous state at one float time t, each power taken by
+    Python's pow on floats, as the scalar formula takes them."""
+    f = tr.f_f0_at(t)[0]
+    rho = tr.params.iota3 * (1.0 + f) / (6.0 * np.pi * t * t)
+    s = np.log(t ** (-4.0 / 3.0) * (1.0 + f) ** (2.0 / 3.0) * np.vecdot(x, x))
+    return s, tr.params.K * np.exp(s) * rho ** (4.0 / 3.0)
+
+
+@PROPS
+@given(u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6), repeat=st.booleans(),
+       x=sample_points, source=st.sampled_from(["zero", "contrast", "background"]))
+def test_array_times_equal_per_time_calls(state_at_times, u, repeat, x, source):
+    # times (m, 1) against points (k, 3), as the residual's stencils call them,
+    # repeated times included: row i equals the call at the float time u[i], whose
+    # powers are Python's (np.power differs from it in the last bit at about 5 %
+    # of inputs)
+    u = np.array(u + u[:1] if repeat else u)
+    batched, tr = state_at_times(source, u[:, None], x)
+    assert batched.v.shape == (len(u),) + x.shape
+    for i, ui in enumerate(u.tolist()):
+        one = state_at_times(source, ui, x)[0]
+        for name in ("rho", "v", "phi", "s", "p"):
+            assert np.shape(getattr(batched, name)[i]) == np.shape(getattr(one, name))
+            assert np.all(getattr(batched, name)[i] == getattr(one, name)), (name, i)
+        s, p = _powers_at_one_time(one.t, x, tr)
+        assert np.all(one.s == s) and np.all(one.p == p), i

@@ -213,13 +213,32 @@ def test_stencil_guard(traj):
 
 
 def test_time_stencil_leaves_range_near_boundary(traj, pts):
-    # a time within two stencil steps of either end of the trajectory is refused
+    # a time within two stencil steps of either end of the trajectory, or NaN, is
+    # refused wherever it stands among the times, before any state call
     h = FD_STEP
-    for t in (1.0, 1.0 + 1.5 * h, float(traj.t_end) - 1.5 * h):
-        with pytest.raises(NumericalFailure, match="leaves the trajectory range"):
-            euler_poisson_residual(
-                lambda t, x: homogeneous_state(t, x, traj),
-                [t], pts[:2], traj)
+    calls = []
+
+    def counting(t, x):
+        calls.append(x.shape)
+        return homogeneous_state(t, x, traj)
+
+    for bad in (1.0, 1.0 + 1.5 * h, float(traj.t_end) - 1.5 * h, math.nan):
+        for t_values in ([bad], [1.5, bad], [bad, 1.2, 2.0]):
+            with pytest.raises(NumericalFailure, match="leaves the trajectory range"):
+                euler_poisson_residual(counting, t_values, pts[:2], traj)
+    assert calls == []
+
+
+def test_array_time_outside_the_trajectory_is_refused(traj, params, pts):
+    # one NaN or out-of-range time among valid ones refuses the whole call, as a
+    # lone float time is refused
+    ztr = zero_trajectory(params)
+    for bad in (math.nan, 0.5, float(traj.t_end) * 1.01, math.inf):
+        for t in (bad, np.array([bad]), np.array([[1.5], [bad], [1.2]])):
+            with pytest.raises(NumericalFailure, match="outside trajectory range"):
+                homogeneous_state(t, pts, traj)
+    with pytest.raises(NumericalFailure, match="outside trajectory range"):
+        homogeneous_state(np.array([1.5, math.nan]), pts[:2], ztr)
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +246,21 @@ def test_time_stencil_leaves_range_near_boundary(traj, pts):
 
 
 def test_one_state_call_per_stencil_point(traj, pts):
-    # per time value: 1 centre + 4 time + 1 space + 1 radial + 1 Gauss-Legendre
-    # calls, each over all n sample points; 69 stencil points per sample point
+    # 1 centre + 1 time (its 4 offsets on a leading axis) + 1 space + 1 radial
+    # + 1 Gauss-Legendre call, each over all m times and n sample points, however
+    # many times there are; 69 stencil points per time and sample point
     calls = []
 
     def counting(t, x):
-        calls.append(x.shape)
+        calls.append(np.broadcast_shapes(np.shape(t), x.shape[:-1]))
         return homogeneous_state(t, x, traj)
 
-    for n in (1, 3, 32):
-        calls.clear()
-        euler_poisson_residual(counting, [1.2, 2.0], pts[:n], traj)
-        assert len(calls) == 2 * 8
-        assert sum(math.prod(shape[:-1]) for shape in calls) == 2 * n * 69
+    for t_values in ([1.5], [1.2, 2.0], T_VALUES):
+        for n in (1, 3, 32):
+            calls.clear()
+            euler_poisson_residual(counting, t_values, pts[:n], traj)
+            assert len(calls) == 5
+            assert sum(math.prod(shape) for shape in calls) == len(t_values) * n * 69
 
 
 _W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
@@ -332,12 +353,13 @@ def test_residual_equals_per_derivative_oracle(family, traj, params, pts):
     tr = zero_trajectory(params) if family == "background" else traj
     state_fn = {"background": lambda t, x: background_state(t, x, params),
                 "homogeneous": lambda t, x: homogeneous_state(t, x, traj)}[family]
+    # the oracle calls state_fn at one float time and one point per value
     sample = pts[:4]
-    rep = euler_poisson_residual(state_fn, [1.5], sample, tr)
-    max_norms, source_gap_max = _oracle_residual(state_fn, [1.5], sample, tr)
+    rep = euler_poisson_residual(state_fn, T_VALUES, sample, tr)
+    max_norms, source_gap_max = _oracle_residual(state_fn, T_VALUES, sample, tr)
     assert rep.max_norms == max_norms
     assert rep.source_gap_max == source_gap_max
-    assert (rep.n_points, rep.t_values) == (4, (1.5,))
+    assert (rep.n_points, rep.t_values) == (4, tuple(T_VALUES))
     for x in sample:
         d_vec, s_val, _ = _oracle_sources(1.5, x, state_fn, tr)
         d_new, s_new = source_terms(1.5, x, state_fn, tr)
