@@ -533,8 +533,8 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
     chunks = samples[starts[:, None] + np.arange(per_tau)]
     U = np.concatenate([np.zeros((len(tau_ladder), 1, 5)), chunks], axis=1)
     tau = tau_ladder[:, None]
-    f_val, g_val = maps.f_G_at_tau(tau)
-    ev = assemble_matrices(tau, U, g_val, f_val, maps.params)
+    f_val, G_val = maps.f_G_at_tau(tau)
+    ev = assemble_matrices(tau, U, G_val, f_val, maps.params)
 
     symmetric = bool(np.array_equal(ev.B0, ev.B0.swapaxes(-1, -2))
                      and np.array_equal(ev.Bz, ev.Bz.swapaxes(-1, -2)))
@@ -570,7 +570,7 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
     finite = bool(ok.all())
 
     divB_orders, divB_stable = _divB_order_fit(maps, points[2], r_tilde, seed)
-    g_sup, g_stable = _G_halforder_bound(maps, tau_ladder)
+    G_sup, G_stable = _G_halforder_bound(maps, tau_ladder)
 
     return ConditionReport(
         n_samples=len(samples),
@@ -582,18 +582,16 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
         max_sum_abs_z=max_sum_z, sum_z_ok=max_sum_z < constants.gamma1,
         H_at_zero_max=h_at_zero, entries_finite=finite, symmetry_exact=symmetric,
         divB_orders=divB_orders, divB_stable=divB_stable,
-        G_halforder_sup=g_sup, G_halforder_stable=g_stable,
+        G_halforder_sup=G_sup, G_halforder_stable=G_stable,
     )
 
 
 def _G_halforder_bound(maps: TimeMaps, tau_ladder: np.ndarray) -> tuple[float, bool]:
-    """Sup of |G|/sqrt(-tau) over the ladder; stable under 2x refinement."""
-    def weighted_sup(taus):
-        return float(np.max(np.abs(maps.f_G_at_tau(taus)[1]) / np.sqrt(-taus)))
-
-    coarse = weighted_sup(tau_ladder)
-    mids = -np.sqrt(tau_ladder[:-1] * tau_ladder[1:])  # geometric midpoints
-    fine = weighted_sup(np.concatenate([tau_ladder, mids]))
+    """Sup of |G|/sqrt(-tau) over the ladder; stable under 2x refinement.  One read
+    covers the ladder and its geometric midpoints; the coarse sup is over the first."""
+    taus = np.concatenate([tau_ladder, -np.sqrt(tau_ladder[:-1] * tau_ladder[1:])])
+    weighted = np.abs(maps.f_G_at_tau(taus)[1]) / np.sqrt(-taus)
+    coarse, fine = float(np.max(weighted[:len(tau_ladder)])), float(np.max(weighted))
     return fine, bool(fine <= 1.5 * coarse and math.isfinite(fine))
 
 
@@ -613,15 +611,15 @@ def find_certified_radius(maps: TimeMaps, constants: GammaConstants, seed: int =
     fails its full try too, and the radius found is the one the tries alone give.
     """
     tau = _tau_ladder(maps)[:, None]
-    f_val, g_val = maps.f_G_at_tau(tau)
+    f_val, G_val = maps.f_G_at_tau(tau)
     unit, radial = _ball_directions(n_samples, seed)
     radii = r_start * _RADIUS_SHRINK ** np.arange(_RADIUS_TRIES)
-    screened = _screen(tau, unit, radial, g_val, f_val, maps.params, radii).max(axis=(0, 2))
+    screened = _screen(tau, unit, radial, G_val, f_val, maps.params, radii).max(axis=(0, 2))
     for r, screen_worst in zip(radii, screened):
         if screen_worst < constants.gamma1:
             samples = unit * (r * radial)[:, None]
             try:
-                worst = np.abs(_corrections(tau, samples, g_val, f_val,
+                worst = np.abs(_corrections(tau, samples, G_val, f_val,
                                             maps.params).Z).sum(-1).max()
             except DomainError:
                 worst = math.inf
@@ -630,7 +628,7 @@ def find_certified_radius(maps: TimeMaps, constants: GammaConstants, seed: int =
     raise NumericalFailure("no certified radius found down to the shrink floor")
 
 
-def _screen(tau, unit, radial, g_val, f_val, params: ModelParams, radii) -> np.ndarray:
+def _screen(tau, unit, radial, G_val, f_val, params: ModelParams, radii) -> np.ndarray:
     """sum |z_ell| (rungs, len(radii), m) over the ladder at the first m samples of
     each radius, m = max(1, len(unit) // len(radii)), in one ``_corrections`` call;
     -inf everywhere if any of its points leaves the domain, so that each radius
@@ -638,7 +636,7 @@ def _screen(tau, unit, radial, g_val, f_val, params: ModelParams, radii) -> np.n
     m = max(1, len(unit) // len(radii))
     samples = unit[:m] * (radii[:, None] * radial[:m])[..., None]
     try:
-        Z = _corrections(tau, samples.reshape(-1, 5), g_val, f_val, params).Z
+        Z = _corrections(tau, samples.reshape(-1, 5), G_val, f_val, params).Z
     except DomainError:
         return np.full((len(tau), len(radii), m), -math.inf)
     return np.abs(Z).sum(-1).reshape(len(tau), len(radii), m)
@@ -662,8 +660,8 @@ def _divB_pieces(tau, U, W, maps) -> dict:
     dtau = 1e-5 * np.abs(tau)
     # stencil times per rung: tau at the 8 U-points, then tau +- dtau at U
     taus = tau[:, None] + dtau[:, None] * np.r_[np.zeros(8), 1.0, -1.0]
-    f_st, g_st = maps.f_G_at_tau(taus)
-    ev = assemble_matrices(tau, U, g_st[:, 0], f_st[:, 0], maps.params)
+    f_st, G_st = maps.f_G_at_tau(taus)
+    ev = assemble_matrices(tau, U, G_st[:, 0], f_st[:, 0], maps.params)
     b0_inv = np.linalg.inv(ev.B0)
 
     def mv(m, v):
@@ -678,7 +676,7 @@ def _divB_pieces(tau, U, W, maps) -> dict:
     # stencil points: U + eps e, U - eps e per direction (eps = _DIVB_EPS), then U twice
     pts = np.concatenate([U + _DIVB_EPS * unit, U - _DIVB_EPS * unit,
                           np.broadcast_to(U, (len(tau), 2, 5))], axis=1)
-    st = assemble_matrices(taus, pts, g_st, f_st, maps.params)
+    st = assemble_matrices(taus, pts, G_st, f_st, maps.params)
 
     def d_dU(m, n):  # block m's derivative along direction n, times that direction's norm
         return norms[:, n, None, None] * (m[:, n] - m[:, 4 + n]) / (2.0 * _DIVB_EPS)

@@ -105,8 +105,8 @@ def background_state(t, x, params):
 
 
 def refined_grid_per_step(t, refine):
-    """The grid t with each cell split ``refine`` times, one linspace per cell: the
-    oracle of the time maps' broadcast grid, and a finer grid where a test needs one."""
+    """The grid t with each cell split ``refine`` times, one linspace per cell, where a
+    test needs a grid finer than the solver's."""
     segs = [np.linspace(a, b, refine + 1)[:-1] for a, b in zip(t[:-1], t[1:])]
     return np.append(np.concatenate(segs), t[-1])
 

@@ -129,14 +129,13 @@ def _identity_rels(maps):
     lhs = maps.f0**2 / (1.0 + maps.f) ** 2
     rhs = maps.f * maps.chi / (B * maps.t_grid**2)
     rel_limf = float(np.max(np.abs(lhs - rhs) / rhs))
-    t, g = maps.t_grid, maps.g
-    hl = t[1:-1] - t[:-2]
-    hr = t[2:] - t[1:-1]
-    dg = (hl**2 * g[2:] + (hr**2 - hl**2) * g[1:-1] - hr**2 * g[:-2]) \
-        / (hl * hr * (hl + hr))
-    dg_ana = -A * B * g ** (b / A + 1.0) * t ** (a - 2.0) * maps.f \
-        * (1.0 + maps.f) ** (1.0 - c)
-    rel_dg = float(np.max(np.abs(dg - dg_ana[1:-1]) / np.abs(dg_ana[1:-1])))
+    # dg/dt by a central difference of g_G_at at each interior record time, step 1e-6 t
+    t, g = maps.t_grid[1:-1], maps.g[1:-1]
+    h = 1e-6 * t
+    dg = (maps.g_G_at(t + h)[0] - maps.g_G_at(t - h)[0]) / (2.0 * h)
+    dg_ana = -A * B * g ** (b / A + 1.0) * t ** (a - 2.0) * maps.f[1:-1] \
+        * (1.0 + maps.f[1:-1]) ** (1.0 - c)
+    rel_dg = float(np.max(np.abs(dg - dg_ana) / np.abs(dg_ana)))
     return rel_f0, rel_limf, rel_dg
 
 

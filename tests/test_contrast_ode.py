@@ -12,14 +12,14 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 from conftest import integrate_contrast, refined_grid_per_step, traj_to_cap
-from jeanslab import contrast_ode, timemaps
+from jeanslab import contrast_ode
 from jeanslab.contrast_ode import (ContrastMarch, ToleranceSpec, _dense_at, _dense_dx, _Dop853,
                                    _rhs_y,
                                    blowup_bracket, blowup_ladder, bound_certificates,
                                    envelope_constants, zero_trajectory)
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import ModelParams, params_from_iota3
-from jeanslab.timemaps import _refined_grid, compute_g
+from jeanslab.timemaps import compute_g
 
 
 def test_initial_data_exact(traj, params):
@@ -510,11 +510,12 @@ def test_dense_output_arrays_equal_scipy(scipy_oracle):
                "t0": ts[:1], "t_end": np.array([traj.t_end]),
                "outside": np.array([np.nextafter(ts[0], 0.0), ts[0] - 1e-3,
                                     np.nextafter(ts[-1], np.inf), ts[-1] + 1e-3])}
-    for refine, t in ((timemaps._REFINE, _refined_grid(traj)),
-                      (4, refined_grid_per_step(traj.t_grid, 4))):
+    for refine in (16, 4):
+        t = refined_grid_per_step(traj.t_grid, refine)
         queries[f"refined grid {refine}"] = t
         queries[f"refined midpoints {refine}"] = 0.5 * (t[:-1] + t[1:])
         queries[f"refined grid {refine}, ends dropped"] = t[1:-1]
+    queries["time-map record grid"] = compute_g(traj).t_grid
     for name, t in queries.items():
         y, yp = np.array([sol(tq) for tq in t.tolist()]).T  # scipy read one time per call
         f, f0 = traj.f_f0_at(t)
@@ -548,7 +549,7 @@ def test_dense_output_polynomial_equals_scipy(scipy_oracle):
     poly = dataclasses.replace(traj, y_old=np.zeros_like(traj.y_old))
     oracle = OdeSolution(sol.ts, [Dop853DenseOutput(s.t_old, s.t, np.zeros(2), s.F)
                                   for s in sol.interpolants])
-    t = _refined_grid(traj)
+    t = refined_grid_per_step(traj.t_grid, 16)
     for q in (t, 0.5 * (t[:-1] + t[1:]), sol.ts, 0.5 * (sol.ts[:-1] + sol.ts[1:])):
         assert np.array_equal(poly._y(q), np.array([oracle(tq) for tq in q.tolist()]).T)
     rng = np.random.default_rng(7)

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from conftest import cosine_profiles, flat_profiles, integrate_contrast, traj_to_cap
 from jeanslab import fuchsian, pde
@@ -51,39 +50,6 @@ def test_psi_field_bound(traj, maps, params):
     st = init_from_data(params, *cosine_profiles(128, 1e-2, eps_v=5e-3))
     F = fuchsian_fields(st, traj, maps)
     assert np.max(np.abs(F.U[4])) <= np.max(np.abs(F.U[2])) / 3.0 + 1e-14
-
-
-def test_time_map_interpolants_built_once(traj_deep, params, gconsts):
-    # each reader equals one scipy PCHIP per quantity, at scalar and array arguments
-    m = compute_g(traj_deep)
-    log1pf = PchipInterpolator(m.tau, np.log1p(m.f))
-    G_of_tau = PchipInterpolator(m.tau, m.G_frak)
-    log_g = PchipInterpolator(m.t_grid, np.log(m.g))
-    G_of_t = PchipInterpolator(m.t_grid, m.G_frak)
-    taus = np.concatenate([m.tau[::40], -np.geomspace(1.0, -m.tau[-1], 9)])
-    ts = np.append(m.t_grid[::40], [1.5, m.t_grid[-1]])
-    for reader, xs, (post, u), v in ((m.f_G_at_tau, taus, (np.expm1, log1pf), G_of_tau),
-                                     (m.g_G_at, ts, (np.exp, log_g), G_of_t)):
-        for x in xs:
-            assert reader(x) == (float(post(u(x))), float(v(x)))
-        for arr in (xs, xs[:, None]):
-            got_u, got_v = reader(arr)
-            assert np.array_equal(got_u, post(u(arr))) and np.array_equal(got_v, v(arr))
-
-    before = dict(vars(m))
-    st = init_from_data(params, *flat_profiles(32))
-    F = fuchsian_fields(st, traj_deep, m)
-    assert (F.tau, F.G_frak) == (-float(np.exp(log_g(st.t))), float(G_of_t(st.t)))
-    r = find_certified_radius(m, gconsts, n_samples=20)
-    verify_conditions(m, gconsts, r_tilde=r, n_samples=20)
-    assert vars(m).keys() == before.keys()
-    assert all(vars(m)[k] is v for k, v in before.items())
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        m.chi = m.chi
-
-
-# ---------------------------------------------------------------------------
-# matrix assembly
 
 
 def test_blocks_at_zero(params):
@@ -420,26 +386,26 @@ def test_domain_errors_are_typed(params):
 def test_corrections_equal_assembled_Z(maps_deep, params):
     # the radius search's batch, 9 rungs x 400 samples, at its first and last radius
     tau = fuchsian._tau_ladder(maps_deep)[:, None]
-    f_val, g_val = maps_deep.f_G_at_tau(tau)
+    f_val, G_val = maps_deep.f_G_at_tau(tau)
     unit, radial = fuchsian._ball_directions(400, 20240)
     for r in (1e-2, 1e-2 * 0.5**17):
         U = unit * (r * radial)[:, None]
-        Z = fuchsian._corrections(tau, U, g_val, f_val, params).Z
-        ev = assemble_matrices(tau, U, g_val, f_val, params)
+        Z = fuchsian._corrections(tau, U, G_val, f_val, params).Z
+        ev = assemble_matrices(tau, U, G_val, f_val, params)
         assert Z.shape == (9, 400, 8) and np.array_equal(Z, ev.Z)
         for i, j in ((0, 0), (4, 123), (8, 399)):
-            one = fuchsian._corrections(float(tau[i, 0]), U[j], float(g_val[i, 0]),
+            one = fuchsian._corrections(float(tau[i, 0]), U[j], float(G_val[i, 0]),
                                         float(f_val[i, 0]), params).Z
             assert one.shape == (8,) and np.array_equal(one, ev.Z[i, j])
 
     # the screen's sum |z| at its 10 directions per radius equals the full try's at
     # the same points, bit for bit, at the first and the last radius
     radii = 1e-2 * fuchsian._RADIUS_SHRINK ** np.arange(fuchsian._RADIUS_TRIES)
-    screen = fuchsian._screen(tau, unit, radial, g_val, f_val, params, radii)
+    screen = fuchsian._screen(tau, unit, radial, G_val, f_val, params, radii)
     assert screen.shape == (9, len(radii), 10)
     for k in (0, len(radii) - 1):
         U = unit * (radii[k] * radial)[:, None]
-        full = np.abs(fuchsian._corrections(tau, U, g_val, f_val, params).Z).sum(-1)
+        full = np.abs(fuchsian._corrections(tau, U, G_val, f_val, params).Z).sum(-1)
         assert np.array_equal(screen[:, k], full[:, :10])
 
 
@@ -537,10 +503,10 @@ def _radius_loop(maps, constants, seed=20240, n_samples=400, r_start=1e-2,
         samples = fuchsian._ball_samples(n_samples, r, seed)
         worst = 0.0
         for tau in tau_ladder:
-            f_val, g_val = maps.f_G_at_tau(tau)
+            f_val, G_val = maps.f_G_at_tau(tau)
             for U in samples:
                 try:
-                    ev = assemble_matrices(float(tau), U, g_val, f_val, params)
+                    ev = assemble_matrices(float(tau), U, G_val, f_val, params)
                 except DomainError:
                     worst = math.inf
                     break
@@ -557,13 +523,13 @@ def _halving_reference(maps, constants, seed=20240, n_samples=400, r_start=1e-2)
     """The halving search find_certified_radius made before its screen: a full try
     at every radius until one passes."""
     tau = fuchsian._tau_ladder(maps)[:, None]
-    f_val, g_val = maps.f_G_at_tau(tau)
+    f_val, G_val = maps.f_G_at_tau(tau)
     unit, radial = fuchsian._ball_directions(n_samples, seed)
     r = r_start
     for _ in range(fuchsian._RADIUS_TRIES):
         samples = unit * (r * radial)[:, None]
         try:
-            worst = np.abs(fuchsian._corrections(tau, samples, g_val, f_val,
+            worst = np.abs(fuchsian._corrections(tau, samples, G_val, f_val,
                                                  maps.params).Z).sum(-1).max()
         except DomainError:
             worst = math.inf
@@ -599,17 +565,17 @@ def _conditions_loop(maps, constants, r_tilde, n_samples, seed=20240, eig_tol=1e
     per_tau = max(1, len(samples) // len(tau_ladder))
     idx = 0
     for tau in tau_ladder:
-        f_val, g_val = maps.f_G_at_tau(tau)
+        f_val, G_val = maps.f_G_at_tau(tau)
         chunk = samples[idx:idx + per_tau] if idx + per_tau <= len(samples) else samples[:per_tau]
         idx += per_tau
         points = np.vstack([np.zeros(5), chunk])
         if rung_batches:
-            rung = assemble_matrices(float(tau), points, g_val, f_val, params)
+            rung = assemble_matrices(float(tau), points, G_val, f_val, params)
             evs = [fuchsian.FuchsianEval(*(getattr(rung, f.name)[k]
                                            for f in dataclasses.fields(rung)))
                    for k in range(len(points))]
         else:
-            evs = [assemble_matrices(float(tau), U, g_val, f_val, params) for U in points]
+            evs = [assemble_matrices(float(tau), U, G_val, f_val, params) for U in points]
         for U, ev in zip(points, evs):
             symmetric &= bool(np.array_equal(ev.B0, ev.B0.T) and np.array_equal(ev.Bz, ev.Bz.T))
             finite &= bool(np.isfinite(ev.B0).all() and np.isfinite(ev.Bz).all()
@@ -749,8 +715,8 @@ def test_conditions_equal_per_sample_loop_where_margins_meet(meets):
     m, gc = _deep_maps_and_constants()
     r_tilde = find_certified_radius(m, gc)
     tau = fuchsian._tau_ladder(m)
-    f_val, g_val = m.f_G_at_tau(tau)
-    ev = assemble_matrices(tau, np.zeros(5), g_val, f_val, m.params)
+    f_val, G_val = m.f_G_at_tau(tau)
+    ev = assemble_matrices(tau, np.zeros(5), G_val, f_val, m.params)
     kap = gc.kappa_const
     sym = 0.5 * (ev.frakB + ev.frakB.swapaxes(-1, -2))
     b0_min = np.diagonal(ev.B0, axis1=-2, axis2=-1).min(-1)
@@ -796,13 +762,13 @@ def test_conditions_solve_few_eigenvalue_problems_at_the_certified_radius(monkey
 def _divB_pieces_loop(tau, U, W, maps, eps=1e-7):
     """The per-point central differences _divB_pieces used before the batched form."""
     params = maps.params
-    f_val, g_val = maps.f_G_at_tau(tau)
+    f_val, G_val = maps.f_G_at_tau(tau)
 
     def b0_at(tt, uu):
-        f_tt, g_tt = maps.f_G_at_tau(tt)
-        return assemble_matrices(float(tt), uu, g_tt, f_tt, params).B0
+        f_tt, G_tt = maps.f_G_at_tau(tt)
+        return assemble_matrices(float(tt), uu, G_tt, f_tt, params).B0
 
-    ev = assemble_matrices(float(tau), U, g_val, f_val, params)
+    ev = assemble_matrices(float(tau), U, G_val, f_val, params)
     b0_inv = np.linalg.inv(ev.B0)
     rhs_parts = {
         "a_flux": -ev.Bz @ W,
@@ -815,8 +781,8 @@ def _divB_pieces_loop(tau, U, W, maps, eps=1e-7):
         if nv == 0.0:
             return np.zeros((5, 5))
         e = v / nv
-        plus = assemble_matrices(float(tau), U + eps * e, g_val, f_val, params).B0
-        minus = assemble_matrices(float(tau), U - eps * e, g_val, f_val, params).B0
+        plus = assemble_matrices(float(tau), U + eps * e, G_val, f_val, params).B0
+        minus = assemble_matrices(float(tau), U - eps * e, G_val, f_val, params).B0
         return nv * (plus - minus) / (2.0 * eps)
 
     pieces = {k: db0_dir(b0_inv @ v) for k, v in rhs_parts.items()}
@@ -825,8 +791,8 @@ def _divB_pieces_loop(tau, U, W, maps, eps=1e-7):
     nw = np.linalg.norm(W)
     if nw > 0.0:
         e = W / nw
-        bzp = assemble_matrices(float(tau), U + eps * e, g_val, f_val, params).Bz
-        bzm = assemble_matrices(float(tau), U - eps * e, g_val, f_val, params).Bz
+        bzp = assemble_matrices(float(tau), U + eps * e, G_val, f_val, params).Bz
+        bzm = assemble_matrices(float(tau), U - eps * e, G_val, f_val, params).Bz
         pieces["c_dUBz"] = nw * (bzp - bzm) / (2.0 * eps)
     else:
         pieces["c_dUBz"] = np.zeros((5, 5))

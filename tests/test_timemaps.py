@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy.integrate import quad
 
-from conftest import integrate_contrast, refined_grid_per_step, terminal_window
+from conftest import integrate_contrast, terminal_window
 from jeanslab import timemaps
 from jeanslab.contrast_ode import ToleranceSpec
 from jeanslab.errors import NumericalFailure
 from jeanslab.params import params_from_iota3
-from jeanslab.timemaps import _Pchip, _refined_grid, check_G_decay, compute_g, dchi_dt_analytic
+from jeanslab.timemaps import check_G_decay, compute_g, dchi_dt_terms
+
+_EPS = float(np.finfo(float).eps)
 
 
 def test_endpoints(maps, params):
@@ -18,57 +22,8 @@ def test_endpoints(maps, params):
     assert maps.xi[0] == pytest.approx(1.0 / (1.0 + params.beta), rel=1e-12)
 
 
-def _assert_pchip_equals_scipy(x, y, queries):
-    own, theirs = _Pchip(x, y), PchipInterpolator(x, y, axis=1)
-    for q in queries:
-        assert np.array_equal(own(q), theirs(q))
-        assert own(q).shape == theirs(q).shape == (len(y),) + np.shape(q)
-
-
-def test_pchip_equals_scipy_on_the_time_maps(maps_deep):
-    # both interpolants of the maps: at the nodes, the midpoints, random points,
-    # beyond both ends, as scalars and as a 2-d array
-    m, rng = maps_deep, np.random.default_rng(3)
-    for x, y in ((m.tau, np.stack([np.log1p(m.f), m.G_frak])),
-                 (m.t_grid, np.stack([np.log(m.g), m.G_frak]))):
-        beyond = [x[0] - 1.0, np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
-                  x[-1] + 1.0]
-        spread = rng.uniform(x[0], x[-1], 5000)
-        _assert_pchip_equals_scipy(x, y, [x, 0.5 * (x[1:] + x[:-1]), spread, np.array(beyond),
-                                          spread.reshape(50, 100), *spread[:50], *beyond])
-
-
-def test_pchip_equals_scipy_on_flat_and_turning_data():
-    # zero and sign-changing secants take the slope-limiting branches
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        n = int(rng.integers(3, 30))
-        x = np.cumsum(rng.uniform(0.01, 1.0, n))
-        y = np.round(rng.normal(size=(2, n)), 1)
-        _assert_pchip_equals_scipy(x, y, [rng.uniform(x[0] - 1.0, x[-1] + 1.0, 100), x])
-
-
-def test_pchip_refuses_unordered_nodes():
-    with pytest.raises(NumericalFailure, match="strictly increasing"):
-        _Pchip(np.array([0.0, 1.0, 1.0]), np.zeros((2, 3)))
-    with pytest.raises(NumericalFailure, match="not finite"):
-        _Pchip(np.array([0.0, 1.0, 2.0]), np.array([[0.0, np.nan, 1.0]]))
-
-
 def test_representation_agreement(maps):
     assert maps.representation_gap < 1e-6
-
-
-def test_g_derivative_identity(maps, params):
-    # numerical dg/dt vs closed form, second-order differences on the graded grid
-    a, b, c, A, B = (params.ode_a, params.ode_b, params.ode_c, params.A, params.B)
-    t, g = maps.t_grid, maps.g
-    hl = t[1:-1] - t[:-2]
-    hr = t[2:] - t[1:-1]
-    dg = (hl**2 * g[2:] + (hr**2 - hl**2) * g[1:-1] - hr**2 * g[:-2]) / (hl * hr * (hl + hr))
-    dg_ana = -A * B * g ** (b / A + 1.0) * t ** (a - 2.0) * maps.f * (1.0 + maps.f) ** (1.0 - c)
-    rel = np.abs(dg - dg_ana[1:-1]) / np.abs(dg_ana[1:-1])
-    assert rel.max() < 1e-4
 
 
 def test_g_small_near_blowup(maps):
@@ -123,7 +78,7 @@ def test_G_decay_fit(maps):
 def test_f00_solves_the_contrast_ode(traj, maps, params):
     # f'' of the dense output against the ODE's f'' of (t, f, f'): at the step ends,
     # where the continuous extension takes the step's end slope, to rounding; on the
-    # whole map grid, to the accuracy of the interpolant
+    # whole record grid, to the accuracy of the continuous extension
     a, b, c = params.ode_a, params.ode_b, params.ode_c
 
     def ode_f00(t, f, f0):
@@ -145,7 +100,8 @@ def test_G_decay_flags_crossing(maps, monkeypatch):
 
 def test_dchi_closed_form_at_t0(maps, params):
     # direct evaluation at the initial time, no differencing
-    val = dchi_dt_analytic(maps)[0]
+    first, second, third = dchi_dt_terms(maps)
+    val = (first + second + third)[0]
     a, c, B = params.ode_a, params.ode_c, params.B
     f, chi = params.beta, maps.chi[0]
     G = chi - params.chi_limit()
@@ -157,8 +113,9 @@ def test_dchi_closed_form_at_t0(maps, params):
 
 
 def test_representation_mismatch_detection(traj, monkeypatch):
-    # corrupting the tolerance budget must raise rather than silently pass
-    monkeypatch.setattr(timemaps, "_MISMATCH_TOL", 1e-13)
+    # corrupting the tolerance budget must raise rather than silently pass: the two
+    # forms of g differ by about 5.8e-13 on this trajectory
+    monkeypatch.setattr(timemaps, "_MISMATCH_TOL", 1e-14)
     with pytest.raises(NumericalFailure, match="representation mismatch"):
         compute_g(traj)
 
@@ -173,9 +130,94 @@ def test_diagnostics_accept_arrays(maps):
             assert fn(x) == (u, v)
 
 
-def test_refined_grid_equals_per_step_linspace(traj, traj_deep, traj_window):
-    refine = timemaps._REFINE
-    for tr in (traj, traj_deep, traj_window):
-        grid = _refined_grid(tr)
-        assert grid.size == refine * (tr.t_grid.size - 1) + 1
-        assert np.array_equal(grid, refined_grid_per_step(tr.t_grid, refine))
+def _log_g_by_quad(traj, t):
+    """ln g at the times t by scipy's quad of the quotient integrand on the dense output,
+    step by step: the oracle of the step polynomials."""
+    A, nodes = traj.params.A, traj.t_grid
+
+    def integrand(s):
+        f, f0 = traj.f_f0_at(s)
+        return f * (1.0 + f) / (s * s * f0)
+
+    def integral(lo, hi):
+        return quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    before = np.cumsum([0.0] + [integral(lo, hi) for lo, hi in zip(nodes[:-2], nodes[1:-1])])
+    k = np.clip(np.searchsorted(nodes, t) - 1, 0, len(nodes) - 2)
+    return np.array([-A * (before[i] + integral(nodes[i], ti)) for i, ti in zip(k, t)])
+
+
+@pytest.mark.parametrize("which", ["traj", "traj_deep"])
+def test_g_equals_quad_of_the_quotient_integrand(which, request):
+    # 24 times drawn over the trajectory, t0, and 5 times inside the last step, which
+    # is cut at the cap: its polynomial is in x over the cut length, not the solver's h
+    traj = request.getfixturevalue(which)
+    maps = compute_g(traj)
+    nodes = traj.t_grid
+    assert nodes[-1] - nodes[-2] < traj.h[-1]  # the last step is cut
+    last = nodes[-2] + (nodes[-1] - nodes[-2]) * np.array([0.1, 0.3, 0.5, 0.9, 1.0])
+    t = np.concatenate([np.random.default_rng(5).uniform(nodes[0], nodes[-1], 24),
+                        nodes[:1], last])
+    g = maps.g_G_at(t)[0]
+    assert np.max(np.abs(g - np.exp(_log_g_by_quad(traj, t))) / g) < 1e-11
+
+
+def test_tau_reads_give_back_tau(traj_deep, maps_deep):
+    # g at the time found for each rung, geometric midpoint and div B stencil tau
+    # (the first rung's outer stencil tau lies before t0) is -tau to the rounding of
+    # that time: one ulp of t moves ln g by t |d ln g/dt| ulp
+    m, p = maps_deep, maps_deep.params
+    rungs = -(2.0 ** -np.arange(9))
+    taus = np.concatenate([rungs, -np.sqrt(rungs[:-1] * rungs[1:]),
+                           np.outer(rungs, 1.0 + 1e-5 * np.array([1.0, -1.0])).ravel()])
+    t = m.t_at_tau(taus)
+    assert t[np.argmin(taus)] < p.t0 < t[np.argmax(taus)]
+    f, f0 = traj_deep.f_f0_at(t)
+    conditioning = 1.0 + t * p.A * f * (1.0 + f) / (t * t * f0)
+    assert np.all(np.abs(m.g_G_at(t)[0] / -taus - 1.0) <= 8.0 * _EPS * conditioning)
+    # f_G_at_tau reads f there, and G from chi's closed form with g = -tau
+    f_read, G_read = m.f_G_at_tau(taus)
+    assert np.array_equal(f_read, f)
+    assert np.allclose(G_read, m.g_G_at(t)[1], rtol=1e-12, atol=1e-12 * np.abs(m.G_frak).max())
+
+
+def test_record_grid_is_solver_and_quadrature_nodes(traj, maps):
+    # 7 points a step: the solver node, then its 6 Gauss-Legendre nodes; the record's
+    # values are the readers' at its times, bit for bit
+    n = len(traj.t_grid) - 1
+    assert maps.t_grid.shape == (7 * n + 1,)
+    assert np.array_equal(maps.t_grid[::7], traj.t_grid)
+    assert np.all(np.diff(maps.t_grid) > 0.0)
+    g, G = maps.g_G_at(maps.t_grid)
+    assert np.array_equal(g, maps.g) and np.array_equal(G, maps.G_frak)
+
+
+def test_gauss_legendre_rule_integrates_the_interpolant():
+    # node values of x^m go to the coefficient 1/(m+1) of x^(m+1); at x = 1 the
+    # integral is the rule, so each column of the matrix sums to its weight
+    nodes, weights, to_integral = timemaps._gauss_legendre()
+    assert not any(a.flags.writeable for a in (nodes, weights, to_integral))
+    assert np.all((0.0 < nodes) & (nodes < 1.0)) and math.isclose(weights.sum(), 1.0)
+    for m in range(timemaps._GL_NODES):
+        expect = np.eye(timemaps._GL_NODES)[m] / (m + 1.0)
+        assert np.allclose(to_integral @ nodes**m, expect, rtol=0.0, atol=1e-12)
+    assert np.allclose(to_integral.sum(axis=0), weights, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.5, np.nan, -1e3])
+def test_tau_without_a_time_is_refused(maps, tau):
+    # tau >= 0 has no ln(-tau), and tau = -1e3 lies far before t0, where the first
+    # step's polynomial has no root near its chord start
+    with pytest.raises(NumericalFailure, match="no time found for tau"):
+        maps.f_G_at_tau(np.array([-0.5, tau]))
+
+
+def test_newton_residual_is_checked(maps_deep, monkeypatch):
+    # one Newton iteration from the chord leaves a residual of about 1e-10 in ln g on
+    # the ladder and its midpoints, far above rounding, and the read refuses it
+    rungs = -(2.0 ** -np.arange(9))
+    taus = np.concatenate([rungs, -np.sqrt(rungs[:-1] * rungs[1:])])
+    maps_deep.f_G_at_tau(taus)
+    monkeypatch.setattr(timemaps, "_NEWTON_STEPS", 1)
+    with pytest.raises(NumericalFailure, match="Newton's residual"):
+        maps_deep.f_G_at_tau(taus)
