@@ -94,7 +94,7 @@ def fuchsian_fields(state: FieldState, traj: OdeTrajectory, maps: TimeMaps) -> F
     h = 1.0 / state.n
     u = (state.rho_hat - f) / f
     u0 = (state.drho_dt - f0) / f0
-    uz = (traj.params.c_scale / (1.0 + f)) * diff1(state.rho_hat, h)
+    uz = (traj.params.c_scale / (1.0 + f)) * diff1(state.rho_hat - f, h)
     psi = compute_psi(u)
     g, G = maps.g_G_at(t)
     return FuchsianFields(tau=-g, t=t, f=f, G_frak=G,
@@ -390,9 +390,14 @@ class ConditionReport:
         return all(self.verdict.values())
 
 
-def _ball_directions(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _ball_directions(n: int, seed: int, ball=None) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions (n, 5) and radial factors u^(1/5) (n,) of n scrambled Halton
-    points of the 5-ball; the points of radius r are directions * (r * factors)."""
+    points of the 5-ball; the points of radius r are directions * (r * factors).
+    Given ``ball``, an earlier draw from the same seed of at least n points, they
+    are its first n, which equal a fresh draw's bit for bit: Halton draws are
+    prefix-stable."""
+    if ball is not None:
+        return ball[0][:n], ball[1][:n]
     u = _scrambled_halton(6, n, seed)
     direc = u[:, :5] * 2.0 - 1.0
     norms = np.linalg.norm(direc, axis=1)
@@ -400,9 +405,19 @@ def _ball_directions(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return direc / norms[:, None], u[:, 5] ** (1.0 / 5.0)
 
 
-def _ball_samples(n: int, radius: float, seed: int) -> np.ndarray:
-    unit, radial = _ball_directions(n, seed)
+def _ball_samples(n: int, radius: float, seed: int, ball=None) -> np.ndarray:
+    unit, radial = _ball_directions(n, seed, ball)
     return unit * (radius * radial)[:, None]
+
+
+_RADIUS_SAMPLES = 400  # find_certified_radius's samples per radius
+
+
+def ball_draw(n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One draw of the ball from ``seed`` for a run: the ``ball`` that
+    find_certified_radius, with its default samples, and verify_conditions, with
+    n_samples, both read."""
+    return _ball_directions(max(_RADIUS_SAMPLES, n_samples, 3), seed)
 
 
 _TAU_RUNGS = 12  # the tau ladder is -2^-k for k < _TAU_RUNGS, above the terminal tau
@@ -487,14 +502,15 @@ def _tau_ladder(maps: TimeMaps) -> np.ndarray:
 
 
 def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
-                      n_samples: int = 2000, seed: int = 20240) -> ConditionReport:
+                      n_samples: int = 2000, seed: int = 20240, ball=None) -> ConditionReport:
     """Sample the coefficient conditions over the ball ||U|| <= r_tilde.
 
     Checks per sample: exact symmetry of B0 and Bz, finiteness, the
     eigenvalue sandwich gb1 <= B0 <= M/kappa <= gb2, and the smallness budget
     sum |z_ell| < gamma1.  The remainder H is evaluated at U = 0 on the
     ladder, and the order split of the divergence bound is fitted across the
-    tau ladder.  Refuses maps of non-certified params.
+    tau ladder.  Refuses maps of non-certified params.  The samples are the
+    Halton points of ``seed``, read from ``ball`` (``ball_draw``) when given.
 
     The sandwich margin at a sample is min(m1, m2, m3): m1 = min diag(B0) - gb1,
     m2 = lambda_min(M/kappa - B0) and m3 = gb2 - lambda_max(M)/kappa, with M the
@@ -521,7 +537,7 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
         raise UsageError("parameters are outside the certified stiffness range")
     tau_ladder = _tau_ladder(maps)
     # one draw: its point 2 is _divB_order_fit's, as Halton draws are prefix-stable
-    points = _ball_samples(max(n_samples, 3), r_tilde, seed)
+    points = _ball_samples(max(n_samples, 3), r_tilde, seed, ball)
     samples = points[:n_samples]
     samples[0] = 0.0
 
@@ -596,13 +612,15 @@ def _G_halforder_bound(maps: TimeMaps, tau_ladder: np.ndarray) -> tuple[float, b
 
 
 def find_certified_radius(maps: TimeMaps, constants: GammaConstants, seed: int = 20240,
-                          n_samples: int = 400, r_start: float = 1e-2) -> float:
+                          n_samples: int = _RADIUS_SAMPLES, r_start: float = 1e-2,
+                          ball=None) -> float:
     """Largest sampled radius with sum |z_ell| < gamma1 over the ladder.
 
     A radius is halved when any sample breaks the budget or leaves the
-    domain of the system (DomainError) at any rung.  The samples are drawn once
-    and rescaled to each radius tried.  Each try evaluates only the corrections
-    Z, with the domain checks of ``assemble_matrices``, and none of the blocks.
+    domain of the system (DomainError) at any rung.  The samples are drawn once,
+    or read from ``ball`` (``ball_draw``), and rescaled to each radius tried.  Each
+    try evaluates only the corrections Z, with the domain checks of
+    ``assemble_matrices``, and none of the blocks.
 
     A screen first takes the first ``max(1, n_samples // _RADIUS_TRIES)`` samples
     at every radius in one call, and a radius gets its full try only where the
@@ -612,7 +630,7 @@ def find_certified_radius(maps: TimeMaps, constants: GammaConstants, seed: int =
     """
     tau = _tau_ladder(maps)[:, None]
     f_val, G_val = maps.f_G_at_tau(tau)
-    unit, radial = _ball_directions(n_samples, seed)
+    unit, radial = _ball_directions(n_samples, seed, ball)
     radii = r_start * _RADIUS_SHRINK ** np.arange(_RADIUS_TRIES)
     screened = _screen(tau, unit, radial, G_val, f_val, maps.params, radii).max(axis=(0, 2))
     for r, screen_worst in zip(radii, screened):
@@ -651,16 +669,26 @@ def _divB_pieces(tau, U, W, maps) -> dict:
 
     Returns name -> (k,) norms: B0's derivative along each of B0^-1 times the
     right-side parts a (-Bz W), b (frakB U / tau) and e ((-tau)^(-1/2) F), Bz's
-    along W, and B0's along tau, all by central differences.  One
-    ``assemble_matrices`` call covers the k centres and one the (k, 10) stencil
-    points.  Norms are sqrt(vecdot) over the flattened entries, which sums them
-    in the order np.linalg.norm does for one point.
+    along W, and B0's along tau, all by central differences but B0's along tau
+    where its backward point would precede the time maps (the first rung,
+    tau = -1 at t0), which is second order forward.  One ``assemble_matrices``
+    call covers the k centres and one the (k, 10) stencil points, whose 3
+    distinct times per rung are read once.  Norms are sqrt(vecdot) over the
+    flattened entries, which sums them in the order np.linalg.norm does for one
+    point.
     """
     tau = np.asarray(tau, float)
     dtau = 1e-5 * np.abs(tau)
-    # stencil times per rung: tau at the 8 U-points, then tau +- dtau at U
-    taus = tau[:, None] + dtau[:, None] * np.r_[np.zeros(8), 1.0, -1.0]
-    f_st, G_st = maps.f_G_at_tau(taus)
+    # B0's tau derivative at U: central from tau +- dtau, or, where tau - dtau
+    # precedes the time maps, second order forward from tau, tau + dtau, tau + 2 dtau
+    forward = tau - dtau < maps.tau[0]
+    tau3 = tau[:, None] + dtau[:, None] * np.stack(
+        [np.zeros_like(tau), np.ones_like(tau), np.where(forward, 2.0, -1.0)], axis=1)
+    # each rung's 3 distinct times read once; the stencil takes tau at the 8 U-points,
+    # then the other two at U
+    cols = np.r_[np.zeros(8, int), 1, 2]
+    taus = tau3[:, cols]
+    f_st, G_st = (a[:, cols] for a in maps.f_G_at_tau(tau3))
     ev = assemble_matrices(tau, U, G_st[:, 0], f_st[:, 0], maps.params)
     b0_inv = np.linalg.inv(ev.B0)
 
@@ -681,8 +709,9 @@ def _divB_pieces(tau, U, W, maps) -> dict:
     def d_dU(m, n):  # block m's derivative along direction n, times that direction's norm
         return norms[:, n, None, None] * (m[:, n] - m[:, 4 + n]) / (2.0 * _DIVB_EPS)
 
-    pieces = np.stack([d_dU(st.B0, 0), d_dU(st.B0, 1), d_dU(st.Bz, 3),
-                       (st.B0[:, 8] - st.B0[:, 9]) / (2.0 * dtau)[:, None, None],
+    d_dtau = np.where(forward[:, None, None], -3.0 * ev.B0 + 4.0 * st.B0[:, 8] - st.B0[:, 9],
+                      st.B0[:, 8] - st.B0[:, 9]) / (2.0 * dtau)[:, None, None]
+    pieces = np.stack([d_dU(st.B0, 0), d_dU(st.B0, 1), d_dU(st.Bz, 3), d_dtau,
                        d_dU(st.B0, 2)]).reshape(5, len(tau), 25)
     return dict(zip(("a_flux", "b_singular", "c_dUBz", "d_dtauB0", "e_halforder"),
                     np.sqrt(np.vecdot(pieces, pieces))))

@@ -7,12 +7,13 @@ one (3, n) system by the error-controlled Dormand-Prince 8(5,3) pair (DOP853;
 Hairer, Norsett and Wanner, Solving ODEs I, II.10) that integrates the contrast
 ODE, ``contrast_ode._Dop853``, whose steps and dense output equal scipy's
 ``DOP853`` bit for bit; the nonlocal rescaled gravity Psi is re-evaluated
-from the current contrast at every stage.  rhs differentiates the contrast in
-its deviation from f; on grids of up to _DENSE_MAX_N = 128 points the
-stencils and Psi, all circulant maps, act on it as one cached dense matrix per
-grid size, whose products cost fewer numpy calls than the stencils and the
-FFT; rhs's pointwise algebra is two more products, of time-only coefficients
-with stacked field products.
+from the current contrast at every stage.  rhs differentiates the state in its
+deviation from its mean (f, f', 0): the stencils act on it as one product of
+their five weights with the deviation gathered at each point's neighbours, and
+Psi as one product with a cached dense matrix on grids of up to
+_DENSE_MAX_N = 256 points (the FFT above), each one numpy call where the
+stencils' slices and the FFT take several; rhs's pointwise algebra is two more
+products, of time-only coefficients with stacked field products.
 Snapshots come from the pair's order-7 dense output at times fixed in
 advance; the monitors are taken at the accepted step ends and at the snapshot
 times.
@@ -101,56 +102,61 @@ def compute_psi(u_grid: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(u_grid) / _psi_divisor(n), n=n)
 
 
-# The largest grid on which rhs applies its derivatives and Psi as products
-# with _grid_operator, a speed choice: both ways apply the same linear maps to
-# the same deviation, and up to n = 192 either way meets the term-by-term
-# formula to 1e-14 of the contrast row.  The product costs O(n^2) against the
-# stencils' O(n) and the FFT's O(n log n), but saves about 20 numpy calls: on a
-# 2-vCPU VM it is the faster way up to about n = 224.
-_DENSE_MAX_N = 128
+# The largest grid on which rhs applies Psi as a product with the cached (n, n)
+# circulant matrix, a speed choice: both ways apply the same linear map to the
+# same deviation.  The product costs O(n^2) against the FFT's O(n log n), but is
+# one numpy call against three.  Timing rhs with each on a 2-vCPU VM, the product
+# was faster in 15 to 20 of 20 interleaved pairs at each n from 128 to 352, and
+# in 0 and 9 of 20 in two runs at n = 384.  The cut is the largest power of two
+# below that crossover, where the matrix holds 512 KiB.
+_DENSE_MAX_N = 256
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_operator(n: int) -> np.ndarray:
-    """[D1^T | D2^T | C^T], shape (n, 3n), read-only: for grids u on the last axis,
-    u @ _grid_operator(n) holds diff1(u, 1/n), diff2(u, 1/n) and compute_psi(u)
-    side by side.
+def _grid_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(index, weights, psi_matrix) of rhs's grid maps on an n-point grid, read-only.
 
-    The three maps are linear and shift-invariant on the periodic grid, that is
-    circulant matrices.  Each is built by applying diff1, diff2 or compute_psi
-    to the rows of the identity, which gives its transpose, so the stencil
-    weights and the Psi divisor stay defined in one place.  At n = 128 it holds
-    384 KiB.
+    For grids u of shape (3, n), row k of u.take(index), shape (5, 3n), holds each
+    point's periodic neighbour k - 2 along its grid.  weights (2, 5) holds diff1's
+    and diff2's weights, read off the stencils themselves, so weights.dot(u.take(
+    index)) is diff1(u, 1/n) and diff2(u, 1/n), each flattened.  Up to
+    n = _DENSE_MAX_N psi_matrix is compute_psi(np.eye(n)), so that
+    v.dot(psi_matrix) is compute_psi(v); above it, None.
     """
-    eye, h = np.eye(n), 1.0 / n
-    op = np.concatenate((diff1(eye, h), diff2(eye, h), compute_psi(eye)), axis=1)
-    op.flags.writeable = False
-    return op
+    points = np.arange(3 * n)
+    index = points - points % n + (points + np.arange(-2, 3)[:, None]) % n
+    eye, h = np.eye(5), 1.0 / n
+    weights = np.stack((diff1(eye, h)[:, 2], diff2(eye, h)[:, 2]))
+    psi_matrix = compute_psi(np.eye(n)) if n <= _DENSE_MAX_N else None
+    for a in (index, weights, psi_matrix):
+        if a is not None:
+            a.flags.writeable = False
+    return index, weights, psi_matrix
 
 
-def _grid_derivatives(y: np.ndarray, f: float):
-    """(rz, rtz, nuz, rzz, psi) of the state y = (rho_hat, drho_dt, nu), shape (3, n),
-    where f is the contrast; psi is compute_psi(rho_hat - f) / f.
+def _grid_derivatives(y: np.ndarray, f: float, f0: float, out: np.ndarray):
+    """(rz, rtz, nuz, rzz) of the state y = (rho_hat, drho_dt, nu), shape (3, n),
+    where f and f0 are the contrast and its rate; writes the deviation
+    (rho_hat - f, drho_dt - f0, nu) into out[:3] and compute_psi(rho_hat - f)
+    into out[3], out of shape (4, n).
 
-    The contrast is differentiated in its deviation rho_hat - f, which has the
-    same derivatives: rho_hat has mean f (up to 1e3 and more), and a stencil of
-    it in full cancels terms of the size of f times the weights to leave the
-    derivatives of the small deviation, which its rounding swamps.  Up to
-    n = _DENSE_MAX_N the maps are two products with _grid_operator(n); above
-    it, one call each of diff1, diff2 and compute_psi.
+    The state is differentiated in that deviation, which has the same
+    derivatives: rho_hat has mean f (up to 1e3 and more), and a stencil of it in
+    full cancels terms of the size of f times the weights to leave the
+    derivatives of the small deviation, which its rounding swamps; drho_dt, of
+    mean f0, likewise.  The stencils are one product of the weights with the
+    gathered deviation, and Psi one product with the cached matrix or one FFT
+    (_grid_maps); ndarray.dot calls the BLAS that matmul does, with less overhead.
     """
     n = y.shape[1]
-    v = y.copy()
-    v[0] -= f
-    if n > _DENSE_MAX_N:
-        h = 1.0 / n
-        rz, rtz, nuz = diff1(v, h)
-        rzz, psi = diff2(v[0], h), compute_psi(v[0])
+    index, weights, psi_matrix = _grid_maps(n)
+    v = np.subtract(y, np.array(((f,), (f0,), (0.0,))), out=out[:3])
+    d = weights.dot(v.take(index))
+    if psi_matrix is None:
+        out[3] = compute_psi(v[0])
     else:
-        op = _grid_operator(n)
-        rz, rzz, psi = (v[0] @ op).reshape(3, n)
-        rtz, nuz = v[1:] @ op[:, :n]
-    return rz, rtz, nuz, rzz, psi / f
+        v[0].dot(psi_matrix, out=out[3])
+    return d[0, :n], d[0, n:2 * n], d[0, 2 * n:], d[1, :n]
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +244,12 @@ def init_from_data(params: ModelParams, d: np.ndarray, v: np.ndarray) -> FieldSt
     if np.any(one_pr <= 0.0):
         raise UsageError("initial data reaches vacuum: 1 + rho_hat <= 0")
     z_rate = f0 / (3.0 * (1.0 + f))
+    dev = rho_hat - f  # differentiated in its deviation, as rhs does
     drho_dt = (one_pr * f0 / (1.0 + f)
-               - z_rate * nu * diff1(rho_hat, h)
+               - z_rate * nu * diff1(dev, h)
                - one_pr * (f0 / (1.0 + f)) * nu
                - one_pr * z_rate * diff1(nu, h))
-    psi = compute_psi((rho_hat - f) / f)
+    psi = compute_psi(dev / f)
     return FieldState(t=params.t0, zeta=zeta, rho_hat=rho_hat,
                       drho_dt=drho_dt, nu=nu, psi=psi)
 
@@ -256,25 +263,29 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
 
     Raises HyperbolicityLossError if gzz <= 0 anywhere and VacuumError on
     vacuum (1 + rho_hat <= 0).  The grid derivatives and Psi come from
-    _grid_derivatives, of the contrast's deviation rho_hat - f: on grids of up
-    to _DENSE_MAX_N points as two products with one cached matrix per grid size
-    (_grid_operator), on larger grids as the diff1, diff2 and compute_psi calls.
-    Both guards run before it, as a dense product spreads a NaN entry to every
-    entry.  The rest is two products of Python-float coefficients of (t, f, f')
-    with field products, each written once into a row of one stack: the first
-    gives the speed equation, the continuity defect, lin and quad, and the
-    second the contrast equation, whose terms in rz are rz (lin + rz quad).
-    That is about 57 numpy calls where writing out each term took 85; on these
-    grids each call costs more in overhead than in arithmetic.
+    _grid_derivatives, of the state's deviation (rho_hat - f, drho_dt - f', nu):
+    one gathered five-point product for the stencils, and one product with a
+    cached matrix or one FFT for Psi.  Both guards run before it, as a dense
+    product spreads a NaN entry to every entry.  The rest is two products of
+    Python-float coefficients of (t, f, f') with field products, each written
+    once into a row of one stack, the deviation and Psi included: the first
+    gives the speed equation, the continuity defect, lin and quad straight into
+    rows of the output, and the second the contrast equation, whose terms in rz
+    are rz (lin + rz quad).  Psi enters unscaled, its 1/f folded into its two
+    coefficients.  That is about 50 numpy calls where writing out each term took
+    85; on these grids each call costs more in overhead than in arithmetic.
     """
     t = float(t)
     f, f0 = traj.f_f0_at(t)
     p = traj.params
     om, i3, kap = p.omega, p.iota3, p.kappa
-    r, rt, nu = y
-    s = np.empty((22, y.shape[1]))
-    (ratio_om, pr_ratio_om, nu2, ratio_1om_m1, psi_row, nu_row, one, rt_inv, nu_rt_inv,
-     nu2_inv, nu_nuz, nu_rz_inv, ratio_om_rz,  # the first product's rows, then the second's
+    r, rt, nu = y[0], y[1], y[2]
+    n = y.shape[1]
+    s = np.empty((24, n))
+    # the deviation (its last row nu) and Psi, then the first product's rows from
+    # nu_row on, then the second's
+    (_, _, nu_row, psi_row, ratio_om, pr_ratio_om, nu2, ratio_1om_m1, one, rt_inv,
+     nu_rt_inv, nu2_inv, nu_nuz, nu_rz_inv, ratio_om_rz,
      rz_terms, pr_defect2, gzz_rzz, nu_rtz, rt_rt_inv, rt_row, ratio_om_m1_pr2, r_pr, one_pr) = s
     np.add(r, 1.0, out=one_pr)
     if np.count_nonzero(one_pr <= 0.0):  # not one_pr.min(): a NaN entry would hide the others
@@ -295,11 +306,9 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
         raise HyperbolicityLossError(
             f"hyperbolicity loss at t={t:.9g}: min gzz = {float(gzz[bad].min()):.3g}")
 
-    rz, rtz, nuz, rzz, psi = _grid_derivatives(y, f)
+    rz, rtz, nuz, rzz = _grid_derivatives(y, f, f0, s[:4])  # fills nu_row and psi_row
     inv = 1.0 / one_pr
     np.subtract(ratio * ratio_om, 1.0, out=ratio_1om_m1)
-    psi_row[:] = psi
-    nu_row[:] = nu
     one.fill(1.0)
     np.multiply(rt, inv, out=rt_inv)
     np.multiply(nu, rt_inv, out=nu_rt_inv)
@@ -316,42 +325,42 @@ def rhs(t: float, y: np.ndarray, traj: OdeTrajectory) -> np.ndarray:
 
     quad_r = (om + 1.0) * (om + 2.0) * w
     speed_nu = (1.0 / 3.0 - kap) * c0 - 2.0 * f / (3.0 * tt * c0)  # the terms in nu alone
-    table = np.array((  # one line per row of s
-        # lin                      quad               speed                       defect
-        0.0,                       quad_r,            0.0,                        0.0,
-        (8.0 + 5.0 * om) * w,      0.0,               0.0,                        0.0,
-        c0_2 / 9.0,                0.0,               -z_rate,                    0.0,
-        2.0 * one_pf * w,          0.0,               -6.0 * one_pf * w / c0,     0.0,
-        2.0 * i3 * f / (3.0 * tt), 0.0,               -2.0 * i3 * f / (tt * c0),  0.0,
-        -(2.0 / 9.0) * c0_2,       0.0,               speed_nu,                   -c0,
-        0.0,                       0.0,               0.0,                        c0,
-        0.0,                       0.0,               0.0,                        -1.0,
-        (8.0 / 9.0) * c0,          0.0,               0.0,                        0.0,
-        0.0,                       4.0 * c0_2 / 27.0, 0.0,                        0.0,
-        0.0,                       0.0,               -z_rate,                    0.0,
-        0.0,                       0.0,               0.0,                        -z_rate,
-        0.0,                       0.0,               -3.0 * (om + 2.0) * w / c0, 0.0,
+    table = np.array((  # one line per row of s[2:15]
+        # speed                     lin                        quad               defect
+        speed_nu,                   -(2.0 / 9.0) * c0_2,       0.0,               -c0,
+        -2.0 * i3 / (tt * c0),      2.0 * i3 / (3.0 * tt),     0.0,               0.0,
+        0.0,                        0.0,                       quad_r,            0.0,
+        0.0,                        (8.0 + 5.0 * om) * w,      0.0,               0.0,
+        -z_rate,                    c0_2 / 9.0,                0.0,               0.0,
+        -6.0 * one_pf * w / c0,     2.0 * one_pf * w,          0.0,               0.0,
+        0.0,                        0.0,                       0.0,               c0,
+        0.0,                        0.0,                       0.0,               -1.0,
+        0.0,                        (8.0 / 9.0) * c0,          0.0,               0.0,
+        0.0,                        0.0,                       4.0 * c0_2 / 27.0, 0.0,
+        -z_rate,                    0.0,                       0.0,               0.0,
+        0.0,                        0.0,                       0.0,               -z_rate,
+        -3.0 * (om + 2.0) * w / c0, 0.0,                       0.0,               0.0,
     )).reshape(13, 4)
-    lin, quad, speed, defect = table.T @ s[:13]
+    out = np.empty((6, n))  # the returned rows, then lin, quad and defect
+    lin, quad, defect = table.T.dot(s[2:15], out=out[2:])[1:]
     np.multiply(rz, lin + rz * quad, out=rz_terms)
     np.multiply(defect * defect, one_pr, out=pr_defect2)
-    out = np.empty_like(y)
     out[0] = rt
-    weights = np.array((1.0, 2.0 / 3.0, 1.0, -2.0 * z_rate, 4.0 / 3.0,  # one per row of s[13:]
+    weights = np.array((1.0, 2.0 / 3.0, 1.0, -2.0 * z_rate, 4.0 / 3.0,  # one per row of s[15:]
                         -(4.0 / (3.0 * t) + kap * c0), 6.0 * w, 2.0 / (3.0 * tt), kap * c0_2))
-    np.matmul(weights, s[13:], out=out[1])
-    out[2] = speed
-    return out
+    weights.dot(s[15:], out=out[1])
+    return out[:3]
 
 
 def _continuity_defect(f, f0, rho_hat, drho_dt, nu, h: float) -> np.ndarray:
     """Pointwise defect of the reduced continuity identity, the grid on the last axis;
-    f and f0 broadcast against the fields."""
+    f and f0 broadcast against the fields.  The contrast is differentiated in its
+    deviation rho_hat - f, as in rhs."""
     one_pf, one_pr = 1.0 + f, 1.0 + rho_hat
     z_rate = f0 / (3.0 * one_pf)
     return (f0 / one_pf
             - drho_dt / one_pr
-            - z_rate * nu * diff1(rho_hat, h) / one_pr
+            - z_rate * nu * diff1(rho_hat - f, h) / one_pr
             - (f0 / one_pf) * nu
             - z_rate * diff1(nu, h))
 
@@ -386,12 +395,13 @@ def _record(t: np.ndarray, y: np.ndarray, f: np.ndarray, f0: np.ndarray,
     h = 1.0 / y.shape[-1]
     rr = rho_hat / f
     rd = drho_dt / f0
-    uz = (params.c_scale / (1.0 + f)) * diff1(rho_hat, h)
+    dev = rho_hat - f
+    uz = (params.c_scale / (1.0 + f)) * diff1(dev, h)
     defect = _continuity_defect(f, f0, rho_hat, drho_dt, nu, h)
     return {"t": t, "ratio_rho_min": rr.min(-1), "ratio_rho_max": rr.max(-1),
             "ratio_drho_min": rd.min(-1), "ratio_drho_max": rd.max(-1),
             "uz_sup": np.abs(uz).max(-1), "nu_sup": np.abs(nu).max(-1),
-            "rho_dev_sup": np.abs(rho_hat - f).max(-1),  # max |rho_hat - f|
+            "rho_dev_sup": np.abs(dev).max(-1),  # max |rho_hat - f|
             "continuity_residual": np.abs(defect).max(-1)}
 
 

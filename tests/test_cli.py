@@ -578,6 +578,19 @@ def test_ode_at_small_contrast_passes(tmp_path, beta):
     assert read_summary(out)["values"]["dchi_rel_err"] < 1e-6
 
 
+@pytest.mark.parametrize("beta", ["1e-3", "1e-6"])
+def test_fuchsian_check_at_small_contrast_completes(tmp_path, beta):
+    # the tau derivative of B0 at the first rung, tau = -1 at t0, is a forward
+    # difference: its central one stepped before the time maps and found no time
+    # (exit 3).  F7 is false here: at t0 the contrast is still beta and G about
+    # 1.5e3, so the first rung's div B pieces stand apart from the power law of
+    # the others
+    out = tmp_path / "o"
+    assert main(["fuchsian-check", "--beta", beta, "--output-dir", str(out)]) in (0, 1)
+    assert not (out / "error.json").exists()
+    assert read_summary(out)["values"]["divB_orders"]
+
+
 def test_dchi_verdict_flips_on_a_biased_f00_read(tmp_path, monkeypatch):
     # f'' read 1e-4 high from the dense output puts the chain-rule dchi/dt off the
     # closed-form law by about 8e-2 of it at beta = 0.1 and 6e-2 at 1e-6; only that

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import cosine_profiles, flat_profiles, integrate_contrast, traj_to_cap
 from jeanslab import fuchsian, pde
+from jeanslab.cli import main
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import (DomainError, assemble_matrices, find_certified_radius,
                                fuchsian_fields, gamma_constants, q_lower_bound,
@@ -760,7 +761,8 @@ def test_conditions_solve_few_eigenvalue_problems_at_the_certified_radius(monkey
 
 
 def _divB_pieces_loop(tau, U, W, maps, eps=1e-7):
-    """The per-point central differences _divB_pieces used before the batched form."""
+    """The per-point differences of _divB_pieces: central, but B0's along tau second
+    order forward where tau - dtau precedes the time maps."""
     params = maps.params
     f_val, G_val = maps.f_G_at_tau(tau)
 
@@ -787,7 +789,11 @@ def _divB_pieces_loop(tau, U, W, maps, eps=1e-7):
 
     pieces = {k: db0_dir(b0_inv @ v) for k, v in rhs_parts.items()}
     dtau = 1e-5 * abs(tau)
-    pieces["d_dtauB0"] = (b0_at(tau + dtau, U) - b0_at(tau - dtau, U)) / (2.0 * dtau)
+    if tau - dtau < maps.tau[0]:
+        pieces["d_dtauB0"] = (-3.0 * ev.B0 + 4.0 * b0_at(tau + dtau, U)
+                              - b0_at(tau + 2.0 * dtau, U)) / (2.0 * dtau)
+    else:
+        pieces["d_dtauB0"] = (b0_at(tau + dtau, U) - b0_at(tau - dtau, U)) / (2.0 * dtau)
     nw = np.linalg.norm(W)
     if nw > 0.0:
         e = W / nw
@@ -810,6 +816,51 @@ def test_divB_pieces_equal_per_point_loop(maps_deep, zero_W):
     for i, tau in enumerate(ladder):
         assert ({k: v[i] for k, v in pieces.items()}
                 == _divB_pieces_loop(float(tau), U, W, maps_deep))
+
+
+def test_one_ball_draw_serves_both_searches(maps_deep, gconsts, monkeypatch, tmp_path):
+    # the radius search and the conditions read one draw: each gives the results of
+    # its own draw bit for bit, and a fuchsian-check run draws once
+    ball = fuchsian.ball_draw(1000, 7)
+    assert len(ball[1]) == 1000
+    r = find_certified_radius(maps_deep, gconsts, seed=7)
+    assert find_certified_radius(maps_deep, gconsts, seed=7, ball=ball) == r
+    own = verify_conditions(maps_deep, gconsts, r_tilde=r, n_samples=1000, seed=7)
+    shared = verify_conditions(maps_deep, gconsts, r_tilde=r, n_samples=1000, seed=7, ball=ball)
+    for field in dataclasses.fields(own):
+        a, b = getattr(own, field.name), getattr(shared, field.name)
+        if field.name == "worst_sample":
+            assert a[0] == b[0] and np.array_equal(a[1], b[1])
+        else:
+            assert a == b, field.name
+    draws = []
+    halton = fuchsian._scrambled_halton
+    monkeypatch.setattr(fuchsian, "_scrambled_halton",
+                        lambda *args: draws.append(args) or halton(*args))
+    assert main(["fuchsian-check", "--output-dir", str(tmp_path / "o")]) == 0
+    assert draws == [(6, 2000, 20240)]
+
+
+def test_divB_pieces_read_three_times_per_rung_inside_the_maps(maps_deep, monkeypatch):
+    # one tau read over the ladder: tau, tau + dtau and, but at the first rung
+    # (tau = -1 at t0, where tau - dtau precedes the maps), tau - dtau
+    reads = []
+    read = type(maps_deep).f_G_at_tau
+
+    def recorded(self, tau):
+        reads.append(np.array(tau))
+        return read(self, tau)
+
+    monkeypatch.setattr(type(maps_deep), "f_G_at_tau", recorded)
+    ladder = fuchsian._tau_ladder(maps_deep)
+    fuchsian._divB_pieces(ladder, np.full(5, 1e-8), np.full(5, 1e-8), maps_deep)
+    assert len(reads) == 1 and reads[0].shape == (len(ladder), 3)
+    dtau = 1e-5 * np.abs(ladder)
+    assert ladder[0] == maps_deep.tau[0] == -1.0
+    assert np.array_equal(reads[0][:, 0], ladder)
+    assert np.array_equal(reads[0][:, 1], ladder + dtau)
+    assert np.array_equal(reads[0][:, 2], ladder + dtau * np.r_[2.0, -np.ones(len(ladder) - 1)])
+    assert reads[0].min() >= maps_deep.tau[0]
 
 
 def _divB_order_fit_loop(maps, r_tilde, seed):

@@ -135,34 +135,61 @@ def test_psi_linf_bound():
 
 
 # ---------------------------------------------------------------------------
-# dense grid operator
+# rhs's grid maps
 
 
-@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("n", [16, 64, 128, 256])
 def test_grid_operator_products_equal_stencils_and_psi(n):
-    # the product sums a row's terms in another order than the stencil or the
-    # FFT: bound each block's error by 4 ulps of max|u| times the block's
-    # largest absolute row sum (measured: at most 1.2 ulps)
-    op = pde._grid_operator(n)
-    assert op.shape == (n, 3 * n)
+    # the gathered product and the Psi matrix sum a row's terms in another order
+    # than the stencil or the FFT: bound each map's error by 4 ulps of max|u| times
+    # its largest absolute row sum (measured: at most 1.2 ulps)
+    index, weights, psi_matrix = pde._grid_maps(n)
+    assert index.shape == (5, 3 * n) and weights.shape == (2, 5)
     h, ulp = 1.0 / n, np.finfo(float).eps
+    row_sums = (*np.abs(weights).sum(axis=1), np.abs(compute_psi(np.eye(n))).sum(axis=0).max())
     rng = np.random.default_rng(n + 7)
     for scale in (1e-3, 1.0, 1e3):
         u = scale * rng.standard_normal((3, n))
-        got = (u @ op).reshape(3, 3, n)
-        for k, want in enumerate((diff1(u, h), diff2(u, h), compute_psi(u))):
-            block = op[:, k * n:(k + 1) * n]
-            bound = 4.0 * ulp * np.max(np.abs(u)) * np.max(np.abs(block).sum(axis=0))
-            assert np.max(np.abs(got[:, k] - want)) <= bound, (k, scale)
+        got = [*weights.dot(u.take(index)).reshape(2, 3, n)]
+        if psi_matrix is not None:  # above the cut rhs calls compute_psi itself
+            got.append(u.dot(psi_matrix))
+        for k, (g, want, row_sum) in enumerate(
+                zip(got, (diff1(u, h), diff2(u, h), compute_psi(u)), row_sums)):
+            assert np.max(np.abs(g - want)) <= 4.0 * ulp * np.max(np.abs(u)) * row_sum, (k, scale)
 
 
 def test_grid_operator_is_read_only_and_cached():
-    op = pde._grid_operator(32)
-    assert pde._grid_operator(32) is op
-    for arr in (op, op[:, :32]):  # rhs's D1 block is a view
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 1.0
+    for n in (32, pde._DENSE_MAX_N + 2):
+        maps = pde._grid_maps(n)
+        assert pde._grid_maps(n) is maps
+        index, weights, psi_matrix = maps
+        assert (psi_matrix is None) == (n > pde._DENSE_MAX_N)
+        for arr in (a for a in maps if a is not None):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_grid_derivatives_differentiate_the_deviation(traj, n):
+    # each row is differentiated in its deviation from its mean (f, f', 0): the
+    # derivatives meet the extended-precision stencils of that deviation within 4
+    # ulps of its size times the weights' row sums.  drho_dt differentiated in full
+    # rounds at f' times the weights, about 1e3 times more
+    t, y = _state_at(traj, 30.0, 1e-3, 1e-4, n)
+    f, f0 = traj.f_f0_at(t)
+    out = np.empty((4, n))
+    got = pde._grid_derivatives(y, f, f0, out)
+    dev = y.astype(np.longdouble) - np.array([[f], [f0], [0.0]], dtype=np.longdouble)
+    h = np.longdouble(1) / n
+    want = (diff1(dev[0], h), diff1(dev[1], h), diff1(dev[2], h), diff2(dev[0], h))
+    weights = np.abs(pde._grid_maps(n)[1]).sum(axis=1)
+    ulp = np.finfo(float).eps
+    for g, w, row, k in zip(got, want, (0, 1, 2, 0), (0, 0, 0, 1)):
+        bound = 4.0 * ulp * float(np.max(np.abs(dev[row]))) * weights[k]
+        assert float(np.max(np.abs(g - w))) <= bound, (row, k)
+    assert np.array_equal(out[:3], y - np.array([[f], [f0], [0.0]]))
+    assert np.max(np.abs(out[3] - compute_psi(out[0]))) <= 4.0 * ulp * np.max(np.abs(out[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +444,12 @@ def test_rhs_equals_reference_formula(traj, params, n, eps, eps_v):
        eps=st.floats(0.0, 0.05), eps_v=st.floats(0.0, 0.01))
 def test_rhs_equals_reference_formula_on_drawn_states(traj, params, n, log_f, eps, eps_v):
     # f log-uniform in [beta, 1e3], under the bounds of the fixed cases above.  The
-    # oracle, like rhs, differentiates the deviation rho_hat - f.  Above
-    # _DENSE_MAX_N rhs applies the same stencils as the oracle, in double; up to
-    # it rhs applies them as matrix products, which round otherwise, and there
-    # the oracle runs in extended precision.  The fixed cases run it in extended
-    # precision at every n.
+    # oracle, like rhs, differentiates the deviation rho_hat - f.  rhs applies the
+    # stencils and Psi as products, which round otherwise than the oracle's
+    # stencils and FFT, so the oracle runs in extended precision, as in the fixed
+    # cases.
     f_target = params.beta * (1e3 / params.beta) ** log_f
-    dtype = np.longdouble if n <= pde._DENSE_MAX_N else float
-    _assert_rhs_equals_reference(traj, f_target, eps, eps_v, n, oracle_dtype=dtype)
+    _assert_rhs_equals_reference(traj, f_target, eps, eps_v, n, oracle_dtype=np.longdouble)
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -442,12 +467,13 @@ def test_rhs_leaves_its_input_and_returns_a_fresh_array(traj, n):
     assert not np.shares_memory(a, flat) and not np.shares_memory(b, flat)
 
 
-@pytest.mark.parametrize("n,calls", [(64, 0), (128, 0), (192, 1), (256, 1)])
+@pytest.mark.parametrize("n,calls", [(64, 0), (128, 0), (192, 0), (256, 0), (384, 1)])
 def test_rhs_takes_the_dense_operator_up_to_its_crossover(traj, monkeypatch, n, calls):
-    # up to pde._DENSE_MAX_N rhs takes its derivatives and Psi from the cached
-    # operator; above it, it makes one call each of the stencils and the FFT
+    # rhs takes its derivatives from the cached gathered product on every grid, and
+    # Psi from the cached matrix up to pde._DENSE_MAX_N; above it, from one FFT
+    assert (n > pde._DENSE_MAX_N) == calls
     t, y = _state_at(traj, 30.0, 1e-3, 1e-4, n)
-    rhs(t, y, traj)  # builds the operator of a dense grid
+    rhs(t, y, traj)  # builds the maps of the grid
     counts = dict.fromkeys(("diff1", "diff2", "compute_psi"), 0)
     for name in counts:
         def counted(*args, _name=name, _fun=getattr(pde, name)):
@@ -455,7 +481,7 @@ def test_rhs_takes_the_dense_operator_up_to_its_crossover(traj, monkeypatch, n, 
             return _fun(*args)
         monkeypatch.setattr(pde, name, counted)
     rhs(t, y, traj)
-    assert counts == dict.fromkeys(counts, calls)
+    assert counts == {"diff1": 0, "diff2": 0, "compute_psi": calls}
 
 
 def test_rhs_guards_see_past_nan(traj, params):
@@ -928,7 +954,7 @@ def test_monitors_equal_per_state_recomputation(params, monkeypatch, vacuum_afte
                        psi=None)  # no monitor reads psi
         f, f0 = traj.f_f0_at(t)
         rr, rd = s.rho_hat / f, s.drho_dt / f0
-        uz = (params.c_scale / (1.0 + f)) * diff1(s.rho_hat, 1.0 / s.n)
+        uz = (params.c_scale / (1.0 + f)) * diff1(s.rho_hat - f, 1.0 / s.n)
         expect = {"t": t, "ratio_rho_min": float(rr.min()), "ratio_rho_max": float(rr.max()),
                   "ratio_drho_min": float(rd.min()), "ratio_drho_max": float(rd.max()),
                   "uz_sup": float(np.max(np.abs(uz))), "nu_sup": float(np.max(np.abs(s.nu))),
