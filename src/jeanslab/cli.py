@@ -36,7 +36,7 @@ from .contrast_ode import (LADDER_RUNGS, ContrastMarch, OdeTrajectory, Tolerance
                            blowup_bracket, blowup_ladder, bound_certificates,
                            envelope_constants, zero_trajectory)
 from .errors import JeanslabError, NumericalFailure, UsageError
-from .fuchsian import (ball_draw, find_certified_radius, gamma_constants, q_lower_bound,
+from .fuchsian import (find_certified_radius, gamma_constants, q_lower_bound,
                        q_quantity, verify_conditions)
 from .params import ModelParams, build_params, params_from_iota3, solve_iota
 from .pde import PDE_RTOL, data_smallness, entropy_field, evolve, init_from_data, zeta_grid
@@ -472,10 +472,8 @@ def cmd_fuchsian(run: RunDir) -> None:
     maps = compute_g(run.trajectory(max(cfg.f_cap, 1e8)))
     g_range = (float(np.min(maps.G_frak)), float(np.max(maps.G_frak)))
     gc = gamma_constants(maps.params, g_range)
-    ball = ball_draw(cfg.n_fuchsian_samples, cfg.seed)  # one Halton draw for both
-    r_tilde = find_certified_radius(maps, gc, seed=cfg.seed, ball=ball)
-    rep = verify_conditions(maps, gc, r_tilde, n_samples=cfg.n_fuchsian_samples, seed=cfg.seed,
-                            ball=ball)
+    r_tilde = find_certified_radius(maps, gc)
+    rep = verify_conditions(maps, gc, r_tilde, n_samples=cfg.n_fuchsian_samples, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     pairs = [(10 ** rng.uniform(-3, 1), rng.uniform(1e-4, 0.2)) for _ in range(100)]
     q_ok = all(q_quantity(lam_, i3_) > q_lower_bound(lam_, i3_) for lam_, i3_ in pairs)

@@ -719,8 +719,9 @@ def blowup_bracket(params: ModelParams) -> tuple[float, float | None]:
     """Bracket [t_star, t_star_upper) for the blowup time.
 
     t_star is the first root past t0 of the algebraic bracket function,
-    located by geometric scan plus bisection to 1e-10 relative.  The upper
-    end exists only for supercritical data beta0 > a_bar (1+beta)/(c_bar t0)
+    located by a geometric scan, then by Brent's method (``_brentq``, xtol 1e-13,
+    rtol 1e-11) on the step of the scan where it changes sign.  The upper end
+    exists only for supercritical data beta0 > a_bar (1+beta)/(c_bar t0)
     (gamma > 1/3 at t0 = 1) and is closed form.
     """
     ec = envelope_constants(params)

@@ -21,7 +21,10 @@ extracted from an actual PDE run.
 `assemble_matrices` is array-valued: U has shape (..., 5), tau, G and f
 broadcast against U[..., 0], and every FuchsianEval field carries that leading
 shape (blocks (..., 5, 5), corrections Z (..., 8)); one point is shape ().
-The corrections come from `_corrections`, which the radius search calls alone.
+The corrections come from `_corrections`, which also takes complex U: the
+certified radius is read from the Jacobian dZ/dU at U = 0, which one complex-step
+`_corrections` call gives at every rung, and `verify_conditions` samples the ball
+of that radius.
 """
 
 from __future__ import annotations
@@ -44,9 +47,16 @@ from .timemaps import TimeMaps
 # stable ratios ((1+a u)^p - 1)/u and the doubly-cancelled variant
 
 
+def _inexact(x) -> np.ndarray:
+    """x as a float array, or as a complex one where it is complex (the complex step of
+    ``_correction_jacobians``); a float64 array comes back as itself."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, float), copy=False)
+
+
 def _pow_ratio(a, p, u):
     """((1 + a u)^p - 1) / u, analytic continuation through u = 0."""
-    a, u = np.broadcast_arrays(np.asarray(a, float), np.asarray(u, float))
+    a, u = np.broadcast_arrays(np.asarray(a, float), _inexact(u))
     au = a * u
     small = np.abs(au) < 1e-6
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -58,7 +68,7 @@ def _pow_ratio(a, p, u):
 
 def _pow_ratio2(a, p, u):
     """((1 + a u)^p - 1 - p a u) / u, analytic through u = 0 (O(u) there)."""
-    a, u = np.broadcast_arrays(np.asarray(a, float), np.asarray(u, float))
+    a, u = np.broadcast_arrays(np.asarray(a, float), _inexact(u))
     au = a * u
     small = np.abs(au) < 1e-5
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -159,8 +169,9 @@ class _Corrections(NamedTuple):
 
 def _corrections(tau, U, G_frak_val, f_val, params: ModelParams) -> _Corrections:
     """The corrections z_0 .. z_7 at points (tau, U), with the domain checks of
-    ``assemble_matrices``; it builds none of the blocks."""
-    U = np.asarray(U, float)
+    ``assemble_matrices``; it builds none of the blocks.  A complex U is taken as is,
+    its domain checked on its real part."""
+    U = _inexact(U)
     tau, G, f = (np.asarray(v, float) for v in (tau, G_frak_val, f_val))
     lead = np.broadcast_shapes(U.shape[:-1], tau.shape, G.shape, f.shape)
     u0, uz, u, nu, psi = (U[..., k] for k in range(5))
@@ -170,9 +181,9 @@ def _corrections(tau, U, G_frak_val, f_val, params: ModelParams) -> _Corrections
         raise DomainError(f"chi must stay positive: 4 + G/B = {np.min(X):.3g} <= 0")
     a = f / (1.0 + f)
     phi = 1.0 + a * u
-    if np.any(phi <= 0.0):
+    if np.any(phi.real <= 0.0):
         raise DomainError("fractional-power argument non-positive: "
-                          f"1 + f u/(1+f) = {np.min(phi):.3g}")
+                          f"1 + f u/(1+f) = {np.min(phi.real):.3g}")
     inv_f = 1.0 / f
     # wave-block weight: (25/9)(2+om)(1-i3); the sound-speed factor of the
     # second-order equation must reappear here or the singular system stops
@@ -365,8 +376,8 @@ class ConditionReport:
     symmetry_exact: bool
     divB_orders: dict
     divB_stable: bool
-    G_halforder_sup: float = 0.0
-    G_halforder_stable: bool = True
+    G_halforder_sup: float
+    G_halforder_stable: bool
     p_trivial_note: str = ("projector is the identity: conditions on its complement "
                            "hold vacuously and only the full-block order bound is checked")
 
@@ -390,14 +401,9 @@ class ConditionReport:
         return all(self.verdict.values())
 
 
-def _ball_directions(n: int, seed: int, ball=None) -> tuple[np.ndarray, np.ndarray]:
+def _ball_directions(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions (n, 5) and radial factors u^(1/5) (n,) of n scrambled Halton
-    points of the 5-ball; the points of radius r are directions * (r * factors).
-    Given ``ball``, an earlier draw from the same seed of at least n points, they
-    are its first n, which equal a fresh draw's bit for bit: Halton draws are
-    prefix-stable."""
-    if ball is not None:
-        return ball[0][:n], ball[1][:n]
+    points of the 5-ball; the points of radius r are directions * (r * factors)."""
     u = _scrambled_halton(6, n, seed)
     direc = u[:, :5] * 2.0 - 1.0
     norms = np.linalg.norm(direc, axis=1)
@@ -405,24 +411,14 @@ def _ball_directions(n: int, seed: int, ball=None) -> tuple[np.ndarray, np.ndarr
     return direc / norms[:, None], u[:, 5] ** (1.0 / 5.0)
 
 
-def _ball_samples(n: int, radius: float, seed: int, ball=None) -> np.ndarray:
-    unit, radial = _ball_directions(n, seed, ball)
+def _ball_samples(n: int, radius: float, seed: int) -> np.ndarray:
+    unit, radial = _ball_directions(n, seed)
     return unit * (radius * radial)[:, None]
-
-
-_RADIUS_SAMPLES = 400  # find_certified_radius's samples per radius
-
-
-def ball_draw(n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One draw of the ball from ``seed`` for a run: the ``ball`` that
-    find_certified_radius, with its default samples, and verify_conditions, with
-    n_samples, both read."""
-    return _ball_directions(max(_RADIUS_SAMPLES, n_samples, 3), seed)
 
 
 _TAU_RUNGS = 12  # the tau ladder is -2^-k for k < _TAU_RUNGS, above the terminal tau
 _EIG_TOL = 1e-12  # eigenvalue deficit the sandwich check forgives
-_RADIUS_SHRINK, _RADIUS_TRIES = 0.5, 40  # the radius search's factor and its number of tries
+_COMPLEX_STEP = 1e-20  # step h of _correction_jacobians, far below any scale of Z
 _DIVB_EPS = 1e-7  # step of _divB_pieces' central differences along each U-direction
 # rounding slack of the eigenvalue screen per unit of Frobenius norm.  LAPACK's syevd,
 # behind eigh and eigvalsh, is backward stable: the values it returns are the exact
@@ -502,7 +498,7 @@ def _tau_ladder(maps: TimeMaps) -> np.ndarray:
 
 
 def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
-                      n_samples: int = 2000, seed: int = 20240, ball=None) -> ConditionReport:
+                      n_samples: int = 2000, seed: int = 20240) -> ConditionReport:
     """Sample the coefficient conditions over the ball ||U|| <= r_tilde.
 
     Checks per sample: exact symmetry of B0 and Bz, finiteness, the
@@ -510,7 +506,7 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
     sum |z_ell| < gamma1.  The remainder H is evaluated at U = 0 on the
     ladder, and the order split of the divergence bound is fitted across the
     tau ladder.  Refuses maps of non-certified params.  The samples are the
-    Halton points of ``seed``, read from ``ball`` (``ball_draw``) when given.
+    Halton points of ``seed``.
 
     The sandwich margin at a sample is min(m1, m2, m3): m1 = min diag(B0) - gb1,
     m2 = lambda_min(M/kappa - B0) and m3 = gb2 - lambda_max(M)/kappa, with M the
@@ -537,7 +533,7 @@ def verify_conditions(maps: TimeMaps, constants: GammaConstants, r_tilde: float,
         raise UsageError("parameters are outside the certified stiffness range")
     tau_ladder = _tau_ladder(maps)
     # one draw: its point 2 is _divB_order_fit's, as Halton draws are prefix-stable
-    points = _ball_samples(max(n_samples, 3), r_tilde, seed, ball)
+    points = _ball_samples(max(n_samples, 3), r_tilde, seed)
     samples = points[:n_samples]
     samples[0] = 0.0
 
@@ -611,53 +607,47 @@ def _G_halforder_bound(maps: TimeMaps, tau_ladder: np.ndarray) -> tuple[float, b
     return fine, bool(fine <= 1.5 * coarse and math.isfinite(fine))
 
 
-def find_certified_radius(maps: TimeMaps, constants: GammaConstants, seed: int = 20240,
-                          n_samples: int = _RADIUS_SAMPLES, r_start: float = 1e-2,
-                          ball=None) -> float:
-    """Largest sampled radius with sum |z_ell| < gamma1 over the ladder.
-
-    A radius is halved when any sample breaks the budget or leaves the
-    domain of the system (DomainError) at any rung.  The samples are drawn once,
-    or read from ``ball`` (``ball_draw``), and rescaled to each radius tried.  Each
-    try evaluates only the corrections Z, with the domain checks of
-    ``assemble_matrices``, and none of the blocks.
-
-    A screen first takes the first ``max(1, n_samples // _RADIUS_TRIES)`` samples
-    at every radius in one call, and a radius gets its full try only where the
-    screen stays below gamma1.  The screen's points are a subset of each try's,
-    with the same arithmetic and bit-identical values, so a radius it rejects
-    fails its full try too, and the radius found is the one the tries alone give.
-    """
+def _correction_jacobians(maps: TimeMaps) -> np.ndarray:
+    """J_tau = dZ/dU at U = 0, (rungs, 8, 5), at every rung of the tau ladder, from one
+    ``_corrections`` call at U = i h e_k by the complex step (Squire & Trapp, SIAM
+    Review 40, 1998): Z is analytic in U and real on real U, so Im Z(tau, i h e_k) / h
+    is dZ/dU_k with a relative error of order h^2, and no difference cancels."""
     tau = _tau_ladder(maps)[:, None]
     f_val, G_val = maps.f_G_at_tau(tau)
-    unit, radial = _ball_directions(n_samples, seed, ball)
-    radii = r_start * _RADIUS_SHRINK ** np.arange(_RADIUS_TRIES)
-    screened = _screen(tau, unit, radial, G_val, f_val, maps.params, radii).max(axis=(0, 2))
-    for r, screen_worst in zip(radii, screened):
-        if screen_worst < constants.gamma1:
-            samples = unit * (r * radial)[:, None]
-            try:
-                worst = np.abs(_corrections(tau, samples, G_val, f_val,
-                                            maps.params).Z).sum(-1).max()
-            except DomainError:
-                worst = math.inf
-            if worst < constants.gamma1:
-                return float(r)
-    raise NumericalFailure("no certified radius found down to the shrink floor")
+    Z = _corrections(tau, 1j * _COMPLEX_STEP * np.eye(5), G_val, f_val, maps.params).Z
+    return Z.imag.swapaxes(-1, -2) / _COMPLEX_STEP
 
 
-def _screen(tau, unit, radial, G_val, f_val, params: ModelParams, radii) -> np.ndarray:
-    """sum |z_ell| (rungs, len(radii), m) over the ladder at the first m samples of
-    each radius, m = max(1, len(unit) // len(radii)), in one ``_corrections`` call;
-    -inf everywhere if any of its points leaves the domain, so that each radius
-    keeps its full try."""
-    m = max(1, len(unit) // len(radii))
-    samples = unit[:m] * (radii[:, None] * radial[:m])[..., None]
-    try:
-        Z = _corrections(tau, samples.reshape(-1, 5), G_val, f_val, params).Z
-    except DomainError:
-        return np.full((len(tau), len(radii), m), -math.inf)
-    return np.abs(Z).sum(-1).reshape(len(tau), len(radii), m)
+def _norm_2to1(J) -> np.ndarray:
+    """||J||_{2->1} = max of ||J x||_1 over ||x||_2 <= 1, (...,), for J (..., m, n).
+
+    ||J x||_1 = max over sign vectors s of s^T J x, so the norm is the max over s of
+    ||J^T s||_2, exact over the 2^(m-1) vectors s in {+-1}^m with s_0 = 1 (s and -s
+    give the same norm)."""
+    m = J.shape[-2]
+    bits = (np.arange(2 ** (m - 1))[:, None] >> np.arange(m - 1)) & 1
+    signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+    v = signs @ J
+    return np.sqrt(np.vecdot(v, v).max(-1))
+
+
+def find_certified_radius(maps: TimeMaps, constants: GammaConstants) -> float:
+    """Largest radius r = 1e-2 * 2^-k, k < 40, with r * max_tau ||J_tau||_{2->1} < gamma1.
+
+    J_tau = dZ/dU at U = 0 on the tau ladder (``_correction_jacobians``).  Z(tau, 0) = 0,
+    so at a point r x of the ball, ||x|| <= 1, sum |z_ell| = ||r J_tau x||_1 + O(r^2),
+    and the radius keeps that first order under gamma1 in every direction, the worst
+    one included, which sampling can miss.  Only the halvings of 1e-2 are taken, so
+    r_tilde is one of a fixed set of floats.  NumericalFailure if none fits (or the
+    Jacobian is not finite).  verify_conditions stays the sampled check of the ball,
+    second order included.
+    """
+    norm = float(_norm_2to1(_correction_jacobians(maps)).max())
+    radii = 1e-2 * 0.5 ** np.arange(40)
+    fits = radii * norm < constants.gamma1
+    if not fits.any():
+        raise NumericalFailure("no certified radius found down to the shrink floor")
+    return float(radii[fits.argmax()])
 
 
 # ---------------------------------------------------------------------------

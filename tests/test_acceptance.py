@@ -245,7 +245,7 @@ def test_criterion_10_fuchsian_verification(params, maps_deep):
     assert abs(gc.gamma2 - gamma2_exact) < 1e-15
     assert abs(gc.gamma1 - 1.3383e-5) < 1e-9
     assert abs(gc.gamma2 - 6.40001) < 1e-5
-    r = find_certified_radius(maps_deep, gc, n_samples=200)
+    r = find_certified_radius(maps_deep, gc)
     rep = verify_conditions(maps_deep, gc, r_tilde=r, n_samples=10000)
     assert rep.n_samples >= 10000
     assert rep.sandwich_ok

@@ -271,7 +271,7 @@ def test_q_positivity_sampled():
 
 
 def test_certified_radius_and_conditions(maps_deep, gconsts):
-    r = find_certified_radius(maps_deep, gconsts, n_samples=200)
+    r = find_certified_radius(maps_deep, gconsts)
     assert r > 0.0
     rep = verify_conditions(maps_deep, gconsts, r_tilde=r, n_samples=1000)
     assert rep.all_ok, rep.verdict
@@ -385,7 +385,7 @@ def test_domain_errors_are_typed(params):
 
 
 def test_corrections_equal_assembled_Z(maps_deep, params):
-    # the radius search's batch, 9 rungs x 400 samples, at its first and last radius
+    # 9 rungs x 400 samples, at the largest radius and at the certified one
     tau = fuchsian._tau_ladder(maps_deep)[:, None]
     f_val, G_val = maps_deep.f_G_at_tau(tau)
     unit, radial = fuchsian._ball_directions(400, 20240)
@@ -398,16 +398,6 @@ def test_corrections_equal_assembled_Z(maps_deep, params):
             one = fuchsian._corrections(float(tau[i, 0]), U[j], float(G_val[i, 0]),
                                         float(f_val[i, 0]), params).Z
             assert one.shape == (8,) and np.array_equal(one, ev.Z[i, j])
-
-    # the screen's sum |z| at its 10 directions per radius equals the full try's at
-    # the same points, bit for bit, at the first and the last radius
-    radii = 1e-2 * fuchsian._RADIUS_SHRINK ** np.arange(fuchsian._RADIUS_TRIES)
-    screen = fuchsian._screen(tau, unit, radial, G_val, f_val, params, radii)
-    assert screen.shape == (9, len(radii), 10)
-    for k in (0, len(radii) - 1):
-        U = unit * (radii[k] * radial)[:, None]
-        full = np.abs(fuchsian._corrections(tau, U, G_val, f_val, params).Z).sum(-1)
-        assert np.array_equal(screen[:, k], full[:, :10])
 
 
 def test_corrections_raise_the_domain_errors_of_assembly(params):
@@ -438,39 +428,6 @@ def test_radius_search_assembles_no_blocks(maps_deep, gconsts, monkeypatch):
     assert peak <= 2**20
 
 
-def test_radius_search_halves_only_on_domain_errors(maps_deep, gconsts, monkeypatch):
-    real = fuchsian._corrections
-    calls = []
-
-    def out_of_domain_at(call):
-        def corrections(*args):
-            calls.append(args)
-            if len(calls) == call:
-                raise DomainError("fractional-power argument non-positive")
-            return real(*args)
-        return corrections
-
-    # the first call is the screen: a DomainError in the first full try halves the radius
-    monkeypatch.setattr(fuchsian, "_corrections", out_of_domain_at(2))
-    assert find_certified_radius(maps_deep, gconsts, n_samples=20,
-                                 r_start=1e-8) == 0.5e-8
-    assert len(calls) == 3
-
-    # a DomainError in the screen leaves every radius to its full try
-    calls.clear()
-    monkeypatch.setattr(fuchsian, "_corrections", out_of_domain_at(1))
-    assert find_certified_radius(maps_deep, gconsts, n_samples=20,
-                                 r_start=1e-8) == 1e-8
-    assert len(calls) == 2
-
-    def broken(*args):
-        raise ValueError("operands could not be broadcast together")
-
-    monkeypatch.setattr(fuchsian, "_corrections", broken)
-    with pytest.raises(ValueError, match="broadcast"):
-        find_certified_radius(maps_deep, gconsts, n_samples=20, r_start=1e-8)
-
-
 def _count_corrections(monkeypatch) -> list:
     """Patch fuchsian._corrections to append the leading shape of each call to the
     list returned."""
@@ -487,11 +444,10 @@ def _count_corrections(monkeypatch) -> list:
 
 
 def test_radius_search_work_counts(maps_deep, gconsts, monkeypatch):
-    # on the defaults at seed 20240: the screen over 40 radii x 10 directions, then
-    # one full try at r_tilde, each a 9 rungs x 400 points _corrections call
+    # one _corrections call: the 5 complex steps at each of the 9 rungs
     leads = _count_corrections(monkeypatch)
     assert find_certified_radius(maps_deep, gconsts) == 1e-2 * 0.5**17
-    assert leads == [(9, 400), (9, 400)]
+    assert leads == [(9, 5)]
 
 
 def _radius_loop(maps, constants, seed=20240, n_samples=400, r_start=1e-2,
@@ -521,13 +477,14 @@ def _radius_loop(maps, constants, seed=20240, n_samples=400, r_start=1e-2,
 
 
 def _halving_reference(maps, constants, seed=20240, n_samples=400, r_start=1e-2):
-    """The halving search find_certified_radius made before its screen: a full try
-    at every radius until one passes."""
+    """The sampled halving search find_certified_radius made before it took the
+    linearised corrections: the first of the radii r_start * 2^-k, k < 40, at which no
+    sample of the ball breaks the budget or leaves the domain at any rung."""
     tau = fuchsian._tau_ladder(maps)[:, None]
     f_val, G_val = maps.f_G_at_tau(tau)
     unit, radial = fuchsian._ball_directions(n_samples, seed)
     r = r_start
-    for _ in range(fuchsian._RADIUS_TRIES):
+    for _ in range(40):
         samples = unit * (r * radial)[:, None]
         try:
             worst = np.abs(fuchsian._corrections(tau, samples, G_val, f_val,
@@ -536,7 +493,7 @@ def _halving_reference(maps, constants, seed=20240, n_samples=400, r_start=1e-2)
             worst = math.inf
         if worst < constants.gamma1:
             return r
-        r *= fuchsian._RADIUS_SHRINK
+        r *= 0.5
     raise NumericalFailure("no certified radius found down to the shrink floor")
 
 
@@ -606,61 +563,150 @@ def _conditions_loop(maps, constants, r_tilde, n_samples, seed=20240, eig_tol=1e
 
 @pytest.mark.parametrize("n_samples", [10, 60])
 def test_radius_search_equals_per_sample_loop(maps_deep, gconsts, n_samples):
-    assert (find_certified_radius(maps_deep, gconsts, n_samples=n_samples)
-            == _radius_loop(maps_deep, gconsts, n_samples=n_samples))
+    # the sampled oracle, point by point, finds the same radius on the defaults
+    assert (find_certified_radius(maps_deep, gconsts)
+            == _radius_loop(maps_deep, gconsts, n_samples=n_samples)
+            == _halving_reference(maps_deep, gconsts, n_samples=n_samples))
 
 
 @functools.cache
 def _deep_maps_and_constants(**changes):
     """The time maps to f = 1e8 and the sandwich constants of the test defaults
     with ``changes``, once per session."""
-    p = params_from_iota3(0.2, **{**dict(beta=0.1, gamma=0.5, lam=0.1, A=1.0), **changes})
+    kw = {**dict(iota3=0.2, beta=0.1, gamma=0.5, lam=0.1, A=1.0), **changes}
+    p = params_from_iota3(kw.pop("iota3"), **kw)
     m = compute_g(traj_to_cap(p, 1e8))
     return m, gamma_constants(p, (float(m.G_frak.min()), float(m.G_frak.max())))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 20240])
-@pytest.mark.parametrize("changes,screen_passes_early", [
-    ({}, ()), ({"gamma": 0.9}, (3, 20240)), ({"lam": 1.0}, (3, 20240)),
-], ids=["defaults", "gamma0.9", "lam1"])
-def test_radius_search_equals_halving_reference(monkeypatch, changes, screen_passes_early,
-                                                seed):
-    # the same float as a full try at every radius; where the screen passes one
-    # radius early, that radius's full try fails and the search goes on
+@pytest.mark.parametrize("changes", [{}, {"gamma": 0.9}, {"lam": 1.0}],
+                         ids=["defaults", "gamma0.9", "lam1"])
+def test_radius_search_equals_halving_reference(changes, seed):
+    # the same float as the sampled search at each of its seeds
     m, gc = _deep_maps_and_constants(**changes)
-    reference = _halving_reference(m, gc, seed=seed)
-    leads = _count_corrections(monkeypatch)
-    assert find_certified_radius(m, gc, seed=seed) == reference
-    assert len(leads) == (3 if seed in screen_passes_early else 2)
+    assert find_certified_radius(m, gc) == _halving_reference(m, gc, seed=seed)
+
+
+# parameter sets where the sampled search over-claims: its radius puts the worst
+# first-order direction over gamma1 (1.033 gamma1 and 1.019 gamma1 at tau = -1)
+_OVERCLAIMED = [{"iota3": 0.15, "beta": 0.02, "gamma": 1.0}, {"lam": 10.0}]
+
+
+@pytest.mark.parametrize("seed", [1, 20240])
+@pytest.mark.parametrize("changes", _OVERCLAIMED, ids=["iota0.15", "lam10"])
+def test_radius_search_never_above_halving_reference(changes, seed):
+    m, gc = _deep_maps_and_constants(**changes)
+    assert find_certified_radius(m, gc) == 0.5 * _halving_reference(m, gc, seed=seed)
 
 
 def test_radius_search_fails_as_the_halving_reference(monkeypatch):
-    # gamma1 ~ 1.4e-23 at lam = 1e6: the screen rejects all 40 radii, no full try follows
+    # gamma1 ~ 1.4e-23 at lam = 1e6: no radius down to 1e-2 * 2^-39 fits
     m, gc = _deep_maps_and_constants(lam=1e6)
     assert gc.gamma1 < 1e-22
     with pytest.raises(NumericalFailure) as reference:
         _halving_reference(m, gc)
     leads = _count_corrections(monkeypatch)
-    with pytest.raises(NumericalFailure) as screened:
+    with pytest.raises(NumericalFailure) as linearised:
         find_certified_radius(m, gc)
-    assert str(screened.value) == str(reference.value)
+    assert str(linearised.value) == str(reference.value)
     assert len(leads) == 1
+
+
+def _central_jacobians(maps, h=1e-7):
+    """dZ/dU (rungs, 8, 5) at U = 0 on the tau ladder by central differences of
+    _corrections, independent of the complex step."""
+    tau = fuchsian._tau_ladder(maps)[:, None]
+    f_val, G_val = maps.f_G_at_tau(tau)
+    steps = h * np.concatenate([np.eye(5), -np.eye(5)])
+    Z = fuchsian._corrections(tau, steps, G_val, f_val, maps.params).Z
+    return (Z[:, :5] - Z[:, 5:]).swapaxes(-1, -2) / (2.0 * h)
+
+
+@pytest.mark.parametrize("changes", [{}, *_OVERCLAIMED], ids=["defaults", "iota0.15", "lam10"])
+def test_correction_jacobians_equal_central_differences(changes):
+    m, _ = _deep_maps_and_constants(**changes)
+    J = fuchsian._correction_jacobians(m)
+    assert J.shape == (len(fuchsian._tau_ladder(m)), 8, 5) and J.dtype == float
+    central = _central_jacobians(m)
+    for rung in range(len(J)):
+        scale = np.abs(J[rung]).max()
+        assert np.abs(J[rung] - central[rung]).max() <= 1e-8 * scale, rung
+
+
+def test_corrections_take_complex_steps_and_keep_real_calls_real(params):
+    # a real call keeps its dtype and its array; the complex step's imaginary part is
+    # the derivative, and its real part the value at U = 0 (zero) to order h^2
+    U = np.array([[1e-8, -2e-8, 3e-8, 0.0, 1e-9]])
+    assert fuchsian._inexact(U) is U
+    assert fuchsian._inexact([[0, 1]]).dtype == float
+    assert fuchsian._pow_ratio(0.5, 1.5, [0, 1]).dtype == float
+    assert fuchsian._corrections(-0.5, U, 0.2, 3.0, params).Z.dtype == float
+    stepped = fuchsian._corrections(-0.5, 1e-20j * np.eye(5), 0.2, 3.0, params).Z
+    assert stepped.dtype == complex and np.abs(stepped.real).max() < 1e-30
+
+
+def test_jacobian_norm_bounds_every_drawn_direction(maps_deep):
+    # ||J x||_1 over 20,000 drawn unit directions never exceeds ||J||_{2->1}, and the
+    # direction J^T s* / ||J^T s*|| of the best sign vector attains it
+    J = fuchsian._correction_jacobians(maps_deep)
+    norms = fuchsian._norm_2to1(J)
+    x = np.random.default_rng(5).standard_normal((20000, 5))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    drawn = np.abs(J[:, None] @ x[..., None])[..., 0].sum(-1).max(-1)
+    assert np.all(drawn <= norms) and np.all(drawn > 0.99 * norms)
+    best = np.abs((J @ _worst_first_order_direction(J)[..., None])[..., 0]).sum(-1)
+    assert np.allclose(best, norms, rtol=1e-14)
+
+
+def _worst_first_order_direction(J):
+    """x* = J^T s* / ||J^T s*|| (rungs, 5), s* the sign vector of largest ||J^T s||,
+    by enumeration of all 256 sign vectors."""
+    signs = np.array(np.meshgrid(*[[1.0, -1.0]] * 8, indexing="ij")).reshape(8, -1).T
+    v = signs @ J
+    best = v[np.arange(len(J)), np.vecdot(v, v).argmax(-1)]
+    return best / np.linalg.norm(best, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("changes", [{}, _OVERCLAIMED[0]], ids=["defaults", "iota0.15"])
+def test_worst_first_order_point_keeps_the_budget(changes):
+    # at r_tilde x*_tau, the first-order worst point of each rung, sum |z| stays under
+    # gamma1; at the iota^3 = 0.15 set the sampled search's radius put the first rung's
+    # at 1.033 gamma1, a direction none of its samples came near
+    m, gc = _deep_maps_and_constants(**changes)
+    r = find_certified_radius(m, gc)
+    x = _worst_first_order_direction(_central_jacobians(m))
+    tau = fuchsian._tau_ladder(m)[:, None]
+    f_val, G_val = m.f_G_at_tau(tau)
+    Z = fuchsian._corrections(tau, (r * x)[:, None], G_val, f_val, m.params).Z
+    assert np.all(np.abs(Z).sum(-1) < gc.gamma1)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 20240])
 def test_radius_search_draws_its_samples_once(maps_deep, gconsts, monkeypatch, seed):
-    # the samples of every try are one draw rescaled; the radius is the one the
-    # search found when it drew them anew on each of its 18 tries
-    calls = []
-    draw = fuchsian._scrambled_halton
+    # the radius comes from the Jacobian alone and draws no samples; the one draw
+    # of a seed is the conditions', and the radius holds on the samples of each seed
+    draws = []
+    halton = fuchsian._scrambled_halton
+    monkeypatch.setattr(fuchsian, "_scrambled_halton",
+                        lambda *args: draws.append(args) or halton(*args))
+    r = find_certified_radius(maps_deep, gconsts)
+    assert r == 1e-2 * 0.5**17
+    assert draws == []
+    rep = verify_conditions(maps_deep, gconsts, r_tilde=r, n_samples=400, seed=seed)
+    assert draws == [(6, 400, seed)]
+    assert rep.sandwich_ok and rep.sum_z_ok
 
-    def counted(*args):
-        calls.append(args)
-        return draw(*args)
 
-    monkeypatch.setattr(fuchsian, "_scrambled_halton", counted)
-    assert find_certified_radius(maps_deep, gconsts, seed=seed) == 1e-2 * 0.5**17
-    assert calls == [(6, 400, seed)]
+def test_one_ball_draw_serves_both_searches(maps_deep, gconsts, monkeypatch, tmp_path):
+    # a fuchsian-check run finds the radius and checks the conditions on one
+    # Halton draw, the conditions', since the radius search draws none
+    draws = []
+    halton = fuchsian._scrambled_halton
+    monkeypatch.setattr(fuchsian, "_scrambled_halton",
+                        lambda *args: draws.append(args) or halton(*args))
+    assert main(["fuchsian-check", "--output-dir", str(tmp_path / "o")]) == 0
+    assert draws == [(6, 2000, 20240)]
 
 
 @pytest.mark.parametrize("seed", [1, 20240])
@@ -745,7 +791,7 @@ def test_conditions_solve_few_eigenvalue_problems_at_the_certified_radius(monkey
     # passed all 2,007 matrices to eigvalsh twice; the screen passes the 9 origins of
     # M/kappa - B0 and the few samples that can set a reported value
     m, gc = _deep_maps_and_constants()
-    r = find_certified_radius(m, gc, seed=1)
+    r = find_certified_radius(m, gc)
     assert r == 1e-2 * 0.5**17
     solved = []
     eigvalsh = np.linalg.eigvalsh
@@ -816,29 +862,6 @@ def test_divB_pieces_equal_per_point_loop(maps_deep, zero_W):
     for i, tau in enumerate(ladder):
         assert ({k: v[i] for k, v in pieces.items()}
                 == _divB_pieces_loop(float(tau), U, W, maps_deep))
-
-
-def test_one_ball_draw_serves_both_searches(maps_deep, gconsts, monkeypatch, tmp_path):
-    # the radius search and the conditions read one draw: each gives the results of
-    # its own draw bit for bit, and a fuchsian-check run draws once
-    ball = fuchsian.ball_draw(1000, 7)
-    assert len(ball[1]) == 1000
-    r = find_certified_radius(maps_deep, gconsts, seed=7)
-    assert find_certified_radius(maps_deep, gconsts, seed=7, ball=ball) == r
-    own = verify_conditions(maps_deep, gconsts, r_tilde=r, n_samples=1000, seed=7)
-    shared = verify_conditions(maps_deep, gconsts, r_tilde=r, n_samples=1000, seed=7, ball=ball)
-    for field in dataclasses.fields(own):
-        a, b = getattr(own, field.name), getattr(shared, field.name)
-        if field.name == "worst_sample":
-            assert a[0] == b[0] and np.array_equal(a[1], b[1])
-        else:
-            assert a == b, field.name
-    draws = []
-    halton = fuchsian._scrambled_halton
-    monkeypatch.setattr(fuchsian, "_scrambled_halton",
-                        lambda *args: draws.append(args) or halton(*args))
-    assert main(["fuchsian-check", "--output-dir", str(tmp_path / "o")]) == 0
-    assert draws == [(6, 2000, 20240)]
 
 
 def test_divB_pieces_read_three_times_per_rung_inside_the_maps(maps_deep, monkeypatch):
