@@ -208,13 +208,16 @@ class RunDir:
             return build_params(c.k_tilde, c.beta, c.gamma, c.lam, c.A, force=c.force)
         return params_from_iota3(c.iota3, c.beta, c.gamma, c.lam, c.A, force=c.force)
 
-    def trajectory(self, f_cap: float, t_reach: float = math.inf) -> OdeTrajectory:
-        """The contrast trajectory to f_cap, or only past t_reach, cut from the one
-        march of this run's params and tolerances."""
+    def march(self) -> ContrastMarch:
+        """The one contrast march of this run's params and tolerances."""
         key = (self.params, ToleranceSpec(self.cfg.rel_tol, self.cfg.abs_tol))
         if key not in self._marches:
             self._marches[key] = ContrastMarch(*key)
-        return self._marches[key].trajectory(f_cap, t_reach)
+        return self._marches[key]
+
+    def trajectory(self, f_cap: float, t_reach: float = math.inf) -> OdeTrajectory:
+        """The contrast trajectory to f_cap, or only past t_reach, cut from the march."""
+        return self.march().trajectory(f_cap, t_reach)
 
     def run_child(self, **changes) -> dict[str, object]:
         """Run the pipeline of this config with ``changes`` inside this run; return its values."""
@@ -343,10 +346,11 @@ def cmd_ode(run: RunDir) -> None:
     ec = envelope_constants(params)
     t_star, t_star_up = blowup_bracket(params)
     est, spread, dropped = blowup_ladder(traj)
+    t_m, p_t_m_half = run.march().blowup_time()
     sidecar = {
         "A": ec.cA, "B": ec.cB, "C": ec.cC, "D": ec.cD, "E": ec.cE,
         "t_star": t_star, "t_star_upper": t_star_up,
-        "t_m_estimate": est, "ladder_spread": spread,
+        "t_m_estimate": est, "ladder_spread": spread, "t_m": t_m,
     }
     p = run.add_artifact("constants.json")
     p.write_text(_dumps(sidecar))
@@ -365,7 +369,7 @@ def cmd_ode(run: RunDir) -> None:
     run.verdict("dchi_identity_rel_1e-3", gd.dchi_rel_err < 1e-3)
     run.values.update({
         "t_m_estimate": est, "ladder_spread": spread, "ladder_dropped": dropped,
-        "t_star": t_star,
+        "t_m": t_m, "p_t_m_half": p_t_m_half, "t_star": t_star,
         "t_star_upper": t_star_up, "g_end": float(maps.g[-1]),
         "G_decay_slope": gd.slope, "dchi_rel_err": gd.dchi_rel_err,
         "f0_identity_rel": rel_f0, "limf_identity_rel": rel_limf,
@@ -380,23 +384,28 @@ def cmd_blowup(run: RunDir) -> None:
     traj = _ladder_trajectory(run)
     rep = bound_certificates(traj)
     est, spread, dropped = blowup_ladder(traj)
+    t_m, p_t_m_half = run.march().blowup_time()
+    ladder_error = abs(est - t_m) / t_m
     t = traj.t_grid
     _write_csv(run.add_artifact("envelopes.csv"),
                ["t", "one_plus_f", "lower_envelope",
                 "lower_ok", "upper_ok", "improved_ok"],
                [t, 1.0 + traj.f, rep.lower_envelope, rep.lower_ok.astype(float),
                 rep.upper_ok.astype(float), rep.improved_ok.astype(float)])
-    contained = (rep.t_star <= est < (rep.t_star_upper or math.inf))
+    t_upper = rep.t_star_upper or math.inf
     doc = {
         "t_star": rep.t_star, "t_star_upper": rep.t_star_upper,
         "t_m_estimate": est, "ladder_spread": spread,
+        "t_m": t_m, "p_t_m_half": p_t_m_half, "ladder_error": ladder_error,
         "improved_bound_applicable": rep.improved_applicable,
         "first_violation": rep.first_violation,
     }
     run.add_artifact("blowup.json").write_text(_dumps(doc))
     run.verdict("envelopes_hold_everywhere", rep.all_ok)
-    run.verdict("estimate_inside_bracket", bool(contained))
+    run.verdict("estimate_inside_bracket", rep.t_star <= est < t_upper)
     run.verdict("ladder_spread_below_1e-3", bool(spread < 1e-3))
+    run.verdict("blowup_time_inside_bracket", rep.t_star <= t_m < t_upper)
+    run.verdict("ladder_error_within_spread", ladder_error <= spread)
     run.values.update(doc)
     run.values["ladder_dropped"] = dropped
 

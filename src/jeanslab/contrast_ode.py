@@ -5,27 +5,34 @@ The contrast of the reference solution solves
     f'' + (a/t) f' - (b/t^2) f (1+f) - c (f')^2 / (1+f) = 0,
     f(t0) = beta,  f'(t0) = beta0 = 3 (1+beta) gamma,
 
-with (a, b, c) = (4/3, 2/3, 4/3).  We integrate y = ln(1+f) instead of f:
-the derivative-quadratic term becomes polynomial in y' and the solution,
-which grows faster than exponentially, stays representable up to very large
-contrast caps.  In the y variable the equation reads
+with (a, b, c) = (4/3, 2/3, 4/3).  f blows up at a finite time t_m, so the
+time t is a poor clock for it: its steps shrink without bound as t nears t_m.
+We march on the clock s = (1/2) ln(1+f) instead, with the state (t, p),
+p = f' / (1+f)^(3/2) and w = e^(-s):
 
-    y'' = -(a/t) y' + (b/t^2) (e^y - 1) + (c - 1) (y')^2.
+    dt/ds = 2 w / p,
+    dp/ds = 2 (c - 3/2) p - 2 a w / t + (2 b / (t^2 p)) (1 - w^2).
+
+The system is regular for every s while p > 0: t(s) tends to t_m with
+t_m - t = O(e^(-s)) and p t_m / 2 to 1 (Stuart and Floater, "On the computation
+of blow-up", Eur. J. Appl. Math. 1 (1990) 47-71), so ``blowup_time`` reads t_m
+off the march itself.  f = e^(2s) - 1 and f' = p e^(3s) come back in closed
+form; f' overflows near f = 1e205.
 
 It is integrated by the package's one Runge-Kutta class, the Dormand-Prince
 8(5,3) pair (DOP853; Hairer, Norsett and Wanner, Solving ODEs I, II.10) with
 its order-7 dense output, equal bit for bit to scipy's DOP853 run through
-``solve_ivp`` with the cap crossing as its terminal event; ``pde`` marches its
-fields with the same class.  Its sums over the stages and its error norms are
-the BLAS calls scipy makes, since BLAS sets the last bit of a sum; the rest of
-the contrast's step, on a state of two numbers, runs on Python floats, which
-round each + - * / as numpy does.  A ``ContrastMarch`` integrates a model once,
-and every trajectory a run reads is cut from it.  The roots of the module (the
-cap crossing, contrast times, the envelope bracket) come from its own Brent's
-method, equal bit for bit to scipy's ``brentq``.  Everything downstream (time
-maps, PDE coefficients, bound certificates) reads the dense output of a
-trajectory by one formula, ``_dense_at``, as scipy's ``OdeSolution`` reads one
-time alone.
+``solve_ivp`` on the same system; ``pde`` marches its fields with the same
+class.  Its sums over the stages and its error norms are the BLAS calls scipy
+makes, since BLAS sets the last bit of a sum; the rest of the contrast's step,
+on a state of two numbers, runs on Python floats, which round each + - * / as
+numpy does.  A ``ContrastMarch`` integrates a model once, and every trajectory
+a run reads is cut from it: a contrast cap is the clock value s = (1/2)
+ln(1 + f_cap), and a contrast time is a dense-output read of t(s).  A read at a
+time t inverts the monotone t(s) of the step that holds t (``_read_at_time``), and
+everything downstream (time maps, PDE coefficients, bound certificates) reads
+the trajectory that way.  The envelope bracket is the module's one root search,
+by its own Brent's method, equal bit for bit to scipy's ``brentq``.
 """
 
 from __future__ import annotations
@@ -130,12 +137,64 @@ def _dense_dx(x, F):
     return d
 
 
-def _step_at(t: float, t_old: float, h: float, F_y, F_yp, y: float, yp: float):
-    """(y, y') at the time t of one step of the contrast integration, on Python floats:
-    the step starts at t_old from (y, yp), is h long, and F_y and F_yp are the two
-    components' dense-output coefficients."""
-    x = (t - t_old) / h
-    return _dense_at(x, F_y, y), _dense_at(x, F_yp, yp)
+_NEWTON_STEPS = 3  # Newton iterations of a read at a time, from the step's Hermite inverse
+_LN_MAX = math.log(float(np.finfo(float).max))  # e^x overflows for x above this
+
+
+def _hermite(Ft):
+    """(e1, e2, e3) of the cubic Hermite inverse x = ((e3 r + e2) r + e1) r, r = dt/F0, of
+    a step's dense t, ``_dense_at(x, Ft, t_k) = t_k + dt``: it meets the polynomial at
+    both ends of the step, x = 0 and 1, with its slopes there, F0 + F1 and F0 - F1 - F2
+    (h dt/ds = 2 h e^(-s)/p at the step's two states)."""
+    f0, f1, f2 = Ft[:3]
+    d0, d1 = f0 / (f0 + f1), f0 / (f0 - f1 - f2)
+    return d0, 3.0 - 2.0 * d0 - d1, d0 + d1 - 2.0
+
+
+def _read_at_time(t, t_k, e1, e2, e3, s_k, h, Ft, Fp, p_k):
+    """(s, p) at the time t of a step that starts at (s_k, t_k, p_k) and is h long in s,
+    with the dense-output coefficients Ft and Fp of t and p and the Hermite
+    coefficients e of ``_hermite``.
+
+    x = (s - s_k)/h is where the step's dense t, ``_dense_at(x, Ft, t_k)``, meets t:
+    _NEWTON_STEPS Newton iterations from the cubic Hermite inverse, with the
+    derivative carried through the nested sum.  p is read at s as ``OdeSolution``
+    reads it.  Only + - * /, elementwise, so floats and arrays give the same values.
+    """
+    f0, f1, f2, f3, f4, f5, f6 = Ft
+    dt = t - t_k
+    r = dt / f0
+    x = ((e3 * r + e2) * r + e1) * r
+    for _ in range(_NEWTON_STEPS):
+        u = 1 - x
+        v5 = f6 * x + f5
+        v4 = v5 * u + f4
+        v3 = v4 * x + f3
+        v2 = v3 * u + f2
+        v1 = v2 * x + f1
+        v0 = v1 * u + f0
+        d3 = (f6 * u - v5) * x + v4
+        d1 = (d3 * u - v3) * x + v2
+        x = x - (v0 * x - dt) / ((d1 * u - v1) * x + v0)
+    s = s_k + x * h
+    return s, _dense_at((s - s_k) / h, Fp, p_k)
+
+
+def _holding_step(grid: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The step between the breakpoints grid that holds each value of the array v: a
+    breakpoint grid[k] belongs to step k - 1, a value outside the grid to the first
+    or the last step."""
+    return np.clip(np.searchsorted(grid, v, side="left") - 1, 0, len(grid) - 2)
+
+
+def _f_f0(s, p):
+    """(f, f') = (e^(2s) - 1, p e^(3s)) at arrays of clock values s and rates p;
+    NumericalFailure where f' overflows (near f = 1e205)."""
+    try:
+        with np.errstate(over="raise"):
+            return np.expm1(2.0 * s), p * np.exp(3.0 * s)
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"f' = p e^(3s) overflows at s = {np.max(s)!r}") from exc
 
 
 @dataclass
@@ -143,19 +202,26 @@ class OdeTrajectory:
     """Dense-output record of a contrast march of the model ``params``.
 
     Readers of a trajectory take the model constants from its ``params``.
-    ``t_grid`` holds the accepted solver steps, the last one cut at the cap
-    crossing.  Step k starts at t_grid[k] from (y, y') = y_old[:, k] and is h[k]
-    long, the last one whole; F[:, :, k] holds its (7, 2) dense-output
-    coefficients.  ``f_f0_at`` gives (f, f') at a time or at an array of times
-    inside [t0, t_end], and ``f00_at`` f'' at an array of times.  They, and the
-    root search of ``time_of_contrast``, read every time by the one formula
-    ``_dense_at`` on the step that holds it, as scipy's ``OdeSolution`` reads
-    it alone, bit for bit.  A time at a breakpoint t_grid[k] belongs to step
-    k - 1, and a time outside [t0, t_end] to the first or the last step.
+    ``s_grid`` holds the accepted solver steps on the clock s = ln(1+f)/2, the
+    last one cut at the cap or at the time ceiling; ``t_grid``, ``p``, ``f`` and
+    ``f0`` hold t, p, f and f' there.  Step k starts at s_grid[k] from
+    (t, p) = y_old[:, k] and is h[k] long, the last one whole; F[:, :, k] holds
+    its (7, 2) dense-output coefficients.  ``t_p_at_s`` reads (t, p) at clock
+    values by the one formula ``_dense_at``, as scipy's ``OdeSolution`` reads
+    one alone, bit for bit, and ``time_of_contrast`` is such a read.
+    ``f00_at_s`` reads f'' at clock values.  ``f_f0_at`` gives (f, f') at a time
+    or at an array of times inside [t0, t_end]: it inverts the monotone t(s) of
+    the step that holds the time (``_read_at_time``) and reads p at the clock
+    value found; ``s_p_at`` returns that clock value and p.  The scalar and the
+    array path run the same arithmetic, so each value is the same either way.  A
+    time at a breakpoint t_grid[k] belongs to step k - 1, and a time outside
+    [t0, t_end] to the first or the last step; so does a clock value.
     """
 
     params: ModelParams
+    s_grid: np.ndarray
     t_grid: np.ndarray
+    p: np.ndarray
     f: np.ndarray
     f0: np.ndarray
     f_cap: float
@@ -165,72 +231,83 @@ class OdeTrajectory:
     F: np.ndarray = field(repr=False)
     y_old: np.ndarray = field(repr=False)
 
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """Rows (t_k, e1, e2, e3) of each step's read at a time."""
+        return np.array([self.y_old[0], *_hermite(self.F[:, 0])])
+
     # Python floats for the scalar path, built on its first read (array readers skip
-    # them): the breakpoints, and one _step_at tuple per step
+    # them): the breakpoints, and one _read_at_time tuple per step
     @cached_property
     def _ts(self) -> list:
         return self.t_grid.tolist()
 
     @cached_property
     def _steps(self) -> list:
-        return [(t, h, *F, *y) for t, h, F, y in zip(
-            self.t_grid[:-1].tolist(), self.h.tolist(), self.F.T.tolist(),
-            self.y_old.T.tolist())]
+        return list(zip(*self._inverse.tolist(), self.s_grid[:-1].tolist(), self.h.tolist(),
+                        self.F[:, 0].T.tolist(), self.F[:, 1].T.tolist(), self.y_old[1].tolist()))
 
-    def _y(self, t):
-        """(y, y') = (ln(1+f), f'/(1+f)) at t: two arrays of t's shape for a numpy
-        array t, and two floats by the scalar path otherwise."""
+    def s_p_at(self, t):
+        """(s, p) at t: two arrays of t's shape for a numpy array t, and two floats by
+        the scalar path otherwise."""
         if type(t) is np.ndarray:
-            k = np.clip(np.searchsorted(self.t_grid, t, side="left") - 1, 0, len(self.h) - 1)
-            return _dense_at((t - self.t_grid[k]) / self.h[k], self.F[:, :, k], self.y_old[:, k])
-        k = min(max(bisect.bisect_left(self._ts, t) - 1, 0), len(self._steps) - 1)
-        return _step_at(t, *self._steps[k])
+            k = _holding_step(self.t_grid, t)
+            return _read_at_time(t, *self._inverse[:, k], self.s_grid[k], self.h[k],
+                                 self.F[:, 0, k], self.F[:, 1, k], self.y_old[1, k])
+        k = min(max(bisect.bisect_left(self._ts, t) - 1, 0), len(self.h) - 1)
+        return _read_at_time(t, *self._steps[k])
 
     def f_f0_at(self, t):
-        """(f(t), f'(t)) from one dense-output read: arrays of t's shape for a numpy
-        array t, and floats by the scalar path otherwise; each value is the same
-        either way."""
-        y, yp = self._y(t)
+        """(f(t), f'(t)): arrays of t's shape for a numpy array t, and floats by the
+        scalar path otherwise; each value is the same either way.  NumericalFailure
+        where f' overflows."""
+        s, p = self.s_p_at(t)
         if type(t) is np.ndarray:
-            return np.expm1(y), yp * np.exp(y)
-        return float(np.expm1(y)), float(yp * np.exp(y))
+            return _f_f0(s, p)
+        f0 = float(p) * float(np.exp(3.0 * s)) if 3.0 * s <= _LN_MAX else math.inf
+        if f0 == math.inf:
+            raise NumericalFailure(f"f' = p e^(3s) overflows at s = {s!r}")
+        return float(np.expm1(2.0 * s)), f0
 
-    def f00_at(self, t: np.ndarray) -> np.ndarray:
-        """f''(t) = (y'' + y'^2) e^y at an array of times t, y'' by ``_dense_dx`` over h."""
-        k = np.clip(np.searchsorted(self.t_grid, t, side="left") - 1, 0, len(self.h) - 1)
-        x, F = (t - self.t_grid[k]) / self.h[k], self.F[:, :, k]
-        y, yp = _dense_at(x, F, self.y_old[:, k])
-        return (_dense_dx(x, F[:, 1]) / self.h[k] + yp * yp) * np.exp(y)
+    def f00_at_s(self, s: np.ndarray) -> np.ndarray:
+        """f'' at an array of clock values s: f' = p e^(3s) differentiated along the
+        dense output, (dp/dx + 3 p h) e^(3s) / (dt/dx) with x = (s - s_k)/h and both
+        derivatives in x by ``_dense_dx``."""
+        k = _holding_step(self.s_grid, s)
+        x, F, h = (s - self.s_grid[k]) / self.h[k], self.F[:, :, k], self.h[k]
+        p = _dense_at(x, F[:, 1], self.y_old[1, k])
+        return (_dense_dx(x, F[:, 1]) + 3.0 * p * h) * np.exp(3.0 * s) / _dense_dx(x, F[:, 0])
+
+    def t_p_at_s(self, s: np.ndarray) -> np.ndarray:
+        """(t, p) at an array of clock values s, shape (2,) + s.shape."""
+        k = _holding_step(self.s_grid, s)
+        return _dense_at((s - self.s_grid[k]) / self.h[k], self.F[:, :, k], self.y_old[:, k])
 
     def time_of_contrast(self, f_target: float) -> float:
-        """Smallest t with f(t) = f_target (f is strictly increasing).
-
-        The root is searched in the solver step that holds it, so it does not
-        depend on how far the trajectory was integrated.  That step is found
-        from the dense output at the step ends, not from the stored f, which
-        can differ from it in the last bit.
-        """
+        """Smallest t with f(t) = f_target: t(s) read at s = ln(1 + f_target)/2 on the
+        solver step that holds it, so it does not depend on how far the trajectory
+        was integrated.  f_target = f_cap gives t_end."""
         lo, hi = float(self.f[0]), float(self.f[-1])
         if f_target < lo * (1.0 - 1e-9) or f_target > hi * (1.0 + 1e-9):
             raise NumericalFailure(f"contrast {float(f_target)} outside computed range "
                                    f"[{lo:.6g}, {hi:.6g}]")
-        f_target = min(max(f_target, lo), hi)
-        if f_target == hi:
+        s = 0.5 * math.log1p(f_target)
+        if s >= self.s_grid[-1]:
             return self.t_end
-        y_t = math.log1p(f_target)
-
-        def gap(t):
-            return self._y(t)[0] - y_t
-
-        k = bisect.bisect_left(self.t_grid, 0.0, key=gap)  # gap(t[k-1]) < 0 <= gap(t[k])
-        if k == 0:
-            return float(self.t_grid[0])
-        if k == len(self.t_grid):
-            return self.t_end
-        return _brentq(gap, self.t_grid[k - 1], self.t_grid[k], xtol=1e-14, rtol=8.9e-16)
+        return float(self.t_p_at_s(np.array(max(s, self.s_grid[0])))[0])
 
 
 _ZERO_T_END = 1e9  # zero_trajectory's end time
+
+
+class _ZeroTrajectory(OdeTrajectory):
+    """``OdeTrajectory`` of f = f' = 0, which no clock s = ln(1+f)/2 can march: every
+    read at a time is s = p = 0."""
+
+    def s_p_at(self, t):
+        if type(t) is np.ndarray:
+            return np.zeros(t.shape), np.zeros(t.shape)
+        return 0.0, 0.0
 
 
 def zero_trajectory(params: ModelParams) -> OdeTrajectory:
@@ -238,30 +315,32 @@ def zero_trajectory(params: ModelParams) -> OdeTrajectory:
 
     The exact background universe is the beta = gamma = 0 member, for which
     the source terms carry f = 0; residual checks of that solution consume
-    this trivial trajectory.  Its dense output is one step with zero
-    coefficients, so every read is an exact zero.
+    this trivial trajectory, and every read of it is an exact zero.
     """
-    t_grid = np.array([params.t0, _ZERO_T_END])
-    return OdeTrajectory(
-        params=params, t_grid=t_grid, f=np.zeros(2), f0=np.zeros(2),
-        f_cap=0.0, t_end=_ZERO_T_END, reached_cap=False,
-        h=np.diff(t_grid), F=np.zeros((7, 2, 1)), y_old=np.zeros((2, 1)),
+    zeros = np.zeros(2)
+    return _ZeroTrajectory(
+        params=params, s_grid=zeros, t_grid=np.array([params.t0, _ZERO_T_END]), p=zeros,
+        f=zeros, f0=zeros, f_cap=0.0, t_end=_ZERO_T_END, reached_cap=False,
+        h=np.ones(1), F=np.zeros((7, 2, 1)), y_old=np.zeros((2, 1)),
     )
 
 
-def _rhs_y(t, y, a, b, c):
-    """(y', y'') of the contrast ODE in y = ln(1+f) at t, for the state y = (y, y').
+def _rhs_s(s, y, a, b, c):
+    """(dt/ds, dp/ds) of the contrast ODE on the clock s = ln(1+f)/2, for the state
+    y = (t, p), p = f'/(1+f)^(3/2), with w = e^(-s).
 
-    y'' is summed on Python floats, and summed again on numpy scalars where it is
-    not finite, so that numpy's error state meets an overflow or a NaN.
+    The slopes are taken on Python floats, and again on numpy scalars where they are
+    not finite, so that numpy's error state meets an overflow.
     """
-    y0, y1 = y
-    # np.expm1, not math.expm1: they differ in the last bit for some arguments, and
-    # scipy's rhs in the tests calls numpy's
-    ypp = -(a / t) * y1 + (b / t**2) * float(np.expm1(y0)) + (c - 1.0) * y1 ** 2
-    if math.isfinite(ypp):
-        return y1, ypp
-    return y1, -(a / t) * y1 + (b / t**2) * np.expm1(y0) + (c - 1.0) * y1 ** 2
+    t, p = y
+    w = math.exp(-s)
+    dt = 2.0 * w / p
+    dp = 2.0 * (c - 1.5) * p - 2.0 * a * w / t + (2.0 * b / (t * t * p)) * (1.0 - w * w)
+    if math.isfinite(dt) and math.isfinite(dp):
+        return dt, dp
+    t, p = np.float64(t), np.float64(p)
+    return (2.0 * w / p,
+            2.0 * (c - 1.5) * p - 2.0 * a * w / t + (2.0 * b / (t * t * p)) * (1.0 - w * w))
 
 
 # scipy's step controller: safety factor, limits of one step's change, and the
@@ -573,29 +652,35 @@ class _Dop853:
         return _dense_at(x, self.dense_coefficients(), self.y_old)
 
 
+BLOWUP_CONTRAST = 1e300  # blowup_time reads t_m where f reaches this
+
+
 class ContrastMarch:
     """The one integration of the contrast ODE of ``params`` that a run's trajectories
-    are cut from: ``_Dop853`` marches y = ln(1+f) toward the ceiling and each accepted
-    step is kept with its dense output.  No step depends on where a request stops.
-    An overflow, a NaN step size (non-finite slopes) and a step size below the float
-    spacing near t raise NumericalFailure; the march then takes no further step.
+    and its blowup time are cut from: ``_Dop853`` marches (t, p) on the clock s from
+    s0 = ln(1+beta)/2, and each accepted step is kept with its dense output.  No step
+    depends on where a request stops.  The march ends in the step where t crosses the
+    time ceiling, cut there by ``_read_at_time``.  An overflow, a NaN step size
+    (non-finite slopes) and a step size below the float spacing near s raise
+    NumericalFailure; the march then takes no further step.
     """
 
     def __init__(self, params: ModelParams, controls: ToleranceSpec = ToleranceSpec()):
-        t, t_bound = float(params.t0), float(controls.t_ceiling)
-        if not t_bound > t:
-            raise UsageError(f"t_ceiling must exceed t0, got {t_bound!r} <= {t!r}")
+        t, self._ceiling = float(params.t0), float(controls.t_ceiling)
+        if not self._ceiling > t:
+            raise UsageError(f"t_ceiling must exceed t0, got {self._ceiling!r} <= {t!r}")
         a, b, c = params.ode_a, params.ode_b, params.ode_c
-        y = [math.log1p(params.beta), params.beta0 / (1.0 + params.beta)]
+        s, y = 0.5 * math.log1p(params.beta), [t, params.beta0 / (1.0 + params.beta) ** 1.5]
         self.params, self._failed = params, False
-        self._stepper = _Dop853(lambda tq, yq: _rhs_y(tq, yq, a, b, c), t, np.array(y),
-                                t_bound, controls.rel_tol, controls.abs_tol)
-        self._ts, self._ys = [t], [y]  # (t, [y, y']) at t0 and at each accepted step's end
-        self._steps = []  # (h, F) of each accepted step k, which starts at _ts[k] from _ys[k]
+        self._stepper = _Dop853(lambda sq, yq: _rhs_s(sq, yq, a, b, c), s, np.array(y),
+                                math.inf, controls.rel_tol, controls.abs_tol)
+        self._ss, self._ys = [s], [y]  # (s, [t, p]) at s0 and at each accepted step's end
+        self._steps = []  # (h, F) of each accepted step k, which starts at _ss[k] from _ys[k]
+        self._cut = None  # (s, [t_ceiling, p]) in the last step, once t crossed the ceiling
 
     def _step(self) -> None:
         """Take one more accepted step and keep it."""
-        march, t, y = self._stepper, self._ts[-1], self._ys[-1]
+        march, s, (t, _) = self._stepper, self._ss[-1], self._ys[-1]
         if self._failed:
             raise NumericalFailure(f"the contrast march failed before, at t={t!r}")
         self._failed = True  # until the step is kept
@@ -607,48 +692,94 @@ class ContrastMarch:
                                        "ODE's slopes are not finite")
             raise NumericalFailure(
                 f"stiffness failure: integrator stopped at t={t:.12g} with "
-                f"f={math.expm1(y[0]):.6g}: Required step size is less than spacing "
+                f"f={math.expm1(2.0 * s):.6g}: Required step size is less than spacing "
                 "between numbers.")
-        self._steps.append((march.h, march.dense_coefficients()))
-        self._ts.append(float(march.t))
+        h, F = march.h, march.dense_coefficients()
+        self._steps.append((h, F))
+        self._ss.append(float(march.t))
         self._ys.append(march.y.tolist())
+        s0, (t0, p0), t1 = self._ss[-2], self._ys[-2], self._ys[-1][0]
+        if t1 >= self._ceiling:
+            Ft, Fp = F.T.tolist()
+            s, p = _read_at_time(self._ceiling, t0, *_hermite(Ft), s0, h, Ft, Fp, p0)
+            self._cut = (s, [self._ceiling, p])
         self._failed = False
+
+    def _reach(self, done) -> int:
+        """The first step k whose end (s, t) meets done(s, t), or that crosses the
+        ceiling, stepping on only if the steps taken fall short."""
+        k = 0
+        while True:
+            k += 1
+            if k == len(self._ss):
+                self._step()
+            if done(self._ss[k], self._ys[k][0]) or k == len(self._steps) and self._cut:
+                return k
+
+    def _end(self, k: int, s_cap: float):
+        """(s, [t, p], reached_cap) where a trajectory to s_cap that stops in step k
+        ends: s_cap on the step's dense output, where t crosses the ceiling, or the
+        step's end."""
+        cut = self._cut if k == len(self._steps) else None
+        if self._ss[k] >= s_cap and (cut is None or s_cap <= cut[0]):
+            h, F = self._steps[k - 1]
+            x = (s_cap - self._ss[k - 1]) / h
+            return s_cap, _dense_at(x, F, np.array(self._ys[k - 1])).tolist(), True
+        return (*(cut or (self._ss[k], self._ys[k])), False)
 
     @np.errstate(over="raise")  # numpy's overflows raise FloatingPointError, as a float's ** does
     def trajectory(self, f_cap: float, t_reach: float = math.inf) -> OdeTrajectory:
-        """The trajectory to the first step that crosses f = f_cap (cut there by
-        ``_brentq``), meets the ceiling, or ends at or past t_reach (kept whole),
-        stepping on only if the steps taken fall short; f, f' > 0 is asserted."""
-        if not f_cap > self.params.beta:
-            raise UsageError(f"f_cap must exceed beta, got {f_cap!r} <= {self.params.beta!r}")
-        y_cap, t_bound = math.log1p(f_cap), self._stepper.t_bound
-        k, t, y = 0, self._ts[0], self._ys[0]
+        """The trajectory to the step that crosses f = f_cap (cut there, at
+        s = ln(1 + f_cap)/2), meets the ceiling (cut there), or ends at or past t_reach
+        (kept whole), stepping on only if the steps taken fall short; f, f' > 0 is
+        asserted."""
+        if not self.params.beta < f_cap < math.inf:
+            raise UsageError(f"f_cap must exceed beta = {self.params.beta!r} and be finite, "
+                             f"got {f_cap!r}")
+        s_cap = 0.5 * math.log1p(f_cap)
         try:
-            while k == 0 or not (t == t_bound or t >= t_reach or y[0] >= y_cap):
-                k += 1
-                if k == len(self._ts):
-                    self._step()
-                t, y = self._ts[k], self._ys[k]
-            reached_cap = y[0] >= y_cap  # scipy's g <= 0 <= g_new for g = y - y_cap
-            h, F = zip(*self._steps[:k])
-            if reached_cap:
-                step = (self._ts[k - 1], float(h[-1]), *F[-1].T.tolist(), *self._ys[k - 1])
-                t = _brentq(lambda tq: _step_at(tq, *step)[0] - y_cap, step[0], t,
-                            xtol=4 * _EPS, rtol=4 * _EPS)
-                y = list(_step_at(t, *step))
-            t_grid = np.array(self._ts[:k] + [t])
-            y_grid = np.array(self._ys[:k] + [y]).T
-            f_grid, f0_grid = np.expm1(y_grid[0]), y_grid[1] * np.exp(y_grid[0])
-            if np.any(f_grid <= 0.0) or np.any(f0_grid <= 0.0):
-                raise NumericalFailure("internal-consistency error: f or f' non-positive on an "
-                                       "accepted step (contradicts positivity of the contrast)")
-            return OdeTrajectory(
-                params=self.params, t_grid=t_grid, f=f_grid, f0=f0_grid,
-                f_cap=f_cap, t_end=float(t_grid[-1]), reached_cap=reached_cap,
-                h=np.array(h), F=np.stack(F, axis=-1), y_old=y_grid[:, :-1],
-            )
-        except (OverflowError, FloatingPointError) as exc:
-            raise NumericalFailure(f"contrast ODE overflowed near t={t!r}") from exc
+            k = self._reach(lambda s, t: s >= s_cap or t >= t_reach)
+            s, y, reached_cap = self._end(k, s_cap)
+        except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
+            raise NumericalFailure(f"contrast ODE overflowed near t={self._ys[-1][0]!r}") from exc
+        h, F = zip(*self._steps[:k])
+        s_grid = np.array(self._ss[:k] + [s])
+        y_grid = np.array(self._ys[:k] + [y]).T
+        f_grid, f0_grid = _f_f0(s_grid, y_grid[1])
+        if np.any(f_grid <= 0.0) or np.any(f0_grid <= 0.0):
+            raise NumericalFailure("internal-consistency error: f or f' non-positive on an "
+                                   "accepted step (contradicts positivity of the contrast)")
+        return OdeTrajectory(
+            params=self.params, s_grid=s_grid, t_grid=y_grid[0], p=y_grid[1], f=f_grid,
+            f0=f0_grid, f_cap=f_cap, t_end=float(y_grid[0, -1]), reached_cap=reached_cap,
+            h=np.array(h), F=np.stack(F, axis=-1), y_old=y_grid[:, :-1],
+        )
+
+    @np.errstate(over="raise")
+    def blowup_time(self) -> tuple[float, float]:
+        """(t_m, p t_m / 2): t and p t/2 where the march reaches f = BLOWUP_CONTRAST, at
+        s = 345.4, where t_m - t = O(e^(-s)) is far below rounding and p t_m / 2 tends
+        to 1.  NumericalFailure if p leaves (0, inf) or t meets the ceiling first."""
+        s_m = 0.5 * math.log1p(BLOWUP_CONTRAST)
+        try:
+            k = self._reach(lambda s, t: s >= s_m)
+            s, (t_m, p_m), reached = self._end(k, s_m)
+        except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
+            raise NumericalFailure(f"contrast ODE overflowed near t={self._ys[-1][0]!r}") from exc
+        if not reached:
+            raise NumericalFailure(f"no blowup detected in window: t reaches the ceiling "
+                                   f"{self._ceiling!r} at f = {math.expm1(2.0 * s):.6g}")
+        bad = [y for y in self._ys[:k] + [[t_m, p_m]] if not 0.0 < y[1] < math.inf]
+        if bad:
+            raise NumericalFailure(f"p = f'/(1+f)^(3/2) left (0, inf): p = {bad[0][1]!r} "
+                                   f"at t = {bad[0][0]!r}")
+        return t_m, p_m * t_m / 2.0
+
+
+def blowup_time(params: ModelParams,
+                controls: ToleranceSpec = ToleranceSpec()) -> tuple[float, float]:
+    """(t_m, p t_m / 2) of ``ContrastMarch.blowup_time`` on a fresh march of params."""
+    return ContrastMarch(params, controls).blowup_time()
 
 
 @dataclass(frozen=True)
@@ -811,7 +942,8 @@ def blowup_ladder(traj: OdeTrajectory) -> tuple[float, float, int]:
 
         t_m = t3 + (t3 - t2) / (r - 1).
 
-    A triplet with r <= 1 does not shrink toward a blowup and is dropped.
+    A triplet with r <= 1 does not shrink toward a blowup and is dropped, and so
+    is one whose last two rungs are the same float.
     Returns (t_m estimate, relative spread of the kept triplet extrapolants,
     number of dropped triplets); the estimate is the last kept extrapolant.
     """
@@ -822,9 +954,9 @@ def blowup_ladder(traj: OdeTrajectory) -> tuple[float, float, int]:
     ests = []
     for i in range(len(times) - 2):
         t1, t2, t3 = times[i], times[i + 1], times[i + 2]
-        r = (t2 - t1) / (t3 - t2)
-        if r <= 1.0:
+        if not t2 - t1 > t3 - t2 > 0.0:  # r <= 1, or rungs that t cannot tell apart
             continue
+        r = (t2 - t1) / (t3 - t2)
         ests.append(t3 + (t3 - t2) / (r - 1.0))
     if not ests:
         raise NumericalFailure("no blowup detected in window: extrapolation ladder degenerate")

@@ -406,20 +406,12 @@ def _record(t: np.ndarray, y: np.ndarray, f: np.ndarray, f0: np.ndarray,
 
 
 def snapshot_times(traj: OdeTrajectory, t_start: float, count: int) -> np.ndarray:
-    """count times in (t_start, traj.t_end], uniform in ln(1+f), the last exactly traj.t_end.
-
-    Newton's method on ln(1+f(t)) = target (slope f'/(1+f)), started from
-    linear interpolation on the trajectory's grid, reaches rounding level in
-    three iterations.
-    """
-    t_stop = traj.t_end
-    lo, hi = np.log1p(traj.f_f0_at(np.array([t_start, t_stop]))[0])
-    target = lo + (hi - lo) * np.arange(1, count) / count
-    t = np.interp(target, np.log1p(traj.f), traj.t_grid)
-    for _ in range(3):
-        f, f0 = traj.f_f0_at(t)
-        t -= (np.log1p(f) - target) * (1.0 + f) / f0
-    return np.append(t, t_stop)
+    """count times in (t_start, traj.t_end], uniform in ln(1+f) = 2s, the last exactly
+    traj.t_end: t(s) read off the dense output at uniform clock values s after that of
+    t_start."""
+    lo, hi = traj.s_p_at(float(t_start))[0], traj.s_grid[-1]
+    s = lo + (hi - lo) * np.arange(1, count) / count
+    return np.append(traj.t_p_at_s(s)[0], traj.t_end)
 
 
 def evolve(state: FieldState, traj: OdeTrajectory, pde_rtol: float = PDE_RTOL) -> EvolveResult:

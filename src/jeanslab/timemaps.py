@@ -7,13 +7,16 @@ Two integral representations of the same map are computed and cross-checked:
 
 Their agreement is a strong consistency certificate for the ODE solution,
 because equality of the two integrands is equivalent to the closed-form
-expression of f' in terms of (f, g).  On each DOP853 step, as cut at the cap,
-each integral is one polynomial in x = (t - t_k)/(t_{k+1} - t_k): the integral
-of the interpolant of the integrand's dense-output values at the `_GL_NODES`
-Gauss-Legendre nodes, which at x = 1 is the Gauss-Legendre rule (Davis &
-Rabinowitz, Methods of Numerical Integration, ch. 2).  The quotient form's
-polynomial is ln g; the f-only form survives as its gap.  The record grid is the
-solver nodes plus the quadrature nodes, 7 points a step.
+expression of f' in terms of (f, g).  Both are integrated on the contrast
+march's clock s = ln(1+f)/2, with dt/ds = 2 e^(-s)/p and p = f'/(1+f)^(3/2),
+where the quotient integrand is 2 (1 - e^(-2s)) / (t^2 p^2), bounded and smooth
+up to the blowup.  On each DOP853 step, as cut at the cap, each integral is one
+polynomial in x = (s - s_k)/(s_{k+1} - s_k): the integral of the interpolant of
+the integrand's dense-output values at the `_GL_NODES` Gauss-Legendre nodes,
+which at x = 1 is the Gauss-Legendre rule (Davis & Rabinowitz, Methods of
+Numerical Integration, ch. 2).  The quotient form's polynomial is ln g; the
+f-only form survives as its gap.  The record grid is the solver nodes plus the
+quadrature nodes, 7 points a step, each read at its clock value.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrast_ode import OdeTrajectory
+from .contrast_ode import OdeTrajectory, _f_f0, _holding_step
 from .errors import NumericalFailure
 from .params import ModelParams
 
 _GL_NODES = 6  # Gauss-Legendre nodes per solver step
-# Newton iterations of tau -> t from the chord between record points; 3 reached
+# Newton iterations of tau -> s from the chord between record points; 3 reached
 # rounding at about 4,000 tau on each of seven models (beta down to 1e-30, A = 0.2 to 1)
 _NEWTON_STEPS = 4
 _NEWTON_TOL = 16.0 * np.finfo(float).eps  # the bound on its residual over ln g's |terms|
@@ -80,12 +83,15 @@ class TimeMaps:
     """Time transform and diagnostics on the record grid, and readers at any time.
 
     The maps carry the trajectory's model ``params``, which their readers use.
-    ``g_G_at`` reads (g, G) at times t from ln g's step polynomial, and
-    ``f_G_at_tau`` (f, G) at compactified times tau, at the time ``t_at_tau``
-    finds on it; f, f' come from the dense output and G from chi's closed form.
-    A time outside [t0, t_end] reads the first or the last step's polynomial."""
+    ``s_grid`` and ``t_grid`` hold the record grid's clock values and times.
+    ``g_G_at`` reads (g, G) at times t from ln g's step polynomial at the clock
+    value of t, and ``f_G_at_tau`` (f, G) at compactified times tau, at the clock
+    value ``t_at_tau`` finds on it; f, f' come from the dense output and G from
+    chi's closed form.  A time outside [t0, t_end] reads the first or the last
+    step's polynomial."""
 
     params: ModelParams
+    s_grid: np.ndarray
     t_grid: np.ndarray
     f: np.ndarray
     f0: np.ndarray
@@ -96,31 +102,38 @@ class TimeMaps:
     xi: np.ndarray
     G_frak: np.ndarray
     eta2: np.ndarray
-    # ln g on each solver step k: coefficients (power, step) of x = (t - t_k) / dt_k
+    # ln g on each solver step k: coefficients (power, step) of x = (s - s_k) / ds_k
     _log_g: np.ndarray = field(repr=False)
     _traj: OdeTrajectory = field(repr=False)
 
     @functools.cached_property
     def f00(self) -> np.ndarray:
-        """f'' on the grid from the derivative of the dense output of y', read on first use."""
-        return self._traj.f00_at(self.t_grid)
+        """f'' on the grid from the derivative of the dense output, read on first use."""
+        return self._traj.f00_at_s(self.s_grid)
 
-    def _f_G(self, t: np.ndarray, g: np.ndarray):
-        """(f, G) at the times t, where g is known."""
-        f, f0 = self._traj.f_f0_at(t)
+    def _g(self, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """g at the clock values s of the steps k."""
+        s_grid = self._traj.s_grid
+        x = (s - s_grid[k]) / (s_grid[k + 1] - s_grid[k])
+        return np.exp(_horner(self._log_g[:, k], x)[0])
+
+    def _f_G(self, s, p, t, g):
+        """(f, G) at the clock values s with rates p, at the times t, where g is known."""
+        f, f0 = _f_f0(s, p)
         return f, _chi(self.params, t, f, f0, g) - self.params.chi_limit()
 
     @_reader
     def g_G_at(self, t):
         """(g, G) at the times t."""
-        k, x = _step_x(self._traj.t_grid, t)
-        g = np.exp(_horner(self._log_g[:, k], x)[0])
-        return g, self._f_G(t, g)[1]
+        s, p = self._traj.s_p_at(t)
+        g = self._g(_holding_step(self._traj.t_grid, t), s)
+        return g, self._f_G(s, p, t, g)[1]
 
-    def t_at_tau(self, tau: np.ndarray) -> np.ndarray:
-        """The times at a 1-d array of tau: the root of one step's ln g polynomial at
-        ln(-tau), by Newton's method from the chord of tau between the record points
-        around it; NumericalFailure where its residual is not at rounding."""
+    def _s_at_tau(self, tau: np.ndarray) -> np.ndarray:
+        """The clock values at a 1-d array of tau: the root of one step's ln g
+        polynomial at ln(-tau), by Newton's method from the chord of tau between the
+        record points around it; NumericalFailure where its residual is not at
+        rounding."""
         xs = np.concatenate(([0.0], _gauss_legendre()[0], [1.0]))  # one step's record x
         j = np.clip(np.searchsorted(self.tau, tau, side="left") - 1, 0, len(self.tau) - 2)
         k, i = np.divmod(j, _GL_NODES + 1)
@@ -136,13 +149,19 @@ class TimeMaps:
         if not np.all(residual <= _NEWTON_TOL * scale):
             raise NumericalFailure(f"no time found for tau in [{tau.min():.6g}, {tau.max():.6g}]: "
                                    f"Newton's residual on ln g is {residual.max():.3g}")
-        nodes = self._traj.t_grid
-        return nodes[k] + x * (nodes[k + 1] - nodes[k])
+        s_grid = self._traj.s_grid
+        return s_grid[k] + x * (s_grid[k + 1] - s_grid[k])
+
+    def t_at_tau(self, tau: np.ndarray) -> np.ndarray:
+        """The times at a 1-d array of tau: t(s) at the clock value of each."""
+        return self._traj.t_p_at_s(self._s_at_tau(tau))[0]
 
     @_reader
     def f_G_at_tau(self, tau):
         """(f, G) at the compactified times tau."""
-        return self._f_G(self.t_at_tau(tau), -tau)
+        s = self._s_at_tau(tau)
+        t, p = self._traj.t_p_at_s(s)
+        return self._f_G(s, p, t, -tau)
 
 
 def _in_float_range(fn):
@@ -160,20 +179,13 @@ def _in_float_range(fn):
     return checked
 
 
-def _step_x(nodes: np.ndarray, t: np.ndarray):
-    """The step k that holds each time of t, as ``OdeTrajectory`` assigns it, and
-    x = (t - nodes[k]) / (nodes[k + 1] - nodes[k])."""
-    k = np.clip(np.searchsorted(nodes, t, side="left") - 1, 0, len(nodes) - 2)
-    return k, (t - nodes[k]) / (nodes[k + 1] - nodes[k])
-
-
-def _step_integrals(v: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """The integral from t0 of an integrand with values v (step, node) at the quadrature
-    nodes: coefficients (power, step) of one polynomial in x per step, whose constants
-    sum the Gauss-Legendre rule over the steps before."""
+def _step_integrals(v: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """The integral from s0 of an integrand with values v (step, node) at the quadrature
+    nodes of steps ds long: coefficients (power, step) of one polynomial in x per step,
+    whose constants sum the Gauss-Legendre rule over the steps before."""
     _, weights, to_integral = _gauss_legendre()
-    starts = np.concatenate(([0.0], np.cumsum(dt * (v @ weights))[:-1]))
-    return np.vstack([starts, (dt[:, None] * (v @ to_integral.T)).T])
+    starts = np.concatenate(([0.0], np.cumsum(ds * (v @ weights))[:-1]))
+    return np.vstack([starts, (ds[:, None] * (v @ to_integral.T)).T])
 
 
 @_in_float_range
@@ -190,13 +202,21 @@ def compute_g(traj: OdeTrajectory) -> TimeMaps:
     """
     params = traj.params
     a, b, c, A, B = params.ode_a, params.ode_b, params.ode_c, params.A, params.B
-    starts, dt = traj.t_grid[:-1], np.diff(traj.t_grid)
-    t = np.append(starts[:, None] + dt[:, None] * np.r_[0.0, _gauss_legendre()[0]], traj.t_grid[-1])
-    f, f0 = traj.f_f0_at(t)
-    tq, fq, f0q = (v[:-1].reshape(-1, _GL_NODES + 1)[:, 1:] for v in (t, f, f0))
-    log_g = -A * _step_integrals(fq * (fq + 1.0) / (tq**2 * f0q), dt)
-    I2 = _step_integrals(tq ** (a - 2.0) * fq * (1.0 + fq) ** (1.0 - c), dt)
-    k, x = _step_x(traj.t_grid, t)
+    nodes, s_grid = _gauss_legendre()[0], traj.s_grid
+    n, ds = len(traj.h), np.diff(s_grid)
+    sq = s_grid[:-1, None] + ds[:, None] * nodes  # (step, node)
+    tq, pq = traj.t_p_at_s(sq)
+    # the record grid: each step's start, its nodes, and the end, with f and f' there
+    t, s, p = (np.append(np.hstack([v[:-1, None], q]), v[-1])
+               for v, q in ((traj.t_grid, tq), (s_grid, sq), (traj.p, pq)))
+    f, f0 = _f_f0(s, p)
+    fq = f[:-1].reshape(n, _GL_NODES + 1)[:, 1:]
+    # the integrands per unit s: dt/ds = 2 e^(-s) / p
+    dt_ds = 2.0 * np.exp(-sq) / pq
+    log_g = -A * _step_integrals(2.0 * -np.expm1(-2.0 * sq) / (tq**2 * pq**2), ds)
+    I2 = _step_integrals(tq ** (a - 2.0) * fq * (1.0 + fq) ** (1.0 - c) * dt_ds, ds)
+    k = np.append(np.repeat(np.arange(n), _GL_NODES + 1), n - 1)
+    x = (s - s_grid[k]) / ds[k]  # as TimeMaps reads it
     g = np.exp(_horner(log_g[:, k], x)[0])
     g_f_only = (1.0 + b * B * _horner(I2[:, k], x)[0]) ** (-A / b)
     gap = float(np.max(np.abs(g - g_f_only) / g_f_only))
@@ -210,7 +230,7 @@ def compute_g(traj: OdeTrajectory) -> TimeMaps:
         raise NumericalFailure(f"chi cross-check failed: algebraic forms differ by rel "
                                f"{chi_gap:.3g}")
     return TimeMaps(
-        params=params, t_grid=t, f=f, f0=f0, g=g, tau=-g, representation_gap=gap,
+        params=params, s_grid=s, t_grid=t, f=f, f0=f0, g=g, tau=-g, representation_gap=gap,
         chi=chi, xi=1.0 / (g * (1.0 + f)), G_frak=chi - params.chi_limit(),
         eta2=1.0 / (g**2.0 * (1.0 + f)), _log_g=log_g, _traj=traj,
     )

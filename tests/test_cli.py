@@ -30,11 +30,20 @@ def test_iota_command(tmp_path):
 
 
 def test_blowup_command(tmp_path):
+    # at f_cap = 1e4 the ladder's estimate is off t_m by 1.04e-4 of it, more than its
+    # spread of 7.0e-5: that verdict alone fails.  At the default 1e6 all pass
     out = tmp_path / "blowup"
-    assert main(["blowup", "--output-dir", str(out), "--f-cap", "1e4"]) == 0
+    assert main(["blowup", "--output-dir", str(out), "--f-cap", "1e4"]) == 1
     s = read_summary(out)
-    assert s["verdicts"]["estimate_inside_bracket"]
+    assert [k for k, ok in s["verdicts"].items() if not ok] == ["ladder_error_within_spread"]
+    assert s["verdicts"]["estimate_inside_bracket"] and s["verdicts"]["blowup_time_inside_bracket"]
     assert abs(s["values"]["t_star"] - 2.01) < 1e-2
+    v = s["values"]
+    assert v["ladder_spread"] < v["ladder_error"] == abs(v["t_m_estimate"] - v["t_m"]) / v["t_m"]
+    assert abs(v["t_m"] - 4.18980836099986) < 1e-11 and abs(v["p_t_m_half"] - 1.0) < 1e-9
+    out = tmp_path / "default"
+    assert main(["blowup", "--output-dir", str(out)]) == 0
+    assert read_summary(out)["values"]["t_m"] == v["t_m"]
 
 
 def test_simulate_homogeneous(tmp_path):
@@ -160,28 +169,30 @@ def record_marches(monkeypatch):
     return marches, served
 
 
-@pytest.mark.parametrize("argv,steps,reached", [
-    (["ode"], 97, [True]),
-    (["blowup"], 97, [True]),
-    (["residuals", "--family", "both"], 13, [False]),  # stops past t = 2.0 + 2 FD_STEP
-    (["simulate", "--grid-n", "32", "--pde-f-cap", "10"], 19, [True]),
-    (["fuchsian-check"], 128, [True]),
-    # ode, blowup, residuals and simulate read prefixes of fuchsian-check's run to 1e8
-    (["report"], 128, [True, True, False, True, True]),
+@pytest.mark.parametrize("argv,steps,served_steps,reached", [
+    # ode and blowup march on to f = 1e300 for t_m, past their trajectory to 1e6
+    (["ode"], 96, [37], [True]),
+    (["blowup"], 96, [37], [True]),
+    (["residuals", "--family", "both"], 8, [8], [False]),  # stops past t = 2.0 + 2 FD_STEP
+    (["simulate", "--grid-n", "32", "--pde-f-cap", "10"], 14, [14], [True]),
+    (["fuchsian-check"], 41, [41], [True]),
+    # every trajectory of report is a prefix of the march to t_m
+    (["report"], 96, [37, 37, 8, 21, 41], [True, True, False, True, True]),
 ], ids=["ode", "blowup", "residuals", "simulate", "fuchsian-check", "report"])
-def test_one_integration_per_trajectory(tmp_path, monkeypatch, argv, steps, reached):
+def test_one_integration_per_trajectory(tmp_path, monkeypatch, argv, steps, served_steps,
+                                        reached):
     # each run integrates the contrast once, as deep as its deepest request, and
     # every request it makes is served the steps up to its own stop and no more
     marches, served = record_marches(monkeypatch)
     assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
     assert [len(m._steps) for m in marches] == [steps]
     assert [traj.reached_cap for traj in served] == reached
-    assert max(len(traj.h) for traj in served) == steps
-    t_need, eps = 2.0 + 2.0 * FD_STEP, np.finfo(float).eps  # the residuals' last time
+    assert [len(traj.h) for traj in served] == served_steps
+    t_need = 2.0 + 2.0 * FD_STEP  # the residuals' last time
     for traj in served:
-        if traj.reached_cap:  # cut at the crossing, to _brentq's tolerance in t times f'
+        if traj.reached_cap:  # cut at the cap's clock value s = ln(1 + f_cap)/2
             assert traj.f[-2] < traj.f_cap
-            assert abs(traj.f[-1] - traj.f_cap) <= traj.f0[-1] * 4 * eps * (1.0 + traj.t_end)
+            assert traj.s_grid[-1] == 0.5 * math.log1p(traj.f_cap)
         else:
             assert traj.t_grid[-2] < t_need <= traj.t_end
 
@@ -192,18 +203,18 @@ def test_residuals_integrate_only_past_their_last_time(tmp_path, monkeypatch):
     marches, served = record_marches(monkeypatch)
     assert main(["residuals", "--family", "both", "--output-dir", str(tmp_path / "res")]) == 0
     (march,), (traj,) = marches, served
-    assert (len(traj.t_grid), traj.reached_cap, len(march._steps)) == (14, False, 13)
+    assert (len(traj.t_grid), traj.reached_cap, len(march._steps)) == (9, False, 8)
     assert traj.t_grid[-2] < 2.0 + 2.0 * FD_STEP <= traj.t_end
 
 
 @pytest.mark.parametrize("argv,cap,points", [
     (["simulate", "--grid-n", "128", "--profile-kind", "cosine", "--eps", "1e-3",
-      "--pde-f-cap", "1e3"], 1e3, 51),
-    (["report"], 50.0, 30),  # its simulate child, at pde_f_cap = 50
+      "--pde-f-cap", "1e3"], 1e3, 30),
+    (["report"], 50.0, 22),  # its simulate child, at pde_f_cap = 50
 ], ids=["collapse", "report"])
 def test_simulate_integrates_only_to_pde_f_cap(tmp_path, monkeypatch, argv, cap, points):
     # simulate is served the contrast up to its cap crossing, where evolve stops; a
-    # trajectory to 10 pde_f_cap would hold 67 and 46 points
+    # trajectory to 10 pde_f_cap would hold 34 and 26 points
     _, served = record_marches(monkeypatch)
     assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
     (traj,) = [t for t in served if t.f_cap == cap]
@@ -250,9 +261,10 @@ def test_report_children_equal_standalone_runs(tmp_path):
 
 
 def test_ladder_dropped_reported(tmp_path):
-    for cmd in ("ode", "blowup"):
+    # blowup exits 1 at f_cap = 1e4: its ladder error exceeds the spread (test_blowup_command)
+    for cmd, code in (("ode", 0), ("blowup", 1)):
         out = tmp_path / cmd
-        assert main([cmd, "--output-dir", str(out), "--f-cap", "1e4"]) == 0
+        assert main([cmd, "--output-dir", str(out), "--f-cap", "1e4"]) == code
         assert read_summary(out)["values"]["ladder_dropped"] == 0
 
 
@@ -524,22 +536,32 @@ def test_homogeneous_verdicts_for_a_profile_without_kind(tmp_path):
 
 
 def test_step_size_underflow_exits_3(tmp_path):
-    # the integration to f = 1e30 needs steps below the spacing of the floats near t
+    # at a rate 1e-100 the clock s = ln(1+f)/2 needs steps below the spacing of the
+    # floats near s0 while t moves (dt/ds = 2 e^(-s)/p)
     out = tmp_path / "o"
-    assert main(["ode", "--f-cap", "1e30", "--output-dir", str(out)]) == 3
+    assert main(["ode", "--gamma", "1e-100", "--beta", "2.0", "--output-dir", str(out)]) == 3
     error = json.loads((out / "error.json").read_text())
     assert error["kind"] == "numerical"
     assert "Required step size is less than spacing between numbers" in error["error"]
 
 
-@pytest.mark.parametrize("gamma", ["1e100", "1e150"])
-def test_contrast_overflow_exits_3_with_one_line(tmp_path, capsys, gamma):
-    # an overflow in the contrast integration is a classified failure: stderr holds
-    # its one line and no numpy warning (the suite turns warnings into errors)
+@pytest.mark.parametrize("gamma,message", [
+    # the march reaches the cap at once: the ladder's rungs are one float, no triplet
+    # is kept, and no 0/0 of equal rungs warns first
+    ("1e100", "no blowup detected in window: extrapolation ladder degenerate"),
+    ("1e150", "no blowup detected in window: extrapolation ladder degenerate"),
+    ("1e-200", "contrast ODE overflowed"),  # dt/ds = 2 e^(-s)/p at p = 1e-200
+    ("1e-300", "contrast ODE overflowed"),
+    ("1e300", "f' = p e^(3s) overflows"),  # f' at the cap
+], ids=["1e100", "1e150", "1e-200", "1e-300", "1e300"])
+def test_contrast_overflow_exits_3_with_one_line(tmp_path, capsys, gamma, message):
+    # an overflow in the contrast integration, or data that leave it no room, is a
+    # classified failure: stderr holds its one line and no numpy warning (the suite
+    # turns warnings into errors)
     out = tmp_path / "o"
-    assert main(["ode", "--gamma", gamma, "--output-dir", str(out)]) == 3
+    assert main(["ode", "--gamma", gamma, "--beta", "2.0", "--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("NumericalFailure: contrast ODE overflowed")
+    assert err.startswith(f"NumericalFailure: {message}")
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
@@ -547,9 +569,8 @@ def test_contrast_overflow_exits_3_with_one_line(tmp_path, capsys, gamma):
     # at A = 0.001 the maps end at tau = -0.994, short of the ladder's first rung, -1
     (["fuchsian-check", "--A", "0.001"], "the tau ladder has no rung"),
     (["report", "--A", "0.001"], "the tau ladder has no rung"),
-    # g underflows to 0 past t0, and the gap of its two forms divides 0 by 0
-    (["fuchsian-check", "--gamma", "1e-300", "--beta", "2.0"],
-     "compute_g left the range of floats"),
+    # chi is about 1/f: at a subnormal f = 1e-310 it overflows on the record grid
+    (["fuchsian-check", "--beta", "1e-310"], "compute_g left the range of floats"),
     # chi is about 1/f = 1e300 at t0: the chain-rule dchi/dt overflows (until the time
     # maps read off-grid values from polynomials, the slopes of a chi interpolant did)
     (["ode", "--beta", "1e-300", "--k-tilde", "0.9", "--A", "0.99"],
@@ -557,7 +578,7 @@ def test_contrast_overflow_exits_3_with_one_line(tmp_path, capsys, gamma):
     # the closed-form dchi/dt is about f^-2 = 1e398 at t0
     (["ode", "--beta", "1e-199", "--k-tilde", "0.9", "--A", "0.99"],
      "check_G_decay left the range of floats"),
-], ids=["ladder", "report-ladder", "g-underflow", "chi-interpolant", "dchi"])
+], ids=["ladder", "report-ladder", "chi-overflow", "chi-interpolant", "dchi"])
 def test_time_maps_out_of_range_exit_3_with_one_line(tmp_path, capsys, argv, message):
     # a classified failure, with no numpy warning first (the suite turns warnings
     # into errors), not a crash or a failed verdict
@@ -595,8 +616,8 @@ def test_dchi_verdict_flips_on_a_biased_f00_read(tmp_path, monkeypatch):
     # f'' read 1e-4 high from the dense output puts the chain-rule dchi/dt off the
     # closed-form law by about 8e-2 of it at beta = 0.1 and 6e-2 at 1e-6; only that
     # verdict fails.  At 1e-6 a floor of 1e-6 of max|dchi/dt| hid the bias (8e-8)
-    read = OdeTrajectory.f00_at
-    monkeypatch.setattr(OdeTrajectory, "f00_at", lambda self, t: read(self, t) * (1.0 + 1e-4))
+    read = OdeTrajectory.f00_at_s
+    monkeypatch.setattr(OdeTrajectory, "f00_at_s", lambda self, s: read(self, s) * (1.0 + 1e-4))
     for beta in ("0.1", "1e-6"):
         out = tmp_path / beta
         assert main(["ode", "--beta", beta, "--output-dir", str(out)]) == 1

@@ -14,9 +14,8 @@ from scipy.optimize import brentq
 from conftest import integrate_contrast, refined_grid_per_step, traj_to_cap
 from jeanslab import contrast_ode
 from jeanslab.contrast_ode import (ContrastMarch, ToleranceSpec, _dense_at, _dense_dx, _Dop853,
-                                   _rhs_y,
-                                   blowup_bracket, blowup_ladder, bound_certificates,
-                                   envelope_constants, zero_trajectory)
+                                   _rhs_s, blowup_bracket, blowup_ladder, blowup_time,
+                                   bound_certificates, envelope_constants, zero_trajectory)
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import ModelParams, params_from_iota3
 from jeanslab.timemaps import compute_g
@@ -60,31 +59,37 @@ def test_time_of_contrast_at_the_stored_contrasts(traj):
 
 
 def rk4_reference(params: ModelParams, t_end: float, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step classical RK4 integration of the same ODE in y = ln(1+f).
+    """Fixed-step classical RK4 integration of the same ODE in y = ln(1+f) on the
+    clock t, y'' = -(a/t) y' + (b/t^2)(e^y - 1) + (c - 1) y'^2.
 
-    Independent oracle for cross-validating the adaptive path; returns
-    (t, f, f0) on the uniform grid.
+    Independent oracle for cross-validating the adaptive path on the clock s;
+    returns (t, f, f0) on the uniform grid.
     """
     a, b, c = params.ode_a, params.ode_b, params.ode_c
+
+    def rhs(t, y):
+        ypp = -(a / t) * y[1] + (b / t**2) * np.expm1(y[0]) + (c - 1.0) * y[1] ** 2
+        return np.array([y[1], ypp])
+
     t = np.linspace(params.t0, t_end, n_steps + 1)
     h = (t_end - params.t0) / n_steps
     y = np.empty((n_steps + 1, 2))
     y[0] = (math.log1p(params.beta), params.beta0 / (1.0 + params.beta))
     for k in range(n_steps):
         tk, yk = t[k], y[k]
-        k1 = np.asarray(_rhs_y(tk, yk, a, b, c))
-        k2 = np.asarray(_rhs_y(tk + 0.5 * h, yk + 0.5 * h * k1, a, b, c))
-        k3 = np.asarray(_rhs_y(tk + 0.5 * h, yk + 0.5 * h * k2, a, b, c))
-        k4 = np.asarray(_rhs_y(tk + h, yk + h * k3, a, b, c))
+        k1 = rhs(tk, yk)
+        k2 = rhs(tk + 0.5 * h, yk + 0.5 * h * k1)
+        k3 = rhs(tk + 0.5 * h, yk + 0.5 * h * k2)
+        k4 = rhs(tk + h, yk + h * k3)
         y[k + 1] = yk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     f = np.expm1(y[:, 0])
     return t, f, y[:, 1] * (1.0 + f)
 
 
 def test_rk4_oracle_cross_validation(traj, params):
-    # fixed-step oracle at 10x the adaptive solver's resolution
+    # fixed-step oracle in y = ln(1+f) on the clock t, with 1,000 steps to f = 1e3
     t_probe = traj.time_of_contrast(1e3)
-    n = 10 * len(traj.t_grid)
+    n = 1000
     _, f_oracle, f0_oracle = rk4_reference(params, t_probe, n)
     f, f0 = traj.f_f0_at(t_probe)
     assert abs(f_oracle[-1] - f) / f_oracle[-1] < 1e-8
@@ -124,43 +129,64 @@ def test_f_f0_at_equals_separate_calls(traj):
     t0, t_a, t_b = traj.t_grid[0], 0.5 * (traj.t_grid[0] + traj.t_end), traj.t_end
     for t in (t_a, t_a, t_b, t_a, t_b, t_b, t0, t_a, t0):
         f, f0 = traj.f_f0_at(t)
-        y, yp = traj._y(np.asarray(t))
-        assert (f, f0) == (float(np.expm1(y)), float(yp * np.exp(y)))
+        s, p = traj.s_p_at(np.asarray(t))
+        assert (f, f0) == (float(np.expm1(2.0 * s)), float(p * np.exp(3.0 * s)))
         assert type(f) is float and type(f0) is float
 
 
 def _scipy_dop853(params, f_cap, controls):
-    """scipy's DOP853 on the contrast ODE in y = ln(1+f), through ``solve_ivp`` with the
-    cap crossing as a terminal event: the integration ``ContrastMarch`` replays."""
+    """scipy's DOP853 on the contrast ODE on the clock s = ln(1+f)/2 in the state
+    (t, p), p = f'/(1+f)^(3/2), through ``solve_ivp`` with the cap s = ln(1+f_cap)/2
+    and the time ceiling as terminal events: the integration ``ContrastMarch`` replays."""
     a, b, c = params.ode_a, params.ode_b, params.ode_c
-    y_cap = math.log1p(f_cap)
+    s_cap = 0.5 * math.log1p(f_cap)
 
-    def rhs(t, y):
-        return (y[1], -(a / t) * y[1] + (b / t**2) * np.expm1(y[0]) + (c - 1.0) * y[1] ** 2)
+    def rhs(s, y):
+        t, p = y
+        w = math.exp(-s)
+        return (2.0 * w / p,
+                2.0 * (c - 1.5) * p - 2.0 * a * w / t + (2.0 * b / (t * t * p)) * (1.0 - w * w))
 
-    def hit_cap(t, y):
-        return y[0] - y_cap
+    def hit_cap(s, y):
+        return s - s_cap
 
-    hit_cap.terminal, hit_cap.direction = True, 1
-    y0 = (math.log1p(params.beta), params.beta0 / (1.0 + params.beta))
-    return solve_ivp(rhs, (params.t0, controls.t_ceiling), y0, method="DOP853",
+    def hit_ceiling(s, y):
+        return y[0] - controls.t_ceiling
+
+    hit_cap.terminal = hit_ceiling.terminal = True
+    y0 = (params.t0, params.beta0 / (1.0 + params.beta) ** 1.5)
+    return solve_ivp(rhs, (0.5 * math.log1p(params.beta), math.inf), y0, method="DOP853",
                      rtol=controls.rel_tol, atol=controls.abs_tol, dense_output=True,
-                     events=hit_cap)
+                     events=(hit_cap, hit_ceiling))
 
 
 def _assert_equals_scipy(traj, res):
-    """The trajectory is scipy's integration: its steps, states, status and interpolants."""
-    assert res.status == (1 if traj.reached_cap else 0)
-    assert np.array_equal(traj.t_grid, res.t)
-    assert np.array_equal(traj.t_grid, res.sol.ts)
-    assert traj.t_end == res.t[-1]
-    assert np.array_equal(traj.f, np.expm1(res.y[0]))
-    assert np.array_equal(traj.f0, res.y[1] * np.exp(res.y[0]))
+    """The trajectory is scipy's integration: its steps, states, stop and interpolants.
+    scipy cuts at its event's root, which Brent's method puts within a few ulp of the
+    clock value s_cap, or of the one where t meets the ceiling; the trajectory cuts at
+    s_cap and at the ceiling's time themselves, on the same interpolant."""
+    assert res.status == 1 and [len(e) for e in res.t_events] == (
+        [1, 0] if traj.reached_cap else [0, 1])
+    assert np.array_equal(traj.s_grid[:-1], res.t[:-1])
+    assert np.array_equal(traj.s_grid[:-1], res.sol.ts[:-1])
+    assert traj.s_grid[-1] == pytest.approx(res.t[-1], rel=0, abs=8 * _EPS * res.t[-1])
+    assert np.array_equal(traj.t_grid[:-1], res.y[0, :-1])
+    assert np.array_equal(traj.p[:-1], res.y[1, :-1])
+    assert np.array_equal(traj.f, np.expm1(2.0 * traj.s_grid))
+    assert np.array_equal(traj.f0, traj.p * np.exp(3.0 * traj.s_grid))
+    if traj.reached_cap:
+        assert traj.s_grid[-1] == 0.5 * math.log1p(traj.f_cap)
+        assert np.array_equal(res.sol(traj.s_grid[-1]), [traj.t_end, traj.p[-1]])
+    else:
+        assert res.y[0, -1] == pytest.approx(traj.t_end, rel=4 * _EPS)
     steps = res.sol.interpolants
-    for name, mine in (("t_old", traj.t_grid[:-1]), ("h", traj.h)):
+    for name, mine in (("t_old", traj.s_grid[:-1]), ("h", traj.h)):
         assert np.array_equal(mine, [getattr(s, name) for s in steps]), name
     assert np.array_equal(traj.F, np.stack([s.F for s in steps], axis=-1))
     assert np.array_equal(traj.y_old, np.stack([s.y_old for s in steps], axis=-1))
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 @pytest.fixture(scope="module")
@@ -214,8 +240,9 @@ def test_brent_equals_scipy_brentq():
 
 
 def test_roots_of_the_module_equal_scipy_brentq(params, monkeypatch):
-    # the cap crossing, the contrast times of the ladder and of the PDE's stop,
-    # and the envelope bracket, each checked against brentq on the same function
+    # the envelope bracket is the module's one root search, checked against brentq on
+    # the same function; a cap, the ladder's rungs and a contrast time are clock
+    # values of the march, read off its dense output with no search
     own, roots = contrast_ode._brentq, []
 
     def checked(f, a, b, xtol, rtol):
@@ -232,8 +259,7 @@ def test_roots_of_the_module_equal_scipy_brentq(params, monkeypatch):
         blowup_bracket(p)
         for f_target in np.geomspace(p.beta * 1.01, 1e8, 40):
             traj.time_of_contrast(float(f_target))
-    # the cap crossing lands a little past f = 1e8, so its time is a root search too
-    assert len(roots) == len(_ORACLE_PARAMS) * (1 + 5 + 1 + 40)
+    assert len(roots) == len(_ORACLE_PARAMS)
 
 
 _ORACLE_PARAMS = [(0.2, 0.1, 0.5), (0.2, 0.1, 0.9), (0.05, 0.5, 0.3), (0.15, 0.02, 1.0)]
@@ -366,22 +392,26 @@ def test_the_error_norm_meets_non_finite_values_as_numpy_does(h, e5, e3):
 
 
 def test_the_rhs_meets_an_overflow_as_numpy_does():
-    # y'' = -(a/t) y' + (b/t^2)(e^y - 1) + (c - 1) y'^2: the last two terms are each
-    # finite here, and their sum is not
-    t, y, abc = 0.9, (709.7, 1.3e154), (4 / 3, 2 / 3, 4 / 3)
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        _rhs_y(t, y, *abc)
-    with np.errstate(over="ignore"):
-        assert _rhs_y(t, y, *abc) == _rhs_y(t, np.array(y), *abc) == (1.3e154, math.inf)
+    # dt/ds = 2 w/p, dp/ds = 2 (c - 3/2) p - 2 a w/t + (2 b/(t^2 p))(1 - w^2) at s = 1:
+    # 2 w/p overflows at the first p, and 2 b/(t^2 p) at the second t
+    abc = (4 / 3, 2 / 3, 4 / 3)
+    for y in ((1.0, 1e-309), (1e-160, 1.0)):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _rhs_s(1.0, y, *abc)
+        with np.errstate(over="ignore"):
+            got = _rhs_s(1.0, y, *abc)
+            assert got == _rhs_s(1.0, np.array(y), *abc) and not np.isfinite(got).all()
 
 
 def test_integrate_contrast_stops_at_the_ceiling_as_scipy(params):
     controls = ToleranceSpec(t_ceiling=3.0)
     traj = integrate_contrast(params, f_cap=1e8, controls=controls)
     res = _scipy_dop853(params, 1e8, controls)
-    assert res.status == 0
-    assert (len(traj.t_grid), traj.t_end, traj.reached_cap) == (22, 3.0, False)  # 21 steps
+    # the march stops in the step where t crosses the ceiling, cut at the clock value
+    # where the step's t polynomial meets it: t(s) there is the ceiling to one ulp
+    assert (len(traj.t_grid), traj.t_end, traj.reached_cap) == (17, 3.0, False)  # 16 steps
     _assert_equals_scipy(traj, res)
+    assert abs(traj.t_p_at_s(traj.s_grid[-1:])[0, 0] - 3.0) <= np.spacing(3.0)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -424,13 +454,13 @@ def test_runs_to_lower_caps_are_prefixes_of_the_deepest(request, data):
         assert np.array_equal(part.t_grid[:-1], deep.t_grid[:n])
         for name in ("h", "F", "y_old"):
             assert np.array_equal(getattr(part, name), getattr(deep, name)[..., :n]), name
-        assert deep.y_old[0, n - 1] < math.log1p(f_cap) <= deep.y_old[0, n]
+        assert deep.s_grid[n - 1] < 0.5 * math.log1p(f_cap) == part.s_grid[-1] <= deep.s_grid[n]
         assert deep.t_grid[n - 1] < part.t_end <= deep.t_grid[n]
 
 
 def _assert_same_trajectory(a, b):
     """a and b equal bit for bit in every field and in every read of their dense output."""
-    for name in ("t_grid", "f", "f0", "h", "F", "y_old"):
+    for name in ("s_grid", "t_grid", "p", "f", "f0", "h", "F", "y_old"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert (a.f_cap, a.t_end, a.reached_cap) == (b.f_cap, b.t_end, b.reached_cap)
     ts = np.linspace(a.t_grid[0], a.t_end, 41)
@@ -459,34 +489,42 @@ def test_a_shared_march_equals_fresh_ones(beta, gamma, requests):
     assert len(shared._steps) == max(depths)
 
 
-def test_a_failed_march_takes_no_further_step(params):
-    # the steps before a failure still serve the requests they reach
+def test_a_failed_march_takes_no_further_step(params, monkeypatch):
+    # the steps before a failure still serve the requests they reach: here the 31st
+    # step's size underflows, past the 29 steps to f = 1e3
     march = ContrastMarch(params)
+    step = march._stepper.step
+    monkeypatch.setattr(march._stepper, "step",
+                        lambda: len(march._steps) < 30 and step())
     with pytest.raises(NumericalFailure, match="stiffness failure"):
-        march.trajectory(1e30)
-    with pytest.raises(NumericalFailure, match="failed before, at t=4.18980836"):
-        march.trajectory(1e30)
+        march.trajectory(1e8)
+    t = march._ys[-1][0]
+    with pytest.raises(NumericalFailure, match=f"failed before, at t={t!r}"):
+        march.trajectory(1e8)
     _assert_same_trajectory(march.trajectory(1e3), integrate_contrast(params, f_cap=1e3))
 
 
 def test_integrate_contrast_fails_where_scipy_fails(params):
-    # at f_cap = 1e30 the step size falls below the spacing of the floats near t
-    # (scipy's status -1) before f reaches the cap
-    res = _scipy_dop853(params, 1e30, ToleranceSpec())
+    # at a rate 1e-100 the clock s barely moves while t does (dt/ds = 2 w/p): the step
+    # size falls below the spacing of the floats near s0 (scipy's status -1)
+    tiny = dataclasses.replace(params, beta=2.0, gamma=1e-100)
+    res = _scipy_dop853(tiny, 1e3, ToleranceSpec())
     assert res.status == -1
     assert res.message == "Required step size is less than spacing between numbers."
-    assert f"{res.t[-1]:.12g}" == "4.189808361"
-    where = f"stopped at t={res.t[-1]:.12g} with f={math.expm1(res.y[0, -1]):.6g}: {res.message}"
+    where = (f"stopped at t={res.y[0, -1]:.12g} with f={math.expm1(2.0 * res.t[-1]):.6g}: "
+             f"{res.message}")
     with pytest.raises(NumericalFailure, match=re.escape(where)):
-        integrate_contrast(params, f_cap=1e30)
+        integrate_contrast(tiny, f_cap=1e3)
 
 
-@pytest.mark.parametrize("gamma,message", [
-    (math.inf, "step size at t=1 is NaN: the contrast ODE's slopes are not finite"),
-    (1e150, "contrast ODE overflowed"),  # the slope's norm overflows
-    (1e300, "contrast ODE overflowed"),  # the square of the initial rate overflows
-], ids=["inf", "1e150", "1e300"])
-def test_integrate_contrast_fails_on_non_finite_arithmetic(params, monkeypatch, gamma, message):
+@pytest.mark.parametrize("gamma,f_cap,message", [
+    (math.inf, 1e3, "step size at t=1 is NaN: the contrast ODE's slopes are not finite"),
+    (1e150, 1e200, r"f' = p e\^\(3s\) overflows"),  # f' at the cap
+    (1e300, 1e6, r"f' = p e\^\(3s\) overflows"),
+    (1e-300, 1e3, "contrast ODE overflowed"),  # the slope's norm overflows
+], ids=["inf", "1e150", "1e300", "1e-300"])
+def test_integrate_contrast_fails_on_non_finite_arithmetic(params, monkeypatch, gamma, f_cap,
+                                                           message):
     # build_params refuses these rates; the march still ends each in a
     # NumericalFailure, and in a bounded number of trial steps
     step_factor, trials = contrast_ode._step_factor, []
@@ -499,46 +537,61 @@ def test_integrate_contrast_fails_on_non_finite_arithmetic(params, monkeypatch, 
 
     monkeypatch.setattr(contrast_ode, "_step_factor", counted)
     with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match=message):
-        integrate_contrast(dataclasses.replace(params, gamma=gamma), f_cap=1e3)
+        integrate_contrast(dataclasses.replace(params, gamma=gamma), f_cap=f_cap)
+
+
+def _assert_reads_equal_scipy(traj, sol, t, name):
+    """The reads at the times t are scipy's dense output at the clock values they find,
+    bit for bit, and t(s) there gives each time back to 4 ulp."""
+    s, p = traj.s_p_at(t)
+    t_back, p_scipy = np.array([sol(sq) for sq in s.tolist()]).T  # one clock value a call
+    assert np.array_equal(p, p_scipy), name
+    assert np.all(np.abs(t_back - t) <= 4 * np.spacing(t)), name
+    f, f0 = traj.f_f0_at(t)
+    assert np.array_equal(f, np.expm1(2.0 * s)), name
+    assert np.array_equal(f0, p_scipy * np.exp(3.0 * s)), name
 
 
 def test_dense_output_arrays_equal_scipy(scipy_oracle):
     traj, sol = scipy_oracle
-    ts = sol.ts
-    assert ts.size > 100
-    queries = {"breakpoints": ts, "step midpoints": 0.5 * (ts[:-1] + ts[1:]),
-               "t0": ts[:1], "t_end": np.array([traj.t_end]),
-               "outside": np.array([np.nextafter(ts[0], 0.0), ts[0] - 1e-3,
-                                    np.nextafter(ts[-1], np.inf), ts[-1] + 1e-3])}
+    ts = sol.ts[:-1]  # the solver steps; scipy's last is its event's root
+    assert ts.size > 40
+    clock = {"breakpoints": ts, "step midpoints": 0.5 * (ts[:-1] + ts[1:]),
+             "s0": ts[:1], "s_end": traj.s_grid[-1:],
+             "outside": np.array([np.nextafter(ts[0], 0.0), ts[0] - 1e-3,
+                                  np.nextafter(traj.s_grid[-1], np.inf)])}
     for refine in (16, 4):
-        t = refined_grid_per_step(traj.t_grid, refine)
-        queries[f"refined grid {refine}"] = t
-        queries[f"refined midpoints {refine}"] = 0.5 * (t[:-1] + t[1:])
-        queries[f"refined grid {refine}, ends dropped"] = t[1:-1]
-    queries["time-map record grid"] = compute_g(traj).t_grid
-    for name, t in queries.items():
-        y, yp = np.array([sol(tq) for tq in t.tolist()]).T  # scipy read one time per call
-        f, f0 = traj.f_f0_at(t)
-        assert np.array_equal(f, np.expm1(y)), name
-        assert np.array_equal(f0, yp * np.exp(y)), name
+        s = refined_grid_per_step(traj.s_grid, refine)
+        clock[f"refined grid {refine}"] = s
+        clock[f"refined midpoints {refine}"] = 0.5 * (s[:-1] + s[1:])
+    clock["time-map record grid"] = compute_g(traj).s_grid
+    for name, s in clock.items():
+        # (t, p) at clock values: scipy read one clock value per call
+        assert np.array_equal(traj.t_p_at_s(s), np.array([sol(sq) for sq in s.tolist()]).T), name
+    t_grid = traj.t_grid
+    times = {"breakpoints": t_grid, "step midpoints": 0.5 * (t_grid[:-1] + t_grid[1:]),
+             "t0": t_grid[:1], "t_end": np.array([traj.t_end])}
+    for refine in (16, 4):
+        t = refined_grid_per_step(t_grid, refine)
+        times[f"refined grid {refine}"] = t
+        times[f"refined grid {refine}, ends dropped"] = t[1:-1]
+    times["time-map record grid"] = compute_g(traj).t_grid
+    for name, t in times.items():
+        _assert_reads_equal_scipy(traj, sol, t, name)
 
 
 def test_dense_output_scalars_equal_scipy(scipy_oracle):
     traj, sol = scipy_oracle
     rng = np.random.default_rng(20240)
-    times = rng.uniform(sol.ts[0], sol.ts[-1], 2000).tolist() + sol.ts[::7].tolist()
+    times = rng.uniform(traj.t_grid[0], traj.t_end, 2000).tolist() + traj.t_grid[::7].tolist()
     for t in times:
-        y, yp = sol(t)
-        f, f0 = float(np.expm1(y)), float(yp * np.exp(y))
+        s, p = traj.s_p_at(np.array(t))
+        f, f0 = float(np.expm1(2.0 * s)), float(sol(float(s))[1] * np.exp(3.0 * s))
         assert traj.f_f0_at(t) == (f, f0), t
         assert traj.f_f0_at(np.float64(t)) == (f, f0), t
-    # a contrast time is searched on the solver step that holds it
+    # a contrast time is t(s) read at s = ln(1 + f)/2 on the solver step that holds it
     for f_target in (1.0, 1e3, 1e8 / 3.0):
-        y_t = math.log1p(f_target)
-        k = next(k for k, t in enumerate(sol.ts) if sol(t)[0] >= y_t)
-        root = brentq(lambda t: sol(t)[0] - y_t, sol.ts[k - 1], sol.ts[k], xtol=1e-14,
-                      rtol=8.9e-16)
-        assert traj.time_of_contrast(f_target) == root
+        assert traj.time_of_contrast(f_target) == sol(0.5 * math.log1p(f_target))[0]
 
 
 def test_dense_output_polynomial_equals_scipy(scipy_oracle):
@@ -547,14 +600,12 @@ def test_dense_output_polynomial_equals_scipy(scipy_oracle):
     # values than it does through y_old at this tolerance.
     traj, sol = scipy_oracle
     poly = dataclasses.replace(traj, y_old=np.zeros_like(traj.y_old))
-    oracle = OdeSolution(sol.ts, [Dop853DenseOutput(s.t_old, s.t, np.zeros(2), s.F)
-                                  for s in sol.interpolants])
-    t = refined_grid_per_step(traj.t_grid, 16)
-    for q in (t, 0.5 * (t[:-1] + t[1:]), sol.ts, 0.5 * (sol.ts[:-1] + sol.ts[1:])):
-        assert np.array_equal(poly._y(q), np.array([oracle(tq) for tq in q.tolist()]).T)
-    rng = np.random.default_rng(7)
-    for tq in rng.uniform(sol.ts[0], sol.ts[-1], 2000).tolist():
-        assert poly._y(tq) == tuple(oracle(tq)), tq
+    ts = sol.ts[:-1]
+    oracle = OdeSolution(traj.s_grid, [Dop853DenseOutput(s.t_old, s.t, np.zeros(2), s.F)
+                                       for s in sol.interpolants])
+    s = refined_grid_per_step(traj.s_grid, 16)
+    for q in (s, 0.5 * (s[:-1] + s[1:]), ts, 0.5 * (ts[:-1] + ts[1:])):
+        assert np.array_equal(poly.t_p_at_s(q), np.array([oracle(sq) for sq in q.tolist()]).T)
 
 
 def test_dense_dx_is_the_derivative_of_dense_at():
@@ -689,6 +740,8 @@ def test_zero_trajectory(params):
 def test_f_cap_precondition(params):
     with pytest.raises(UsageError):
         integrate_contrast(params, f_cap=0.05)
+    with pytest.raises(UsageError, match="finite"):  # its clock value s_cap is inf
+        integrate_contrast(params, f_cap=math.inf)
     with pytest.raises(UsageError, match="t_ceiling"):
         integrate_contrast(params, controls=ToleranceSpec(t_ceiling=params.t0))
 
@@ -702,3 +755,104 @@ def test_tolerances_out_of_range_refused(tolerances):
     with pytest.raises(UsageError):
         ToleranceSpec(**tolerances)
     ToleranceSpec(rel_tol=100.0 * np.finfo(float).eps)
+
+
+# t_m of the default model (iota3 0.2, beta 0.1, gamma 0.5) by mpmath's Taylor-series
+# odefun at 25 digits on the (t, p) system in s, read at s = 60 (t_m - t(60) ~ 1e-26)
+_T_M_DEFAULTS = 4.18980836099986
+
+
+def _drawn_times(traj, seed):
+    """10,000 times drawn uniformly over the trajectory, 64 a step drawn uniformly in
+    its clock values (the last steps span little time, and uniform times miss them),
+    and every breakpoint."""
+    rng = np.random.default_rng(seed)
+    s = traj.s_grid[:-1, None] + np.diff(traj.s_grid)[:, None] * rng.uniform(size=(1, 64))
+    return np.concatenate([rng.uniform(traj.t_grid[0], traj.t_end, 10_000),
+                           traj.t_p_at_s(s.ravel())[0], traj.t_grid])
+
+
+@pytest.mark.parametrize("data", ["params", "params_window"])
+def test_a_time_read_gives_its_time_back(request, data):
+    # t(s(t)) = t to 4 ulp on the march to f = 1e8, and a breakpoint t_grid[k] is
+    # inverted on step k - 1, at x near 1.  At gamma 0.9 (params_window) steps reach
+    # h = 0.69, where 2 Newton iterations from the Hermite start leave times 20 ulp off
+    traj = traj_to_cap(request.getfixturevalue(data), 1e8)
+    t = _drawn_times(traj, 37)
+    s, _ = traj.s_p_at(t)
+    k = np.clip(np.searchsorted(traj.t_grid, t, side="left") - 1, 0, len(traj.h) - 1)
+    x = (s - traj.s_grid[k]) / traj.h[k]
+    t_back = _dense_at(x, traj.F[:, 0, k], traj.y_old[0, k])
+    assert np.all(np.abs(t_back - t) <= 4 * np.spacing(t))
+    at_breakpoint = np.isin(t, traj.t_grid[1:])
+    assert np.all(k[at_breakpoint] == np.searchsorted(traj.t_grid, t[at_breakpoint]) - 1)
+    assert np.all(np.abs(x[at_breakpoint & (t < traj.t_end)] - 1.0) < 1e-9)
+
+
+def test_scalar_and_array_reads_are_equal(traj_deep):
+    # the Newton iterations of a read at a time run the same + - * / on floats as on
+    # arrays, so the two paths give the same floats
+    t = _drawn_times(traj_deep, 38)
+    f, f0 = traj_deep.f_f0_at(t)
+    scalar = np.array([traj_deep.f_f0_at(q) for q in t.tolist()]).T
+    assert np.array_equal(scalar, [f, f0])
+
+
+def test_march_work_counts_to_1e8(params):
+    # at the CLI's tolerances the march to f = 1e8 takes 41 steps, none rejected: 12
+    # calls of the rhs per trial step, 3 more per step for the dense output and 2 for
+    # the first step's choice (on the clock t it took 128 steps and 1,922 calls)
+    march = ContrastMarch(params, ToleranceSpec())
+    traj = march.trajectory(1e8)
+    stepper = march._stepper
+    assert (len(traj.h), stepper.n_trials, stepper.n_rhs) == (41, 41, 617)
+    assert stepper.n_rhs == 12 * stepper.n_trials + 3 * len(traj.h) + 2
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
+def test_blowup_time_converges_with_the_tolerance(params, rel_tol):
+    # the time stepper's order on its own: t_m from the march alone, against the
+    # 25-digit constant, to 10 rel_tol
+    t_m, p_half = blowup_time(params, ToleranceSpec(rel_tol=rel_tol))
+    assert abs(t_m - _T_M_DEFAULTS) <= 10.0 * rel_tol * _T_M_DEFAULTS
+    assert abs(p_half - 1.0) <= 1e3 * rel_tol  # p t_m / 2 tends to 1
+
+
+def test_blowup_time_continues_the_march(params):
+    # t_m is read off the same march, past the steps a trajectory was served, and lies
+    # in the envelope bracket; the ladder at f_cap = 1e8 is within its spread of it
+    march = ContrastMarch(params)
+    traj = march.trajectory(1e8)
+    t_m, p_half = march.blowup_time()
+    assert len(march._steps) == 96 and traj.t_end < t_m
+    _assert_same_trajectory(march.trajectory(1e8), traj)
+    t_star, t_star_upper = blowup_bracket(params)
+    assert t_star <= t_m < t_star_upper
+    est, spread, _ = blowup_ladder(traj)
+    assert abs(est - t_m) / t_m <= spread
+    assert (t_m, p_half) == blowup_time(params)
+
+
+def test_blowup_time_fails_at_the_ceiling(params):
+    march = ContrastMarch(params, ToleranceSpec(t_ceiling=3.0))
+    with pytest.raises(NumericalFailure, match="no blowup detected in window"):
+        march.blowup_time()
+
+
+def test_blowup_time_fails_when_p_leaves_its_range(params, monkeypatch):
+    # slopes that carry p linearly through 0: the march is smooth, and the read refuses
+    monkeypatch.setattr(contrast_ode, "_rhs_s", lambda s, y, a, b, c: (1.0, -1.0))
+    with pytest.raises(NumericalFailure, match=r"left \(0, inf\)"):
+        blowup_time(params)
+
+
+def test_a_read_of_an_overflowing_rate_raises(traj):
+    # f' = p e^(3s) overflows past s = 236 (f near 1e205): both paths raise, with no
+    # numpy warning (the suite turns warnings into errors), and so does a march there
+    shifted = dataclasses.replace(traj, s_grid=traj.s_grid + 240.0)
+    t = float(traj.t_grid[3])
+    for read in (lambda: shifted.f_f0_at(t), lambda: shifted.f_f0_at(np.array([t]))):
+        with pytest.raises(NumericalFailure, match="overflows"):
+            read()
+    with pytest.raises(NumericalFailure, match="overflows"):
+        integrate_contrast(traj.params, f_cap=1e210)

@@ -228,7 +228,7 @@ def dense(traj):
         steps = [draw(st.sampled_from(pool)) for _ in range(n)]
         return np.array([_step_time(draw, ts, k) for k in steps]).reshape(shape)
 
-    return query_times, lambda t: traj._y(t), lambda t: traj.f_f0_at(t)
+    return query_times, lambda t: traj.s_p_at(t), lambda t: traj.f_f0_at(t)
 
 
 @PROPS
@@ -238,10 +238,10 @@ def test_dense_output_query_equals_scalar_reads(dense, data, shape):
     # other times, on its step or on others, share the call.
     query_times, sol, f_f0_at = dense
     t = query_times(data.draw, shape)
-    y, yp = sol(t)
+    s, p = sol(t)
     f, f0 = f_f0_at(t)
     assert f.shape == f0.shape == t.shape
-    assert np.array_equal(f, np.expm1(y)) and np.array_equal(f0, yp * np.exp(y))
+    assert np.array_equal(f, np.expm1(2.0 * s)) and np.array_equal(f0, p * np.exp(3.0 * s))
     reads = [f_f0_at(float(ti)) for ti in t.flat]
     assert np.array_equal(f.ravel(), [r[0] for r in reads])
     assert np.array_equal(f0.ravel(), [r[1] for r in reads])
@@ -252,7 +252,7 @@ def test_dense_output_query_equals_scalar_reads(dense, data, shape):
 def test_zero_trajectory_reads_exact_zeros(params, shape, t):
     z = zero_trajectory(params)
     q = np.full(shape, t)
-    for out in (*z._y(q), *z.f_f0_at(q)):
+    for out in (*z.s_p_at(q), *z.f_f0_at(q)):
         assert out.shape == shape and not np.any(out)
     assert z.f_f0_at(t) == (0.0, 0.0)
 

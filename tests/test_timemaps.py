@@ -86,7 +86,7 @@ def test_f00_solves_the_contrast_ode(traj, maps, params):
 
     ends = slice(1, -1)  # the last node is the cap crossing, inside its step
     t = traj.t_grid[ends]
-    assert np.allclose(traj.f00_at(t), ode_f00(t, traj.f[ends], traj.f0[ends]),
+    assert np.allclose(traj.f00_at_s(traj.s_grid[ends]), ode_f00(t, traj.f[ends], traj.f0[ends]),
                        rtol=1e-12, atol=0.0)
     assert np.allclose(maps.f00, ode_f00(maps.t_grid, maps.f, maps.f0), rtol=1e-9, atol=0.0)
 
@@ -130,21 +130,24 @@ def test_diagnostics_accept_arrays(maps):
             assert fn(x) == (u, v)
 
 
-def _log_g_by_quad(traj, t):
-    """ln g at the times t by scipy's quad of the quotient integrand on the dense output,
-    step by step: the oracle of the step polynomials."""
-    A, nodes = traj.params.A, traj.t_grid
+def _log_g_by_quad(traj, s):
+    """ln g at the clock values s by scipy's quad of the quotient integrand
+    f (1+f)/(t^2 f') dt/ds on the dense output, dt/ds = 2 e^(-s)/p, step by step: the
+    oracle of the step polynomials.  On the clock t the integrand's reads at times are
+    ill-conditioned near the blowup, and quad's error reached 5e-11 at f = 1e8."""
+    A, nodes = traj.params.A, traj.s_grid
 
-    def integrand(s):
-        f, f0 = traj.f_f0_at(s)
-        return f * (1.0 + f) / (s * s * f0)
+    def integrand(sq):
+        t, p = traj.t_p_at_s(np.array(sq))
+        f, f0 = np.expm1(2.0 * sq), p * np.exp(3.0 * sq)
+        return f * (1.0 + f) / (t * t * f0) * 2.0 * np.exp(-sq) / p
 
     def integral(lo, hi):
         return quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
     before = np.cumsum([0.0] + [integral(lo, hi) for lo, hi in zip(nodes[:-2], nodes[1:-1])])
-    k = np.clip(np.searchsorted(nodes, t) - 1, 0, len(nodes) - 2)
-    return np.array([-A * (before[i] + integral(nodes[i], ti)) for i, ti in zip(k, t)])
+    k = np.clip(np.searchsorted(nodes, s) - 1, 0, len(nodes) - 2)
+    return np.array([-A * (before[i] + integral(nodes[i], si)) for i, si in zip(k, s)])
 
 
 @pytest.mark.parametrize("which", ["traj", "traj_deep"])
@@ -154,12 +157,13 @@ def test_g_equals_quad_of_the_quotient_integrand(which, request):
     traj = request.getfixturevalue(which)
     maps = compute_g(traj)
     nodes = traj.t_grid
-    assert nodes[-1] - nodes[-2] < traj.h[-1]  # the last step is cut
+    assert traj.s_grid[-1] - traj.s_grid[-2] < traj.h[-1]  # the last step is cut
     last = nodes[-2] + (nodes[-1] - nodes[-2]) * np.array([0.1, 0.3, 0.5, 0.9, 1.0])
     t = np.concatenate([np.random.default_rng(5).uniform(nodes[0], nodes[-1], 24),
                         nodes[:1], last])
     g = maps.g_G_at(t)[0]
-    assert np.max(np.abs(g - np.exp(_log_g_by_quad(traj, t))) / g) < 1e-11
+    s = traj.s_p_at(t)[0]
+    assert np.max(np.abs(g - np.exp(_log_g_by_quad(traj, s))) / g) < 1e-11
 
 
 def test_tau_reads_give_back_tau(traj_deep, maps_deep):
@@ -175,21 +179,28 @@ def test_tau_reads_give_back_tau(traj_deep, maps_deep):
     f, f0 = traj_deep.f_f0_at(t)
     conditioning = 1.0 + t * p.A * f * (1.0 + f) / (t * t * f0)
     assert np.all(np.abs(m.g_G_at(t)[0] / -taus - 1.0) <= 8.0 * _EPS * conditioning)
-    # f_G_at_tau reads f there, and G from chi's closed form with g = -tau
+    # f_G_at_tau reads f at the clock value it finds, and G from chi's closed form with
+    # g = -tau; f at the time read back agrees to that time's rounding
     f_read, G_read = m.f_G_at_tau(taus)
-    assert np.array_equal(f_read, f)
+    assert np.array_equal(f_read, np.expm1(2.0 * m._s_at_tau(taus)))
+    assert np.all(np.abs(f_read / f - 1.0) <= 8.0 * _EPS * (1.0 + t * f0 / f))
     assert np.allclose(G_read, m.g_G_at(t)[1], rtol=1e-12, atol=1e-12 * np.abs(m.G_frak).max())
 
 
 def test_record_grid_is_solver_and_quadrature_nodes(traj, maps):
-    # 7 points a step: the solver node, then its 6 Gauss-Legendre nodes; the record's
-    # values are the readers' at its times, bit for bit
+    # 7 points a step: the solver node, then its 6 Gauss-Legendre nodes on the clock s;
+    # the record's g is ln g's step polynomial at its clock values, bit for bit, and
+    # the readers at its times give it back to the rounding of those times
     n = len(traj.t_grid) - 1
-    assert maps.t_grid.shape == (7 * n + 1,)
+    assert maps.t_grid.shape == maps.s_grid.shape == (7 * n + 1,)
     assert np.array_equal(maps.t_grid[::7], traj.t_grid)
+    assert np.array_equal(maps.s_grid[::7], traj.s_grid)
     assert np.all(np.diff(maps.t_grid) > 0.0)
+    k = np.append(np.repeat(np.arange(n), 7), n - 1)
+    assert np.array_equal(maps._g(k, maps.s_grid), maps.g)
     g, G = maps.g_G_at(maps.t_grid)
-    assert np.array_equal(g, maps.g) and np.array_equal(G, maps.G_frak)
+    assert np.allclose(g, maps.g, rtol=1e-13, atol=0.0)
+    assert np.allclose(G, maps.G_frak, rtol=0.0, atol=1e-12 * np.abs(maps.G_frak).max())
 
 
 def test_gauss_legendre_rule_integrates_the_interpolant():
