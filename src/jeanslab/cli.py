@@ -40,7 +40,7 @@ from .fuchsian import (find_certified_radius, gamma_constants, q_lower_bound,
                        q_quantity, verify_conditions)
 from .params import ModelParams, build_params, params_from_iota3, solve_iota
 from .pde import PDE_RTOL, data_smallness, entropy_field, evolve, init_from_data, zeta_grid
-from .reference import FD_STEP, euler_poisson_residual, homogeneous_state, sample_annulus
+from .reference import euler_poisson_residual, homogeneous_state, sample_annulus
 from .timemaps import check_G_decay, compute_g
 
 
@@ -416,7 +416,7 @@ def cmd_residuals(run: RunDir) -> None:
     family = _profile_setting(run.cfg, "family")
     pts = sample_annulus(32, seed=run.cfg.seed)
     t_values = [1.2, 1.5, 2.0]
-    t_need = t_values[-1] + 2.0 * FD_STEP
+    t_need = t_values[-1]
     out = {}
     for name in ("background", "homogeneous"):
         if family not in (name, "both"):

@@ -15,9 +15,9 @@ p = f' / (1+f)^(3/2) and w = e^(-s):
 
 The system is regular for every s while p > 0: t(s) tends to t_m with
 t_m - t = O(e^(-s)) and p t_m / 2 to 1 (Stuart and Floater, "On the computation
-of blow-up", Eur. J. Appl. Math. 1 (1990) 47-71), so ``blowup_time`` reads t_m
-off the march itself.  f = e^(2s) - 1 and f' = p e^(3s) come back in closed
-form; f' overflows near f = 1e205.
+of blow-up", Eur. J. Appl. Math. 1 (1990) 47-71), so
+``ContrastMarch.blowup_time`` reads t_m off the march itself.  f = e^(2s) - 1
+and f' = p e^(3s) come back in closed form; f' overflows near f = 1e205.
 
 It is integrated by the package's one Runge-Kutta class, the Dormand-Prince
 8(5,3) pair (DOP853; Hairer, Norsett and Wanner, Solving ODEs I, II.10) with
@@ -180,11 +180,19 @@ def _read_at_time(t, t_k, e1, e2, e3, s_k, h, Ft, Fp, p_k):
     return s, _dense_at((s - s_k) / h, Fp, p_k)
 
 
+def _inexact(x) -> np.ndarray:
+    """x as a float array, or as a complex one where it is complex (a complex-step read);
+    a float64 array comes back as itself."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, float), copy=False)
+
+
 def _holding_step(grid: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The step between the breakpoints grid that holds each value of the array v: a
     breakpoint grid[k] belongs to step k - 1, a value outside the grid to the first
-    or the last step."""
-    return np.clip(np.searchsorted(grid, v, side="left") - 1, 0, len(grid) - 2)
+    or the last step.  A complex value is held by the step of its real part (searchsorted
+    orders complex values lexicographically, which would put t + ih past t)."""
+    return np.clip(np.searchsorted(grid, np.real(v), side="left") - 1, 0, len(grid) - 2)
 
 
 def _f_f0(s, p):
@@ -215,7 +223,10 @@ class OdeTrajectory:
     value found; ``s_p_at`` returns that clock value and p.  The scalar and the
     array path run the same arithmetic, so each value is the same either way.  A
     time at a breakpoint t_grid[k] belongs to step k - 1, and a time outside
-    [t0, t_end] to the first or the last step; so does a clock value.
+    [t0, t_end] to the first or the last step; so does a clock value.  The array
+    readers take complex times and clock values too, on the step of the real part:
+    the reads are analytic there, so Im f(t + ih)/h is the derivative of the read
+    f(t) (the complex step).
     """
 
     params: ModelParams
@@ -774,12 +785,6 @@ class ContrastMarch:
             raise NumericalFailure(f"p = f'/(1+f)^(3/2) left (0, inf): p = {bad[0][1]!r} "
                                    f"at t = {bad[0][0]!r}")
         return t_m, p_m * t_m / 2.0
-
-
-def blowup_time(params: ModelParams,
-                controls: ToleranceSpec = ToleranceSpec()) -> tuple[float, float]:
-    """(t_m, p t_m / 2) of ``ContrastMarch.blowup_time`` on a fresh march of params."""
-    return ContrastMarch(params, controls).blowup_time()
 
 
 @dataclass(frozen=True)

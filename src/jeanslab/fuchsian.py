@@ -21,10 +21,13 @@ extracted from an actual PDE run.
 `assemble_matrices` is array-valued: U has shape (..., 5), tau, G and f
 broadcast against U[..., 0], and every FuchsianEval field carries that leading
 shape (blocks (..., 5, 5), corrections Z (..., 8)); one point is shape ().
-The corrections come from `_corrections`, which also takes complex U: the
-certified radius is read from the Jacobian dZ/dU at U = 0, which one complex-step
-`_corrections` call gives at every rung, and `verify_conditions` samples the ball
-of that radius.
+Both take complex tau, U, G and f as well, and every derivative the
+certificates take of them is a complex step Im F(x + i h d) / h with
+h = COMPLEX_STEP (Squire & Trapp, SIAM Review 40, 1998): the certified radius is
+read from the Jacobian dZ/dU at U = 0, which one complex-step `_corrections`
+call gives at every rung, `verify_conditions` samples the ball of that radius,
+and the div B pieces step U along their directions and tau through the time
+maps' complex reads.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contrast_ode import OdeTrajectory
+from .contrast_ode import OdeTrajectory, _inexact
 from .errors import NumericalFailure, UsageError
 from .params import ModelParams
 from .pde import FieldState, compute_psi, diff1
-from .reference import _scrambled_halton
+from .reference import COMPLEX_STEP, _scrambled_halton
 from .timemaps import TimeMaps
 
 
@@ -47,16 +50,9 @@ from .timemaps import TimeMaps
 # stable ratios ((1+a u)^p - 1)/u and the doubly-cancelled variant
 
 
-def _inexact(x) -> np.ndarray:
-    """x as a float array, or as a complex one where it is complex (the complex step of
-    ``_correction_jacobians``); a float64 array comes back as itself."""
-    x = np.asarray(x)
-    return x.astype(np.result_type(x, float), copy=False)
-
-
 def _pow_ratio(a, p, u):
     """((1 + a u)^p - 1) / u, analytic continuation through u = 0."""
-    a, u = np.broadcast_arrays(np.asarray(a, float), _inexact(u))
+    a, u = np.broadcast_arrays(_inexact(a), _inexact(u))
     au = a * u
     small = np.abs(au) < 1e-6
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -68,7 +64,7 @@ def _pow_ratio(a, p, u):
 
 def _pow_ratio2(a, p, u):
     """((1 + a u)^p - 1 - p a u) / u, analytic through u = 0 (O(u) there)."""
-    a, u = np.broadcast_arrays(np.asarray(a, float), _inexact(u))
+    a, u = np.broadcast_arrays(_inexact(a), _inexact(u))
     au = a * u
     small = np.abs(au) < 1e-5
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,16 +165,15 @@ class _Corrections(NamedTuple):
 
 def _corrections(tau, U, G_frak_val, f_val, params: ModelParams) -> _Corrections:
     """The corrections z_0 .. z_7 at points (tau, U), with the domain checks of
-    ``assemble_matrices``; it builds none of the blocks.  A complex U is taken as is,
-    its domain checked on its real part."""
-    U = _inexact(U)
-    tau, G, f = (np.asarray(v, float) for v in (tau, G_frak_val, f_val))
+    ``assemble_matrices``; it builds none of the blocks.  Complex inputs are taken as
+    they are, their domain checked on the real part."""
+    tau, U, G, f = (_inexact(v) for v in (tau, U, G_frak_val, f_val))
     lead = np.broadcast_shapes(U.shape[:-1], tau.shape, G.shape, f.shape)
     u0, uz, u, nu, psi = (U[..., k] for k in range(5))
     i3, om, B = params.iota3, params.omega, params.B
     X = 4.0 + G / B
-    if np.any(X <= 0.0):
-        raise DomainError(f"chi must stay positive: 4 + G/B = {np.min(X):.3g} <= 0")
+    if np.any(X.real <= 0.0):
+        raise DomainError(f"chi must stay positive: 4 + G/B = {np.min(X.real):.3g} <= 0")
     a = f / (1.0 + f)
     phi = 1.0 + a * u
     if np.any(phi.real <= 0.0):
@@ -231,9 +226,10 @@ def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> Fuchsia
     U has shape (..., 5); tau, G_frak_val (the contrast diagnostics at tau)
     and f_val broadcast against U[..., 0].  The compactified-time relation
     g = -tau supplies xi = 1/((-tau)(1+f)) internally.  DomainError is raised
-    unless chi > 0 and 1 + f u/(1+f) > 0 (the fractional powers) everywhere.
-    Non-integer powers use the np.power ufunc even for one point, which makes
-    a point bit-identical alone and inside any batch.
+    unless chi > 0 and 1 + f u/(1+f) > 0 (the fractional powers) everywhere,
+    on the real part of complex inputs, whose blocks come out complex (and
+    C-ordered, as real ones).  Non-integer powers use the np.power ufunc even for
+    one point, which makes a point bit-identical alone and inside any batch.
     """
     c = _corrections(tau, U, G_frak_val, f_val, params)
     tau, U, G, f, lead, X, phi, inv_f, q_w = (c.tau, c.U, c.G, c.f, c.lead, c.X, c.phi,
@@ -247,7 +243,7 @@ def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> Fuchsia
 
     B0 = _stack_last([1.0, b11 / X, q, 1.0, 1.0], lead)[..., None] * np.eye(5)
 
-    Bz = np.zeros(lead + (5, 5))
+    Bz = np.zeros(lead + (5, 5), c.Z.dtype)
     Bz[..., 0, 0] = -(2.0 / 3.0) * X * nu
     Bz[..., 0, 1] = Bz[..., 1, 0] = 0.2 * b11
     Bz[..., 4, 4] = -alpha_b
@@ -263,7 +259,7 @@ def assemble_matrices(tau, U, G_frak_val, f_val, params: ModelParams) -> Fuchsia
         [0.0, 0.0, -alpha_b, 4.0 / 3.0, 3.0 * alpha_b],
     ]) / A
 
-    frakB = np.broadcast_to(tilde, lead + (5, 5)).copy()
+    frakB = np.full(lead + (5, 5), tilde, c.Z.dtype)
     for ell, (i, j) in enumerate(_Z_SLOTS):
         frakB[..., i, j] += c.Z[..., ell] / A
 
@@ -418,8 +414,6 @@ def _ball_samples(n: int, radius: float, seed: int) -> np.ndarray:
 
 _TAU_RUNGS = 12  # the tau ladder is -2^-k for k < _TAU_RUNGS, above the terminal tau
 _EIG_TOL = 1e-12  # eigenvalue deficit the sandwich check forgives
-_COMPLEX_STEP = 1e-20  # step h of _correction_jacobians, far below any scale of Z
-_DIVB_EPS = 1e-7  # step of _divB_pieces' central differences along each U-direction
 # rounding slack of the eigenvalue screen per unit of Frobenius norm.  LAPACK's syevd,
 # behind eigh and eigvalsh, is backward stable: the values it returns are the exact
 # eigenvalues of a matrix within a few eps ||A|| of its input (n = 5), and eigh's
@@ -609,13 +603,13 @@ def _G_halforder_bound(maps: TimeMaps, tau_ladder: np.ndarray) -> tuple[float, b
 
 def _correction_jacobians(maps: TimeMaps) -> np.ndarray:
     """J_tau = dZ/dU at U = 0, (rungs, 8, 5), at every rung of the tau ladder, from one
-    ``_corrections`` call at U = i h e_k by the complex step (Squire & Trapp, SIAM
-    Review 40, 1998): Z is analytic in U and real on real U, so Im Z(tau, i h e_k) / h
-    is dZ/dU_k with a relative error of order h^2, and no difference cancels."""
+    ``_corrections`` call at U = i h e_k by the complex step: Z is analytic in U and
+    real on real U, so Im Z(tau, i h e_k) / h is dZ/dU_k with a relative error of
+    order h^2, and no difference cancels."""
     tau = _tau_ladder(maps)[:, None]
     f_val, G_val = maps.f_G_at_tau(tau)
-    Z = _corrections(tau, 1j * _COMPLEX_STEP * np.eye(5), G_val, f_val, maps.params).Z
-    return Z.imag.swapaxes(-1, -2) / _COMPLEX_STEP
+    Z = _corrections(tau, 1j * COMPLEX_STEP * np.eye(5), G_val, f_val, maps.params).Z
+    return Z.imag.swapaxes(-1, -2) / COMPLEX_STEP
 
 
 def _norm_2to1(J) -> np.ndarray:
@@ -639,10 +633,13 @@ def find_certified_radius(maps: TimeMaps, constants: GammaConstants) -> float:
     and the radius keeps that first order under gamma1 in every direction, the worst
     one included, which sampling can miss.  Only the halvings of 1e-2 are taken, so
     r_tilde is one of a fixed set of floats.  NumericalFailure if none fits (or the
-    Jacobian is not finite).  verify_conditions stays the sampled check of the ball,
-    second order included.
+    Jacobian's norm is not finite).  verify_conditions stays the sampled check of the
+    ball, second order included.
     """
-    norm = float(_norm_2to1(_correction_jacobians(maps)).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        norm = float(_norm_2to1(_correction_jacobians(maps)).max())
+    if not math.isfinite(norm):
+        raise NumericalFailure(f"the Jacobian of the corrections has no finite norm: {norm}")
     radii = 1e-2 * 0.5 ** np.arange(40)
     fits = radii * norm < constants.gamma1
     if not fits.any():
@@ -657,52 +654,36 @@ def find_certified_radius(maps: TimeMaps, constants: GammaConstants) -> float:
 def _divB_pieces(tau, U, W, maps) -> dict:
     """The five div B pieces at every rung of tau (k,), for one point U and flux W.
 
-    Returns name -> (k,) norms: B0's derivative along each of B0^-1 times the
-    right-side parts a (-Bz W), b (frakB U / tau) and e ((-tau)^(-1/2) F), Bz's
-    along W, and B0's along tau, all by central differences but B0's along tau
-    where its backward point would precede the time maps (the first rung,
-    tau = -1 at t0), which is second order forward.  One ``assemble_matrices``
-    call covers the k centres and one the (k, 10) stencil points, whose 3
-    distinct times per rung are read once.  Norms are sqrt(vecdot) over the
-    flattened entries, which sums them in the order np.linalg.norm does for one
-    point.
+    Returns name -> (k,) norms of the derivatives of B0 along each of B0^-1 times
+    the right-side parts a (-Bz W), b (frakB U / tau) and e ((-tau)^(-1/2) F), of
+    Bz along W, and of B0 along tau, all by the complex step (Im F(x + i h d) / h,
+    h = COMPLEX_STEP).  One read of the time maps at tau + i h gives each rung's
+    (f, G) as its real part and h d(f, G)/dtau as its imaginary part.  One
+    ``assemble_matrices`` call covers the k real centres, which give the
+    directions, and one the (k, 5) complex points: U + i h d along the four
+    U-directions at the real (tau, f, G), and U at the complex ones for tau.
+    Norms are sqrt(vecdot) over the flattened entries, which sums them in the
+    order np.linalg.norm does for one point.
     """
     tau = np.asarray(tau, float)
-    dtau = 1e-5 * np.abs(tau)
-    # B0's tau derivative at U: central from tau +- dtau, or, where tau - dtau
-    # precedes the time maps, second order forward from tau, tau + dtau, tau + 2 dtau
-    forward = tau - dtau < maps.tau[0]
-    tau3 = tau[:, None] + dtau[:, None] * np.stack(
-        [np.zeros_like(tau), np.ones_like(tau), np.where(forward, 2.0, -1.0)], axis=1)
-    # each rung's 3 distinct times read once; the stencil takes tau at the 8 U-points,
-    # then the other two at U
-    cols = np.r_[np.zeros(8, int), 1, 2]
-    taus = tau3[:, cols]
-    f_st, G_st = (a[:, cols] for a in maps.f_G_at_tau(tau3))
-    ev = assemble_matrices(tau, U, G_st[:, 0], f_st[:, 0], maps.params)
+    f_c, G_c = maps.f_G_at_tau(tau + 1j * COMPLEX_STEP)
+    ev = assemble_matrices(tau, U, G_c.real, f_c.real, maps.params)
     b0_inv = np.linalg.inv(ev.B0)
 
     def mv(m, v):
         return (m @ v[..., None])[..., 0]
 
-    # U-directions (k, 4, 5): B0^-1 times each right-side part a, b, e (for B0), W (for Bz)
+    # directions (k, 5, 5) in the order of the pieces: B0^-1 times a and b for B0, W for
+    # Bz, none for the tau point, B0^-1 times e for B0
     dirs = np.stack([mv(b0_inv, -mv(ev.Bz, W)), mv(b0_inv, mv(ev.frakB, U) / tau[:, None]),
-                     mv(b0_inv, (-tau[:, None]) ** -0.5 * ev.F),
-                     np.broadcast_to(W, (len(tau), 5))], axis=1)
-    norms = np.sqrt(np.vecdot(dirs, dirs))
-    unit = dirs / np.where(norms > 0.0, norms, 1.0)[..., None]
-    # stencil points: U + eps e, U - eps e per direction (eps = _DIVB_EPS), then U twice
-    pts = np.concatenate([U + _DIVB_EPS * unit, U - _DIVB_EPS * unit,
-                          np.broadcast_to(U, (len(tau), 2, 5))], axis=1)
-    st = assemble_matrices(taus, pts, G_st, f_st, maps.params)
-
-    def d_dU(m, n):  # block m's derivative along direction n, times that direction's norm
-        return norms[:, n, None, None] * (m[:, n] - m[:, 4 + n]) / (2.0 * _DIVB_EPS)
-
-    d_dtau = np.where(forward[:, None, None], -3.0 * ev.B0 + 4.0 * st.B0[:, 8] - st.B0[:, 9],
-                      st.B0[:, 8] - st.B0[:, 9]) / (2.0 * dtau)[:, None, None]
-    pieces = np.stack([d_dU(st.B0, 0), d_dU(st.B0, 1), d_dU(st.Bz, 3), d_dtau,
-                       d_dU(st.B0, 2)]).reshape(5, len(tau), 25)
+                     np.broadcast_to(W, (len(tau), 5)), np.zeros((len(tau), 5)),
+                     mv(b0_inv, (-tau[:, None]) ** -0.5 * ev.F)], axis=1)
+    at_tau = np.arange(5) == 3  # the point that steps tau, f and G
+    tau5, G5, f5 = (np.where(at_tau, v[:, None], v.real[:, None])
+                    for v in (tau + 1j * COMPLEX_STEP, G_c, f_c))
+    st = assemble_matrices(tau5, U + 1j * COMPLEX_STEP * dirs, G5, f5, maps.params)
+    blocks = np.where((np.arange(5) == 2)[:, None, None], st.Bz, st.B0)  # Bz along W
+    pieces = (blocks.imag / COMPLEX_STEP).swapaxes(0, 1).reshape(5, len(tau), 25)
     return dict(zip(("a_flux", "b_singular", "c_dUBz", "d_dtauB0", "e_halforder"),
                     np.sqrt(np.vecdot(pieces, pieces))))
 

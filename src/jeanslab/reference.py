@@ -4,15 +4,18 @@ One family of exact solutions is evaluated as arrays over sample points: the
 homogeneous-blowup reference whose contrast f(t) comes from an ODE trajectory.
 On the zero trajectory it is the expanding homogeneous background (the
 beta = gamma = 0 member, its own contrast being identically zero).  The
-residual machinery applies fourth-order centered differences to any state
-function, so the same code later certifies evolved states, not just closed
-forms.
+residual machinery takes every derivative by the complex step (Squire & Trapp,
+SIAM Review 40, 1998): d F(x)/dx along d is Im F(x + i h d) / h with
+h = COMPLEX_STEP, exact to rounding and one state call per derivative, so the
+same code later certifies any state function that is analytic in t and x, not
+just closed forms.
 
 A state function ``state_fn(t, x)`` takes points ``x`` of shape ``(..., 3)`` and
-times ``t``, a float or an array that broadcasts against ``x.shape[:-1]``; it
-returns a `FluidPoint` whose scalar fields have the broadcast shape ``(...)`` and
-whose velocity has that shape plus ``(3,)``.  The residual calls it once per
-stencil, over all its times and points.
+times ``t``, a float or an array that broadcasts against ``x.shape[:-1]``, real
+or complex; it returns a `FluidPoint` whose scalar fields have the broadcast
+shape ``(...)`` and whose velocity has that shape plus ``(3,)``, analytic in t
+and x, so real on real arguments.  The residual calls it once per derivative,
+over all its times and points.
 
 Each solution family carries its own f in the momentum/entropy sources: the
 sources are built from the relative velocity with respect to that family's
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast_ode import OdeTrajectory
+from .contrast_ode import OdeTrajectory, _inexact
 from .errors import NumericalFailure
 
 
@@ -47,10 +50,10 @@ class FluidPoint:
 
 
 def _pow(a, e):
-    """a ** e per element by Python's pow on floats, of a's shape.  np.power can
-    differ from it in the last bit; the exact states take their powers this way at
-    each of their few times, so that one state call over many times equals one
-    call per time."""
+    """a ** e per element by Python's pow on floats (or complex numbers), of a's shape.
+    np.power can differ from it in the last bit; the exact states take their powers
+    this way at each of their few times, so that one state call over many times
+    equals one call per time."""
     return np.reshape([v**e for v in np.ravel(a).tolist()], np.shape(a))
 
 
@@ -64,17 +67,19 @@ def homogeneous_state(t, x, traj: OdeTrajectory) -> FluidPoint:
 
     ``t`` is a float or an array that broadcasts against ``x.shape[:-1]``; the
     fields take the broadcast shape, and each value equals the one of a call at
-    its own float time.  On ``zero_trajectory`` (f = f' = 0) this is the
-    expanding background: density ~ t^-2 and Hubble flow 2x/(3t).
+    its own float time.  Complex t and x give the analytic continuation (|x|^2 is
+    x . x, unconjugated); the range and origin checks read the real part.  On
+    ``zero_trajectory`` (f = f' = 0) this is the expanding background: density
+    ~ t^-2 and Hubble flow 2x/(3t).
     """
-    x = np.asarray(x, dtype=float)
-    r2 = np.vecdot(x, x)
-    if np.any(r2 == 0.0):
+    x = _inexact(x)
+    r2 = (x * x).sum(-1)
+    if np.any(r2.real <= 0.0):  # x = 0, also under a complex step (x . x = -h^2 there)
         raise NumericalFailure("entropy is singular at x = 0 (log of |x|^2)")
-    ta = np.asarray(t, dtype=float)
-    inside = (traj.t_grid[0] <= ta) & (ta <= traj.t_end)  # false at NaN
+    ta = _inexact(t)
+    inside = (traj.t_grid[0] <= ta.real) & (ta.real <= traj.t_end)  # false at NaN
     if not inside.all():
-        raise NumericalFailure(f"t = {float(ta[~inside][0])} outside trajectory range "
+        raise NumericalFailure(f"t = {float(ta.real[~inside][0])} outside trajectory range "
                                f"[{float(traj.t_grid[0])}, {traj.t_end}]")
     f, f0 = traj.f_f0_at(ta)
     i3 = traj.params.iota3
@@ -88,26 +93,15 @@ def homogeneous_state(t, x, traj: OdeTrajectory) -> FluidPoint:
 
 
 # ---------------------------------------------------------------------------
-# finite differences (4th-order centered, spacing h): each stencil is one
-# state call over all times and sample points, and every derivative is read from it
+# derivatives by the complex step: each is one state call over all times and sample points
 
-_FD4_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-_FD4_O = np.array([-2.0, -1.0, 1.0, 2.0])
-FD_STEP = 1e-3  # spacing h of the difference stencils, in time and space alike
+COMPLEX_STEP = 1e-20  # h of every complex-step derivative Im F(x + i h d) / h
 _RESIDUAL_THRESHOLD = 1e-6  # ResidualReport's verdict bound on each max norm
 
 
-def _fd4(vals, h):
-    """Centered 4th-order derivative from the values at the `_FD4_O` offsets (axis 0)."""
-    return sum(w * v for w, v in zip(_FD4_W, vals)) / h
-
-
-def _space_points(x, h):
-    """x + _FD4_O[k] * h * e_axis at [k, ..., axis, :]: shape (4,) + x.shape[:-1] + (3, 3)."""
-    if np.any(np.sqrt(np.vecdot(x, x)) <= 2.0 * h):
-        raise NumericalFailure("sample too close to the origin for the stencil width")
-    offsets = (_FD4_O * h)[:, None, None] * np.eye(3)
-    return x[..., None, :] + offsets.reshape((4,) + (1,) * (x.ndim - 1) + (3, 3))
+def _d(vals):
+    """The derivative carried by the values of a complex-step call: Im vals / h."""
+    return vals.imag / COMPLEX_STEP
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,20 +118,20 @@ def _trace(jac):
     return sum(jac[..., ax, ax] for ax in range(3))
 
 
-def _sources(t, x, pt, space, traj, h):
-    """(D, S in full form, S in relative-velocity form) at x from its space stencil.
+def _sources(t, x, pt, space, traj):
+    """(D, S in full form, S in relative-velocity form) at x from its space derivatives.
 
     ``t`` is a float or an array that broadcasts against ``x.shape[:-1]``, ``pt``
-    the state there and ``space`` the one on ``_space_points(x, h)`` with a unit
-    axis in front of x's leading axes, at the same times."""
+    the state there and ``space`` the one at ``x[..., None, :] + i h e_axis`` (the
+    axis on the second-to-last place) at the same times."""
     f, f0 = traj.f_f0_at(t)
     om = traj.params.omega
     hub = _hubble(t, f, f0)
     v_check = pt.v - np.expand_dims(hub, -1) * x
     d_vec = -np.expand_dims(traj.params.kappa * f0 / (1.0 + f), -1) * v_check
-    # _fd4 of a stencil velocity is indexed [..., axis, component]
-    div_v = _trace(_fd4(space.v, h))
-    div_vc = _trace(_fd4(space.v - np.expand_dims(hub, (-2, -1)) * space.x, h))
+    # _d of a space velocity is indexed [..., axis, component]
+    div_v = _trace(_d(space.v))
+    div_vc = _trace(_d(space.v - np.expand_dims(hub, (-2, -1)) * space.x))
     r2 = np.vecdot(x, x)
     s_full = (-(2.0 / 3.0 + om) * div_v + 2.0 * np.vecdot(pt.v, x) / r2
               + 3.0 * om * hub)
@@ -162,47 +156,48 @@ class ResidualReport:
 def euler_poisson_residual(state_fn, t, sample_points, traj: OdeTrajectory) -> ResidualReport:
     """Max norms of the residuals of continuity, momentum, entropy transport and Poisson.
 
-    All derivatives are 4th-order centered differences with spacing FD_STEP
-    (time and space alike).  Each stencil (centres, the four time offsets,
-    space, radial, Gauss-Legendre) is one ``state_fn`` call over all times and
-    sample points, so a residual makes 5 calls whatever the number of times:
-    ``state_fn(t, x)`` gets the times as an array that broadcasts against
-    ``x.shape[:-1]``, the times on the leading axis of the sample axes, and
-    returns fields of the broadcast shape.  A time whose stencil leaves the
-    trajectory's range is refused before any call.  The states are spherically
-    symmetric, so the Poisson equation is checked in its integrated radial form,
+    Every derivative is a complex step of size h = COMPLEX_STEP: d/dt from
+    ``state_fn(t + ih, x)``, the space derivatives from one call at x + ih e_j over
+    the 3 axes, and d(phi)/dr from x + ih x/|x|.  ``state_fn`` must therefore take
+    complex t and x and be analytic in them (real on real arguments).  With the
+    centres and the Gauss-Legendre nodes that makes 5 ``state_fn`` calls over all
+    times and sample points, whatever the number of times: ``state_fn(t, x)``
+    gets the times as an array that broadcasts against ``x.shape[:-1]``, the
+    times on the leading axis of the sample axes, and returns fields of the
+    broadcast shape.  A time outside the trajectory's range, or NaN, is refused
+    before any call.  The states are spherically symmetric, so the Poisson
+    equation is checked in its integrated radial form,
 
         d(phi)/dr = (4 pi / r^2) * int_0^r rho(t, y) y^2 dy,
 
-    which avoids 3D second-derivative stencils.
+    which avoids second derivatives.
     """
     t_values = np.atleast_1d(np.asarray(t, dtype=float))
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    h = FD_STEP
-    inside = (t_values - 2.0 * h >= traj.t_grid[0]) & (t_values + 2.0 * h <= traj.t_end)
+    inside = (t_values >= traj.t_grid[0]) & (t_values <= traj.t_end)
     if not inside.all():  # false at NaN
-        raise NumericalFailure(f"time stencil around t={float(t_values[~inside][0])} "
-                               "leaves the trajectory range")
+        raise NumericalFailure(f"time t={float(t_values[~inside][0])} leaves the "
+                               "trajectory range")
     # times (T,) against samples (n,): tc for (n,) layouts, ts for (n, 3) and (n, 48)
     tc, ts = t_values[:, None], t_values[:, None, None]
+    step = 1j * COMPLEX_STEP
     pt = state_fn(tc, pts)  # (T, n)
-    times = state_fn(tc + (_FD4_O * h)[:, None, None], pts)  # (4, T, n)
-    space = state_fn(ts, _space_points(pts, h)[:, None])  # (4, T, n, axis)
+    times = state_fn(tc + step, pts)  # (T, n)
+    space = state_fn(ts, pts[:, None] + step * np.eye(3))  # (T, n, axis)
     # continuity: d_t rho + div(rho v)
-    cont = _fd4(times.rho, h) + _trace(_fd4(space.rho[..., None] * space.v, h))
+    cont = _d(times.rho) + _trace(_d(space.rho[..., None] * space.v))
     # momentum: d_t v + (v.grad) v + grad p / rho + grad phi - D
-    d_vec, s_src, s_vform = _sources(tc, pts, pt, space, traj, h)
-    jac_v = np.swapaxes(_fd4(space.v, h), -1, -2)
-    grad_p, grad_phi, grad_s = (_fd4(getattr(space, name), h) for name in ("p", "phi", "s"))
-    mom = (_fd4(times.v, h) + np.matmul(jac_v, pt.v[..., None])[..., 0]
+    d_vec, s_src, s_vform = _sources(tc, pts, pt, space, traj)
+    jac_v = np.swapaxes(_d(space.v), -1, -2)
+    grad_p, grad_phi, grad_s = (_d(getattr(space, name)) for name in ("p", "phi", "s"))
+    mom = (_d(times.v) + np.matmul(jac_v, pt.v[..., None])[..., 0]
            + grad_p / pt.rho[..., None] + grad_phi - d_vec)
     # entropy transport: d_t s + v.grad s - S
-    ent = _fd4(times.s, h) + np.vecdot(pt.v, grad_s) - s_src
+    ent = _d(times.s) + np.vecdot(pt.v, grad_s) - s_src
     # poisson, radial form
     r = np.sqrt(np.vecdot(pts, pts))
     xhat = pts / r[:, None]
-    radial = pts + (_FD4_O * h)[:, None, None] * xhat
-    dphi_dr = _fd4(state_fn(tc, radial[:, None]).phi, h)
+    dphi_dr = _d(state_fn(tc, pts + step * xhat).phi)
     gl_nodes, gl_w = _gauss_legendre()
     y = 0.5 * r[:, None] * (gl_nodes + 1.0)
     rho_y = state_fn(ts, y[..., None] * xhat[:, None, :]).rho  # (T, n, nodes)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrast_ode import OdeTrajectory, _f_f0, _holding_step
+from .contrast_ode import OdeTrajectory, _f_f0, _holding_step, _inexact
 from .errors import NumericalFailure
 from .params import ModelParams
 
@@ -52,14 +52,15 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _reader(read):
-    """``read`` of a contiguous 1-d array, giving floats for a scalar argument and arrays
-    of its shape otherwise: each value comes from numpy's array loops either way (the
-    power of a numpy scalar differs from theirs in the last bit for some arguments)."""
+    """``read`` of a contiguous 1-d array, giving Python numbers for a scalar argument
+    and arrays of its shape otherwise, float or complex as the argument is: each value
+    comes from numpy's array loops either way (the power of a numpy scalar differs
+    from theirs in the last bit for some arguments)."""
     @functools.wraps(read)
     def at(self, x):
-        u, v = read(self, np.ascontiguousarray(x, dtype=float).reshape(-1))
+        u, v = read(self, np.ascontiguousarray(_inexact(x)).reshape(-1))
         if np.ndim(x) == 0:
-            return float(u[0]), float(v[0])
+            return u[0].item(), v[0].item()
         return u.reshape(np.shape(x)), v.reshape(np.shape(x))
     return at
 
@@ -88,7 +89,8 @@ class TimeMaps:
     value of t, and ``f_G_at_tau`` (f, G) at compactified times tau, at the clock
     value ``t_at_tau`` finds on it; f, f' come from the dense output and G from
     chi's closed form.  A time outside [t0, t_end] reads the first or the last
-    step's polynomial."""
+    step's polynomial.  The readers take complex arguments, on the step of the real
+    part, and are analytic there: Im f_G_at_tau(tau + ih)/h is d(f, G)/dtau."""
 
     params: ModelParams
     s_grid: np.ndarray
@@ -135,7 +137,7 @@ class TimeMaps:
         record points around it; NumericalFailure where its residual is not at
         rounding."""
         xs = np.concatenate(([0.0], _gauss_legendre()[0], [1.0]))  # one step's record x
-        j = np.clip(np.searchsorted(self.tau, tau, side="left") - 1, 0, len(self.tau) - 2)
+        j = _holding_step(self.tau, tau)
         k, i = np.divmod(j, _GL_NODES + 1)
         c = self._log_g[:, k]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -147,7 +149,8 @@ class TimeMaps:
             residual = np.abs(_horner(c, x)[0] - target)
             scale = _horner(np.abs(c), np.abs(x))[0] + np.abs(target)
         if not np.all(residual <= _NEWTON_TOL * scale):
-            raise NumericalFailure(f"no time found for tau in [{tau.min():.6g}, {tau.max():.6g}]: "
+            raise NumericalFailure(f"no time found for tau in [{tau.real.min():.6g}, "
+                                   f"{tau.real.max():.6g}]: "
                                    f"Newton's residual on ln g is {residual.max():.3g}")
         s_grid = self._traj.s_grid
         return s_grid[k] + x * (s_grid[k + 1] - s_grid[k])

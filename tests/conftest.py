@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from jeanslab.contrast_ode import ContrastMarch, ToleranceSpec
+from jeanslab.contrast_ode import ContrastMarch, ToleranceSpec, _inexact
 from jeanslab.errors import NumericalFailure
 from jeanslab.params import params_from_iota3
 from jeanslab.pde import zeta_grid
@@ -88,14 +88,15 @@ def background_state(t, x, params):
     density iota^3/(6 pi t^2), Hubble flow 2x/(3t), potential iota^3 |x|^2/(9 t^2),
     entropy log(t^(-4/3) |x|^2), pressure K e^s rho^(4/3).  t is a float or an array
     that broadcasts against x.shape[:-1]; its powers are taken per time by Python's
-    pow, as at one float time.  The oracle of ``homogeneous_state`` on
-    ``zero_trajectory``."""
-    x = np.asarray(x, dtype=float)
-    r2 = np.vecdot(x, x)
-    if np.any(r2 == 0.0):
+    pow, as at one float time.  Complex t and x give the analytic continuation, as
+    the complex-step residual needs (|x|^2 is x . x, unconjugated).  The oracle of
+    ``homogeneous_state`` on ``zero_trajectory``."""
+    x = _inexact(x)
+    r2 = (x * x).sum(-1)
+    if np.any(r2.real <= 0.0):
         raise NumericalFailure("entropy is singular at x = 0 (log of |x|^2)")
-    per_time_pow = np.vectorize(pow, otypes=[float])
-    tt = np.asarray(t, dtype=float)
+    tt = _inexact(t)
+    per_time_pow = np.vectorize(pow, otypes=[tt.dtype])
     i3 = params.iota3
     rho = i3 / (6.0 * math.pi * tt * tt)
     s = np.log(per_time_pow(tt, -4.0 / 3.0) * r2)

@@ -12,7 +12,6 @@ from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.fuchsian import DomainError
 from jeanslab.params import params_from_iota3
 from jeanslab.pde import entropy_field, evolve, init_from_data, zeta_grid
-from jeanslab.reference import FD_STEP
 
 
 def read_summary(path):
@@ -173,7 +172,7 @@ def record_marches(monkeypatch):
     # ode and blowup march on to f = 1e300 for t_m, past their trajectory to 1e6
     (["ode"], 96, [37], [True]),
     (["blowup"], 96, [37], [True]),
-    (["residuals", "--family", "both"], 8, [8], [False]),  # stops past t = 2.0 + 2 FD_STEP
+    (["residuals", "--family", "both"], 8, [8], [False]),  # stops past t = 2.0
     (["simulate", "--grid-n", "32", "--pde-f-cap", "10"], 14, [14], [True]),
     (["fuchsian-check"], 41, [41], [True]),
     # every trajectory of report is a prefix of the march to t_m
@@ -188,7 +187,7 @@ def test_one_integration_per_trajectory(tmp_path, monkeypatch, argv, steps, serv
     assert [len(m._steps) for m in marches] == [steps]
     assert [traj.reached_cap for traj in served] == reached
     assert [len(traj.h) for traj in served] == served_steps
-    t_need = 2.0 + 2.0 * FD_STEP  # the residuals' last time
+    t_need = 2.0  # the residuals' last time
     for traj in served:
         if traj.reached_cap:  # cut at the cap's clock value s = ln(1 + f_cap)/2
             assert traj.f[-2] < traj.f_cap
@@ -199,12 +198,12 @@ def test_one_integration_per_trajectory(tmp_path, monkeypatch, argv, steps, serv
 
 def test_residuals_integrate_only_past_their_last_time(tmp_path, monkeypatch):
     # standalone, residuals stop the contrast ODE after the step that passes
-    # t = 2.0 + 2 FD_STEP; in report they read a prefix of fuchsian-check's march
+    # t = 2.0; in report they read a prefix of fuchsian-check's march
     marches, served = record_marches(monkeypatch)
     assert main(["residuals", "--family", "both", "--output-dir", str(tmp_path / "res")]) == 0
     (march,), (traj,) = marches, served
     assert (len(traj.t_grid), traj.reached_cap, len(march._steps)) == (9, False, 8)
-    assert traj.t_grid[-2] < 2.0 + 2.0 * FD_STEP <= traj.t_end
+    assert traj.t_grid[-2] < 2.0 <= traj.t_end
 
 
 @pytest.mark.parametrize("argv,cap,points", [
@@ -578,7 +577,11 @@ def test_contrast_overflow_exits_3_with_one_line(tmp_path, capsys, gamma, messag
     # the closed-form dchi/dt is about f^-2 = 1e398 at t0
     (["ode", "--beta", "1e-199", "--k-tilde", "0.9", "--A", "0.99"],
      "check_G_decay left the range of floats"),
-], ids=["ladder", "report-ladder", "chi-overflow", "chi-interpolant", "dchi"])
+    # dZ/dU is about 1/f = 1e300 at the first rung: the 2->1 norm of the Jacobian
+    # overflows, which warned "overflow encountered in vecdot" before the failure
+    (["fuchsian-check", "--gamma", "1e-3", "--beta", "1e-300"],
+     "the Jacobian of the corrections has no finite norm"),
+], ids=["ladder", "report-ladder", "chi-overflow", "chi-interpolant", "dchi", "jacobian-norm"])
 def test_time_maps_out_of_range_exit_3_with_one_line(tmp_path, capsys, argv, message):
     # a classified failure, with no numpy warning first (the suite turns warnings
     # into errors), not a crash or a failed verdict
@@ -601,11 +604,10 @@ def test_ode_at_small_contrast_passes(tmp_path, beta):
 
 @pytest.mark.parametrize("beta", ["1e-3", "1e-6"])
 def test_fuchsian_check_at_small_contrast_completes(tmp_path, beta):
-    # the tau derivative of B0 at the first rung, tau = -1 at t0, is a forward
-    # difference: its central one stepped before the time maps and found no time
-    # (exit 3).  F7 is false here: at t0 the contrast is still beta and G about
-    # 1.5e3, so the first rung's div B pieces stand apart from the power law of
-    # the others
+    # the tau derivative of B0 at the first rung, tau = -1 at t0, is a complex step,
+    # which reads the time maps at tau = -1 itself, not before them.  F7 is false
+    # here: at t0 the contrast is still beta and G about 1.5e3, so the first rung's
+    # div B pieces stand apart from the power law of the others
     out = tmp_path / "o"
     assert main(["fuchsian-check", "--beta", beta, "--output-dir", str(out)]) in (0, 1)
     assert not (out / "error.json").exists()

@@ -14,10 +14,11 @@ from scipy.optimize import brentq
 from conftest import integrate_contrast, refined_grid_per_step, traj_to_cap
 from jeanslab import contrast_ode
 from jeanslab.contrast_ode import (ContrastMarch, ToleranceSpec, _dense_at, _dense_dx, _Dop853,
-                                   _rhs_s, blowup_bracket, blowup_ladder, blowup_time,
+                                   _holding_step, _rhs_s, blowup_bracket, blowup_ladder,
                                    bound_certificates, envelope_constants, zero_trajectory)
 from jeanslab.errors import NumericalFailure, UsageError
 from jeanslab.params import ModelParams, params_from_iota3
+from jeanslab.reference import COMPLEX_STEP
 from jeanslab.timemaps import compute_g
 
 
@@ -789,6 +790,28 @@ def test_a_time_read_gives_its_time_back(request, data):
     assert np.all(np.abs(x[at_breakpoint & (t < traj.t_end)] - 1.0) < 1e-9)
 
 
+@pytest.mark.parametrize("data", ["params", "params_window"])
+def test_a_complex_time_read_differentiates_its_step(request, data):
+    # Im f(t + ih)/h is the derivative of the polynomial of the step that holds t,
+    # 2 e^(2s) h_k / (dt/dx), to 1e-12 relative, and a breakpoint t_grid[k] + ih is
+    # held by step k - 1, as t_grid[k] is (searchsorted's lexicographic order of
+    # complex values put it on step k); the real part is the real read to rounding
+    # (the complex Newton iterations end a few ulp of s away, which e^(2s) scales by
+    # 2s).  The read's own f' = p e^(3s), from the dense output of p, agrees to 1e-8
+    traj = traj_to_cap(request.getfixturevalue(data), 1e8)
+    t = _drawn_times(traj, 39)
+    f, f0 = traj.f_f0_at(t)
+    f_c, _ = traj.f_f0_at(t + 1j * COMPLEX_STEP)
+    s, _ = traj.s_p_at(t)
+    k = np.clip(np.searchsorted(traj.t_grid, t, side="left") - 1, 0, len(traj.h) - 1)
+    assert np.array_equal(_holding_step(traj.t_grid, t + 1j * COMPLEX_STEP), k)
+    x = (s - traj.s_grid[k]) / traj.h[k]
+    slope = 2.0 * np.exp(2.0 * s) * traj.h[k] / _dense_dx(x, traj.F[:, 0, k])
+    assert np.all(np.abs(f_c.imag / COMPLEX_STEP - slope) <= 1e-12 * slope)
+    assert np.all(np.abs(f_c.imag / COMPLEX_STEP - f0) <= 1e-8 * f0)
+    assert np.allclose(f_c.real, f, rtol=1e-14, atol=0.0)
+
+
 def test_scalar_and_array_reads_are_equal(traj_deep):
     # the Newton iterations of a read at a time run the same + - * / on floats as on
     # arrays, so the two paths give the same floats
@@ -813,7 +836,7 @@ def test_march_work_counts_to_1e8(params):
 def test_blowup_time_converges_with_the_tolerance(params, rel_tol):
     # the time stepper's order on its own: t_m from the march alone, against the
     # 25-digit constant, to 10 rel_tol
-    t_m, p_half = blowup_time(params, ToleranceSpec(rel_tol=rel_tol))
+    t_m, p_half = ContrastMarch(params, ToleranceSpec(rel_tol=rel_tol)).blowup_time()
     assert abs(t_m - _T_M_DEFAULTS) <= 10.0 * rel_tol * _T_M_DEFAULTS
     assert abs(p_half - 1.0) <= 1e3 * rel_tol  # p t_m / 2 tends to 1
 
@@ -830,7 +853,7 @@ def test_blowup_time_continues_the_march(params):
     assert t_star <= t_m < t_star_upper
     est, spread, _ = blowup_ladder(traj)
     assert abs(est - t_m) / t_m <= spread
-    assert (t_m, p_half) == blowup_time(params)
+    assert (t_m, p_half) == ContrastMarch(params).blowup_time()
 
 
 def test_blowup_time_fails_at_the_ceiling(params):
@@ -843,7 +866,7 @@ def test_blowup_time_fails_when_p_leaves_its_range(params, monkeypatch):
     # slopes that carry p linearly through 0: the march is smooth, and the read refuses
     monkeypatch.setattr(contrast_ode, "_rhs_s", lambda s, y, a, b, c: (1.0, -1.0))
     with pytest.raises(NumericalFailure, match=r"left \(0, inf\)"):
-        blowup_time(params)
+        ContrastMarch(params).blowup_time()
 
 
 def test_a_read_of_an_overflowing_rate_raises(traj):

@@ -15,6 +15,7 @@ from jeanslab.fuchsian import (DomainError, assemble_matrices, find_certified_ra
                                q_quantity, system_residual, verify_conditions,
                                wave_block_weight)
 from jeanslab.params import ModelParams, params_from_iota3
+from jeanslab.reference import COMPLEX_STEP
 from jeanslab.pde import diff1, evolve, init_from_data
 from jeanslab.timemaps import compute_g
 
@@ -634,7 +635,7 @@ def test_correction_jacobians_equal_central_differences(changes):
         assert np.abs(J[rung] - central[rung]).max() <= 1e-8 * scale, rung
 
 
-def test_corrections_take_complex_steps_and_keep_real_calls_real(params):
+def test_corrections_take_complex_steps_and_keep_real_calls_real(params, traj, maps):
     # a real call keeps its dtype and its array; the complex step's imaginary part is
     # the derivative, and its real part the value at U = 0 (zero) to order h^2
     U = np.array([[1e-8, -2e-8, 3e-8, 0.0, 1e-9]])
@@ -644,6 +645,21 @@ def test_corrections_take_complex_steps_and_keep_real_calls_real(params):
     assert fuchsian._corrections(-0.5, U, 0.2, 3.0, params).Z.dtype == float
     stepped = fuchsian._corrections(-0.5, 1e-20j * np.eye(5), 0.2, 3.0, params).Z
     assert stepped.dtype == complex and np.abs(stepped.real).max() < 1e-30
+    # assemble_matrices likewise, with C-ordered blocks; a complex tau, G or f steps too
+    ev = assemble_matrices(-0.5, U, 0.2, 3.0, params)
+    for args in ((-0.5, U + 1e-20j, 0.2, 3.0), (-0.5 + 1e-20j, U, 0.2 + 1e-20j, 3.0 + 1e-20j)):
+        ev_c = assemble_matrices(*args, params)
+        for name in ("B0", "Bz", "frakB", "H", "F", "Z"):
+            real, cplx = getattr(ev, name), getattr(ev_c, name)
+            assert real.dtype == float and real.flags.c_contiguous, name
+            assert cplx.dtype == complex and cplx.flags.c_contiguous, name
+    # and the reads of the trajectory and the time maps: float in, float out
+    t, tau = np.array([1.2, 2.0]), np.array([-0.9, -0.5])
+    for read, x in ((traj.f_f0_at, t), (maps.f_G_at_tau, tau)):
+        assert all(v.dtype == float for v in read(x))
+        assert all(v.dtype == complex for v in read(x + 1e-20j))
+    assert all(type(v) is float for v in maps.f_G_at_tau(-0.5))
+    assert all(type(v) is complex for v in maps.f_G_at_tau(-0.5 + 1e-20j))
 
 
 def test_jacobian_norm_bounds_every_drawn_direction(maps_deep):
@@ -806,17 +822,13 @@ def test_conditions_solve_few_eigenvalue_problems_at_the_certified_radius(monkey
     assert sum(math.prod(shape) for shape in solved) <= 20
 
 
-def _divB_pieces_loop(tau, U, W, maps, eps=1e-7):
-    """The per-point differences of _divB_pieces: central, but B0's along tau second
-    order forward where tau - dtau precedes the time maps."""
-    params = maps.params
-    f_val, G_val = maps.f_G_at_tau(tau)
-
-    def b0_at(tt, uu):
-        f_tt, G_tt = maps.f_G_at_tau(tt)
-        return assemble_matrices(float(tt), uu, G_tt, f_tt, params).B0
-
-    ev = assemble_matrices(float(tau), U, G_val, f_val, params)
+def _divB_pieces_loop(tau, U, W, maps):
+    """_divB_pieces at one rung, point by point: one read of the maps at tau + ih,
+    the real point's blocks, then one assemble_matrices call per derivative."""
+    params, h = maps.params, COMPLEX_STEP
+    f_c, G_c = maps.f_G_at_tau(tau + 1j * h)
+    f_val, G_val = f_c.real, G_c.real
+    ev = assemble_matrices(tau, U, G_val, f_val, params)
     b0_inv = np.linalg.inv(ev.B0)
     rhs_parts = {
         "a_flux": -ev.Bz @ W,
@@ -824,30 +836,13 @@ def _divB_pieces_loop(tau, U, W, maps, eps=1e-7):
         "e_halforder": (-tau) ** -0.5 * ev.F,
     }
 
-    def db0_dir(v):
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return np.zeros((5, 5))
-        e = v / nv
-        plus = assemble_matrices(float(tau), U + eps * e, G_val, f_val, params).B0
-        minus = assemble_matrices(float(tau), U - eps * e, G_val, f_val, params).B0
-        return nv * (plus - minus) / (2.0 * eps)
+    def along(v, block="B0"):  # the block's derivative along v
+        return getattr(assemble_matrices(tau, U + 1j * h * v, G_val, f_val, params),
+                       block).imag / h
 
-    pieces = {k: db0_dir(b0_inv @ v) for k, v in rhs_parts.items()}
-    dtau = 1e-5 * abs(tau)
-    if tau - dtau < maps.tau[0]:
-        pieces["d_dtauB0"] = (-3.0 * ev.B0 + 4.0 * b0_at(tau + dtau, U)
-                              - b0_at(tau + 2.0 * dtau, U)) / (2.0 * dtau)
-    else:
-        pieces["d_dtauB0"] = (b0_at(tau + dtau, U) - b0_at(tau - dtau, U)) / (2.0 * dtau)
-    nw = np.linalg.norm(W)
-    if nw > 0.0:
-        e = W / nw
-        bzp = assemble_matrices(float(tau), U + eps * e, G_val, f_val, params).Bz
-        bzm = assemble_matrices(float(tau), U - eps * e, G_val, f_val, params).Bz
-        pieces["c_dUBz"] = nw * (bzp - bzm) / (2.0 * eps)
-    else:
-        pieces["c_dUBz"] = np.zeros((5, 5))
+    pieces = {k: along(b0_inv @ v) for k, v in rhs_parts.items()}
+    pieces["c_dUBz"] = along(W, "Bz")
+    pieces["d_dtauB0"] = assemble_matrices(tau + 1j * h, U, G_c, f_c, params).B0.imag / h
     return {k: float(np.linalg.norm(v)) for k, v in pieces.items()}
 
 
@@ -864,9 +859,9 @@ def test_divB_pieces_equal_per_point_loop(maps_deep, zero_W):
                 == _divB_pieces_loop(float(tau), U, W, maps_deep))
 
 
-def test_divB_pieces_read_three_times_per_rung_inside_the_maps(maps_deep, monkeypatch):
-    # one tau read over the ladder: tau, tau + dtau and, but at the first rung
-    # (tau = -1 at t0, where tau - dtau precedes the maps), tau - dtau
+def test_divB_pieces_read_the_maps_once_per_rung(maps_deep, monkeypatch):
+    # one tau read over the ladder, at tau + ih: the first rung, tau = -1 at t0, is
+    # read at the maps' first point and not before it
     reads = []
     read = type(maps_deep).f_G_at_tau
 
@@ -877,13 +872,26 @@ def test_divB_pieces_read_three_times_per_rung_inside_the_maps(maps_deep, monkey
     monkeypatch.setattr(type(maps_deep), "f_G_at_tau", recorded)
     ladder = fuchsian._tau_ladder(maps_deep)
     fuchsian._divB_pieces(ladder, np.full(5, 1e-8), np.full(5, 1e-8), maps_deep)
-    assert len(reads) == 1 and reads[0].shape == (len(ladder), 3)
-    dtau = 1e-5 * np.abs(ladder)
     assert ladder[0] == maps_deep.tau[0] == -1.0
-    assert np.array_equal(reads[0][:, 0], ladder)
-    assert np.array_equal(reads[0][:, 1], ladder + dtau)
-    assert np.array_equal(reads[0][:, 2], ladder + dtau * np.r_[2.0, -np.ones(len(ladder) - 1)])
-    assert reads[0].min() >= maps_deep.tau[0]
+    assert len(reads) == 1 and np.array_equal(reads[0], ladder + 1j * COMPLEX_STEP)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.1])
+def test_divB_tau_derivative_at_the_first_rung_equals_a_fine_forward_difference(beta):
+    # at tau = -1 (t0) the second-order forward difference at dtau = 1e-10 meets the
+    # complex step to 1e-6 relative: 3.6e-8 at beta = 1e-3, and 5.7e-7 at beta = 0.1,
+    # most of it the difference's rounding, 8 eps max|B0| / (2 dtau) = 8.8e-6 of a
+    # derivative of 7.0.  The forward difference at 1e-5 |tau| that the pieces once
+    # took read 224.0 for 691.5 at beta = 1e-3, 0.68 off
+    m, _ = _deep_maps_and_constants(beta=beta)
+    U, W = fuchsian._ball_samples(4, 1e-2 * 0.5**17, 20240)[2], np.zeros(5)
+    stepped = fuchsian._divB_pieces(fuchsian._tau_ladder(m), U, W, m)["d_dtauB0"][0]
+    dtau = 1e-10
+    taus = -1.0 + dtau * np.arange(3.0)
+    f_val, G_val = m.f_G_at_tau(taus)
+    B0 = assemble_matrices(taus[:, None], U, G_val[:, None], f_val[:, None], m.params).B0[:, 0]
+    forward = np.linalg.norm((-3.0 * B0[0] + 4.0 * B0[1] - B0[2]) / (2.0 * dtau))
+    assert abs(stepped - forward) <= 1e-6 * forward
 
 
 def _divB_order_fit_loop(maps, r_tilde, seed):
@@ -928,7 +936,8 @@ def test_divB_order_fit_equals_per_rung_loop(maps_deep, seed, r_tilde):
 
 
 def test_conditions_make_three_assemble_calls(maps_deep, gconsts, monkeypatch):
-    # one over the sandwich samples, one over the div B centres, one over its stencil
+    # one over the sandwich samples, one over the div B centres, one over its complex
+    # points
     calls = []
     assemble = fuchsian.assemble_matrices
 

@@ -51,10 +51,8 @@ def test_no_assert_in_the_package():
 
 
 # public module-level functions and classes that no code of the package reads yet,
-# as "module.name"; the tests are their only callers.  The CLI reads t_m through
-# ContrastMarch.blowup_time, on the run's shared march
-UNREFERENCED = {"contrast_ode.blowup_time", "fuchsian.fuchsian_fields",
-                "fuchsian.system_residual"}
+# as "module.name"; the tests are their only callers
+UNREFERENCED = {"fuchsian.fuchsian_fields", "fuchsian.system_residual"}
 
 
 def _loads(node: ast.AST, name: str) -> int:
@@ -105,7 +103,8 @@ def test_a_run_imports_no_scipy(tmp_path):
     runs = [["residuals", "--family", "both"], ["fuchsian-check", "--f-cap", "1e8"],
             ["simulate", "--grid-n", "32"]]
     argvs = [[*argv, "--output-dir", str(tmp_path / argv[0])] for argv in runs]
-    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(argvs)],
+    # -W error: a warning from any of the three pipelines fails the run
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _FRESH_RUN, json.dumps(argvs)],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0, proc.stderr[-2000:]

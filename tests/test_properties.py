@@ -327,7 +327,7 @@ def _powers_at_one_time(t, x, tr):
     Python's pow on floats, as the scalar formula takes them."""
     f = tr.f_f0_at(t)[0]
     rho = tr.params.iota3 * (1.0 + f) / (6.0 * np.pi * t * t)
-    s = np.log(t ** (-4.0 / 3.0) * (1.0 + f) ** (2.0 / 3.0) * np.vecdot(x, x))
+    s = np.log(t ** (-4.0 / 3.0) * (1.0 + f) ** (2.0 / 3.0) * (x * x).sum(-1))
     return s, tr.params.K * np.exp(s) * rho ** (4.0 / 3.0)
 
 

@@ -9,6 +9,7 @@ from jeanslab import timemaps
 from jeanslab.contrast_ode import ToleranceSpec
 from jeanslab.errors import NumericalFailure
 from jeanslab.params import params_from_iota3
+from jeanslab.reference import COMPLEX_STEP
 from jeanslab.timemaps import check_G_decay, compute_g, dchi_dt_terms
 
 _EPS = float(np.finfo(float).eps)
@@ -167,9 +168,9 @@ def test_g_equals_quad_of_the_quotient_integrand(which, request):
 
 
 def test_tau_reads_give_back_tau(traj_deep, maps_deep):
-    # g at the time found for each rung, geometric midpoint and div B stencil tau
-    # (the first rung's outer stencil tau lies before t0) is -tau to the rounding of
-    # that time: one ulp of t moves ln g by t |d ln g/dt| ulp
+    # g at the time found for each rung, geometric midpoint and tau 1e-5 |tau| to
+    # either side of a rung (the first rung's outer one lies before t0) is -tau to
+    # the rounding of that time: one ulp of t moves ln g by t |d ln g/dt| ulp
     m, p = maps_deep, maps_deep.params
     rungs = -(2.0 ** -np.arange(9))
     taus = np.concatenate([rungs, -np.sqrt(rungs[:-1] * rungs[1:]),
@@ -185,6 +186,26 @@ def test_tau_reads_give_back_tau(traj_deep, maps_deep):
     assert np.array_equal(f_read, np.expm1(2.0 * m._s_at_tau(taus)))
     assert np.all(np.abs(f_read / f - 1.0) <= 8.0 * _EPS * (1.0 + t * f0 / f))
     assert np.allclose(G_read, m.g_G_at(t)[1], rtol=1e-12, atol=1e-12 * np.abs(m.G_frak).max())
+
+
+def test_complex_tau_reads_give_the_tau_derivatives(maps_deep):
+    # Im f_G_at_tau(tau + ih)/h is d(f, G)/dtau: central differences at dtau =
+    # 1e-6 |tau| match it to 1e-5 relative (their truncation and rounding leave at
+    # most 9e-7 on G, whose chi - 4B cancels) at 2,000 drawn tau and every record
+    # point inside the maps; the real part is the real read to rounding
+    m = maps_deep
+    tau = np.concatenate([np.random.default_rng(8).uniform(m.tau[0], m.tau[-1], 2000),
+                          m.tau[1:-1]])
+    dtau = 1e-6 * np.abs(tau)
+    tau, dtau = (v[(tau - dtau > m.tau[0]) & (tau + dtau < m.tau[-1])] for v in (tau, dtau))
+    f_c, G_c = m.f_G_at_tau(tau + 1j * COMPLEX_STEP)
+    (f_p, G_p), (f_m, G_m) = m.f_G_at_tau(tau + dtau), m.f_G_at_tau(tau - dtau)
+    for stepped, central in ((f_c, (f_p - f_m) / (2.0 * dtau)),
+                             (G_c, (G_p - G_m) / (2.0 * dtau))):
+        assert np.all(np.abs(stepped.imag / COMPLEX_STEP - central) <= 1e-5 * np.abs(central))
+    f, G = m.f_G_at_tau(tau)
+    assert np.allclose(f_c.real, f, rtol=1e-14, atol=0.0)
+    assert np.allclose(G_c.real, G, rtol=1e-12, atol=1e-12 * np.abs(m.G_frak).max())
 
 
 def test_record_grid_is_solver_and_quadrature_nodes(traj, maps):
