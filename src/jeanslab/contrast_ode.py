@@ -24,9 +24,10 @@ It is integrated by the package's one Runge-Kutta class, the Dormand-Prince
 its order-7 dense output, equal bit for bit to scipy's DOP853 run through
 ``solve_ivp`` on the same system; ``pde`` marches its fields with the same
 class.  Its sums over the stages and its error norms are the BLAS calls scipy
-makes, since BLAS sets the last bit of a sum; the rest of the contrast's step,
-on a state of two numbers, runs on Python floats, which round each + - * / as
-numpy does.  A ``ContrastMarch`` integrates a model once, and every trajectory
+makes, since BLAS sets the last bit of a sum, and the rest of its step is
+scipy's elementwise work on float64 arrays; only the contrast's slopes read
+their state of two numbers as Python floats, which round each + - * / as numpy
+does.  A ``ContrastMarch`` integrates a model once, and every trajectory
 a run reads is cut from it: a contrast cap is the clock value s = (1/2)
 ln(1 + f_cap), and a contrast time is a dense-output read of t(s).  A read at a
 time t inverts the monotone t(s) of the step that holds t (``_read_at_time``), and
@@ -338,7 +339,7 @@ def zero_trajectory(params: ModelParams) -> OdeTrajectory:
 
 def _rhs_s(s, y, a, b, c):
     """(dt/ds, dp/ds) of the contrast ODE on the clock s = ln(1+f)/2, for the state
-    y = (t, p), p = f'/(1+f)^(3/2), with w = e^(-s).
+    y = (t, p), p = f'/(1+f)^(3/2), with w = e^(-s); the march passes y as a list.
 
     The slopes are taken on Python floats, and again on numpy scalars where they are
     not finite, so that numpy's error state meets an overflow.
@@ -471,81 +472,6 @@ _D8_D = np.array([
      -149.72683625798564]])
 
 
-class _ArrayOps:
-    """The elementwise work of a ``_Dop853`` step on flat numpy arrays, as scipy
-    writes it."""
-
-    @staticmethod
-    def vector(y: np.ndarray) -> np.ndarray:
-        """The flat array y as a state of these ops."""
-        return y
-
-    @staticmethod
-    def ahead(y, dy: np.ndarray, h: float):
-        """y + dy h for a stage sum dy: the input of a stage, or the new state."""
-        return y + dy * h
-
-    @staticmethod
-    def scaled(y, y_new, err5: np.ndarray, err3: np.ndarray, atol: float, rtol: float):
-        """The two error estimates, each divided by scipy's error scale of a step
-        from y to y_new."""
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        return err5 / scale, err3 / scale
-
-    @staticmethod
-    def dense_rows(F: np.ndarray, y_old, y, f_old: np.ndarray, f: np.ndarray, h: float):
-        """Write F0, F1, F2 of the dense output of the step of h from y_old to y,
-        whose ends have the derivatives f_old and f, into the rows F[:3]."""
-        delta_y = y - y_old
-        F[0], F[1], F[2] = delta_y, h * f_old - delta_y, 2 * delta_y - h * (f + f_old)
-
-
-class _FloatOps:
-    """``_ArrayOps`` on Python floats, for states of few components: the states are
-    lists, and each numpy row is read by ``tolist``.  IEEE + - * / round alike on
-    floats and arrays, so the values are the same.  But a float overflows to inf
-    silently, and max drops a NaN that np.maximum keeps: where an input or a result
-    is not finite, ``_ArrayOps`` redoes the work, so that numpy's error state meets
-    it (the contrast march raises on an overflow)."""
-
-    @staticmethod
-    def vector(y: np.ndarray) -> list:
-        return y.tolist()
-
-    @staticmethod
-    def ahead(y: list, dy: np.ndarray, h: float) -> list:
-        out = [u + v * h for u, v in zip(y, dy.tolist())]
-        if math.isfinite(sum(out)):
-            return out
-        return _ArrayOps.ahead(np.array(y), dy, h).tolist()
-
-    @staticmethod
-    def scaled(y: list, y_new: list, err5: np.ndarray, err3: np.ndarray, atol: float,
-               rtol: float):
-        scale = [atol + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)]
-        v5 = [e / s for e, s in zip(err5.tolist(), scale)]
-        v3 = [e / s for e, s in zip(err3.tolist(), scale)]
-        if math.isfinite(sum(y) + sum(y_new) + sum(scale) + sum(v5) + sum(v3)):
-            return np.array(v5), np.array(v3)
-        return _ArrayOps.scaled(np.array(y), np.array(y_new), err5, err3, atol, rtol)
-
-    @staticmethod
-    def dense_rows(F: np.ndarray, y_old: list, y: list, f_old: np.ndarray, f: np.ndarray,
-                   h: float):
-        columns = [(d := v - u, h * k0 - d, 2 * d - h * (k1 + k0))
-                   for u, v, k0, k1 in zip(y_old, y, f_old.tolist(), f.tolist())]
-        if math.isfinite(sum(map(sum, columns))):
-            F[:3].T[:] = columns
-        else:
-            _ArrayOps.dense_rows(F, np.array(y_old), np.array(y), f_old, f, h)
-
-
-# A state of up to this many components takes _FloatOps, a larger one _ArrayOps: on
-# y' = y, with a rhs that costs nothing either way, steps of 3 components take 2 %
-# less time on floats and steps of 4 take 4 % more (median of 40 interleaved pairs)
-_FLOAT_MAX_SIZE = 3
-
-
 def _error_norm(h: float, err5_norm_2: float, err3_norm_2: float, size: int) -> float:
     """scipy's error of a trial step of h, from the squared norms of its 5th- and
     3rd-order error estimates over a state of this size: on Python floats, or on
@@ -570,13 +496,11 @@ class _Dop853:
     the stages (the stage inputs, the new state, the two error estimates, the
     dense output's _D8_D product) and each error norm is the BLAS ``dot`` that
     scipy calls on the same layout, because BLAS decides the order, and so the
-    last bit, of a sum.  The elementwise work between them runs on numpy
-    arrays (``_ArrayOps``) or, for a state of at most _FLOAT_MAX_SIZE
-    components, on Python floats (``_FloatOps``), with equal values; the step
-    scalars (t, h, the error norm) are Python floats.  ``fun`` takes the state
-    as a flat array, or as a list of floats on floats, and returns a sequence
-    of its size.  The stepper counts its own work: ``n_rhs`` calls of fun and
-    ``n_trials`` trial steps, accepted or rejected.
+    last bit, of a sum.  The elementwise work between them runs on the float64
+    arrays of the state, as scipy writes it, and the step scalars (t, h, the
+    error norm) are Python floats.  ``fun`` takes the state as a flat float64
+    array and returns a sequence of its size.  The stepper counts its own work:
+    ``n_rhs`` calls of fun and ``n_trials`` trial steps, accepted or rejected.
     """
 
     def __init__(self, fun, t: float, y: np.ndarray, t_bound: float, rtol: float,
@@ -589,34 +513,30 @@ class _Dop853:
         stages = [(s, K[:s].T, _D8_A[s, :s], float(_D8_C[s])) for s in range(1, 16)]
         self._trial_stages, self._dense_stages = stages[:_D8_STAGES - 1], stages[_D8_STAGES:]
         self._new_state_rows, self._error_rows = K[:_D8_STAGES].T, K[:_D8_STAGES + 1].T
-        self._ops = _FloatOps if y.size <= _FLOAT_MAX_SIZE else _ArrayOps
 
-    def _call(self, t: float, y):
+    def _call(self, t: float, y: np.ndarray):
         """fun(t, y), counted in n_rhs."""
         self.n_rhs += 1
         return self.fun(t, y)
 
-    def _fill(self, stages, t: float, y, h: float) -> None:
+    def _fill(self, stages, t: float, y: np.ndarray, h: float) -> None:
         """The derivatives K[s] at the given stages of a step of h from y at t."""
-        K, ahead = self.K, self._ops.ahead
+        K = self.K
         for s, k, a, c in stages:
-            K[s] = self._call(t + c * h, ahead(y, k.dot(a), h))
+            K[s] = self._call(t + c * h, y + k.dot(a) * h)
 
     def start(self) -> None:
         """Evaluate fun at the start and pick the first step (Hairer, Norsett and
         Wanner I, II.4), as scipy's ``select_initial_step`` does."""
-        def call(t, y):
-            return self._call(t, self._ops.vector(y))
-
         f0 = self.K[_D8_STAGES]  # the row the next step starts from
-        f0[:] = call(self.t, self.y)
-        self.h_abs = _initial_step(call, self.t, self.y, f0, self.t_bound, self.rtol, self.atol)
+        f0[:] = self._call(self.t, self.y)
+        self.h_abs = _initial_step(self._call, self.t, self.y, f0, self.t_bound, self.rtol,
+                                   self.atol)
 
     def step(self) -> bool:
         """Take one accepted step; False when the step size underflows first, with
         the step size that failed left in h_abs."""
-        t, K, ops = self.t, self.K, self._ops
-        y = ops.vector(self.y)
+        t, y, K = self.t, self.y, self.K
         K[0] = K[_D8_STAGES]
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
@@ -629,31 +549,32 @@ class _Dop853:
             h = t_new - t
             h_abs = abs(h)
             self._fill(self._trial_stages, t, y, h)
-            y_new = ops.ahead(y, self._new_state_rows.dot(_D8_B), h)
+            y_new = y + self._new_state_rows.dot(_D8_B) * h
             K[_D8_STAGES] = self._call(t + h, y_new)
             self.n_trials += 1
             E = self._error_rows
-            err5, err3 = ops.scaled(y, y_new, E.dot(_D8_E5), E.dot(_D8_E3), self.atol, self.rtol)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            err5, err3 = E.dot(_D8_E5) / scale, E.dot(_D8_E3) / scale
             error = _error_norm(h, math.sqrt(err5.dot(err5)) ** 2,
-                                math.sqrt(err3.dot(err3)) ** 2, len(y))
+                                math.sqrt(err3.dot(err3)) ** 2, y.size)
             factor = _step_factor(error, rejected)
             if error < 1:
                 self.h_abs = h_abs * factor
                 break
             h_abs *= factor  # a NaN error fails the test and shrinks the step by _MIN_FACTOR
             rejected = True
-        self.t_old, self.y_old, self.h = t, self.y, h
-        self.t, self.y = t_new, np.asarray(y_new, dtype=float)
+        self.t_old, self.y_old, self.h = t, y, h
+        self.t, self.y = t_new, y_new
         return True
 
     def dense_coefficients(self) -> np.ndarray:
         """The (7, size) coefficients F of the last step's order-7 continuous
         extension, which ``_dense_at`` reads; they cost 3 more stages."""
-        K, h, ops = self.K, self.h, self._ops
-        y_old = ops.vector(self.y_old)
+        K, h, y_old = self.K, self.h, self.y_old
         self._fill(self._dense_stages, self.t_old, y_old, h)
-        F = np.empty((7, len(y_old)))
-        ops.dense_rows(F, y_old, ops.vector(self.y), K[0], K[_D8_STAGES], h)
+        F = np.empty((7, y_old.size))
+        delta_y = self.y - y_old
+        F[0], F[1], F[2] = delta_y, h * K[0] - delta_y, 2 * delta_y - h * (K[_D8_STAGES] + K[0])
         F[3:] = h * _D8_D.dot(K)
         return F
 
@@ -681,10 +602,14 @@ class ContrastMarch:
         if not self._ceiling > t:
             raise UsageError(f"t_ceiling must exceed t0, got {self._ceiling!r} <= {t!r}")
         a, b, c = params.ode_a, params.ode_b, params.ode_c
-        s, y = 0.5 * math.log1p(params.beta), [t, params.beta0 / (1.0 + params.beta) ** 1.5]
+        try:
+            s, y = 0.5 * math.log1p(params.beta), [t, params.beta0 / (1.0 + params.beta) ** 1.5]
+        except OverflowError as exc:
+            raise NumericalFailure(
+                f"(1 + beta)^(3/2) overflows at beta = {params.beta!r}") from exc
         self.params, self._failed = params, False
-        self._stepper = _Dop853(lambda sq, yq: _rhs_s(sq, yq, a, b, c), s, np.array(y),
-                                math.inf, controls.rel_tol, controls.abs_tol)
+        self._stepper = _Dop853(lambda sq, yq: _rhs_s(sq, yq.tolist(), a, b, c), s,
+                                np.array(y), math.inf, controls.rel_tol, controls.abs_tol)
         self._ss, self._ys = [s], [y]  # (s, [t, p]) at s0 and at each accepted step's end
         self._steps = []  # (h, F) of each accepted step k, which starts at _ss[k] from _ys[k]
         self._cut = None  # (s, [t_ceiling, p]) in the last step, once t crossed the ceiling

@@ -315,15 +315,24 @@ def gamma_constants(params: ModelParams, G_range: tuple[float, float]) -> GammaC
 
     ``G_range`` is the (min, max) of the chi deviation along the run used to
     bound the singular-block diagonal; its lower end must stay above the
-    positivity floor -4B.
+    positivity floor -4B.  gamma1, which every other constant divides or scales,
+    must be positive: NumericalFailure where a huge lam leaves q_lower_bound no
+    positive float.
     """
     lam, i3, beta, A, B = params.lam, params.iota3, params.beta, params.A, params.B
     g_min, g_max = float(G_range[0]), float(G_range[1])
     if g_min <= -4.0 * B:
         raise NumericalFailure(f"G range minimum {g_min:.4g} <= -4B = {-4.0 * B:.4g}: "
                                "chi positivity violated")
-    cands = (8.0 * lam / (5.0 * (3.0 + 800.0 * lam)), 1.0 / 1500.0, q_lower_bound(lam, i3))
+    try:
+        q_bound = q_lower_bound(lam, i3)
+    except OverflowError:  # its square, for lam above about 1.3e153
+        q_bound = 0.0
+    cands = (8.0 * lam / (5.0 * (3.0 + 800.0 * lam)), 1.0 / 1500.0, q_bound)
     gamma1 = 0.5 * min(cands)
+    if not gamma1 > 0.0:  # q_bound is 1/inf for lam above about 1.7e101
+        raise NumericalFailure(f"gamma1 is not positive at lam = {lam!r}: q_lower_bound "
+                               "leaves the range of floats")
     gamma2 = max(8.0 * lam + 1.0 + gamma1, 4.0 * lam + 6.0 + gamma1)
     q_w = wave_block_weight(params)
     g1_hat = min(7.0 / 150.0,

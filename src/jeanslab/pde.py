@@ -429,7 +429,8 @@ def evolve(state: FieldState, traj: OdeTrajectory, pde_rtol: float = PDE_RTOL) -
     A completed run stops with "f_cap" if the trajectory ends at its cap and
     "t_end" otherwise.  The run stops early when rhs raises on any stage
     (hyperbolicity loss or vacuum) or when the solver's step size underflows;
-    an early stop also stores the last accepted state.
+    an early stop also stores the last accepted state.  An overflow in the march
+    raises NumericalFailure.
     """
     t_stop = traj.t_end
     if t_stop <= state.t:
@@ -448,30 +449,33 @@ def evolve(state: FieldState, traj: OdeTrajectory, pde_rtol: float = PDE_RTOL) -
                     y0.reshape(-1), t_stop, pde_rtol, _ATOL_PER_RTOL * pde_rtol)
     k = 0  # next output time
     try:
-        march.start()
-        while march.t < t_stop:
-            if not march.step():
-                stop_reason = "dt_underflow"
-                break
-            n_steps += 1
-            dt_min, dt_max = min(dt_min, march.h), max(dt_max, march.h)
-            m = int(np.searchsorted(out_t, march.t, side="right"))  # out_t[k:m] in this step
-            try:
-                if m > k:
-                    row_y.extend(march.dense(out_t[k:m]).reshape(m - k, 3, n))
-                    row_t.extend(out_t[k:m].tolist())
-                    stored.extend([True] * (m - k))
-                    n_dense += 1
-                    k = m
-            finally:  # the step end, also when its dense output raised
-                if row_t[-1] < march.t:
-                    row_t.append(march.t)
-                    row_y.append(march.y.reshape(3, n))
-                    stored.append(False)
+        with np.errstate(over="raise"):  # an overflow raises, before any warning
+            march.start()
+            while march.t < t_stop:
+                if not march.step():
+                    stop_reason = "dt_underflow"
+                    break
+                n_steps += 1
+                dt_min, dt_max = min(dt_min, march.h), max(dt_max, march.h)
+                m = int(np.searchsorted(out_t, march.t, side="right"))  # out_t[k:m] in this step
+                try:
+                    if m > k:
+                        row_y.extend(march.dense(out_t[k:m]).reshape(m - k, 3, n))
+                        row_t.extend(out_t[k:m].tolist())
+                        stored.extend([True] * (m - k))
+                        n_dense += 1
+                        k = m
+                finally:  # the step end, also when its dense output raised
+                    if row_t[-1] < march.t:
+                        row_t.append(march.t)
+                        row_y.append(march.y.reshape(3, n))
+                        stored.append(False)
     except HyperbolicityLossError:
         stop_reason = "hyperbolicity_loss"
     except VacuumError:
         stop_reason = "vacuum"
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"the PDE march overflowed near t={march.t!r}") from exc
     stored[-1] = march.t > state.t  # an early stop stores the last accepted state
 
     t, y = np.array(row_t), np.stack(row_y)

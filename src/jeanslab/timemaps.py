@@ -87,7 +87,7 @@ class TimeMaps:
     ``s_grid`` and ``t_grid`` hold the record grid's clock values and times.
     ``g_G_at`` reads (g, G) at times t from ln g's step polynomial at the clock
     value of t, and ``f_G_at_tau`` (f, G) at compactified times tau, at the clock
-    value ``t_at_tau`` finds on it; f, f' come from the dense output and G from
+    value ``_s_at_tau`` finds on it; f, f' come from the dense output and G from
     chi's closed form.  A time outside [t0, t_end] reads the first or the last
     step's polynomial.  The readers take complex arguments, on the step of the real
     part, and are analytic there: Im f_G_at_tau(tau + ih)/h is d(f, G)/dtau."""
@@ -154,10 +154,6 @@ class TimeMaps:
                                    f"Newton's residual on ln g is {residual.max():.3g}")
         s_grid = self._traj.s_grid
         return s_grid[k] + x * (s_grid[k + 1] - s_grid[k])
-
-    def t_at_tau(self, tau: np.ndarray) -> np.ndarray:
-        """The times at a 1-d array of tau: t(s) at the clock value of each."""
-        return self._traj.t_p_at_s(self._s_at_tau(tau))[0]
 
     @_reader
     def f_G_at_tau(self, tau):

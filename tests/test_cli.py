@@ -581,7 +581,19 @@ def test_contrast_overflow_exits_3_with_one_line(tmp_path, capsys, gamma, messag
     # overflows, which warned "overflow encountered in vecdot" before the failure
     (["fuchsian-check", "--gamma", "1e-3", "--beta", "1e-300"],
      "the Jacobian of the corrections has no finite norm"),
-], ids=["ladder", "report-ladder", "chi-overflow", "chi-interpolant", "dchi", "jacobian-norm"])
+    # the initial rate p = beta0/(1+beta)^(3/2): a float's ** overflows above beta = 3e205
+    (["residuals", "--beta", "1e206"], "(1 + beta)^(3/2) overflows"),
+    (["simulate", "--beta", "1e300", "--grid-n", "16"], "(1 + beta)^(3/2) overflows"),
+    (["fuchsian-check", "--beta", "1e300"], "(1 + beta)^(3/2) overflows"),
+    # q_lower_bound's product overflows to inf, so gamma1 = 0; at 1e300 its square
+    # overflows
+    (["fuchsian-check", "--lam", "1e120"], "gamma1 is not positive"),
+    (["fuchsian-check", "--lam", "1e300"], "gamma1 is not positive"),
+    # the norm of the PDE's first derivative overflows in the first step size
+    (["simulate", "--lam", "1e200", "--grid-n", "16"], "the PDE march overflowed"),
+], ids=["ladder", "report-ladder", "chi-overflow", "chi-interpolant", "dchi", "jacobian-norm",
+        "residuals-beta", "simulate-beta", "fuchsian-beta", "gamma1-zero", "q-bound-square",
+        "pde-overflow"])
 def test_time_maps_out_of_range_exit_3_with_one_line(tmp_path, capsys, argv, message):
     # a classified failure, with no numpy warning first (the suite turns warnings
     # into errors), not a crash or a failed verdict

@@ -302,14 +302,12 @@ def test_a_march_equals_scipy_at_any_tolerances(beta, gamma, log_rtol, log_atol)
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 48])
 def test_the_stepper_works_on_floats_up_to_its_crossover(size):
-    # up to contrast_ode._FLOAT_MAX_SIZE components fun sees each stage's state as a
-    # list of floats, above it as an array; the contrast's 2-vector is on the float
-    # side and the PDE's fields (3 n values, n >= 16) on the array side
-    assert 2 <= contrast_ode._FLOAT_MAX_SIZE < 3 * 16
+    # at every size fun sees each stage's state as a float64 array, from the
+    # contrast's 2-vector to the PDE's fields (3 n values, n >= 16)
     seen = []
 
     def fun(t, y):
-        seen.append(type(y))
+        seen.append((type(y), y.dtype.type))
         return y
 
     stepper = _Dop853(fun, 0.0, np.linspace(1.0, 2.0, size), 1.0, 1e-8, 1e-12)
@@ -317,61 +315,23 @@ def test_the_stepper_works_on_floats_up_to_its_crossover(size):
     stepper.step()
     stepper.dense_coefficients()
     assert len(seen) == stepper.n_rhs == 2 + 12 * stepper.n_trials + 3
-    assert set(seen) == {list if size <= contrast_ode._FLOAT_MAX_SIZE else np.ndarray}
+    assert set(seen) == {(np.ndarray, np.float64)}
 
 
-@pytest.mark.parametrize("rel_tol", [1e-12, 1e-9])  # 1e-9 rejects about half its trials
-def test_floats_and_arrays_march_alike(params, monkeypatch, rel_tol):
-    # the contrast's march on arrays equals its march on floats in every bit and call
-    floats = ContrastMarch(params, ToleranceSpec(rel_tol=rel_tol))
-    on_floats = floats.trajectory(1e8)
-    monkeypatch.setattr(contrast_ode, "_FLOAT_MAX_SIZE", 0)
-    arrays = ContrastMarch(params, ToleranceSpec(rel_tol=rel_tol))
-    assert arrays._stepper._ops is contrast_ode._ArrayOps
-    _assert_same_trajectory(arrays.trajectory(1e8), on_floats)
-    assert (arrays._stepper.n_rhs, arrays._stepper.n_trials) == (
-        floats._stepper.n_rhs, floats._stepper.n_trials)
+def test_the_contrast_slopes_read_python_floats(params, monkeypatch):
+    # the march hands _rhs_s its 2-vector as Python floats, read by tolist
+    seen, rhs = set(), contrast_ode._rhs_s
+
+    def spy(s, y, a, b, c):
+        seen.add((type(s), type(y), *map(type, y)))
+        return rhs(s, y, a, b, c)
+
+    monkeypatch.setattr(contrast_ode, "_rhs_s", spy)
+    ContrastMarch(params).trajectory(1e3)
+    assert seen == {(float, list, float, float)}
 
 
 _BIG = 1e308
-
-
-@pytest.mark.parametrize("name,args,overflows", [
-    ("ahead", ([_BIG, 1.0], np.array([_BIG, 1.0]), 2.0), True),  # y + dy h
-    ("ahead", ([1.0, np.inf], np.array([1.0, 2.0]), 0.5), False),
-    ("scaled", ([1.0, _BIG], [1.0, _BIG], np.ones(2), np.ones(2), 1e-12, 10.0), True),  # scale
-    ("scaled", ([1.0, 2.0], [1.0, 2.0], np.array([1.0, _BIG]), np.ones(2), 1e-12, 1e-12),
-     True),  # err / scale
-    ("scaled", ([1.0, 2.0], [1.0, np.nan], np.ones(2), np.ones(2), 1e-12, 1e-6), False),
-    ("scaled", ([np.nan, 2.0], [1.0, 2.0], np.ones(2), np.ones(2), 1e-12, 1e-6), False),
-    ("dense_rows", ([-_BIG, 1.0], [_BIG, 2.0], np.ones(2), np.ones(2), 0.5), True),  # y - y_old
-    ("dense_rows", ([1.0, 1.0], [2.0, 2.0], np.array([_BIG, 1.0]), np.ones(2), 4.0),
-     True),  # h f_old
-], ids=["ahead-overflow", "ahead-inf", "scale-overflow", "divide-overflow", "nan-y_new",
-        "nan-y", "delta-overflow", "h-f_old-overflow"])
-def test_float_ops_meet_non_finite_values_as_numpy_does(name, args, overflows):
-    # floats overflow silently and max drops a NaN: _FloatOps hands such values to
-    # numpy, which raises under the march's error state and else gives the same values
-    floats, arrays = getattr(contrast_ode._FloatOps, name), getattr(contrast_ode._ArrayOps, name)
-    as_arrays = [np.array(a) if type(a) is list else a for a in args]
-    if name == "dense_rows":  # it writes the rows F[:3] of its first argument
-        floats, arrays = _written(floats), _written(arrays)
-    with np.errstate(all="ignore"):
-        want = np.array(arrays(*as_arrays))
-        got = np.array(floats(*args))
-    assert np.array_equal(got, want, equal_nan=True)
-    if overflows:
-        with np.errstate(over="raise", invalid="ignore"), pytest.raises(FloatingPointError):
-            floats(*args)
-
-
-def _written(dense_rows):
-    """dense_rows as a function that returns the rows it writes."""
-    def rows(*args):
-        F = np.full((3, 2), 7.0)
-        dense_rows(F, *args)
-        return F
-    return rows
 
 
 @pytest.mark.parametrize("h,e5,e3", [

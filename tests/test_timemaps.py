@@ -175,7 +175,7 @@ def test_tau_reads_give_back_tau(traj_deep, maps_deep):
     rungs = -(2.0 ** -np.arange(9))
     taus = np.concatenate([rungs, -np.sqrt(rungs[:-1] * rungs[1:]),
                            np.outer(rungs, 1.0 + 1e-5 * np.array([1.0, -1.0])).ravel()])
-    t = m.t_at_tau(taus)
+    t = traj_deep.t_p_at_s(m._s_at_tau(taus))[0]
     assert t[np.argmin(taus)] < p.t0 < t[np.argmax(taus)]
     f, f0 = traj_deep.f_f0_at(t)
     conditioning = 1.0 + t * p.A * f * (1.0 + f) / (t * t * f0)
