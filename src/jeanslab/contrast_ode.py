@@ -32,8 +32,8 @@ a run reads is cut from it: a contrast cap is the clock value s = (1/2)
 ln(1 + f_cap), and a contrast time is a dense-output read of t(s).  A read at a
 time t inverts the monotone t(s) of the step that holds t (``_read_at_time``), and
 everything downstream (time maps, PDE coefficients, bound certificates) reads
-the trajectory that way.  The envelope bracket is the module's one root search,
-by its own Brent's method, equal bit for bit to scipy's ``brentq``.
+the trajectory that way.  The envelope bracket's t_star needs no search either:
+the pinned exponents make it the cube of the largest real root of a quintic.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalFailure, UsageError
+from .errors import NumericalFailure, UsageError, in_float_range
 from .params import ModelParams
 
 _EPS = float(np.finfo(float).eps)
-_BRENT_MAXITER = 100  # scipy brentq's default
 
 
 @dataclass(frozen=True)
@@ -71,48 +70,6 @@ class ToleranceSpec:
                              f"and below 1, got {self.rel_tol!r}")
         if not 0.0 < self.abs_tol < math.inf:
             raise UsageError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of f between xa and xb, where f changes sign, by Brent's method (Brent 1973,
-    ch. 4), step for step as scipy's ``brentq`` takes it (its C routine, with inverse
-    quadratic extrapolation through the last three points and a bisection fallback)."""
-    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise NumericalFailure(f"no sign change of the root function on [{xpre!r}, {xcur!r}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry  # a short interpolation step
-        else:
-            spre = scur = sbis  # bisection
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise NumericalFailure(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
 
 
 def _dense_at(x, F, y_old):
@@ -641,29 +598,30 @@ class ContrastMarch:
             self._cut = (s, [self._ceiling, p])
         self._failed = False
 
-    def _reach(self, done) -> int:
-        """The first step k whose end (s, t) meets done(s, t), or that crosses the
-        ceiling, stepping on only if the steps taken fall short."""
-        k = 0
-        while True:
-            k += 1
-            if k == len(self._ss):
-                self._step()
-            if done(self._ss[k], self._ys[k][0]) or k == len(self._steps) and self._cut:
-                return k
-
-    def _end(self, k: int, s_cap: float):
-        """(s, [t, p], reached_cap) where a trajectory to s_cap that stops in step k
-        ends: s_cap on the step's dense output, where t crosses the ceiling, or the
-        step's end."""
-        cut = self._cut if k == len(self._steps) else None
-        if self._ss[k] >= s_cap and (cut is None or s_cap <= cut[0]):
-            h, F = self._steps[k - 1]
-            x = (s_cap - self._ss[k - 1]) / h
-            return s_cap, _dense_at(x, F, np.array(self._ys[k - 1])).tolist(), True
-        return (*(cut or (self._ss[k], self._ys[k])), False)
-
     @np.errstate(over="raise")  # numpy's overflows raise FloatingPointError, as a float's ** does
+    def _reach(self, s_cap: float, t_reach: float = math.inf):
+        """(k, s, [t, p], reached_cap) of the first step k whose end reaches s_cap or
+        t_reach, or that crosses the ceiling, stepping on only if the steps taken fall
+        short: the march ends in it at s_cap on the step's dense output, where t crosses
+        the ceiling, or at the step's end.  NumericalFailure on an overflow."""
+        try:
+            k = 0
+            while True:
+                k += 1
+                if k == len(self._ss):
+                    self._step()
+                if (self._ss[k] >= s_cap or self._ys[k][0] >= t_reach
+                        or k == len(self._steps) and self._cut):
+                    break
+            cut = self._cut if k == len(self._steps) else None
+            if self._ss[k] >= s_cap and (cut is None or s_cap <= cut[0]):
+                h, F = self._steps[k - 1]
+                x = (s_cap - self._ss[k - 1]) / h
+                return k, s_cap, _dense_at(x, F, np.array(self._ys[k - 1])).tolist(), True
+            return (k, *(cut or (self._ss[k], self._ys[k])), False)
+        except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
+            raise NumericalFailure(f"contrast ODE overflowed near t={self._ys[-1][0]!r}") from exc
+
     def trajectory(self, f_cap: float, t_reach: float = math.inf) -> OdeTrajectory:
         """The trajectory to the step that crosses f = f_cap (cut there, at
         s = ln(1 + f_cap)/2), meets the ceiling (cut there), or ends at or past t_reach
@@ -672,12 +630,7 @@ class ContrastMarch:
         if not self.params.beta < f_cap < math.inf:
             raise UsageError(f"f_cap must exceed beta = {self.params.beta!r} and be finite, "
                              f"got {f_cap!r}")
-        s_cap = 0.5 * math.log1p(f_cap)
-        try:
-            k = self._reach(lambda s, t: s >= s_cap or t >= t_reach)
-            s, y, reached_cap = self._end(k, s_cap)
-        except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
-            raise NumericalFailure(f"contrast ODE overflowed near t={self._ys[-1][0]!r}") from exc
+        k, s, y, reached_cap = self._reach(0.5 * math.log1p(f_cap), t_reach)
         h, F = zip(*self._steps[:k])
         s_grid = np.array(self._ss[:k] + [s])
         y_grid = np.array(self._ys[:k] + [y]).T
@@ -691,17 +644,11 @@ class ContrastMarch:
             h=np.array(h), F=np.stack(F, axis=-1), y_old=y_grid[:, :-1],
         )
 
-    @np.errstate(over="raise")
     def blowup_time(self) -> tuple[float, float]:
         """(t_m, p t_m / 2): t and p t/2 where the march reaches f = BLOWUP_CONTRAST, at
         s = 345.4, where t_m - t = O(e^(-s)) is far below rounding and p t_m / 2 tends
         to 1.  NumericalFailure if p leaves (0, inf) or t meets the ceiling first."""
-        s_m = 0.5 * math.log1p(BLOWUP_CONTRAST)
-        try:
-            k = self._reach(lambda s, t: s >= s_m)
-            s, (t_m, p_m), reached = self._end(k, s_m)
-        except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
-            raise NumericalFailure(f"contrast ODE overflowed near t={self._ys[-1][0]!r}") from exc
+        k, s, (t_m, p_m), reached = self._reach(0.5 * math.log1p(BLOWUP_CONTRAST))
         if not reached:
             raise NumericalFailure(f"no blowup detected in window: t reaches the ceiling "
                                    f"{self._ceiling!r} at f = {math.expm1(2.0 * s):.6g}")
@@ -772,30 +719,31 @@ def envelope_constants(params: ModelParams) -> EnvelopeConstants:
     return out
 
 
-_BRACKET_SEARCH_CEILING = 1e12  # blowup_bracket scans t up to here for a sign change
 LADDER_RUNGS = 5  # blowup_ladder's crossing contrasts are f_cap / 2^k, k < LADDER_RUNGS
 
 
+@in_float_range
 def blowup_bracket(params: ModelParams) -> tuple[float, float | None]:
     """Bracket [t_star, t_star_upper) for the blowup time.
 
-    t_star is the first root past t0 of the algebraic bracket function,
-    located by a geometric scan, then by Brent's method (``_brentq``, xtol 1e-13,
-    rtol 1e-11) on the step of the scan where it changes sign.  The upper end
-    exists only for supercritical data beta0 > a_bar (1+beta)/(c_bar t0)
+    t_star is the one root past t0 of the algebraic bracket function.  The model
+    pins the ODE's ``ode_a`` and ``ode_b``, so p_minus = -1, p_plus = 2/3 and
+    h(t) = t bracket_fn(t) = cA + t + cB t^(5/3).  h(t0) = t0/(1+beta) > 0, and
+    ``envelope_constants`` enforces cB < 0, which makes h strictly concave, so h has
+    exactly one root past t0 and no larger one: the cube of the largest real root of
+    the quintic cB u^5 + u^3 + cA (u = t^(1/3)), an eigenvalue of its companion
+    matrix (``np.roots``).  One Newton step on bracket_fn itself takes off the
+    eigenvalue's few ulps and the rounding of p_plus, so t_star is the root of the
+    denominator the upper envelope reads.  NumericalFailure where the root lies past
+    the largest float.
+    The upper end exists only for supercritical data beta0 > a_bar (1+beta)/(c_bar t0)
     (gamma > 1/3 at t0 = 1) and is closed form.
     """
     ec = envelope_constants(params)
-    t = params.t0
-    fac = 1.0 + 2.0 ** -6
-    t_hi = t * fac
-    while ec.bracket_fn(t_hi) > 0.0:
-        t, t_hi = t_hi, t_hi * fac
-        fac = min(fac * fac, 2.0)
-        if t_hi > _BRACKET_SEARCH_CEILING:
-            raise NumericalFailure(f"no bracket: no sign change of the envelope "
-                                   f"denominator below t={_BRACKET_SEARCH_CEILING:.3g}")
-    t_star = _brentq(ec.bracket_fn, t, t_hi, xtol=1e-13, rtol=1e-11)
+    u = np.roots([ec.cB, 0.0, 1.0, 0.0, 0.0, ec.cA])
+    t = u.real[u.imag == 0.0].max() ** 3
+    slope = (ec.p_minus * ec.cA * t**ec.p_minus + ec.p_plus * ec.cB * t**ec.p_plus) / t
+    t_star = float(t - ec.bracket_fn(t) / slope)
     t_star_upper = None
     if ec.supercritical and params.t0**ec.a_bar > 1.0 / ec.cE:
         t_star_upper = (params.t0**ec.a_bar - 1.0 / ec.cE) ** (1.0 / ec.a_bar)
@@ -821,6 +769,7 @@ class BoundReport:
         return bool(self.lower_ok.all() and self.upper_ok.all() and self.improved_ok.all())
 
 
+@in_float_range
 def bound_certificates(traj: OdeTrajectory) -> BoundReport:
     """Check the lower/upper/improved envelopes at every accepted grid point.
 

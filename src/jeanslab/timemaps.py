@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contrast_ode import OdeTrajectory, _f_f0, _holding_step, _inexact
-from .errors import NumericalFailure
+from .errors import NumericalFailure, in_float_range
 from .params import ModelParams
 
 _GL_NODES = 6  # Gauss-Legendre nodes per solver step
@@ -163,21 +163,6 @@ class TimeMaps:
         return self._f_G(s, p, t, -tau)
 
 
-def _in_float_range(fn):
-    """fn with numpy's overflows, divisions by zero and invalid operations raised as
-    NumericalFailure where they happen, before any warning: data whose time maps or
-    diagnostics leave the range of floats (g underflowing to 0, chi near 1/f for a
-    tiny initial contrast) give no verdict on them."""
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                return fn(*args, **kwargs)
-        except FloatingPointError as exc:
-            raise NumericalFailure(f"{fn.__name__} left the range of floats: {exc}") from exc
-    return checked
-
-
 def _step_integrals(v: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """The integral from s0 of an integrand with values v (step, node) at the quadrature
     nodes of steps ds long: coefficients (power, step) of one polynomial in x per step,
@@ -187,7 +172,7 @@ def _step_integrals(v: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return np.vstack([starts, (ds[:, None] * (v @ to_integral.T)).T])
 
 
-@_in_float_range
+@in_float_range
 def compute_g(traj: OdeTrajectory) -> TimeMaps:
     """Evaluate both representations of g and the diagnostics chi, xi, G, eta_2.
 
@@ -259,7 +244,7 @@ class GDecayReport:
 _G_DECAY_DECADES = 1.0  # check_G_decay fits over this many terminal decades of -tau
 
 
-@_in_float_range
+@in_float_range
 def check_G_decay(maps: TimeMaps) -> GDecayReport:
     """Fit the terminal decay |G| ~ (-tau)^p and verify the chi evolution law.
 

@@ -591,9 +591,19 @@ def test_contrast_overflow_exits_3_with_one_line(tmp_path, capsys, gamma, messag
     (["fuchsian-check", "--lam", "1e300"], "gamma1 is not positive"),
     # the norm of the PDE's first derivative overflows in the first step size
     (["simulate", "--lam", "1e200", "--grid-n", "16"], "the PDE march overflowed"),
+    # the envelopes leave the floats: the improved one's base is 0 (0^-3) at 1e100, and
+    # the lower one's exp(cC t^p_plus + cD/t) overflows first at 1e200
+    (["blowup", "--gamma", "1e100"], "bound_certificates left the range of floats"),
+    (["blowup", "--gamma", "1e200"], "bound_certificates left the range of floats"),
+    # t_star lies at 8.5e12, and the march meets its time ceiling 1e6 before the cap
+    (["ode", "--beta", "1e-9", "--gamma", "1e-9"],
+     "no blowup detected in window: trajectory never reached f_cap"),
+    (["blowup", "--beta", "1e-9", "--gamma", "1e-9"],
+     "no blowup detected in window: trajectory never reached f_cap"),
 ], ids=["ladder", "report-ladder", "chi-overflow", "chi-interpolant", "dchi", "jacobian-norm",
         "residuals-beta", "simulate-beta", "fuchsian-beta", "gamma1-zero", "q-bound-square",
-        "pde-overflow"])
+        "pde-overflow", "blowup-gamma-1e100", "blowup-gamma-1e200", "ode-ceiling",
+        "blowup-ceiling"])
 def test_time_maps_out_of_range_exit_3_with_one_line(tmp_path, capsys, argv, message):
     # a classified failure, with no numpy warning first (the suite turns warnings
     # into errors), not a crash or a failed verdict

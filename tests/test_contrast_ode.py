@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
-from scipy.optimize import brentq
 
 from conftest import integrate_contrast, refined_grid_per_step, traj_to_cap
 from jeanslab import contrast_ode
@@ -197,70 +196,6 @@ def scipy_oracle(params):
     res = _scipy_dop853(params, 1e8, ToleranceSpec())
     _assert_equals_scipy(traj, res)
     return traj, res.sol
-
-
-def _brent_cases():
-    """(f, a, b) for bracketed functions of several shapes: polynomial with an
-    oscillation, exponential, steep tanh step, triple root, and one whose values are
-    so small that neither implementation converges in 100 iterations."""
-    rng = np.random.default_rng(11)
-    shapes = (lambda c: lambda x: c[0] + c[1] * x + c[2] * x**3 + c[3] * math.sin(3 * x),
-              lambda c: lambda x: math.exp(c[0] * x) - 1.5 - c[1],
-              lambda c: lambda x: math.tanh(5 * (x - c[0])) + 0.01 * c[1],
-              lambda c: lambda x: (x - c[0]) ** 3 * (1 + c[1] ** 2),
-              lambda c: lambda x: math.atan(x - c[0]) * 1e-8 + c[1] * 1e-30)
-    cases = []
-    while len(cases) < 600:
-        f = shapes[len(cases) % len(shapes)](rng.normal(size=4))
-        a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
-        if f(a) * f(b) < 0:
-            cases.append((f, a, b))
-    return cases
-
-
-def test_brent_equals_scipy_brentq():
-    # every root and every failure to converge, at brentq's defaults and at the
-    # tolerances the module asks for
-    failed = 0
-    for f, a, b in _brent_cases():
-        for xtol, rtol in ((2e-12, 4 * np.finfo(float).eps), (1e-14, 8.9e-16),
-                           (1e-13, 1e-11), (1e-3, 1e-6)):
-            try:
-                root = brentq(f, a, b, xtol=xtol, rtol=rtol)
-            except RuntimeError:
-                failed += 1
-                with pytest.raises(NumericalFailure, match="did not converge"):
-                    contrast_ode._brentq(f, a, b, xtol, rtol)
-                continue
-            own = contrast_ode._brentq(f, a, b, xtol, rtol)
-            assert own == root and type(own) is float, (a, b, xtol, rtol)
-    assert 0 < failed < 600
-    with pytest.raises(NumericalFailure, match="no sign change"):
-        contrast_ode._brentq(math.cos, 0.0, 1.0, 1e-12, 1e-15)
-    assert contrast_ode._brentq(math.sin, 0.0, 1.0, 1e-12, 1e-15) == 0.0
-
-
-def test_roots_of_the_module_equal_scipy_brentq(params, monkeypatch):
-    # the envelope bracket is the module's one root search, checked against brentq on
-    # the same function; a cap, the ladder's rungs and a contrast time are clock
-    # values of the march, read off its dense output with no search
-    own, roots = contrast_ode._brentq, []
-
-    def checked(f, a, b, xtol, rtol):
-        root = own(f, a, b, xtol, rtol)
-        assert root == brentq(f, a, b, xtol=xtol, rtol=rtol)
-        roots.append(root)
-        return root
-
-    monkeypatch.setattr(contrast_ode, "_brentq", checked)
-    for iota3, beta, gamma in _ORACLE_PARAMS:
-        p = params_from_iota3(iota3, beta=beta, gamma=gamma)
-        traj = integrate_contrast(p, f_cap=1e8)
-        blowup_ladder(traj)
-        blowup_bracket(p)
-        for f_target in np.geomspace(p.beta * 1.01, 1e8, 40):
-            traj.time_of_contrast(float(f_target))
-    assert len(roots) == len(_ORACLE_PARAMS)
 
 
 _ORACLE_PARAMS = [(0.2, 0.1, 0.5), (0.2, 0.1, 0.9), (0.05, 0.5, 0.3), (0.15, 0.02, 1.0)]
@@ -580,21 +515,37 @@ def test_dense_dx_is_the_derivative_of_dense_at():
     assert np.allclose(_dense_dx(1.0, F), F[0] - F[1] - F[2], rtol=1e-13, atol=1e-13)
 
 
-def test_bracket_bisection_oracle(params):
-    ec = envelope_constants(params)
-    t_star, t_star_up = blowup_bracket(params)
-    lo, hi = 1.5, 3.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+@pytest.mark.parametrize("beta,gamma,upper", [
+    (0.1, 0.5, 27.0),  # the defaults: (1 - 1/(3 gamma))^-3 = 27
+    (0.1, 1.0 / 3.0, None),
+    (0.1, 1e100, 1.0),  # the root lies within an ulp of t0
+    (1e-9, 1e-9, None),  # the root lies at 8.5e12
+    (1e-300, 1e-12, None),  # and at 4.1e17
+], ids=["defaults", "gamma-1/3", "gamma-1e100", "root-8.5e12", "root-4.1e17"])
+def test_bracket_bisection_oracle(beta, gamma, upper):
+    # bisection of bracket_fn down to adjacent floats, from t0/2, where it is positive,
+    # to the first power of 2 where it is not
+    p = params_from_iota3(0.2, beta=beta, gamma=gamma, lam=0.1, A=1.0)
+    ec = envelope_constants(p)
+    lo, hi = p.t0 / 2.0, p.t0 * 2.0
+    while ec.bracket_fn(hi) > 0.0:
+        hi *= 2.0
+    assert ec.bracket_fn(lo) > 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if ec.bracket_fn(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    assert abs(t_star - 0.5 * (lo + hi)) < 1e-10
-    assert abs(t_star - 2.01) < 1e-2
-    # upper end closed form: gamma = 0.5 -> (1 - 1/(3 gamma))^-3 = 27
-    assert t_star_up == pytest.approx(27.0, rel=1e-12)
-    assert 1.0 < t_star < t_star_up
+    t_star, t_star_up = blowup_bracket(p)
+    assert t_star == pytest.approx(hi, rel=1e-15, abs=0.0)
+    assert t_star_up == (None if upper is None else pytest.approx(upper, rel=1e-12))
+
+
+def test_a_bracket_past_the_largest_float_fails():
+    # t_star is about |cB|^(-3/2), some 1e450, at beta = gamma = 1e-300
+    p = params_from_iota3(0.2, beta=1e-300, gamma=1e-300)
+    with pytest.raises(NumericalFailure, match="blowup_bracket left the range of floats"):
+        blowup_bracket(p)
 
 
 def test_bracket_threshold_case():
